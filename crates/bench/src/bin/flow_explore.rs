@@ -263,9 +263,11 @@ fn main() {
     // Sharded execution statistics, when the run was sharded.
     if report.metrics.get("parallel.shards") > 0 {
         println!(
-            "\nsharded execution: {} shards, {} windows, {} horizon tightenings, {} barrier waits",
+            "\nsharded execution: {} shards, {} windows ({} idle shard-windows), \
+             {} horizon tightenings, {} barrier waits",
             report.metrics.get("parallel.shards"),
             report.metrics.get("parallel.windows"),
+            report.metrics.get("parallel.idle_windows"),
             report.metrics.get("parallel.horizon_tightenings"),
             report.metrics.get("parallel.barrier_waits"),
         );

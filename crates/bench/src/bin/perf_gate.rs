@@ -11,10 +11,11 @@
 //!
 //! Rates compare per-key `events_per_sec` (a rate, so baseline and gate
 //! runs may use different iteration counts). A missing key on either side
-//! passes with a note — a new binary has no baseline yet. The gate also
-//! refuses to compare across different `cores` counts: a single-core CI
-//! runner measuring a 4-shard record from a 16-core box would always
-//! "regress".
+//! passes with a note — a new binary has no baseline yet. Rates are not
+//! compared across different `cores` counts: a single-core CI runner
+//! measuring a 4-shard record from a 16-core box would always "regress".
+//! The count gates (shard event imbalance, allocations per event) do not
+//! depend on the host and always run.
 
 use serde::Value;
 
@@ -70,75 +71,115 @@ fn main() {
         println!("perf_gate: no `{key}` entry on both sides — nothing to compare, passing");
         return;
     };
-    let (Some(rate_b), Some(rate_a)) = (
-        field(b, "events_per_sec").and_then(as_f64),
-        field(a, "events_per_sec").and_then(as_f64),
-    ) else {
-        println!("perf_gate: `{key}` lacks events_per_sec on one side, passing");
-        return;
-    };
-    if let (Some(cores_b), Some(cores_a)) = (
-        field(b, "cores").and_then(as_f64),
-        field(a, "cores").and_then(as_f64),
-    ) {
-        if cores_b != cores_a {
-            println!(
-                "perf_gate: `{key}` recorded on {cores_b}-core vs {cores_a}-core hosts — \
-                 not comparable, passing"
-            );
-            return;
-        }
+    let mut notes = Vec::new();
+    let verdict = compare(key, b, a, max_regress, &mut notes);
+    for note in &notes {
+        println!("perf_gate: {note}");
     }
-    let ratio = rate_a / rate_b;
-    println!(
-        "perf_gate: `{key}` {rate_a:.0} ev/s vs baseline {rate_b:.0} ev/s ({:+.1}%)",
-        (ratio - 1.0) * 100.0
-    );
-    if ratio < 1.0 - max_regress {
-        eprintln!(
-            "perf_gate: FAIL — dispatch rate regressed more than {:.0}% \
-             (set MYRI_CI_NO_PERF=1 to skip the gate)",
-            max_regress * 100.0
-        );
+    if let Err(fail) = verdict {
+        eprintln!("perf_gate: FAIL — {fail} (set MYRI_CI_NO_PERF=1 to skip the gate)");
         std::process::exit(1);
+    }
+    println!("perf_gate: OK (allowed regression {:.0}%)", max_regress * 100.0);
+}
+
+/// Compare `key`'s fresh record `a` against its baseline `b`, pushing one
+/// report line per comparison made onto `notes`; `Err` names the first
+/// gate that failed. Each gate runs when both records carry its field.
+fn compare(
+    key: &str,
+    b: &Value,
+    a: &Value,
+    max_regress: f64,
+    notes: &mut Vec<String>,
+) -> Result<(), String> {
+    let num = |rec: &Value, name: &str| field(rec, name).and_then(as_f64);
+    // Dispatch rate. Only a rate depends on the host, so a cores mismatch
+    // skips this comparison alone.
+    match (num(b, "events_per_sec"), num(a, "events_per_sec")) {
+        (Some(rate_b), Some(rate_a)) => match (num(b, "cores"), num(a, "cores")) {
+            (Some(cores_b), Some(cores_a)) if cores_b != cores_a => notes.push(format!(
+                "`{key}` rate recorded on {cores_b}-core vs {cores_a}-core hosts — \
+                 not comparable, skipped"
+            )),
+            _ => {
+                let ratio = rate_a / rate_b;
+                notes.push(format!(
+                    "`{key}` {rate_a:.0} ev/s vs baseline {rate_b:.0} ev/s ({:+.1}%)",
+                    (ratio - 1.0) * 100.0
+                ));
+                if ratio < 1.0 - max_regress {
+                    return Err(format!(
+                        "dispatch rate regressed more than {:.0}%",
+                        max_regress * 100.0
+                    ));
+                }
+            }
+        },
+        _ => notes.push(format!("`{key}` lacks events_per_sec on one side, rate skipped")),
     }
     // Sharding balance, when both sides recorded one (sharded runs report
     // `parallel.event_imbalance_pct` through `bench::perf::note_imbalance`).
     // The partition is deterministic, so the gate allows 10 percentage
     // points of drift before calling a placement regression.
     if let (Some(imb_b), Some(imb_a)) = (
-        field(b, "event_imbalance_pct").and_then(as_f64),
-        field(a, "event_imbalance_pct").and_then(as_f64),
+        num(b, "event_imbalance_pct"),
+        num(a, "event_imbalance_pct"),
     ) {
-        println!(
-            "perf_gate: `{key}` {imb_a:.0}% event imbalance vs baseline {imb_b:.0}%"
-        );
+        notes.push(format!(
+            "`{key}` {imb_a:.0}% event imbalance vs baseline {imb_b:.0}%"
+        ));
         if imb_a > imb_b + 10.0 {
-            eprintln!(
-                "perf_gate: FAIL — shard event imbalance regressed more than 10 points \
-                 (set MYRI_CI_NO_PERF=1 to skip the gate)"
-            );
-            std::process::exit(1);
+            return Err("shard event imbalance regressed more than 10 points".into());
         }
     }
     // Allocation churn, when both sides were measured with `alloc-count`.
-    // Counts are near-deterministic (unlike wall-clock rates), so the
-    // allowed headroom is a tight 10%.
-    if let (Some(apb), Some(apa)) = (
-        field(b, "allocs_per_event").and_then(as_f64),
-        field(a, "allocs_per_event").and_then(as_f64),
-    ) {
-        println!(
-            "perf_gate: `{key}` {apa:.3} allocs/event vs baseline {apb:.3} ({:+.1}%)",
+    // Counts are near-deterministic and do not depend on the core count, so
+    // the allowed headroom is a tight 10%.
+    if let (Some(apb), Some(apa)) = (num(b, "allocs_per_event"), num(a, "allocs_per_event")) {
+        notes.push(format!(
+            "`{key}` {apa:.3} allocs/event vs baseline {apb:.3} ({:+.1}%)",
             (apa / apb.max(f64::MIN_POSITIVE) - 1.0) * 100.0
-        );
+        ));
         if apa > apb * 1.10 {
-            eprintln!(
-                "perf_gate: FAIL — allocations per event regressed more than 10% \
-                 (set MYRI_CI_NO_PERF=1 to skip the gate)"
-            );
-            std::process::exit(1);
+            return Err("allocations per event regressed more than 10%".into());
         }
     }
-    println!("perf_gate: OK (allowed regression {:.0}%)", max_regress * 100.0);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn record(json: &str) -> Value {
+        serde_json::from_str(json).expect("valid JSON")
+    }
+
+    #[test]
+    fn cores_mismatch_skips_only_the_rate() {
+        let base = record(r#"{"events_per_sec": 3.0e6, "cores": 1, "allocs_per_event": 1.7307}"#);
+        let fresh = |allocs: f64| {
+            record(&format!(
+                r#"{{"events_per_sec": 1.0e6, "cores": 2, "allocs_per_event": {allocs}}}"#
+            ))
+        };
+        let mut notes = Vec::new();
+        assert_eq!(compare("k", &base, &fresh(1.7307), 0.25, &mut notes), Ok(()));
+        assert!(notes[0].contains("not comparable"), "{notes:?}");
+        assert!(notes[1].contains("allocs/event"), "{notes:?}");
+        let verdict = compare("k", &base, &fresh(1.7307 * 1.2), 0.25, &mut Vec::new());
+        assert!(
+            verdict.is_err_and(|e| e.contains("allocations per event")),
+            "+20% allocs/event must fail across core counts"
+        );
+    }
+
+    #[test]
+    fn same_cores_gates_the_rate() {
+        let base = record(r#"{"events_per_sec": 3.0e6, "cores": 2}"#);
+        let slow = record(r#"{"events_per_sec": 2.0e6, "cores": 2}"#);
+        assert!(compare("k", &base, &slow, 0.25, &mut Vec::new()).is_err());
+        assert_eq!(compare("k", &base, &slow, 0.5, &mut Vec::new()), Ok(()));
+    }
 }

@@ -246,9 +246,11 @@ fn main() {
     if report.metrics.get("parallel.shards") > 0 {
         let shards = report.metrics.get("parallel.shards");
         println!(
-            "\nsharded execution: {} shards, {} windows, {} horizon tightenings, {} barrier waits",
+            "\nsharded execution: {} shards, {} windows ({} idle shard-windows), \
+             {} horizon tightenings, {} barrier waits",
             shards,
             report.metrics.get("parallel.windows"),
+            report.metrics.get("parallel.idle_windows"),
             report.metrics.get("parallel.horizon_tightenings"),
             report.metrics.get("parallel.barrier_waits"),
         );

@@ -282,10 +282,11 @@ fn main() {
 
     if report.metrics.get("parallel.shards") > 0 {
         println!(
-            "\nsharded execution: {} shards, {} windows, {} barrier waits, \
-             {}% event imbalance (max-min over max shard events)",
+            "\nsharded execution: {} shards, {} windows ({} idle shard-windows), \
+             {} barrier waits, {}% event imbalance (max-min over max shard events)",
             report.metrics.get("parallel.shards"),
             report.metrics.get("parallel.windows"),
+            report.metrics.get("parallel.idle_windows"),
             report.metrics.get("parallel.barrier_waits"),
             report.metrics.get("parallel.event_imbalance_pct"),
         );

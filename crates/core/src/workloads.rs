@@ -487,6 +487,11 @@ pub(crate) fn harvest_observability(
             "barrier_waits",
             shard_stats.iter().map(|s| s.barrier_waits).sum(),
         );
+        metrics.set(
+            "parallel",
+            "idle_windows",
+            shard_stats.iter().map(|s| s.idle_windows).sum(),
+        );
         for (i, s) in shard_stats.iter().enumerate() {
             metrics.set("parallel", &format!("shard{i}.events"), s.events);
         }

@@ -215,6 +215,18 @@ fn many_group_workload_matches_across_shard_counts() {
             incidents(&par),
             "incident stream diverges at {shards} shards"
         );
+        // Lockstep horizons keep both shards dispatching in nearly every
+        // window; leapfrogging ones leave one of the two idle in almost all.
+        if shards == 2 {
+            let (idle, windows) = (
+                par.metrics.get("parallel.idle_windows"),
+                par.metrics.get("parallel.windows"),
+            );
+            assert!(
+                idle * 10 < windows,
+                "{idle} idle shard-windows in {windows} windows at 2 shards"
+            );
+        }
     }
 }
 

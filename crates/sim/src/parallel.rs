@@ -18,11 +18,18 @@
 //!
 //! Two refinements on the textbook loop:
 //!
-//! * **Per-shard horizons.** Shard `i` may run past `W + lookahead`, up to
-//!   `min(earliest event of any *other* shard, earliest hand-off it emitted
-//!   itself this window) + lookahead`. When only one shard is active (the
-//!   serial phases of a ping-pong workload) it keeps running alone until it
-//!   actually talks to a peer, amortizing barrier costs away.
+//! * **Lockstep horizons.** Shard `i` runs to `max(W + lookahead, m)`,
+//!   where `m` is the earliest event of any *other* shard, tightened to
+//!   `e + lookahead` once it emits a hand-off arriving at `e`. Nothing a
+//!   peer sends this window arrives before `m + lookahead`, which the
+//!   bound never exceeds (`W ≤ m`), so it is conservative. It stops a
+//!   shard at its peers' next event rather than a lookahead past it: the
+//!   looser `m + lookahead` lets the shard holding `W` finish a whole
+//!   lookahead ahead of its peer, which then holds the next `W` while the
+//!   leader idles, and the two leapfrog forever, taking turns instead of
+//!   overlapping. When every peer is drained (`m` = never) a shard keeps
+//!   running alone until it actually talks to a peer, amortizing barrier
+//!   costs away in the serial phases of a ping-pong workload.
 //! * **Determinism is schedule-independent.** Window sizing and thread
 //!   interleaving only decide *when* events are dispatched, never their
 //!   relative order within a shard (each queue is insertion-stable) or the
@@ -102,6 +109,12 @@ impl<H> Outbox<H> {
         }
     }
 
+    /// Empty the outbox for the next window, keeping its buffer.
+    fn drain(&mut self) -> std::vec::Drain<'_, OutMsg<H>> {
+        self.earliest = SimTime::MAX;
+        self.msgs.drain(..)
+    }
+
     /// Emit a hand-off to `dst_shard`, arriving at `time`. `(time, src,
     /// seq)` must be unique per message — it is the canonical merge key.
     pub fn send(&mut self, dst_shard: u32, time: SimTime, src: u64, seq: u64, payload: H) {
@@ -146,6 +159,8 @@ pub struct ShardStats {
     pub horizon_tightenings: u64,
     /// Barrier waits performed (0 in caller mode, 2 per window threaded).
     pub barrier_waits: u64,
+    /// Windows in which this shard dispatched nothing.
+    pub idle_windows: u64,
     /// Events this shard dispatched.
     pub events: u64,
 }
@@ -208,6 +223,25 @@ fn threads_enabled(n_shards: usize) -> bool {
 /// `MAX`; adding to it must not wrap).
 fn horizon(floor_ns: u64, lookahead: SimDuration) -> u64 {
     floor_ns.saturating_add(lookahead.as_nanos())
+}
+
+/// A shard's static horizon for the window starting at `w` (the earliest
+/// pending event of any shard) when the earliest pending event of every
+/// other shard is `other_min`: the lockstep bound `max(w + lookahead,
+/// other_min)` (see the module docs), never past `deadline`.
+fn window_bound(w: u64, other_min: u64, lookahead: SimDuration, deadline: SimTime) -> u64 {
+    horizon(w, lookahead)
+        .max(other_min)
+        .min(deadline.as_nanos().saturating_add(1))
+}
+
+/// Absorb a shard's routed hand-offs in canonical `(time, src, seq)` order,
+/// leaving `inbox` empty with its buffer kept.
+fn absorb_all<W: ShardWorld>(lane: &mut Lane<W>, inbox: &mut Vec<OutMsg<W::Handoff>>) {
+    inbox.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
+    for m in inbox.drain(..) {
+        lane.world.absorb(m, &mut lane.sched);
+    }
 }
 
 /// The parallel counterpart of [`Engine`](crate::Engine): S shard worlds,
@@ -274,7 +308,7 @@ impl<W: ShardWorld> ShardedEngine<W> {
     }
 
     /// Per-shard execution diagnostics (windows, horizon tightenings,
-    /// barrier waits, events), in shard order.
+    /// barrier waits, idle windows, events), in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.lanes
             .iter()
@@ -324,22 +358,26 @@ impl<W: ShardWorld> ShardedEngine<W> {
         let started = std::time::Instant::now();
         let lookahead = self.lookahead;
         let n = self.lanes.len();
+        // Buffers reused by every window: routed hand-offs per destination,
+        // the one being absorbed, a shard's emissions, and the published
+        // earliest events.
         let mut mailboxes: Vec<Vec<OutMsg<W::Handoff>>> = (0..n).map(|_| Vec::new()).collect();
+        let mut inbox = Vec::new();
+        let mut outbox = Outbox::new();
+        let mut nexts = Vec::with_capacity(n);
         let mut handled_total = 0u64;
         let outcome = loop {
             // Barrier phase: absorb routed hand-offs in canonical order.
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                let mut msgs = std::mem::take(&mut mailboxes[i]);
-                msgs.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
-                for m in msgs {
-                    lane.world.absorb(m, &mut lane.sched);
-                }
+            for (lane, mailbox) in self.lanes.iter_mut().zip(&mut mailboxes) {
+                std::mem::swap(&mut inbox, mailbox);
+                absorb_all(lane, &mut inbox);
             }
-            let nexts: Vec<u64> = self
-                .lanes
-                .iter_mut()
-                .map(|l| l.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos))
-                .collect();
+            nexts.clear();
+            nexts.extend(
+                self.lanes
+                    .iter_mut()
+                    .map(|l| l.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos)),
+            );
             let w = nexts.iter().copied().min().expect("nonempty lanes");
             if w == u64::MAX {
                 break RunOutcome::Idle;
@@ -359,10 +397,9 @@ impl<W: ShardWorld> ShardedEngine<W> {
                     .map(|(_, &v)| v)
                     .min()
                     .unwrap_or(u64::MAX);
-                let bound = horizon(other_min, lookahead).min(deadline.as_nanos().saturating_add(1));
-                let mut outbox = Outbox::new();
+                let bound = window_bound(w, other_min, lookahead, deadline);
                 handled_total += run_window(lane, bound, lookahead, &mut outbox);
-                for m in outbox.msgs {
+                for m in outbox.drain() {
                     debug_assert_ne!(m.dst_shard as usize, i, "self hand-off must stay local");
                     mailboxes[m.dst_shard as usize].push(m);
                 }
@@ -424,18 +461,20 @@ fn worker_loop<W: ShardWorld>(
     let started = std::time::Instant::now();
     let mut sense = 0u64;
     let mut local_handled = 0u64;
+    // Reused by every window: swapping the drained inbox into the mailbox
+    // hands its buffer back to the senders.
+    let mut inbox = Vec::new();
+    let mut outbox = Outbox::new();
     let outcome = loop {
         // Barrier phase: drain my mailbox in canonical order, publish my
         // earliest pending event, meet the others at the window start.
-        let mut msgs = std::mem::take(
+        std::mem::swap(
+            &mut inbox,
             &mut *sh.mailboxes[me]
                 .lock()
                 .expect("a shard worker panicked while flushing hand-offs"),
         );
-        msgs.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
-        for m in msgs {
-            lane.world.absorb(m, &mut lane.sched);
-        }
+        absorb_all(lane, &mut inbox);
         let next_t = lane.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos);
         sh.next[me].store(next_t, Ordering::Release);
         lane.stats.barrier_waits += 1;
@@ -463,16 +502,14 @@ fn worker_loop<W: ShardWorld>(
 
         // Window phase: run to my horizon, then flush hand-offs and meet at
         // the window end so every mailbox is complete before the next drain.
-        let bound =
-            horizon(other_min, sh.lookahead).min(sh.deadline.as_nanos().saturating_add(1));
-        let mut outbox = Outbox::new();
+        let bound = window_bound(w, other_min, sh.lookahead, sh.deadline);
         let handled = run_window(lane, bound, sh.lookahead, &mut outbox);
         if handled > 0 {
             local_handled += handled;
             sh.total.fetch_add(handled, Ordering::AcqRel);
         }
-        if !outbox.msgs.is_empty() {
-            flush_outbox(me, outbox, &sh.mailboxes);
+        if !outbox.is_empty() {
+            flush_outbox(me, &mut outbox, &sh.mailboxes);
         }
         lane.stats.barrier_waits += 1;
         sh.barrier.wait(&mut sense);
@@ -506,6 +543,9 @@ fn run_window<W: ShardWorld>(
         handled += 1;
     }
     lane.stats.windows += 1;
+    if handled == 0 {
+        lane.stats.idle_windows += 1;
+    }
     if outbox.earliest != SimTime::MAX
         && horizon(outbox.earliest.as_nanos(), lookahead) < static_bound_ns
     {
@@ -518,10 +558,9 @@ fn run_window<W: ShardWorld>(
 /// Route a window's emissions into the shared mailboxes, one lock per
 /// destination shard. Mailbox arrival order is irrelevant: the receiver
 /// re-sorts by the unique `(time, src, seq)` key before absorbing.
-fn flush_outbox<H>(me: usize, outbox: Outbox<H>, mailboxes: &[Mutex<Vec<OutMsg<H>>>]) {
-    let mut msgs = outbox.msgs;
-    msgs.sort_unstable_by_key(|m| m.dst_shard);
-    let mut iter = msgs.into_iter().peekable();
+fn flush_outbox<H>(me: usize, outbox: &mut Outbox<H>, mailboxes: &[Mutex<Vec<OutMsg<H>>>]) {
+    outbox.msgs.sort_unstable_by_key(|m| m.dst_shard);
+    let mut iter = outbox.drain().peekable();
     while let Some(first) = iter.next() {
         let dst = first.dst_shard as usize;
         debug_assert_ne!(dst, me, "self hand-off must stay local");
@@ -622,5 +661,113 @@ mod tests {
             log
         }
         assert_eq!(run(true), run(false));
+    }
+
+    const LOOKAHEAD_NS: u64 = 500;
+    const PERIOD_NS: u64 = LOOKAHEAD_NS / 5;
+    const END_NS: u64 = 200 * LOOKAHEAD_NS;
+
+    /// A toy shard world of two clocks, nodes 0 and 1, where shard `k`
+    /// owns node `k` (one shard may own both). Each node ticks every
+    /// `PERIOD_NS` until `END_NS`, logging how many of its peer's ticks it
+    /// has received, and sends each tick to the peer, arriving one
+    /// lookahead later. A shard that ran past a hand-off it had not yet
+    /// absorbed would log a smaller count.
+    struct Clocks {
+        nodes: Vec<u32>,
+        received: [u64; 2],
+        log: Vec<(u64, u32, u64)>,
+        sent: u64,
+    }
+
+    enum ClockEv {
+        Tick(u32),
+        Recv(u32),
+    }
+
+    impl ShardWorld for Clocks {
+        type Event = ClockEv;
+        /// The receiving node.
+        type Handoff = u32;
+
+        fn handle(
+            &mut self,
+            event: ClockEv,
+            sched: &mut Scheduler<ClockEv>,
+            outbox: &mut Outbox<u32>,
+        ) {
+            let now = sched.now();
+            match event {
+                ClockEv::Recv(node) => self.received[node as usize] += 1,
+                ClockEv::Tick(node) => {
+                    self.log.push((now.as_nanos(), node, self.received[node as usize]));
+                    let peer = 1 - node;
+                    let at = now + SimDuration::from_nanos(LOOKAHEAD_NS);
+                    if self.nodes.contains(&peer) {
+                        sched.at_wire(at, ClockEv::Recv(peer));
+                    } else {
+                        outbox.send(peer, at, u64::from(node), self.sent, peer);
+                        self.sent += 1;
+                    }
+                    let next = now + SimDuration::from_nanos(PERIOD_NS);
+                    if next.as_nanos() < END_NS {
+                        sched.at(next, ClockEv::Tick(node));
+                    }
+                }
+            }
+        }
+
+        fn absorb(&mut self, m: OutMsg<u32>, sched: &mut Scheduler<ClockEv>) {
+            sched.at_wire(m.time, ClockEv::Recv(m.payload));
+        }
+    }
+
+    #[test]
+    fn lockstep_windows_keep_both_shards_busy() {
+        // Node 1 starts two lookaheads after node 0. Horizons of `other_min
+        // + lookahead` would let the leading shard run a lookahead ahead
+        // every window and leave each shard idle in about half of them.
+        let clocks = |nodes: Vec<u32>| Clocks {
+            nodes,
+            received: [0; 2],
+            log: vec![],
+            sent: 0,
+        };
+        let start = |node: u32| SimTime::from_nanos(u64::from(node) * 2 * LOOKAHEAD_NS);
+        let lookahead = SimDuration::from_nanos(LOOKAHEAD_NS);
+        let sorted_log = |worlds: Vec<Clocks>| {
+            let mut log: Vec<_> = worlds.into_iter().flat_map(|w| w.log).collect();
+            log.sort_unstable();
+            log
+        };
+
+        let mut one = ShardedEngine::new(vec![clocks(vec![0, 1])], lookahead);
+        for node in 0..2 {
+            one.schedule(0, start(node), ClockEv::Tick(node));
+        }
+        assert_eq!(one.run_to_idle(), RunOutcome::Idle);
+        let reference = sorted_log(one.into_worlds());
+
+        for threaded in [false, true] {
+            let mut two = ShardedEngine::new(vec![clocks(vec![0]), clocks(vec![1])], lookahead);
+            for node in 0..2 {
+                two.schedule(node as usize, start(node), ClockEv::Tick(node));
+            }
+            let outcome = if threaded {
+                two.run_threaded(SimTime::MAX, u64::MAX)
+            } else {
+                two.run_on_caller(SimTime::MAX, u64::MAX)
+            };
+            assert_eq!(outcome, RunOutcome::Idle);
+            for (i, s) in two.shard_stats().iter().enumerate() {
+                assert!(
+                    s.idle_windows <= 1,
+                    "threaded {threaded}: shard {i} idle in {} of {} windows",
+                    s.idle_windows,
+                    s.windows
+                );
+            }
+            assert_eq!(sorted_log(two.into_worlds()), reference, "threaded {threaded}");
+        }
     }
 }
