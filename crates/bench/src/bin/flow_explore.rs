@@ -340,15 +340,6 @@ fn main() {
         if delivered.is_empty() {
             failures.push("no delivered flows".into());
         }
-        // Batching health (warning only — sparse traffic batches poorly).
-        let batch = gm_sim::dispatch_stats::batch_snapshot();
-        if batch.batches > 0 && batch.mean_batch_size() < 1.05 {
-            eprintln!(
-                "warning: same-timestamp batching degenerated to singletons \
-                 (mean {:.2}) — check MYRI_SIM_BATCH and event timestamp alignment",
-                batch.mean_batch_size()
-            );
-        }
         if failures.is_empty() {
             println!(
                 "\nflow check: OK (graph acyclic, {} lineages complete, buckets sum \

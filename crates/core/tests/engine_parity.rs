@@ -1,20 +1,21 @@
-//! Differential suite for the engine-internals fast paths: same-timestamp
-//! **batched dispatch** must be a pure wall-clock optimization. A run with
-//! batch staging enabled must be **bit-for-bit identical** to the same run
-//! with batching disabled — same probe event stream, same latencies, same
-//! counters — at every shard count. Together with `queue_equiv.rs` (wheel
-//! vs reference heap at the queue level) and `parallel_parity.rs` (sharded
-//! vs sequential), this pins every engine configuration axis to one
-//! canonical observable stream.
+//! Differential suite for the event queue at simulator level: a run on the
+//! sliding timing wheel must be **bit-for-bit identical** to the same run
+//! on the reference binary heap — same probe event stream, same latencies,
+//! same counters — at every shard count. Real traffic drives what the
+//! queue-level differentials (`queue_equiv.rs` and the unit tests) only
+//! approximate: 20 ms retransmission timers in the far heap, Go-Back-N
+//! bursts, and keyed wire-class hand-offs. Together with
+//! `parallel_parity.rs` (sharded vs sequential), this pins every engine
+//! configuration axis to one canonical observable stream.
 //!
-//! The batch switch is process-global and sampled at queue construction
-//! (`gm_sim::batch::set_override`), so the tests in this file serialize on
+//! The queue kind is process-global and sampled at queue construction
+//! (`gm_sim::set_queue_override`), so the tests in this file serialize on
 //! a mutex: two tests flipping the override concurrently would race.
 
 use std::sync::Mutex;
 
 use gm_sim::probe::ProbeConfig;
-use gm_sim::{batch, SeriesConfig, SimTime};
+use gm_sim::{set_queue_override, QueueKind, SeriesConfig, SimTime};
 use myrinet::FaultPlan;
 use nic_mcast::{
     execute_observed, ArrivalProcess, FanoutDist, InstrumentedOutput, McastMode, McastRun,
@@ -22,15 +23,15 @@ use nic_mcast::{
 };
 use proptest::prelude::*;
 
-/// Serializes every test that flips the process-global batch override.
-static BATCH_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes every test that flips the process-global queue override.
+static QUEUE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Run `f` with batching forced to `on`, restoring the environment default
-/// afterwards even on panic (the lock guard outlives the override reset).
-fn with_batch<T>(on: bool, f: impl FnOnce() -> T) -> T {
-    batch::set_override(Some(on));
+/// Run `f` with every new event queue forced to `kind`, restoring the
+/// environment default afterwards (the lock guard outlives the reset).
+fn with_queue<T>(kind: QueueKind, f: impl FnOnce() -> T) -> T {
+    set_queue_override(Some(kind));
     let out = f();
-    batch::set_override(None);
+    set_queue_override(None);
     out
 }
 
@@ -66,62 +67,63 @@ fn observables(o: &InstrumentedOutput) -> (Vec<u64>, u64, u64, SeriesPoints) {
     )
 }
 
-/// Batched and unbatched dispatch of `run` must agree exactly at every
-/// shard count in `shard_counts`.
-fn assert_batch_invariant(run: &McastRun, shard_counts: &[u32]) {
-    let guard = BATCH_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+/// `run` on the wheel and on the reference heap must agree exactly at
+/// every shard count in `shard_counts`.
+fn assert_queue_invariant(run: &McastRun, shard_counts: &[u32]) {
+    let guard = QUEUE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     for &shards in shard_counts {
-        let on = with_batch(true, || run_observed(run, shards));
-        let off = with_batch(false, || run_observed(run, shards));
+        let wheel = with_queue(QueueKind::Wheel, || run_observed(run, shards));
+        let heap = with_queue(QueueKind::Heap, || run_observed(run, shards));
         assert_eq!(
-            on.output.end_time, off.output.end_time,
+            wheel.output.end_time, heap.output.end_time,
             "end time diverges at {shards} shards"
         );
-        let (pa, pb) = (on.probe.to_vec(), off.probe.to_vec());
+        let (pa, pb) = (wheel.probe.to_vec(), heap.probe.to_vec());
         assert_eq!(pa.len(), pb.len(), "probe stream length at {shards} shards");
         for (i, (x, y)) in pa.iter().zip(pb.iter()).enumerate() {
             assert_eq!(x, y, "probe streams diverge at event {i} ({shards} shards)");
         }
         assert_eq!(
-            on.metrics.without_layer("parallel"),
-            off.metrics.without_layer("parallel"),
+            wheel.metrics.without_layer("parallel"),
+            heap.metrics.without_layer("parallel"),
             "counter snapshot at {shards} shards"
         );
         assert_eq!(
-            observables(&on),
-            observables(&off),
+            observables(&wheel),
+            observables(&heap),
             "observables diverge at {shards} shards"
         );
-        assert_eq!(on.windows, off.windows, "iteration windows at {shards} shards");
+        assert_eq!(wheel.windows, heap.windows, "iteration windows at {shards} shards");
     }
     drop(guard);
 }
 
 #[test]
-fn batched_dispatch_is_invisible_headline_config() {
+fn wheel_matches_heap_headline_config() {
     let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
     run.warmup = 2;
     run.iters = 4;
-    assert_batch_invariant(&run, &[1, 2, 4]);
+    assert_queue_invariant(&run, &[1, 2, 4]);
 }
 
 #[test]
-fn batched_dispatch_is_invisible_under_loss() {
-    // Retransmission timers put heavy same-instant pressure on the queue
-    // (timeout bursts), the worst case for batch staging.
+fn wheel_matches_heap_under_loss() {
+    // Retransmission timers sit in the wheel's far heap and migrate into
+    // its ring as the window slides; their Go-Back-N bursts put heavy
+    // same-instant pressure on the queue.
     let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
     run.warmup = 1;
     run.iters = 6;
     run.faults = FaultPlan::with_loss(0.05);
-    assert_batch_invariant(&run, &[1, 4]);
+    assert_queue_invariant(&run, &[1, 4]);
 }
 
 #[test]
-fn batched_dispatch_is_invisible_on_workload() {
-    // The sustained many-group workload exercises the slab-parked NIC work
-    // queues and gauge series under churn; the whole summary document must
-    // be byte-identical with batching on and off.
-    let guard = BATCH_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+fn wheel_matches_heap_on_workload() {
+    // The sustained many-group workload exercises the parked per-node
+    // payloads and gauge series under churn; the whole summary document
+    // must be byte-identical on either queue.
+    let guard = QUEUE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let wl = || {
         Workload::new(16)
             .groups(24)
@@ -132,12 +134,12 @@ fn batched_dispatch_is_invisible_on_workload() {
             .size(512)
             .series(SeriesConfig::on())
     };
-    let on = with_batch(true, || wl().run());
-    let off = with_batch(false, || wl().run());
-    assert!(on.delivered > 0, "workload must deliver traffic");
-    assert_eq!(on.summary_json(), off.summary_json(), "summary diverges");
-    assert_eq!(on.end_time, off.end_time);
-    assert_eq!(on.events, off.events);
+    let wheel = with_queue(QueueKind::Wheel, || wl().run());
+    let heap = with_queue(QueueKind::Heap, || wl().run());
+    assert!(wheel.delivered > 0, "workload must deliver traffic");
+    assert_eq!(wheel.summary_json(), heap.summary_json(), "summary diverges");
+    assert_eq!(wheel.end_time, heap.end_time);
+    assert_eq!(wheel.events, heap.events);
     drop(guard);
 }
 
@@ -145,7 +147,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn batched_equals_unbatched(
+    fn wheel_equals_heap(
         n in 3u32..11,
         size in 1usize..4096,
         shape_k in 1u32..4,
@@ -162,6 +164,6 @@ proptest! {
         if loss_on {
             run.faults = FaultPlan::with_loss(0.03);
         }
-        assert_batch_invariant(&run, &[shards]);
+        assert_queue_invariant(&run, &[shards]);
     }
 }

@@ -6,14 +6,23 @@
 //! delivery). All protocol logic lives in [`NicCore`] and the installed
 //! extension; this module only routes events and converts NIC intents into
 //! scheduled events.
+//!
+//! Events are thin: an [`Ev`] is at most a node id and a `u32` (12 bytes),
+//! with no extension type parameter, so the event queue moves it inline.
+//! Each payload parks with the node that owns it until its event fires —
+//! host calls, arriving packets and timer tags in per-node slabs, notices
+//! in a per-node FIFO, the one in-flight transmit callback in the node's
+//! slot, LANai work and DMA jobs in the NIC's own slabs — and packet
+//! hand-offs in the cluster's wire slab.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use gm_sim::parallel::OutMsg;
 use gm_sim::probe::{ProbeConfig, ProbeSink};
 use gm_sim::{
     Engine, FlowId, Outbox, Scheduler, SeriesConfig, SeriesSink, ShardWorld, ShardedEngine,
-    SimDuration, SimTime, World, FLOW_DELIVERY,
+    SimDuration, SimTime, Slab, World, FLOW_DELIVERY,
 };
 use myrinet::{Fabric, NodeId, Packet, RxOutcome, WireHandoff};
 
@@ -52,15 +61,20 @@ pub mod probes {
     pub use gm_sim::probe::{LINK_STALL, PKT_DROP};
 }
 
-/// The cluster's event alphabet.
-#[derive(Debug)]
-pub enum Ev<X: NicExtension> {
+/// The cluster's event alphabet. Each variant names the node it runs on
+/// and, where the event carries a payload, the id under which the payload
+/// is parked (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Ev {
     /// Kick a node's application.
     AppStart(NodeId),
-    /// A host call (post-overhead) arrives at the NIC.
-    HostCall(NodeId, HostCall<X::Request>),
-    /// A notice reaches the host (delivered when the CPU is free).
-    NoticeArrive(NodeId, Notice<X::Notice>),
+    /// A host call (post-overhead) arrives at the NIC (id into the node's
+    /// host-call slab).
+    HostCall(NodeId, u32),
+    /// The front of the node's notice FIFO reaches the host (delivered when
+    /// the CPU is free). Notices are scheduled `immediately`, so they fire
+    /// in the order they were queued.
+    NoticeArrive(NodeId),
     /// The host CPU freed up; deliver pending notices.
     HostWake(NodeId),
     /// A LANai work item's processing time elapsed. Carries only the item's
@@ -69,81 +83,21 @@ pub enum Ev<X: NicExtension> {
     LanaiDone(NodeId, WorkId),
     /// A PCI DMA transfer completed (id into the NIC's DMA slab).
     PciDone(NodeId, PciId),
-    /// The transmit engine finished serializing a packet.
-    TxDrained(NodeId, Cb<X::Tag>),
-    /// A packet's tail arrived at a NIC.
-    PacketArrive(NodeId, Packet),
-    /// A timer fired.
-    Timer(NodeId, TimerTag<X::Tag>),
-    /// Wire-boundary sentinel: drain every buffered [`WireHandoff`] whose
-    /// head reaches destination-owned links at this instant. Scheduled with
-    /// [`Scheduler::at_wire`], so it runs before any normal event of the
-    /// same instant — the canonical position that makes sequential and
-    /// sharded runs identical.
-    WireRx,
-}
-
-/// Packets in flight across the route's ownership boundary, ordered by the
-/// canonical `(head_at, src, wire_seq)` key in which the receive stages
-/// must run. One [`Ev::WireRx`] sentinel is scheduled per insertion; the
-/// first sentinel of an instant drains every hand-off due at it, later ones
-/// find nothing (keeping event counts identical across modes). A min-heap
-/// on the (unique) canonical key: this sits on every packet's hot path, and
-/// a heap push/pop beats B-tree rebalancing for the shallow occupancy the
-/// wire keeps (packets in flight for one lookahead at most).
-struct WireBuffer {
-    heap: std::collections::BinaryHeap<WireEntry>,
-}
-
-/// Heap entry ordered as a *min*-heap on the canonical key (reversed
-/// comparisons; `BinaryHeap` is a max-heap).
-struct WireEntry {
-    key: (SimTime, u32, u64),
-    handoff: WireHandoff,
-}
-
-impl PartialEq for WireEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for WireEntry {}
-impl PartialOrd for WireEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WireEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
-}
-
-impl WireBuffer {
-    fn new() -> Self {
-        WireBuffer {
-            heap: std::collections::BinaryHeap::new(),
-        }
-    }
-
-    fn insert(&mut self, h: WireHandoff) {
-        let key = (h.head_at, h.pkt.src.0, h.wire_seq);
-        debug_assert!(
-            !self.heap.iter().any(|e| e.key == key),
-            "duplicate wire hand-off key"
-        );
-        self.heap.push(WireEntry { key, handoff: h });
-    }
-
-    fn pop_due(&mut self, now: SimTime) -> Option<WireHandoff> {
-        let t = self.heap.peek()?.key.0;
-        if t == now {
-            self.heap.pop().map(|e| e.handoff)
-        } else {
-            debug_assert!(t > now, "missed a wire hand-off at {t} (now {now})");
-            None
-        }
-    }
+    /// The transmit engine finished serializing the node's in-flight packet
+    /// (its callback waits in the node's slot; the engine sends one packet
+    /// at a time).
+    TxDrained(NodeId),
+    /// A packet's tail arrived at a NIC (id into the node's packet slab).
+    PacketArrive(NodeId, u32),
+    /// A timer fired (id into the node's timer slab).
+    Timer(NodeId, u32),
+    /// The receive stage of one [`WireHandoff`] (id into the wire slab),
+    /// run at the instant its head reaches destination-owned links.
+    /// Scheduled with [`Scheduler::at_wire`] under the hand-off's canonical
+    /// `(src, wire_seq)` key, so it runs before any normal event of the
+    /// instant and after every hand-off with a smaller key — the canonical
+    /// position that makes sequential and sharded runs identical.
+    WireRx(u32),
 }
 
 struct Slot<X: NicExtension> {
@@ -153,7 +107,35 @@ struct Slot<X: NicExtension> {
     app: Option<Box<dyn HostApp<X> + Send>>,
     /// Sends the GM library parked while the NIC was out of send tokens
     /// (a blocking `gm_send` queues client-side; replayed as tokens free).
-    parked_sends: std::collections::VecDeque<crate::nic::SendArgs>,
+    parked_sends: VecDeque<crate::nic::SendArgs>,
+    /// Host calls on their way to the NIC ([`Ev::HostCall`]).
+    calls: Slab<HostCall<X::Request>>,
+    /// Notices on their way to the host, in firing order
+    /// ([`Ev::NoticeArrive`]).
+    notices: VecDeque<Notice<X::Notice>>,
+    /// Packets whose tail arrival is scheduled ([`Ev::PacketArrive`]).
+    packets: Slab<Packet>,
+    /// Armed timers ([`Ev::Timer`]).
+    timers: Slab<TimerTag<X::Tag>>,
+    /// Descriptor callback of the packet on the wire ([`Ev::TxDrained`]).
+    tx_cb: Option<Cb<X::Tag>>,
+}
+
+impl<X: NicExtension> Slot<X> {
+    fn new(node: NodeId, params: &GmParams, ext: X) -> Self {
+        Slot {
+            host: Host::new(node),
+            nic: NicCore::new(node, params.clone()),
+            ext,
+            app: Some(Box::new(crate::host::IdleApp)),
+            parked_sends: VecDeque::new(),
+            calls: Slab::new(),
+            notices: VecDeque::new(),
+            packets: Slab::new(),
+            timers: Slab::new(),
+            tx_cb: None,
+        }
+    }
 }
 
 /// N nodes plus the fabric — or, after [`split`](Cluster::split), one
@@ -180,8 +162,8 @@ pub struct Cluster<X: NicExtension> {
     /// (`None`: balance node counts). See
     /// [`set_partition_weights`](Self::set_partition_weights).
     partition_weights: Option<Vec<u64>>,
-    /// Hand-offs whose receive stage is due here, in canonical order.
-    wire: WireBuffer,
+    /// Hand-offs whose receive stage is scheduled here ([`Ev::WireRx`]).
+    wire: Slab<WireHandoff>,
     /// Cross-shard hand-offs emitted by the event being handled; drained
     /// into the engine's [`Outbox`] after each event (empty when unsplit).
     pending_out: Vec<OutMsg<WireHandoff>>,
@@ -194,16 +176,7 @@ impl<X: NicExtension> Cluster<X> {
     pub fn new(params: GmParams, fabric: Fabric, mut mk_ext: impl FnMut(NodeId) -> X) -> Self {
         let n = fabric.topology().n_nodes();
         let slots = (0..n)
-            .map(|i| {
-                let node = NodeId(i);
-                Slot {
-                    host: Host::new(node),
-                    nic: NicCore::new(node, params.clone()),
-                    ext: mk_ext(node),
-                    app: Some(Box::new(crate::host::IdleApp)),
-                    parked_sends: std::collections::VecDeque::new(),
-                }
-            })
+            .map(|i| Slot::new(NodeId(i), &params, mk_ext(NodeId(i))))
             .collect();
         Cluster {
             params,
@@ -217,7 +190,7 @@ impl<X: NicExtension> Cluster<X> {
             my_shard: 0,
             node_base: 0,
             partition_weights: None,
-            wire: WireBuffer::new(),
+            wire: Slab::new(),
             pending_out: Vec::new(),
         }
     }
@@ -399,7 +372,7 @@ impl<X: NicExtension> Cluster<X> {
                 my_shard: s,
                 node_base,
                 partition_weights: None,
-                wire: WireBuffer::new(),
+                wire: Slab::new(),
                 pending_out: Vec::new(),
             });
             node_base += count as u32;
@@ -435,7 +408,7 @@ impl<X: NicExtension> Cluster<X> {
     fn with_app(
         &mut self,
         node: NodeId,
-        sched: &mut Scheduler<Ev<X>>,
+        sched: &mut Scheduler<Ev>,
         f: impl FnOnce(&mut dyn HostApp<X>, &mut HostCtx<'_, X>),
     ) {
         self.with_app_from(node, sched, None, f);
@@ -447,7 +420,7 @@ impl<X: NicExtension> Cluster<X> {
     fn with_app_from(
         &mut self,
         node: NodeId,
-        sched: &mut Scheduler<Ev<X>>,
+        sched: &mut Scheduler<Ev>,
         busy_from: Option<SimTime>,
         f: impl FnOnce(&mut dyn HostApp<X>, &mut HostCtx<'_, X>),
     ) {
@@ -472,10 +445,11 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// Schedule the host calls an app produced.
-    fn pump_host(&mut self, node: NodeId, sched: &mut Scheduler<Ev<X>>) {
+    fn pump_host(&mut self, node: NodeId, sched: &mut Scheduler<Ev>) {
         let li = self.local(node);
-        for (at, call) in self.slots[li].host.calls.drain(..) {
-            sched.at(at, Ev::HostCall(node, call));
+        let slot = &mut self.slots[li];
+        for (at, call) in slot.host.calls.drain(..) {
+            sched.at(at, Ev::HostCall(node, slot.calls.insert(call)));
         }
     }
 
@@ -485,7 +459,7 @@ impl<X: NicExtension> Cluster<X> {
     /// DMA). Each pass schedules at least one completion event, so the loop
     /// terminates.
     // simlint::hot
-    fn pump_nic(&mut self, node: NodeId, sched: &mut Scheduler<Ev<X>>) {
+    fn pump_nic(&mut self, node: NodeId, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         let li = self.local(node);
         self.slots[li].nic.set_now(now);
@@ -546,15 +520,16 @@ impl<X: NicExtension> Cluster<X> {
                         self.probe
                             .complete_flow(now, node.0, probes::LINK_STALL, stall, "", flow);
                     }
-                    sched.at(tx.src_free, Ev::TxDrained(node, cb));
+                    sched.at(tx.src_free, Ev::TxDrained(node));
+                    let slot = &mut self.slots[li];
+                    debug_assert!(slot.tx_cb.is_none(), "{node}: two packets on the wire");
+                    slot.tx_cb = Some(cb);
                     let h = tx.handoff;
                     let dst_shard = self.shard_of[h.pkt.dst.idx()];
                     if dst_shard == self.my_shard {
-                        // Local receive: buffer and drain via a wire-class
-                        // sentinel, the same canonical position a cross-shard
-                        // hand-off gets.
-                        sched.at_wire(h.head_at, Ev::WireRx);
-                        self.wire.insert(h);
+                        // Local receive: the same keyed wire-class position a
+                        // cross-shard hand-off gets.
+                        self.park_handoff(h, sched);
                     } else {
                         self.pending_out.push(OutMsg {
                             dst_shard,
@@ -573,10 +548,11 @@ impl<X: NicExtension> Cluster<X> {
                 // pub `drain_*` methods, which swap in fresh Vecs — this loop
                 // runs per pump and must not churn the allocator.
                 for (delay, tag) in slot.nic.timer_reqs.drain(..) {
-                    sched.after(delay, Ev::Timer(node, tag));
+                    sched.after(delay, Ev::Timer(node, slot.timers.insert(tag)));
                 }
                 for notice in slot.nic.notices.drain(..) {
-                    sched.immediately(Ev::NoticeArrive(node, notice));
+                    slot.notices.push_back(notice);
+                    sched.immediately(Ev::NoticeArrive(node));
                 }
                 if !self.slots[li].nic.wants_pump() {
                     break;
@@ -621,10 +597,18 @@ impl<X: NicExtension> Cluster<X> {
         self.series.record(now, n, "retx_total", retx);
     }
 
+    /// Park a hand-off whose receive stage runs on this shard and schedule
+    /// it at its head arrival under its canonical `(src, wire_seq)` key.
+    // simlint::hot
+    fn park_handoff(&mut self, h: WireHandoff, sched: &mut Scheduler<Ev>) {
+        let (at, src, seq) = (h.head_at, u64::from(h.pkt.src.0), h.wire_seq);
+        sched.at_wire(at, src, seq, Ev::WireRx(self.wire.insert(h)));
+    }
+
     /// Run the receive stage of one boundary hand-off: reserve the
     /// destination-owned links, decide the packet's fate, and schedule the
     /// tail arrival. `now` must equal `h.head_at`.
-    fn rx_deliver(&mut self, h: WireHandoff, sched: &mut Scheduler<Ev<X>>) {
+    fn rx_deliver(&mut self, h: WireHandoff, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         debug_assert_eq!(now, h.head_at, "receive stage off its boundary instant");
         let dst = h.pkt.dst;
@@ -644,7 +628,9 @@ impl<X: NicExtension> Cluster<X> {
                     "flight",
                     flow,
                 );
-                sched.at(at, Ev::PacketArrive(dst, h.pkt));
+                let li = self.local(dst);
+                let id = self.slots[li].packets.insert(h.pkt);
+                sched.at(at, Ev::PacketArrive(dst, id));
             }
             RxOutcome::Dropped { .. } => {
                 self.probe
@@ -658,7 +644,7 @@ impl<X: NicExtension> Cluster<X> {
         &mut self,
         node: NodeId,
         notice: Notice<X::Notice>,
-        sched: &mut Scheduler<Ev<X>>,
+        sched: &mut Scheduler<Ev>,
     ) {
         let li = self.local(node);
         let slot = &mut self.slots[li];
@@ -675,7 +661,7 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// Deliver one notice: charge the host's handling cost, then run the app.
-    fn deliver(&mut self, node: NodeId, notice: Notice<X::Notice>, sched: &mut Scheduler<Ev<X>>) {
+    fn deliver(&mut self, node: NodeId, notice: Notice<X::Notice>, sched: &mut Scheduler<Ev>) {
         let (cost, name) = match &notice {
             Notice::Recv { .. } => (self.params.host_recv_event, "recv"),
             Notice::SendComplete { .. } => (self.params.host_send_complete, "send_complete"),
@@ -705,7 +691,7 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// The host CPU freed up: deliver as many pending notices as possible.
-    fn host_wake(&mut self, node: NodeId, sched: &mut Scheduler<Ev<X>>) {
+    fn host_wake(&mut self, node: NodeId, sched: &mut Scheduler<Ev>) {
         let li = self.local(node);
         self.slots[li].host.wake_scheduled = false;
         loop {
@@ -729,9 +715,9 @@ impl<X: NicExtension> Cluster<X> {
 }
 
 impl<X: NicExtension> World for Cluster<X> {
-    type Event = Ev<X>;
+    type Event = Ev;
 
-    fn handle(&mut self, event: Ev<X>, sched: &mut Scheduler<Ev<X>>) {
+    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         self.events_handled += 1;
         if self.series.is_enabled() && self.events_handled.is_multiple_of(64) {
             // Execution diagnostic (hence the `exec_` prefix): the event
@@ -748,10 +734,11 @@ impl<X: NicExtension> World for Cluster<X> {
             Ev::AppStart(n) => {
                 self.with_app(n, sched, |app, ctx| app.on_start(ctx));
             }
-            Ev::HostCall(n, call) => {
+            Ev::HostCall(n, id) => {
                 let now = sched.now();
                 let li = self.local(n);
                 let slot = &mut self.slots[li];
+                let call = slot.calls.take(id);
                 slot.nic.set_now(now);
                 match call {
                     HostCall::Send(args) => {
@@ -785,7 +772,12 @@ impl<X: NicExtension> World for Cluster<X> {
                 }
                 self.pump_nic(n, sched);
             }
-            Ev::NoticeArrive(n, notice) => {
+            Ev::NoticeArrive(n) => {
+                let li = self.local(n);
+                let notice = self.slots[li]
+                    .notices
+                    .pop_front()
+                    .expect("a notice event for every queued notice");
                 self.deliver_or_queue(n, notice, sched);
             }
             Ev::HostWake(n) => {
@@ -810,15 +802,18 @@ impl<X: NicExtension> World for Cluster<X> {
                 slot.nic.pci_finish(pid, &mut slot.ext);
                 self.pump_nic(n, sched);
             }
-            Ev::TxDrained(n, cb) => {
+            Ev::TxDrained(n) => {
                 self.probe.end(sched.now(), n.0, probes::WIRE_TX, "tx");
                 let li = self.local(n);
                 let slot = &mut self.slots[li];
+                let cb = slot.tx_cb.take().expect("a callback for the packet on the wire");
                 slot.nic.set_now(sched.now());
                 slot.nic.tx_drained(cb);
                 self.pump_nic(n, sched);
             }
-            Ev::PacketArrive(n, pkt) => {
+            Ev::PacketArrive(n, id) => {
+                let li = self.local(n);
+                let pkt = self.slots[li].packets.take(id);
                 self.probe.instant_flow(
                     sched.now(),
                     n.0,
@@ -827,13 +822,14 @@ impl<X: NicExtension> World for Cluster<X> {
                     u64::from(pkt.src.0),
                     flow_of_packet(&pkt),
                 );
-                let li = self.local(n);
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
                 slot.nic.packet_arrived(pkt);
                 self.pump_nic(n, sched);
             }
-            Ev::Timer(n, tag) => {
+            Ev::Timer(n, id) => {
+                let li = self.local(n);
+                let tag = self.slots[li].timers.take(id);
                 let label = match &tag {
                     TimerTag::Conn { .. } => "conn",
                     TimerTag::AckFlush { .. } => "ack_flush",
@@ -841,29 +837,27 @@ impl<X: NicExtension> World for Cluster<X> {
                 };
                 self.probe
                     .instant(sched.now(), n.0, probes::NIC_TIMER, label, 0);
-                let li = self.local(n);
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
                 slot.nic.timer_fired(tag, &mut slot.ext);
                 self.pump_nic(n, sched);
             }
-            Ev::WireRx => {
-                while let Some(h) = self.wire.pop_due(sched.now()) {
-                    self.rx_deliver(h, sched);
-                }
+            Ev::WireRx(id) => {
+                let h = self.wire.take(id);
+                self.rx_deliver(h, sched);
             }
         }
     }
 }
 
 impl<X: NicExtension> ShardWorld for Cluster<X> {
-    type Event = Ev<X>;
+    type Event = Ev;
     type Handoff = WireHandoff;
 
     fn handle(
         &mut self,
-        event: Ev<X>,
-        sched: &mut Scheduler<Ev<X>>,
+        event: Ev,
+        sched: &mut Scheduler<Ev>,
         outbox: &mut Outbox<WireHandoff>,
     ) {
         World::handle(self, event, sched);
@@ -872,9 +866,20 @@ impl<X: NicExtension> ShardWorld for Cluster<X> {
         }
     }
 
-    fn absorb(&mut self, m: OutMsg<WireHandoff>, sched: &mut Scheduler<Ev<X>>) {
-        sched.at_wire(m.time, Ev::WireRx);
-        self.wire.insert(m.payload);
+    fn absorb(&mut self, m: OutMsg<WireHandoff>, sched: &mut Scheduler<Ev>) {
+        debug_assert_eq!((m.time, m.seq), (m.payload.head_at, m.payload.wire_seq));
+        self.park_handoff(m.payload, sched);
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_are_thin() {
+        // Payloads park with their owners, so the event queue moves a node
+        // id and a u32 at most; the queue stores events inline.
+        assert!(std::mem::size_of::<Ev>() <= 16, "Ev is {} bytes", std::mem::size_of::<Ev>());
+    }
+}

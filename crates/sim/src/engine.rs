@@ -18,41 +18,11 @@ pub mod dispatch_stats {
     static EVENTS: AtomicU64 = AtomicU64::new(0);
     static WALL_NANOS: AtomicU64 = AtomicU64::new(0);
 
-    /// Batches staged by the wheel's same-timestamp drain (size ≥ 1 each).
-    static BATCHES: AtomicU64 = AtomicU64::new(0);
-    /// Events coalesced *beyond* the first of each batch (`Σ (size − 1)`).
-    static COALESCED: AtomicU64 = AtomicU64::new(0);
-    /// Batch-size histogram; see [`BatchStats::HIST_LABELS`] for buckets.
-    static BATCH_HIST: [AtomicU64; 8] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-
     pub(crate) fn add(events: u64, wall: std::time::Duration) {
         if events > 0 {
             EVENTS.fetch_add(events, Ordering::Relaxed);
             // simlint::allow(units, "std::time::Duration wall-clock stat, not SimTime")
             WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Fold one queue's locally accumulated batch counters into the
-    /// process totals. Called when an `EventQueue` drops: per-batch atomic
-    /// updates would cost three RMWs per pop on singleton-heavy traffic,
-    /// which is exactly the traffic the fast path exists for.
-    pub(crate) fn flush_batches(batches: u64, coalesced: u64, hist: &[u64; 8]) {
-        BATCHES.fetch_add(batches, Ordering::Relaxed);
-        COALESCED.fetch_add(coalesced, Ordering::Relaxed);
-        for (dst, &src) in BATCH_HIST.iter().zip(hist.iter()) {
-            if src > 0 {
-                dst.fetch_add(src, Ordering::Relaxed);
-            }
         }
     }
 
@@ -73,45 +43,6 @@ pub mod dispatch_stats {
             events as f64 / secs
         } else {
             0.0
-        }
-    }
-
-    /// Same-timestamp batching totals since process start.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct BatchStats {
-        /// Batches staged (each covers ≥ 1 events).
-        pub batches: u64,
-        /// Events coalesced beyond the first of each batch.
-        pub coalesced: u64,
-        /// Batch-size histogram over [`BatchStats::HIST_LABELS`] buckets.
-        pub hist: [u64; 8],
-    }
-
-    impl BatchStats {
-        /// Human-readable bucket bounds for [`BatchStats::hist`].
-        pub const HIST_LABELS: [&'static str; 8] =
-            ["1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65+"];
-
-        /// Mean events per staged batch (1.0 means batching degenerated to
-        /// singleton pops; 0.0 before any batch was staged).
-        pub fn mean_batch_size(&self) -> f64 {
-            if self.batches == 0 {
-                return 0.0;
-            }
-            (self.batches + self.coalesced) as f64 / self.batches as f64
-        }
-    }
-
-    /// Snapshot the process-wide batching counters.
-    pub fn batch_snapshot() -> BatchStats {
-        let mut hist = [0u64; 8];
-        for (dst, src) in hist.iter_mut().zip(BATCH_HIST.iter()) {
-            *dst = src.load(Ordering::Relaxed);
-        }
-        BatchStats {
-            batches: BATCHES.load(Ordering::Relaxed),
-            coalesced: COALESCED.load(Ordering::Relaxed),
-            hist,
         }
     }
 }
@@ -163,18 +94,21 @@ impl<E> Scheduler<E> {
         self.queue.push(self.now, event);
     }
 
-    /// Schedule a wire-boundary event: at its instant it is delivered before
-    /// every normally-scheduled event, regardless of scheduling order. This
-    /// gives packet hand-offs a canonical position within the instant that
-    /// is identical in sequential and sharded runs (see `sim::parallel`).
+    /// Schedule a wire-boundary event keyed by its hand-off's canonical
+    /// `(src, seq)`: at its instant it is delivered before every
+    /// normally-scheduled event, and the wire events of one instant are
+    /// delivered in key order, regardless of scheduling order. This gives
+    /// packet hand-offs a canonical position within the instant that is
+    /// identical in sequential and sharded runs (see `sim::parallel`).
+    /// `(time, src, seq)` must be unique among wire events.
     #[inline]
-    pub fn at_wire(&mut self, time: SimTime, event: E) {
+    pub fn at_wire(&mut self, time: SimTime, src: u64, seq: u64, event: E) {
         assert!(
             time >= self.now,
             "scheduling into the past: {time} < {}",
             self.now
         );
-        self.queue.push_wire(time, event);
+        self.queue.push_wire(time, src, seq, event);
     }
 
     /// Number of pending events.
@@ -188,12 +122,15 @@ impl<E> Scheduler<E> {
         self.queue.peek_time()
     }
 
-    /// Pop the earliest event and advance the clock to it (window run loops).
-    pub(crate) fn pop_advance(&mut self) -> Option<(SimTime, E)> {
-        let (time, event) = self.queue.pop()?;
+    /// Pop the earliest event if it fires at or before `limit`, advancing
+    /// the clock to it.
+    // simlint::hot
+    #[inline]
+    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<E> {
+        let (time, event) = self.queue.pop_due(limit)?;
         debug_assert!(time >= self.now, "time went backwards");
         self.now = time;
-        Some((time, event))
+        Some(event)
     }
 }
 
@@ -318,17 +255,20 @@ impl<W: World> Engine<W> {
         let started = std::time::Instant::now();
         let mut handled = 0u64;
         let outcome = loop {
-            match self.sched.queue.peek_time() {
-                None => break RunOutcome::Idle,
-                Some(t) if t > deadline => break RunOutcome::TimeLimit,
-                Some(_) => {}
-            }
             if handled >= max_events {
-                break RunOutcome::EventLimit;
+                break match self.sched.peek_time() {
+                    None => RunOutcome::Idle,
+                    Some(t) if t > deadline => RunOutcome::TimeLimit,
+                    Some(_) => RunOutcome::EventLimit,
+                };
             }
-            let (time, event) = self.sched.queue.pop().expect("peeked nonempty");
-            debug_assert!(time >= self.sched.now, "time went backwards");
-            self.sched.now = time;
+            let Some(event) = self.sched.pop_due(deadline) else {
+                break if self.sched.queue.is_empty() {
+                    RunOutcome::Idle
+                } else {
+                    RunOutcome::TimeLimit
+                };
+            };
             self.world.handle(event, &mut self.sched);
             self.events_handled += 1;
             handled += 1;
@@ -351,9 +291,7 @@ impl<W: World> Engine<W> {
             if !predicate(&self.world) {
                 break RunOutcome::EventLimit;
             }
-            let (time, event) = self.sched.queue.pop().expect("nonempty");
-            debug_assert!(time >= self.sched.now, "time went backwards");
-            self.sched.now = time;
+            let event = self.sched.pop_due(SimTime::MAX).expect("nonempty");
             self.world.handle(event, &mut self.sched);
             self.events_handled += 1;
             handled += 1;

@@ -34,8 +34,8 @@
 //!   interleaving only decide *when* events are dispatched, never their
 //!   relative order within a shard (each queue is insertion-stable) or the
 //!   order of hand-offs (sorted by the unique `(time, src, seq)` key before
-//!   absorption, and delivered ahead of same-instant local events via
-//!   [`EventClass::Wire`](crate::queue::EventClass)). Results are therefore
+//!   absorption, and delivered ahead of same-instant local events in that
+//!   key order by [`Scheduler::at_wire`]). Results are therefore
 //!   bit-for-bit identical to the sequential engine — proven by the
 //!   differential suites in `crates/core`.
 //!
@@ -71,8 +71,8 @@ pub trait ShardWorld: Send {
 
     /// Deliver one hand-off emitted by a peer shard. Called at the window
     /// barrier, in canonical `(time, src, seq)` order; implementations
-    /// typically buffer the payload and schedule a wire-class drain event
-    /// at `msg.time` via [`Scheduler::at_wire`].
+    /// typically park the payload and schedule a wire-class event at
+    /// `msg.time`, keyed by `(msg.src, msg.seq)`, via [`Scheduler::at_wire`].
     fn absorb(&mut self, msg: OutMsg<Self::Handoff>, sched: &mut Scheduler<Self::Event>);
 }
 
@@ -534,11 +534,10 @@ fn run_window<W: ShardWorld>(
         } else {
             static_bound_ns.min(horizon(outbox.earliest.as_nanos(), lookahead))
         };
-        match lane.sched.peek_time() {
-            Some(t) if t.as_nanos() < bound => {}
-            _ => break,
-        }
-        let (_, event) = lane.sched.pop_advance().expect("peeked nonempty");
+        // Horizons are exclusive and at least one lookahead past zero.
+        let Some(event) = lane.sched.pop_due(SimTime::from_nanos(bound - 1)) else {
+            break;
+        };
         lane.world.handle(event, &mut lane.sched, outbox);
         handled += 1;
     }
@@ -614,7 +613,7 @@ mod tests {
         }
 
         fn absorb(&mut self, m: OutMsg<u64>, sched: &mut Scheduler<Ev>) {
-            sched.at_wire(m.time, Ev::Token(m.payload));
+            sched.at_wire(m.time, m.src, m.seq, Ev::Token(m.payload));
         }
     }
 
@@ -677,7 +676,8 @@ mod tests {
         nodes: Vec<u32>,
         received: [u64; 2],
         log: Vec<(u64, u32, u64)>,
-        sent: u64,
+        /// Ticks each node has sent: the hand-off key's sequence.
+        sent: [u64; 2],
     }
 
     enum ClockEv {
@@ -703,11 +703,12 @@ mod tests {
                     self.log.push((now.as_nanos(), node, self.received[node as usize]));
                     let peer = 1 - node;
                     let at = now + SimDuration::from_nanos(LOOKAHEAD_NS);
+                    let seq = self.sent[node as usize];
+                    self.sent[node as usize] += 1;
                     if self.nodes.contains(&peer) {
-                        sched.at_wire(at, ClockEv::Recv(peer));
+                        sched.at_wire(at, u64::from(node), seq, ClockEv::Recv(peer));
                     } else {
-                        outbox.send(peer, at, u64::from(node), self.sent, peer);
-                        self.sent += 1;
+                        outbox.send(peer, at, u64::from(node), seq, peer);
                     }
                     let next = now + SimDuration::from_nanos(PERIOD_NS);
                     if next.as_nanos() < END_NS {
@@ -718,7 +719,7 @@ mod tests {
         }
 
         fn absorb(&mut self, m: OutMsg<u32>, sched: &mut Scheduler<ClockEv>) {
-            sched.at_wire(m.time, ClockEv::Recv(m.payload));
+            sched.at_wire(m.time, m.src, m.seq, ClockEv::Recv(m.payload));
         }
     }
 
@@ -731,7 +732,7 @@ mod tests {
             nodes,
             received: [0; 2],
             log: vec![],
-            sent: 0,
+            sent: [0; 2],
         };
         let start = |node: u32| SimTime::from_nanos(u64::from(node) * 2 * LOOKAHEAD_NS);
         let lookahead = SimDuration::from_nanos(LOOKAHEAD_NS);

@@ -1,242 +1,218 @@
 //! The pending-event set: a stable priority queue keyed on time.
 //!
-//! Events scheduled for the same instant are delivered in the order they were
-//! scheduled (FIFO), which keeps simulations deterministic without requiring
-//! the event payload type to be `Ord`.
+//! Events pop in `(time, tiebreak)` order. An ordinary event's tiebreak is
+//! its insertion sequence, so events scheduled for the same instant are
+//! delivered in the order they were scheduled (FIFO), which keeps
+//! simulations deterministic without requiring the event type to be `Ord`.
+//!
+//! A *wire-class* event ([`EventQueue::push_wire`]) is a packet hand-off.
+//! Its tiebreak is the hand-off's canonical `(src, seq)` key with the class
+//! bit clear, so at any instant every wire event pops before every ordinary
+//! one, and wire events pop in key order — whenever, and on whichever
+//! shard, they were pushed. That canonical position is what the parallel
+//! engine's deterministic merge rests on; the sequential engine uses the
+//! same rule, so both modes agree bit for bit.
 //!
 //! Two interchangeable implementations sit behind [`EventQueue`]:
 //!
-//! * **Wheel** (default): a hierarchical queue tuned for the simulator's
-//!   short-horizon traffic. A small sorted *active* vector holds only the
-//!   imminent events; the near future is an array of 1 µs buckets with an
-//!   occupancy bitmap; the far future overflows into a heap. Most pushes
-//!   are an O(1) bucket append instead of an O(log n) sift, pops are O(1)
-//!   front-pops, and sorting happens once per bucket drain.
+//! * **Wheel** (default): a sliding circular timing wheel tuned for the
+//!   simulator's short-horizon traffic. A small sorted *active* deque holds
+//!   the bucket being drained; the next ~131 µs are a ring of 1,024
+//!   buckets of 128 ns with an occupancy bitmap; later events wait in a
+//!   far heap and move into the ring as the window slides past them. Most
+//!   pushes are an O(1) bucket append, pops are O(1) front-pops, and
+//!   sorting happens once per (small) bucket drain.
 //! * **Heap**: the classic single binary heap, kept as the reference
 //!   implementation for differential tests.
 //!
-//! Two layout decisions keep the hot path cache-resident (DESIGN.md §15):
+//! Events are stored inline in the entries. The simulator's events are
+//! 12-byte ids — payloads park with the node that owns them (see
+//! `gm::cluster`) — so an entry is as cheap to move as an index record and
+//! no payload arena is needed.
 //!
-//! * **Payload arena.** Event payloads live in a [`Slab`]; the ordering
-//!   structures (active deque, buckets, far heap) move 24-byte
-//!   [`Entry`] index records, not the fat event enums themselves. A payload
-//!   is touched exactly twice — once in, once out — regardless of how many
-//!   bucket drains or sorts its entry rides through.
-//! * **Batched same-timestamp dispatch** (opt-in). The wheel can drain the
-//!   entire run of equal-`(time, class)` entries at the front of its active
-//!   tier into a *staged* deque in one step; subsequent pops are plain
-//!   deque front-pops with no wheel bookkeeping. Events pushed *during* a
-//!   staged batch go through the wheel as usual and a two-way merge on pop
-//!   keeps the global `(time, class, seq)` order — batching is invisible
-//!   to pop order, which is what the differential suites verify. Staging
-//!   is **off by default**: measured on the paper's traffic (mean run
-//!   length ≈ 1.7), the staged deque's extra entry traffic costs ~8% more
-//!   than the wheel bookkeeping it saves (DESIGN.md §15). `MYRI_SIM_BATCH=1`
-//!   enables it for experiments and differential runs.
-//!
-//! Both implementations produce the exact same (time, class, insertion-seq)
-//! pop order, so simulated results are bit-for-bit identical;
-//! `MYRI_SIM_QUEUE=heap` switches the default for parity runs. See
-//! DESIGN.md §6 and §15.
+//! Both implementations produce the exact same pop order, so simulated
+//! results are bit-for-bit identical; `MYRI_SIM_QUEUE=heap` (or
+//! [`set_kind_override`] in-process) switches the default for parity runs.
+//! See DESIGN.md §6.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
 
-use crate::engine::dispatch_stats;
-use crate::slab::Slab;
 use crate::time::SimTime;
 
-/// Delivery class within an instant. Wire-boundary events sort before all
-/// ordinary events scheduled for the same nanosecond, regardless of when
-/// either was pushed. This gives cross-shard packet hand-offs a canonical
-/// position in the instant that does not depend on scheduling order — the
-/// property the parallel engine's deterministic merge rests on (the
-/// sequential engine uses the same rule, so both modes agree bit-for-bit).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum EventClass {
-    /// A wire hand-off boundary (drained first at its instant).
-    Wire = 0,
-    /// An ordinary event (FIFO after any wire boundaries at the instant).
-    Normal = 1,
+/// Tiebreak bit of ordinary events. Wire keys have it clear, so within an
+/// instant every wire event sorts before every ordinary one.
+const NORMAL: u64 = 1 << 63;
+/// Bits of a wire key's source field (16M sources).
+const WIRE_SRC_BITS: u32 = 24;
+/// Bits of a wire key's per-source sequence field (5.5e11 hand-offs each).
+const WIRE_SEQ_BITS: u32 = 63 - WIRE_SRC_BITS;
+
+/// Pack a hand-off's canonical `(src, seq)` key into a wire tiebreak,
+/// refusing keys that would collide after packing.
+#[inline]
+fn wire_tie(src: u64, seq: u64) -> u64 {
+    assert!(
+        src >> WIRE_SRC_BITS == 0 && seq >> WIRE_SEQ_BITS == 0,
+        "wire key ({src}, {seq}) exceeds the queue's {WIRE_SRC_BITS}+{WIRE_SEQ_BITS}-bit packing"
+    );
+    (src << WIRE_SEQ_BITS) | seq
 }
 
-/// One pending event's ordering record: its sort key plus the arena index of
-/// its payload. `Copy` and 24 bytes, so bucket drains, sorts, and heap sifts
-/// move flat integers instead of event enums.
-#[derive(Clone, Copy)]
-struct Entry {
+/// One pending event with its sort key, stored inline.
+struct Entry<E> {
     time: SimTime,
-    class: EventClass,
-    seq: u64,
-    idx: u32,
+    tie: u64,
+    event: E,
 }
 
-impl Entry {
-    /// Chronological sort key; wire boundaries first, then FIFO, within an
-    /// instant.
+impl<E> Entry<E> {
+    /// Chronological sort key; wire events first (in key order), then FIFO,
+    /// within an instant.
     #[inline]
-    fn key(&self) -> (SimTime, EventClass, u64) {
-        (self.time, self.class, self.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.tie)
     }
 }
 
-impl PartialEq for Entry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl Eq for Entry {}
+impl<E> Eq for Entry<E> {}
 
-impl PartialOrd for Entry {
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Entry {
+impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest key pops first.
         other.key().cmp(&self.key())
     }
 }
 
-/// log2 of the bucket width: 1024 ns buckets, matching the ~0.1–16 µs grain
-/// of link serialization and hop delays.
-const BUCKET_SHIFT: u64 = 10;
-/// Number of buckets: 2048 × 1 µs ≈ 2.1 ms of near-future coverage, beyond
-/// the longest single-packet timing in the model; later events overflow to
-/// the far heap.
-const BUCKETS: usize = 2048;
+/// log2 of the bucket width: 128 ns buckets. On the many-group workload
+/// ~97% of pushes land under 4 µs ahead, so a bucket holds a handful of
+/// events and its drain sort is tiny.
+const BUCKET_SHIFT: u32 = 7;
+/// Number of buckets in the ring: 1,024 × 128 ns ≈ 131 µs of near future
+/// (99.6% of many-group pushes); retransmission timers and other later
+/// events wait in the far heap.
+const BUCKETS: u64 = 1024;
+const SLOT_MASK: u64 = BUCKETS - 1;
+const WORDS: usize = (BUCKETS / 64) as usize;
+#[cfg(test)]
 const BUCKET_WIDTH: u64 = 1 << BUCKET_SHIFT;
-const WINDOW: u64 = (BUCKETS as u64) * BUCKET_WIDTH;
+#[cfg(test)]
+const WINDOW: u64 = BUCKETS * BUCKET_WIDTH;
+
+/// The absolute bucket index of `time`.
+#[inline]
+fn bucket_of(time: SimTime) -> u64 {
+    time.as_nanos() >> BUCKET_SHIFT
+}
 
 /// Which queue implementation a new [`EventQueue`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum QueueKind {
-    /// Hierarchical bucketed wheel (default).
+    /// Sliding bucketed wheel (default).
     Wheel,
     /// Single binary heap (reference).
     Heap,
 }
 
-/// The implementation `EventQueue::new` selects for this process: the wheel,
-/// unless the `MYRI_SIM_QUEUE=heap` environment variable picks the reference
-/// heap (used for bit-for-bit parity runs).
+/// In-process override of [`default_kind`]: 0 = follow the environment,
+/// 1 = wheel, 2 = heap.
+static KIND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+
+/// Force the kind of queues constructed after this call (`None` restores
+/// the `MYRI_SIM_QUEUE` default). Differential tests use it to run the
+/// same simulation on the wheel and on the reference heap in one process;
+/// runs are bit-for-bit identical either way.
+pub fn set_kind_override(kind: Option<QueueKind>) {
+    let v = match kind {
+        None => 0,
+        Some(QueueKind::Wheel) => 1,
+        Some(QueueKind::Heap) => 2,
+    };
+    KIND_OVERRIDE.store(v, AtomicOrdering::Relaxed);
+}
+
+/// The implementation `EventQueue::new` selects right now: the override
+/// from [`set_kind_override`] if one is set; otherwise the wheel, unless
+/// the `MYRI_SIM_QUEUE=heap` environment variable picks the reference heap
+/// (used for bit-for-bit parity runs).
 pub fn default_kind() -> QueueKind {
-    static KIND: OnceLock<QueueKind> = OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("MYRI_SIM_QUEUE").as_deref() {
-        Ok("heap") => QueueKind::Heap,
-        _ => QueueKind::Wheel,
-    })
-}
-
-/// Process-wide switch for same-timestamp batch staging.
-///
-/// The default comes from `MYRI_SIM_BATCH` (`1`/`on` enables; anything
-/// else, including unset, disables — staging is a measured net loss on the
-/// simulator's real traffic mix, see the module docs). Differential tests
-/// flip both modes in one process via [`set_override`](batch::set_override);
-/// the choice is sampled once per [`EventQueue`] at construction, so an
-/// existing queue never changes behavior mid-run.
-pub mod batch {
-    use std::sync::atomic::{AtomicU8, Ordering};
-    use std::sync::OnceLock;
-
-    /// 0 = follow the environment, 1 = force off, 2 = force on.
-    static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-    fn env_default() -> bool {
-        static ON: OnceLock<bool> = OnceLock::new();
-        *ON.get_or_init(|| {
-            matches!(
-                std::env::var("MYRI_SIM_BATCH").as_deref(),
-                Ok("1") | Ok("on")
-            )
-        })
-    }
-
-    /// Force batching on/off for queues constructed after this call
-    /// (`None` restores the environment default). Test-only knob; runs are
-    /// bit-for-bit identical either way.
-    pub fn set_override(on: Option<bool>) {
-        let v = match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        };
-        OVERRIDE.store(v, Ordering::Relaxed);
-    }
-
-    /// Whether a queue constructed right now stages batches.
-    pub fn enabled() -> bool {
-        match OVERRIDE.load(Ordering::Relaxed) {
-            1 => false,
-            2 => true,
-            _ => env_default(),
-        }
+    static ENV_KIND: OnceLock<QueueKind> = OnceLock::new();
+    match KIND_OVERRIDE.load(AtomicOrdering::Relaxed) {
+        1 => QueueKind::Wheel,
+        2 => QueueKind::Heap,
+        _ => *ENV_KIND.get_or_init(|| match std::env::var("MYRI_SIM_QUEUE").as_deref() {
+            Ok("heap") => QueueKind::Heap,
+            _ => QueueKind::Wheel,
+        }),
     }
 }
 
-/// Near-future timing wheel with a sorted-deque active tier and far-future
-/// overflow.
+/// Sliding circular timing wheel with a sorted-deque active tier and a
+/// far-future heap.
 ///
-/// `active` is a `VecDeque` in ascending (time, seq) order: the earliest
-/// event pops from the front in O(1), an event later than everything pending
-/// appends at the back in O(1) (the hot path for causal chains), and a
-/// mid-span insert moves only the shorter side of the ring. A bucket drain
-/// is one extend plus one small sort instead of n heap sifts — the
-/// calendar-queue trick that beats a binary heap even at modest queue sizes.
+/// `active` is a `VecDeque` in ascending key order: the earliest event pops
+/// from the front in O(1), an event later than everything pending appends
+/// at the back in O(1) (the hot path for causal chains), and a mid-span
+/// insert moves only the shorter side of the ring.
 ///
-/// Partition invariants (checked implicitly by the differential tests):
+/// Partition invariants (checked by the differential tests):
 ///
-/// * `floor` is the time of the last popped event; the simulation never
-///   schedules below it, so every pending event has `time ≥ floor`;
-/// * `active` holds every pending event with `time < active_end`;
-/// * `buckets[i]` holds events with `base + i·W ≤ time < base + (i+1)·W`,
-///   and all bucketed events satisfy `time ≥ active_end`;
-/// * `far` holds events with `time ≥ base + WINDOW`;
-/// * `active` is refilled lazily: `ensure_active` (called by peek and pop)
-///   drains the next occupied bucket when `active` is empty. Anchoring
-///   `base` at `floor` keeps pushes out of `active` — a burst of pushes at
-///   arbitrary pending times (workload prefill) lands in the buckets at
-///   O(1) each instead of degenerating to sorted-insert churn.
-struct Wheel {
-    /// Sorted ascending by (time, seq); earliest event at the front.
-    active: VecDeque<Entry>,
-    /// Exclusive upper bound of the span `active` covers.
-    active_end: SimTime,
-    /// Time of the last popped event; no pending event is earlier.
-    floor: u64,
-    /// Wheel origin: bucket 0 spans `[base, base + W)` ns.
-    base: u64,
-    /// Index of the first bucket not yet drained into `active`.
-    cursor: usize,
-    buckets: Vec<Vec<Entry>>,
-    /// One bit per bucket; lets `refill` skip empty buckets 64 at a time.
-    occupied: [u64; BUCKETS / 64],
-    far: BinaryHeap<Entry>,
+/// * `active` holds every pending event in a bucket before `cursor`;
+/// * absolute bucket `b` (`time >> BUCKET_SHIFT`) with
+///   `cursor ≤ b < cursor + BUCKETS` lives in slot `b % BUCKETS`, so the
+///   ring holds one window of buckets and every slot one bucket;
+/// * `far` holds every event in a bucket at or after `cursor + BUCKETS`.
+///   Hence, when the ring is non-empty, its first occupied bucket holds
+///   the earliest event outside `active`;
+/// * `active` is refilled lazily: [`refill`](Self::refill) (called by peek
+///   and pop) drains the next occupied bucket when `active` is empty, or
+///   jumps to the far heap's earliest bucket when the ring is empty, then
+///   slides the window and migrates the far events it now covers.
+struct Wheel<E> {
+    /// Sorted ascending by key; earliest event at the front.
+    active: VecDeque<Entry<E>>,
+    /// Absolute index of the first bucket not yet drained into `active`.
+    cursor: u64,
+    buckets: Vec<Vec<Entry<E>>>,
+    /// One bit per slot; lets `refill` skip empty slots 64 at a time.
+    occupied: [u64; WORDS],
+    /// Events held in `buckets`.
+    bucketed: usize,
+    far: BinaryHeap<Entry<E>>,
 }
 
-impl Wheel {
+impl<E> Wheel<E> {
     fn new() -> Self {
         Wheel {
             active: VecDeque::new(),
-            active_end: SimTime::ZERO,
-            floor: 0,
-            base: 0,
             cursor: 0,
-            buckets: std::iter::repeat_with(Vec::new).take(BUCKETS).collect(),
-            occupied: [0; BUCKETS / 64],
+            buckets: std::iter::repeat_with(Vec::new)
+                .take(BUCKETS as usize)
+                .collect(),
+            occupied: [0; WORDS],
+            bucketed: 0,
             far: BinaryHeap::new(),
         }
     }
 
-    /// Insert into `active`, preserving ascending (time, seq) order. Only
-    /// events inside the already-drained span (`time < active_end`, i.e.
-    /// within one bucket width of the clock) land here, so `active` stays
-    /// small and the end cases dominate.
-    fn insert_active(&mut self, entry: Entry) {
+    /// Insert into `active`, preserving ascending key order. Only events in
+    /// an already-drained bucket land here, so `active` stays small and the
+    /// end cases dominate.
+    // simlint::hot
+    fn insert_active(&mut self, entry: Entry<E>) {
         let k = entry.key();
         // O(1) end cases first; they dominate real schedules (an event later
         // than everything imminent, or earlier than everything pending).
@@ -252,182 +228,126 @@ impl Wheel {
         self.active.insert(pos, entry);
     }
 
+    /// Append to absolute bucket `b`, which must lie inside the window.
     // simlint::hot
-    fn push(&mut self, entry: Entry) {
-        let t = entry.time.as_nanos();
-        if entry.time < self.active_end {
+    #[inline]
+    fn bucket_push(&mut self, b: u64, entry: Entry<E>) {
+        debug_assert!(b >= self.cursor && b - self.cursor < BUCKETS, "bucket outside the window");
+        let slot = (b & SLOT_MASK) as usize;
+        self.buckets[slot].push(entry);
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.bucketed += 1;
+    }
+
+    // simlint::hot
+    #[inline]
+    fn push(&mut self, entry: Entry<E>) {
+        let b = bucket_of(entry.time);
+        if b < self.cursor {
             self.insert_active(entry);
-        } else if t.wrapping_sub(self.base) < WINDOW {
-            let idx = ((t - self.base) >> BUCKET_SHIFT) as usize;
-            debug_assert!(idx >= self.cursor, "bucketed event behind the drain cursor");
-            self.buckets[idx].push(entry);
-            self.occupied[idx / 64] |= 1 << (idx % 64);
+        } else if b - self.cursor < BUCKETS {
+            self.bucket_push(b, entry);
         } else {
-            // Beyond the window — including after a long idle gap that left
-            // `base` far behind the clock; the next refill rebases.
             self.far.push(entry);
         }
     }
 
-    /// Restore "`active` non-empty" when events are pending elsewhere.
-    /// `pending` is the count of events held by the wheel itself (staged
-    /// entries excluded — they already left the wheel).
-    fn ensure_active(&mut self, pending: usize) {
+    /// The absolute index of the first occupied bucket (the ring must be
+    /// non-empty). Scans the bitmap circularly from the cursor's slot; slot
+    /// order from there is bucket order, because the ring holds exactly
+    /// one window.
+    fn next_occupied(&self) -> u64 {
+        debug_assert!(self.bucketed > 0);
+        let start = self.cursor & SLOT_MASK;
+        let mut wi = (start / 64) as usize;
+        let mut word = self.occupied[wi] & (!0u64 << (start % 64));
+        // Terminates within WORDS + 1 words: some bit is set. Revisiting the
+        // start word unmasked yields its low bits — the window's far end.
+        while word == 0 {
+            wi = (wi + 1) % WORDS;
+            word = self.occupied[wi];
+        }
+        let slot = (wi as u64) * 64 + u64::from(word.trailing_zeros());
+        self.cursor + (slot.wrapping_sub(start) & SLOT_MASK)
+    }
+
+    /// Move the next non-empty bucket into the (empty) active tier, then
+    /// slide the window past it. Caller guarantees an event is pending in
+    /// the ring or the far heap.
+    // simlint::hot
+    fn refill(&mut self) {
+        debug_assert!(self.active.is_empty());
+        let c = if self.bucketed > 0 {
+            let c = self.next_occupied();
+            let slot = (c & SLOT_MASK) as usize;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let bucket = &mut self.buckets[slot];
+            self.bucketed -= bucket.len();
+            self.active.extend(bucket.drain(..));
+            self.active
+                .make_contiguous()
+                .sort_unstable_by_key(Entry::key);
+            c
+        } else {
+            // The ring is empty: jump to the far heap's earliest bucket.
+            let head = self.far.peek().expect("refill on an empty queue");
+            bucket_of(head.time)
+        };
+        self.cursor = c + 1;
+        // Slide the window to [cursor, cursor + BUCKETS) and migrate the far
+        // events it now covers. Bucket `c` was emptied above, so an event
+        // exactly one window after it lands in an empty slot.
+        while let Some(head) = self.far.peek() {
+            let b = bucket_of(head.time);
+            if b >= self.cursor + BUCKETS {
+                break;
+            }
+            let e = self.far.pop().expect("peeked");
+            if b < self.cursor {
+                // Bucket `c` itself, after a jump: the far heap yields it in
+                // key order into the empty active tier.
+                self.active.push_back(e);
+            } else {
+                self.bucket_push(b, e);
+            }
+        }
+    }
+
+    /// The earliest pending entry (refilling `active` first if needed);
+    /// `pending` counts every event the wheel holds.
+    #[inline]
+    fn front(&mut self, pending: usize) -> Option<&Entry<E>> {
         if self.active.is_empty() && pending > 0 {
             self.refill();
         }
-    }
-
-    // simlint::hot
-    fn pop(&mut self, pending: usize) -> Option<Entry> {
-        self.ensure_active(pending);
-        let entry = self.active.pop_front()?;
-        self.floor = entry.time.as_nanos();
-        Some(entry)
-    }
-
-    /// Move the next non-empty time span into `active`. Caller guarantees at
-    /// least one event is pending in the buckets or the far heap.
-    fn refill(&mut self) {
-        loop {
-            // Bitmap scan for the first occupied bucket at or after cursor.
-            let mut word_i = self.cursor / 64;
-            let mut word = match self.occupied.get(word_i) {
-                Some(&w) => w & (!0u64 << (self.cursor % 64)),
-                None => 0,
-            };
-            while word == 0 {
-                word_i += 1;
-                if word_i >= self.occupied.len() {
-                    // Wheel exhausted: re-anchor at the earliest far event
-                    // and spill the far heap's next window into the buckets.
-                    let head = self.far.peek().expect("refill on empty queue");
-                    debug_assert!(
-                        head.time.as_nanos() >= self.floor,
-                        "far event behind the simulation clock"
-                    );
-                    self.base = head.time.as_nanos();
-                    self.active_end = SimTime::from_nanos(self.base);
-                    self.cursor = 0;
-                    while let Some(head) = self.far.peek() {
-                        if head.time.as_nanos().wrapping_sub(self.base) >= WINDOW {
-                            break;
-                        }
-                        let e = self.far.pop().expect("peeked");
-                        let idx = ((e.time.as_nanos() - self.base) >> BUCKET_SHIFT) as usize;
-                        self.buckets[idx].push(e);
-                        self.occupied[idx / 64] |= 1 << (idx % 64);
-                    }
-                    word_i = 0;
-                    // Bucket 0 now holds the far head, so this is non-zero.
-                }
-                word = self.occupied[word_i];
-            }
-            let idx = word_i * 64 + word.trailing_zeros() as usize;
-            self.occupied[word_i] &= !(1 << (idx % 64));
-            self.cursor = idx + 1;
-            // The wheel indexes on raw bucket-shifted nanoseconds by design;
-            // this is the one place it converts back to typed time.
-            let end_ns = self.base.saturating_add(((idx as u64) + 1) << BUCKET_SHIFT);
-            self.active_end = SimTime::from_nanos(end_ns);
-            if self.buckets[idx].is_empty() {
-                continue; // stale bit after clear(); keep scanning
-            }
-            // Move the whole bucket into the (empty, hence contiguous)
-            // active deque and sort it once; subsequent pops are O(1)
-            // front-pops.
-            debug_assert!(self.active.is_empty());
-            self.active.extend(self.buckets[idx].drain(..));
-            self.active.make_contiguous().sort_unstable_by_key(Entry::key);
-            return;
-        }
+        self.active.front()
     }
 
     fn clear(&mut self) {
         self.active.clear();
         self.far.clear();
-        for (i, word) in self.occupied.iter_mut().enumerate() {
-            if *word != 0 {
-                for b in 0..64 {
-                    if *word & (1 << b) != 0 {
-                        self.buckets[i * 64 + b].clear();
-                    }
-                }
-                *word = 0;
+        for (wi, word) in self.occupied.iter_mut().enumerate() {
+            while *word != 0 {
+                let b = word.trailing_zeros() as usize;
+                self.buckets[wi * 64 + b].clear();
+                *word &= *word - 1;
             }
         }
-        self.active_end = SimTime::ZERO;
-        self.floor = 0;
-        self.base = 0;
+        self.bucketed = 0;
         self.cursor = 0;
     }
 }
 
-enum Inner {
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<Entry>),
+enum Inner<E> {
+    Wheel(Box<Wheel<E>>),
+    Heap(BinaryHeap<Entry<E>>),
 }
 
-/// A time-ordered, insertion-stable event queue.
-///
-/// Payloads live in an internal [`Slab`]; the ordering tiers move only
-/// 24-byte [`Entry`] records. On the wheel, pops drain whole
-/// same-`(time, class)` runs into a staged deque (see the module docs) — the
-/// pop order is identical with staging on or off.
+/// A time-ordered, insertion-stable event queue with a keyed wire class.
 pub struct EventQueue<E> {
-    inner: Inner,
-    arena: Slab<E>,
-    /// The staged batch: the continuation of a front run of
-    /// equal-`(time, class)` entries already removed from the wheel.
-    /// Invariant: while non-empty, every wheel entry at or before the
-    /// staged instant sits in the wheel's `active` tier (the active tier
-    /// owns the full front instant; see `Wheel::push`), so pop is a
-    /// two-way merge of `staged` and `active` fronts.
-    staged: VecDeque<Entry>,
-    /// Sampled from [`batch::enabled`] at construction; heap queues never
-    /// stage (they are the unbatched reference).
-    batching: bool,
-    /// Local batch counters, folded into `dispatch_stats` when the queue
-    /// drops (atomics per pop would dominate singleton-heavy traffic).
-    stats: BatchCounters,
+    inner: Inner<E>,
     next_seq: u64,
     len: usize,
-}
-
-/// Per-queue batch-staging statistics; see [`EventQueue::stats`].
-#[derive(Default)]
-struct BatchCounters {
-    batches: u64,
-    coalesced: u64,
-    hist: [u64; 8],
-}
-
-impl BatchCounters {
-    /// Count one drained run of `size` same-`(time, class)` events.
-    #[inline]
-    fn note(&mut self, size: u64) {
-        debug_assert!(size >= 1);
-        self.batches += 1;
-        self.coalesced += size - 1;
-        let bucket = if size <= 1 {
-            0
-        } else {
-            (u64::BITS - (size - 1).leading_zeros()).min(7) as usize
-        };
-        self.hist[bucket] += 1;
-    }
-}
-
-impl<E> Drop for EventQueue<E> {
-    fn drop(&mut self) {
-        if self.stats.batches > 0 {
-            dispatch_stats::flush_batches(
-                self.stats.batches,
-                self.stats.coalesced,
-                &self.stats.hist,
-            );
-        }
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -437,8 +357,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue of the process-default kind (the hierarchical wheel,
-    /// unless `MYRI_SIM_QUEUE=heap` selects the reference heap).
+    /// An empty queue of the process-default kind (see [`default_kind`]).
     pub fn new() -> Self {
         Self::with_kind(default_kind())
     }
@@ -450,17 +369,13 @@ impl<E> EventQueue<E> {
             QueueKind::Heap => Inner::Heap(BinaryHeap::new()),
         };
         EventQueue {
-            batching: matches!(kind, QueueKind::Wheel) && batch::enabled(),
             inner,
-            arena: Slab::new(),
-            staged: VecDeque::new(),
-            stats: BatchCounters::default(),
             next_seq: 0,
             len: 0,
         }
     }
 
-    /// An empty hierarchical-wheel queue.
+    /// An empty sliding-wheel queue.
     pub fn wheel() -> Self {
         Self::with_kind(QueueKind::Wheel)
     }
@@ -478,29 +393,32 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `event` to fire at `time`.
+    /// Schedule `event` to fire at `time`, after every ordinary event
+    /// already scheduled for that instant (and after all of its wire
+    /// events).
     // simlint::hot
+    #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
-        self.push_class(time, EventClass::Normal, event);
+        let tie = NORMAL | self.next_seq;
+        self.next_seq += 1;
+        self.push_entry(Entry { time, tie, event });
     }
 
-    /// Schedule a wire-boundary event at `time`: it pops before every
-    /// [`EventClass::Normal`] event at the same instant, whenever it was
-    /// pushed. Used for packet hand-off drains (see [`EventClass`]).
-    pub fn push_wire(&mut self, time: SimTime, event: E) {
-        self.push_class(time, EventClass::Wire, event);
+    /// Schedule a wire-class event at `time` keyed by its hand-off's
+    /// canonical `(src, seq)`: it pops before every ordinary event at the
+    /// same instant, and wire events of one instant pop in key order,
+    /// whenever they were pushed. `(time, src, seq)` must be unique among
+    /// wire events; `src` must fit 24 bits and `seq` 39 (asserted).
+    // simlint::hot
+    #[inline]
+    pub fn push_wire(&mut self, time: SimTime, src: u64, seq: u64, event: E) {
+        let tie = wire_tie(src, seq);
+        self.push_entry(Entry { time, tie, event });
     }
 
     // simlint::hot
-    fn push_class(&mut self, time: SimTime, class: EventClass, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry {
-            time,
-            class,
-            seq,
-            idx: self.arena.insert(event),
-        };
+    #[inline]
+    fn push_entry(&mut self, entry: Entry<E>) {
         match &mut self.inner {
             Inner::Wheel(w) => w.push(entry),
             Inner::Heap(h) => h.push(entry),
@@ -508,83 +426,40 @@ impl<E> EventQueue<E> {
         self.len += 1;
     }
 
-    /// Count of events the wheel itself still holds (total minus staged).
-    #[inline]
-    fn wheel_pending(&self) -> usize {
-        self.len - self.staged.len()
-    }
-
-    /// Remove and return the earliest pending entry in global
-    /// `(time, class, seq)` order, staging batches as a side effect.
+    /// Remove and return the earliest event if it fires at or before
+    /// `limit`; `None` when the queue is empty or its earliest event is
+    /// later. One call does what a peek and a pop would.
     // simlint::hot
-    fn pop_entry(&mut self) -> Option<Entry> {
-        let wheel_pending = self.wheel_pending();
-        match &mut self.inner {
-            Inner::Heap(h) => h.pop(),
+    #[inline]
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let entry = match &mut self.inner {
             Inner::Wheel(w) => {
-                if let Some(s) = self.staged.front() {
-                    // An event pushed mid-batch can precede the rest of the
-                    // staged run (a wire-class push at the same instant, or
-                    // any push strictly inside (floor, staged time)); such
-                    // an entry is necessarily in `active`, so comparing the
-                    // two fronts restores the global order.
-                    match w.active.front() {
-                        Some(a) if a.key() < s.key() => {
-                            let e = w.active.pop_front().expect("front checked");
-                            w.floor = e.time.as_nanos();
-                            Some(e)
-                        }
-                        _ => self.staged.pop_front(),
-                    }
-                } else if self.batching {
-                    // Pop the run head directly; only a run that actually
-                    // continues pays the staging cost. Singleton pops — the
-                    // common case under sparse traffic — touch nothing but
-                    // the active deque. Run completeness holds because the
-                    // active tier owns every pending event at its front
-                    // instant (see `Wheel::push`), so one front comparison
-                    // decides whether a batch exists.
-                    let first = w.pop(wheel_pending)?;
-                    let continues = |e: &Entry| e.time == first.time && e.class == first.class;
-                    if w.active.front().is_some_and(&continues) {
-                        let n = w.active.iter().take_while(|e| continues(e)).count();
-                        self.staged.extend(w.active.drain(..n));
-                        self.stats.note(n as u64 + 1);
-                    } else {
-                        self.stats.note(1);
-                    }
-                    Some(first)
-                } else {
-                    w.pop(wheel_pending)
+                if w.front(self.len)?.time > limit {
+                    return None;
                 }
+                w.active.pop_front()
             }
-        }
+            Inner::Heap(h) => {
+                if h.peek()?.time > limit {
+                    return None;
+                }
+                h.pop()
+            }
+        }?;
+        self.len -= 1;
+        Some((entry.time, entry.event))
     }
 
     /// Remove and return the earliest event.
-    // simlint::hot
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.pop_entry()?;
-        self.len -= 1;
-        Some((entry.time, self.arena.take(entry.idx)))
+        self.pop_due(SimTime::MAX)
     }
 
     /// The timestamp of the earliest pending event. Takes `&mut self`
     /// because the wheel refills its active tier lazily.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let wheel_pending = self.wheel_pending();
         match &mut self.inner {
-            Inner::Wheel(w) => {
-                if let Some(s) = self.staged.front() {
-                    match w.active.front() {
-                        Some(a) if a.key() < s.key() => Some(a.time),
-                        _ => Some(s.time),
-                    }
-                } else {
-                    w.ensure_active(wheel_pending);
-                    w.active.front().map(|e| e.time)
-                }
-            }
+            Inner::Wheel(w) => w.front(self.len).map(|e| e.time),
             Inner::Heap(h) => h.peek().map(|e| e.time),
         }
     }
@@ -605,8 +480,6 @@ impl<E> EventQueue<E> {
             Inner::Wheel(w) => w.clear(),
             Inner::Heap(h) => h.clear(),
         }
-        self.staged.clear();
-        self.arena.clear();
         self.len = 0;
     }
 }
@@ -625,10 +498,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [
-            EventQueue::wheel(),
-            EventQueue::heap(),
-        ] {
+        for mut q in [EventQueue::wheel(), EventQueue::heap()] {
             q.push(t(30), "c");
             q.push(t(10), "a");
             q.push(t(20), "b");
@@ -681,12 +551,26 @@ mod tests {
     }
 
     #[test]
+    fn pop_due_stops_at_the_limit() {
+        for mut q in both() {
+            q.push(t(10), 1);
+            q.push(t(WINDOW * 3), 2);
+            assert_eq!(q.pop_due(t(9)), None);
+            assert_eq!(q.pop_due(t(10)), Some((t(10), 1)));
+            assert_eq!(q.pop_due(t(WINDOW * 3 - 1)), None);
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.pop_due(t(WINDOW * 3)), Some((t(WINDOW * 3), 2)));
+            assert_eq!(q.pop_due(SimTime::MAX), None);
+        }
+    }
+
+    #[test]
     fn wire_class_pops_before_normal_at_same_instant() {
         for mut q in both() {
             q.push(t(500), 1);
             q.push(t(500), 2);
             // Pushed last, but the wire class drains first at its instant.
-            q.push_wire(t(500), 0);
+            q.push_wire(t(500), 0, 0, 0);
             q.push(t(400), -1);
             assert_eq!(q.pop(), Some((t(400), -1)));
             assert_eq!(q.pop(), Some((t(500), 0)));
@@ -696,88 +580,46 @@ mod tests {
     }
 
     #[test]
-    fn wire_class_is_fifo_within_itself() {
-        for mut q in both() {
-            q.push_wire(t(9), 0);
-            q.push(t(9), 2);
-            q.push_wire(t(9), 1);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-            assert_eq!(order, vec![0, 1, 2]);
-        }
-    }
-
-    #[test]
-    fn wire_push_mid_batch_preempts_staged_normals() {
-        // Pop one of three same-instant normals (staging the other two),
-        // then push a wire event at that instant: it must pop before the
-        // remaining staged entries even though they were staged first.
-        let mut q = EventQueue::wheel();
-        q.push(t(500), 1);
-        q.push(t(500), 2);
-        q.push(t(500), 3);
-        assert_eq!(q.pop(), Some((t(500), 1)));
-        q.push_wire(t(500), 0);
-        q.push(t(500), 4);
-        assert_eq!(q.pop(), Some((t(500), 0)));
-        assert_eq!(q.pop(), Some((t(500), 2)));
-        assert_eq!(q.pop(), Some((t(500), 3)));
-        assert_eq!(q.pop(), Some((t(500), 4)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn push_mid_batch_at_staged_instant_pops_after_staged_run() {
-        let mut q = EventQueue::wheel();
-        q.push(t(100), 1);
-        q.push(t(100), 2);
-        assert_eq!(q.pop(), Some((t(100), 1)));
-        // Same instant, normal class, later seq: after the staged run.
-        q.push(t(100), 3);
-        assert_eq!(q.pop(), Some((t(100), 2)));
-        assert_eq!(q.pop(), Some((t(100), 3)));
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn staged_batch_survives_interleaved_later_pushes() {
-        let mut q = EventQueue::wheel();
-        for i in 0..5 {
-            q.push(t(50), i);
-        }
-        assert_eq!(q.pop(), Some((t(50), 0)));
-        // Far-future pushes while a batch is staged must not disturb it.
-        q.push(t(50 + WINDOW * 2), 100);
-        q.push(t(60), 99);
-        for i in 1..5 {
-            assert_eq!(q.pop(), Some((t(50), i)));
-        }
-        assert_eq!(q.pop(), Some((t(60), 99)));
-        assert_eq!(q.pop(), Some((t(50 + WINDOW * 2), 100)));
-    }
-
-    #[test]
-    fn batching_off_matches_batching_on() {
-        let schedule: Vec<(u64, i64)> = (0..200)
-            .map(|i| (((i * 37) % 11) * 100, i as i64))
-            .collect();
-        let run = |on: bool| {
-            batch::set_override(Some(on));
-            let mut q = EventQueue::wheel();
-            for &(time, v) in &schedule {
-                q.push(t(time), v);
-            }
-            let mut order = Vec::new();
-            while let Some((time, v)) = q.pop() {
-                order.push((time, v));
-                // Interleave same-instant and later pushes mid-drain.
-                if v % 17 == 0 {
-                    q.push(time, 1000 + v);
+    fn wire_class_pops_in_key_order_ahead_of_normals() {
+        // Wire events pushed at one instant in descending key order come
+        // back in key order — source major, sequence minor — ahead of that
+        // instant's normal events, in every tier of the wheel.
+        for base in [0, BUCKET_WIDTH * 5, WINDOW * 3] {
+            for mut q in both() {
+                q.push(t(base + 9), 100);
+                let keys = [(3u64, 7u64), (3, 2), (2, 9), (1, 1 << 38), (1, 0), (0, 5)];
+                for (i, &(src, seq)) in keys.iter().enumerate() {
+                    q.push_wire(t(base + 9), src, seq, i as i64);
                 }
+                q.push(t(base + 9), 101);
+                let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+                assert_eq!(order, vec![5, 4, 3, 2, 1, 0, 100, 101], "base {base}");
             }
-            batch::set_override(None);
-            order
-        };
-        assert_eq!(run(true), run(false));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the queue's")]
+    fn wire_key_packing_is_checked() {
+        let mut q = EventQueue::wheel();
+        q.push_wire(t(1), 1 << WIRE_SRC_BITS, 0, 0u8);
+    }
+
+    #[test]
+    fn wire_push_at_the_current_instant_preempts_pending_normals() {
+        for mut q in both() {
+            q.push(t(500), 1);
+            q.push(t(500), 2);
+            q.push(t(500), 3);
+            assert_eq!(q.pop(), Some((t(500), 1)));
+            q.push_wire(t(500), 4, 4, 0);
+            q.push(t(500), 4);
+            assert_eq!(q.pop(), Some((t(500), 0)));
+            assert_eq!(q.pop(), Some((t(500), 2)));
+            assert_eq!(q.pop(), Some((t(500), 3)));
+            assert_eq!(q.pop(), Some((t(500), 4)));
+            assert_eq!(q.pop(), None);
+        }
     }
 
     #[test]
@@ -787,13 +629,30 @@ mod tests {
         // tier: active, several buckets, and far overflow.
         q.push(t(100), 0);
         q.push(t(100 + WINDOW * 3), 5); // far future
-        q.push(t(50), 1); // earlier than the anchor: active tier
+        q.push(t(50), 1); // same bucket as the anchor
         q.push(t(100 + BUCKET_WIDTH * 7), 3); // mid wheel
         q.push(t(100 + BUCKET_WIDTH * 2), 2); // near wheel
         q.push(t(100 + WINDOW * 3), 6); // same far instant: FIFO
-        q.push(t(100 + WINDOW - 1), 4); // last bucket
+        q.push(t(WINDOW - 1), 4); // last bucket
         let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec![1, 0, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn far_event_one_window_ahead_migrates_into_the_drained_slot() {
+        // An event exactly one window after the bucket being drained shares
+        // its slot; it must wait in that slot for the next lap, not join
+        // the drain.
+        for mut q in both() {
+            q.push(t(BUCKET_WIDTH * 3), 1);
+            q.push(t(BUCKET_WIDTH * 3 + WINDOW), 3);
+            q.push(t(BUCKET_WIDTH * 3 + WINDOW - BUCKET_WIDTH), 2);
+            q.push(t(BUCKET_WIDTH * 3 + WINDOW + BUCKET_WIDTH), 4);
+            assert_eq!(q.pop(), Some((t(BUCKET_WIDTH * 3), 1)));
+            q.push(t(BUCKET_WIDTH * 3 + 1), 0);
+            let order: Vec<i64> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec![0, 2, 3, 4]);
+        }
     }
 
     #[test]
@@ -813,7 +672,9 @@ mod tests {
     #[test]
     fn wheel_matches_heap_on_dense_random_schedule() {
         // Deterministic xorshift; mixes same-instant ties, short and long
-        // horizons, and interleaved pops.
+        // horizons, delays of exactly one window and one window ± one
+        // bucket (a far event migrating into the slot being drained), keyed
+        // wire events, and interleaved pops.
         let mut state = 0x9E3779B97F4A7C15u64;
         let mut rnd = move || {
             state ^= state << 13;
@@ -827,15 +688,21 @@ mod tests {
         for i in 0..50_000i64 {
             let op = rnd() % 10;
             if op < 6 {
-                let dt = match rnd() % 4 {
-                    0 => 0,                         // same instant
-                    1 => rnd() % 1_000,             // sub-bucket
-                    2 => rnd() % (WINDOW / 2),      // mid wheel
-                    _ => WINDOW + rnd() % WINDOW,   // far heap
+                let dt = match rnd() % 8 {
+                    0 => 0,                            // same instant
+                    1 => rnd() % BUCKET_WIDTH,         // sub-bucket
+                    2 => rnd() % 4_000,                // the common case
+                    3 => rnd() % (WINDOW / 2),         // mid wheel
+                    4 => WINDOW,                       // exactly one window
+                    5 => WINDOW - BUCKET_WIDTH,        // one bucket short
+                    6 => WINDOW + BUCKET_WIDTH,        // one bucket past
+                    _ => WINDOW + rnd() % (WINDOW * 4), // far heap
                 };
                 if rnd() % 8 == 0 {
-                    wheel.push_wire(t(now + dt), i);
-                    heap.push_wire(t(now + dt), i);
+                    // Unique per instant: the push index is the sequence.
+                    let src = rnd() % 64;
+                    wheel.push_wire(t(now + dt), src, i as u64, i);
+                    heap.push_wire(t(now + dt), src, i as u64, i);
                 } else {
                     wheel.push(t(now + dt), i);
                     heap.push(t(now + dt), i);
@@ -857,5 +724,14 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn kind_override_selects_the_default() {
+        set_kind_override(Some(QueueKind::Heap));
+        assert_eq!(EventQueue::<u8>::new().kind(), QueueKind::Heap);
+        set_kind_override(Some(QueueKind::Wheel));
+        assert_eq!(EventQueue::<u8>::new().kind(), QueueKind::Wheel);
+        set_kind_override(None);
     }
 }

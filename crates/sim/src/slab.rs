@@ -1,12 +1,18 @@
 //! Index-addressed slab arenas for hot-path object storage.
 //!
-//! The engine's dispatch structures (the event queue, the NIC work/DMA/TX
-//! rings in `gm`) used to carry their payloads inline in `VecDeque`s of fat
-//! enums: every reorder, bucket drain, or heap sift moved the whole payload.
-//! A [`Slab`] decouples *ordering* from *storage*: payloads park in a flat
-//! `Vec` and the ordering structures shuffle 4-byte indices instead. A
-//! payload is moved exactly twice — once in at [`Slab::insert`], once out at
-//! [`Slab::take`] — no matter how many times its index is resorted.
+//! The model's dispatch structures used to carry their payloads inline in
+//! fat enums: every reorder of a NIC work ring, and every bucket drain or
+//! heap sift of an event, moved the whole payload. A [`Slab`] decouples
+//! *ordering* from *storage*: payloads park in a flat `Vec` and the
+//! ordering structures shuffle 4-byte indices instead. A payload is moved
+//! exactly twice — once in at [`Slab::insert`], once out at [`Slab::take`]
+//! — no matter how many times its index is resorted.
+//!
+//! Two owners use it. The NIC model (`gm::nic`) parks its work items, DMA
+//! jobs and transmit jobs; the cluster (`gm::cluster`) parks each event's
+//! payload with the node that owns it (host calls, arriving packets, timer
+//! tags) plus its packet hand-offs, so an event is a node id and a `u32`.
+//! The event queue itself keeps no arena: those thin events ride inline.
 //!
 //! Freed slots are recycled through an internal free list, so a steady-state
 //! simulation reaches a fixed footprint and stops allocating entirely — the

@@ -1,8 +1,9 @@
-//! Differential property tests: the hierarchical wheel queue must produce
-//! the exact same (time, FIFO-tie) pop sequence as the reference binary-heap
-//! queue for any schedule — including same-instant ties, pushes interleaved
-//! with pops, and events scheduled during dispatch (`immediately`-style
-//! zero-delay pushes at the last popped time).
+//! Differential property tests: the sliding wheel queue must produce the
+//! exact same (time, tiebreak) pop sequence as the reference binary-heap
+//! queue for any schedule — including same-instant ties, keyed wire-class
+//! pushes, pushes interleaved with pops, and events scheduled during
+//! dispatch (`immediately`-style zero-delay pushes at the last popped
+//! time).
 
 use gm_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -16,6 +17,9 @@ enum Op {
     /// Push at exactly the last popped time (an `immediately` during
     /// dispatch: same instant, later FIFO order).
     PushNow,
+    /// Push a wire-class event at `last_popped_time + delta`, keyed by
+    /// `(src, push id)` (unique, as hand-off keys are).
+    PushWire { delta: u64, src: u64 },
     /// Pop one event.
     Pop,
 }
@@ -29,6 +33,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         // Far-future overflow beyond the wheel window.
         (0u64..200_000_000).prop_map(|delta| Op::Push { delta }),
         Just(Op::PushNow),
+        (0u64..2_000, 0u64..4).prop_map(|(delta, src)| Op::PushWire { delta, src }),
         Just(Op::Pop),
         Just(Op::Pop),
     ]
@@ -54,6 +59,12 @@ proptest! {
                     let t = SimTime::from_nanos(now);
                     wheel.push(t, next_id);
                     heap.push(t, next_id);
+                    next_id += 1;
+                }
+                Op::PushWire { delta, src } => {
+                    let t = SimTime::from_nanos(now + delta);
+                    wheel.push_wire(t, *src, next_id, next_id);
+                    heap.push_wire(t, *src, next_id, next_id);
                     next_id += 1;
                 }
                 Op::Pop => {

@@ -100,6 +100,28 @@ run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
 mv "$health_snapshot" results/health_explore.json
 echo "ci: report_diff OK (re-run of identical config diffs clean)"
 
+# Artifact-freshness gate: rerun every figure, ablation and extension
+# binary whose default run takes seconds and report_diff its fresh JSON
+# against a snapshot of the committed one, so an artifact the current code
+# no longer reproduces fails the build instead of going stale. Each binary
+# also merges a perf record into results/perf_baseline.json, which is why
+# this runs inside the perf_baseline snapshot window (restored below).
+fresh_bins=(
+  fig3_multisend fig4_mpi_bcast fig5_gm_multicast fig6_skew fig7_skew_scaling
+  gm_allsize ablation_ack_coalesce ablation_loss ablation_multisend_impl
+  ablation_retx_buffer ablation_token ablation_tree ext_allbcast ext_allreduce
+  ext_nic_barrier ext_rndv_bcast ext_throughput
+)
+artifact_snapshots=$(mktemp -d)
+for bin in "${fresh_bins[@]}"; do
+  cp "results/$bin.json" "$artifact_snapshots/$bin.json"
+  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >/dev/null
+  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
+    "$artifact_snapshots/$bin.json" "results/$bin.json"
+done
+rm -r "$artifact_snapshots"
+echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts regenerate identically"
+
 # Perf-regression gate: re-measure the scalability sweep's dispatch rate
 # and the steady-state workload's, and compare events_per_sec against the
 # committed baseline; more than 25% regression fails the build. Rates are
