@@ -6,7 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gm_sim::probe::ProbeConfig;
-use nic_mcast::{execute_instrumented, McastMode, McastRun, TreeShape};
+use gm_sim::{SeriesConfig, WatchConfig};
+use nic_mcast::{execute, McastMode, McastRun, Report, TreeShape};
 
 /// One fixed workload: a 32-node Clos cluster, 2 KB NIC-based multicast,
 /// modest iteration count (the shard partition splits it four leaf-aligned
@@ -19,17 +20,21 @@ fn workload(shards: u32) -> McastRun {
     run
 }
 
+fn run(run: &McastRun) -> Report {
+    execute(run, ProbeConfig::off(), SeriesConfig::off(), WatchConfig::off())
+}
+
 fn bench_parallel_dispatch(c: &mut Criterion) {
     // Pin the event count once so the throughput label is honest.
-    let events = execute_instrumented(&workload(1), ProbeConfig::off()).output.events;
+    let events = run(&workload(1)).events;
     let mut g = c.benchmark_group("parallel");
     g.throughput(Throughput::Elements(events));
     for shards in [1u32, 2, 4] {
-        let run = workload(shards);
+        let spec = workload(shards);
         g.bench_function(format!("dispatch_32n_{shards}_shards"), |b| {
             b.iter(|| {
-                let out = execute_instrumented(&run, ProbeConfig::off());
-                assert_eq!(out.output.events, events, "sharding changed the event stream");
+                let out = run(&spec);
+                assert_eq!(out.events, events, "sharding changed the event stream");
             });
         });
     }

@@ -80,7 +80,7 @@ fn pingpong_noext(size: usize) -> f64 {
         }),
     );
     c.set_app(NodeId(1), Box::new(Echo { size }));
-    c.into_engine().run_to_idle();
+    gm::drive(c, 1);
     let m = rtt.lock().expect("shared app state mutex poisoned").mean();
     m
 }
@@ -125,7 +125,7 @@ fn pingpong_mcast_installed(size: usize) -> f64 {
         })),
     );
     c.set_app(NodeId(1), Box::new(Echo { size }));
-    c.into_engine().run_to_idle();
+    gm::drive(c, 1);
     let m = rtt.lock().expect("shared app state mutex poisoned").mean();
     m
 }

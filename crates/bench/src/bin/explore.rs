@@ -6,101 +6,8 @@
 //!     --nodes 16 --size 4096 --mode nic --shape adaptive --loss 0.01 --iters 50
 //! ```
 
-use nic_mcast::{McastMode, PostalParams, Scenario, SpanningTree, TreeShape};
-
-struct Opts {
-    nodes: u32,
-    size: usize,
-    mode: McastMode,
-    shape: String,
-    loss: f64,
-    iters: u32,
-    warmup: u32,
-    seed: u64,
-    show_tree: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: explore [--nodes N] [--size BYTES] [--mode nic|host] \
-         [--shape adaptive|binomial|flat|chain|kary:K|postal:T_US:GAP_US] \
-         [--loss P] [--iters N] [--warmup N] [--seed S] [--tree]"
-    );
-    std::process::exit(2)
-}
-
-fn parse() -> Opts {
-    let mut o = Opts {
-        nodes: 16,
-        size: 1024,
-        mode: McastMode::NicBased,
-        shape: "adaptive".to_string(),
-        loss: 0.0,
-        iters: 100,
-        warmup: 10,
-        seed: 1,
-        show_tree: false,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    let val = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => o.nodes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--size" => o.size = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--mode" => {
-                o.mode = match val(&mut i).as_str() {
-                    "nic" => McastMode::NicBased,
-                    "host" => McastMode::HostBased,
-                    _ => usage(),
-                }
-            }
-            "--shape" => o.shape = val(&mut i),
-            "--loss" => o.loss = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--iters" => o.iters = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--warmup" => o.warmup = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--tree" => o.show_tree = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    o
-}
-
-fn parse_shape(spec: &str) -> TreeShape {
-    match spec {
-        "adaptive" => TreeShape::auto(),
-        "binomial" => TreeShape::Binomial,
-        "flat" => TreeShape::Flat,
-        "chain" => TreeShape::Chain,
-        other => {
-            if let Some(k) = other.strip_prefix("kary:") {
-                return TreeShape::KAry(k.parse().unwrap_or_else(|_| usage()));
-            }
-            if let Some(rest) = other.strip_prefix("postal:") {
-                let mut parts = rest.split(':');
-                let lat: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                let gap: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                return TreeShape::Postal(PostalParams::new(
-                    gm_sim::SimDuration::from_micros(lat),
-                    gm_sim::SimDuration::from_micros(gap),
-                ));
-            }
-            usage()
-        }
-    }
-}
+use bench::cli::{self, mode_name};
+use nic_mcast::SpanningTree;
 
 fn print_tree(tree: &SpanningTree, node: myrinet::NodeId, depth: usize) {
     println!("{:indent$}{node}", "", indent = depth * 2);
@@ -110,39 +17,26 @@ fn print_tree(tree: &SpanningTree, node: myrinet::NodeId, depth: usize) {
 }
 
 fn main() {
-    let o = parse();
-    let scenario = match o.mode {
-        McastMode::NicBased => Scenario::nic_based(o.nodes),
-        McastMode::HostBased => Scenario::host_based(o.nodes),
-    }
-    .size(o.size)
-    .tree(parse_shape(&o.shape))
-    .warmup(o.warmup)
-    .iters(o.iters)
-    .seed(o.seed)
-    .loss(o.loss);
-    let built = scenario.build().unwrap_or_else(|e| {
-        eprintln!("invalid scenario: {e}");
-        std::process::exit(2)
+    let (built, show_tree) = cli::parse_or_exit(cli::EXPLORE, |a| {
+        let scenario = cli::scenario(a, cli::mode(a)?, 1024, 100, 10)?;
+        Ok((cli::build(scenario)?, a.has("--tree")))
     });
-    let shape = built.spec().shape;
-    if o.show_tree {
-        let tree = SpanningTree::build(built.spec().root, &built.spec().dests, shape);
+    let spec = built.spec();
+    let shape = spec.shape;
+    if show_tree {
+        let tree = SpanningTree::build(spec.root, &spec.dests, shape);
         println!("spanning tree ({shape:?}):");
-        print_tree(&tree, built.spec().root, 0);
+        print_tree(&tree, spec.root, 0);
         println!();
     }
     let out = built.run();
     println!(
         "{} multicast, {} nodes, {} bytes, shape {:?}, loss {:.2}%",
-        match o.mode {
-            McastMode::NicBased => "NIC-based",
-            McastMode::HostBased => "host-based",
-        },
-        o.nodes,
-        o.size,
+        mode_name(spec.mode),
+        spec.n_nodes,
+        spec.size,
         shape,
-        o.loss * 100.0,
+        spec.faults.drop_prob * 100.0,
     );
     println!("  latency (mean):   {:>10.2} us", out.latency.mean());
     println!("  latency (p50):    {:>10.2} us", out.latency_p50);

@@ -202,7 +202,7 @@ where
     for i in 0..n {
         cluster.set_app(NodeId(i), Box::new(mk(NodeId(i), tree.clone(), timing.clone())));
     }
-    cluster.into_engine().run_to_idle();
+    gm::drive(cluster, 1);
     let span = timing.t_end.lock().expect("shared app state mutex poisoned").saturating_since(*timing.t_start.lock().expect("shared app state mutex poisoned"));
     span.as_micros_f64() / (rounds - warmup) as f64
 }

@@ -91,7 +91,7 @@ fn nic_barrier_round_us(n: u32, warmup: u32, iters: u32) -> f64 {
             }),
         );
     }
-    cluster.into_engine().run_to_idle();
+    gm::drive(cluster, 1);
     let span = t_end.lock().expect("shared app state mutex poisoned").saturating_since(*t_start.lock().expect("shared app state mutex poisoned"));
     span.as_micros_f64() / iters as f64
 }

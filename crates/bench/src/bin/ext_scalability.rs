@@ -37,9 +37,7 @@ fn main() {
         let hb = m(Scenario::host_based(n), TreeShape::Binomial);
         let nb = m(Scenario::nic_based(n), TreeShape::auto());
         for r in [&hb, &nb] {
-            if r.metrics.get("parallel.shards") > 1 {
-                bench::perf::note_imbalance(r.metrics.get("parallel.event_imbalance_pct"));
-            }
+            bench::perf::note_imbalance(&r.metrics);
         }
         Point {
             nodes: n,

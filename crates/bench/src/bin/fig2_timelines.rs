@@ -56,11 +56,7 @@ fn render(title: &str, scenario: Scenario, focus: &[u32], window_from_first: &st
 
 fn main() {
     let mk = |mode: McastMode, shape: TreeShape| {
-        let s = match mode {
-            McastMode::NicBased => Scenario::nic_based(5),
-            McastMode::HostBased => Scenario::host_based(5),
-        };
-        s.size(1024).tree(shape).warmup(0).iters(1)
+        Scenario::new(5, mode).size(1024).tree(shape).warmup(0).iters(1)
     };
     render(
         "Figure 2(a): host-based multiple unicasts (root = n0, 4 dests)",

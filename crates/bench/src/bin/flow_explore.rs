@@ -21,146 +21,29 @@
 //! or point means the lineage/telemetry is silently incomplete — size the
 //! rings up with `--probe-capacity` / `--series-capacity` instead).
 
+use bench::cli::{self, mode_name, CliError};
+use bench::sparkline;
 use gm_sim::{FlowGraph, GaugeSummary, SeriesConfig, SimDuration, HIST_BINS};
-use nic_mcast::{McastMode, ProbeConfig, Report, Scenario, TreeShape};
+use nic_mcast::{BuiltScenario, McastMode, ProbeConfig, Report};
 
-struct Opts {
-    nodes: u32,
-    size: usize,
-    mode: McastMode,
-    shape: String,
-    loss: f64,
-    iters: u32,
-    warmup: u32,
-    seed: u64,
-    shards: u32,
-    probe_capacity: Option<usize>,
-    series_capacity: Option<usize>,
-    check: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: flow_explore [--nodes N] [--size BYTES] [--mode nic|host] \
-         [--shape adaptive|binomial|flat|chain|kary:K] [--loss P] \
-         [--iters N] [--warmup N] [--seed S] [--shards N] \
-         [--probe-capacity N] [--series-capacity N] [--check]"
-    );
-    std::process::exit(2)
-}
-
-fn parse() -> Opts {
-    let mut o = Opts {
-        nodes: 16,
-        size: 4096,
-        mode: McastMode::NicBased,
-        shape: "adaptive".to_string(),
-        loss: 0.0,
-        iters: 5,
-        warmup: 2,
-        seed: 1,
-        shards: 1,
-        probe_capacity: None,
-        series_capacity: None,
-        check: false,
+/// Decode the command line into the scenario it describes and the same
+/// scenario under the opposite scheme, plus `--check`.
+fn parse(a: &cli::Args) -> Result<(BuiltScenario, BuiltScenario, bool), CliError> {
+    let shards = a.get("--shards", 1)?;
+    let probes = a.get("--probe-capacity", ProbeConfig::DEFAULT_CAPACITY)?;
+    let series = a.get("--series-capacity", SeriesConfig::DEFAULT_CAPACITY)?;
+    let observed = |mode| {
+        let scenario = cli::scenario(a, mode, 4096, 5, 2)?
+            .shards(shards)
+            .probes(ProbeConfig::spans_with_capacity(probes))
+            .series(SeriesConfig::with_capacity(series));
+        cli::build(scenario)
     };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    let val = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
+    let (mode, opposite) = match cli::mode(a)? {
+        McastMode::NicBased => (McastMode::NicBased, McastMode::HostBased),
+        McastMode::HostBased => (McastMode::HostBased, McastMode::NicBased),
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => o.nodes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--size" => o.size = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--mode" => {
-                o.mode = match val(&mut i).as_str() {
-                    "nic" => McastMode::NicBased,
-                    "host" => McastMode::HostBased,
-                    _ => usage(),
-                }
-            }
-            "--shape" => o.shape = val(&mut i),
-            "--loss" => o.loss = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--iters" => o.iters = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--warmup" => o.warmup = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => o.shards = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--probe-capacity" => {
-                o.probe_capacity = Some(val(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--series-capacity" => {
-                o.series_capacity = Some(val(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--check" => o.check = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    o
-}
-
-fn parse_shape(spec: &str) -> TreeShape {
-    match spec {
-        "adaptive" => TreeShape::auto(),
-        "binomial" => TreeShape::Binomial,
-        "flat" => TreeShape::Flat,
-        "chain" => TreeShape::Chain,
-        other => {
-            if let Some(k) = other.strip_prefix("kary:") {
-                return TreeShape::KAry(k.parse().unwrap_or_else(|_| usage()));
-            }
-            usage()
-        }
-    }
-}
-
-fn run_mode(o: &Opts, mode: McastMode) -> Report {
-    match mode {
-        McastMode::NicBased => Scenario::nic_based(o.nodes),
-        McastMode::HostBased => Scenario::host_based(o.nodes),
-    }
-    .size(o.size)
-    .tree(parse_shape(&o.shape))
-    .warmup(o.warmup)
-    .iters(o.iters)
-    .seed(o.seed)
-    .loss(o.loss)
-    .shards(o.shards)
-    .probes(match o.probe_capacity {
-        Some(n) => ProbeConfig::spans_with_capacity(n),
-        None => ProbeConfig::spans(),
-    })
-    .series(match o.series_capacity {
-        Some(n) => SeriesConfig::with_capacity(n),
-        None => SeriesConfig::on(),
-    })
-    .run()
-}
-
-fn mode_name(mode: McastMode) -> &'static str {
-    match mode {
-        McastMode::NicBased => "NIC-based",
-        McastMode::HostBased => "host-based",
-    }
-}
-
-/// ASCII sparkline over the fixed-width histogram bins.
-fn sparkline(hist: &[u64; HIST_BINS]) -> String {
-    const LEVELS: &[u8] = b" .:-=+*#%";
-    let top = hist.iter().copied().max().unwrap_or(0);
-    hist.iter()
-        .map(|&v| {
-            let lvl = if top == 0 {
-                0
-            } else {
-                ((v * (LEVELS.len() as u64 - 1)).div_ceil(top)) as usize
-            };
-            LEVELS[lvl] as char
-        })
-        .collect()
+    Ok((observed(mode)?, observed(opposite)?, a.has("--check")))
 }
 
 /// The per-gauge summary of the busiest node (largest time-weighted mean).
@@ -177,18 +60,19 @@ fn busiest_per_gauge(summaries: &[GaugeSummary]) -> Vec<&GaugeSummary> {
 }
 
 fn main() {
-    let o = parse();
-    let report = run_mode(&o, o.mode);
+    let (built, opposite, check) = cli::parse_or_exit(cli::FLOW_EXPLORE, parse);
+    let spec = built.spec();
+    let report = built.run();
     let events = report.probe.to_vec();
     let graph = FlowGraph::build(&events);
     let delivered = graph.delivered();
 
     println!(
         "{} multicast, {} nodes, {} bytes, loss {:.2}%: {} flows, {} delivered, {} probe events",
-        mode_name(o.mode),
-        o.nodes,
-        o.size,
-        o.loss * 100.0,
+        mode_name(spec.mode),
+        spec.n_nodes,
+        spec.size,
+        spec.faults.drop_prob * 100.0,
         graph.flows().count(),
         delivered.len(),
         events.len(),
@@ -260,25 +144,11 @@ fn main() {
         }
     }
 
-    // Sharded execution statistics, when the run was sharded.
-    if report.metrics.get("parallel.shards") > 0 {
-        println!(
-            "\nsharded execution: {} shards, {} windows ({} idle shard-windows), \
-             {} horizon tightenings, {} barrier waits",
-            report.metrics.get("parallel.shards"),
-            report.metrics.get("parallel.windows"),
-            report.metrics.get("parallel.idle_windows"),
-            report.metrics.get("parallel.horizon_tightenings"),
-            report.metrics.get("parallel.barrier_waits"),
-        );
-    }
+    bench::print_sharded(&report.metrics);
 
     // Scheme diff: same configuration under the opposite scheme.
-    let other_mode = match o.mode {
-        McastMode::NicBased => McastMode::HostBased,
-        McastMode::HostBased => McastMode::NicBased,
-    };
-    let other = run_mode(&o, other_mode);
+    let other_mode = opposite.spec().mode;
+    let other = opposite.run();
     let other_events = other.probe.to_vec();
     let other_graph = FlowGraph::build(&other_events);
     let sig = |r: &Report, g: &FlowGraph, ev: &[gm_sim::ProbeEvent]| -> Option<(String, SimDuration)> {
@@ -293,7 +163,7 @@ fn main() {
         println!("\ncritical-path diff (final window):");
         println!(
             "  {:<11} {:>9.2} us  {}",
-            mode_name(o.mode),
+            mode_name(spec.mode),
             ta.as_micros_f64(),
             a
         );
@@ -305,53 +175,25 @@ fn main() {
         );
     }
 
-    // Ring overflow: a hard --check failure (dropped records mean the
-    // lineage/telemetry silently lies); a warning otherwise. Opt up with
-    // --probe-capacity / --series-capacity rather than tolerating drops.
-    let dropped_events = report.metrics.get("probe.dropped_events");
-    if dropped_events > 0 {
-        let msg = format!(
-            "probe ring overflowed, {dropped_events} events dropped — lineage is incomplete \
-             (rerun with --probe-capacity)"
-        );
-        if o.check {
-            failures.push(msg);
-        } else {
-            eprintln!("warning: {msg}");
-        }
-    }
-    let dropped_points = report.metrics.get("series.dropped_points");
-    if dropped_points > 0 {
-        let msg = format!(
-            "series ring overflowed, {dropped_points} points dropped — gauge summaries are \
-             incomplete (rerun with --series-capacity)"
-        );
-        if o.check {
-            failures.push(msg);
-        } else {
-            eprintln!("warning: {msg}");
-        }
-    }
-
-    if o.check {
+    // Ring overflow: a hard --check failure, a warning otherwise.
+    let overflows = cli::ring_overflows(&report.metrics);
+    if check {
+        failures.extend(overflows);
         if report.windows.is_empty() {
             failures.push("no measured windows".into());
         }
         if delivered.is_empty() {
             failures.push("no delivered flows".into());
         }
-        if failures.is_empty() {
-            println!(
+        cli::report_check("flow", &failures, || {
+            format!(
                 "\nflow check: OK (graph acyclic, {} lineages complete, buckets sum \
                  to completion latency in all {} windows)",
                 delivered.len(),
                 report.windows.len()
-            );
-        } else {
-            for f in &failures {
-                eprintln!("flow check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+            )
+        });
+    } else {
+        overflows.iter().for_each(|msg| eprintln!("warning: {msg}"));
     }
 }

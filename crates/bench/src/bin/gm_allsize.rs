@@ -114,7 +114,7 @@ fn half_rtt_us(size: usize, iters: u32) -> f64 {
         }),
     );
     c.set_app(NodeId(1), Box::new(Echo { size }));
-    c.into_engine().run_to_idle();
+    gm::drive(c, 1);
     let s = *sum.lock().expect("shared app state mutex poisoned");
     s / iters as f64 / 2.0
 }
@@ -131,7 +131,7 @@ fn bandwidth_mbs(size: usize, count: u32) -> f64 {
             done_at: done_at.clone(),
         }),
     );
-    c.into_engine().run_to_idle();
+    gm::drive(c, 1);
     let t = done_at.lock().expect("shared app state mutex poisoned").as_micros_f64();
     assert!(t > 0.0, "stream incomplete");
     (size as u64 * count as u64) as f64 / t

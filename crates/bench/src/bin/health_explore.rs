@@ -16,115 +16,38 @@
 //! count, a lossy run must raise at least one `retx_storm` incident with
 //! non-empty flow evidence, and neither observability ring may overflow.
 
+use bench::cli::{self, CliError, WorkloadOpts};
 use gm_sim::{ProbeConfig, SeriesConfig, SimDuration, WatchConfig};
-use nic_mcast::{
-    ArrivalProcess, FanoutDist, Incident, StopCondition, Workload, WorkloadReport,
-};
+use nic_mcast::{BuiltWorkload, Incident, Workload, WorkloadReport};
 
 struct Opts {
-    nodes: u32,
-    groups: usize,
-    zipf: f64,
-    overlap: f64,
-    rate: f64,
-    duration_ms: u64,
-    warmup_us: u64,
-    size: usize,
+    wl: WorkloadOpts,
     loss: f64,
-    seed: u64,
-    shards: u32,
-    window_us: Option<u64>,
-    probe_capacity: usize,
-    series_capacity: usize,
+    /// The lossy workload, fully observed.
+    workload: Workload,
     check: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: health_explore [--nodes N] [--groups N] [--zipf EXP] [--overlap P] \
-         [--rate HZ] [--duration-ms MS] [--warmup-us US] [--size BYTES] [--loss P] \
-         [--seed S] [--shards N] [--window-us US] \
-         [--probe-capacity N] [--series-capacity N] [--check]"
-    );
-    std::process::exit(2)
-}
-
-fn parse() -> Opts {
-    let mut o = Opts {
-        nodes: 32,
-        groups: 64,
-        zipf: 1.2,
-        overlap: 0.5,
-        rate: 20_000.0,
-        duration_ms: 2,
-        warmup_us: 500,
-        size: 256,
-        loss: 0.02,
-        seed: 1,
-        shards: 1,
-        window_us: None,
-        probe_capacity: 1 << 20,
-        series_capacity: 1 << 20,
-        check: false,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    let val = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => o.nodes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--groups" => o.groups = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--zipf" => o.zipf = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--overlap" => o.overlap = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--rate" => o.rate = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--duration-ms" => o.duration_ms = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--warmup-us" => o.warmup_us = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--size" => o.size = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--loss" => o.loss = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => o.shards = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--window-us" => o.window_us = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--probe-capacity" => {
-                o.probe_capacity = val(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--series-capacity" => {
-                o.series_capacity = val(&mut i).parse().unwrap_or_else(|_| usage());
-            }
-            "--check" => o.check = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    o
-}
-
-fn run(o: &Opts, shards: u32) -> WorkloadReport {
-    let watch = match o.window_us {
+/// Decode the command line, validating the workload it describes.
+fn parse(a: &cli::Args) -> Result<(Opts, BuiltWorkload), CliError> {
+    let wl = WorkloadOpts::from_args(a, 32, 64, 2)?;
+    let loss = a.get("--loss", 0.02)?;
+    let watch = match a.opt("--window-us")? {
         Some(us) => WatchConfig::with_window(SimDuration::from_micros(us)),
         None => WatchConfig::on(),
     };
-    Workload::new(o.nodes)
-        .groups(o.groups)
-        .fanout(FanoutDist::Zipf { exponent: o.zipf })
-        .overlap(o.overlap)
-        .arrivals(ArrivalProcess::Poisson { rate_hz: o.rate })
-        .stop(StopCondition::Duration(SimDuration::from_millis(o.duration_ms)))
-        .warmup(SimDuration::from_micros(o.warmup_us))
-        .size(o.size)
-        .seed(o.seed)
-        .shards(shards)
+    let workload = wl
+        .workload()
         .faults(myrinet::FaultPlan {
-            drop_prob: o.loss,
+            drop_prob: loss,
             ..myrinet::FaultPlan::none()
         })
-        .probes(ProbeConfig::spans_with_capacity(o.probe_capacity))
-        .series(SeriesConfig::with_capacity(o.series_capacity))
-        .watch(watch)
-        .run()
+        .probes(ProbeConfig::spans_with_capacity(a.get("--probe-capacity", 1 << 20)?))
+        .series(SeriesConfig::with_capacity(a.get("--series-capacity", 1 << 20)?))
+        .watch(watch);
+    let built = workload.clone().build().map_err(|e| CliError::Invalid(e.to_string()))?;
+    let check = a.has("--check");
+    Ok((Opts { wl, loss, workload, check }, built))
 }
 
 /// The machine-readable artifact `report_diff` compares: headline summary
@@ -132,11 +55,11 @@ fn run(o: &Opts, shards: u32) -> WorkloadReport {
 fn artifact(o: &Opts, report: &WorkloadReport) -> serde::Value {
     let mut doc = serde::Value::Map(vec![]);
     let mut cfg = serde::Value::Map(vec![]);
-    cfg.insert("nodes", serde::Value::UInt(o.nodes as u64));
-    cfg.insert("groups", serde::Value::UInt(o.groups as u64));
-    cfg.insert("rate_hz", serde::Value::Float(o.rate));
+    cfg.insert("nodes", serde::Value::UInt(o.wl.nodes as u64));
+    cfg.insert("groups", serde::Value::UInt(o.wl.groups as u64));
+    cfg.insert("rate_hz", serde::Value::Float(o.wl.rate));
     cfg.insert("loss", serde::Value::Float(o.loss));
-    cfg.insert("seed", serde::Value::UInt(o.seed));
+    cfg.insert("seed", serde::Value::UInt(o.wl.seed));
     doc.insert("config", cfg);
     let mut sum = serde::Value::Map(vec![]);
     sum.insert("groups", serde::Value::UInt(report.groups as u64));
@@ -187,19 +110,7 @@ fn artifact(o: &Opts, report: &WorkloadReport) -> serde::Value {
 }
 
 fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
-    let mut failures = Vec::new();
-    if report.metrics.get("probe.dropped_events") > 0 {
-        failures.push(format!(
-            "probe ring overflowed, {} events dropped — rerun with --probe-capacity",
-            report.metrics.get("probe.dropped_events")
-        ));
-    }
-    if report.metrics.get("series.dropped_points") > 0 {
-        failures.push(format!(
-            "series ring overflowed, {} points dropped — rerun with --series-capacity",
-            report.metrics.get("series.dropped_points")
-        ));
-    }
+    let mut failures = cli::ring_overflows(&report.metrics);
     if o.loss > 0.0 {
         // Loss must surface as a detected retransmission storm with causal
         // flow evidence — the tentpole guarantee of the watch subsystem.
@@ -229,12 +140,12 @@ fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
     }
     // Shard invariance: the same run at a different shard count must
     // produce the byte-identical health summary.
-    let other_shards = if o.shards == 1 { 2 } else { 1 };
-    let other = run(o, other_shards);
+    let other_shards = if o.wl.shards == 1 { 2 } else { 1 };
+    let other = o.workload.clone().shards(other_shards).run();
     if other.health_json() != report.health_json() {
         failures.push(format!(
             "health summary differs between {} and {other_shards} shards",
-            o.shards
+            o.wl.shards
         ));
     }
     failures
@@ -242,8 +153,8 @@ fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
 
 fn main() {
     let started = std::time::Instant::now();
-    let o = parse();
-    let report = run(&o, o.shards);
+    let (o, built) = cli::parse_or_exit(cli::HEALTH_EXPLORE, parse);
+    let report = built.run();
 
     let mut by_detector: std::collections::BTreeMap<&str, (usize, u64, &Incident)> =
         std::collections::BTreeMap::new();
@@ -258,7 +169,7 @@ fn main() {
 
     println!(
         "{} nodes, {} groups, loss {:.2}%, {} scheduled messages over {:.2} ms simulated:",
-        o.nodes,
+        o.wl.nodes,
         report.groups,
         o.loss * 100.0,
         report.messages,
@@ -309,23 +220,15 @@ fn main() {
 
     bench::write_json("health_explore", &artifact(&o, &report));
 
-    if report.metrics.get("parallel.shards") > 1 {
-        bench::perf::note_imbalance(report.metrics.get("parallel.event_imbalance_pct"));
-    }
+    bench::perf::note_imbalance(&report.metrics);
     bench::perf::record("health_explore", started.elapsed());
 
     if o.check {
-        let failures = check(&o, &report);
-        if failures.is_empty() {
-            println!(
+        cli::report_check("health", &check(&o, &report), || {
+            format!(
                 "health check: OK ({total} incidents, storm evidence present, stream canonical, \
                  byte-identical across shard counts, no ring drops)"
-            );
-        } else {
-            for f in &failures {
-                eprintln!("health check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+            )
+        });
     }
 }

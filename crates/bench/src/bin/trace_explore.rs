@@ -17,88 +17,10 @@
 
 use std::collections::BTreeMap;
 
+use bench::cli::{self, mode_name};
 use gm_sim::probe::perfetto;
-use nic_mcast::{McastMode, ProbeConfig, Scenario, TreeShape};
+use nic_mcast::{McastMode, ProbeConfig};
 use serde::Value;
-
-struct Opts {
-    nodes: u32,
-    size: usize,
-    mode: McastMode,
-    shape: String,
-    loss: f64,
-    iters: u32,
-    warmup: u32,
-    seed: u64,
-    check: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: trace_explore [--nodes N] [--size BYTES] [--mode nic|host] \
-         [--shape adaptive|binomial|flat|chain|kary:K] [--loss P] \
-         [--iters N] [--warmup N] [--seed S] [--check]"
-    );
-    std::process::exit(2)
-}
-
-fn parse() -> Opts {
-    let mut o = Opts {
-        nodes: 16,
-        size: 4096,
-        mode: McastMode::NicBased,
-        shape: "adaptive".to_string(),
-        loss: 0.0,
-        iters: 10,
-        warmup: 2,
-        seed: 1,
-        check: false,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    let val = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => o.nodes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--size" => o.size = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--mode" => {
-                o.mode = match val(&mut i).as_str() {
-                    "nic" => McastMode::NicBased,
-                    "host" => McastMode::HostBased,
-                    _ => usage(),
-                }
-            }
-            "--shape" => o.shape = val(&mut i),
-            "--loss" => o.loss = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--iters" => o.iters = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--warmup" => o.warmup = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--check" => o.check = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-        i += 1;
-    }
-    o
-}
-
-fn parse_shape(spec: &str) -> TreeShape {
-    match spec {
-        "adaptive" => TreeShape::auto(),
-        "binomial" => TreeShape::Binomial,
-        "flat" => TreeShape::Flat,
-        "chain" => TreeShape::Chain,
-        other => {
-            if let Some(k) = other.strip_prefix("kary:") {
-                return TreeShape::KAry(k.parse().unwrap_or_else(|_| usage()));
-            }
-            usage()
-        }
-    }
-}
 
 /// Validate the Chrome trace-event schema on the document we just wrote.
 /// Returns the number of events checked, or an error description.
@@ -182,31 +104,20 @@ fn check_schema(doc: &str) -> Result<usize, String> {
 }
 
 fn main() {
-    let o = parse();
-    let scenario = match o.mode {
-        McastMode::NicBased => Scenario::nic_based(o.nodes),
-        McastMode::HostBased => Scenario::host_based(o.nodes),
-    }
-    .size(o.size)
-    .tree(parse_shape(&o.shape))
-    .warmup(o.warmup)
-    .iters(o.iters)
-    .seed(o.seed)
-    .loss(o.loss)
-    .probes(ProbeConfig::spans());
-    let built = scenario.build().unwrap_or_else(|e| {
-        eprintln!("invalid scenario: {e}");
-        std::process::exit(2)
+    let (built, check) = cli::parse_or_exit(cli::TRACE_EXPLORE, |a| {
+        let scenario = cli::scenario(a, cli::mode(a)?, 4096, 10, 2)?;
+        Ok((cli::build(scenario.probes(ProbeConfig::spans()))?, a.has("--check")))
     });
+    let spec = built.spec();
     let report = built.run();
 
-    let mode_tag = match o.mode {
+    let mode_tag = match spec.mode {
         McastMode::NicBased => "nic",
         McastMode::HostBased => "host",
     };
     let doc = perfetto::chrome_trace_json(report.probe.iter());
     let dir = bench::results_dir();
-    let path = dir.join(format!("trace_{}_{}n_{}B.json", mode_tag, o.nodes, o.size));
+    let path = dir.join(format!("trace_{}_{}n_{}B.json", mode_tag, spec.n_nodes, spec.size));
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create results/: {e}");
     } else if let Err(e) = bench::atomic_write(&path, &doc) {
@@ -224,38 +135,18 @@ fn main() {
     }
     println!(
         "{} multicast, {} nodes, {} bytes, loss {:.2}%: {} probe events, {} tracks ({})",
-        match o.mode {
-            McastMode::NicBased => "NIC-based",
-            McastMode::HostBased => "host-based",
-        },
-        o.nodes,
-        o.size,
-        o.loss * 100.0,
+        mode_name(spec.mode),
+        spec.n_nodes,
+        spec.size,
+        spec.faults.drop_prob * 100.0,
         report.probe.len(),
         tracks.len(),
         tracks.join(", "),
     );
     println!("  latency (mean):   {:>10.2} us", report.latency.mean());
 
-    // Sharded runs carry per-shard execution statistics under `parallel.*`.
-    if report.metrics.get("parallel.shards") > 0 {
-        let shards = report.metrics.get("parallel.shards");
-        println!(
-            "\nsharded execution: {} shards, {} windows ({} idle shard-windows), \
-             {} horizon tightenings, {} barrier waits",
-            shards,
-            report.metrics.get("parallel.windows"),
-            report.metrics.get("parallel.idle_windows"),
-            report.metrics.get("parallel.horizon_tightenings"),
-            report.metrics.get("parallel.barrier_waits"),
-        );
-        for i in 0..shards {
-            println!(
-                "  shard {i}: {} events",
-                report.metrics.get(&format!("parallel.shard{i}.events"))
-            );
-        }
-    }
+    bench::print_sharded(&report.metrics);
+    bench::print_shard_events(&report.metrics);
 
     match &report.attribution {
         Some(attr) => {
@@ -287,27 +178,20 @@ fn main() {
         None => println!("\n(no attribution: probes disabled or no measured windows)"),
     }
 
-    if o.check {
-        match check_schema(&doc) {
-            Ok(n) => println!(
-                "schema check: {n} events OK (ph/ts/pid/tid, B/E balanced, per-track ts non-decreasing)"
-            ),
-            Err(e) => {
-                eprintln!("schema check FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+    if check {
+        let mut failures = cli::ring_overflows(&report.metrics);
+        let checked = check_schema(&doc).unwrap_or_else(|e| {
+            failures.push(format!("schema: {e}"));
+            0
+        });
         if tracks.len() < 4 {
-            eprintln!("error: expected at least 4 track types, saw {}", tracks.len());
-            std::process::exit(1);
+            failures.push(format!("expected at least 4 track types, saw {}", tracks.len()));
         }
-        let dropped = report.metrics.get("probe.dropped_events");
-        if dropped > 0 {
-            eprintln!(
-                "error: probe ring overflowed, {dropped} events dropped — \
-                 attribution and lineage are incomplete (raise the ring capacity)"
-            );
-            std::process::exit(1);
-        }
+        cli::report_check("trace", &failures, || {
+            format!(
+                "schema check: {checked} events OK (ph/ts/pid/tid, B/E balanced, per-track ts \
+                 non-decreasing)"
+            )
+        });
     }
 }

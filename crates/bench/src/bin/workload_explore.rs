@@ -15,148 +15,41 @@
 //! delivered, and every installed group-table entry must be freed again by
 //! the disband path.
 
-use gm_sim::{GaugeSummary, SeriesConfig, SimDuration, HIST_BINS};
-use nic_mcast::{ArrivalProcess, FanoutDist, StopCondition, Workload, WorkloadReport};
+use bench::cli::{self, CliError, WorkloadOpts};
+use bench::sparkline;
+use gm_sim::{GaugeSummary, SeriesConfig, HIST_BINS};
+use nic_mcast::{ArrivalProcess, BuiltWorkload, FanoutDist, StopCondition, WorkloadReport};
 
-struct Opts {
-    nodes: u32,
-    groups: usize,
-    zipf: Option<f64>,
-    fanout: Option<u32>,
-    overlap: f64,
-    rate: f64,
-    fixed_rate: bool,
-    duration_ms: Option<u64>,
-    messages: Option<u64>,
-    warmup_us: u64,
-    size: usize,
-    slots: Option<usize>,
-    seed: u64,
-    shards: u32,
-    series_capacity: Option<usize>,
-    check: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: workload_explore [--nodes N] [--groups N] [--zipf EXP | --fanout K] \
-         [--overlap P] [--rate HZ] [--fixed-rate] [--duration-ms MS | --messages N] \
-         [--warmup-us US] [--size BYTES] [--slots N] [--seed S] [--shards N] \
-         [--series-capacity N] [--check]"
-    );
-    std::process::exit(2)
-}
-
-fn parse() -> Opts {
-    let mut o = Opts {
-        nodes: 64,
-        groups: 100,
-        zipf: None,
-        fanout: None,
-        overlap: 0.5,
-        rate: 20_000.0,
-        fixed_rate: false,
-        duration_ms: None,
-        messages: None,
-        warmup_us: 500,
-        size: 256,
-        slots: None,
-        seed: 1,
-        shards: 1,
-        series_capacity: None,
-        check: false,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    let val = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i).cloned().unwrap_or_else(|| usage())
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--nodes" => o.nodes = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--groups" => o.groups = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--zipf" => o.zipf = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--fanout" => o.fanout = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--overlap" => o.overlap = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--rate" => o.rate = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--fixed-rate" => o.fixed_rate = true,
-            "--duration-ms" => o.duration_ms = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--messages" => o.messages = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--warmup-us" => o.warmup_us = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--size" => o.size = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--slots" => o.slots = Some(val(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--seed" => o.seed = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => o.shards = val(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--series-capacity" => {
-                o.series_capacity = Some(val(&mut i).parse().unwrap_or_else(|_| usage()));
-            }
-            "--check" => o.check = true,
-            "--help" | "-h" => usage(),
-            _ => usage(),
+/// Decode the command line into the workload it describes, plus the
+/// decoded group (for the header) and `--check`.
+fn parse(a: &cli::Args) -> Result<(WorkloadOpts, BuiltWorkload, bool), CliError> {
+    for (x, y) in [("--zipf", "--fanout"), ("--duration-ms", "--messages")] {
+        if a.has(x) && a.has(y) {
+            return Err(CliError::Conflict(x, y));
         }
-        i += 1;
     }
-    o
-}
-
-fn build(o: &Opts) -> Workload {
-    let fanout = match (o.zipf, o.fanout) {
-        (Some(_), Some(_)) => usage(),
-        (None, Some(k)) => FanoutDist::Fixed { fanout: k },
-        (exp, None) => FanoutDist::Zipf {
-            exponent: exp.unwrap_or(1.2),
-        },
-    };
-    let arrivals = if o.fixed_rate {
-        ArrivalProcess::FixedRate { rate_hz: o.rate }
-    } else {
-        ArrivalProcess::Poisson { rate_hz: o.rate }
-    };
-    let stop = match (o.duration_ms, o.messages) {
-        (Some(_), Some(_)) => usage(),
-        (None, Some(m)) => StopCondition::Messages(m),
-        (ms, None) => StopCondition::Duration(SimDuration::from_millis(ms.unwrap_or(5))),
-    };
+    let wl = WorkloadOpts::from_args(a, 64, 100, 5)?;
     let mut params = gm::GmParams::default();
-    if let Some(slots) = o.slots {
+    if let Some(slots) = a.opt("--slots")? {
         params.group_table_slots = slots;
     }
-    Workload::new(o.nodes)
-        .groups(o.groups)
-        .fanout(fanout)
-        .overlap(o.overlap)
-        .arrivals(arrivals)
-        .stop(stop)
-        .warmup(SimDuration::from_micros(o.warmup_us))
-        .size(o.size)
-        .params(params)
-        .seed(o.seed)
-        .shards(o.shards)
-        .series(match o.series_capacity {
-            Some(n) => SeriesConfig::with_capacity(n),
-            None => SeriesConfig::on(),
-        })
-}
-
-/// ASCII sparkline over the fixed-width histogram bins.
-fn sparkline(hist: &[u64; HIST_BINS]) -> String {
-    const LEVELS: &[u8] = b" .:-=+*#%";
-    let top = hist.iter().copied().max().unwrap_or(0);
-    hist.iter()
-        .map(|&v| {
-            let lvl = if top == 0 {
-                0
-            } else {
-                ((v * (LEVELS.len() as u64 - 1)).div_ceil(top)) as usize
-            };
-            LEVELS[lvl] as char
-        })
-        .collect()
+    let series = SeriesConfig::with_capacity(a.get("--series-capacity", SeriesConfig::DEFAULT_CAPACITY)?);
+    let mut w = wl.workload().params(params).series(series);
+    if let Some(fanout) = a.opt("--fanout")? {
+        w = w.fanout(FanoutDist::Fixed { fanout });
+    }
+    if a.has("--fixed-rate") {
+        w = w.arrivals(ArrivalProcess::FixedRate { rate_hz: wl.rate });
+    }
+    if let Some(m) = a.opt("--messages")? {
+        w = w.stop(StopCondition::Messages(m));
+    }
+    let built = w.build().map_err(|e| CliError::Invalid(e.to_string()))?;
+    Ok((wl, built, a.has("--check")))
 }
 
 fn check(report: &WorkloadReport) -> Vec<String> {
-    let mut failures = Vec::new();
+    let mut failures = cli::ring_overflows(&report.metrics);
     let json = report.summary_json();
     for key in [
         "\"groups\":",
@@ -194,33 +87,18 @@ fn check(report: &WorkloadReport) -> Vec<String> {
     if installs == 0 {
         failures.push("no group installs recorded".into());
     }
-    // Ring overflow is a hard failure: dropped points mean the occupancy
-    // telemetry silently lies. Opt up with --series-capacity instead.
-    let dropped = report.metrics.get("series.dropped_points");
-    if dropped > 0 {
-        failures.push(format!(
-            "series ring overflowed, {dropped} points dropped — rerun with --series-capacity"
-        ));
-    }
     failures
 }
 
 fn main() {
     let started = std::time::Instant::now();
-    let o = parse();
-    let built = match build(&o).build() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("workload_explore: invalid workload: {e}");
-            std::process::exit(2)
-        }
-    };
+    let (wl, built, gate) = cli::parse_or_exit(cli::WORKLOAD_EXPLORE, parse);
     let scheduled = built.messages();
     let report = built.run();
 
     println!(
         "{} nodes, {} groups, {} scheduled messages over {:.2} ms simulated:",
-        o.nodes,
+        wl.nodes,
         report.groups,
         scheduled,
         report.end_time.as_micros_f64() / 1e3,
@@ -290,33 +168,20 @@ fn main() {
             report.metrics.get("parallel.barrier_waits"),
             report.metrics.get("parallel.event_imbalance_pct"),
         );
-        for i in 0..report.metrics.get("parallel.shards") {
-            println!(
-                "  shard {i}: {} events",
-                report.metrics.get(&format!("parallel.shard{i}.events"))
-            );
-        }
+        bench::print_shard_events(&report.metrics);
     }
 
     println!("\nsummary: {}", report.summary_json());
-    if report.metrics.get("parallel.shards") > 1 {
-        bench::perf::note_imbalance(report.metrics.get("parallel.event_imbalance_pct"));
-    }
+    bench::perf::note_imbalance(&report.metrics);
     bench::perf::record("workload_explore", started.elapsed());
 
-    if o.check {
-        let failures = check(&report);
-        if failures.is_empty() {
-            println!(
+    if gate {
+        cli::report_check("workload", &check(&report), || {
+            format!(
                 "workload check: OK (schema complete, percentiles monotone, fairness in (0,1], \
                  {} deliveries, group table conserved)",
                 report.delivered
-            );
-        } else {
-            for f in &failures {
-                eprintln!("workload check FAILED: {f}");
-            }
-            std::process::exit(1);
-        }
+            )
+        });
     }
 }

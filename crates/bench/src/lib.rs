@@ -1,5 +1,5 @@
 //! Shared benchmark-harness utilities: parallel parameter sweeps, table
-//! rendering, and JSON result emission.
+//! rendering, JSON result emission, and the command-line parser ([`cli`]).
 //!
 //! Every figure binary follows the same pattern: build a list of parameter
 //! points, evaluate each point in its own simulator instance (fanned out
@@ -14,7 +14,10 @@ use std::time::Duration;
 
 use serde::Serialize;
 
+pub use cli::CliOpts;
 pub use nic_mcast::Sweep;
+
+pub mod cli;
 
 /// Allocation accounting (`--features alloc-count`): a global allocator
 /// wrapping [`std::alloc::System`] that counts every `alloc`/`realloc`
@@ -216,6 +219,45 @@ impl Table {
     }
 }
 
+/// ASCII sparkline over a gauge's fixed-width value histogram.
+pub fn sparkline(hist: &[u64; gm_sim::HIST_BINS]) -> String {
+    const LEVELS: &[u8] = b" .:-=+*#%";
+    let top = hist.iter().copied().max().unwrap_or(0);
+    hist.iter()
+        .map(|&v| {
+            let lvl = if top == 0 {
+                0
+            } else {
+                ((v * (LEVELS.len() as u64 - 1)).div_ceil(top)) as usize
+            };
+            LEVELS[lvl] as char
+        })
+        .collect()
+}
+
+/// Print a sharded run's window statistics (`parallel.*`); nothing for a
+/// sequential run.
+pub fn print_sharded(m: &gm_sim::Metrics) {
+    if m.get("parallel.shards") > 0 {
+        println!(
+            "\nsharded execution: {} shards, {} windows ({} idle shard-windows), \
+             {} horizon tightenings, {} barrier waits",
+            m.get("parallel.shards"),
+            m.get("parallel.windows"),
+            m.get("parallel.idle_windows"),
+            m.get("parallel.horizon_tightenings"),
+            m.get("parallel.barrier_waits"),
+        );
+    }
+}
+
+/// Print each shard's event count (nothing for a sequential run).
+pub fn print_shard_events(m: &gm_sim::Metrics) {
+    for i in 0..m.get("parallel.shards") {
+        println!("  shard {i}: {} events", m.get(&format!("parallel.shard{i}.events")));
+    }
+}
+
 /// Format a microsecond value for a table cell.
 pub fn us(v: f64) -> String {
     format!("{v:.2}")
@@ -300,12 +342,16 @@ pub mod perf {
     /// as `pct + 1` so 0 means "no sharded run reported one".
     static WORST_IMBALANCE: AtomicU64 = AtomicU64::new(0);
 
-    /// Report one run's `parallel.event_imbalance_pct` so [`record`] can
-    /// persist the process-wide worst case into the baseline. Call it per
-    /// run (sweeps call it many times; the maximum sticks) — sharding-
-    /// balance regressions then gate exactly like throughput regressions.
-    pub fn note_imbalance(pct: u64) {
-        WORST_IMBALANCE.fetch_max(pct.saturating_add(1), Ordering::Relaxed);
+    /// Report one run's `parallel.event_imbalance_pct`, when it ran on
+    /// more than one shard, so [`record`] can persist the process-wide worst
+    /// case into the baseline. Call it per run (sweeps call it many times;
+    /// the maximum sticks) — sharding-balance regressions then gate exactly
+    /// like throughput regressions.
+    pub fn note_imbalance(metrics: &gm_sim::Metrics) {
+        if metrics.get("parallel.shards") > 1 {
+            let pct = metrics.get("parallel.event_imbalance_pct");
+            WORST_IMBALANCE.fetch_max(pct.saturating_add(1), Ordering::Relaxed);
+        }
     }
 
     /// Record this process's aggregate dispatch stats under `binary` in
@@ -350,11 +396,7 @@ pub mod perf {
         // overhead, not parallel speedup.
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
         entry.insert("cores", serde_json::Value::UInt(cores as u64));
-        let shards = std::env::var("MYRI_SIM_SHARDS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(1u64);
-        entry.insert("shards", serde_json::Value::UInt(shards));
+        entry.insert("shards", serde_json::Value::UInt(nic_mcast::env_shards().into()));
         // Allocation churn (only under `--features alloc-count`, so the
         // fields' presence records how the number was measured). Process-
         // wide, so it overcounts per-event churn by setup/teardown — a
@@ -403,57 +445,6 @@ pub mod perf {
             }
             Err(e) => eprintln!("warning: cannot serialize perf record: {e}"),
         }
-    }
-}
-
-/// Parse `--iters N` / `--quick` style flags shared by the figure binaries.
-pub struct CliOpts {
-    /// Timed iterations per point.
-    pub iters: u32,
-    /// Warmup iterations per point.
-    pub warmup: u32,
-    /// Max-over-probes (slower, matches the paper exactly) vs last-probe.
-    pub all_probes: bool,
-}
-
-impl CliOpts {
-    /// Defaults: 100 timed iterations, 10 warmup, deepest-probe only.
-    pub fn parse() -> CliOpts {
-        let mut o = CliOpts {
-            iters: 100,
-            warmup: 10,
-            all_probes: false,
-        };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--iters" => {
-                    i += 1;
-                    o.iters = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--iters needs a number");
-                }
-                "--warmup" => {
-                    i += 1;
-                    o.warmup = args
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .expect("--warmup needs a number");
-                }
-                "--all-probes" => o.all_probes = true,
-                "--quick" => {
-                    o.iters = 20;
-                    o.warmup = 3;
-                }
-                other => panic!(
-                    "unknown flag {other}; supported: --iters N --warmup N --all-probes --quick"
-                ),
-            }
-            i += 1;
-        }
-        o
     }
 }
 

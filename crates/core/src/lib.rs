@@ -61,11 +61,10 @@ pub use scenario::{BuiltScenario, Report, Scenario, ScenarioError};
 pub use sweep::Sweep;
 pub use tree::{coverage, min_makespan, PostalParams, SpanningTree, TreeShape};
 pub use workload::{
-    ArrivalProcess, BuiltWorkload, FanoutDist, GroupGoodput, SingleCollective, StopCondition,
-    Workload, WorkloadError, WorkloadGroup, WorkloadReport, MAX_GROUPS,
+    ArrivalProcess, BuiltWorkload, FanoutDist, GroupGoodput, StopCondition, Workload,
+    WorkloadError, WorkloadGroup, WorkloadReport, MAX_GROUPS,
 };
 pub use workloads::{
-    build_cluster, env_shards, execute_instrumented, execute_max_over_probes, execute_observed,
-    execute_watched, AckMode, InstrumentedOutput, McastMode, McastRun, RunOutput, Shared,
-    DATA_PORT, REPLY_PORT,
+    build_cluster, env_shards, execute, execute_max_over_probes, AckMode, McastMode, McastRun,
+    RunOutput, Shared, DATA_PORT, REPLY_PORT,
 };

@@ -24,7 +24,7 @@
 //! ```
 
 use gm::GmParams;
-use gm_sim::probe::{attribution, attribution::Attribution, ProbeConfig};
+use gm_sim::probe::{attribution::Attribution, ProbeConfig};
 use gm_sim::watch::Incident;
 use gm_sim::{SeriesConfig, SimTime, WatchConfig};
 use myrinet::{FaultPlan, NetParams, NodeId};
@@ -32,9 +32,7 @@ use myrinet::{FaultPlan, NetParams, NodeId};
 use crate::calibrate::shape_for_size;
 use crate::group::McastConfig;
 use crate::tree::TreeShape;
-use crate::workloads::{
-    execute_watched, AckMode, InstrumentedOutput, McastMode, McastRun, RunOutput,
-};
+use crate::workloads::{execute, AckMode, McastMode, McastRun, RunOutput};
 
 /// A validated-at-build measurement scenario.
 ///
@@ -102,7 +100,10 @@ impl std::fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {}
 
 impl Scenario {
-    fn new(n_nodes: u32, mode: McastMode) -> Scenario {
+    /// A scenario of `mode` over an `n_nodes` cluster, with the defaults of
+    /// [`nic_based`](Scenario::nic_based) and
+    /// [`host_based`](Scenario::host_based).
+    pub fn new(n_nodes: u32, mode: McastMode) -> Scenario {
         // Defer the < 2 check to build(); McastRun::new asserts, so build
         // the run with a floor of 2 and remember the requested count.
         let mut run = McastRun::new(n_nodes.max(2), 1024, mode, TreeShape::Auto);
@@ -329,14 +330,13 @@ impl Scenario {
 
     /// Build and execute, returning the [`Report`].
     ///
-    /// Internally this routes through the workload layer —
-    /// `Workload::single(self).run()` — so the closed-loop single-collective
-    /// path and the sustained-traffic path share one entry point.
-    ///
     /// Panics with the validation message on invalid input; use
     /// [`build`](Scenario::build) to handle errors.
     pub fn run(self) -> Report {
-        crate::workload::Workload::single(self).run()
+        match self.build() {
+            Ok(built) => built.run(),
+            Err(e) => panic!("invalid scenario: {e}"),
+        }
     }
 }
 
@@ -355,46 +355,9 @@ impl BuiltScenario {
         &self.run
     }
 
-    /// The observability configuration.
-    pub fn probe_config(&self) -> ProbeConfig {
-        self.probes
-    }
-
-    /// The gauge time-series configuration.
-    pub fn series_config(&self) -> SeriesConfig {
-        self.series
-    }
-
-    /// The health-monitoring configuration.
-    pub fn watch_config(&self) -> WatchConfig {
-        self.watch
-    }
-
     /// Execute to completion.
     pub fn run(&self) -> Report {
-        let InstrumentedOutput {
-            output,
-            probe,
-            metrics,
-            windows,
-            series,
-            incidents,
-        } = execute_watched(&self.run, self.probes, self.series, self.watch);
-        let attribution = if self.probes.is_enabled() && !windows.is_empty() {
-            let events = probe.to_vec();
-            Some(attribution::attribute(&events, &windows))
-        } else {
-            None
-        };
-        Report {
-            output,
-            metrics,
-            probe,
-            windows,
-            attribution,
-            series,
-            incidents,
-        }
+        execute(&self.run, self.probes, self.series, self.watch)
     }
 }
 
@@ -407,7 +370,8 @@ pub struct Report {
     /// The latency measurements (also reachable through `Deref`).
     pub output: RunOutput,
     /// Counter snapshot: `nic.*` (summed over nodes), `fabric.*`,
-    /// `engine.*`.
+    /// `engine.events`, `probe.*`/`series.*` (sink health) and — on sharded
+    /// runs — `parallel.*` execution statistics.
     pub metrics: gm_sim::Metrics,
     /// The recorded probe events (empty unless probes were enabled).
     pub probe: gm_sim::ProbeSink,

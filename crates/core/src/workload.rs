@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
+use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::ProbeConfig;
 use gm_sim::watch::{self, Incident, Severity, Thresh, WatchConfig};
 use gm_sim::{
@@ -55,12 +55,8 @@ use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Topology};
 use crate::calibrate::shape_for_size;
 use crate::ext::McastExt;
 use crate::group::{McastConfig, McastNotice, McastRequest};
-use crate::scenario::{Report, Scenario};
 use crate::tree::{SpanningTree, TreeShape};
-use crate::workloads::{
-    drive_to_quiescence, env_shards, evaluate_watch, finish_incidents, harvest_observability,
-    DATA_PORT,
-};
+use crate::workloads::{env_shards, DATA_PORT};
 
 /// Jain fairness below this (in 1/1000ths) raises `fairness_collapse`: 0.5
 /// is the index of a population where goodput concentrates on half the
@@ -218,8 +214,7 @@ impl std::error::Error for WorkloadError {}
 /// Construct with [`new`](Workload::new), refine with the chained setters,
 /// then [`build`](Workload::build) (fallible) or [`run`](Workload::run)
 /// (builds and executes, panicking on invalid input with the validation
-/// message). [`Workload::single`] wraps a [`Scenario`] so the closed-loop
-/// path runs through the same entry point.
+/// message).
 #[derive(Clone, Debug)]
 pub struct Workload {
     n_nodes: u32,
@@ -267,13 +262,6 @@ impl Workload {
             series: SeriesConfig::off(),
             watch: WatchConfig::off(),
         }
-    }
-
-    /// Run a [`Scenario`] through the workload entry point. This is what
-    /// [`Scenario::run`] calls internally: the closed-loop single-collective
-    /// path and the sustained-traffic path share the same run plumbing.
-    pub fn single(scenario: Scenario) -> SingleCollective {
-        SingleCollective { scenario }
     }
 
     /// Number of multicast groups in the population.
@@ -639,22 +627,6 @@ pub struct BuiltWorkload {
     groups: Vec<WorkloadGroup>,
 }
 
-/// The closed-loop single-collective path, run through the workload entry
-/// point (see [`Workload::single`]).
-pub struct SingleCollective {
-    scenario: Scenario,
-}
-
-impl SingleCollective {
-    /// Build and execute the wrapped scenario, returning its [`Report`].
-    pub fn run(self) -> Report {
-        match self.scenario.build() {
-            Ok(built) => built.run(),
-            Err(e) => panic!("invalid scenario: {e}"),
-        }
-    }
-}
-
 // -- runtime ------------------------------------------------------------------
 
 /// An agenda entry: what a node does at a scheduled instant.
@@ -912,7 +884,8 @@ impl BuiltWorkload {
             );
         }
 
-        let (mut worlds, now, events, shard_stats) = drive_to_quiescence(cluster, spec.shards);
+        let mut driven = drive(cluster, spec.shards);
+        let now = driven.end;
 
         // Merge per-node measurements in node-id order (the histogram merge
         // is order-independent anyway; the tallies are integers), so the
@@ -981,38 +954,36 @@ impl BuiltWorkload {
             1.0
         };
 
-        let harvest = harvest_observability(&mut worlds, events, &shard_stats);
-        let mut incidents = evaluate_watch(&spec.watch, &spec.params, &harvest, now);
-        if spec.watch.is_enabled() {
-            // Two workload-level detectors over the merged measurement
-            // state (data the series never sees): Jain-fairness collapse,
-            // and a delivery-p99 excursion against the warmup baseline.
-            let fairness_x1000 = (fairness * 1000.0) as u64;
-            if fairness_x1000 < FAIRNESS_FLOOR_X1000 {
-                incidents.push(Incident::cluster(
-                    "fairness_collapse",
+        let harvest = harvest(&mut driven);
+        // Two workload-level detectors over the merged measurement state
+        // (data the series never sees): Jain-fairness collapse, and a
+        // delivery-p99 excursion against the warmup baseline.
+        let mut extra = Vec::new();
+        let fairness_x1000 = (fairness * 1000.0) as u64;
+        if fairness_x1000 < FAIRNESS_FLOOR_X1000 {
+            extra.push(Incident::cluster(
+                "fairness_collapse",
+                Severity::Warn,
+                (warmup_t, horizon),
+                fairness_x1000,
+                Thresh::per_mille(FAIRNESS_FLOOR_X1000),
+            ));
+        }
+        if warmup_hist.count() > 0 {
+            let baseline_p99 = warmup_hist.percentile(99.0);
+            let limit = baseline_p99 * P99_EXCURSION_FACTOR as f64;
+            let p99 = hist.percentile(99.0);
+            if p99 > limit {
+                extra.push(Incident::cluster(
+                    "delivery_p99_excursion",
                     Severity::Warn,
-                    (warmup_t, horizon),
-                    fairness_x1000,
-                    Thresh::per_mille(FAIRNESS_FLOOR_X1000),
+                    (warmup_t, now),
+                    p99 as u64,
+                    Thresh::micros(limit as u64),
                 ));
             }
-            if warmup_hist.count() > 0 {
-                let baseline_p99 = warmup_hist.percentile(99.0);
-                let limit = baseline_p99 * P99_EXCURSION_FACTOR as f64;
-                let p99 = hist.percentile(99.0);
-                if p99 > limit {
-                    incidents.push(Incident::cluster(
-                        "delivery_p99_excursion",
-                        Severity::Warn,
-                        (warmup_t, now),
-                        p99 as u64,
-                        Thresh::micros(limit as u64),
-                    ));
-                }
-            }
         }
-        finish_incidents(&mut incidents, &harvest.probe);
+        let incidents = analyze(&spec.watch, &spec.params, &harvest, now, extra);
         WorkloadReport {
             groups: self.groups.len(),
             messages: self.messages(),
@@ -1027,7 +998,7 @@ impl BuiltWorkload {
             per_group,
             admission_waits: harvest.metrics.get("nic.mcast_group_admission_waits"),
             end_time: now,
-            events,
+            events: driven.events,
             hist,
             metrics: harvest.metrics,
             probe: harvest.probe,

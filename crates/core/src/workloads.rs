@@ -19,16 +19,14 @@ use std::sync::Mutex;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
-use gm_sim::probe::{Metrics, ProbeConfig, ProbeSink};
-use gm_sim::watch::{self, Detector, DetectorKind, Incident, Severity, Thresh, WatchConfig, WatchEngine};
-use gm_sim::{
-    Histogram, OnlineStats, SeriesConfig, SeriesSink, ShardStats, SimDuration, SimTime,
-};
+use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
+use gm_sim::probe::{attribution, ProbeConfig};
+use gm_sim::{Histogram, OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
 use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
 
 use crate::ext::McastExt;
 use crate::group::{McastConfig, McastNotice, McastRequest};
+use crate::scenario::Report;
 use crate::tree::{SpanningTree, TreeShape};
 
 /// Port multicast/broadcast data is delivered on.
@@ -377,226 +375,19 @@ pub fn build_cluster(run: &McastRun) -> (Cluster<McastExt>, Arc<Mutex<Shared>>) 
     (cluster, shared)
 }
 
-/// Everything an instrumented run produces: measurements plus the probe
-/// event history, per-iteration windows, and a counter snapshot.
-pub struct InstrumentedOutput {
-    /// The measurements.
-    pub output: RunOutput,
-    /// The recorded probe events (empty when probes were off).
-    pub probe: ProbeSink,
-    /// Counter snapshot: `nic.*` (summed over nodes), `fabric.*`,
-    /// `engine.events`, `probe.*`/`series.*` (sink health) and — on sharded
-    /// runs — `parallel.*` execution statistics.
-    pub metrics: Metrics,
-    /// `(start, end)` of each timed iteration.
-    pub windows: Vec<(SimTime, SimTime)>,
-    /// The recorded gauge time-series (empty when series were off).
-    pub series: SeriesSink,
-    /// Health incidents (empty when the watch layer was off), in canonical
-    /// order with causal evidence attached.
-    pub incidents: Vec<Incident>,
-}
-
-/// Execute one run with an observability configuration. This is the single
-/// execution path behind [`Scenario`](crate::Scenario) (and through it
-/// [`Workload`](crate::Workload)).
-pub fn execute_instrumented(run: &McastRun, probes: ProbeConfig) -> InstrumentedOutput {
-    execute_observed(run, probes, SeriesConfig::off())
-}
-
-/// Drive a fully-built cluster to quiescence, sequentially or sharded —
-/// bit-for-bit the same results either way, so callers work off a uniform
-/// `Vec<Cluster>` view. Infeasible sharding requests (single shard,
-/// targeted drop rules, indivisible topologies) fall back to the sequential
-/// engine. Shared by the [`Scenario`](crate::Scenario) single-collective
-/// path and the [`Workload`](crate::Workload) traffic engine.
-pub(crate) fn drive_to_quiescence(
-    cluster: Cluster<McastExt>,
-    shards: u32,
-) -> (Vec<Cluster<McastExt>>, SimTime, u64, Vec<ShardStats>) {
-    if shards > 1 && cluster.shard_infeasible(shards).is_none() {
-        let mut eng = cluster.into_sharded_engine(shards);
-        let outcome = eng.run(SimTime::MAX, 2_000_000_000);
-        assert_eq!(
-            outcome,
-            gm_sim::RunOutcome::Idle,
-            "sharded run did not converge (possible deadlock)"
-        );
-        let (now, events) = (eng.now(), eng.events_handled());
-        let shard_stats = eng.shard_stats();
-        (eng.into_worlds(), now, events, shard_stats)
-    } else {
-        let mut eng = cluster.into_engine();
-        let outcome = eng.run(SimTime::MAX, 2_000_000_000);
-        assert_eq!(
-            outcome,
-            gm_sim::RunOutcome::Idle,
-            "run did not converge (possible deadlock)"
-        );
-        let (now, events) = (eng.now(), eng.events_handled());
-        (vec![eng.into_world()], now, events, Vec::new())
-    }
-}
-
-/// The observability surface harvested from a finished run: counters rolled
-/// into [`Metrics`] plus the canonicalized probe and series streams.
-pub(crate) struct Harvest {
-    pub metrics: Metrics,
-    pub probe: ProbeSink,
-    pub series: SeriesSink,
-}
-
-/// Collect counters, per-shard execution statistics, and the canonicalized
-/// probe/series streams from the finished worlds. A sharded run's merged
-/// streams are byte-identical to the sequential reference (sorted by
-/// `(time, node)` and renumbered).
-pub(crate) fn harvest_observability(
-    worlds: &mut [Cluster<McastExt>],
-    events: u64,
-    shard_stats: &[ShardStats],
-) -> Harvest {
-    let mut metrics = Metrics::new();
-    for w in worlds.iter() {
-        for n in w.local_nodes() {
-            for (name, v) in w.nic(n).counters.iter() {
-                metrics.add("nic", name, v);
-            }
-        }
-        for (name, v) in w.fabric().counters().iter() {
-            metrics.add("fabric", name, v);
-        }
-    }
-    metrics.set("engine", "events", events);
-    // Per-shard execution statistics. These describe *how* the run was
-    // executed, not what it computed, so parity checks strip `parallel.*`
-    // before comparing sequential and sharded runs.
-    if !shard_stats.is_empty() {
-        metrics.set("parallel", "shards", shard_stats.len() as u64);
-        metrics.set(
-            "parallel",
-            "windows",
-            shard_stats.iter().map(|s| s.windows).max().unwrap_or(0),
-        );
-        metrics.set(
-            "parallel",
-            "horizon_tightenings",
-            shard_stats.iter().map(|s| s.horizon_tightenings).sum(),
-        );
-        metrics.set(
-            "parallel",
-            "barrier_waits",
-            shard_stats.iter().map(|s| s.barrier_waits).sum(),
-        );
-        metrics.set(
-            "parallel",
-            "idle_windows",
-            shard_stats.iter().map(|s| s.idle_windows).sum(),
-        );
-        for (i, s) in shard_stats.iter().enumerate() {
-            metrics.set("parallel", &format!("shard{i}.events"), s.events);
-        }
-        // Heaviest-vs-lightest shard spread as a percentage of the heaviest
-        // — the imbalance weighted partitioning minimizes.
-        let max_e = shard_stats.iter().map(|s| s.events).max().unwrap_or(0);
-        let min_e = shard_stats.iter().map(|s| s.events).min().unwrap_or(0);
-        if let Some(pct) = ((max_e - min_e) * 100).checked_div(max_e) {
-            metrics.set("parallel", "event_imbalance_pct", pct);
-        }
-    }
-    let probe = ProbeSink::merge_canonical(
-        worlds
-            .iter_mut()
-            .map(|w| std::mem::replace(&mut w.probe, ProbeSink::disabled()))
-            .collect(),
-    );
-    let series = SeriesSink::merge_canonical(
-        worlds
-            .iter_mut()
-            .map(|w| std::mem::replace(&mut w.series, SeriesSink::disabled()))
-            .collect(),
-    );
-    // Sink-health counters: non-zero drops mean the rings were too small to
-    // hold the run and downstream analyses (lineage, critical path, gauge
-    // summaries) may be incomplete.
-    metrics.set("probe", "dropped_events", probe.evicted());
-    metrics.set("series", "dropped_points", series.dropped());
-    Harvest {
-        metrics,
-        probe,
-        series,
-    }
-}
-
-/// The per-shard event-spread threshold (percent of the heaviest shard)
-/// past which the execution-diagnostic imbalance detector fires. `exec_`-
-/// prefixed: it describes the execution, not the simulated system, so
-/// parity checks strip its incidents like `exec_*` gauges.
-const EXEC_IMBALANCE_DETECTOR: Detector = Detector {
-    id: "exec_shard_imbalance",
-    severity: Severity::Info,
-    kind: DetectorKind::Counter {
-        key: "parallel.event_imbalance_pct",
-        min: Thresh::pct(50),
-    },
-};
-
-/// Run the health detectors over a finished run's merged streams. Returns
-/// incidents *without* evidence — extend with caller-computed incidents
-/// (fairness, latency baselines), then call [`finish_incidents`].
-///
-/// Zero cost when off: a disabled config returns an empty `Vec` without
-/// allocating. Shard invariance is inherited from the inputs — the merged
-/// series/metrics/probe streams are byte-identical at any shard count.
-pub(crate) fn evaluate_watch(
-    watch: &WatchConfig,
-    params: &GmParams,
-    harvest: &Harvest,
-    end: SimTime,
-) -> Vec<Incident> {
-    if !watch.is_enabled() {
-        return Vec::new();
-    }
-    let engine = WatchEngine::new(*watch)
-        .detectors(params.watch_detectors())
-        .detector(EXEC_IMBALANCE_DETECTOR);
-    let mut incidents = engine.scan_series(harvest.series.iter());
-    incidents.extend(engine.scan_metrics(&harvest.metrics, end));
-    incidents
-}
-
-/// Attach causal evidence (active flows + critical-path signature per
-/// incident window) and put the stream into canonical order. `probe` is the
-/// merged sink, read in place.
-pub(crate) fn finish_incidents(incidents: &mut [Incident], probe: &ProbeSink) {
-    if incidents.is_empty() {
-        return;
-    }
-    watch::attach_evidence(incidents, probe.as_slice());
-    watch::sort_canonical(incidents);
-}
-
-/// Execute one run with full observability: span probes *and* gauge
-/// time-series. Sharded runs additionally record per-shard execution
-/// statistics under `parallel.*` metric keys.
-pub fn execute_observed(
-    run: &McastRun,
-    probes: ProbeConfig,
-    series: SeriesConfig,
-) -> InstrumentedOutput {
-    execute_watched(run, probes, series, WatchConfig::off())
-}
-
-/// [`execute_observed`] plus online health monitoring: when `watch` is
-/// enabled, the built-in detector set (thresholds derived from the run's
-/// [`GmParams`], see `GmParams::watch_detectors`) is evaluated over the
-/// merged streams and the resulting incidents — with flow/critical-path
-/// evidence attached — land in [`InstrumentedOutput::incidents`].
-pub fn execute_watched(
+/// Execute one run: build the cluster, drive it to quiescence (sharded
+/// when `run.shards > 1`), harvest counters and the merged probe/series
+/// streams, and — when `watch` is enabled — evaluate the built-in detector
+/// set (thresholds derived from the run's [`GmParams`], see
+/// `GmParams::watch_detectors`) into incidents with flow/critical-path
+/// evidence attached. This is the single execution path behind
+/// [`Scenario`](crate::Scenario).
+pub fn execute(
     run: &McastRun,
     probes: ProbeConfig,
     series: SeriesConfig,
     watch: WatchConfig,
-) -> InstrumentedOutput {
+) -> Report {
     let tree = SpanningTree::build(run.root, &run.dests, run.shape);
     let (mut cluster, shared) = build_cluster(run);
     cluster.set_probes(probes);
@@ -610,7 +401,7 @@ pub fn execute_watched(
     }
     cluster.set_partition_weights(weights);
 
-    let (mut worlds, now, events, shard_stats) = drive_to_quiescence(cluster, run.shards);
+    let mut driven = drive(cluster, run.shards);
 
     let s = shared.lock().expect("shared app state mutex poisoned");
     assert!(
@@ -619,50 +410,44 @@ pub fn execute_watched(
         s.iters_done,
         run.iters
     );
-    let retransmissions: u64 = worlds
-        .iter()
-        .map(|w| {
-            w.local_nodes()
-                .map(|n| {
-                    let c = &w.nic(n).counters;
-                    c.get("mcast_retransmissions") + c.get("retransmissions")
-                })
-                .sum::<u64>()
-        })
-        .sum();
     // The root's injection link is owned (and therefore accounted) by the
     // shard that owns the root node.
-    let root_world = worlds
+    let root_world = driven
+        .worlds
         .iter()
         .find(|w| w.local_nodes().any(|n| n == run.root))
         .expect("some shard owns the root");
     let root_link = root_world.fabric().topology().route(run.root, run.probe)[0];
+    let now = driven.end;
     let root_link_utilization = if now > SimTime::ZERO {
         root_world.fabric().link_busy(root_link).as_micros_f64() / now.as_micros_f64()
     } else {
         0.0
     };
+    let windows = s.windows.clone();
+    let harvest = harvest(&mut driven);
     let output = RunOutput {
         latency: s.latency.clone(),
         latency_p50: s.latency_hist.percentile(50.0),
         latency_p99: s.latency_hist.percentile(99.0),
-        retransmissions,
+        retransmissions: harvest.metrics.get("nic.mcast_retransmissions")
+            + harvest.metrics.get("nic.retransmissions"),
         height: tree.height(),
         avg_fanout: tree.avg_fanout(),
         end_time: now,
-        events,
+        events: driven.events,
         root_link_utilization,
     };
-    let windows = s.windows.clone();
     drop(s);
-    let harvest = harvest_observability(&mut worlds, events, &shard_stats);
-    let mut incidents = evaluate_watch(&watch, &run.params, &harvest, now);
-    finish_incidents(&mut incidents, &harvest.probe);
-    InstrumentedOutput {
+    let incidents = analyze(&watch, &run.params, &harvest, now, Vec::new());
+    let attribution = (probes.is_enabled() && !windows.is_empty())
+        .then(|| attribution::attribute(&harvest.probe.to_vec(), &windows));
+    Report {
         output,
-        probe: harvest.probe,
         metrics: harvest.metrics,
+        probe: harvest.probe,
         windows,
+        attribution,
         series: harvest.series,
         incidents,
     }
@@ -675,7 +460,7 @@ pub fn execute_max_over_probes(run: &McastRun) -> RunOutput {
     for &probe in &run.dests {
         let mut r = run.clone();
         r.probe = probe;
-        let out = execute_instrumented(&r, ProbeConfig::off()).output;
+        let out = execute(&r, ProbeConfig::off(), SeriesConfig::off(), WatchConfig::off()).output;
         let better = worst
             .as_ref()
             .is_none_or(|w| out.latency.mean() > w.latency.mean());
@@ -690,9 +475,8 @@ pub fn execute_max_over_probes(run: &McastRun) -> RunOutput {
 mod tests {
     use super::*;
 
-    /// Shadow the deprecated shim: tests exercise the real path.
     fn execute(run: &McastRun) -> RunOutput {
-        execute_instrumented(run, ProbeConfig::off()).output
+        super::execute(run, ProbeConfig::off(), SeriesConfig::off(), WatchConfig::off()).output
     }
 
     #[test]

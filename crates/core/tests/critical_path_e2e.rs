@@ -8,8 +8,7 @@ use gm_sim::watch::{CLUSTER_NODE, MAX_EVIDENCE_FLOWS};
 use gm_sim::{FlowGraph, FlowId, SeriesConfig, SimDuration, WatchConfig};
 use myrinet::FaultPlan;
 use nic_mcast::{
-    execute_instrumented, ArrivalProcess, FanoutDist, McastMode, McastRun, StopCondition,
-    TreeShape, Workload,
+    execute, ArrivalProcess, FanoutDist, McastMode, McastRun, StopCondition, TreeShape, Workload,
 };
 
 /// Collective-release flows (`BARRIER_TAG_BIT` folded onto tag bit 30 by
@@ -27,7 +26,7 @@ fn nic_broadcast_16x4k_buckets_sum_to_completion_latency() {
     let mut run = McastRun::new(16, 4096, McastMode::NicBased, TreeShape::KAry(2));
     run.warmup = 1;
     run.iters = 4;
-    let out = execute_instrumented(&run, ProbeConfig::spans());
+    let out = execute(&run, ProbeConfig::spans(), SeriesConfig::off(), WatchConfig::off());
     assert_eq!(out.windows.len(), 4);
     let events = out.probe.to_vec();
     let graph = FlowGraph::build(&events);
@@ -65,7 +64,7 @@ fn lossy_go_back_n_keeps_retransmitted_hops_in_lineage() {
     run.warmup = 1;
     run.iters = 6;
     run.faults = FaultPlan::with_loss(0.08);
-    let out = execute_instrumented(&run, ProbeConfig::spans());
+    let out = execute(&run, ProbeConfig::spans(), SeriesConfig::off(), WatchConfig::off());
     assert!(
         out.output.retransmissions > 0,
         "loss plan must actually trigger Go-Back-N"

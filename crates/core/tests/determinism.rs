@@ -66,17 +66,21 @@ fn sharded_caller_mode_is_deterministic_and_matches_sequential() {
     // host the sharded run exercises the caller-mode window protocol; the
     // threaded loop is pinned in `parallel_parity.rs`. Either way the
     // canonical Report observables must agree with the sequential run.
-    use nic_mcast::execute_instrumented;
+    use gm_sim::{SeriesConfig, WatchConfig};
+    use nic_mcast::execute;
+    let observe = |run: &McastRun| {
+        execute(run, ProbeConfig::spans(), SeriesConfig::off(), WatchConfig::off())
+    };
 
     let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
     run.warmup = 1;
     run.iters = 3;
     run.faults.drop_prob = 0.02;
     run.shards = 1;
-    let seq = execute_instrumented(&run, ProbeConfig::spans());
+    let seq = observe(&run);
     run.shards = 4;
-    let par1 = execute_instrumented(&run, ProbeConfig::spans());
-    let par2 = execute_instrumented(&run, ProbeConfig::spans());
+    let par1 = observe(&run);
+    let par2 = observe(&run);
     for par in [&par1, &par2] {
         assert_eq!(seq.output.events, par.output.events);
         assert_eq!(seq.output.end_time, par.output.end_time);

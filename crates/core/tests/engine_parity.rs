@@ -15,11 +15,11 @@
 use std::sync::Mutex;
 
 use gm_sim::probe::ProbeConfig;
-use gm_sim::{set_queue_override, QueueKind, SeriesConfig, SimTime};
+use gm_sim::{set_queue_override, QueueKind, SeriesConfig, SimTime, WatchConfig};
 use myrinet::FaultPlan;
 use nic_mcast::{
-    execute_observed, ArrivalProcess, FanoutDist, InstrumentedOutput, McastMode, McastRun,
-    StopCondition, TreeShape, Workload,
+    execute, ArrivalProcess, FanoutDist, McastMode, McastRun, Report, StopCondition,
+    TreeShape, Workload,
 };
 use proptest::prelude::*;
 
@@ -27,7 +27,7 @@ use proptest::prelude::*;
 static QUEUE_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run `f` with every new event queue forced to `kind`, restoring the
-/// environment default afterwards (the lock guard outlives the reset).
+/// wheel default afterwards (the lock guard outlives the reset).
 fn with_queue<T>(kind: QueueKind, f: impl FnOnce() -> T) -> T {
     set_queue_override(Some(kind));
     let out = f();
@@ -35,10 +35,10 @@ fn with_queue<T>(kind: QueueKind, f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn run_observed(run: &McastRun, shards: u32) -> InstrumentedOutput {
+fn run_observed(run: &McastRun, shards: u32) -> Report {
     let mut r = run.clone();
     r.shards = shards;
-    execute_observed(&r, ProbeConfig::spans(), SeriesConfig::on())
+    execute(&r, ProbeConfig::spans(), SeriesConfig::on(), WatchConfig::off())
 }
 
 /// Everything observable about a run, flattened for equality. `exec_*`
@@ -46,7 +46,7 @@ fn run_observed(run: &McastRun, shards: u32) -> InstrumentedOutput {
 /// `parallel_parity.rs`; everything else must match to the bit.
 type SeriesPoints = Vec<(SimTime, u32, &'static str, u64)>;
 
-fn observables(o: &InstrumentedOutput) -> (Vec<u64>, u64, u64, SeriesPoints) {
+fn observables(o: &Report) -> (Vec<u64>, u64, u64, SeriesPoints) {
     let latency_bits = vec![
         o.output.latency.mean().to_bits(),
         o.output.latency_p50.to_bits(),

@@ -14,8 +14,8 @@ use gm_sim::probe::ProbeConfig;
 use gm_sim::{FlowGraph, SeriesConfig, SimTime, WatchConfig};
 use myrinet::{DropRule, FaultPlan, NodeId};
 use nic_mcast::{
-    execute_observed, ArrivalProcess, FanoutDist, InstrumentedOutput, McastMode, McastRun,
-    StopCondition, TreeShape, Workload,
+    execute, ArrivalProcess, FanoutDist, McastMode, McastRun, Report, StopCondition,
+    TreeShape, Workload,
 };
 use proptest::prelude::*;
 
@@ -25,17 +25,17 @@ fn force_threads() {
     std::env::set_var("MYRI_SIM_FORCE_THREADS", "1");
 }
 
-fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> InstrumentedOutput {
+fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> Report {
     let mut r = run.clone();
     r.shards = shards;
-    execute_observed(&r, probes, SeriesConfig::on())
+    execute(&r, probes, SeriesConfig::on(), WatchConfig::off())
 }
 
 /// The mode-independent slice of the gauge series: everything except
 /// `exec_*` gauges, which describe the execution itself (per-shard queue
 /// depths) and legitimately differ. `seq` is excluded too — renumbering
 /// interleaves differently once exec points are removed.
-fn sim_series(o: &InstrumentedOutput) -> Vec<(SimTime, u32, &'static str, u64)> {
+fn sim_series(o: &Report) -> Vec<(SimTime, u32, &'static str, u64)> {
     o.series
         .iter()
         .filter(|p| !p.gauge.starts_with("exec_"))

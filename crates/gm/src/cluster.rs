@@ -302,15 +302,16 @@ impl<X: NicExtension> Cluster<X> {
         &self.slots[self.local(node)].ext
     }
 
+    /// Every node's application start, as `(node, time)`.
+    fn app_starts(&self) -> Vec<(NodeId, SimTime)> {
+        let nodes = (0..).map(NodeId);
+        nodes.zip(self.start_times.iter().copied()).collect()
+    }
+
     /// Wrap in an engine with every node's `AppStart` scheduled.
     pub fn into_engine(self) -> Engine<Cluster<X>> {
         assert_eq!(self.node_base, 0, "into_engine on a shard slice");
-        let starts: Vec<(NodeId, SimTime)> = self
-            .start_times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (NodeId(i as u32), t))
-            .collect();
+        let starts = self.app_starts();
         let mut eng = Engine::new(self);
         for (node, at) in starts {
             eng.schedule(at, Ev::AppStart(node));
@@ -387,12 +388,7 @@ impl<X: NicExtension> Cluster<X> {
     ///
     /// Panics when [`shard_infeasible`](Self::shard_infeasible).
     pub fn into_sharded_engine(self, n_shards: u32) -> ShardedEngine<Cluster<X>> {
-        let starts: Vec<(NodeId, SimTime)> = self
-            .start_times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (NodeId(i as u32), t))
-            .collect();
+        let starts = self.app_starts();
         let (shards, lookahead) = self.split(n_shards);
         let shard_of = Arc::clone(&shards[0].shard_of);
         let mut eng = ShardedEngine::new(shards, lookahead);

@@ -47,10 +47,12 @@
 //! let mut cluster = Cluster::new(GmParams::default(), fabric, |_| NoExt);
 //! cluster.set_app(NodeId(0), Box::new(Sender));
 //! cluster.set_app(NodeId(1), Box::new(Receiver));
-//! let mut eng = cluster.into_engine();
-//! eng.run_to_idle();
-//! assert!(eng.now() > SimTime::ZERO);
+//! let run = gm::drive(cluster, 1);
+//! assert!(run.end > SimTime::ZERO);
 //! ```
+//!
+//! [`drive`], [`harvest`] and [`analyze`] are the one run pipeline every
+//! simulation goes through.
 
 #![warn(missing_docs)]
 
@@ -59,6 +61,7 @@ mod ext;
 mod host;
 mod nic;
 mod params;
+mod pipeline;
 pub mod proto;
 
 pub use cluster::{probes, Cluster, Ev};
@@ -69,4 +72,5 @@ pub use nic::{
     TxJob, Work, WorkId,
 };
 pub use params::{GmParams, EAGER_LIMIT};
+pub use pipeline::{analyze, drive, harvest, Driven, Harvest, EVENT_CAP};
 pub use proto::ProtoMutation;

@@ -1,7 +1,7 @@
 //! MPI-run harness: builds a cluster of ranks, runs a program to
 //! completion, and returns the collective measurements.
 
-use gm::{Cluster, GmParams, EAGER_LIMIT};
+use gm::{drive, harvest, Cluster, GmParams, EAGER_LIMIT};
 use gm_sim::probe::{ProbeConfig, ProbeSink};
 use gm_sim::{Metrics, OnlineStats, SimDuration, SimTime};
 use myrinet::{Fabric, FaultPlan, NetParams, NodeId, Topology};
@@ -122,8 +122,10 @@ pub struct MpiOutput {
     pub end_time: SimTime,
     /// Events dispatched.
     pub events: u64,
-    /// Counter snapshot: NIC and fabric counters summed over the run under
-    /// the `nic.` / `fabric.` prefixes, plus `engine.events`.
+    /// Counter snapshot: NIC counters summed over every node under `nic.`,
+    /// fabric counters under `fabric.`, `engine.events`, and probe/series
+    /// sink health under `probe.`/`series.`. Nodes outside the communicator
+    /// see no traffic, so their counters add nothing.
     pub metrics: Metrics,
 }
 
@@ -164,11 +166,12 @@ pub fn execute_mpi_observed(run: &MpiRun, probes: ProbeConfig) -> (MpiOutput, Pr
             .map(|v| &v[r as usize])
             .unwrap_or(&run.ops)
     };
-    let bcasts_per_repeat = run
-        .ops
-        .iter()
-        .filter(|op| matches!(op, MpiOp::Bcast { .. }))
-        .count() as u32;
+    let bcasts_in = |ops: &[MpiOp]| {
+        ops.iter()
+            .filter(|op| matches!(op, MpiOp::Bcast { .. }))
+            .count() as u32
+    };
+    let bcasts_per_repeat = bcasts_in(&run.ops);
     let barriers_per_repeat = run
         .ops
         .iter()
@@ -221,54 +224,26 @@ pub fn execute_mpi_observed(run: &MpiRun, probes: ProbeConfig) -> (MpiOutput, Pr
             )),
         );
     }
-    let mut eng = cluster.into_engine();
-    let outcome = eng.run(SimTime::MAX, 4_000_000_000);
-    assert_eq!(
-        outcome,
-        gm_sim::RunOutcome::Idle,
-        "MPI run did not converge"
-    );
+    let mut driven = drive(cluster, 1);
     let s = stats.lock().expect("shared app state mutex poisoned");
     let expected: u64 = comm
         .iter()
-        .map(|&r| {
-            run.repeat as u64
-                * ops_for(r)
-                    .iter()
-                    .filter(|op| matches!(op, MpiOp::Bcast { .. }))
-                    .count() as u64
-        })
+        .map(|&r| run.repeat as u64 * bcasts_in(ops_for(r)) as u64)
         .sum();
     assert_eq!(
         s.bcasts_completed, expected,
         "every rank must complete every broadcast"
     );
-    let mut metrics = Metrics::new();
-    for &r in &comm {
-        for (name, v) in eng.world().nic(NodeId(r)).counters.iter() {
-            metrics.add("nic", name, v);
-        }
-    }
-    for (name, v) in eng.world().fabric().counters().iter() {
-        metrics.add("fabric", name, v);
-    }
-    metrics.set("engine", "events", eng.events_handled());
-    let (end_time, events) = (eng.now(), eng.events_handled());
-    let mut world = eng.into_world();
-    let probe = ProbeSink::merge_canonical(vec![std::mem::replace(
-        &mut world.probe,
-        ProbeSink::disabled(),
-    )]);
-    metrics.set("probe", "dropped_events", probe.evicted());
+    let harvest = harvest(&mut driven);
     let out = MpiOutput {
         latency: s.latencies(),
         bcast_cpu: s.bcast_cpu.clone(),
         bcast_cpu_nonroot: s.bcast_cpu_nonroot.clone(),
         skew_applied: s.skew_applied.clone(),
         barrier_round: s.barrier_round(),
-        end_time,
-        events,
-        metrics,
+        end_time: driven.end,
+        events: driven.events,
+        metrics: harvest.metrics,
     };
-    (out, probe)
+    (out, harvest.probe)
 }

@@ -195,7 +195,7 @@ impl<W: World> Engine<W> {
         self.events_handled
     }
 
-    /// Wall-clock time spent inside `run`/`run_while` so far.
+    /// Wall-clock time spent inside `run` so far.
     pub fn run_wall(&self) -> std::time::Duration {
         self.run_wall
     }
@@ -269,29 +269,6 @@ impl<W: World> Engine<W> {
                     RunOutcome::TimeLimit
                 };
             };
-            self.world.handle(event, &mut self.sched);
-            self.events_handled += 1;
-            handled += 1;
-        };
-        let elapsed = started.elapsed();
-        self.run_wall += elapsed;
-        dispatch_stats::add(handled, elapsed);
-        outcome
-    }
-
-    /// Run while `predicate(world)` holds (checked before each event).
-    pub fn run_while(&mut self, mut predicate: impl FnMut(&W) -> bool) -> RunOutcome {
-        // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
-        let started = std::time::Instant::now();
-        let mut handled = 0u64;
-        let outcome = loop {
-            if self.sched.queue.is_empty() {
-                break RunOutcome::Idle;
-            }
-            if !predicate(&self.world) {
-                break RunOutcome::EventLimit;
-            }
-            let event = self.sched.pop_due(SimTime::MAX).expect("nonempty");
             self.world.handle(event, &mut self.sched);
             self.events_handled += 1;
             handled += 1;
@@ -388,17 +365,6 @@ mod tests {
         eng.schedule(SimTime::ZERO, Ev::Ping);
         assert_eq!(eng.run(SimTime::MAX, 5), RunOutcome::EventLimit);
         assert_eq!(eng.world().log.len(), 5);
-    }
-
-    #[test]
-    fn run_while_predicate() {
-        let mut eng = Engine::new(PingPong {
-            remaining: 100,
-            log: vec![],
-        });
-        eng.schedule(SimTime::ZERO, Ev::Ping);
-        eng.run_while(|w| w.remaining > 90);
-        assert_eq!(eng.world().remaining, 90);
     }
 
     #[test]

@@ -31,14 +31,12 @@
 //! no payload arena is needed.
 //!
 //! Both implementations produce the exact same pop order, so simulated
-//! results are bit-for-bit identical; `MYRI_SIM_QUEUE=heap` (or
-//! [`set_kind_override`] in-process) switches the default for parity runs.
-//! See DESIGN.md §6.
+//! results are bit-for-bit identical; tests switch the default to the heap
+//! in-process with [`set_kind_override`] for parity runs. See DESIGN.md §6.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 use crate::time::SimTime;
 
@@ -127,36 +125,24 @@ pub enum QueueKind {
     Heap,
 }
 
-/// In-process override of [`default_kind`]: 0 = follow the environment,
-/// 1 = wheel, 2 = heap.
-static KIND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
+/// Whether [`set_kind_override`] picked the reference heap.
+static HEAP_OVERRIDE: AtomicBool = AtomicBool::new(false);
 
 /// Force the kind of queues constructed after this call (`None` restores
-/// the `MYRI_SIM_QUEUE` default). Differential tests use it to run the
-/// same simulation on the wheel and on the reference heap in one process;
-/// runs are bit-for-bit identical either way.
+/// the wheel default). Differential tests use it to run the same
+/// simulation on the wheel and on the reference heap in one process; runs
+/// are bit-for-bit identical either way.
 pub fn set_kind_override(kind: Option<QueueKind>) {
-    let v = match kind {
-        None => 0,
-        Some(QueueKind::Wheel) => 1,
-        Some(QueueKind::Heap) => 2,
-    };
-    KIND_OVERRIDE.store(v, AtomicOrdering::Relaxed);
+    HEAP_OVERRIDE.store(kind == Some(QueueKind::Heap), AtomicOrdering::Relaxed);
 }
 
-/// The implementation `EventQueue::new` selects right now: the override
-/// from [`set_kind_override`] if one is set; otherwise the wheel, unless
-/// the `MYRI_SIM_QUEUE=heap` environment variable picks the reference heap
-/// (used for bit-for-bit parity runs).
+/// The implementation `EventQueue::new` selects right now: the reference
+/// heap if [`set_kind_override`] picked it, otherwise the wheel.
 pub fn default_kind() -> QueueKind {
-    static ENV_KIND: OnceLock<QueueKind> = OnceLock::new();
-    match KIND_OVERRIDE.load(AtomicOrdering::Relaxed) {
-        1 => QueueKind::Wheel,
-        2 => QueueKind::Heap,
-        _ => *ENV_KIND.get_or_init(|| match std::env::var("MYRI_SIM_QUEUE").as_deref() {
-            Ok("heap") => QueueKind::Heap,
-            _ => QueueKind::Wheel,
-        }),
+    if HEAP_OVERRIDE.load(AtomicOrdering::Relaxed) {
+        QueueKind::Heap
+    } else {
+        QueueKind::Wheel
     }
 }
 

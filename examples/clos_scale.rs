@@ -24,11 +24,8 @@ fn main() {
         // TreeShape::auto() accounts for route depth (4 hops cross-leaf in
         // a two-level Clos) when picking the size-adapted tree.
         let measure = |mode: McastMode, shape: TreeShape| {
-            let s = match mode {
-                McastMode::NicBased => Scenario::nic_based(n),
-                McastMode::HostBased => Scenario::host_based(n),
-            };
-            s.size(256)
+            Scenario::new(n, mode)
+                .size(256)
                 .tree(shape)
                 .warmup(3)
                 .iters(30)

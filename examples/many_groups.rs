@@ -41,15 +41,4 @@ fn main() {
         report.metrics.get("nic.mcast_group_installs"),
         report.admission_waits
     );
-
-    // The sustained path and the classic single-collective path share one
-    // entry point: Scenario::run() is Workload::single(scenario).run().
-    let single = myri_mcast::Workload::single(
-        myri_mcast::Scenario::nic_based(8).size(1024).warmup(1).iters(5),
-    )
-    .run();
-    println!(
-        "single collective via the same API: {:.2} us mean",
-        single.latency.mean()
-    );
 }

@@ -58,10 +58,23 @@ echo "ci: simcheck report at results/simcheck_report.json"
 # Observability gate: one probed run must export a Perfetto-loadable Chrome
 # trace-event document (--check re-parses it and validates ph/ts/pid/tid,
 # B/E balance and per-track timestamp monotonicity) with the attribution
-# buckets summing to the measured mean.
+# buckets summing to the measured mean. The fresh trace is then diffed
+# against a snapshot of the committed one, so a timeline the current code
+# no longer reproduces fails the build.
+trace_snapshot=$(mktemp)
+cp results/trace_nic_16n_4096B.json "$trace_snapshot"
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin trace_explore -- \
   --nodes 16 --size 4096 --mode nic --shape adaptive --check
-echo "ci: trace schema OK (results/trace_nic_16n_4096B.json)"
+run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
+  "$trace_snapshot" results/trace_nic_16n_4096B.json
+mv "$trace_snapshot" results/trace_nic_16n_4096B.json
+echo "ci: trace schema OK, results/trace_nic_16n_4096B.json regenerates identically"
+
+# Explorer smoke: the interactive explorer must build and run an explicit
+# postal tree and print it (no other gate runs this binary).
+run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin explore -- \
+  --nodes 8 --shape postal:3:1 --iters 20 --warmup 2 --tree >/dev/null
+echo "ci: explore smoke OK"
 
 # Causal-tracing gate: the flow graph of the headline configuration must be
 # acyclic with complete lineages, and every measured window's critical-path

@@ -241,23 +241,3 @@ fn non_members_never_see_group_traffic() {
         assert_eq!(c.get("mcast_delivered"), 0);
     }
 }
-
-#[test]
-fn workload_single_matches_scenario_run() {
-    // `Scenario::run()` routes through `Workload::single(..)`; both entry
-    // points must agree bit-for-bit.
-    let scenario = || {
-        Scenario::nic_based(8)
-            .size(1024)
-            .tree(TreeShape::Binomial)
-            .warmup(2)
-            .iters(10)
-    };
-    let via_workload = myri_mcast::Workload::single(scenario()).run();
-    let direct = scenario().run();
-    assert_eq!(
-        via_workload.latency.mean().to_bits(),
-        direct.latency.mean().to_bits()
-    );
-    assert_eq!(via_workload.events, direct.events);
-}
