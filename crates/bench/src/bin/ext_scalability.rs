@@ -18,7 +18,6 @@ struct Point {
 }
 
 fn main() {
-    let sweep_started = std::time::Instant::now();
     let opts = CliOpts::parse();
     let mut points = Vec::new();
     for &n in &[8u32, 16, 24, 32, 48, 64, 96, 128] {
@@ -36,9 +35,6 @@ fn main() {
         };
         let hb = m(Scenario::host_based(n), TreeShape::Binomial);
         let nb = m(Scenario::nic_based(n), TreeShape::auto());
-        for r in [&hb, &nb] {
-            bench::perf::note_imbalance(&r.metrics);
-        }
         Point {
             nodes: n,
             size,
@@ -72,13 +68,4 @@ fn main() {
          with depth instead of saturating."
     );
     bench::write_json("ext_scalability", &results);
-    // Sharded runs record under their own key so the sequential baseline
-    // (what the CI perf gate compares against) is never overwritten by a
-    // run in a different execution mode.
-    let shards = nic_mcast::env_shards();
-    if shards > 1 {
-        bench::perf::record(&format!("ext_scalability_shards{shards}"), sweep_started.elapsed());
-    } else {
-        bench::perf::record("ext_scalability", sweep_started.elapsed());
-    }
 }

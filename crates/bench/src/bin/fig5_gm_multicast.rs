@@ -22,7 +22,6 @@ struct Point {
 }
 
 fn main() {
-    let sweep_started = std::time::Instant::now();
     let opts = CliOpts::parse();
     let node_counts = [4u32, 8, 16];
     let sweep = Sweep::gm_sizes();
@@ -116,5 +115,4 @@ fn main() {
     println!("\nPaper (16 nodes): up to 1.48x (<=512B), up to 1.86x (16KB), dip at 2-4KB.");
     println!("Measured: small peak {small:.2}x, 16KB {large:.2}x, 2-4KB dip {dip:.2}x");
     bench::write_json_sweep("fig5_gm_multicast", &sweep, &results);
-    bench::perf::record("fig5_gm_multicast", sweep_started.elapsed());
 }

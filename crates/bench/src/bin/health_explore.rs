@@ -152,7 +152,6 @@ fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
 }
 
 fn main() {
-    let started = std::time::Instant::now();
     let (o, built) = cli::parse_or_exit(cli::HEALTH_EXPLORE, parse);
     let report = built.run();
 
@@ -219,9 +218,6 @@ fn main() {
     }
 
     bench::write_json("health_explore", &artifact(&o, &report));
-
-    bench::perf::note_imbalance(&report.metrics);
-    bench::perf::record("health_explore", started.elapsed());
 
     if o.check {
         cli::report_check("health", &check(&o, &report), || {

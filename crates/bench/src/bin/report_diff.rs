@@ -1,5 +1,5 @@
 //! Run-to-run regression differ: compare two report/summary JSON artifacts
-//! (`results/health_explore.json`, `results/perf_baseline.json`, or any
+//! (`results/health_explore.json`, a figure's `results/<bin>.json`, or any
 //! other JSON document) and print a byte-stable structured diff.
 //!
 //! ```console

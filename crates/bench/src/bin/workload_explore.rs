@@ -91,7 +91,6 @@ fn check(report: &WorkloadReport) -> Vec<String> {
 }
 
 fn main() {
-    let started = std::time::Instant::now();
     let (wl, built, gate) = cli::parse_or_exit(cli::WORKLOAD_EXPLORE, parse);
     let scheduled = built.messages();
     let report = built.run();
@@ -172,8 +171,6 @@ fn main() {
     }
 
     println!("\nsummary: {}", report.summary_json());
-    bench::perf::note_imbalance(&report.metrics);
-    bench::perf::record("workload_explore", started.elapsed());
 
     if gate {
         cli::report_check("workload", &check(&report), || {

@@ -9,8 +9,8 @@
 
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-use std::time::Duration;
 
 use serde::Serialize;
 
@@ -19,144 +19,45 @@ pub use nic_mcast::Sweep;
 
 pub mod cli;
 
-/// Allocation accounting (`--features alloc-count`): a global allocator
-/// wrapping [`std::alloc::System`] that counts every `alloc`/`realloc`
-/// call, so figure binaries can report *allocations per event* — the
-/// steady-state churn metric the slab/arena work drives toward zero — into
-/// `results/perf_baseline.json`. Compiled out by default (the count costs
-/// an atomic increment per malloc and perturbs timing runs).
-#[cfg(feature = "alloc-count")]
-#[allow(unsafe_code)] // one GlobalAlloc impl, delegating entirely to System
-pub mod alloc_count {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static REALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    /// The counting wrapper. All placement decisions are System's; this
-    /// only bumps process-wide counters.
-    pub struct CountingAlloc;
-
-    // SAFETY: every method forwards its exact arguments to `System`, whose
-    // GlobalAlloc contract we inherit unchanged; the added atomic counter
-    // touches no allocator state.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.alloc(layout) }
-        }
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            REALLOCS.fetch_add(1, Ordering::Relaxed);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-        // alloc_zeroed's default routes through alloc, so it is counted.
-    }
-
-    #[global_allocator]
-    static COUNTING: CountingAlloc = CountingAlloc;
-
-    /// Heap acquisitions (allocations + reallocations) so far, process-wide.
-    pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed) + REALLOCS.load(Ordering::Relaxed)
-    }
-
-    /// Whether counting is compiled in (always true under this cfg).
-    pub fn enabled() -> bool {
-        true
-    }
-}
-
-/// Stub when the `alloc-count` feature is off: no allocator override, no
-/// per-malloc cost, and [`perf::record`] omits the allocation fields.
-#[cfg(not(feature = "alloc-count"))]
-pub mod alloc_count {
-    /// Always 0 without the feature.
-    pub fn allocs() -> u64 {
-        0
-    }
-
-    /// Whether counting is compiled in (false: the fields are omitted).
-    pub fn enabled() -> bool {
-        false
-    }
-}
-
 /// Evaluate `f` over `items` in parallel, preserving input order.
 ///
-/// `items` is any `IntoIterator` — a `Vec`, a [`Sweep`], a range. Work is
-/// distributed over channels: each worker pulls `(index, item)` pairs
-/// from a shared receiver and sends `(index, result)` back, so there is no
-/// lock-held section around the evaluation itself. Simulator instances are
-/// fully independent, so this is a pure speedup with identical results to a
-/// serial run.
+/// `items` is any `IntoIterator` — a `Vec`, a [`Sweep`], a range. Each
+/// worker claims the next unclaimed index from a shared atomic cursor and
+/// evaluates it, so no lock is held around the evaluation itself.
+/// Simulator instances are fully independent, so this is a pure speedup
+/// with identical results to a serial run.
 pub fn par_map<I, T, R, F>(items: I, f: F) -> Vec<R>
 where
     I: IntoIterator<Item = T>,
-    T: Send,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_timed(items, f)
-        .into_iter()
-        .map(|(r, _)| r)
-        .collect()
-}
-
-/// [`par_map`] that also captures each point's wall-clock evaluation time.
-pub fn par_map_timed<I, T, R, F>(items: I, f: F) -> Vec<(R, Duration)>
-where
-    I: IntoIterator<Item = T>,
-    T: Send,
+    T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
     let items: Vec<T> = items.into_iter().collect();
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let threads = thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(4)
-        .min(n);
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, T)>();
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, R, Duration)>();
-    for pair in items.into_iter().enumerate() {
-        work_tx
-            .send(pair)
-            .map_err(|_| ()) // SendError<T> is not Debug without T: Debug
-            .expect("work receiver is held open until the scope below drains it");
-    }
-    drop(work_tx); // workers drain to disconnect
-    thread::scope(|s| {
-        for _ in 0..threads {
-            let rx = work_rx.clone();
-            let tx = res_tx.clone();
-            let f = &f;
-            s.spawn(move || {
-                while let Ok((i, item)) = rx.recv() {
-                    let started = std::time::Instant::now();
-                    let r = f(&item);
-                    tx.send((i, r, started.elapsed()))
-                        .map_err(|_| ())
-                        .expect("result collector outlives every worker in this scope");
-                }
-            });
-        }
-        drop(res_tx);
-        let mut results: Vec<Option<(R, Duration)>> = (0..n).map(|_| None).collect();
-        for (i, r, wall) in res_rx.iter() {
-            results[i] = Some((r, wall));
-        }
-        results
+        .min(items.len());
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    std::iter::from_fn(|| {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        items.get(i).map(|item| (i, f(item)))
+                    })
+                    .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
             .into_iter()
-            .map(|r| r.expect("every item evaluated"))
+            .flat_map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A printable results table.
@@ -330,124 +231,6 @@ pub fn write_json_sweep<T: Serialize>(name: &str, sweep: &Sweep, rows: &T) {
     write_json(name, &doc);
 }
 
-/// Dispatch-performance recording: each figure binary can report its
-/// process-wide engine throughput into `results/perf_baseline.json`, keyed
-/// by binary name, merging with records from other binaries. The file is the
-/// perf-regression baseline DESIGN.md §6 describes.
-pub mod perf {
-    use super::{atomic_write, results_dir};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    /// Worst sharding imbalance any run in this process observed, stored
-    /// as `pct + 1` so 0 means "no sharded run reported one".
-    static WORST_IMBALANCE: AtomicU64 = AtomicU64::new(0);
-
-    /// Report one run's `parallel.event_imbalance_pct`, when it ran on
-    /// more than one shard, so [`record`] can persist the process-wide worst
-    /// case into the baseline. Call it per run (sweeps call it many times;
-    /// the maximum sticks) — sharding-balance regressions then gate exactly
-    /// like throughput regressions.
-    pub fn note_imbalance(metrics: &gm_sim::Metrics) {
-        if metrics.get("parallel.shards") > 1 {
-            let pct = metrics.get("parallel.event_imbalance_pct");
-            WORST_IMBALANCE.fetch_max(pct.saturating_add(1), Ordering::Relaxed);
-        }
-    }
-
-    /// Record this process's aggregate dispatch stats under `binary` in
-    /// `results/perf_baseline.json`. `process_wall` should span the whole
-    /// sweep (capture an `Instant` at the top of `main`). Best effort: a
-    /// failure only prints a warning.
-    ///
-    /// Under `--features alloc-count` the record lands under
-    /// `<binary>_alloc` instead: the counting allocator perturbs the
-    /// dispatch rate, so allocation-churn measurements never overwrite (or
-    /// get compared against) a clean timing baseline.
-    pub fn record(binary: &str, process_wall: std::time::Duration) {
-        let keyed;
-        let binary = if crate::alloc_count::enabled() {
-            keyed = format!("{binary}_alloc");
-            keyed.as_str()
-        } else {
-            binary
-        };
-        let (events, dispatch_wall) = gm_sim::dispatch_stats::snapshot();
-        let queue = match gm_sim::default_queue_kind() {
-            gm_sim::QueueKind::Wheel => "wheel",
-            gm_sim::QueueKind::Heap => "heap",
-        };
-        let mut entry = serde_json::Value::Map(vec![]);
-        entry.insert("events", serde_json::Value::UInt(events));
-        entry.insert(
-            "dispatch_wall_secs",
-            serde_json::Value::Float(dispatch_wall.as_secs_f64()),
-        );
-        entry.insert(
-            "events_per_sec",
-            serde_json::Value::Float(gm_sim::dispatch_stats::events_per_sec()),
-        );
-        entry.insert(
-            "process_wall_secs",
-            serde_json::Value::Float(process_wall.as_secs_f64()),
-        );
-        entry.insert("queue", serde_json::Value::Str(queue.to_string()));
-        // Record the execution environment so baseline comparisons are
-        // honest: a 4-shard run on a single-core host shows window-protocol
-        // overhead, not parallel speedup.
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        entry.insert("cores", serde_json::Value::UInt(cores as u64));
-        entry.insert("shards", serde_json::Value::UInt(nic_mcast::env_shards().into()));
-        // Allocation churn (only under `--features alloc-count`, so the
-        // fields' presence records how the number was measured). Process-
-        // wide, so it overcounts per-event churn by setup/teardown — a
-        // stable overapproximation that still catches hot-path regressions.
-        if crate::alloc_count::enabled() {
-            let allocs = crate::alloc_count::allocs();
-            entry.insert("allocs", serde_json::Value::UInt(allocs));
-            entry.insert(
-                "allocs_per_event",
-                serde_json::Value::Float(allocs as f64 / events.max(1) as f64),
-            );
-        }
-        // Sharding balance (present only when a sharded run reported it via
-        // `note_imbalance`): the process-wide worst per-run imbalance, so a
-        // partition-quality regression gates like a throughput regression.
-        match WORST_IMBALANCE.load(Ordering::Relaxed) {
-            0 => {}
-            v => entry.insert("event_imbalance_pct", serde_json::Value::UInt(v - 1)),
-        }
-
-        let dir = results_dir();
-        let path = dir.join("perf_baseline.json");
-        let mut doc = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or(serde_json::Value::Map(vec![]));
-        if !matches!(doc, serde_json::Value::Map(_)) {
-            doc = serde_json::Value::Map(vec![]);
-        }
-        doc.insert(binary, entry);
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create results/: {e}");
-            return;
-        }
-        match serde_json::to_string_pretty(&doc) {
-            Ok(s) => {
-                if let Err(e) = atomic_write(&path, &s) {
-                    eprintln!("warning: cannot write {}: {e}", path.display());
-                } else {
-                    eprintln!(
-                        "(perf: {events} events at {:.0} ev/s on {queue} queue -> {})",
-                        gm_sim::dispatch_stats::events_per_sec(),
-                        path.display()
-                    );
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize perf record: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,19 +245,6 @@ mod tests {
     fn par_map_empty() {
         let out: Vec<i32> = par_map(Vec::<i32>::new(), |&x| x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_map_timed_captures_wall_times() {
-        let out = par_map_timed((0..20).collect::<Vec<u64>>(), |&x: &u64| {
-            std::thread::sleep(std::time::Duration::from_micros(100));
-            x + 1
-        });
-        assert_eq!(out.len(), 20);
-        for (i, (r, wall)) in out.iter().enumerate() {
-            assert_eq!(*r, i as u64 + 1);
-            assert!(*wall >= std::time::Duration::from_micros(100));
-        }
     }
 
     #[test]

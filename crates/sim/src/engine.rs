@@ -10,8 +10,8 @@ use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Process-wide dispatch totals across every [`Engine`] instance, fed by the
-/// run loops and read by benchmark harnesses to report an aggregate
-/// events-per-second figure (e.g. `results/perf_baseline.json`).
+/// run loops and read by benchmark harnesses to time dispatch (mcbench's
+/// `sim.dispatch` span).
 pub mod dispatch_stats {
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,18 +33,6 @@ pub mod dispatch_stats {
             std::time::Duration::from_nanos(WALL_NANOS.load(Ordering::Relaxed)),
         )
     }
-
-    /// Aggregate dispatch rate in events per wall-clock second (0.0 before
-    /// any events have run).
-    pub fn events_per_sec() -> f64 {
-        let (events, wall) = snapshot();
-        let secs = wall.as_secs_f64();
-        if secs > 0.0 {
-            events as f64 / secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Handle through which event handlers schedule future events.
@@ -58,13 +46,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
-        }
-    }
-
-    fn with_queue_kind(kind: crate::queue::QueueKind) -> Self {
-        Scheduler {
-            now: SimTime::ZERO,
-            queue: EventQueue::with_kind(kind),
         }
     }
 
@@ -159,8 +140,6 @@ pub struct Engine<W: World> {
     world: W,
     sched: Scheduler<W::Event>,
     events_handled: u64,
-    /// Wall-clock time spent inside the run loops (dispatch throughput).
-    run_wall: std::time::Duration,
 }
 
 impl<W: World> Engine<W> {
@@ -170,18 +149,6 @@ impl<W: World> Engine<W> {
             world,
             sched: Scheduler::new(),
             events_handled: 0,
-            run_wall: std::time::Duration::ZERO,
-        }
-    }
-
-    /// Like [`Engine::new`] but with an explicit queue implementation,
-    /// overriding the process default (used by differential benchmarks).
-    pub fn with_queue_kind(world: W, kind: crate::queue::QueueKind) -> Self {
-        Engine {
-            world,
-            sched: Scheduler::with_queue_kind(kind),
-            events_handled: 0,
-            run_wall: std::time::Duration::ZERO,
         }
     }
 
@@ -193,22 +160,6 @@ impl<W: World> Engine<W> {
     /// Total events dispatched so far.
     pub fn events_handled(&self) -> u64 {
         self.events_handled
-    }
-
-    /// Wall-clock time spent inside `run` so far.
-    pub fn run_wall(&self) -> std::time::Duration {
-        self.run_wall
-    }
-
-    /// Dispatch throughput: events handled per wall-clock second across all
-    /// run calls so far (0.0 before the first event).
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.run_wall.as_secs_f64();
-        if secs > 0.0 {
-            self.events_handled as f64 / secs
-        } else {
-            0.0
-        }
     }
 
     /// Shared access to the world.
@@ -273,9 +224,7 @@ impl<W: World> Engine<W> {
             self.events_handled += 1;
             handled += 1;
         };
-        let elapsed = started.elapsed();
-        self.run_wall += elapsed;
-        dispatch_stats::add(handled, elapsed);
+        dispatch_stats::add(handled, started.elapsed());
         outcome
     }
 }
@@ -373,12 +322,9 @@ mod tests {
             remaining: 1000,
             log: vec![],
         });
-        assert_eq!(eng.events_per_sec(), 0.0);
         eng.schedule(SimTime::ZERO, Ev::Ping);
         eng.run_to_idle();
         assert_eq!(eng.events_handled(), 2000);
-        assert!(eng.run_wall() > std::time::Duration::ZERO);
-        assert!(eng.events_per_sec() > 0.0);
     }
 
     #[test]

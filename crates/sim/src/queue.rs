@@ -348,7 +348,7 @@ impl<E> EventQueue<E> {
         Self::with_kind(default_kind())
     }
 
-    /// An empty queue of an explicit kind (for differential tests/benches).
+    /// An empty queue of an explicit kind (for differential tests).
     pub fn with_kind(kind: QueueKind) -> Self {
         let inner = match kind {
             QueueKind::Wheel => Inner::Wheel(Box::new(Wheel::new())),

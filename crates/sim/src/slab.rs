@@ -16,8 +16,8 @@
 //!
 //! Freed slots are recycled through an internal free list, so a steady-state
 //! simulation reaches a fixed footprint and stops allocating entirely — the
-//! property the bench-side allocation gate (`perf_gate`, allocs/event)
-//! enforces. Indices are plain `u32`s; callers that juggle several slabs
+//! property the exact allocation pins in `crates/bench/tests/counts.rs`
+//! hold. Indices are plain `u32`s; callers that juggle several slabs
 //! wrap them in newtypes (e.g. `gm::nic::WorkId`) so the type system keeps
 //! the arenas apart.
 

@@ -28,6 +28,9 @@ run build --release "${CARGO_FLAGS[@]}"
 run test -q "${CARGO_FLAGS[@]}"
 
 # Full workspace suites (unit + integration + property tests, incl. shims).
+# They include crates/bench/tests/counts.rs, which pins the exact events and
+# heap allocations of one run on each run path; wall-clock cost is
+# mcbench's to measure.
 run test -q --workspace "${CARGO_FLAGS[@]}"
 
 # The benchmark is a package of its own (mcbench/, outside the workspace):
@@ -87,11 +90,7 @@ echo "ci: flow check OK (lineages complete, critical-path buckets exact)"
 # group-table pressure (32 slots, 64 groups) must produce a complete
 # summary (schema keys present), monotone latency percentiles, a Jain
 # fairness index in (0, 1], and a conserved group table (every install
-# freed by the disband path) — see DESIGN.md §14. The run also records a
-# fresh `workload_explore` dispatch-rate point, gated below; the committed
-# baseline is snapshotted first and restored after.
-perf_snapshot=$(mktemp)
-cp results/perf_baseline.json "$perf_snapshot"
+# freed by the disband path) — see DESIGN.md §14.
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin workload_explore -- \
   --nodes 32 --groups 64 --zipf 1.2 --rate 20000 --duration-ms 2 --check >/dev/null
 echo "ci: workload check OK (schema, percentile monotonicity, fairness, group-table conservation)"
@@ -116,14 +115,12 @@ echo "ci: report_diff OK (re-run of identical config diffs clean)"
 # Artifact-freshness gate: rerun every figure, ablation and extension
 # binary whose default run takes seconds and report_diff its fresh JSON
 # against a snapshot of the committed one, so an artifact the current code
-# no longer reproduces fails the build instead of going stale. Each binary
-# also merges a perf record into results/perf_baseline.json, which is why
-# this runs inside the perf_baseline snapshot window (restored below).
+# no longer reproduces fails the build instead of going stale.
 fresh_bins=(
   fig3_multisend fig4_mpi_bcast fig5_gm_multicast fig6_skew fig7_skew_scaling
   gm_allsize ablation_ack_coalesce ablation_loss ablation_multisend_impl
   ablation_retx_buffer ablation_token ablation_tree ext_allbcast ext_allreduce
-  ext_nic_barrier ext_rndv_bcast ext_throughput
+  ext_nic_barrier ext_rndv_bcast ext_scalability ext_throughput
 )
 artifact_snapshots=$(mktemp -d)
 for bin in "${fresh_bins[@]}"; do
@@ -134,37 +131,5 @@ for bin in "${fresh_bins[@]}"; do
 done
 rm -r "$artifact_snapshots"
 echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts regenerate identically"
-
-# Perf-regression gate: re-measure the scalability sweep's dispatch rate
-# and the steady-state workload's, and compare events_per_sec against the
-# committed baseline; more than 25% regression fails the build. Rates are
-# per-second, so the short gate run and the full baseline run compare
-# fairly; the gate skips itself across hosts with different core counts.
-# MYRI_CI_NO_PERF=1 opts out (e.g. on heavily loaded or throttled runners).
-if [[ "${MYRI_CI_NO_PERF:-}" == "1" ]]; then
-  mv "$perf_snapshot" results/perf_baseline.json
-  echo "ci: perf gate skipped (MYRI_CI_NO_PERF=1)"
-else
-  sweep_snapshot=$(mktemp)
-  cp results/ext_scalability.json "$sweep_snapshot"
-  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin ext_scalability -- \
-    --iters 10 --warmup 2 >/dev/null
-  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin perf_gate -- \
-    ext_scalability "$perf_snapshot" results/perf_baseline.json 0.25
-  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin perf_gate -- \
-    workload_explore "$perf_snapshot" results/perf_baseline.json 0.25
-  # Allocation-churn gate: re-measure with the counting allocator compiled
-  # in (records under `ext_scalability_alloc` so it never collides with the
-  # timing baseline) and fail on a >10% allocs-per-event regression. The
-  # baseline was recorded with the same --iters/--warmup so fixed setup
-  # allocations amortize identically.
-  run run -q --release -p bench --features alloc-count "${CARGO_FLAGS[@]}" \
-    --bin ext_scalability -- --iters 3 --warmup 1 >/dev/null
-  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin perf_gate -- \
-    ext_scalability_alloc "$perf_snapshot" results/perf_baseline.json 0.25
-  # The gate runs used reduced iterations; restore the committed artifacts.
-  mv "$perf_snapshot" results/perf_baseline.json
-  mv "$sweep_snapshot" results/ext_scalability.json
-fi
 
 echo "ci: all green"
