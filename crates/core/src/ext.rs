@@ -190,11 +190,6 @@ impl McastExt {
         self.groups.get(&group).map_or(0, |g| g.records.len())
     }
 
-    /// Installs waiting for a group-table slot (diagnostics).
-    pub fn admission_depth(&self) -> usize {
-        self.admission.len()
-    }
-
     // -- flow attribution --------------------------------------------------------
 
     /// `(origin, folded tag)` of the message `(group, seq)`: from the

@@ -110,7 +110,7 @@ fn run(
             }),
         );
     }
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     let outcome = eng.run(SimTime::MAX, 100_000_000);
     assert_eq!(outcome, gm_sim::RunOutcome::Idle, "allreduce hung");
     let r = results.lock().unwrap().clone();

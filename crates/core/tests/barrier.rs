@@ -108,7 +108,7 @@ fn run_barrier(
             }),
         );
     }
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     let outcome = eng.run(SimTime::MAX, 100_000_000);
     assert_eq!(outcome, gm_sim::RunOutcome::Idle, "barrier hung");
     let log = log.lock().unwrap().clone();
@@ -293,7 +293,7 @@ fn barrier_and_multicast_share_the_group() {
             }),
         );
     }
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     eng.run_to_idle();
     for (i, c) in counters.iter().enumerate().skip(1) {
         assert_eq!(*c.lock().unwrap(), 2, "node {i} data deliveries");

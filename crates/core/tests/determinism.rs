@@ -13,10 +13,10 @@ use nic_mcast::{build_cluster, McastMode, McastRun, TreeShape};
 fn traced_events(run: &McastRun) -> Vec<ProbeEvent> {
     let (mut cluster, _shared) = build_cluster(run);
     cluster.set_probes(ProbeConfig::spans());
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     let outcome = eng.run_to_idle();
     assert_eq!(outcome, gm_sim::RunOutcome::Idle, "run did not converge");
-    eng.world().probe.to_vec()
+    eng.world(0).probe.to_vec()
 }
 
 fn assert_deterministic(run: &McastRun) {
@@ -62,10 +62,10 @@ fn runs_with_faults_are_bit_for_bit_identical() {
 
 #[test]
 fn sharded_caller_mode_is_deterministic_and_matches_sequential() {
-    // This binary does not set MYRI_SIM_FORCE_THREADS, so on a single-core
-    // host the sharded run exercises the caller-mode window protocol; the
-    // threaded loop is pinned in `parallel_parity.rs`. Either way the
-    // canonical Report observables must agree with the sequential run.
+    // On a single-core host (or pinned to one core) the sharded run takes
+    // the calling-thread window loop, and with more cores the threaded one.
+    // Either way the canonical Report observables must agree with the
+    // one-shard run.
     use gm_sim::{SeriesConfig, WatchConfig};
     use nic_mcast::execute;
     let observe = |run: &McastRun| {

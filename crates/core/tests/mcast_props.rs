@@ -124,7 +124,7 @@ proptest! {
                 }),
             );
         }
-        let mut eng = cluster.into_engine();
+        let mut eng = cluster.into_engine(1);
         let outcome = eng.run(SimTime::MAX, 200_000_000);
         prop_assert_eq!(outcome, gm_sim::RunOutcome::Idle, "multicast hung");
         for (di, log) in logs.iter().enumerate() {
@@ -139,7 +139,7 @@ proptest! {
         // No packets left unaccounted: every NIC's records drained.
         for i in 0..n {
             prop_assert_eq!(
-                eng.world().ext(NodeId(i)).outstanding(G),
+                eng.world(0).ext(NodeId(i)).outstanding(G),
                 0,
                 "node {} still holds records",
                 i

@@ -1,14 +1,13 @@
-//! Differential suite for the sharded engine: a run split across shards
-//! must be **bit-for-bit identical** to the sequential reference — same
-//! latencies, same counters, same probe event stream, same iteration
-//! windows. This is the contract that makes `--shards`/`MYRI_SIM_SHARDS`
-//! a pure wall-clock knob.
+//! Differential suite for sharded runs: a run split across shards must be
+//! **bit-for-bit identical** to the one-shard reference — same latencies,
+//! same counters, same probe event stream, same iteration windows. This is
+//! the contract that makes `--shards`/`MYRI_SIM_SHARDS` a pure wall-clock
+//! knob.
 //!
-//! The test container may be single-core; `MYRI_SIM_FORCE_THREADS=1` is
-//! set here so the sharded runs exercise the real scoped-thread window
-//! loop, not just the caller-mode fallback (caller-mode parity is pinned
-//! separately in `determinism.rs`, which runs in its own process without
-//! the flag).
+//! On a host with more than one core the sharded runs take the threaded
+//! window loop; pinned to one core (`taskset -c 0`, as `scripts/ci.sh`
+//! does) they take the calling-thread loop. The engine's unit test
+//! `lockstep_windows_keep_both_shards_busy` runs both loops on any host.
 
 use gm_sim::probe::ProbeConfig;
 use gm_sim::{FlowGraph, SeriesConfig, SimTime, WatchConfig};
@@ -18,12 +17,6 @@ use nic_mcast::{
     TreeShape, Workload,
 };
 use proptest::prelude::*;
-
-/// Latch the threaded window loop on (checked once per process, so set it
-/// before the first sharded run).
-fn force_threads() {
-    std::env::set_var("MYRI_SIM_FORCE_THREADS", "1");
-}
 
 fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> Report {
     let mut r = run.clone();
@@ -103,7 +96,6 @@ fn assert_bit_identical(run: &McastRun, shards: u32) {
 
 #[test]
 fn crossbar_nic_based_matches_across_shard_counts() {
-    force_threads();
     let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
     run.warmup = 2;
     run.iters = 4;
@@ -114,7 +106,6 @@ fn crossbar_nic_based_matches_across_shard_counts() {
 
 #[test]
 fn clos_topology_shards_along_leaves() {
-    force_threads();
     // 32 nodes is a two-stage Clos: partitions must align on leaf switches
     // and the lookahead doubles. Both are exercised here.
     let mut run = McastRun::new(32, 512, McastMode::NicBased, TreeShape::KAry(4));
@@ -125,7 +116,6 @@ fn clos_topology_shards_along_leaves() {
 
 #[test]
 fn lossy_runs_match_because_fault_draws_are_per_packet() {
-    force_threads();
     let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
     run.warmup = 1;
     run.iters = 6;
@@ -135,7 +125,6 @@ fn lossy_runs_match_because_fault_draws_are_per_packet() {
 
 #[test]
 fn targeted_drop_rules_fall_back_to_sequential() {
-    force_threads();
     // Rules carry mutable count-down state, so sharding is infeasible; the
     // run must still complete (sequentially) and agree with shards=1.
     let mut run = McastRun::new(6, 256, McastMode::NicBased, TreeShape::Binomial);
@@ -155,7 +144,6 @@ fn targeted_drop_rules_fall_back_to_sequential() {
 
 #[test]
 fn many_group_workload_matches_across_shard_counts() {
-    force_threads();
     // A sustained 64-group Zipf workload on a 32-node Clos: many concurrent
     // collectives interleave on one fabric, group-table slots churn, and the
     // percentile/goodput/fairness summary must come out byte-identical at
@@ -232,7 +220,6 @@ fn many_group_workload_matches_across_shard_counts() {
 
 #[test]
 fn injected_loss_raises_a_retx_storm_with_flow_evidence() {
-    force_threads();
     // A seeded retransmission storm: per-packet loss on a sustained
     // workload forces Go-Back-N rewinds, which the `retx_storm` detector
     // must surface — with the causally-active FlowIds as evidence and the
@@ -303,7 +290,6 @@ proptest! {
         loss_on in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        force_threads();
         let mode = if host_based { McastMode::HostBased } else { McastMode::NicBased };
         let mut run = McastRun::new(n, size, mode, TreeShape::KAry(shape_k));
         run.warmup = 1;

@@ -37,10 +37,10 @@ fn rendered_trace(shape: TreeShape) -> String {
     run.iters = 1;
     let (mut cluster, _shared) = build_cluster(&run);
     cluster.set_probes(ProbeConfig::spans());
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     eng.run_to_idle();
     let mut out = String::new();
-    for e in eng.world().probe.iter() {
+    for e in eng.world(0).probe.iter() {
         if let Some(line) = legacy_line(e) {
             out.push_str(&line);
             out.push('\n');

@@ -18,11 +18,10 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use gm_sim::parallel::OutMsg;
 use gm_sim::probe::{ProbeConfig, ProbeSink};
 use gm_sim::{
-    Engine, FlowId, Outbox, Scheduler, SeriesConfig, SeriesSink, ShardWorld, ShardedEngine,
-    SimDuration, SimTime, Slab, World, FLOW_DELIVERY,
+    Engine, FlowId, OutMsg, Scheduler, SeriesConfig, SeriesSink, SimDuration, SimTime, Slab, World,
+    FLOW_DELIVERY,
 };
 use myrinet::{Fabric, NodeId, Packet, RxOutcome, WireHandoff};
 
@@ -30,6 +29,10 @@ use crate::ext::NicExtension;
 use crate::host::{Host, HostApp, HostCall, HostCtx};
 use crate::nic::{flow_of_packet, Cb, NicCore, Notice, PciId, TimerTag, TxJob, WorkId};
 use crate::params::GmParams;
+
+/// The cluster's scheduler: its events, and packets as the hand-offs
+/// between shards.
+type Sched = Scheduler<Ev, WireHandoff>;
 
 /// The probe points the cluster records (see `gm_sim::probe`). Every
 /// hand-off the old `gm::trace` captured maps onto one of these, plus host
@@ -138,8 +141,8 @@ impl<X: NicExtension> Slot<X> {
     }
 }
 
-/// N nodes plus the fabric — or, after [`split`](Cluster::split), one
-/// shard's contiguous slice of them (plus that shard's fabric clone).
+/// N nodes plus the fabric — or, in a sharded engine, one shard's
+/// contiguous slice of them (plus that shard's fabric clone).
 pub struct Cluster<X: NicExtension> {
     params: GmParams,
     fabric: Fabric,
@@ -158,15 +161,12 @@ pub struct Cluster<X: NicExtension> {
     my_shard: u32,
     /// Global node id of `slots[0]` (shards own contiguous node ranges).
     node_base: u32,
-    /// Per-node expected-event-load weights guiding [`split`](Self::split)
-    /// (`None`: balance node counts). See
+    /// Per-node expected-event-load weights guiding sharding (`None`:
+    /// balance node counts). See
     /// [`set_partition_weights`](Self::set_partition_weights).
     partition_weights: Option<Vec<u64>>,
     /// Hand-offs whose receive stage is scheduled here ([`Ev::WireRx`]).
     wire: Slab<WireHandoff>,
-    /// Cross-shard hand-offs emitted by the event being handled; drained
-    /// into the engine's [`Outbox`] after each event (empty when unsplit).
-    pending_out: Vec<OutMsg<WireHandoff>>,
 }
 
 impl<X: NicExtension> Cluster<X> {
@@ -191,13 +191,12 @@ impl<X: NicExtension> Cluster<X> {
             node_base: 0,
             partition_weights: None,
             wire: Slab::new(),
-            pending_out: Vec::new(),
         }
     }
 
     /// Supply a per-node expected-event-load estimate (any cost model — the
     /// workload layer derives one from group membership, tree degree and
-    /// arrival counts). [`split`](Self::split) then places shard boundaries
+    /// arrival counts). A sharded engine then places shard boundaries
     /// with [`Topology::partition_weighted`], minimizing the heaviest
     /// shard's load instead of balancing node counts — less time parked at
     /// window barriers when the traffic is skewed. Weights steer *placement
@@ -212,7 +211,7 @@ impl<X: NicExtension> Cluster<X> {
         self.partition_weights = Some(weights);
     }
 
-    /// The shard map [`split`](Self::split) would use: weighted when
+    /// The shard map [`split`](Self::split) uses: weighted when
     /// [`set_partition_weights`](Self::set_partition_weights) was called,
     /// count-balanced otherwise.
     fn partition_map(&self, n_shards: u32) -> Vec<u32> {
@@ -245,11 +244,6 @@ impl<X: NicExtension> Cluster<X> {
         (0..self.slots.len() as u32).map(|i| NodeId(self.node_base + i))
     }
 
-    /// This cluster's shard index (0 when unsplit).
-    pub fn shard_id(&self) -> u32 {
-        self.my_shard
-    }
-
     /// Index of `node` into this cluster's slot slice.
     #[inline]
     fn local(&self, node: NodeId) -> usize {
@@ -266,12 +260,7 @@ impl<X: NicExtension> Cluster<X> {
         &self.params
     }
 
-    /// The fabric (for fault injection and counters).
-    pub fn fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.fabric
-    }
-
-    /// The fabric, shared.
+    /// The fabric (topology, parameters and counters).
     pub fn fabric(&self) -> &Fabric {
         &self.fabric
     }
@@ -308,19 +297,8 @@ impl<X: NicExtension> Cluster<X> {
         nodes.zip(self.start_times.iter().copied()).collect()
     }
 
-    /// Wrap in an engine with every node's `AppStart` scheduled.
-    pub fn into_engine(self) -> Engine<Cluster<X>> {
-        assert_eq!(self.node_base, 0, "into_engine on a shard slice");
-        let starts = self.app_starts();
-        let mut eng = Engine::new(self);
-        for (node, at) in starts {
-            eng.schedule(at, Ev::AppStart(node));
-        }
-        eng
-    }
-
     /// Why this cluster cannot be split `n_shards` ways (`None` = it can).
-    /// Infeasible configurations run sequentially instead.
+    /// Infeasible configurations run on one shard instead.
     pub fn shard_infeasible(&self, n_shards: u32) -> Option<&'static str> {
         if n_shards <= 1 {
             return Some("a single shard was requested");
@@ -337,17 +315,37 @@ impl<X: NicExtension> Cluster<X> {
         None
     }
 
-    /// Split into per-shard clusters plus the window lookahead. Each shard
-    /// owns a contiguous, fabric-partition-aligned range of nodes and a
-    /// clone of the (still pristine) fabric; disjoint link ownership under
-    /// the two-stage wire protocol keeps the clones consistent.
-    ///
-    /// Panics when [`shard_infeasible`](Self::shard_infeasible) — check (or
-    /// use [`into_sharded_engine`](Self::into_sharded_engine)) first.
-    pub fn split(self, n_shards: u32) -> (Vec<Cluster<X>>, SimDuration) {
-        if let Some(why) = self.shard_infeasible(n_shards) {
-            panic!("cannot shard this cluster: {why}");
+    /// Wrap in an engine of (at most) `n_shards` shards, with every node's
+    /// `AppStart` scheduled on its owning shard. A request that
+    /// [`shard_infeasible`](Self::shard_infeasible) refuses gets one shard.
+    /// The results are bit-for-bit the same at any shard count: shards
+    /// change only the wall-clock parallelism.
+    pub fn into_engine(self, n_shards: u32) -> Engine<Cluster<X>> {
+        assert_eq!(
+            self.slots.len(),
+            self.n_nodes() as usize,
+            "into_engine on a shard slice"
+        );
+        let starts = self.app_starts();
+        let mut eng = if self.shard_infeasible(n_shards).is_some() {
+            Engine::new(self)
+        } else {
+            let (shards, lookahead) = self.split(n_shards);
+            Engine::sharded(shards, lookahead)
+        };
+        let shard_of = Arc::clone(&eng.world(0).shard_of);
+        for (node, at) in starts {
+            eng.schedule(shard_of[node.idx()] as usize, at, Ev::AppStart(node));
         }
+        eng
+    }
+
+    /// Split a cluster [`shard_infeasible`](Self::shard_infeasible) accepts
+    /// into per-shard clusters plus the window lookahead. Each shard owns a
+    /// contiguous, fabric-partition-aligned range of nodes and a clone of
+    /// the (still pristine) fabric; disjoint link ownership under the
+    /// two-stage wire protocol keeps the clones consistent.
+    fn split(self, n_shards: u32) -> (Vec<Cluster<X>>, SimDuration) {
         let shard_of = Arc::new(self.partition_map(n_shards));
         let lookahead = self
             .fabric
@@ -374,28 +372,10 @@ impl<X: NicExtension> Cluster<X> {
                 node_base,
                 partition_weights: None,
                 wire: Slab::new(),
-                pending_out: Vec::new(),
             });
             node_base += count as u32;
         }
         (shards, lookahead)
-    }
-
-    /// Wrap in a [`ShardedEngine`] of (at most) `n_shards` shards with every
-    /// node's `AppStart` scheduled on its owning shard. The run is
-    /// bit-for-bit identical to [`into_engine`](Self::into_engine) +
-    /// `run_to_idle` — the engines differ only in wall-clock parallelism.
-    ///
-    /// Panics when [`shard_infeasible`](Self::shard_infeasible).
-    pub fn into_sharded_engine(self, n_shards: u32) -> ShardedEngine<Cluster<X>> {
-        let starts = self.app_starts();
-        let (shards, lookahead) = self.split(n_shards);
-        let shard_of = Arc::clone(&shards[0].shard_of);
-        let mut eng = ShardedEngine::new(shards, lookahead);
-        for (node, at) in starts {
-            eng.schedule(shard_of[node.idx()] as usize, at, Ev::AppStart(node));
-        }
-        eng
     }
 
     // -- internals -----------------------------------------------------------
@@ -404,7 +384,7 @@ impl<X: NicExtension> Cluster<X> {
     fn with_app(
         &mut self,
         node: NodeId,
-        sched: &mut Scheduler<Ev>,
+        sched: &mut Sched,
         f: impl FnOnce(&mut dyn HostApp<X>, &mut HostCtx<'_, X>),
     ) {
         self.with_app_from(node, sched, None, f);
@@ -416,7 +396,7 @@ impl<X: NicExtension> Cluster<X> {
     fn with_app_from(
         &mut self,
         node: NodeId,
-        sched: &mut Scheduler<Ev>,
+        sched: &mut Sched,
         busy_from: Option<SimTime>,
         f: impl FnOnce(&mut dyn HostApp<X>, &mut HostCtx<'_, X>),
     ) {
@@ -441,7 +421,7 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// Schedule the host calls an app produced.
-    fn pump_host(&mut self, node: NodeId, sched: &mut Scheduler<Ev>) {
+    fn pump_host(&mut self, node: NodeId, sched: &mut Sched) {
         let li = self.local(node);
         let slot = &mut self.slots[li];
         for (at, call) in slot.host.calls.drain(..) {
@@ -455,7 +435,7 @@ impl<X: NicExtension> Cluster<X> {
     /// DMA). Each pass schedules at least one completion event, so the loop
     /// terminates.
     // simlint::hot
-    fn pump_nic(&mut self, node: NodeId, sched: &mut Scheduler<Ev>) {
+    fn pump_nic(&mut self, node: NodeId, sched: &mut Sched) {
         let now = sched.now();
         let li = self.local(node);
         self.slots[li].nic.set_now(now);
@@ -527,13 +507,8 @@ impl<X: NicExtension> Cluster<X> {
                         // cross-shard hand-off gets.
                         self.park_handoff(h, sched);
                     } else {
-                        self.pending_out.push(OutMsg {
-                            dst_shard,
-                            time: h.head_at,
-                            src: u64::from(h.pkt.src.0),
-                            seq: h.wire_seq,
-                            payload: h,
-                        });
+                        let (src, seq) = (u64::from(h.pkt.src.0), h.wire_seq);
+                        sched.send(dst_shard, h.head_at, src, seq, h);
                     }
                 }
                 let slot = &mut self.slots[li];
@@ -596,7 +571,7 @@ impl<X: NicExtension> Cluster<X> {
     /// Park a hand-off whose receive stage runs on this shard and schedule
     /// it at its head arrival under its canonical `(src, wire_seq)` key.
     // simlint::hot
-    fn park_handoff(&mut self, h: WireHandoff, sched: &mut Scheduler<Ev>) {
+    fn park_handoff(&mut self, h: WireHandoff, sched: &mut Sched) {
         let (at, src, seq) = (h.head_at, u64::from(h.pkt.src.0), h.wire_seq);
         sched.at_wire(at, src, seq, Ev::WireRx(self.wire.insert(h)));
     }
@@ -604,7 +579,7 @@ impl<X: NicExtension> Cluster<X> {
     /// Run the receive stage of one boundary hand-off: reserve the
     /// destination-owned links, decide the packet's fate, and schedule the
     /// tail arrival. `now` must equal `h.head_at`.
-    fn rx_deliver(&mut self, h: WireHandoff, sched: &mut Scheduler<Ev>) {
+    fn rx_deliver(&mut self, h: WireHandoff, sched: &mut Sched) {
         let now = sched.now();
         debug_assert_eq!(now, h.head_at, "receive stage off its boundary instant");
         let dst = h.pkt.dst;
@@ -640,7 +615,7 @@ impl<X: NicExtension> Cluster<X> {
         &mut self,
         node: NodeId,
         notice: Notice<X::Notice>,
-        sched: &mut Scheduler<Ev>,
+        sched: &mut Sched,
     ) {
         let li = self.local(node);
         let slot = &mut self.slots[li];
@@ -657,7 +632,7 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// Deliver one notice: charge the host's handling cost, then run the app.
-    fn deliver(&mut self, node: NodeId, notice: Notice<X::Notice>, sched: &mut Scheduler<Ev>) {
+    fn deliver(&mut self, node: NodeId, notice: Notice<X::Notice>, sched: &mut Sched) {
         let (cost, name) = match &notice {
             Notice::Recv { .. } => (self.params.host_recv_event, "recv"),
             Notice::SendComplete { .. } => (self.params.host_send_complete, "send_complete"),
@@ -687,7 +662,7 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// The host CPU freed up: deliver as many pending notices as possible.
-    fn host_wake(&mut self, node: NodeId, sched: &mut Scheduler<Ev>) {
+    fn host_wake(&mut self, node: NodeId, sched: &mut Sched) {
         let li = self.local(node);
         self.slots[li].host.wake_scheduled = false;
         loop {
@@ -712,8 +687,9 @@ impl<X: NicExtension> Cluster<X> {
 
 impl<X: NicExtension> World for Cluster<X> {
     type Event = Ev;
+    type Handoff = WireHandoff;
 
-    fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
+    fn handle(&mut self, event: Ev, sched: &mut Sched) {
         self.events_handled += 1;
         if self.series.is_enabled() && self.events_handled.is_multiple_of(64) {
             // Execution diagnostic (hence the `exec_` prefix): the event
@@ -844,25 +820,8 @@ impl<X: NicExtension> World for Cluster<X> {
             }
         }
     }
-}
 
-impl<X: NicExtension> ShardWorld for Cluster<X> {
-    type Event = Ev;
-    type Handoff = WireHandoff;
-
-    fn handle(
-        &mut self,
-        event: Ev,
-        sched: &mut Scheduler<Ev>,
-        outbox: &mut Outbox<WireHandoff>,
-    ) {
-        World::handle(self, event, sched);
-        for m in self.pending_out.drain(..) {
-            outbox.send(m.dst_shard, m.time, m.src, m.seq, m.payload);
-        }
-    }
-
-    fn absorb(&mut self, m: OutMsg<WireHandoff>, sched: &mut Scheduler<Ev>) {
+    fn absorb(&mut self, m: OutMsg<WireHandoff>, sched: &mut Sched) {
         debug_assert_eq!((m.time, m.seq), (m.payload.head_at, m.payload.wire_seq));
         self.park_handoff(m.payload, sched);
     }

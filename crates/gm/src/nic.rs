@@ -868,16 +868,6 @@ impl<X: NicExtension> NicCore<X> {
         self.group_table.used()
     }
 
-    /// Total group-table capacity.
-    pub fn group_capacity(&self) -> usize {
-        self.group_table.capacity()
-    }
-
-    /// Free group-table slots.
-    pub fn group_slots_free(&self) -> usize {
-        self.group_table.free_slots()
-    }
-
     /// Runtime mirror of simcheck's token-conservation invariant (I2):
     /// checked at every grant/release site in debug builds so ordinary
     /// simulation runs cheaply cross-validate the model. Release builds

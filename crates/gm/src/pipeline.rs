@@ -22,57 +22,35 @@ pub const EVENT_CAP: u64 = 4_000_000_000;
 
 /// A cluster driven to quiescence.
 pub struct Driven<X: NicExtension> {
-    /// The finished worlds: one per shard, or one for a sequential run.
+    /// The finished worlds, one per shard.
     pub worlds: Vec<Cluster<X>>,
     /// Simulated time of the last event.
     pub end: SimTime,
     /// Events dispatched.
     pub events: u64,
-    /// Per-shard execution statistics (empty for a sequential run).
+    /// Per-shard execution statistics, in shard order.
     pub shard_stats: Vec<ShardStats>,
 }
 
 /// Run `cluster` until no event is pending, on `shards` shards — bit-for-bit
 /// the same results either way. Infeasible sharding requests (a single
-/// shard, targeted drop rules, indivisible topologies) run sequentially.
+/// shard, targeted drop rules, indivisible topologies) run on one shard.
 ///
 /// Panics when the run exhausts [`EVENT_CAP`] before going idle.
 pub fn drive<X: NicExtension>(cluster: Cluster<X>, shards: u32) -> Driven<X> {
-    let (outcome, driven) = if shards > 1 && cluster.shard_infeasible(shards).is_none() {
-        let mut eng = cluster.into_sharded_engine(shards);
-        let outcome = eng.run(SimTime::MAX, EVENT_CAP);
-        let (end, events, shard_stats) = (eng.now(), eng.events_handled(), eng.shard_stats());
-        let worlds = eng.into_worlds();
-        (
-            outcome,
-            Driven {
-                worlds,
-                end,
-                events,
-                shard_stats,
-            },
-        )
-    } else {
-        let mut eng = cluster.into_engine();
-        let outcome = eng.run(SimTime::MAX, EVENT_CAP);
-        let (end, events) = (eng.now(), eng.events_handled());
-        let worlds = vec![eng.into_world()];
-        (
-            outcome,
-            Driven {
-                worlds,
-                end,
-                events,
-                shard_stats: Vec::new(),
-            },
-        )
-    };
+    let mut eng = cluster.into_engine(shards);
+    let outcome = eng.run(SimTime::MAX, EVENT_CAP);
     assert_eq!(
         outcome,
         RunOutcome::Idle,
         "run did not converge within {EVENT_CAP} events (livelock)"
     );
-    driven
+    Driven {
+        end: eng.now(),
+        events: eng.events_handled(),
+        shard_stats: eng.shard_stats(),
+        worlds: eng.into_worlds(),
+    }
 }
 
 /// The observability surface of a finished run: counters rolled into
@@ -104,11 +82,11 @@ pub fn harvest<X: NicExtension>(run: &mut Driven<X>) -> Harvest {
         }
     }
     metrics.set("engine", "events", run.events);
-    // Per-shard execution statistics. These describe *how* the run was
-    // executed, not what it computed, so parity checks strip `parallel.*`
-    // before comparing sequential and sharded runs.
+    // Per-shard execution statistics of a sharded run. These describe *how*
+    // the run was executed, not what it computed, so parity checks strip
+    // `parallel.*` before comparing sequential and sharded runs.
     let shard_stats = &run.shard_stats;
-    if !shard_stats.is_empty() {
+    if shard_stats.len() > 1 {
         metrics.set("parallel", "shards", shard_stats.len() as u64);
         metrics.set(
             "parallel",

@@ -46,7 +46,7 @@ fn notices_wait_for_a_busy_host() {
             delivered_at: delivered_at.clone(),
         }),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let at = *delivered_at.lock().unwrap();
     assert!(
         at >= SimTime::ZERO + SimDuration::from_micros(500),
@@ -93,7 +93,7 @@ fn sends_park_when_tokens_run_out_and_replay_in_order() {
     let mut c = Cluster::new(params, Fabric::new(Topology::for_nodes(2), 2), |_| NoExt);
     c.set_app(NodeId(0), Box::new(Burst));
     c.set_app(NodeId(1), Box::new(Sink { got: got.clone() }));
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     eng.run_to_idle();
     assert_eq!(
         *got.lock().unwrap(),
@@ -101,7 +101,7 @@ fn sends_park_when_tokens_run_out_and_replay_in_order() {
         "parked sends must replay in post order"
     );
     // The pool really was exhausted at some point.
-    assert!(eng.world().nic(NodeId(0)).counters.get("acked_packets") >= MSGS);
+    assert!(eng.world(0).nic(NodeId(0)).counters.get("acked_packets") >= MSGS);
 }
 
 #[test]
@@ -124,9 +124,9 @@ fn trace_captures_the_full_protocol_pipeline() {
     c.set_app(NodeId(0), Box::new(Sender));
     c.set_app(NodeId(1), Box::new(Receiver));
     c.set_probes(ProbeConfig::spans());
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     eng.run_to_idle();
-    let events: Vec<ProbeEvent> = eng.world().probe.iter().copied().collect();
+    let events: Vec<ProbeEvent> = eng.world(0).probe.iter().copied().collect();
     // The pipeline appears in causal order on the sender...
     let idx = |node: u32, pred: &dyn Fn(&ProbeEvent) -> bool| {
         events.iter().position(|e| e.node == node && pred(e))
@@ -173,7 +173,7 @@ fn staggered_app_starts_are_honoured() {
         c.set_app(NodeId(i as u32), Box::new(Stamp { at: s.clone() }));
         c.set_start(NodeId(i as u32), SimTime::from_nanos(1_000 * i as u64));
     }
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     for (i, s) in stamps.iter().enumerate() {
         assert_eq!(s.lock().unwrap().as_nanos(), 1_000 * i as u64);
     }

@@ -86,7 +86,7 @@ proptest! {
             logs.push(log.clone());
             cluster.set_app(NodeId(d), Box::new(Sink { log }));
         }
-        let mut eng = cluster.into_engine();
+        let mut eng = cluster.into_engine(1);
         let outcome = eng.run(gm_sim::SimTime::MAX, 50_000_000);
         prop_assert_eq!(outcome, gm_sim::RunOutcome::Idle, "stuck under loss");
 
@@ -128,7 +128,7 @@ proptest! {
             for d in 1..4u32 {
                 cluster.set_app(NodeId(d), Box::new(Sink { log: Arc::default() }));
             }
-            let mut eng = cluster.into_engine();
+            let mut eng = cluster.into_engine(1);
             eng.run_to_idle();
             (eng.now(), eng.events_handled())
         };

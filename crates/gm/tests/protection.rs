@@ -55,7 +55,7 @@ fn credits_are_per_port_and_traffic_never_crosses() {
     );
     c.set_app(NodeId(0), Box::new(DualSender));
     c.set_app(NodeId(1), Box::new(TwoPortHost { log: log.clone() }));
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     // Port B's messages will retry forever (no credits ever posted), so run
     // bounded and check what got through.
     eng.run_until(gm_sim::SimTime::from_nanos(100_000_000));
@@ -67,7 +67,7 @@ fn credits_are_per_port_and_traffic_never_crosses() {
     // Nothing was ever delivered on port B...
     assert!(got.iter().all(|(p, _)| *p == PA));
     // ...because its packets hit the per-port credit wall, not port A's.
-    let drops = eng.world().nic(NodeId(1)).counters.get("rx_drop_no_token");
+    let drops = eng.world(0).nic(NodeId(1)).counters.get("rx_drop_no_token");
     assert!(drops > 0, "port B traffic must be refused, not delivered");
 }
 
@@ -110,7 +110,7 @@ fn connections_are_independent_per_port_pair() {
     );
     c.set_app(NodeId(0), Box::new(Mixed));
     c.set_app(NodeId(1), Box::new(BothPorts { log: log.clone() }));
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let got = log.lock().unwrap();
     assert_eq!(got.len(), 5);
     let b_tags: Vec<u64> = got.iter().filter(|(p, _)| *p == PB).map(|(_, t)| *t).collect();

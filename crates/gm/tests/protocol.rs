@@ -121,7 +121,7 @@ fn single_small_message_latency_is_era_plausible() {
     let sink = Sink::new(1, recv.clone());
     let recv_at = sink.last_at.clone();
     c.set_app(NodeId(1), Box::new(sink));
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     eng.run_to_idle();
     let log = recv.lock().unwrap();
     assert_eq!(log.len(), 1);
@@ -150,7 +150,7 @@ fn multi_packet_message_reassembles() {
         NodeId(1),
         Box::new(Sink::new(1, recv.clone())),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let log = recv.lock().unwrap();
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].1, 9);
@@ -173,7 +173,7 @@ fn zero_length_message_is_delivered() {
         NodeId(1),
         Box::new(Sink::new(1, recv.clone())),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let log = recv.lock().unwrap();
     assert_eq!(log.len(), 1);
     assert!(log[0].2.is_empty());
@@ -195,7 +195,7 @@ fn messages_on_one_connection_arrive_in_order() {
         NodeId(1),
         Box::new(Sink::new(20, recv.clone())),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let log = recv.lock().unwrap();
     assert_eq!(log.len(), 20);
     for (i, (_, tag, data)) in log.iter().enumerate() {
@@ -225,12 +225,12 @@ fn lost_data_packet_is_retransmitted() {
         NodeId(1),
         Box::new(Sink::new(1, recv.clone())),
     );
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     eng.run_to_idle();
     assert_eq!(recv.lock().unwrap().len(), 1, "message survives the drop");
     // Recovery needed at least one timeout period.
     assert!(eng.now() > SimTime::ZERO + GmParams::default().timeout);
-    assert!(eng.world().nic(NodeId(0)).counters.get("retransmissions") >= 1);
+    assert!(eng.world(0).nic(NodeId(0)).counters.get("retransmissions") >= 1);
 }
 
 #[test]
@@ -260,7 +260,7 @@ fn lost_ack_is_recovered_without_duplicate_delivery() {
         NodeId(1),
         Box::new(Sink::new(2, recv.clone())),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     assert_eq!(recv.lock().unwrap().len(), 1, "no duplicate delivery on ack loss");
     assert_eq!(done.lock().unwrap().as_slice(), &[3], "sender still completes");
 }
@@ -280,7 +280,7 @@ fn heavy_random_loss_still_delivers_everything() {
         NodeId(1),
         Box::new(Sink::new(30, recv.clone())),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let log = recv.lock().unwrap();
     assert_eq!(log.len(), 30);
     for (i, (_, tag, data)) in log.iter().enumerate() {
@@ -322,10 +322,10 @@ fn missing_receive_token_stalls_until_recovered_by_retransmit() {
         Box::new(ScriptedSender::new(msgs, false, Arc::default())),
     );
     c.set_app(NodeId(1), Box::new(LazySink { log: recv.clone() }));
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     eng.run_to_idle();
     assert_eq!(recv.lock().unwrap().len(), 2);
-    let drops = eng.world().nic(NodeId(1)).counters.get("rx_drop_no_token");
+    let drops = eng.world(0).nic(NodeId(1)).counters.get("rx_drop_no_token");
     assert!(drops >= 1, "second message must have hit the token wall");
 }
 
@@ -370,7 +370,7 @@ fn bidirectional_traffic_does_not_interfere() {
             log: recv1.clone(),
         }),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     assert_eq!(recv0.lock().unwrap().len(), 10);
     assert_eq!(recv1.lock().unwrap().len(), 10);
 }
@@ -394,7 +394,7 @@ fn fan_in_many_senders_one_receiver() {
         NodeId(0),
         Box::new(Sink::new((n - 1) as usize, recv.clone())),
     );
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     let log = recv.lock().unwrap();
     assert_eq!(log.len(), (n - 1) as usize);
     let mut srcs: Vec<u32> = log.iter().map(|(s, ..)| s.0).collect();
@@ -419,7 +419,7 @@ fn larger_messages_take_longer() {
         let sink = Sink::new(1, recv.clone());
         let recv_at = sink.last_at.clone();
         c.set_app(NodeId(1), Box::new(sink));
-        let mut eng = c.into_engine();
+        let mut eng = c.into_engine(1);
         eng.run_to_idle();
         assert_eq!(recv.lock().unwrap().len(), 1);
         lat.push(recv_at.lock().unwrap().as_micros_f64());
@@ -445,7 +445,7 @@ fn determinism_same_seed_same_timeline() {
             NodeId(1),
             Box::new(Sink::new(10, recv.clone())),
         );
-        let mut eng = c.into_engine();
+        let mut eng = c.into_engine(1);
         eng.run_to_idle();
         let received = recv.lock().unwrap().len();
         (eng.now(), eng.events_handled(), received)
@@ -473,10 +473,10 @@ fn host_cpu_time_accounts_compute_and_overhead() {
         NodeId(1),
         Box::new(Sink::new(1, recv.clone())),
     );
-    let mut eng = c.into_engine();
+    let mut eng = c.into_engine(1);
     eng.run_to_idle();
     assert_eq!(recv.lock().unwrap().len(), 1);
-    let busy = eng.world().host(NodeId(0)).busy_total();
+    let busy = eng.world(0).host(NodeId(0)).busy_total();
     // 100us compute + sub-us send post.
     assert!(busy >= SimDuration::from_micros(100));
     assert!(busy < SimDuration::from_micros(102));
@@ -508,12 +508,12 @@ fn ack_coalescing_cuts_control_traffic_without_losing_anything() {
             Box::new(ScriptedSender::new(msgs, false, done.clone())),
         );
         c.set_app(NodeId(1), Box::new(Sink::new(10, recv.clone())));
-        let mut eng = c.into_engine();
+        let mut eng = c.into_engine(1);
         eng.run_to_idle();
         assert_eq!(recv.lock().unwrap().len(), 10, "all messages delivered");
         assert_eq!(done.lock().unwrap().len(), 10, "all sends completed");
-        let acks = eng.world().nic(NodeId(1)).counters.get("tx_acks");
-        let retx = eng.world().nic(NodeId(0)).counters.get("retransmissions");
+        let acks = eng.world(0).nic(NodeId(1)).counters.get("tx_acks");
+        let retx = eng.world(0).nic(NodeId(0)).counters.get("retransmissions");
         assert_eq!(retx, 0, "coalescing must not trigger timeouts");
         acks
     };

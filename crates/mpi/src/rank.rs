@@ -231,11 +231,6 @@ impl RankApp {
         }
     }
 
-    /// True once the whole program has run.
-    pub fn is_done(&self) -> bool {
-        matches!(self.wait, Wait::Done)
-    }
-
     /// Group ids are unique per (communicator, root) pair, exactly the key
     /// of the paper's demand-driven creation.
     fn gid(&self, root: u32) -> GroupId {

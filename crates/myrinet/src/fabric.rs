@@ -41,17 +41,6 @@ impl Default for NetParams {
     }
 }
 
-impl NetParams {
-    /// The minimum time between a packet's injection and its head reaching
-    /// the first link beyond the injection segment: one cable propagation
-    /// plus one switch traversal, with contention only adding to it. This is
-    /// the fabric's intrinsic *lookahead* — the conservative window width
-    /// parallel execution may use (see `gm_sim::parallel`).
-    pub fn min_wire_latency(&self) -> SimDuration {
-        self.wire_prop + self.hop_delay
-    }
-}
-
 /// A packet in flight across the route's ownership boundary: the
 /// source-owned links (injection, and the leaf up-link on cross-leaf Clos
 /// routes) are already reserved by [`Fabric::tx_stage`]; the head reaches
@@ -94,37 +83,6 @@ pub enum RxOutcome {
     },
 }
 
-/// Outcome of injecting one packet.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// The packet's tail reaches the destination NIC at `at`; the source
-    /// link is occupied until `src_free`.
-    Delivered {
-        /// Tail arrival at the destination NIC.
-        at: SimTime,
-        /// When the injection link drains (the sender may start its next
-        /// packet's serialization then).
-        src_free: SimTime,
-    },
-    /// The packet was lost (or delivered corrupt and discarded).
-    Dropped {
-        /// Why.
-        reason: DropReason,
-        /// The injection link is still occupied until this time (the wire
-        /// was used even though delivery failed).
-        src_free: SimTime,
-    },
-}
-
-impl Verdict {
-    /// When the sender's injection link frees up, regardless of fate.
-    pub fn src_free(&self) -> SimTime {
-        match *self {
-            Verdict::Delivered { src_free, .. } | Verdict::Dropped { src_free, .. } => src_free,
-        }
-    }
-}
-
 /// The network: topology + per-link occupancy + faults + counters.
 ///
 /// `Clone` exists for sharded runs: each shard clones the (fresh) fabric and
@@ -133,16 +91,16 @@ impl Verdict {
 #[derive(Clone)]
 pub struct Fabric {
     topo: Topology,
-    /// All routes interned once at construction; `inject` borrows slices from
-    /// this table instead of allocating a `Vec<LinkId>` per packet.
+    /// All routes interned once at construction; both stages borrow slices
+    /// from this table instead of allocating a `Vec<LinkId>` per packet.
     routes: RouteTable,
     params: NetParams,
     busy_until: Vec<SimTime>,
     /// Accumulated serialization time per link (for utilization reports).
     busy_time: Vec<SimDuration>,
-    /// Total per-hop contention stall of the most recent `inject` /
-    /// `tx_stage` / `rx_stage` (time the head spent waiting for busy links
-    /// along the reserved segment).
+    /// Total per-hop contention stall of the most recent `tx_stage` /
+    /// `rx_stage` (time the head spent waiting for busy links along the
+    /// reserved segment).
     last_stall: SimDuration,
     faults: FaultPlan,
     /// Seed for the stateless per-packet fault draw: the drop decision for a
@@ -201,11 +159,6 @@ impl Fabric {
         &self.counters
     }
 
-    /// Replace the fault plan mid-run (used by failure-injection tests).
-    pub fn set_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
-    }
-
     /// The fault plan in use.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
@@ -216,23 +169,13 @@ impl Fabric {
         self.busy_time[id.idx()]
     }
 
-    /// Total contention stall of the most recent [`inject`](Self::inject):
-    /// how long the packet's head waited for busy links along its route.
-    /// Zero on an unloaded path. Read by the cluster's probe layer right
-    /// after injecting to emit per-packet contention spans.
+    /// Total contention stall of the most recent stage
+    /// ([`tx_stage`](Self::tx_stage) or [`rx_stage`](Self::rx_stage)): how
+    /// long the packet's head waited for busy links along that stage's
+    /// segment. Zero on an unloaded path. Read by the cluster's probe layer
+    /// right after each stage to emit per-packet contention spans.
     pub fn last_inject_stall(&self) -> SimDuration {
         self.last_stall
-    }
-
-    /// The busiest link and its accumulated serialization time.
-    pub fn hottest_link(&self) -> (crate::topology::LinkId, SimDuration) {
-        let (idx, &busy) = self
-            .busy_time
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &b)| b)
-            .expect("fabrics have links");
-        (crate::topology::LinkId(idx as u32), busy)
     }
 
     /// Serialization time of `pkt` on one link.
@@ -249,36 +192,11 @@ impl Fabric {
         self.params.wire_prop * hops as u64 + self.params.hop_delay * switches + ser
     }
 
-    /// Inject `pkt` at `now` (the moment the NIC starts driving the wire).
-    ///
-    /// Reserves every link on the route and returns either the delivery time
-    /// at the destination NIC or a drop verdict. The caller (the NIC model)
-    /// must not start another transmission before `src_free`.
-    ///
-    /// Equivalent to [`tx_stage`](Self::tx_stage) followed immediately by
-    /// [`rx_stage`](Self::rx_stage): the sequential engine runs both
-    /// back-to-back (via the cluster's wire buffer), the sharded engine runs
-    /// them on the source and destination shard respectively.
-    pub fn inject(&mut self, now: SimTime, pkt: &Packet) -> Verdict {
-        let tx = self.tx_stage(now, pkt.clone());
-        let tx_stall = self.last_stall;
-        let out = self.rx_stage(&tx.handoff);
-        self.last_stall += tx_stall;
-        match out {
-            RxOutcome::Delivered { at } => Verdict::Delivered {
-                at,
-                src_free: tx.src_free,
-            },
-            RxOutcome::Dropped { reason } => Verdict::Dropped {
-                reason,
-                src_free: tx.src_free,
-            },
-        }
-    }
-
-    /// Stage 1 of a transfer: reserve the source-owned half of the route
-    /// (the injection link, plus the up-link on cross-leaf Clos routes) and
-    /// compute when the head crosses into the destination-owned half.
+    /// Stage 1 of a transfer, at `now` (the moment the NIC starts driving
+    /// the wire): reserve the source-owned half of the route (the injection
+    /// link, plus the up-link on cross-leaf Clos routes) and compute when
+    /// the head crosses into the destination-owned half. The caller (the
+    /// NIC model) must not start another transmission before `src_free`.
     ///
     /// Touches only state owned by `pkt.src`'s side of the route, so under a
     /// leaf-aligned sharding it may run concurrently with any other shard.
@@ -447,13 +365,20 @@ mod tests {
         Fabric::new(Topology::for_nodes(n), 1)
     }
 
+    /// Both stages of one transfer back to back, as an unsharded run does:
+    /// the packet's fate, and when its injection link frees.
+    fn send(f: &mut Fabric, now: SimTime, p: &Packet) -> (RxOutcome, SimTime) {
+        let tx = f.tx_stage(now, p.clone());
+        (f.rx_stage(&tx.handoff), tx.src_free)
+    }
+
     #[test]
     fn crossbar_latency_matches_formula() {
         let mut f = fabric(4);
         let p = pkt(0, 1, 1000);
         let ser = SimDuration::for_bytes(1000 + HEADER_BYTES, 250_000_000);
-        match f.inject(SimTime::ZERO, &p) {
-            Verdict::Delivered { at, src_free } => {
+        match send(&mut f, SimTime::ZERO, &p) {
+            (RxOutcome::Delivered { at }, src_free) => {
                 // route: inject link + eject link = 2 links, 1 switch between.
                 let expect = SimDuration::from_nanos(100) * 2
                     + SimDuration::from_nanos(300)
@@ -471,8 +396,8 @@ mod tests {
         let p = pkt(2, 5, 512);
         let hops = f.topology().route(NodeId(2), NodeId(5)).len();
         let predicted = f.unloaded_latency(hops, p.wire_bytes());
-        match f.inject(SimTime::ZERO, &p) {
-            Verdict::Delivered { at, .. } => assert_eq!(at, SimTime::ZERO + predicted),
+        match send(&mut f, SimTime::ZERO, &p) {
+            (RxOutcome::Delivered { at }, _) => assert_eq!(at, SimTime::ZERO + predicted),
             v => panic!("unexpected {v:?}"),
         }
     }
@@ -482,11 +407,11 @@ mod tests {
         let mut f = fabric(4);
         let p1 = pkt(0, 1, 4096);
         let p2 = pkt(0, 2, 4096);
-        let v1 = f.inject(SimTime::ZERO, &p1);
-        // Inject the second at t=0 as well: it must wait for the first to
+        let v1 = send(&mut f, SimTime::ZERO, &p1);
+        // Send the second at t=0 as well: it must wait for the first to
         // drain off node 0's injection link.
-        let v2 = f.inject(SimTime::ZERO, &p2);
-        let (Verdict::Delivered { at: a1, src_free: f1 }, Verdict::Delivered { at: a2, .. }) =
+        let v2 = send(&mut f, SimTime::ZERO, &p2);
+        let ((RxOutcome::Delivered { at: a1 }, f1), (RxOutcome::Delivered { at: a2 }, _)) =
             (v1, v2)
         else {
             panic!("drops unexpected")
@@ -498,9 +423,9 @@ mod tests {
     #[test]
     fn distinct_sources_do_not_contend_to_distinct_dsts() {
         let mut f = fabric(4);
-        let v1 = f.inject(SimTime::ZERO, &pkt(0, 1, 4096));
-        let v2 = f.inject(SimTime::ZERO, &pkt(2, 3, 4096));
-        let (Verdict::Delivered { at: a1, .. }, Verdict::Delivered { at: a2, .. }) = (v1, v2)
+        let v1 = send(&mut f, SimTime::ZERO, &pkt(0, 1, 4096));
+        let v2 = send(&mut f, SimTime::ZERO, &pkt(2, 3, 4096));
+        let ((RxOutcome::Delivered { at: a1 }, _), (RxOutcome::Delivered { at: a2 }, _)) = (v1, v2)
         else {
             panic!()
         };
@@ -510,9 +435,9 @@ mod tests {
     #[test]
     fn shared_destination_contends_on_eject_link() {
         let mut f = fabric(4);
-        let v1 = f.inject(SimTime::ZERO, &pkt(0, 3, 4096));
-        let v2 = f.inject(SimTime::ZERO, &pkt(1, 3, 4096));
-        let (Verdict::Delivered { at: a1, .. }, Verdict::Delivered { at: a2, .. }) = (v1, v2)
+        let v1 = send(&mut f, SimTime::ZERO, &pkt(0, 3, 4096));
+        let v2 = send(&mut f, SimTime::ZERO, &pkt(1, 3, 4096));
+        let ((RxOutcome::Delivered { at: a1 }, _), (RxOutcome::Delivered { at: a2 }, _)) = (v1, v2)
         else {
             panic!()
         };
@@ -527,8 +452,8 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut f = Fabric::with_config(topo, NetParams::default(), faults, 7);
-        match f.inject(SimTime::ZERO, &pkt(0, 1, 4096)) {
-            Verdict::Dropped { src_free, .. } => {
+        match send(&mut f, SimTime::ZERO, &pkt(0, 1, 4096)) {
+            (RxOutcome::Dropped { .. }, src_free) => {
                 assert!(src_free > SimTime::ZERO);
             }
             v => panic!("expected drop, got {v:?}"),
@@ -536,8 +461,8 @@ mod tests {
         assert_eq!(f.counters().get("dropped_rule"), 1);
         // Next packet goes through.
         assert!(matches!(
-            f.inject(SimTime::from_nanos(50_000), &pkt(0, 1, 4096)),
-            Verdict::Delivered { .. }
+            send(&mut f, SimTime::from_nanos(50_000), &pkt(0, 1, 4096)),
+            (RxOutcome::Delivered { .. }, _)
         ));
     }
 
@@ -553,7 +478,10 @@ mod tests {
         let mut t = SimTime::ZERO;
         let mut drops = 0;
         for _ in 0..2000 {
-            if matches!(f.inject(t, &pkt(0, 1, 64)), Verdict::Dropped { .. }) {
+            if matches!(
+                send(&mut f, t, &pkt(0, 1, 64)),
+                (RxOutcome::Dropped { .. }, _)
+            ) {
                 drops += 1;
             }
             t += SimDuration::from_micros(10);
@@ -567,45 +495,10 @@ mod tests {
         let mut f = fabric(4);
         let p = pkt(0, 1, 4096);
         let ser = f.serialization(&p);
-        f.inject(SimTime::ZERO, &p);
-        f.inject(SimTime::ZERO, &p);
+        send(&mut f, SimTime::ZERO, &p);
+        send(&mut f, SimTime::ZERO, &p);
         let inject_link = f.topology().route(NodeId(0), NodeId(1))[0];
         assert_eq!(f.link_busy(inject_link), ser * 2);
-        let (hot, busy) = f.hottest_link();
-        assert_eq!(busy, ser * 2);
-        assert!(hot == inject_link || f.link_busy(hot) == busy);
-    }
-
-    #[test]
-    fn two_stage_matches_atomic_inject() {
-        // Replaying the same injection schedule through explicit tx/rx
-        // stages must reproduce the atomic verdicts exactly (inject is
-        // defined as tx_stage + rx_stage back-to-back).
-        let schedule = [(0u32, 1u32, 0u64), (2, 1, 0), (0, 3, 200), (1, 0, 900)];
-        let mut atomic = fabric(4);
-        let mut staged = fabric(4);
-        for &(s, d, t_ns) in &schedule {
-            let t = SimTime::from_nanos(t_ns);
-            let p = pkt(s, d, 1500);
-            let v = atomic.inject(t, &p);
-            let tx = staged.tx_stage(t, p.clone());
-            let rx = staged.rx_stage(&tx.handoff);
-            match (v, rx) {
-                (Verdict::Delivered { at, src_free }, RxOutcome::Delivered { at: at2 }) => {
-                    assert_eq!(at, at2);
-                    assert_eq!(src_free, tx.src_free);
-                }
-                (v, rx) => panic!("verdicts diverge: {v:?} vs {rx:?}"),
-            }
-        }
-        assert_eq!(
-            atomic.counters().get("delivered"),
-            staged.counters().get("delivered")
-        );
-        assert_eq!(
-            atomic.counters().get("stall_ns"),
-            staged.counters().get("stall_ns")
-        );
     }
 
     #[test]
@@ -621,13 +514,16 @@ mod tests {
         let mut fates_a = Vec::new();
         for i in 0..64 {
             // `a` interleaves node 2's traffic between node 0's packets.
-            let _ = a.inject(t, &pkt(2, 3, 64));
-            fates_a.push(matches!(a.inject(t, &pkt(0, 1, 64)), Verdict::Dropped { .. }));
+            send(&mut a, t, &pkt(2, 3, 64));
+            fates_a.push(matches!(
+                send(&mut a, t, &pkt(0, 1, 64)).0,
+                RxOutcome::Dropped { .. }
+            ));
             t += SimDuration::from_micros(10 * (i + 1));
         }
         let mut t = SimTime::ZERO;
         for (i, &fate) in fates_a.iter().enumerate() {
-            let got = matches!(b.inject(t, &pkt(0, 1, 64)), Verdict::Dropped { .. });
+            let got = matches!(send(&mut b, t, &pkt(0, 1, 64)).0, RxOutcome::Dropped { .. });
             assert_eq!(got, fate, "packet {i} fate changed with interleaving");
             t += SimDuration::from_micros(10 * (i as u64 + 1));
         }
@@ -657,10 +553,12 @@ mod tests {
     #[test]
     fn clos_cross_leaf_slower_than_same_leaf() {
         let mut f = fabric(64);
-        let Verdict::Delivered { at: near, .. } = f.inject(SimTime::ZERO, &pkt(0, 1, 64)) else {
+        let (RxOutcome::Delivered { at: near }, _) = send(&mut f, SimTime::ZERO, &pkt(0, 1, 64))
+        else {
             panic!()
         };
-        let Verdict::Delivered { at: far, .. } = f.inject(SimTime::ZERO, &pkt(8, 63, 64)) else {
+        let (RxOutcome::Delivered { at: far }, _) = send(&mut f, SimTime::ZERO, &pkt(8, 63, 64))
+        else {
             panic!()
         };
         assert!(far > near);

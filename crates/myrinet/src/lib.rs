@@ -6,7 +6,7 @@
 //!
 //! ```
 //! use gm_sim::SimTime;
-//! use myrinet::{Fabric, NodeId, Packet, PacketKind, PortId, Topology, Verdict};
+//! use myrinet::{Fabric, NodeId, Packet, PacketKind, PortId, RxOutcome, Topology};
 //!
 //! let mut fabric = Fabric::new(Topology::for_nodes(16), 42);
 //! let pkt = Packet {
@@ -15,9 +15,12 @@
 //!     kind: PacketKind::Ack { port: PortId(0), seq: 0 },
 //!     payload: bytes::Bytes::new(),
 //! };
-//! match fabric.inject(SimTime::ZERO, &pkt) {
-//!     Verdict::Delivered { at, .. } => assert!(at > SimTime::ZERO),
-//!     Verdict::Dropped { .. } => unreachable!("no faults configured"),
+//! // The source side reserves its half of the route; the destination side
+//! // finishes it when the head crosses over, and decides the packet's fate.
+//! let tx = fabric.tx_stage(SimTime::ZERO, pkt);
+//! match fabric.rx_stage(&tx.handoff) {
+//!     RxOutcome::Delivered { at } => assert!(at > tx.handoff.head_at),
+//!     RxOutcome::Dropped { .. } => unreachable!("no faults configured"),
 //! }
 //! ```
 
@@ -28,7 +31,7 @@ mod fault;
 mod packet;
 mod topology;
 
-pub use fabric::{Fabric, NetParams, RxOutcome, TxVerdict, Verdict, WireHandoff};
+pub use fabric::{Fabric, NetParams, RxOutcome, TxVerdict, WireHandoff};
 pub use fault::{DropReason, DropRule, FaultPlan};
 pub use packet::{GroupId, NodeId, Packet, PacketKind, PortId, HEADER_BYTES, MTU};
 pub use topology::{LinkEnds, LinkId, SwitchId, TopoKind, Topology, SWITCH_PORTS};

@@ -223,11 +223,6 @@ impl Topology {
         }
     }
 
-    /// Number of switch hops (= route length minus the final ejection wire).
-    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> usize {
-        self.route(src, dst).len()
-    }
-
     /// Precompute every (src, dst) route into a [`RouteTable`]. Call once per
     /// topology; the table answers `route` queries with a slice borrow
     /// instead of a per-packet allocation.
@@ -339,30 +334,6 @@ impl Topology {
         (0..self.n_nodes)
             .map(|node| shard_of_unit[unit_of(node) as usize])
             .collect()
-    }
-
-    /// Render the topology as Graphviz DOT (nodes as boxes, switches as
-    /// ellipses; one undirected edge per link pair).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("graph myrinet {\n  rankdir=BT;\n");
-        for n in 0..self.n_nodes {
-            let _ = writeln!(out, "  n{n} [shape=box];");
-        }
-        // Undirected view: emit each Inject and leaf->spine link once.
-        for &ends in &self.links {
-            match ends {
-                LinkEnds::Inject(node, sw) => {
-                    let _ = writeln!(out, "  n{} -- s{};", node.0, sw.0);
-                }
-                LinkEnds::Inter(from, to) if from.0 < to.0 => {
-                    let _ = writeln!(out, "  s{} -- s{};", from.0, to.0);
-                }
-                _ => {}
-            }
-        }
-        out.push_str("}\n");
-        out
     }
 }
 
@@ -526,18 +497,6 @@ mod tests {
     #[should_panic(expected = "no self-route")]
     fn self_route_panics() {
         Topology::for_nodes(4).route(NodeId(2), NodeId(2));
-    }
-
-    #[test]
-    fn dot_export_mentions_every_node_and_switch() {
-        let t = Topology::for_nodes(24);
-        let dot = t.to_dot();
-        for n in 0..24 {
-            assert!(dot.contains(&format!("n{n} ")), "node {n} missing");
-        }
-        // 3 leaves + 8 spines; every leaf-spine pair appears once.
-        assert_eq!(dot.matches(" -- s").count(), 24 + 3 * 8);
-        assert!(dot.starts_with("graph myrinet {"));
     }
 
     #[test]

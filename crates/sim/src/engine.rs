@@ -1,17 +1,19 @@
-//! The simulation run loop.
+//! What a world sees of the run loop.
 //!
-//! A [`World`] owns all simulated state. The [`Engine`] pops events from the
-//! queue in timestamp order, advances the clock, and hands each event to the
-//! world along with a [`Scheduler`] through which the world emits follow-up
-//! events. Because the queue is insertion-stable and the clock is integer
-//! nanoseconds, runs are bit-for-bit reproducible.
+//! A [`World`] owns simulated state: all of it, or one shard's slice of it.
+//! The [`Engine`](crate::Engine) pops each shard's events in timestamp
+//! order, advances that shard's clock, and hands each event to the world
+//! along with a [`Scheduler`], through which the world emits follow-up
+//! events and hand-offs to other shards. Because the queue is
+//! insertion-stable and the clock is integer nanoseconds, runs are
+//! bit-for-bit reproducible.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
-/// Process-wide dispatch totals across every [`Engine`] instance, fed by the
-/// run loops and read by benchmark harnesses to time dispatch (mcbench's
-/// `sim.dispatch` span).
+/// Process-wide dispatch totals across every [`Engine`](crate::Engine)
+/// instance, fed by the run loops and read by benchmark harnesses to time
+/// dispatch (mcbench's `sim.dispatch` span).
 pub mod dispatch_stats {
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -35,17 +37,41 @@ pub mod dispatch_stats {
     }
 }
 
-/// Handle through which event handlers schedule future events.
-pub struct Scheduler<E> {
-    now: SimTime,
-    queue: EventQueue<E>,
+/// One hand-off from one shard to another.
+pub struct OutMsg<H> {
+    /// Destination shard index.
+    pub dst_shard: u32,
+    /// Simulated arrival time at the destination shard (at least one
+    /// lookahead after the sending event).
+    pub time: SimTime,
+    /// Canonical tie-break key, major: the sending entity (e.g. source
+    /// node id). Together with `seq` this must be unique per message.
+    pub src: u64,
+    /// Canonical tie-break key, minor: per-`src` sequence number.
+    pub seq: u64,
+    /// The message payload.
+    pub payload: H,
 }
 
-impl<E> Scheduler<E> {
+/// Handle through which event handlers schedule future events on their own
+/// shard and send hand-offs of type `H` to other shards.
+pub struct Scheduler<E, H = ()> {
+    now: SimTime,
+    queue: EventQueue<E>,
+    /// Hand-offs sent this window; the engine routes them at its end.
+    sent: Vec<OutMsg<H>>,
+    /// Earliest arrival among `sent` (`SimTime::MAX` if none): a peer's
+    /// reaction can reach back no earlier than one lookahead after it.
+    earliest_sent: SimTime,
+}
+
+impl<E, H> Scheduler<E, H> {
     pub(crate) fn new() -> Self {
         Scheduler {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            sent: Vec::new(),
+            earliest_sent: SimTime::MAX,
         }
     }
 
@@ -80,7 +106,7 @@ impl<E> Scheduler<E> {
     /// normally-scheduled event, and the wire events of one instant are
     /// delivered in key order, regardless of scheduling order. This gives
     /// packet hand-offs a canonical position within the instant that is
-    /// identical in sequential and sharded runs (see `sim::parallel`).
+    /// identical at any shard count (see `sim::parallel`).
     /// `(time, src, seq)` must be unique among wire events.
     #[inline]
     pub fn at_wire(&mut self, time: SimTime, src: u64, seq: u64, event: E) {
@@ -90,6 +116,22 @@ impl<E> Scheduler<E> {
             self.now
         );
         self.queue.push_wire(time, src, seq, event);
+    }
+
+    /// Send a hand-off to shard `dst_shard`, arriving at `time`, which must
+    /// be at least one lookahead from now. The engine delivers it to that
+    /// shard's [`World::absorb`] at the end of the window. `(time, src, seq)`
+    /// must be unique per message: it is the canonical merge key.
+    #[inline]
+    pub fn send(&mut self, dst_shard: u32, time: SimTime, src: u64, seq: u64, payload: H) {
+        self.earliest_sent = self.earliest_sent.min(time);
+        self.sent.push(OutMsg {
+            dst_shard,
+            time,
+            src,
+            seq,
+            payload,
+        });
     }
 
     /// Number of pending events.
@@ -113,15 +155,47 @@ impl<E> Scheduler<E> {
         self.now = time;
         Some(event)
     }
+
+    /// Earliest arrival among the hand-offs sent this window
+    /// (`SimTime::MAX` if none).
+    #[inline]
+    pub(crate) fn earliest_sent(&self) -> SimTime {
+        self.earliest_sent
+    }
+
+    /// Swap this window's hand-offs into the empty `buf` and start the next
+    /// window with no hand-off sent. Both buffers keep their capacity.
+    pub(crate) fn take_sent(&mut self, buf: &mut Vec<OutMsg<H>>) {
+        debug_assert!(buf.is_empty(), "routed hand-offs left behind");
+        std::mem::swap(&mut self.sent, buf);
+        self.earliest_sent = SimTime::MAX;
+    }
 }
 
-/// All simulated state plus its event-dispatch logic.
-pub trait World {
+/// Simulated state plus its event-dispatch logic: the whole world, or one
+/// shard of it.
+///
+/// A shard keeps all of its state to itself and reaches other shards only
+/// through [`Scheduler::send`], at least one lookahead ahead. A world run
+/// on one shard sends nothing, so its `absorb` is never called.
+pub trait World: Send {
     /// The event alphabet of this world.
-    type Event;
+    type Event: Send;
+    /// A hand-off between shards (e.g. a packet crossing the fabric).
+    type Handoff: Send;
 
     /// Handle one event at time `sched.now()`.
-    fn handle(&mut self, event: Self::Event, sched: &mut Scheduler<Self::Event>);
+    fn handle(&mut self, event: Self::Event, sched: &mut Scheduler<Self::Event, Self::Handoff>);
+
+    /// Take one hand-off a peer shard sent. Called at the window barrier,
+    /// in canonical `(time, src, seq)` order; implementations typically
+    /// park the payload and schedule a wire-class event at `msg.time`,
+    /// keyed by `(msg.src, msg.seq)`, via [`Scheduler::at_wire`].
+    fn absorb(
+        &mut self,
+        msg: OutMsg<Self::Handoff>,
+        sched: &mut Scheduler<Self::Event, Self::Handoff>,
+    );
 }
 
 /// Why a run loop returned.
@@ -135,103 +209,10 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// The discrete-event engine: a clock, an event queue, and a world.
-pub struct Engine<W: World> {
-    world: W,
-    sched: Scheduler<W::Event>,
-    events_handled: u64,
-}
-
-impl<W: World> Engine<W> {
-    /// Wrap `world` with an empty event queue at t=0.
-    pub fn new(world: W) -> Self {
-        Engine {
-            world,
-            sched: Scheduler::new(),
-            events_handled: 0,
-        }
-    }
-
-    /// The current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now
-    }
-
-    /// Total events dispatched so far.
-    pub fn events_handled(&self) -> u64 {
-        self.events_handled
-    }
-
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Exclusive access to the world (for seeding state between phases).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Consume the engine, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
-    /// Schedule an event from outside the world (e.g. workload kickoff).
-    pub fn schedule(&mut self, time: SimTime, event: W::Event) {
-        assert!(time >= self.sched.now, "scheduling into the past");
-        self.sched.queue.push(time, event);
-    }
-
-    /// Schedule an event `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: W::Event) {
-        let at = self.sched.now + delay;
-        self.sched.queue.push(at, event);
-    }
-
-    /// Run until the queue drains.
-    pub fn run_to_idle(&mut self) -> RunOutcome {
-        self.run(SimTime::MAX, u64::MAX)
-    }
-
-    /// Run until the queue drains or the clock passes `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        self.run(deadline, u64::MAX)
-    }
-
-    /// Run until the queue drains, the clock passes `deadline`, or
-    /// `max_events` further events have been dispatched.
-    pub fn run(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
-        let started = std::time::Instant::now();
-        let mut handled = 0u64;
-        let outcome = loop {
-            if handled >= max_events {
-                break match self.sched.peek_time() {
-                    None => RunOutcome::Idle,
-                    Some(t) if t > deadline => RunOutcome::TimeLimit,
-                    Some(_) => RunOutcome::EventLimit,
-                };
-            }
-            let Some(event) = self.sched.pop_due(deadline) else {
-                break if self.sched.queue.is_empty() {
-                    RunOutcome::Idle
-                } else {
-                    RunOutcome::TimeLimit
-                };
-            };
-            self.world.handle(event, &mut self.sched);
-            self.events_handled += 1;
-            handled += 1;
-        };
-        dispatch_stats::add(handled, started.elapsed());
-        outcome
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
 
     /// A world that plays ping-pong `remaining` times, 10ns per hop.
     struct PingPong {
@@ -246,6 +227,7 @@ mod tests {
 
     impl World for PingPong {
         type Event = Ev;
+        type Handoff = ();
         fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
             match event {
                 Ev::Ping => {
@@ -263,18 +245,24 @@ mod tests {
                 }
             }
         }
+        fn absorb(&mut self, _: OutMsg<()>, _: &mut Scheduler<Ev>) {}
+    }
+
+    fn ping_pong(remaining: u32) -> Engine<PingPong> {
+        let mut eng = Engine::new(PingPong {
+            remaining,
+            log: vec![],
+        });
+        eng.schedule(0, SimTime::ZERO, Ev::Ping);
+        eng
     }
 
     #[test]
     fn ping_pong_runs_to_idle() {
-        let mut eng = Engine::new(PingPong {
-            remaining: 3,
-            log: vec![],
-        });
-        eng.schedule(SimTime::ZERO, Ev::Ping);
+        let mut eng = ping_pong(3);
         assert_eq!(eng.run_to_idle(), RunOutcome::Idle);
         assert_eq!(
-            eng.world().log,
+            eng.world(0).log,
             vec![
                 (0, "ping"),
                 (10, "pong"),
@@ -290,11 +278,7 @@ mod tests {
 
     #[test]
     fn deadline_stops_without_consuming_later_events() {
-        let mut eng = Engine::new(PingPong {
-            remaining: 100,
-            log: vec![],
-        });
-        eng.schedule(SimTime::ZERO, Ev::Ping);
+        let mut eng = ping_pong(100);
         assert_eq!(
             eng.run_until(SimTime::from_nanos(25)),
             RunOutcome::TimeLimit
@@ -302,27 +286,19 @@ mod tests {
         assert_eq!(eng.now().as_nanos(), 20);
         // Resume: remaining events still fire.
         assert_eq!(eng.run_to_idle(), RunOutcome::Idle);
-        assert_eq!(eng.world().log.len(), 200);
+        assert_eq!(eng.world(0).log.len(), 200);
     }
 
     #[test]
     fn event_limit() {
-        let mut eng = Engine::new(PingPong {
-            remaining: 100,
-            log: vec![],
-        });
-        eng.schedule(SimTime::ZERO, Ev::Ping);
+        let mut eng = ping_pong(100);
         assert_eq!(eng.run(SimTime::MAX, 5), RunOutcome::EventLimit);
-        assert_eq!(eng.world().log.len(), 5);
+        assert_eq!(eng.world(0).log.len(), 5);
     }
 
     #[test]
     fn throughput_counter_accumulates() {
-        let mut eng = Engine::new(PingPong {
-            remaining: 1000,
-            log: vec![],
-        });
-        eng.schedule(SimTime::ZERO, Ev::Ping);
+        let mut eng = ping_pong(1000);
         eng.run_to_idle();
         assert_eq!(eng.events_handled(), 2000);
     }
@@ -333,12 +309,14 @@ mod tests {
         struct Bad;
         impl World for Bad {
             type Event = ();
+            type Handoff = ();
             fn handle(&mut self, _: (), sched: &mut Scheduler<()>) {
                 sched.at(SimTime::ZERO, ());
             }
+            fn absorb(&mut self, _: OutMsg<()>, _: &mut Scheduler<()>) {}
         }
         let mut eng = Engine::new(Bad);
-        eng.schedule(SimTime::from_nanos(5), ());
+        eng.schedule(0, SimTime::from_nanos(5), ());
         eng.run_to_idle();
     }
 }

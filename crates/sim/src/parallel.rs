@@ -1,11 +1,12 @@
-//! Lookahead-windowed parallel execution: shard a world across cores with a
-//! bit-for-bit deterministic merge.
+//! The engine: lookahead-windowed execution of a world split into shards,
+//! with a bit-for-bit deterministic merge. A sequential run is the
+//! one-shard case.
 //!
-//! A [`ShardWorld`] is one partition of a simulation: it owns a disjoint
-//! slice of the world's state and an [`EventQueue`](crate::EventQueue) of its
-//! own, and interacts with other shards **only** by emitting hand-off
-//! messages into an [`Outbox`]. The [`ShardedEngine`] runs the classic
-//! conservative (Chandy–Misra / YAWNS-style) barrier-synchronized loop:
+//! Each shard is a [`World`] that owns a disjoint slice of the simulated
+//! state and an event queue of its own, and reaches other shards **only**
+//! by sending hand-offs through [`Scheduler::send`]. The [`Engine`] runs the
+//! classic conservative (Chandy–Misra / YAWNS-style) barrier-synchronized
+//! loop:
 //!
 //! 1. every shard publishes the timestamp of its earliest pending event;
 //! 2. the global window start `W` is the minimum; shards then dispatch their
@@ -13,14 +14,14 @@
 //!    horizon is at least `W + lookahead` (`lookahead` = the minimum latency
 //!    of any cross-shard interaction, so nothing a peer does inside the
 //!    window can affect events this side of the horizon);
-//! 3. at the barrier, emitted hand-offs are routed to their destination
+//! 3. at the barrier, sent hand-offs are routed to their destination
 //!    shards and absorbed in the canonical `(time, src, seq)` order.
 //!
 //! Two refinements on the textbook loop:
 //!
 //! * **Lockstep horizons.** Shard `i` runs to `max(W + lookahead, m)`,
 //!   where `m` is the earliest event of any *other* shard, tightened to
-//!   `e + lookahead` once it emits a hand-off arriving at `e`. Nothing a
+//!   `e + lookahead` once it sends a hand-off arriving at `e`. Nothing a
 //!   peer sends this window arrives before `m + lookahead`, which the
 //!   bound never exceeds (`W ≤ m`), so it is conservative. It stops a
 //!   shard at its peers' next event rather than a lookahead past it: the
@@ -29,135 +30,41 @@
 //!   leader idles, and the two leapfrog forever, taking turns instead of
 //!   overlapping. When every peer is drained (`m` = never) a shard keeps
 //!   running alone until it actually talks to a peer, amortizing barrier
-//!   costs away in the serial phases of a ping-pong workload.
+//!   costs away in the serial phases of a ping-pong workload. A single
+//!   shard has no peer, so its one window runs to the deadline.
 //! * **Determinism is schedule-independent.** Window sizing and thread
 //!   interleaving only decide *when* events are dispatched, never their
 //!   relative order within a shard (each queue is insertion-stable) or the
 //!   order of hand-offs (sorted by the unique `(time, src, seq)` key before
 //!   absorption, and delivered ahead of same-instant local events in that
 //!   key order by [`Scheduler::at_wire`]). Results are therefore
-//!   bit-for-bit identical to the sequential engine — proven by the
-//!   differential suites in `crates/core`.
+//!   bit-for-bit identical at any shard count — proven by the differential
+//!   suites in `crates/core`.
 //!
-//! On a single-core host (or with one shard) the engine runs the identical
-//! window protocol on the calling thread — same results, no thread overhead;
-//! `MYRI_SIM_FORCE_THREADS=1` forces the threaded path for parity testing.
+//! With several shards and more than one core, each shard runs on a worker
+//! thread of its own. Otherwise the identical window protocol runs on the
+//! calling thread: same results, no thread overhead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-use crate::engine::{dispatch_stats, RunOutcome, Scheduler};
+use crate::engine::{dispatch_stats, OutMsg, RunOutcome, Scheduler, World};
 use crate::time::{SimDuration, SimTime};
 
-/// One partition of a simulated world, driven by the [`ShardedEngine`].
-///
-/// Implementations must route every cross-shard effect through the
-/// [`Outbox`] (with a hand-off time at least `lookahead` after the emitting
-/// event) and keep all other state strictly shard-local.
-pub trait ShardWorld: Send {
-    /// The event alphabet of this world.
-    type Event: Send;
-    /// A cross-shard hand-off message (e.g. a packet crossing the fabric).
-    type Handoff: Send;
-
-    /// Handle one event at `sched.now()`, emitting any cross-shard effects
-    /// into `outbox`.
-    fn handle(
-        &mut self,
-        event: Self::Event,
-        sched: &mut Scheduler<Self::Event>,
-        outbox: &mut Outbox<Self::Handoff>,
-    );
-
-    /// Deliver one hand-off emitted by a peer shard. Called at the window
-    /// barrier, in canonical `(time, src, seq)` order; implementations
-    /// typically park the payload and schedule a wire-class event at
-    /// `msg.time`, keyed by `(msg.src, msg.seq)`, via [`Scheduler::at_wire`].
-    fn absorb(&mut self, msg: OutMsg<Self::Handoff>, sched: &mut Scheduler<Self::Event>);
-}
-
-/// One cross-shard hand-off in flight.
-pub struct OutMsg<H> {
-    /// Destination shard index.
-    pub dst_shard: u32,
-    /// Simulated arrival time at the destination shard (must be at least
-    /// `lookahead` after the emitting event).
-    pub time: SimTime,
-    /// Canonical tie-break key, major: the emitting entity (e.g. source
-    /// node id). Together with `seq` this must be unique per message.
-    pub src: u64,
-    /// Canonical tie-break key, minor: per-`src` emission sequence.
-    pub seq: u64,
-    /// The message payload.
-    pub payload: H,
-}
-
-/// Collector for the hand-offs one shard emits during a window.
-pub struct Outbox<H> {
-    msgs: Vec<OutMsg<H>>,
-    /// Earliest hand-off time emitted this window (`SimTime::MAX` if none);
-    /// dynamically tightens the emitting shard's horizon.
-    earliest: SimTime,
-}
-
-impl<H> Outbox<H> {
-    /// An empty outbox.
-    pub fn new() -> Self {
-        Outbox {
-            msgs: Vec::new(),
-            earliest: SimTime::MAX,
-        }
-    }
-
-    /// Empty the outbox for the next window, keeping its buffer.
-    fn drain(&mut self) -> std::vec::Drain<'_, OutMsg<H>> {
-        self.earliest = SimTime::MAX;
-        self.msgs.drain(..)
-    }
-
-    /// Emit a hand-off to `dst_shard`, arriving at `time`. `(time, src,
-    /// seq)` must be unique per message — it is the canonical merge key.
-    pub fn send(&mut self, dst_shard: u32, time: SimTime, src: u64, seq: u64, payload: H) {
-        self.earliest = self.earliest.min(time);
-        self.msgs.push(OutMsg {
-            dst_shard,
-            time,
-            src,
-            seq,
-            payload,
-        });
-    }
-
-    /// Number of hand-offs collected.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Whether no hand-off has been emitted.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-}
-
-impl<H> Default for Outbox<H> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Execution diagnostics for one shard, exposed through
-/// [`ShardedEngine::shard_stats`] (and surfaced as `parallel.*` metrics by
-/// the scenario layer). These describe *how* the run was executed — they
-/// legitimately differ between sequential, caller-mode, and threaded runs,
-/// unlike simulation results.
+/// [`Engine::shard_stats`] (and surfaced as `parallel.*` metrics by the
+/// run pipeline when there are several shards). These describe *how* the
+/// run was executed — they legitimately differ between shard counts and
+/// between calling-thread and threaded runs, unlike simulation results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Windows this shard participated in (run_window invocations).
     pub windows: u64,
     /// Windows whose horizon was dynamically tightened below the static
-    /// bound by the shard's own hand-off emissions.
+    /// bound by the shard's own hand-offs.
     pub horizon_tightenings: u64,
-    /// Barrier waits performed (0 in caller mode, 2 per window threaded).
+    /// Barrier waits performed (0 on the calling thread, 2 per window
+    /// threaded).
     pub barrier_waits: u64,
     /// Windows in which this shard dispatched nothing.
     pub idle_windows: u64,
@@ -165,12 +72,68 @@ pub struct ShardStats {
     pub events: u64,
 }
 
-/// One shard: its world partition, event queue, and dispatch counters.
-struct Lane<W: ShardWorld> {
+/// One shard: its world, event queue, routed hand-offs and counters.
+struct Lane<W: World> {
     world: W,
-    sched: Scheduler<W::Event>,
-    events_handled: u64,
+    sched: Scheduler<W::Event, W::Handoff>,
+    /// Hand-offs routed here, absorbed at the next window start.
+    inbox: Vec<OutMsg<W::Handoff>>,
+    /// Earliest pending event (ns; `u64::MAX` when idle), published at
+    /// each window start.
+    next: u64,
     stats: ShardStats,
+}
+
+impl<W: World> Lane<W> {
+    fn new(world: W) -> Self {
+        Lane {
+            world,
+            sched: Scheduler::new(),
+            inbox: Vec::new(),
+            next: u64::MAX,
+            stats: ShardStats::default(),
+        }
+    }
+
+    /// Absorb the routed hand-offs in canonical `(time, src, seq)` order,
+    /// leaving the inbox empty with its buffer kept, and publish the
+    /// shard's earliest pending event.
+    fn absorb_inbox(&mut self) -> u64 {
+        self.inbox.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
+        for m in self.inbox.drain(..) {
+            self.world.absorb(m, &mut self.sched);
+        }
+        self.next = self.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos);
+        self.next
+    }
+
+    /// Dispatch this shard's events while they fall inside its horizon,
+    /// `budget` of them at most. The horizon tightens as the shard sends
+    /// hand-offs: after sending one arriving at `h`, a peer's reaction can
+    /// reach back no earlier than `h + lookahead`.
+    fn run_window(&mut self, static_bound_ns: u64, lookahead: SimDuration, budget: u64) -> u64 {
+        let mut handled = 0u64;
+        while handled < budget {
+            let tightened = horizon(self.sched.earliest_sent().as_nanos(), lookahead);
+            // Horizons are exclusive and at least 1 ns: a positive lookahead
+            // past the window start, or the deadline plus one.
+            let bound = static_bound_ns.min(tightened) - 1;
+            let Some(event) = self.sched.pop_due(SimTime::from_nanos(bound)) else {
+                break;
+            };
+            self.world.handle(event, &mut self.sched);
+            handled += 1;
+        }
+        self.stats.windows += 1;
+        if handled == 0 {
+            self.stats.idle_windows += 1;
+        }
+        if horizon(self.sched.earliest_sent().as_nanos(), lookahead) < static_bound_ns {
+            self.stats.horizon_tightenings += 1;
+        }
+        self.stats.events += handled;
+        handled
+    }
 }
 
 /// Sense-reversing spin barrier for the worker threads. Spins briefly (the
@@ -210,13 +173,10 @@ impl SpinBarrier {
     }
 }
 
-/// Whether the threaded window loop should be used for `n_shards`.
-fn threads_enabled(n_shards: usize) -> bool {
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    let force =
-        *FORCE.get_or_init(|| std::env::var("MYRI_SIM_FORCE_THREADS").as_deref() == Ok("1"));
-    n_shards > 1
-        && (force || std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1)
+/// Whether to run the shards on worker threads: only when there are
+/// several of them and more than one core to put them on.
+fn use_threads(n_shards: usize) -> bool {
+    n_shards > 1 && std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1
 }
 
 /// `floor + lookahead`, saturating at `SimTime::MAX` (idle shards publish
@@ -235,55 +195,53 @@ fn window_bound(w: u64, other_min: u64, lookahead: SimDuration, deadline: SimTim
         .min(deadline.as_nanos().saturating_add(1))
 }
 
-/// Absorb a shard's routed hand-offs in canonical `(time, src, seq)` order,
-/// leaving `inbox` empty with its buffer kept.
-fn absorb_all<W: ShardWorld>(lane: &mut Lane<W>, inbox: &mut Vec<OutMsg<W::Handoff>>) {
-    inbox.sort_unstable_by_key(|m| (m.time, m.src, m.seq));
-    for m in inbox.drain(..) {
-        lane.world.absorb(m, &mut lane.sched);
+/// How the run ends before the window starting at `w`, if it does, after
+/// `handled` of `max_events` events. Every loop decides on the same inputs,
+/// so all shards leave in the same round with the same outcome.
+fn exit(w: u64, deadline: SimTime, handled: u64, max_events: u64) -> Option<RunOutcome> {
+    if w == u64::MAX {
+        Some(RunOutcome::Idle)
+    } else if w > deadline.as_nanos() {
+        Some(RunOutcome::TimeLimit)
+    } else if handled >= max_events {
+        Some(RunOutcome::EventLimit)
+    } else {
+        None
     }
 }
 
-/// The parallel counterpart of [`Engine`](crate::Engine): S shard worlds,
-/// each with its own event queue, synchronized on lookahead windows.
-pub struct ShardedEngine<W: ShardWorld> {
+/// The discrete-event engine: S shard worlds, each with its own clock and
+/// event queue, synchronized on lookahead windows. With one shard it is a
+/// sequential engine.
+pub struct Engine<W: World> {
     lanes: Vec<Lane<W>>,
     lookahead: SimDuration,
 }
 
-impl<W: ShardWorld> ShardedEngine<W> {
+impl<W: World> Engine<W> {
+    /// A sequential engine: `world` as the one shard, with an empty event
+    /// queue at t=0.
+    pub fn new(world: W) -> Self {
+        Engine {
+            lanes: vec![Lane::new(world)],
+            lookahead: SimDuration::MAX,
+        }
+    }
+
     /// Wrap `worlds` (one per shard) with empty queues at t=0. `lookahead`
     /// must be the minimum simulated latency of any cross-shard hand-off,
     /// and must be strictly positive — a zero lookahead admits no
     /// conservative window.
-    pub fn new(worlds: Vec<W>, lookahead: SimDuration) -> Self {
+    pub fn sharded(worlds: Vec<W>, lookahead: SimDuration) -> Self {
         assert!(!worlds.is_empty(), "at least one shard");
         assert!(
             lookahead > SimDuration::ZERO,
             "conservative windowing needs a positive lookahead"
         );
-        ShardedEngine {
-            lanes: worlds
-                .into_iter()
-                .map(|world| Lane {
-                    world,
-                    sched: Scheduler::new(),
-                    events_handled: 0,
-                    stats: ShardStats::default(),
-                })
-                .collect(),
+        Engine {
+            lanes: worlds.into_iter().map(Lane::new).collect(),
             lookahead,
         }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The window width in use.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
     }
 
     /// Schedule an event on shard `shard` from outside the worlds (workload
@@ -292,8 +250,8 @@ impl<W: ShardWorld> ShardedEngine<W> {
         self.lanes[shard].sched.at(time, event);
     }
 
-    /// The latest shard clock (equals the sequential engine's `now()` after
-    /// a drained run: the time of the globally last event).
+    /// The latest shard clock: after a drained run, the time of the last
+    /// event.
     pub fn now(&self) -> SimTime {
         self.lanes
             .iter()
@@ -304,29 +262,18 @@ impl<W: ShardWorld> ShardedEngine<W> {
 
     /// Total events dispatched across all shards.
     pub fn events_handled(&self) -> u64 {
-        self.lanes.iter().map(|l| l.events_handled).sum()
+        self.lanes.iter().map(|l| l.stats.events).sum()
     }
 
     /// Per-shard execution diagnostics (windows, horizon tightenings,
     /// barrier waits, idle windows, events), in shard order.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.lanes
-            .iter()
-            .map(|l| ShardStats {
-                events: l.events_handled,
-                ..l.stats
-            })
-            .collect()
+        self.lanes.iter().map(|l| l.stats).collect()
     }
 
     /// Shared access to shard `i`'s world.
     pub fn world(&self, i: usize) -> &W {
         &self.lanes[i].world
-    }
-
-    /// Exclusive access to shard `i`'s world.
-    pub fn world_mut(&mut self, i: usize) -> &mut W {
-        &mut self.lanes[i].world
     }
 
     /// Consume the engine, returning the shard worlds in shard order.
@@ -339,73 +286,64 @@ impl<W: ShardWorld> ShardedEngine<W> {
         self.run(SimTime::MAX, u64::MAX)
     }
 
-    /// Run until idle, the clock passes `deadline` (no event after it is
-    /// dispatched, exactly like the sequential engine), or at least
-    /// `max_events` have been dispatched (checked at window boundaries, so
-    /// the sharded engine may overshoot by up to one window).
+    /// Run until every shard drains or the clock passes `deadline`.
+    pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
+        self.run(deadline, u64::MAX)
+    }
+
+    /// Run until every shard drains, the clock passes `deadline` (no event
+    /// after it is dispatched), or `max_events` further events have been
+    /// dispatched. On the calling thread the budget is exact; threaded
+    /// shards each may spend what was left of it at the window start.
     pub fn run(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        if threads_enabled(self.lanes.len()) {
+        if use_threads(self.lanes.len()) {
             self.run_threaded(deadline, max_events)
         } else {
             self.run_on_caller(deadline, max_events)
         }
     }
 
-    /// The window protocol on the calling thread (single core, one shard, or
-    /// threads disabled): identical decisions, identical results.
+    /// The window protocol on the calling thread (one shard, or one core):
+    /// identical decisions, identical results.
     fn run_on_caller(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
         let started = std::time::Instant::now();
         let lookahead = self.lookahead;
-        let n = self.lanes.len();
-        // Buffers reused by every window: routed hand-offs per destination,
-        // the one being absorbed, a shard's emissions, and the published
-        // earliest events.
-        let mut mailboxes: Vec<Vec<OutMsg<W::Handoff>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut inbox = Vec::new();
-        let mut outbox = Outbox::new();
-        let mut nexts = Vec::with_capacity(n);
-        let mut handled_total = 0u64;
+        // One shard's hand-offs on their way to the others' inboxes.
+        let mut sent = Vec::new();
+        let mut handled = 0u64;
         let outcome = loop {
             // Barrier phase: absorb routed hand-offs in canonical order.
-            for (lane, mailbox) in self.lanes.iter_mut().zip(&mut mailboxes) {
-                std::mem::swap(&mut inbox, mailbox);
-                absorb_all(lane, &mut inbox);
-            }
-            nexts.clear();
-            nexts.extend(
-                self.lanes
-                    .iter_mut()
-                    .map(|l| l.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos)),
-            );
-            let w = nexts.iter().copied().min().expect("nonempty lanes");
-            if w == u64::MAX {
-                break RunOutcome::Idle;
-            }
-            if w > deadline.as_nanos() {
-                break RunOutcome::TimeLimit;
-            }
-            if handled_total >= max_events {
-                break RunOutcome::EventLimit;
+            let w = self
+                .lanes
+                .iter_mut()
+                .map(Lane::absorb_inbox)
+                .min()
+                .expect("nonempty lanes");
+            if let Some(outcome) = exit(w, deadline, handled, max_events) {
+                break outcome;
             }
             // Window phase: each shard runs to its own horizon.
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                let other_min = nexts
+            for i in 0..self.lanes.len() {
+                let other_min = self
+                    .lanes
                     .iter()
                     .enumerate()
                     .filter(|&(j, _)| j != i)
-                    .map(|(_, &v)| v)
+                    .map(|(_, l)| l.next)
                     .min()
                     .unwrap_or(u64::MAX);
                 let bound = window_bound(w, other_min, lookahead, deadline);
-                handled_total += run_window(lane, bound, lookahead, &mut outbox);
-                for m in outbox.drain() {
+                let lane = &mut self.lanes[i];
+                handled += lane.run_window(bound, lookahead, max_events - handled);
+                lane.sched.take_sent(&mut sent);
+                for m in sent.drain(..) {
                     debug_assert_ne!(m.dst_shard as usize, i, "self hand-off must stay local");
-                    mailboxes[m.dst_shard as usize].push(m);
+                    self.lanes[m.dst_shard as usize].inbox.push(m);
                 }
             }
         };
-        dispatch_stats::add(handled_total, started.elapsed());
+        dispatch_stats::add(handled, started.elapsed());
         outcome
     }
 
@@ -452,31 +390,28 @@ struct Shared<H> {
 /// One worker's window loop. Every worker evaluates the same exit conditions
 /// on the same published data, so all of them leave in the same round with
 /// the same outcome.
-fn worker_loop<W: ShardWorld>(
-    me: usize,
-    lane: &mut Lane<W>,
-    sh: &Shared<W::Handoff>,
-) -> RunOutcome {
+fn worker_loop<W: World>(me: usize, lane: &mut Lane<W>, sh: &Shared<W::Handoff>) -> RunOutcome {
     // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
     let started = std::time::Instant::now();
     let mut sense = 0u64;
     let mut local_handled = 0u64;
-    // Reused by every window: swapping the drained inbox into the mailbox
-    // hands its buffer back to the senders.
-    let mut inbox = Vec::new();
-    let mut outbox = Outbox::new();
+    // This shard's hand-offs on their way to the mailboxes.
+    let mut sent = Vec::new();
     let outcome = loop {
-        // Barrier phase: drain my mailbox in canonical order, publish my
+        // Barrier phase: drain my mailbox in canonical order (swapping my
+        // empty inbox in hands its buffer back to the senders), publish my
         // earliest pending event, meet the others at the window start.
         std::mem::swap(
-            &mut inbox,
+            &mut lane.inbox,
             &mut *sh.mailboxes[me]
                 .lock()
                 .expect("a shard worker panicked while flushing hand-offs"),
         );
-        absorb_all(lane, &mut inbox);
-        let next_t = lane.sched.peek_time().map_or(u64::MAX, SimTime::as_nanos);
-        sh.next[me].store(next_t, Ordering::Release);
+        sh.next[me].store(lane.absorb_inbox(), Ordering::Release);
+        // Every count of the last window landed before its closing barrier,
+        // and none of this window's can land before this worker reaches the
+        // opening one, so all workers read the same total.
+        let total = sh.total.load(Ordering::Acquire);
         lane.stats.barrier_waits += 1;
         sh.barrier.wait(&mut sense);
 
@@ -490,26 +425,21 @@ fn worker_loop<W: ShardWorld>(
                 other_min = other_min.min(v);
             }
         }
-        if w == u64::MAX {
-            break RunOutcome::Idle;
-        }
-        if w > sh.deadline.as_nanos() {
-            break RunOutcome::TimeLimit;
-        }
-        if sh.total.load(Ordering::Acquire) >= sh.max_events {
-            break RunOutcome::EventLimit;
+        if let Some(outcome) = exit(w, sh.deadline, total, sh.max_events) {
+            break outcome;
         }
 
         // Window phase: run to my horizon, then flush hand-offs and meet at
         // the window end so every mailbox is complete before the next drain.
         let bound = window_bound(w, other_min, sh.lookahead, sh.deadline);
-        let handled = run_window(lane, bound, sh.lookahead, &mut outbox);
+        let handled = lane.run_window(bound, sh.lookahead, sh.max_events - total);
         if handled > 0 {
             local_handled += handled;
             sh.total.fetch_add(handled, Ordering::AcqRel);
         }
-        if !outbox.is_empty() {
-            flush_outbox(me, &mut outbox, &sh.mailboxes);
+        lane.sched.take_sent(&mut sent);
+        if !sent.is_empty() {
+            flush(me, &mut sent, &sh.mailboxes);
         }
         lane.stats.barrier_waits += 1;
         sh.barrier.wait(&mut sense);
@@ -518,48 +448,13 @@ fn worker_loop<W: ShardWorld>(
     outcome
 }
 
-/// Dispatch one shard's events while they fall inside its horizon. The
-/// horizon tightens as the shard emits hand-offs: after emitting at time
-/// `h`, a peer's reaction can reach back no earlier than `h + lookahead`.
-fn run_window<W: ShardWorld>(
-    lane: &mut Lane<W>,
-    static_bound_ns: u64,
-    lookahead: SimDuration,
-    outbox: &mut Outbox<W::Handoff>,
-) -> u64 {
-    let mut handled = 0u64;
-    loop {
-        let bound = if outbox.earliest == SimTime::MAX {
-            static_bound_ns
-        } else {
-            static_bound_ns.min(horizon(outbox.earliest.as_nanos(), lookahead))
-        };
-        // Horizons are exclusive and at least one lookahead past zero.
-        let Some(event) = lane.sched.pop_due(SimTime::from_nanos(bound - 1)) else {
-            break;
-        };
-        lane.world.handle(event, &mut lane.sched, outbox);
-        handled += 1;
-    }
-    lane.stats.windows += 1;
-    if handled == 0 {
-        lane.stats.idle_windows += 1;
-    }
-    if outbox.earliest != SimTime::MAX
-        && horizon(outbox.earliest.as_nanos(), lookahead) < static_bound_ns
-    {
-        lane.stats.horizon_tightenings += 1;
-    }
-    lane.events_handled += handled;
-    handled
-}
-
-/// Route a window's emissions into the shared mailboxes, one lock per
-/// destination shard. Mailbox arrival order is irrelevant: the receiver
-/// re-sorts by the unique `(time, src, seq)` key before absorbing.
-fn flush_outbox<H>(me: usize, outbox: &mut Outbox<H>, mailboxes: &[Mutex<Vec<OutMsg<H>>>]) {
-    outbox.msgs.sort_unstable_by_key(|m| m.dst_shard);
-    let mut iter = outbox.drain().peekable();
+/// Route a window's hand-offs into the shared mailboxes, one lock per
+/// destination shard, leaving `sent` empty. Mailbox arrival order is
+/// irrelevant: the receiver re-sorts by the unique `(time, src, seq)` key
+/// before absorbing.
+fn flush<H>(me: usize, sent: &mut Vec<OutMsg<H>>, mailboxes: &[Mutex<Vec<OutMsg<H>>>]) {
+    sent.sort_unstable_by_key(|m| m.dst_shard);
+    let mut iter = sent.drain(..).peekable();
     while let Some(first) = iter.next() {
         let dst = first.dst_shard as usize;
         debug_assert_ne!(dst, me, "self hand-off must stay local");
@@ -592,11 +487,11 @@ mod tests {
         Token(u64),
     }
 
-    impl ShardWorld for OneNode {
+    impl World for OneNode {
         type Event = Ev;
         type Handoff = u64;
 
-        fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>, outbox: &mut Outbox<u64>) {
+        fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev, u64>) {
             let Ev::Token(p) = event;
             self.log.push((sched.now().as_nanos(), p));
             if self.remaining > 0 {
@@ -606,13 +501,13 @@ mod tests {
                     // Single-shard mode: bounce locally.
                     sched.at(at, Ev::Token(p + 1));
                 } else {
-                    outbox.send(self.peer_shard, at, u64::from(self.me), self.sent, p + 1);
+                    sched.send(self.peer_shard, at, u64::from(self.me), self.sent, p + 1);
                     self.sent += 1;
                 }
             }
         }
 
-        fn absorb(&mut self, m: OutMsg<u64>, sched: &mut Scheduler<Ev>) {
+        fn absorb(&mut self, m: OutMsg<u64>, sched: &mut Scheduler<Ev, u64>) {
             sched.at_wire(m.time, m.src, m.seq, Ev::Token(m.payload));
         }
     }
@@ -648,7 +543,7 @@ mod tests {
                     sent: 0,
                 }]
             };
-            let mut eng = ShardedEngine::new(worlds, SimDuration::from_nanos(500));
+            let mut eng = Engine::sharded(worlds, SimDuration::from_nanos(500));
             eng.schedule(0, SimTime::ZERO, Ev::Token(0));
             assert_eq!(eng.run_to_idle(), RunOutcome::Idle);
             let mut log: Vec<(u64, u64)> = eng
@@ -660,6 +555,26 @@ mod tests {
             log
         }
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn one_shard_budget_stops_a_world_that_never_idles() {
+        // A world that always reschedules itself never drains; one shard
+        // runs one window up to the deadline, so only the event budget
+        // inside the window can stop it.
+        struct Forever;
+        impl World for Forever {
+            type Event = ();
+            type Handoff = ();
+            fn handle(&mut self, _: (), sched: &mut Scheduler<()>) {
+                sched.after(SimDuration::from_nanos(1), ());
+            }
+            fn absorb(&mut self, _: OutMsg<()>, _: &mut Scheduler<()>) {}
+        }
+        let mut eng = Engine::new(Forever);
+        eng.schedule(0, SimTime::ZERO, ());
+        assert_eq!(eng.run(SimTime::MAX, 1_000), RunOutcome::EventLimit);
+        assert_eq!(eng.events_handled(), 1_000);
     }
 
     const LOOKAHEAD_NS: u64 = 500;
@@ -685,17 +600,12 @@ mod tests {
         Recv(u32),
     }
 
-    impl ShardWorld for Clocks {
+    impl World for Clocks {
         type Event = ClockEv;
         /// The receiving node.
         type Handoff = u32;
 
-        fn handle(
-            &mut self,
-            event: ClockEv,
-            sched: &mut Scheduler<ClockEv>,
-            outbox: &mut Outbox<u32>,
-        ) {
+        fn handle(&mut self, event: ClockEv, sched: &mut Scheduler<ClockEv, u32>) {
             let now = sched.now();
             match event {
                 ClockEv::Recv(node) => self.received[node as usize] += 1,
@@ -708,7 +618,7 @@ mod tests {
                     if self.nodes.contains(&peer) {
                         sched.at_wire(at, u64::from(node), seq, ClockEv::Recv(peer));
                     } else {
-                        outbox.send(peer, at, u64::from(node), seq, peer);
+                        sched.send(peer, at, u64::from(node), seq, peer);
                     }
                     let next = now + SimDuration::from_nanos(PERIOD_NS);
                     if next.as_nanos() < END_NS {
@@ -718,42 +628,50 @@ mod tests {
             }
         }
 
-        fn absorb(&mut self, m: OutMsg<u32>, sched: &mut Scheduler<ClockEv>) {
+        fn absorb(&mut self, m: OutMsg<u32>, sched: &mut Scheduler<ClockEv, u32>) {
             sched.at_wire(m.time, m.src, m.seq, ClockEv::Recv(m.payload));
         }
     }
 
+    /// The two clocks on one shard per entry of `shards`, each listing the
+    /// nodes that shard owns. Node 1 starts two lookaheads after node 0.
+    fn clocks(shards: &[&[u32]]) -> Engine<Clocks> {
+        let worlds = shards
+            .iter()
+            .map(|nodes| Clocks {
+                nodes: nodes.to_vec(),
+                received: [0; 2],
+                log: vec![],
+                sent: [0; 2],
+            })
+            .collect();
+        let mut eng = Engine::sharded(worlds, SimDuration::from_nanos(LOOKAHEAD_NS));
+        for node in 0..2 {
+            let shard = shards.iter().position(|n| n.contains(&node));
+            let shard = shard.expect("every node has a shard");
+            let start = SimTime::from_nanos(u64::from(node) * 2 * LOOKAHEAD_NS);
+            eng.schedule(shard, start, ClockEv::Tick(node));
+        }
+        eng
+    }
+
+    fn sorted_log(eng: Engine<Clocks>) -> Vec<(u64, u32, u64)> {
+        let mut log: Vec<_> = eng.into_worlds().into_iter().flat_map(|w| w.log).collect();
+        log.sort_unstable();
+        log
+    }
+
     #[test]
     fn lockstep_windows_keep_both_shards_busy() {
-        // Node 1 starts two lookaheads after node 0. Horizons of `other_min
-        // + lookahead` would let the leading shard run a lookahead ahead
-        // every window and leave each shard idle in about half of them.
-        let clocks = |nodes: Vec<u32>| Clocks {
-            nodes,
-            received: [0; 2],
-            log: vec![],
-            sent: [0; 2],
-        };
-        let start = |node: u32| SimTime::from_nanos(u64::from(node) * 2 * LOOKAHEAD_NS);
-        let lookahead = SimDuration::from_nanos(LOOKAHEAD_NS);
-        let sorted_log = |worlds: Vec<Clocks>| {
-            let mut log: Vec<_> = worlds.into_iter().flat_map(|w| w.log).collect();
-            log.sort_unstable();
-            log
-        };
-
-        let mut one = ShardedEngine::new(vec![clocks(vec![0, 1])], lookahead);
-        for node in 0..2 {
-            one.schedule(0, start(node), ClockEv::Tick(node));
-        }
+        // Horizons of `other_min + lookahead` would let the leading shard
+        // run a lookahead ahead every window and leave each shard idle in
+        // about half of them.
+        let mut one = clocks(&[&[0, 1]]);
         assert_eq!(one.run_to_idle(), RunOutcome::Idle);
-        let reference = sorted_log(one.into_worlds());
+        let reference = sorted_log(one);
 
         for threaded in [false, true] {
-            let mut two = ShardedEngine::new(vec![clocks(vec![0]), clocks(vec![1])], lookahead);
-            for node in 0..2 {
-                two.schedule(node as usize, start(node), ClockEv::Tick(node));
-            }
+            let mut two = clocks(&[&[0], &[1]]);
             let outcome = if threaded {
                 two.run_threaded(SimTime::MAX, u64::MAX)
             } else {
@@ -768,7 +686,36 @@ mod tests {
                     s.windows
                 );
             }
-            assert_eq!(sorted_log(two.into_worlds()), reference, "threaded {threaded}");
+            assert_eq!(sorted_log(two), reference, "threaded {threaded}");
+        }
+    }
+
+    #[test]
+    fn event_budget_stops_both_loops_and_the_run_resumes() {
+        let mut one = clocks(&[&[0, 1]]);
+        assert_eq!(one.run_to_idle(), RunOutcome::Idle);
+        let total = one.events_handled();
+        let reference = sorted_log(one);
+
+        for threaded in [false, true] {
+            let mut two = clocks(&[&[0], &[1]]);
+            let outcome = if threaded {
+                two.run_threaded(SimTime::MAX, 100)
+            } else {
+                two.run_on_caller(SimTime::MAX, 100)
+            };
+            assert_eq!(outcome, RunOutcome::EventLimit, "threaded {threaded}");
+            // Exact on the calling thread; each threaded shard may spend
+            // what was left of the budget when its last window opened.
+            let spent = two.events_handled();
+            if threaded {
+                assert!((100..=200).contains(&spent), "threaded run spent {spent}");
+            } else {
+                assert_eq!(spent, 100);
+            }
+            assert_eq!(two.run_on_caller(SimTime::MAX, u64::MAX), RunOutcome::Idle);
+            assert_eq!(two.events_handled(), total, "threaded {threaded}");
+            assert_eq!(sorted_log(two), reference, "threaded {threaded}");
         }
     }
 }

@@ -9,9 +9,9 @@
 //! Its tiebreak is the hand-off's canonical `(src, seq)` key with the class
 //! bit clear, so at any instant every wire event pops before every ordinary
 //! one, and wire events pop in key order — whenever, and on whichever
-//! shard, they were pushed. That canonical position is what the parallel
-//! engine's deterministic merge rests on; the sequential engine uses the
-//! same rule, so both modes agree bit for bit.
+//! shard, they were pushed. That canonical position is what the engine's
+//! deterministic merge rests on; a one-shard run uses the same rule, so
+//! every shard count agrees bit for bit.
 //!
 //! Two interchangeable implementations sit behind [`EventQueue`]:
 //!

@@ -1,6 +1,6 @@
 //! Measurement collectors used by the protocol layers and the bench harness.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Streaming mean / variance / min / max (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
@@ -100,53 +100,6 @@ impl OnlineStats {
         self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-/// Tracks how much of wall-clock simulated time a resource spent busy.
-///
-/// Used for host-CPU-time accounting in the skew experiments: the host "CPU"
-/// is busy while it is inside an MPI call or computing.
-#[derive(Debug, Clone, Default)]
-pub struct BusyTracker {
-    busy: SimDuration,
-    busy_since: Option<SimTime>,
-}
-
-impl BusyTracker {
-    /// New, idle tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mark the resource busy starting at `now`. No-op if already busy.
-    pub fn start(&mut self, now: SimTime) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
-    }
-
-    /// Mark the resource idle at `now`, accumulating the busy span.
-    ///
-    /// Panics if not currently busy.
-    pub fn stop(&mut self, now: SimTime) {
-        let since = self.busy_since.take().expect("BusyTracker::stop while idle");
-        self.busy += now - since;
-    }
-
-    /// Whether currently marked busy.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-
-    /// Total accumulated busy time (excluding any open interval).
-    pub fn total(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Reset the accumulated total (keeps any open interval's start).
-    pub fn reset(&mut self) {
-        self.busy = SimDuration::ZERO;
     }
 }
 
@@ -451,35 +404,6 @@ mod tests {
         assert!((a.stddev() - all.stddev()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn busy_tracker_accumulates() {
-        let mut b = BusyTracker::new();
-        b.start(SimTime::from_nanos(10));
-        assert!(b.is_busy());
-        b.stop(SimTime::from_nanos(30));
-        b.start(SimTime::from_nanos(100));
-        b.stop(SimTime::from_nanos(105));
-        assert_eq!(b.total().as_nanos(), 25);
-        b.reset();
-        assert_eq!(b.total().as_nanos(), 0);
-    }
-
-    #[test]
-    fn busy_tracker_double_start_is_noop() {
-        let mut b = BusyTracker::new();
-        b.start(SimTime::from_nanos(10));
-        b.start(SimTime::from_nanos(20)); // ignored
-        b.stop(SimTime::from_nanos(30));
-        assert_eq!(b.total().as_nanos(), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "while idle")]
-    fn busy_tracker_stop_idle_panics() {
-        let mut b = BusyTracker::new();
-        b.stop(SimTime::from_nanos(1));
     }
 
     #[test]

@@ -430,11 +430,6 @@ impl WatchEngine {
         self
     }
 
-    /// The configured detector set.
-    pub fn detector_set(&self) -> &[Detector] {
-        &self.detectors
-    }
-
     /// Evaluate the gauge detectors over a series stream (must already be
     /// canonically merged). Returns incidents in canonical order, without
     /// evidence — call [`attach_evidence`] afterwards.

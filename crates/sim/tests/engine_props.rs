@@ -1,7 +1,9 @@
 //! Property-based tests of the event engine: causal ordering, determinism,
 //! and statistics algebra.
 
-use gm_sim::{DetRng, Engine, EventQueue, OnlineStats, Scheduler, SimDuration, SimTime, World};
+use gm_sim::{
+    DetRng, Engine, EventQueue, OnlineStats, OutMsg, Scheduler, SimDuration, SimTime, World,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -35,6 +37,7 @@ proptest! {
         }
         impl World for Recorder {
             type Event = ();
+            type Handoff = ();
             fn handle(&mut self, _: (), sched: &mut Scheduler<()>) {
                 self.seen.push(sched.now().as_nanos());
                 if self.next < self.delays.len() {
@@ -43,12 +46,13 @@ proptest! {
                     sched.after(SimDuration::from_nanos(d), ());
                 }
             }
+            fn absorb(&mut self, _: OutMsg<()>, _: &mut Scheduler<()>) {}
         }
         let n = delays.len();
         let mut eng = Engine::new(Recorder { delays, next: 0, seen: vec![] });
-        eng.schedule(SimTime::ZERO, ());
+        eng.schedule(0, SimTime::ZERO, ());
         eng.run_to_idle();
-        let seen = &eng.world().seen;
+        let seen = &eng.world(0).seen;
         prop_assert_eq!(seen.len(), n + 1);
         for w in seen.windows(2) {
             prop_assert!(w[0] <= w[1], "clock went backwards");

@@ -33,6 +33,17 @@ run test -q "${CARGO_FLAGS[@]}"
 # mcbench's to measure.
 run test -q --workspace "${CARGO_FLAGS[@]}"
 
+# One-CPU pass: on a multi-core host sharded runs take the threaded window
+# loop, so pin the parity and determinism suites to one core to run the
+# calling-thread loop with several shards end to end, as a single-core host
+# does.
+if command -v taskset >/dev/null 2>&1; then
+  echo "+ taskset -c 0 cargo test -q -p nic-mcast --test parallel_parity --test determinism"
+  taskset -c 0 cargo test -q -p nic-mcast --test parallel_parity --test determinism "${CARGO_FLAGS[@]}"
+else
+  echo "ci: taskset not found, skipping the one-CPU parity pass"
+fi
+
 # The benchmark is a package of its own (mcbench/, outside the workspace):
 # its unit tests, then a smoke run — one pass of each of the five workloads
 # at a tenth of the simulated length, every pass checked. The smoke run

@@ -231,12 +231,12 @@ fn non_members_never_see_group_traffic() {
     run.warmup = 1;
     run.iters = 5;
     let (cluster, shared) = myri_mcast::mcast::build_cluster(&run);
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     eng.run_to_idle();
     assert_eq!(shared.lock().unwrap().iters_done, 5);
     // Nodes outside the group processed zero multicast receptions.
     for i in [1u32, 2, 4, 5, 7] {
-        let c = &eng.world().nic(NodeId(i)).counters;
+        let c = &eng.world(0).nic(NodeId(i)).counters;
         assert_eq!(c.get("mcast_rx"), 0, "non-member {i} saw group traffic");
         assert_eq!(c.get("mcast_delivered"), 0);
     }

@@ -152,7 +152,7 @@ fn assert_burst_delivery(logs: &[DeliveryLog], count: u64) {
 fn burst_of_mixed_size_multicasts_arrives_in_order_everywhere() {
     for shape in [TreeShape::Binomial, TreeShape::Flat, TreeShape::Chain, TreeShape::KAry(2)] {
         let (cluster, logs, done) = burst_cluster(8, shape, 12, FaultPlan::none());
-        let mut eng = cluster.into_engine();
+        let mut eng = cluster.into_engine(1);
         eng.run_to_idle();
         assert_burst_delivery(&logs, 12);
         assert_eq!(*done.lock().unwrap(), 12, "root must see every SendDone");
@@ -162,12 +162,12 @@ fn burst_of_mixed_size_multicasts_arrives_in_order_everywhere() {
 #[test]
 fn burst_survives_random_loss_in_order() {
     let (cluster, logs, done) = burst_cluster(8, TreeShape::Binomial, 10, FaultPlan::with_loss(0.03));
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     eng.run_to_idle();
     assert_burst_delivery(&logs, 10);
     assert_eq!(*done.lock().unwrap(), 10);
     // Loss must actually have occurred for this test to mean anything.
-    let dropped: u64 = eng.world().fabric().counters().get("dropped_random");
+    let dropped: u64 = eng.world(0).fabric().counters().get("dropped_random");
     assert!(dropped > 0, "expected some loss at 3%");
 }
 
@@ -271,7 +271,7 @@ fn two_concurrent_groups_with_interleaved_membership() {
             }),
         );
     }
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     eng.run_to_idle();
     assert!(eng.now() > SimTime::ZERO);
     for (i, log) in logs.iter().enumerate() {
@@ -358,12 +358,12 @@ fn scarce_receive_credits_recover_via_retransmission() {
             }),
         );
     }
-    let mut eng = cluster.into_engine();
+    let mut eng = cluster.into_engine(1);
     eng.run_to_idle();
     assert_burst_delivery(&logs, 12);
     assert_eq!(*done.lock().unwrap(), 12);
     let token_drops: u64 = (1..n)
-        .map(|i| eng.world().nic(NodeId(i)).counters.get("rx_drop_no_token"))
+        .map(|i| eng.world(0).nic(NodeId(i)).counters.get("rx_drop_no_token"))
         .sum();
     assert!(token_drops > 0, "the credit wall must have been hit");
 }

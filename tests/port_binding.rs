@@ -71,7 +71,7 @@ fn multicast_groups_deliver_only_on_their_port() {
             }),
         );
     }
-    c.into_engine().run_to_idle();
+    c.into_engine(1).run_to_idle();
     for (i, log) in logs.iter().enumerate().skip(1) {
         let got = log.lock().unwrap();
         assert_eq!(got.len(), 1, "node {i}");

@@ -99,7 +99,7 @@ fn idle_multicast_firmware_leaves_unicast_timelines_bit_identical() {
                 }),
             );
             c.set_app(NodeId(1), Box::new(Echo { size }));
-            c.into_engine().run_to_idle();
+            c.into_engine(1).run_to_idle();
             let t = times.lock().unwrap().clone();
             t
         };
@@ -119,7 +119,7 @@ fn idle_multicast_firmware_leaves_unicast_timelines_bit_identical() {
                 })),
             );
             c.set_app(NodeId(1), Box::new(Echo { size }));
-            c.into_engine().run_to_idle();
+            c.into_engine(1).run_to_idle();
             let t = times.lock().unwrap().clone();
             t
         };
