@@ -5,9 +5,6 @@
 //! unmodified firmware (`NoExt`) and with the multicast extension installed
 //! (`McastExt`, groups present but idle) and print both.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, NicExtension, NoExt, Notice};
 use gm_sim::{SimTime, OnlineStats};
@@ -23,7 +20,7 @@ struct Pinger {
     warmup: u32,
     count: u32,
     t0: SimTime,
-    rtt: Arc<Mutex<OnlineStats>>,
+    rtt: OnlineStats,
 }
 
 impl<X: NicExtension> HostApp<X> for Pinger {
@@ -35,9 +32,7 @@ impl<X: NicExtension> HostApp<X> for Pinger {
     fn on_notice(&mut self, n: Notice<X::Notice>, ctx: &mut HostCtx<'_, X>) {
         if let Notice::Recv { .. } = n {
             if self.count >= self.warmup {
-                self.rtt
-                    .lock().expect("shared app state mutex poisoned")
-                    .record((ctx.now() - self.t0).as_micros_f64());
+                self.rtt.record((ctx.now() - self.t0).as_micros_f64());
             }
             self.count += 1;
             ctx.provide_recv(P0, 1);
@@ -66,7 +61,6 @@ impl<X: NicExtension> HostApp<X> for Echo {
 }
 
 fn pingpong_noext(size: usize) -> f64 {
-    let rtt = Arc::new(Mutex::new(OnlineStats::new()));
     let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
     c.set_app(
         NodeId(0),
@@ -76,17 +70,14 @@ fn pingpong_noext(size: usize) -> f64 {
             warmup: 5,
             count: 0,
             t0: SimTime::ZERO,
-            rtt: rtt.clone(),
+            rtt: OnlineStats::new(),
         }),
     );
     c.set_app(NodeId(1), Box::new(Echo { size }));
-    gm::drive(c, 1);
-    let m = rtt.lock().expect("shared app state mutex poisoned").mean();
-    m
+    gm::drive(c, 1).app::<Pinger>(NodeId(0)).rtt.mean()
 }
 
 fn pingpong_mcast_installed(size: usize) -> f64 {
-    let rtt = Arc::new(Mutex::new(OnlineStats::new()));
     let mut c = Cluster::new(
         GmParams::default(),
         Fabric::new(Topology::for_nodes(2), 1),
@@ -121,13 +112,12 @@ fn pingpong_mcast_installed(size: usize) -> f64 {
             warmup: 5,
             count: 0,
             t0: SimTime::ZERO,
-            rtt: rtt.clone(),
+            rtt: OnlineStats::new(),
         })),
     );
     c.set_app(NodeId(1), Box::new(Echo { size }));
-    gm::drive(c, 1);
-    let m = rtt.lock().expect("shared app state mutex poisoned").mean();
-    m
+    let run = gm::drive(c, 1);
+    run.app::<PingerWithGroup>(NodeId(0)).0.rtt.mean()
 }
 
 fn main() {

@@ -8,7 +8,6 @@
 //! leaf, with no central credit manager to congest (the FM/MC weakness from
 //! Figure 1).
 
-use std::sync::Mutex;
 use std::sync::Arc;
 
 use bench::{factor, par_map, us, CliOpts, Table};
@@ -30,9 +29,6 @@ fn trees(n: u32) -> Vec<SpanningTree> {
         .collect()
 }
 
-/// `completion[node]` = time the node held all n-1 foreign messages.
-type Completion = Arc<Mutex<Vec<SimTime>>>;
-
 struct NbAll {
     me: NodeId,
     n: u32,
@@ -40,7 +36,8 @@ struct NbAll {
     trees: Arc<Vec<SpanningTree>>,
     ready: u32,
     got: u32,
-    done: Completion,
+    /// When the node held all n-1 foreign messages.
+    done: SimTime,
 }
 
 impl HostApp<McastExt> for NbAll {
@@ -75,7 +72,7 @@ impl HostApp<McastExt> for NbAll {
                 assert!(data.iter().all(|&b| b == tag as u8));
                 self.got += 1;
                 if self.got == self.n - 1 {
-                    self.done.lock().expect("shared app state mutex poisoned")[self.me.idx()] = ctx.now();
+                    self.done = ctx.now();
                 }
             }
             _ => {}
@@ -89,7 +86,8 @@ struct HbAll {
     size: usize,
     trees: Arc<Vec<SpanningTree>>,
     got: u32,
-    done: Completion,
+    /// When the node held all n-1 foreign messages.
+    done: SimTime,
 }
 
 impl HbAll {
@@ -113,7 +111,7 @@ impl HostApp<McastExt> for HbAll {
             self.forward(ctx, root, &data);
             self.got += 1;
             if self.got == self.n - 1 {
-                self.done.lock().expect("shared app state mutex poisoned")[self.me.idx()] = ctx.now();
+                self.done = ctx.now();
             }
         }
     }
@@ -122,7 +120,6 @@ impl HostApp<McastExt> for HbAll {
 fn makespan(n: u32, size: usize, nic: bool) -> f64 {
     let fabric = Fabric::new(Topology::for_nodes(n), 23);
     let shared = Arc::new(trees(n));
-    let done: Completion = Arc::new(Mutex::new(vec![SimTime::ZERO; n as usize]));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..n {
         if nic {
@@ -135,7 +132,7 @@ fn makespan(n: u32, size: usize, nic: bool) -> f64 {
                     trees: shared.clone(),
                     ready: 0,
                     got: 0,
-                    done: done.clone(),
+                    done: SimTime::ZERO,
                 }),
             );
         } else {
@@ -147,13 +144,22 @@ fn makespan(n: u32, size: usize, nic: bool) -> f64 {
                     size,
                     trees: shared.clone(),
                     got: 0,
-                    done: done.clone(),
+                    done: SimTime::ZERO,
                 }),
             );
         }
     }
-    gm::drive(cluster, 1);
-    let d = done.lock().expect("shared app state mutex poisoned");
+    let run = gm::drive(cluster, 1);
+    let d: Vec<SimTime> = (0..n)
+        .map(NodeId)
+        .map(|i| {
+            if nic {
+                run.app::<NbAll>(i).done
+            } else {
+                run.app::<HbAll>(i).done
+            }
+        })
+        .collect();
     assert!(d.iter().all(|&t| t > SimTime::ZERO), "someone never finished");
     d.iter().map(|t| t.as_micros_f64()).fold(0.0, f64::max)
 }

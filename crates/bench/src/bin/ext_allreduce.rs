@@ -3,9 +3,6 @@
 //! against a host-level reduce-then-broadcast over the same binomial tree
 //! (the classic MPI implementation).
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bench::{par_map, us, CliOpts, Table};
 use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
@@ -19,9 +16,10 @@ const GID: GroupId = GroupId(1);
 
 /// Steady-state round time measured at node 0 between completion `warmup`
 /// and completion `rounds`.
+#[derive(Default)]
 struct Timing {
-    t_start: Arc<Mutex<SimTime>>,
-    t_end: Arc<Mutex<SimTime>>,
+    t_start: SimTime,
+    t_end: SimTime,
 }
 
 // --- NIC-level allreduce loop -----------------------------------------------
@@ -32,7 +30,7 @@ struct NicReduceLoop {
     rounds: u32,
     round: u32,
     warmup: u32,
-    timing: Arc<Timing>,
+    timing: Timing,
 }
 
 impl HostApp<McastExt> for NicReduceLoop {
@@ -62,10 +60,10 @@ impl HostApp<McastExt> for NicReduceLoop {
                 self.round += 1;
                 if self.me.0 == 0 {
                     if self.round == self.warmup {
-                        *self.timing.t_start.lock().expect("shared app state mutex poisoned") = ctx.now();
+                        self.timing.t_start = ctx.now();
                     }
                     if self.round == self.rounds {
-                        *self.timing.t_end.lock().expect("shared app state mutex poisoned") = ctx.now();
+                        self.timing.t_end = ctx.now();
                     }
                 }
                 if self.round < self.rounds {
@@ -95,7 +93,7 @@ struct HostReduceLoop {
     /// Child partials received this round.
     got: u32,
     acc: u64,
-    timing: Arc<Timing>,
+    timing: Timing,
 }
 
 impl HostReduceLoop {
@@ -143,10 +141,10 @@ impl HostReduceLoop {
         self.round += 1;
         if self.me.0 == 0 {
             if self.round == self.warmup {
-                *self.timing.t_start.lock().expect("shared app state mutex poisoned") = ctx.now();
+                self.timing.t_start = ctx.now();
             }
             if self.round == self.rounds {
-                *self.timing.t_end.lock().expect("shared app state mutex poisoned") = ctx.now();
+                self.timing.t_end = ctx.now();
             }
         }
         if self.round < self.rounds {
@@ -186,24 +184,23 @@ impl HostApp<McastExt> for HostReduceLoop {
     }
 }
 
-fn round_us<A, F>(n: u32, rounds: u32, warmup: u32, mk: F) -> f64
-where
-    A: HostApp<McastExt> + Send + 'static,
-    F: Fn(NodeId, SpanningTree, Arc<Timing>) -> A,
-{
+fn round_us<A: HostApp<McastExt>>(
+    n: u32,
+    rounds: u32,
+    warmup: u32,
+    mk: impl Fn(NodeId, SpanningTree) -> A,
+    timing: impl Fn(&A) -> &Timing,
+) -> f64 {
     let fabric = Fabric::new(Topology::for_nodes(n), 17);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let timing = Arc::new(Timing {
-        t_start: Arc::new(Mutex::new(SimTime::ZERO)),
-        t_end: Arc::new(Mutex::new(SimTime::ZERO)),
-    });
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..n {
-        cluster.set_app(NodeId(i), Box::new(mk(NodeId(i), tree.clone(), timing.clone())));
+        cluster.set_app(NodeId(i), Box::new(mk(NodeId(i), tree.clone())));
     }
-    gm::drive(cluster, 1);
-    let span = timing.t_end.lock().expect("shared app state mutex poisoned").saturating_since(*timing.t_start.lock().expect("shared app state mutex poisoned"));
+    let run = gm::drive(cluster, 1);
+    let t = timing(run.app::<A>(NodeId(0)));
+    let span = t.t_end.saturating_since(t.t_start);
     span.as_micros_f64() / (rounds - warmup) as f64
 }
 
@@ -219,7 +216,7 @@ fn main() {
     let opts = CliOpts::parse();
     let rounds = opts.warmup + opts.iters;
     let results: Vec<Point> = par_map(vec![4u32, 8, 16, 32, 64], |&n| {
-        let host_us = round_us(n, rounds, opts.warmup, |me, tree, timing| HostReduceLoop {
+        let host_loop = |me, tree| HostReduceLoop {
             me,
             tree,
             rounds,
@@ -227,16 +224,18 @@ fn main() {
             warmup: opts.warmup,
             got: 0,
             acc: 0,
-            timing,
-        });
-        let nic_us = round_us(n, rounds, opts.warmup, |me, tree, timing| NicReduceLoop {
+            timing: Timing::default(),
+        };
+        let host_us = round_us(n, rounds, opts.warmup, host_loop, |a| &a.timing);
+        let nic_loop = |me, tree| NicReduceLoop {
             me,
             tree,
             rounds,
             round: 0,
             warmup: opts.warmup,
-            timing,
-        });
+            timing: Timing::default(),
+        };
+        let nic_us = round_us(n, rounds, opts.warmup, nic_loop, |a| &a.timing);
         Point {
             nodes: n,
             host_us,

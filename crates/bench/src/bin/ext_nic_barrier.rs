@@ -4,9 +4,6 @@
 //! multicast — compared against the host-level dissemination barrier the
 //! MPI layer uses.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bench::{par_map, us, CliOpts, Table};
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_mpi::{execute_mpi, BcastImpl, MpiOp, MpiRun};
@@ -23,8 +20,8 @@ struct BarrierLoop {
     tree: SpanningTree,
     rounds: u32,
     round: u32,
-    t_start: Arc<Mutex<SimTime>>,
-    t_end: Arc<Mutex<SimTime>>,
+    t_start: SimTime,
+    t_end: SimTime,
     warmup: u32,
 }
 
@@ -51,10 +48,10 @@ impl HostApp<McastExt> for BarrierLoop {
                 self.round += 1;
                 if self.me.0 == 0 {
                     if self.round == self.warmup {
-                        *self.t_start.lock().expect("shared app state mutex poisoned") = ctx.now();
+                        self.t_start = ctx.now();
                     }
                     if self.round == self.rounds {
-                        *self.t_end.lock().expect("shared app state mutex poisoned") = ctx.now();
+                        self.t_end = ctx.now();
                     }
                 }
                 if self.round < self.rounds {
@@ -74,8 +71,6 @@ fn nic_barrier_round_us(n: u32, warmup: u32, iters: u32) -> f64 {
     let fabric = Fabric::new(Topology::for_nodes(n), 13);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let t_start = Arc::new(Mutex::new(SimTime::ZERO));
-    let t_end = Arc::new(Mutex::new(SimTime::ZERO));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..n {
         cluster.set_app(
@@ -85,14 +80,15 @@ fn nic_barrier_round_us(n: u32, warmup: u32, iters: u32) -> f64 {
                 tree: tree.clone(),
                 rounds,
                 round: 0,
-                t_start: t_start.clone(),
-                t_end: t_end.clone(),
+                t_start: SimTime::ZERO,
+                t_end: SimTime::ZERO,
                 warmup,
             }),
         );
     }
-    gm::drive(cluster, 1);
-    let span = t_end.lock().expect("shared app state mutex poisoned").saturating_since(*t_start.lock().expect("shared app state mutex poisoned"));
+    let run = gm::drive(cluster, 1);
+    let root = run.app::<BarrierLoop>(NodeId(0));
+    let span = root.t_end.saturating_since(root.t_start);
     span.as_micros_f64() / iters as f64
 }
 

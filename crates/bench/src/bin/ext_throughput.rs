@@ -4,9 +4,6 @@
 //! back-to-back messages without waiting; throughput is payload bytes
 //! delivered to every destination over the makespan.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bench::{factor, par_map, CliOpts, Table};
 use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
@@ -71,7 +68,8 @@ struct StreamDest {
     burst: u32,
     nic: bool,
     got: u32,
-    done_at: Arc<Mutex<Vec<SimTime>>>,
+    /// When the last message of the burst arrived.
+    done_at: SimTime,
 }
 
 impl HostApp<McastExt> for StreamDest {
@@ -96,7 +94,7 @@ impl HostApp<McastExt> for StreamDest {
             }
             self.got += 1;
             if self.got == self.burst {
-                self.done_at.lock().expect("shared app state mutex poisoned")[self.me.idx()] = ctx.now();
+                self.done_at = ctx.now();
             }
         }
     }
@@ -108,7 +106,6 @@ fn throughput(n: u32, size: usize, burst: u32, nic: bool, shape: TreeShape) -> f
     let fabric = Fabric::new(Topology::for_nodes(n), 29);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, shape);
-    let done_at = Arc::new(Mutex::new(vec![SimTime::ZERO; n as usize]));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     cluster.set_app(
         NodeId(0),
@@ -128,13 +125,16 @@ fn throughput(n: u32, size: usize, burst: u32, nic: bool, shape: TreeShape) -> f
                 burst,
                 nic,
                 got: 0,
-                done_at: done_at.clone(),
+                done_at: SimTime::ZERO,
             }),
         );
     }
-    gm::drive(cluster, 1);
-    let d = done_at.lock().expect("shared app state mutex poisoned");
-    assert!(d.iter().skip(1).all(|&t| t > SimTime::ZERO), "missing deliveries");
+    let run = gm::drive(cluster, 1);
+    let d: Vec<SimTime> = dests
+        .iter()
+        .map(|&m| run.app::<StreamDest>(m).done_at)
+        .collect();
+    assert!(d.iter().all(|&t| t > SimTime::ZERO), "missing deliveries");
     let makespan = d.iter().cloned().fold(SimTime::ZERO, SimTime::max);
     let bytes = burst as u64 * size as u64 * (n as u64 - 1);
     bytes as f64 / makespan.as_micros_f64() // B/us == MB/s

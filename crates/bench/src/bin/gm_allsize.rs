@@ -4,9 +4,6 @@
 //! against era numbers (LANai 9 / PCI64B: ~7 µs short-message latency,
 //! bandwidth approaching the 250 MB/s wire limit).
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bench::{par_map, Table};
 use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
@@ -23,7 +20,7 @@ struct Pinger {
     warmup: u32,
     count: u32,
     t0: SimTime,
-    rtt_sum_us: Arc<Mutex<f64>>,
+    rtt_sum_us: f64,
 }
 
 impl HostApp<NoExt> for Pinger {
@@ -35,7 +32,7 @@ impl HostApp<NoExt> for Pinger {
     fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
         if let Notice::Recv { .. } = n {
             if self.count >= self.warmup {
-                *self.rtt_sum_us.lock().expect("shared app state mutex poisoned") += (ctx.now() - self.t0).as_micros_f64();
+                self.rtt_sum_us += (ctx.now() - self.t0).as_micros_f64();
             }
             self.count += 1;
             ctx.provide_recv(P0, 1);
@@ -81,7 +78,7 @@ impl HostApp<NoExt> for Blaster {
 struct Counter {
     expect: u32,
     got: u32,
-    done_at: Arc<Mutex<SimTime>>,
+    done_at: SimTime,
 }
 
 impl HostApp<NoExt> for Counter {
@@ -93,14 +90,13 @@ impl HostApp<NoExt> for Counter {
             self.got += 1;
             ctx.provide_recv(P0, 1);
             if self.got == self.expect {
-                *self.done_at.lock().expect("shared app state mutex poisoned") = ctx.now();
+                self.done_at = ctx.now();
             }
         }
     }
 }
 
 fn half_rtt_us(size: usize, iters: u32) -> f64 {
-    let sum = Arc::new(Mutex::new(0.0));
     let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
     c.set_app(
         NodeId(0),
@@ -110,17 +106,15 @@ fn half_rtt_us(size: usize, iters: u32) -> f64 {
             warmup: 5,
             count: 0,
             t0: SimTime::ZERO,
-            rtt_sum_us: sum.clone(),
+            rtt_sum_us: 0.0,
         }),
     );
     c.set_app(NodeId(1), Box::new(Echo { size }));
-    gm::drive(c, 1);
-    let s = *sum.lock().expect("shared app state mutex poisoned");
+    let s = gm::drive(c, 1).app::<Pinger>(NodeId(0)).rtt_sum_us;
     s / iters as f64 / 2.0
 }
 
 fn bandwidth_mbs(size: usize, count: u32) -> f64 {
-    let done_at = Arc::new(Mutex::new(SimTime::ZERO));
     let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
     c.set_app(NodeId(0), Box::new(Blaster { size, count }));
     c.set_app(
@@ -128,11 +122,11 @@ fn bandwidth_mbs(size: usize, count: u32) -> f64 {
         Box::new(Counter {
             expect: count,
             got: 0,
-            done_at: done_at.clone(),
+            done_at: SimTime::ZERO,
         }),
     );
-    gm::drive(c, 1);
-    let t = done_at.lock().expect("shared app state mutex poisoned").as_micros_f64();
+    let run = gm::drive(c, 1);
+    let t = run.app::<Counter>(NodeId(1)).done_at.as_micros_f64();
     assert!(t > 0.0, "stream incomplete");
     (size as u64 * count as u64) as f64 / t
 }

@@ -14,8 +14,8 @@ use std::str::FromStr;
 
 use gm_sim::{Metrics, SimDuration};
 use nic_mcast::{
-    ArrivalProcess, BuiltScenario, FanoutDist, McastMode, PostalParams, Scenario, StopCondition,
-    TreeShape, Workload,
+    ArrivalProcess, BuiltScenario, FanoutDist, McastMode, PostalParams, Scenario, ScenarioError,
+    StopCondition, TreeShape, Workload,
 };
 
 /// A group of accepted flags, written as the usage line shows them:
@@ -361,11 +361,16 @@ pub struct CliOpts {
 impl CliOpts {
     /// Decode [`FIGURE_FLAGS`]. Defaults: 100 timed iterations, 10 warmup,
     /// deepest-probe only; `--quick` lowers the defaults to 20 and 3, and
-    /// an explicit `--iters`/`--warmup` wins over it.
+    /// an explicit `--iters`/`--warmup` wins over it. Zero timed iterations
+    /// measure nothing and are rejected.
     pub fn from_args(a: &Args) -> Result<CliOpts, CliError> {
         let (iters, warmup) = if a.has("--quick") { (20, 3) } else { (100, 10) };
+        let iters = a.get("--iters", iters)?;
+        if iters == 0 {
+            return Err(CliError::Invalid(ScenarioError::NoIterations.to_string()));
+        }
         Ok(CliOpts {
-            iters: a.get("--iters", iters)?,
+            iters,
             warmup: a.get("--warmup", warmup)?,
             all_probes: a.has("--all-probes"),
         })

@@ -239,6 +239,12 @@ fn figure_flags_and_quick() {
         (50, 3),
         "an explicit --iters wins over --quick"
     );
+    let a = args(&["--iters", "0"], &[cli::FIGURE_FLAGS]).unwrap();
+    assert_eq!(
+        CliOpts::from_args(&a).err(),
+        Some(CliError::Invalid("need at least 1 timed iteration".into())),
+        "zero timed iterations measure nothing"
+    );
 }
 
 #[test]

@@ -112,7 +112,7 @@ fn nic_based_scenario_counts() {
     let (report, allocs) = counting(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("NIC-based scenario events", events, 5_067);
-    pin("NIC-based scenario allocations", allocs, 3_272);
+    pin("NIC-based scenario allocations", allocs, 3_175);
 }
 
 #[test]
@@ -121,7 +121,7 @@ fn host_based_scenario_counts() {
     let (report, allocs) = counting(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("host-based scenario events", events, 6_049);
-    pin("host-based scenario allocations", allocs, 3_340);
+    pin("host-based scenario allocations", allocs, 3_243);
 }
 
 #[test]
@@ -130,7 +130,7 @@ fn workload_counts() {
     let (report, allocs) = counting(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("workload events", events, 76_917);
-    pin("workload allocations", allocs, 25_433);
+    pin("workload allocations", allocs, 25_138);
 }
 
 #[test]
@@ -138,7 +138,7 @@ fn mpi_bcast_counts() {
     let run = MpiRun::bcast_loop(8, 1024, BcastImpl::NicBased, SimDuration::ZERO, 3, 15);
     let (out, allocs) = counting(|| execute_mpi(&run));
     pin("MPI broadcast events", out.events, 8_647);
-    pin("MPI broadcast allocations", allocs, 3_085);
+    pin("MPI broadcast allocations", allocs, 3_033);
 }
 
 #[test]

@@ -66,5 +66,5 @@ pub use workload::{
 };
 pub use workloads::{
     build_cluster, env_shards, execute, execute_max_over_probes, AckMode, McastMode, McastRun,
-    RunOutput, Shared, DATA_PORT, REPLY_PORT,
+    RootApp, RunOutput, DATA_PORT, REPLY_PORT,
 };

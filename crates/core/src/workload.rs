@@ -41,7 +41,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
@@ -149,6 +149,8 @@ pub enum WorkloadError {
     ZeroFanout,
     /// Membership overlap must lie in `[0, 1]`.
     InvalidOverlap(f64),
+    /// Loss/corruption probabilities must lie in `[0, 1)`.
+    InvalidProbability(f64),
     /// The run duration must be positive.
     ZeroDuration,
     /// A message-count stop needs at least one message.
@@ -187,6 +189,9 @@ impl std::fmt::Display for WorkloadError {
             WorkloadError::ZeroFanout => write!(f, "fixed fan-out must be at least 1"),
             WorkloadError::InvalidOverlap(p) => {
                 write!(f, "membership overlap {p} is outside [0, 1]")
+            }
+            WorkloadError::InvalidProbability(p) => {
+                write!(f, "probability {p} is outside [0, 1)")
             }
             WorkloadError::ZeroDuration => write!(f, "run duration must be positive"),
             WorkloadError::NoMessages => write!(f, "need at least 1 message"),
@@ -405,6 +410,12 @@ impl Workload {
         }
         if !(0.0..=1.0).contains(&self.overlap) {
             return Err(WorkloadError::InvalidOverlap(self.overlap));
+        }
+        // A packet lost for certain is retransmitted forever.
+        for p in [self.faults.drop_prob, self.faults.corrupt_prob] {
+            if !(0.0..1.0).contains(&p) {
+                return Err(WorkloadError::InvalidProbability(p));
+            }
         }
         match &self.arrivals {
             ArrivalProcess::Poisson { rate_hz } | ArrivalProcess::FixedRate { rate_hz } => {
@@ -656,8 +667,8 @@ struct GroupTally {
     bytes: u64,
 }
 
-/// Per-node measurement state (locked only by its own node's app, so
-/// thread interleaving under sharded execution cannot reorder anything).
+/// Per-node measurement state, owned by the node's app, so thread
+/// interleaving under sharded execution cannot reorder anything.
 #[derive(Default)]
 struct NodeStats {
     delivered_total: u64,
@@ -678,7 +689,7 @@ struct WlApp {
     /// Root actions deferred behind a parked install, flushed in order on
     /// `GroupReady` — admission backpressure surfaces as delivery latency.
     waiting: BTreeMap<u32, Vec<Act>>,
-    stats: Arc<Mutex<NodeStats>>,
+    stats: NodeStats,
 }
 
 impl WlApp {
@@ -783,7 +794,7 @@ impl HostApp<McastExt> for WlApp {
                 debug_assert_eq!(data.len(), self.shared.size, "payload length corrupted");
                 let scheduled = g.arrivals[msg as usize];
                 let lat = ctx.now() - scheduled;
-                let mut s = self.stats.lock().expect("node stats mutex poisoned");
+                let s = &mut self.stats;
                 s.delivered_total += 1;
                 if scheduled >= self.shared.warmup {
                     s.hist.record(lat);
@@ -865,9 +876,6 @@ impl BuiltWorkload {
             size: spec.size,
             baseline: spec.watch.is_enabled(),
         });
-        let stats: Vec<Arc<Mutex<NodeStats>>> = (0..n)
-            .map(|_| Arc::new(Mutex::new(NodeStats::default())))
-            .collect();
         for (node, mut agenda) in agendas.into_iter().enumerate() {
             agenda.sort_by_key(|&(at, _)| at);
             cluster.set_app(
@@ -879,7 +887,7 @@ impl BuiltWorkload {
                     next: 0,
                     ready: BTreeSet::new(),
                     waiting: BTreeMap::new(),
-                    stats: stats[node].clone(),
+                    stats: NodeStats::default(),
                 }),
             );
         }
@@ -894,8 +902,8 @@ impl BuiltWorkload {
         let mut warmup_hist = LogHistogram::new();
         let mut delivered_total = 0u64;
         let mut tallies: BTreeMap<u32, GroupTally> = BTreeMap::new();
-        for s in &stats {
-            let s = s.lock().expect("node stats mutex poisoned");
+        for node in (0..n).map(NodeId) {
+            let s = &driven.app::<WlApp>(node).stats;
             hist.merge_from(&s.hist);
             warmup_hist.merge_from(&s.warmup_hist);
             delivered_total += s.delivered_total;

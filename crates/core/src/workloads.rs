@@ -15,9 +15,6 @@
 //!   child and every interior *host* re-sends on receive (the traditional
 //!   store-and-forward broadcast the paper compares against).
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::{attribution, ProbeConfig};
@@ -165,21 +162,10 @@ pub struct RunOutput {
     pub root_link_utilization: f64,
 }
 
-/// Measurements shared between the root app and the harness.
-pub struct Shared {
-    /// Per-iteration latency samples (µs).
-    pub latency: OnlineStats,
-    /// Latency distribution (1 µs buckets up to 100 ms).
-    pub latency_hist: Histogram,
-    /// Timed iterations completed.
-    pub iters_done: u32,
-    /// `(start, end)` of each timed iteration — the windows latency
-    /// attribution decomposes.
-    pub windows: Vec<(SimTime, SimTime)>,
-}
-
-/// The root's driver app.
-struct RootApp {
+/// The root's app: it runs the iterations and keeps the measurements,
+/// which [`execute`] reads back from the finished run. A caller that runs
+/// a [`build_cluster`] cluster itself reads `Driven::app::<RootApp>(run.root)`.
+pub struct RootApp {
     run: McastRun,
     tree: SpanningTree,
     gid: GroupId,
@@ -187,7 +173,15 @@ struct RootApp {
     t_start: SimTime,
     /// Outstanding completion notices this iteration (NicAck mode).
     pending: u32,
-    shared: Arc<Mutex<Shared>>,
+    /// Per-iteration latency samples (µs).
+    latency: OnlineStats,
+    /// Latency distribution (1 µs buckets up to 100 ms).
+    latency_hist: Histogram,
+    /// Timed iterations completed.
+    pub iters_done: u32,
+    /// `(start, end)` of each timed iteration — the windows latency
+    /// attribution decomposes.
+    windows: Vec<(SimTime, SimTime)>,
 }
 
 impl RootApp {
@@ -221,11 +215,10 @@ impl RootApp {
     fn finish_iteration(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
         let lat = ctx.now() - self.t_start;
         if self.iter >= self.run.warmup {
-            let mut s = self.shared.lock().expect("shared app state mutex poisoned");
-            s.latency.record_duration(lat);
-            s.latency_hist.record(lat.as_micros_f64());
-            s.iters_done += 1;
-            s.windows.push((self.t_start, ctx.now()));
+            self.latency.record_duration(lat);
+            self.latency_hist.record(lat.as_micros_f64());
+            self.iters_done += 1;
+            self.windows.push((self.t_start, ctx.now()));
         }
         self.iter += 1;
         if self.iter < self.total() {
@@ -333,20 +326,14 @@ impl HostApp<McastExt> for DestApp {
     }
 }
 
-/// Build the cluster for a run, returning it with a handle to the shared
-/// measurement state (exposed for tests that want to poke the cluster).
-pub fn build_cluster(run: &McastRun) -> (Cluster<McastExt>, Arc<Mutex<Shared>>) {
+/// Build the cluster for a run (exposed for tests that want to poke the
+/// cluster); the root's [`RootApp`] keeps the measurements.
+pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
     assert!(run.dests.contains(&run.probe), "probe must be a destination");
     let topo = Topology::for_nodes(run.n_nodes);
     let fabric = Fabric::with_config(topo, run.net, run.faults.clone(), run.seed);
     let tree = SpanningTree::build(run.root, &run.dests, run.shape);
     let gid = GroupId(1);
-    let shared = Arc::new(Mutex::new(Shared {
-        latency: OnlineStats::new(),
-        latency_hist: Histogram::new(1.0, 100_000),
-        iters_done: 0,
-        windows: Vec::new(),
-    }));
     let config = run.config;
     let mut cluster = Cluster::new(run.params.clone(), fabric, |_| McastExt::with_config(config));
     cluster.set_app(
@@ -358,7 +345,10 @@ pub fn build_cluster(run: &McastRun) -> (Cluster<McastExt>, Arc<Mutex<Shared>>) 
             iter: 0,
             t_start: SimTime::ZERO,
             pending: 0,
-            shared: shared.clone(),
+            latency: OnlineStats::new(),
+            latency_hist: Histogram::new(1.0, 100_000),
+            iters_done: 0,
+            windows: Vec::new(),
         }),
     );
     for &d in &run.dests {
@@ -372,7 +362,7 @@ pub fn build_cluster(run: &McastRun) -> (Cluster<McastExt>, Arc<Mutex<Shared>>) 
             }),
         );
     }
-    (cluster, shared)
+    cluster
 }
 
 /// Execute one run: build the cluster, drive it to quiescence (sharded
@@ -389,7 +379,7 @@ pub fn execute(
     watch: WatchConfig,
 ) -> Report {
     let tree = SpanningTree::build(run.root, &run.dests, run.shape);
-    let (mut cluster, shared) = build_cluster(run);
+    let mut cluster = build_cluster(run);
     cluster.set_probes(probes);
     cluster.set_series(series);
     // Shard placement cost model for the single-collective path: every
@@ -402,21 +392,18 @@ pub fn execute(
     cluster.set_partition_weights(weights);
 
     let mut driven = drive(cluster, run.shards);
+    let harvest = harvest(&mut driven);
 
-    let s = shared.lock().expect("shared app state mutex poisoned");
+    let root = driven.app::<RootApp>(run.root);
     assert!(
-        run.allow_incomplete || s.iters_done == run.iters,
+        run.allow_incomplete || root.iters_done == run.iters,
         "not every timed iteration completed ({} of {})",
-        s.iters_done,
+        root.iters_done,
         run.iters
     );
     // The root's injection link is owned (and therefore accounted) by the
     // shard that owns the root node.
-    let root_world = driven
-        .worlds
-        .iter()
-        .find(|w| w.local_nodes().any(|n| n == run.root))
-        .expect("some shard owns the root");
+    let root_world = driven.world_of(run.root);
     let root_link = root_world.fabric().topology().route(run.root, run.probe)[0];
     let now = driven.end;
     let root_link_utilization = if now > SimTime::ZERO {
@@ -424,12 +411,11 @@ pub fn execute(
     } else {
         0.0
     };
-    let windows = s.windows.clone();
-    let harvest = harvest(&mut driven);
+    let windows = root.windows.clone();
     let output = RunOutput {
-        latency: s.latency.clone(),
-        latency_p50: s.latency_hist.percentile(50.0),
-        latency_p99: s.latency_hist.percentile(99.0),
+        latency: root.latency.clone(),
+        latency_p50: root.latency_hist.percentile(50.0),
+        latency_p99: root.latency_hist.percentile(99.0),
         retransmissions: harvest.metrics.get("nic.mcast_retransmissions")
             + harvest.metrics.get("nic.retransmissions"),
         height: tree.height(),
@@ -438,7 +424,6 @@ pub fn execute(
         events: driven.events,
         root_link_utilization,
     };
-    drop(s);
     let incidents = analyze(&watch, &run.params, &harvest, now, Vec::new());
     let attribution = (probes.is_enabled() && !windows.is_empty())
         .then(|| attribution::attribute(&harvest.probe.to_vec(), &windows));

@@ -3,9 +3,6 @@
 //! values combine up the group tree inside firmware; the final result comes
 //! back down as an 8-byte reliable multicast.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::{SimDuration, SimTime};
 use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
@@ -13,9 +10,6 @@ use nic_mcast::{McastExt, McastNotice, McastRequest, ReduceOp, SpanningTree, Tre
 
 const PORT: PortId = PortId(0);
 const GID: GroupId = GroupId(2);
-
-/// results[round][node] = (result, completion time).
-type Results = Arc<Mutex<Vec<Vec<(u64, SimTime)>>>>;
 
 struct ReduceApp {
     me: NodeId,
@@ -26,7 +20,8 @@ struct ReduceApp {
     /// Per-round contribution of this node.
     contribute: fn(NodeId, u32) -> u64,
     stagger: fn(NodeId, u32) -> SimDuration,
-    results: Results,
+    /// Per round: (result, completion time).
+    results: Vec<(u64, SimTime)>,
 }
 
 impl ReduceApp {
@@ -66,8 +61,7 @@ impl HostApp<McastExt> for ReduceApp {
             Notice::ComputeDone { tag: 0xA11 } => self.post(ctx),
             Notice::Ext(McastNotice::AllreduceDone { result, tag, .. }) => {
                 assert_eq!(tag, self.round as u64);
-                self.results.lock().unwrap()[self.round as usize][self.me.idx()] =
-                    (result, ctx.now());
+                self.results.push((result, ctx.now()));
                 self.round += 1;
                 if self.round < self.rounds {
                     self.enter(ctx);
@@ -90,10 +84,6 @@ fn run(
     let fabric = Fabric::with_config(Topology::for_nodes(n), NetParams::default(), faults, 31);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let results: Results = Arc::new(Mutex::new(vec![
-        vec![(0, SimTime::ZERO); n as usize];
-        rounds as usize
-    ]));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..n {
         cluster.set_app(
@@ -106,15 +96,22 @@ fn run(
                 round: 0,
                 contribute,
                 stagger,
-                results: results.clone(),
+                results: Vec::new(),
             }),
         );
     }
     let mut eng = cluster.into_engine(1);
     let outcome = eng.run(SimTime::MAX, 100_000_000);
     assert_eq!(outcome, gm_sim::RunOutcome::Idle, "allreduce hung");
-    let r = results.lock().unwrap().clone();
-    r
+    // results[round][node]; a round a node never finished reads (0, 0).
+    let apps: Vec<&ReduceApp> = (0..n).map(|i| eng.world(0).app(NodeId(i))).collect();
+    (0..rounds as usize)
+        .map(|r| {
+            apps.iter()
+                .map(|a| a.results.get(r).copied().unwrap_or_default())
+                .collect()
+        })
+        .collect()
 }
 
 fn no_stagger(_: NodeId, _: u32) -> SimDuration {

@@ -4,19 +4,13 @@
 //! their parents entirely at NIC level, and the root releases everyone
 //! through a zero-byte reliable multicast.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
-use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
+use gm::{drive, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::{SimDuration, SimTime};
 use myrinet::{DropRule, Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
 use nic_mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 
 const PORT: PortId = PortId(0);
 const GID: GroupId = GroupId(3);
-
-/// Per-round completion times for every node: `times[round][node]`.
-type RoundLog = Arc<Mutex<Vec<Vec<SimTime>>>>;
 
 /// Enters the barrier `rounds` times, optionally staggering each entry by a
 /// per-node, per-round delay.
@@ -26,7 +20,8 @@ struct BarrierApp {
     rounds: u32,
     round: u32,
     stagger: fn(NodeId, u32) -> SimDuration,
-    log: RoundLog,
+    /// Completion time of each round.
+    exits: Vec<SimTime>,
 }
 
 impl BarrierApp {
@@ -70,7 +65,7 @@ impl HostApp<McastExt> for BarrierApp {
             }
             Notice::Ext(McastNotice::BarrierDone { tag, .. }) => {
                 assert_eq!(tag, self.round as u64, "round mismatch at {}", self.me);
-                self.log.lock().unwrap()[self.round as usize][self.me.idx()] = ctx.now();
+                self.exits.push(ctx.now());
                 self.round += 1;
                 if self.round < self.rounds {
                     self.enter(ctx);
@@ -90,10 +85,6 @@ fn run_barrier(
     let fabric = Fabric::with_config(Topology::for_nodes(n), NetParams::default(), faults, 11);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let log: RoundLog = Arc::new(Mutex::new(vec![
-        vec![SimTime::ZERO; n as usize];
-        rounds as usize
-    ]));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..n {
         cluster.set_app(
@@ -104,14 +95,23 @@ fn run_barrier(
                 rounds,
                 round: 0,
                 stagger,
-                log: log.clone(),
+                exits: Vec::new(),
             }),
         );
     }
     let mut eng = cluster.into_engine(1);
     let outcome = eng.run(SimTime::MAX, 100_000_000);
     assert_eq!(outcome, gm_sim::RunOutcome::Idle, "barrier hung");
-    let log = log.lock().unwrap().clone();
+    // Per-round completion times for every node, `times[round][node]`; a
+    // round a node never finished reads zero.
+    let apps: Vec<&BarrierApp> = (0..n).map(|i| eng.world(0).app(NodeId(i))).collect();
+    let log = (0..rounds as usize)
+        .map(|r| {
+            apps.iter()
+                .map(|a| a.exits.get(r).copied().unwrap_or_default())
+                .collect()
+        })
+        .collect();
     (log, eng.now())
 }
 
@@ -222,7 +222,7 @@ fn barrier_and_multicast_share_the_group() {
         me: NodeId,
         tree: SpanningTree,
         phase: u32,
-        got_data: Arc<Mutex<u32>>,
+        got_data: u32,
     }
     impl HostApp<McastExt> for Mixed {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
@@ -260,7 +260,7 @@ fn barrier_and_multicast_share_the_group() {
                 }
                 Notice::Recv { tag, data, .. } => {
                     ctx.provide_recv(PORT, 1);
-                    *self.got_data.lock().unwrap() += 1;
+                    self.got_data += 1;
                     match tag {
                         1 => assert_eq!(&data[..], b"first"),
                         2 => {
@@ -280,7 +280,6 @@ fn barrier_and_multicast_share_the_group() {
     let fabric = Fabric::new(Topology::for_nodes(n), 21);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let counters: Vec<Arc<Mutex<u32>>> = (0..n).map(|_| Arc::default()).collect();
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..n {
         cluster.set_app(
@@ -289,13 +288,16 @@ fn barrier_and_multicast_share_the_group() {
                 me: NodeId(i),
                 tree: tree.clone(),
                 phase: 0,
-                got_data: counters[i as usize].clone(),
+                got_data: 0,
             }),
         );
     }
-    let mut eng = cluster.into_engine(1);
-    eng.run_to_idle();
-    for (i, c) in counters.iter().enumerate().skip(1) {
-        assert_eq!(*c.lock().unwrap(), 2, "node {i} data deliveries");
+    let d = drive(cluster, 1);
+    for i in 1..n {
+        assert_eq!(
+            d.app::<Mixed>(NodeId(i)).got_data,
+            2,
+            "node {i} data deliveries"
+        );
     }
 }

@@ -11,12 +11,10 @@ use nic_mcast::{build_cluster, McastMode, McastRun, TreeShape};
 
 /// Run `run` to completion with probes on and return the event history.
 fn traced_events(run: &McastRun) -> Vec<ProbeEvent> {
-    let (mut cluster, _shared) = build_cluster(run);
+    let mut cluster = build_cluster(run);
     cluster.set_probes(ProbeConfig::spans());
-    let mut eng = cluster.into_engine(1);
-    let outcome = eng.run_to_idle();
-    assert_eq!(outcome, gm_sim::RunOutcome::Idle, "run did not converge");
-    eng.world(0).probe.to_vec()
+    // `drive` fails a run that does not converge.
+    gm::drive(cluster, 1).worlds[0].probe.to_vec()
 }
 
 fn assert_deterministic(run: &McastRun) {

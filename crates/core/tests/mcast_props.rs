@@ -2,9 +2,6 @@
 //! tree shape, message schedules and loss rates — every destination must
 //! receive every message exactly once, in order, bit-intact.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::{SimDuration, SimTime};
@@ -14,8 +11,6 @@ use proptest::prelude::*;
 
 const PORT: PortId = PortId(0);
 const G: GroupId = GroupId(1);
-
-type Log = Arc<Mutex<Vec<(u64, usize, u8)>>>;
 
 struct Root {
     tree: SpanningTree,
@@ -48,7 +43,8 @@ impl HostApp<McastExt> for Root {
 struct Member {
     me: NodeId,
     tree: SpanningTree,
-    log: Log,
+    /// Deliveries: (tag, length, first byte).
+    log: Vec<(u64, usize, u8)>,
 }
 
 impl HostApp<McastExt> for Member {
@@ -66,7 +62,7 @@ impl HostApp<McastExt> for Member {
         if let Notice::Recv { tag, data, .. } = n {
             ctx.provide_recv(PORT, 1);
             let fill = data.first().copied().unwrap_or(0);
-            self.log.lock().unwrap().push((tag, data.len(), fill));
+            self.log.push((tag, data.len(), fill));
         }
     }
 }
@@ -111,27 +107,24 @@ proptest! {
                 msgs: msgs.clone(),
             }),
         );
-        let mut logs: Vec<Log> = Vec::new();
         for &d in &dests {
-            let log: Log = Arc::default();
-            logs.push(log.clone());
             cluster.set_app(
                 d,
                 Box::new(Member {
                     me: d,
                     tree: tree.clone(),
-                    log,
+                    log: Vec::new(),
                 }),
             );
         }
         let mut eng = cluster.into_engine(1);
         let outcome = eng.run(SimTime::MAX, 200_000_000);
         prop_assert_eq!(outcome, gm_sim::RunOutcome::Idle, "multicast hung");
-        for (di, log) in logs.iter().enumerate() {
-            let got = log.lock().unwrap();
-            prop_assert_eq!(got.len(), msgs.len(), "dest {} count", di + 1);
+        for &d in &dests {
+            let got = &eng.world(0).app::<Member>(d).log;
+            prop_assert_eq!(got.len(), msgs.len(), "dest {} count", d.0);
             for (k, &(tag, len, fill)) in got.iter().enumerate() {
-                prop_assert_eq!(tag, k as u64, "dest {} order", di + 1);
+                prop_assert_eq!(tag, k as u64, "dest {} order", d.0);
                 prop_assert_eq!(len, msgs[k].0);
                 prop_assert_eq!(fill, msgs[k].1);
             }

@@ -18,8 +18,8 @@ fn nic(node: u32) -> (NicCore<McastExt>, McastExt) {
 }
 
 fn drain_lanai(n: &mut NicCore<McastExt>, ext: &mut McastExt) {
-    while let Some((_cost, work)) = n.lanai_start() {
-        n.lanai_finish(work, ext);
+    while n.lanai_start().is_some() {
+        n.lanai_finish(ext);
     }
 }
 
@@ -29,12 +29,12 @@ fn pump_all(n: &mut NicCore<McastExt>, ext: &mut McastExt) -> Vec<Packet> {
     let mut out = Vec::new();
     loop {
         let mut progressed = false;
-        while let Some((_cost, work)) = n.lanai_start() {
-            n.lanai_finish(work, ext);
+        while n.lanai_start().is_some() {
+            n.lanai_finish(ext);
             progressed = true;
         }
-        while let Some((_d, job)) = n.pci_start() {
-            n.pci_finish(job, ext);
+        while n.pci_start().is_some() {
+            n.pci_finish(ext);
             progressed = true;
         }
         while let Some(TxJob { pkt, cb }) = n.tx_start() {
@@ -403,8 +403,8 @@ fn replica_chain_holds_exactly_one_send_buffer() {
     let cost = ext.request_cost(&req, n.params());
     n.host_ext_request(cost, req);
     drain_lanai(&mut n, &mut ext);
-    let (_d, job) = n.pci_start().expect("sdma");
-    n.pci_finish(job, &mut ext);
+    n.pci_start().expect("sdma");
+    n.pci_finish(&mut ext);
     let total = n.params().send_buffers;
     // Mid-chain: one buffer held across all five replicas.
     for expect_dst in 1..=5u32 {
@@ -451,16 +451,16 @@ mod policies {
         let mut costs = Vec::new();
         loop {
             // Interleave DMA/tx completion so the pipeline can progress.
-            while let Some((_d, job)) = n.pci_start() {
-                n.pci_finish(job, &mut ext);
+            while n.pci_start().is_some() {
+                n.pci_finish(&mut ext);
             }
             while let Some(TxJob { cb, .. }) = n.tx_start() {
                 n.tx_drained(cb);
             }
             match n.lanai_start() {
-                Some((c, work)) => {
+                Some(c) => {
                     costs.push(c);
-                    n.lanai_finish(work, &mut ext);
+                    n.lanai_finish(&mut ext);
                 }
                 None => break,
             }

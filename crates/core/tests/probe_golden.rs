@@ -35,12 +35,11 @@ fn rendered_trace(shape: TreeShape) -> String {
     let mut run = McastRun::new(5, 1024, McastMode::NicBased, shape);
     run.warmup = 0;
     run.iters = 1;
-    let (mut cluster, _shared) = build_cluster(&run);
+    let mut cluster = build_cluster(&run);
     cluster.set_probes(ProbeConfig::spans());
-    let mut eng = cluster.into_engine(1);
-    eng.run_to_idle();
+    let d = gm::drive(cluster, 1);
     let mut out = String::new();
-    for e in eng.world(0).probe.iter() {
+    for e in d.worlds[0].probe.iter() {
         if let Some(line) = legacy_line(e) {
             out.push_str(&line);
             out.push('\n');

@@ -5,6 +5,7 @@
 
 use gm::GmParams;
 use gm_sim::{SeriesConfig, SimDuration, SimTime};
+use myrinet::FaultPlan;
 use nic_mcast::{
     ArrivalProcess, FanoutDist, StopCondition, Workload, WorkloadError, MAX_GROUPS,
 };
@@ -102,6 +103,34 @@ fn rejects_overlap_outside_unit_interval() {
     assert!(matches!(
         base().overlap(-0.1).build(),
         Err(WorkloadError::InvalidOverlap(_))
+    ));
+}
+
+#[test]
+fn rejects_probability_outside_half_open_unit_interval() {
+    let loss = |p| {
+        base().faults(FaultPlan {
+            drop_prob: p,
+            ..FaultPlan::none()
+        })
+    };
+    expect_err(
+        loss(1.0),
+        WorkloadError::InvalidProbability(1.0),
+        "probability 1 is outside [0, 1)",
+    );
+    let corrupt = base().faults(FaultPlan {
+        corrupt_prob: -0.1,
+        ..FaultPlan::none()
+    });
+    expect_err(
+        corrupt,
+        WorkloadError::InvalidProbability(-0.1),
+        "probability -0.1 is outside [0, 1)",
+    );
+    assert!(matches!(
+        loss(f64::NAN).build(),
+        Err(WorkloadError::InvalidProbability(p)) if p.is_nan()
     ));
 }
 

@@ -12,9 +12,10 @@
 //! Each payload parks with the node that owns it until its event fires —
 //! host calls, arriving packets and timer tags in per-node slabs, notices
 //! in a per-node FIFO, the one in-flight transmit callback in the node's
-//! slot, LANai work and DMA jobs in the NIC's own slabs — and packet
-//! hand-offs in the cluster's wire slab.
+//! slot, the running LANai work item and DMA job at the front of the NIC's
+//! own queues — and packet hand-offs in the cluster's wire slab.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ use myrinet::{Fabric, NodeId, Packet, RxOutcome, WireHandoff};
 
 use crate::ext::NicExtension;
 use crate::host::{Host, HostApp, HostCall, HostCtx};
-use crate::nic::{flow_of_packet, Cb, NicCore, Notice, PciId, TimerTag, TxJob, WorkId};
+use crate::nic::{flow_of_packet, Cb, NicCore, Notice, TimerTag, TxJob};
 use crate::params::GmParams;
 
 /// The cluster's scheduler: its events, and packets as the hand-offs
@@ -80,12 +81,12 @@ pub enum Ev {
     NoticeArrive(NodeId),
     /// The host CPU freed up; deliver pending notices.
     HostWake(NodeId),
-    /// A LANai work item's processing time elapsed. Carries only the item's
-    /// slab id — the fat `Work` payload stays parked in the owning NIC's
-    /// arena until [`NicCore::lanai_finish`] redeems it.
-    LanaiDone(NodeId, WorkId),
-    /// A PCI DMA transfer completed (id into the NIC's DMA slab).
-    PciDone(NodeId, PciId),
+    /// The node's running LANai work item finished (it waits at the front
+    /// of the NIC's work queue; the LANai runs one item at a time).
+    LanaiDone(NodeId),
+    /// The node's running PCI DMA transfer finished (it waits at the front
+    /// of the NIC's DMA queue).
+    PciDone(NodeId),
     /// The transmit engine finished serializing the node's in-flight packet
     /// (its callback waits in the node's slot; the engine sends one packet
     /// at a time).
@@ -107,7 +108,7 @@ struct Slot<X: NicExtension> {
     host: Host<X>,
     nic: NicCore<X>,
     ext: X,
-    app: Option<Box<dyn HostApp<X> + Send>>,
+    app: Option<Box<dyn HostApp<X>>>,
     /// Sends the GM library parked while the NIC was out of send tokens
     /// (a blocking `gm_send` queues client-side; replayed as tokens free).
     parked_sends: VecDeque<crate::nic::SendArgs>,
@@ -266,9 +267,22 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// Install `app` on `node`.
-    pub fn set_app(&mut self, node: NodeId, app: Box<dyn HostApp<X> + Send>) {
+    pub fn set_app(&mut self, node: NodeId, app: Box<dyn HostApp<X>>) {
         let li = self.local(node);
         self.slots[li].app = Some(app);
+    }
+
+    /// The app installed on `node`, as the type it was installed as. After
+    /// a run, this is how its measurements are read back.
+    ///
+    /// Panics if `node` runs an app of another type.
+    pub fn app<A: HostApp<X>>(&self, node: NodeId) -> &A {
+        let app: &dyn Any = self.slots[self.local(node)]
+            .app
+            .as_deref()
+            .expect("no app callback is running");
+        app.downcast_ref()
+            .unwrap_or_else(|| panic!("{node} does not run a {}", std::any::type_name::<A>()))
     }
 
     /// Set the time `node`'s application starts.
@@ -458,24 +472,24 @@ impl<X: NicExtension> Cluster<X> {
                     let accepted = slot.nic.host_send(args);
                     debug_assert!(accepted, "token accounting out of sync");
                 }
-                if let Some((cost, wid)) = slot.nic.lanai_start() {
+                if let Some(cost) = slot.nic.lanai_start() {
                     // Flow attribution walks token/record maps; only pay for
                     // it when probes are actually recording.
                     if self.probe.is_enabled() {
-                        let flow = slot.nic.flow_of_work(wid, &slot.ext);
-                        let name = slot.nic.work_kind(wid);
+                        let flow = slot.nic.flow_of_work(&slot.ext);
+                        let name = slot.nic.work_kind();
                         self.probe
                             .begin_flow(now, node.0, probes::LANAI, name, 0, 0, flow);
                     }
-                    sched.after(cost, Ev::LanaiDone(node, wid));
+                    sched.after(cost, Ev::LanaiDone(node));
                 }
-                if let Some((dur, pid)) = slot.nic.pci_start() {
+                if let Some(dur) = slot.nic.pci_start() {
                     if self.probe.is_enabled() {
-                        let flow = slot.nic.flow_of_pci(pid, &slot.ext);
+                        let flow = slot.nic.flow_of_pci(&slot.ext);
                         self.probe
                             .begin_flow(now, node.0, probes::PCI_DMA, "dma", dur.as_nanos(), 0, flow);
                     }
-                    sched.after(dur, Ev::PciDone(node, pid));
+                    sched.after(dur, Ev::PciDone(node));
                 }
                 if let Some(TxJob { pkt, cb }) = slot.nic.tx_start() {
                     if self.probe.is_enabled() {
@@ -704,7 +718,7 @@ impl<X: NicExtension> World for Cluster<X> {
         }
         match event {
             Ev::AppStart(n) => {
-                self.with_app(n, sched, |app, ctx| app.on_start(ctx));
+                self.with_app(n, sched, HostApp::on_start);
             }
             Ev::HostCall(n, id) => {
                 let now = sched.now();
@@ -755,23 +769,23 @@ impl<X: NicExtension> World for Cluster<X> {
             Ev::HostWake(n) => {
                 self.host_wake(n, sched);
             }
-            Ev::LanaiDone(n, wid) => {
+            Ev::LanaiDone(n) => {
                 let li = self.local(n);
                 if self.probe.is_enabled() {
-                    let name = self.slots[li].nic.work_kind(wid);
+                    let name = self.slots[li].nic.work_kind();
                     self.probe.end(sched.now(), n.0, probes::LANAI, name);
                 }
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
-                slot.nic.lanai_finish(wid, &mut slot.ext);
+                slot.nic.lanai_finish(&mut slot.ext);
                 self.pump_nic(n, sched);
             }
-            Ev::PciDone(n, pid) => {
+            Ev::PciDone(n) => {
                 self.probe.end(sched.now(), n.0, probes::PCI_DMA, "dma");
                 let li = self.local(n);
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
-                slot.nic.pci_finish(pid, &mut slot.ext);
+                slot.nic.pci_finish(&mut slot.ext);
                 self.pump_nic(n, sched);
             }
             Ev::TxDrained(n) => {

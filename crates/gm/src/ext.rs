@@ -33,7 +33,7 @@ use crate::params::GmParams;
 /// All hooks run on the (serial) LANai processor: the cluster charges the
 /// configured processing cost *before* invoking a hook, so hook bodies apply
 /// their effects instantaneously at cost-completion time.
-pub trait NicExtension: Sized + Send {
+pub trait NicExtension: Sized + Send + 'static {
     /// Host-to-NIC request type (e.g. create-group, multicast-send).
     type Request: Debug + Send;
     /// NIC-to-host notification payload (e.g. multicast-complete).

@@ -6,6 +6,7 @@
 //! [`HostApp`]: a state machine poked by notices, issuing calls through
 //! [`HostCtx`].
 
+use std::any::Any;
 use std::collections::VecDeque;
 
 use bytes::Bytes;
@@ -199,7 +200,11 @@ impl<'a, X: NicExtension> HostCtx<'a, X> {
 /// Apps must prepost receive buffers before peers send to them, exactly as
 /// GM clients must: "The responsibility of making receive tokens available
 /// ... is left to client programs."
-pub trait HostApp<X: NicExtension> {
+///
+/// An app keeps its own measurements in plain fields: after a run, read it
+/// back with [`Driven::app`](crate::Driven::app) (or
+/// [`Cluster::app`](crate::Cluster::app) on an engine stepped by hand).
+pub trait HostApp<X: NicExtension>: Any + Send {
     /// Called once at the node's start time.
     fn on_start(&mut self, ctx: &mut HostCtx<'_, X>);
 

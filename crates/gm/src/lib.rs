@@ -31,14 +31,16 @@
 //!         }
 //!     }
 //! }
-//! struct Receiver;
+//! struct Receiver {
+//!     got: Vec<Bytes>,
+//! }
 //! impl HostApp<NoExt> for Receiver {
 //!     fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
 //!         ctx.provide_recv(PortId(0), 1);
 //!     }
 //!     fn on_notice(&mut self, n: Notice<gm::Never>, _ctx: &mut HostCtx<'_, NoExt>) {
 //!         if let Notice::Recv { data, .. } = n {
-//!             assert_eq!(&data[..], b"hi");
+//!             self.got.push(data);
 //!         }
 //!     }
 //! }
@@ -46,9 +48,11 @@
 //! let fabric = Fabric::new(Topology::for_nodes(2), 1);
 //! let mut cluster = Cluster::new(GmParams::default(), fabric, |_| NoExt);
 //! cluster.set_app(NodeId(0), Box::new(Sender));
-//! cluster.set_app(NodeId(1), Box::new(Receiver));
+//! cluster.set_app(NodeId(1), Box::new(Receiver { got: Vec::new() }));
 //! let run = gm::drive(cluster, 1);
 //! assert!(run.end > SimTime::ZERO);
+//! // Apps keep what they measured: read them back from the finished run.
+//! assert_eq!(run.app::<Receiver>(NodeId(1)).got, [Bytes::from_static(b"hi")]);
 //! ```
 //!
 //! [`drive`], [`harvest`] and [`analyze`] are the one run pipeline every
@@ -68,8 +72,7 @@ pub use cluster::{probes, Cluster, Ev};
 pub use ext::{Never, NicExtension, NoExt};
 pub use host::{Host, HostApp, HostCall, HostCtx, IdleApp};
 pub use nic::{
-    flow_of_packet, flow_tag, Cb, ConnKey, NicCore, Notice, PciId, PciJob, SendArgs, TimerTag,
-    TxJob, Work, WorkId,
+    flow_of_packet, flow_tag, Cb, ConnKey, NicCore, Notice, PciJob, SendArgs, TimerTag, TxJob, Work,
 };
 pub use params::{GmParams, EAGER_LIMIT};
 pub use pipeline::{analyze, drive, harvest, Driven, Harvest, EVENT_CAP};

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::{Bytes, BytesMut};
-use gm_sim::{Counters, FlowId, SimDuration, SimTime, Slab};
+use gm_sim::{Counters, FlowId, SimDuration, SimTime};
 use myrinet::{GroupId, NodeId, Packet, PacketKind, PortId, MTU};
 
 use crate::ext::NicExtension;
@@ -185,22 +185,6 @@ pub struct TxJob<T> {
     pub cb: Cb<T>,
 }
 
-/// Handle of a queued (or in-flight) LANai work item in the NIC's work slab.
-///
-/// Returned by [`NicCore::lanai_start`] and redeemed by
-/// [`NicCore::lanai_finish`]; while it is outstanding the fat [`Work`]
-/// payload stays parked in the NIC arena instead of riding through the
-/// event queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct WorkId(u32);
-
-/// Handle of a queued (or in-flight) PCI DMA job in the NIC's DMA slab.
-///
-/// Returned by [`NicCore::pci_start`] and redeemed by
-/// [`NicCore::pci_finish`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PciId(u32);
-
 /// Fold a 64-bit GM message tag onto the 31-bit [`FlowId`] tag space.
 ///
 /// The top bit of a message tag marks NIC-level collective releases (see
@@ -309,24 +293,20 @@ pub struct NicCore<X: NicExtension> {
     params: GmParams,
     now: SimTime,
 
-    // LANai processor. Work payloads live in a slab arena; the FIFO itself
-    // is a flat ring of 4-byte indices (see `gm_sim::slab`), so queue churn
-    // never moves a fat `Work` enum and an in-flight item stays parked in
-    // NIC memory while its completion event is in the engine queue.
+    // LANai processor: work items with their costs, in FIFO order. While
+    // `lanai_busy`, the front item is the one running; it leaves the queue
+    // when its completion event fires.
     lanai_busy: bool,
-    work: Slab<(SimDuration, Work<X>)>,
-    work_q: VecDeque<u32>,
+    work_q: VecDeque<(SimDuration, Work<X>)>,
 
-    // PCI bus (same SoA layout: byte counts + jobs in the slab, ids in the
-    // ring).
+    // PCI bus: DMA jobs with their byte counts, the running one in front.
     pci_busy: bool,
-    pci: Slab<(u64, PciJob<X>)>,
-    pci_q: VecDeque<u32>,
+    pci_q: VecDeque<(u64, PciJob<X>)>,
 
-    // Transmit engine.
+    // Transmit engine. The packet on the wire leaves the queue at start;
+    // the cluster keeps its callback until it drains.
     tx_busy: bool,
-    tx: Slab<TxJob<X::Tag>>,
-    tx_q: VecDeque<u32>,
+    tx_q: VecDeque<TxJob<X::Tag>>,
 
     // SRAM buffers (counted pools from the pure protocol core; conservation
     // is debug-asserted at every grant/release site, mirroring the simcheck
@@ -377,13 +357,10 @@ impl<X: NicExtension> NicCore<X> {
             params,
             now: SimTime::ZERO,
             lanai_busy: false,
-            work: Slab::new(),
             work_q: VecDeque::new(),
             pci_busy: false,
-            pci: Slab::new(),
             pci_q: VecDeque::new(),
             tx_busy: false,
-            tx: Slab::new(),
             tx_q: VecDeque::new(),
             sdma_rotation: VecDeque::new(),
             tokens: BTreeMap::new(),
@@ -420,29 +397,6 @@ impl<X: NicExtension> NicCore<X> {
         self.now = now;
     }
 
-    // -- Queue internals (SoA push helpers) ----------------------------------
-
-    /// Park a LANai work item in the arena and append its id to the ring.
-    // simlint::hot
-    fn push_work(&mut self, cost: SimDuration, work: Work<X>) {
-        let id = self.work.insert((cost, work));
-        self.work_q.push_back(id);
-    }
-
-    /// Park a PCI DMA job (with its byte count) and append its id.
-    // simlint::hot
-    fn push_pci(&mut self, bytes: u64, job: PciJob<X>) {
-        let id = self.pci.insert((bytes, job));
-        self.pci_q.push_back(id);
-    }
-
-    /// Park a transmit job and append its id.
-    // simlint::hot
-    fn push_tx(&mut self, job: TxJob<X::Tag>) {
-        let id = self.tx.insert(job);
-        self.tx_q.push_back(id);
-    }
-
     // -- Host surface --------------------------------------------------------
 
     /// A host send event arrived at the NIC (doorbell). Queues LANai work to
@@ -472,7 +426,8 @@ impl<X: NicExtension> NicCore<X> {
                 done_creating: false,
             },
         );
-        self.push_work(self.params.send_token_proc, Work::SendToken { token: id });
+        self.work_q
+            .push_back((self.params.send_token_proc, Work::SendToken { token: id }));
         true
     }
 
@@ -500,7 +455,7 @@ impl<X: NicExtension> NicCore<X> {
     /// Queue LANai work for a host extension request (cost supplied by the
     /// extension's `request_cost`).
     pub fn host_ext_request(&mut self, cost: SimDuration, req: X::Request) {
-        self.push_work(cost, Work::HostReq(req));
+        self.work_q.push_back((cost, Work::HostReq(req)));
     }
 
     // -- Wire surface --------------------------------------------------------
@@ -517,7 +472,7 @@ impl<X: NicExtension> NicCore<X> {
                 } else {
                     Work::RxAck(pkt)
                 };
-                self.push_work(cost, work);
+                self.work_q.push_back((cost, work));
             }
             PacketKind::Data { .. } | PacketKind::Mcast { .. } => {
                 if !self.recv_bufs.try_take() {
@@ -532,32 +487,37 @@ impl<X: NicExtension> NicCore<X> {
                 } else {
                     Work::RxData(pkt)
                 };
-                self.push_work(cost, work);
+                self.work_q.push_back((cost, work));
             }
         }
     }
 
     // -- LANai processor -----------------------------------------------------
 
-    /// If the LANai is idle and work is queued, start the next item. The
-    /// payload stays parked in the work slab; the caller schedules
-    /// [`lanai_finish`](Self::lanai_finish) with the returned id after the
-    /// returned cost.
+    /// If the LANai is idle and work is queued, start the next item; it
+    /// stays at the front of the queue while it runs. The caller schedules
+    /// [`lanai_finish`](Self::lanai_finish) after the returned cost.
     // simlint::hot
-    pub fn lanai_start(&mut self) -> Option<(SimDuration, WorkId)> {
+    pub fn lanai_start(&mut self) -> Option<SimDuration> {
         if self.lanai_busy {
             return None;
         }
-        let id = self.work_q.pop_front()?;
+        let &(cost, _) = self.work_q.front()?;
         self.lanai_busy = true;
-        Some((self.work.get(id).0, WorkId(id)))
+        Some(cost)
     }
 
-    /// Display label of a started work item (probe spans). Valid between
+    /// The running LANai work item (between
     /// [`lanai_start`](Self::lanai_start) and
-    /// [`lanai_finish`](Self::lanai_finish).
-    pub fn work_kind(&self, id: WorkId) -> &'static str {
-        match &self.work.get(id.0).1 {
+    /// [`lanai_finish`](Self::lanai_finish)).
+    fn running_work(&self) -> &Work<X> {
+        debug_assert!(self.lanai_busy, "no LANai work item is running");
+        &self.work_q.front().expect("a LANai work item is running").1
+    }
+
+    /// Display label of the running work item (probe spans).
+    pub fn work_kind(&self) -> &'static str {
+        match self.running_work() {
             Work::SendToken { .. } => "send_token",
             Work::RxData(_) => "rx_data",
             Work::RxAck(_) => "rx_ack",
@@ -568,11 +528,14 @@ impl<X: NicExtension> NicCore<X> {
         }
     }
 
-    /// Apply the effects of a completed work item, releasing its slab slot.
+    /// Apply the effects of the running work item, which leaves the queue.
     // simlint::hot
-    pub fn lanai_finish(&mut self, id: WorkId, ext: &mut X) {
+    pub fn lanai_finish(&mut self, ext: &mut X) {
         self.lanai_busy = false;
-        let (_cost, work) = self.work.take(id.0);
+        let (_cost, work) = self
+            .work_q
+            .pop_front()
+            .expect("a LANai work item is running");
         match work {
             Work::SendToken { token } => self.activate_token(token),
             Work::RxData(pkt) => self.rx_data(&pkt),
@@ -594,9 +557,9 @@ impl<X: NicExtension> NicCore<X> {
         if self.tx_busy {
             return None;
         }
-        let id = self.tx_q.pop_front()?;
+        let job = self.tx_q.pop_front()?;
         self.tx_busy = true;
-        Some(self.tx.take(id))
+        Some(job)
     }
 
     /// The transmit DMA engine finished serializing the current packet.
@@ -617,33 +580,33 @@ impl<X: NicExtension> NicCore<X> {
             }
             Cb::Ext(tag) => {
                 // The descriptor's callback handler runs on the LANai.
-                self.push_work(self.params.callback_proc, Work::Callback(tag));
+                self.work_q
+                    .push_back((self.params.callback_proc, Work::Callback(tag)));
             }
         }
     }
 
     // -- PCI bus -------------------------------------------------------------
 
-    /// If the PCI bus is idle and a DMA is queued, start it. The job stays
-    /// parked in the DMA slab; the caller schedules
-    /// [`pci_finish`](Self::pci_finish) with the returned id after the
-    /// returned time.
+    /// If the PCI bus is idle and a DMA is queued, start it; it stays at
+    /// the front of the queue while it runs. The caller schedules
+    /// [`pci_finish`](Self::pci_finish) after the returned time.
     // simlint::hot
-    pub fn pci_start(&mut self) -> Option<(SimDuration, PciId)> {
+    pub fn pci_start(&mut self) -> Option<SimDuration> {
         if self.pci_busy {
             return None;
         }
-        let id = self.pci_q.pop_front()?;
+        let &(bytes, _) = self.pci_q.front()?;
         self.pci_busy = true;
-        let bytes = self.pci.get(id).0;
-        Some((self.params.dma_time(bytes), PciId(id)))
+        Some(self.params.dma_time(bytes))
     }
 
-    /// Apply the effects of a completed DMA transfer, releasing its slot.
+    /// Apply the effects of the running DMA transfer, which leaves the
+    /// queue.
     // simlint::hot
-    pub fn pci_finish(&mut self, id: PciId, ext: &mut X) {
+    pub fn pci_finish(&mut self, ext: &mut X) {
         self.pci_busy = false;
-        let (_bytes, job) = self.pci.take(id.0);
+        let (_bytes, job) = self.pci_q.pop_front().expect("a DMA transfer is running");
         match job {
             PciJob::Sdma { conn, seq } | PciJob::Retx { conn, seq } => {
                 self.sdma_complete(conn, seq);
@@ -677,7 +640,7 @@ impl<X: NicExtension> NicCore<X> {
         if let Some(a) = conn.rx.cum_ack() {
             let ack = Packet::ack(self.node, key.peer, key.dst_port, a);
             self.counters.bump("tx_acks");
-            self.push_tx(TxJob {
+            self.tx_q.push_back(TxJob {
                 pkt: ack,
                 cb: Cb::Control,
             });
@@ -714,17 +677,17 @@ impl<X: NicExtension> NicCore<X> {
     /// Extension packets do not consume base send buffers; the extension
     /// does its own buffer accounting.
     pub fn ext_tx(&mut self, pkt: Packet, cb: Cb<X::Tag>) {
-        self.push_tx(TxJob { pkt, cb });
+        self.tx_q.push_back(TxJob { pkt, cb });
     }
 
     /// Queue a deferred LANai work item at `cost`.
     pub fn ext_work(&mut self, cost: SimDuration, tag: X::Tag) {
-        self.push_work(cost, Work::ExtWork(tag));
+        self.work_q.push_back((cost, Work::ExtWork(tag)));
     }
 
     /// Queue an extension DMA of `bytes` over the shared PCI bus.
     pub fn ext_dma(&mut self, bytes: u64, tag: X::Tag) {
-        self.push_pci(bytes, PciJob::Ext(tag));
+        self.pci_q.push_back((bytes, PciJob::Ext(tag)));
     }
 
     /// Arm an extension timer.
@@ -897,14 +860,14 @@ impl<X: NicExtension> NicCore<X> {
 
     // -- Flow attribution ----------------------------------------------------
 
-    /// The causal flow a started LANai work item belongs to (valid between
-    /// `lanai_start` and `lanai_finish`). Extension work resolves through
-    /// [`NicExtension::flow_of_tag`]/[`flow_of_request`]; acks resolve to
-    /// [`FlowId::NONE`] (they end a window, not a delivery).
+    /// The causal flow the running LANai work item belongs to (valid
+    /// between `lanai_start` and `lanai_finish`). Extension work resolves
+    /// through [`NicExtension::flow_of_tag`]/[`flow_of_request`]; acks
+    /// resolve to [`FlowId::NONE`] (they end a window, not a delivery).
     ///
     /// [`flow_of_request`]: NicExtension::flow_of_request
-    pub fn flow_of_work(&self, id: WorkId, ext: &X) -> FlowId {
-        match &self.work.get(id.0).1 {
+    pub fn flow_of_work(&self, ext: &X) -> FlowId {
+        match self.running_work() {
             Work::SendToken { token } => match self.tokens.get(token) {
                 Some(t) => FlowId::new(self.node.0, flow_tag(t.tag), t.dst.0),
                 None => FlowId::NONE,
@@ -916,12 +879,13 @@ impl<X: NicExtension> NicCore<X> {
         }
     }
 
-    /// The causal flow a started PCI DMA job moves bytes for (valid between
-    /// `pci_start` and `pci_finish`): SDMA/retransmit jobs resolve through
-    /// the send record's token, RDMA jobs through the receive connection's
-    /// in-progress message.
-    pub fn flow_of_pci(&self, id: PciId, ext: &X) -> FlowId {
-        match &self.pci.get(id.0).1 {
+    /// The causal flow the running PCI DMA job moves bytes for (valid
+    /// between `pci_start` and `pci_finish`): SDMA/retransmit jobs resolve
+    /// through the send record's token, RDMA jobs through the receive
+    /// connection's in-progress message.
+    pub fn flow_of_pci(&self, ext: &X) -> FlowId {
+        debug_assert!(self.pci_busy, "no DMA transfer is running");
+        match &self.pci_q.front().expect("a DMA transfer is running").1 {
             PciJob::Sdma { conn, seq } | PciJob::Retx { conn, seq } => {
                 let tag = self
                     .send_conns
@@ -962,14 +926,14 @@ impl<X: NicExtension> NicCore<X> {
 
     // -- Telemetry gauges ----------------------------------------------------
 
-    /// Queued LANai work items (telemetry gauge).
+    /// LANai work items waiting behind the running one (telemetry gauge).
     pub fn lanai_queue_len(&self) -> usize {
-        self.work_q.len()
+        self.work_q.len() - usize::from(self.lanai_busy)
     }
 
-    /// Queued PCI DMA jobs (telemetry gauge).
+    /// PCI DMA jobs waiting behind the running one (telemetry gauge).
     pub fn pci_queue_len(&self) -> usize {
-        self.pci_q.len()
+        self.pci_q.len() - usize::from(self.pci_busy)
     }
 
     /// Packets queued for the transmit DMA engine (telemetry gauge).
@@ -1120,7 +1084,7 @@ impl<X: NicExtension> NicCore<X> {
                     seq: req.seq,
                 }
             };
-            self.push_pci(bytes, job);
+            self.pci_q.push_back((bytes, job));
         }
     }
 
@@ -1150,7 +1114,7 @@ impl<X: NicExtension> NicCore<X> {
             payload: rec.payload.clone(),
         };
         self.counters.bump("tx_data");
-        self.push_tx(TxJob {
+        self.tx_q.push_back(TxJob {
             pkt,
             cb: Cb::Base { conn: key, seq },
         });
@@ -1265,7 +1229,7 @@ impl<X: NicExtension> NicCore<X> {
             if let Some(a) = reack {
                 let ack = Packet::ack(self.node, key.peer, port, a);
                 self.counters.bump("tx_acks");
-                self.push_tx(TxJob {
+                self.tx_q.push_back(TxJob {
                     pkt: ack,
                     cb: Cb::Control,
                 });
@@ -1309,14 +1273,14 @@ impl<X: NicExtension> NicCore<X> {
         // host buffer. The receive SRAM buffer stays occupied until the
         // RDMA drains.
         self.ack_or_coalesce(key, seq);
-        self.push_pci(
+        self.pci_q.push_back((
             pkt.payload.len() as u64,
             PciJob::Rdma {
                 conn: key,
                 msg_uid,
                 bytes: pkt.payload.len() as u32,
             },
-        );
+        ));
     }
 
     /// Either ack `seq` right away or arm the coalescing flush timer.
@@ -1325,7 +1289,7 @@ impl<X: NicExtension> NicCore<X> {
         if window == SimDuration::ZERO {
             let ack = Packet::ack(self.node, key.peer, key.dst_port, seq);
             self.counters.bump("tx_acks");
-            self.push_tx(TxJob {
+            self.tx_q.push_back(TxJob {
                 pkt: ack,
                 cb: Cb::Control,
             });
@@ -1438,8 +1402,8 @@ mod tests {
 
     /// Drive the LANai until its work queue drains, like the cluster would.
     fn drain_lanai(n: &mut NicCore<NoExt>, ext: &mut NoExt) {
-        while let Some((_cost, id)) = n.lanai_start() {
-            n.lanai_finish(id, ext);
+        while n.lanai_start().is_some() {
+            n.lanai_finish(ext);
         }
     }
 
@@ -1461,8 +1425,8 @@ mod tests {
         drain_lanai(&mut n, &mut ext);
         // Packetization queued SDMA jobs; complete them and collect tx.
         let mut seqs = Vec::new();
-        while let Some((_d, id)) = n.pci_start() {
-            n.pci_finish(id, &mut ext);
+        while n.pci_start().is_some() {
+            n.pci_finish(&mut ext);
             while let Some(TxJob { pkt, cb }) = n.tx_start() {
                 if let PacketKind::Data { seq, offset, msg_len, .. } = pkt.kind {
                     seqs.push((seq, offset));
@@ -1501,8 +1465,8 @@ mod tests {
         assert!(matches!(ack.kind, PacketKind::Ack { seq: 0, .. }));
         n.tx_drained(cb);
         // ...and the RDMA completion delivers the message.
-        let (_d, id) = n.pci_start().expect("rdma queued");
-        n.pci_finish(id, &mut ext);
+        n.pci_start().expect("rdma queued");
+        n.pci_finish(&mut ext);
         let notices = n.drain_notices();
         assert_eq!(notices.len(), 1);
         match &notices[0] {
@@ -1578,8 +1542,8 @@ mod tests {
             // consume all tx/pci to get the message on the wire
             assert!(n.host_send(args(1, 5000, 9))); // 2 packets
             drain_lanai(&mut n, &mut ext);
-            while let Some((_d, id)) = n.pci_start() {
-                n.pci_finish(id, &mut ext);
+            while n.pci_start().is_some() {
+                n.pci_finish(&mut ext);
                 while let Some(TxJob { cb, .. }) = n.tx_start() {
                     n.tx_drained(cb);
                 }
@@ -1614,5 +1578,19 @@ mod tests {
         assert!(!n.wants_pump());
         assert!(n.host_send(args(1, 8, 0)));
         assert!(n.wants_pump(), "lanai work pending");
+    }
+
+    #[test]
+    fn queue_gauges_leave_out_the_running_job() {
+        let (mut n, mut ext) = nic();
+        assert!(n.host_send(args(1, 8, 0)));
+        assert_eq!(n.lanai_queue_len(), 1);
+        n.lanai_start().expect("an idle LANai starts the item");
+        assert_eq!(n.lanai_queue_len(), 0, "the running item is not waiting");
+        assert!(!n.wants_pump(), "a busy LANai starts nothing else");
+        n.lanai_finish(&mut ext);
+        assert_eq!(n.pci_queue_len(), 1);
+        n.pci_start().expect("an idle bus starts the SDMA");
+        assert_eq!(n.pci_queue_len(), 0, "the running DMA is not waiting");
     }
 }

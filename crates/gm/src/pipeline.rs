@@ -10,9 +10,11 @@
 use gm_sim::probe::{Metrics, ProbeSink};
 use gm_sim::watch::{self, Detector, DetectorKind, Incident, Severity, Thresh, WatchConfig};
 use gm_sim::{RunOutcome, SeriesSink, ShardStats, SimTime, WatchEngine};
+use myrinet::NodeId;
 
 use crate::cluster::Cluster;
 use crate::ext::NicExtension;
+use crate::host::HostApp;
 use crate::params::GmParams;
 
 /// The event budget of every run. A run that dispatches this many events
@@ -30,6 +32,22 @@ pub struct Driven<X: NicExtension> {
     pub events: u64,
     /// Per-shard execution statistics, in shard order.
     pub shard_stats: Vec<ShardStats>,
+}
+
+impl<X: NicExtension> Driven<X> {
+    /// The world of the shard that owns `node`.
+    pub fn world_of(&self, node: NodeId) -> &Cluster<X> {
+        self.worlds
+            .iter()
+            .find(|w| w.local_nodes().any(|n| n == node))
+            .expect("every node has an owning shard")
+    }
+
+    /// The app installed on `node`, as the type it was installed as (see
+    /// [`Cluster::app`]).
+    pub fn app<A: HostApp<X>>(&self, node: NodeId) -> &A {
+        self.world_of(node).app(node)
+    }
 }
 
 /// Run `cluster` until no event is pending, on `shards` shards — bit-for-bit

@@ -1,11 +1,8 @@
 //! Cluster-level behaviours: host-CPU serialization of notice delivery,
 //! client-side send parking under token exhaustion, and protocol tracing.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
-use gm::{probes, Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
+use gm::{drive, probes, Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
 use gm_sim::probe::{Phase, ProbeConfig, ProbeEvent, ProbeId};
 use gm_sim::{SimDuration, SimTime};
 use myrinet::{Fabric, NodeId, PortId, Topology};
@@ -17,7 +14,7 @@ fn notices_wait_for_a_busy_host() {
     // The receiver computes for 500us immediately; a message arriving at
     // ~6us must only be delivered when the CPU frees up.
     struct BusyReceiver {
-        delivered_at: Arc<Mutex<SimTime>>,
+        delivered_at: SimTime,
     }
     impl HostApp<NoExt> for BusyReceiver {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
@@ -26,7 +23,7 @@ fn notices_wait_for_a_busy_host() {
         }
         fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
             if let Notice::Recv { .. } = n {
-                *self.delivered_at.lock().unwrap() = ctx.now();
+                self.delivered_at = ctx.now();
             }
         }
     }
@@ -37,17 +34,15 @@ fn notices_wait_for_a_busy_host() {
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
     }
-    let delivered_at = Arc::new(Mutex::new(SimTime::ZERO));
     let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
     c.set_app(NodeId(0), Box::new(Sender));
     c.set_app(
         NodeId(1),
         Box::new(BusyReceiver {
-            delivered_at: delivered_at.clone(),
+            delivered_at: SimTime::ZERO,
         }),
     );
-    c.into_engine(1).run_to_idle();
-    let at = *delivered_at.lock().unwrap();
+    let at = drive(c, 1).app::<BusyReceiver>(NodeId(1)).delivered_at;
     assert!(
         at >= SimTime::ZERO + SimDuration::from_micros(500),
         "notice delivered at {at} while the host was computing"
@@ -76,7 +71,7 @@ fn sends_park_when_tokens_run_out_and_replay_in_order() {
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
     }
     struct Sink {
-        got: Arc<Mutex<Vec<u64>>>,
+        got: Vec<u64>,
     }
     impl HostApp<NoExt> for Sink {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
@@ -85,23 +80,21 @@ fn sends_park_when_tokens_run_out_and_replay_in_order() {
         fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
             if let Notice::Recv { tag, .. } = n {
                 ctx.provide_recv(P0, 1);
-                self.got.lock().unwrap().push(tag);
+                self.got.push(tag);
             }
         }
     }
-    let got = Arc::new(Mutex::new(Vec::new()));
     let mut c = Cluster::new(params, Fabric::new(Topology::for_nodes(2), 2), |_| NoExt);
     c.set_app(NodeId(0), Box::new(Burst));
-    c.set_app(NodeId(1), Box::new(Sink { got: got.clone() }));
-    let mut eng = c.into_engine(1);
-    eng.run_to_idle();
+    c.set_app(NodeId(1), Box::new(Sink { got: Vec::new() }));
+    let d = drive(c, 1);
     assert_eq!(
-        *got.lock().unwrap(),
+        d.app::<Sink>(NodeId(1)).got,
         (0..MSGS).collect::<Vec<u64>>(),
         "parked sends must replay in post order"
     );
     // The pool really was exhausted at some point.
-    assert!(eng.world(0).nic(NodeId(0)).counters.get("acked_packets") >= MSGS);
+    assert!(d.worlds[0].nic(NodeId(0)).counters.get("acked_packets") >= MSGS);
 }
 
 #[test]
@@ -124,9 +117,7 @@ fn trace_captures_the_full_protocol_pipeline() {
     c.set_app(NodeId(0), Box::new(Sender));
     c.set_app(NodeId(1), Box::new(Receiver));
     c.set_probes(ProbeConfig::spans());
-    let mut eng = c.into_engine(1);
-    eng.run_to_idle();
-    let events: Vec<ProbeEvent> = eng.world(0).probe.iter().copied().collect();
+    let events: Vec<ProbeEvent> = drive(c, 1).worlds[0].probe.iter().copied().collect();
     // The pipeline appears in causal order on the sender...
     let idx = |node: u32, pred: &dyn Fn(&ProbeEvent) -> bool| {
         events.iter().position(|e| e.node == node && pred(e))
@@ -159,22 +150,24 @@ fn trace_captures_the_full_protocol_pipeline() {
 #[test]
 fn staggered_app_starts_are_honoured() {
     struct Stamp {
-        at: Arc<Mutex<SimTime>>,
+        at: SimTime,
     }
     impl HostApp<NoExt> for Stamp {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
-            *self.at.lock().unwrap() = ctx.now();
+            self.at = ctx.now();
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
     }
-    let stamps: Vec<Arc<Mutex<SimTime>>> = (0..3).map(|_| Arc::default()).collect();
     let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(3), 4), |_| NoExt);
-    for (i, s) in stamps.iter().enumerate() {
-        c.set_app(NodeId(i as u32), Box::new(Stamp { at: s.clone() }));
-        c.set_start(NodeId(i as u32), SimTime::from_nanos(1_000 * i as u64));
+    for i in 0..3 {
+        c.set_app(NodeId(i), Box::new(Stamp { at: SimTime::ZERO }));
+        c.set_start(NodeId(i), SimTime::from_nanos(1_000 * u64::from(i)));
     }
-    c.into_engine(1).run_to_idle();
-    for (i, s) in stamps.iter().enumerate() {
-        assert_eq!(s.lock().unwrap().as_nanos(), 1_000 * i as u64);
+    let d = drive(c, 1);
+    for i in 0..3 {
+        assert_eq!(
+            d.app::<Stamp>(NodeId(i)).at.as_nanos(),
+            1_000 * u64::from(i)
+        );
     }
 }

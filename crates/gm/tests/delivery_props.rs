@@ -2,11 +2,8 @@
 //! message schedules under arbitrary loss rates must arrive exactly once,
 //! in order, bit-for-bit intact.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
-use gm::{Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
+use gm::{drive, Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
 use myrinet::{Fabric, FaultPlan, NetParams, NodeId, PortId, Topology};
 use proptest::prelude::*;
 
@@ -45,10 +42,9 @@ impl HostApp<NoExt> for Blaster {
     fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
 }
 
-type Log = Arc<Mutex<Vec<(u64, Bytes)>>>;
-
 struct Sink {
-    log: Log,
+    /// Messages received: (tag, data).
+    log: Vec<(u64, Bytes)>,
 }
 
 impl HostApp<NoExt> for Sink {
@@ -58,7 +54,7 @@ impl HostApp<NoExt> for Sink {
     fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
         if let Notice::Recv { tag, data, .. } = n {
             ctx.provide_recv(P0, 1);
-            self.log.lock().unwrap().push((tag, data));
+            self.log.push((tag, data));
         }
     }
 }
@@ -80,11 +76,8 @@ proptest! {
         );
         let mut cluster = Cluster::new(GmParams::default(), fabric, |_| NoExt);
         cluster.set_app(NodeId(0), Box::new(Blaster { msgs: msgs.clone() }));
-        let mut logs: Vec<Log> = Vec::new();
         for d in 1..4u32 {
-            let log: Log = Arc::default();
-            logs.push(log.clone());
-            cluster.set_app(NodeId(d), Box::new(Sink { log }));
+            cluster.set_app(NodeId(d), Box::new(Sink { log: Vec::new() }));
         }
         let mut eng = cluster.into_engine(1);
         let outcome = eng.run(gm_sim::SimTime::MAX, 50_000_000);
@@ -92,15 +85,14 @@ proptest! {
 
         // Per destination: exactly the messages addressed to it, in post
         // order, with intact payloads.
-        for (di, log) in logs.iter().enumerate() {
-            let dst = di as u32 + 1;
+        for dst in 1..4u32 {
             let expect: Vec<(u64, &Msg)> = msgs
                 .iter()
                 .enumerate()
                 .filter(|(_, m)| m.dst == dst)
                 .map(|(i, m)| (i as u64, m))
                 .collect();
-            let got = log.lock().unwrap();
+            let got = &eng.world(0).app::<Sink>(NodeId(dst)).log;
             prop_assert_eq!(got.len(), expect.len(), "count at dst {}", dst);
             for ((tag, data), (etag, em)) in got.iter().zip(&expect) {
                 prop_assert_eq!(tag, etag, "order at dst {}", dst);
@@ -126,11 +118,10 @@ proptest! {
             let mut cluster = Cluster::new(GmParams::default(), fabric, |_| NoExt);
             cluster.set_app(NodeId(0), Box::new(Blaster { msgs: msgs.clone() }));
             for d in 1..4u32 {
-                cluster.set_app(NodeId(d), Box::new(Sink { log: Arc::default() }));
+                cluster.set_app(NodeId(d), Box::new(Sink { log: Vec::new() }));
             }
-            let mut eng = cluster.into_engine(1);
-            eng.run_to_idle();
-            (eng.now(), eng.events_handled())
+            let d = drive(cluster, 1);
+            (d.end, d.events)
         };
         prop_assert_eq!(run(), run());
     }

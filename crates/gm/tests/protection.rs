@@ -2,17 +2,15 @@
 //! own port with private receive credits; traffic addressed to one port can
 //! never consume another port's resources or be delivered to it.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
-use gm::{Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
+use gm::{drive, Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
 use myrinet::{Fabric, NodeId, PortId, Topology};
 
 const PA: PortId = PortId(0);
 const PB: PortId = PortId(1);
 
-type Log = Arc<Mutex<Vec<(PortId, u64)>>>;
+/// Deliveries a receiver saw: (port, tag).
+type Log = Vec<(PortId, u64)>;
 
 /// Hosts two logical endpoints: credits only on port A.
 struct TwoPortHost {
@@ -27,7 +25,7 @@ impl HostApp<NoExt> for TwoPortHost {
     fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
         if let Notice::Recv { port, tag, .. } = n {
             ctx.provide_recv(port, 1);
-            self.log.lock().unwrap().push((port, tag));
+            self.log.push((port, tag));
         }
     }
 }
@@ -47,19 +45,18 @@ impl HostApp<NoExt> for DualSender {
 
 #[test]
 fn credits_are_per_port_and_traffic_never_crosses() {
-    let log: Log = Arc::default();
     let mut c = Cluster::new(
         GmParams::default(),
         Fabric::new(Topology::for_nodes(2), 1),
         |_| NoExt,
     );
     c.set_app(NodeId(0), Box::new(DualSender));
-    c.set_app(NodeId(1), Box::new(TwoPortHost { log: log.clone() }));
+    c.set_app(NodeId(1), Box::new(TwoPortHost { log: Log::new() }));
     let mut eng = c.into_engine(1);
     // Port B's messages will retry forever (no credits ever posted), so run
     // bounded and check what got through.
     eng.run_until(gm_sim::SimTime::from_nanos(100_000_000));
-    let got = log.lock().unwrap();
+    let got = &eng.world(0).app::<TwoPortHost>(NodeId(1)).log;
     // All three port-A messages arrived, in order, despite interleaved
     // port-B traffic stalling.
     let a_tags: Vec<u64> = got.iter().filter(|(p, _)| *p == PA).map(|(_, t)| *t).collect();
@@ -86,7 +83,7 @@ fn connections_are_independent_per_port_pair() {
         fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
             if let Notice::Recv { port, tag, .. } = n {
                 ctx.provide_recv(port, 1);
-                self.log.lock().unwrap().push((port, tag));
+                self.log.push((port, tag));
             }
         }
     }
@@ -102,16 +99,15 @@ fn connections_are_independent_per_port_pair() {
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
     }
-    let log: Log = Arc::default();
     let mut c = Cluster::new(
         GmParams::default(),
         Fabric::new(Topology::for_nodes(2), 2),
         |_| NoExt,
     );
     c.set_app(NodeId(0), Box::new(Mixed));
-    c.set_app(NodeId(1), Box::new(BothPorts { log: log.clone() }));
-    c.into_engine(1).run_to_idle();
-    let got = log.lock().unwrap();
+    c.set_app(NodeId(1), Box::new(BothPorts { log: Log::new() }));
+    let d = drive(c, 1);
+    let got = &d.app::<BothPorts>(NodeId(1)).log;
     assert_eq!(got.len(), 5);
     let b_tags: Vec<u64> = got.iter().filter(|(p, _)| *p == PB).map(|(_, t)| *t).collect();
     assert_eq!(b_tags, vec![0, 1, 2, 3], "port B in order");

@@ -1,15 +1,13 @@
 //! Index-addressed slab arenas for hot-path object storage.
 //!
-//! The model's dispatch structures used to carry their payloads inline in
-//! fat enums: every reorder of a NIC work ring, and every bucket drain or
-//! heap sift of an event, moved the whole payload. A [`Slab`] decouples
-//! *ordering* from *storage*: payloads park in a flat `Vec` and the
-//! ordering structures shuffle 4-byte indices instead. A payload is moved
-//! exactly twice — once in at [`Slab::insert`], once out at [`Slab::take`]
-//! — no matter how many times its index is resorted.
+//! Events used to carry their payloads inline in fat enums, so every
+//! bucket drain or heap sift of an event moved the whole payload. A
+//! [`Slab`] decouples *ordering* from *storage*: payloads park in a flat
+//! `Vec` and the ordering structures shuffle 4-byte indices instead. A
+//! payload is moved exactly twice — once in at [`Slab::insert`], once out
+//! at [`Slab::take`] — no matter how many times its index is resorted.
 //!
-//! Two owners use it. The NIC model (`gm::nic`) parks its work items, DMA
-//! jobs and transmit jobs; the cluster (`gm::cluster`) parks each event's
+//! The cluster (`gm::cluster`) is its one owner: it parks each event's
 //! payload with the node that owns it (host calls, arriving packets, timer
 //! tags) plus its packet hand-offs, so an event is a node id and a `u32`.
 //! The event queue itself keeps no arena: those thin events ride inline.
@@ -17,9 +15,8 @@
 //! Freed slots are recycled through an internal free list, so a steady-state
 //! simulation reaches a fixed footprint and stops allocating entirely — the
 //! property the exact allocation pins in `crates/bench/tests/counts.rs`
-//! hold. Indices are plain `u32`s; callers that juggle several slabs
-//! wrap them in newtypes (e.g. `gm::nic::WorkId`) so the type system keeps
-//! the arenas apart.
+//! hold. Indices are plain `u32`s; each `gm::Ev` variant that carries one
+//! names the slab it indexes.
 
 use std::fmt;
 

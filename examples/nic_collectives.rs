@@ -6,9 +6,6 @@
 //!
 //! Run with: `cargo run --release --example nic_collectives`
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use myri_mcast::gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use myri_mcast::mcast::{
     McastExt, McastNotice, McastRequest, ReduceOp, SpanningTree, TreeShape,
@@ -24,7 +21,8 @@ struct App {
     me: NodeId,
     tree: SpanningTree,
     phase: u32,
-    log: Arc<Mutex<Vec<String>>>,
+    /// What node 0 saw complete, in order.
+    log: Vec<String>,
 }
 
 impl HostApp<McastExt> for App {
@@ -47,9 +45,7 @@ impl HostApp<McastExt> for App {
             }
             Notice::Ext(McastNotice::BarrierDone { tag, .. }) => {
                 if self.me.0 == 0 {
-                    self.log
-                        .lock().expect("shared app state mutex poisoned")
-                        .push(format!("[{}] barrier {tag} done", ctx.now()));
+                    self.log.push(format!("[{}] barrier {tag} done", ctx.now()));
                 }
                 self.phase += 1;
                 // Phase 2: sum every node's id; phase 3: max of id*id.
@@ -65,7 +61,6 @@ impl HostApp<McastExt> for App {
             Notice::Ext(McastNotice::AllreduceDone { result, tag, .. }) => {
                 if self.me.0 == 0 {
                     self.log
-                        .lock().expect("shared app state mutex poisoned")
                         .push(format!("[{}] allreduce {tag} => {result}", ctx.now()));
                 }
                 self.phase += 1;
@@ -91,7 +86,6 @@ fn main() {
     let fabric = Fabric::new(Topology::for_nodes(N), 7);
     let dests: Vec<NodeId> = (1..N).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let log = Arc::new(Mutex::new(Vec::new()));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     for i in 0..N {
         cluster.set_app(
@@ -100,13 +94,14 @@ fn main() {
                 me: NodeId(i),
                 tree: tree.clone(),
                 phase: 0,
-                log: log.clone(),
+                log: Vec::new(),
             }),
         );
     }
-    let end = myri_mcast::gm::drive(cluster, 1).end;
+    let run = myri_mcast::gm::drive(cluster, 1);
+    let end = run.end;
     println!("NIC-level collectives over an {N}-node group (binomial tree):\n");
-    for line in log.lock().expect("shared app state mutex poisoned").iter() {
+    for line in &run.app::<App>(NodeId(0)).log {
         println!("  {line}");
     }
     println!(

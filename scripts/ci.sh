@@ -44,6 +44,27 @@ else
   echo "ci: taskset not found, skipping the one-CPU parity pass"
 fi
 
+# Examples: build every one in release mode and run it (together they take
+# under a second). The first 8 lines quickstart prints must match the
+# README's Quickstart block byte for byte.
+run build --release --examples "${CARGO_FLAGS[@]}"
+examples_out=$(mktemp -d)
+examples=(examples/*.rs)
+for src in "${examples[@]}"; do
+  ex=$(basename "$src" .rs)
+  echo "+ cargo run --release -q --example $ex"
+  cargo run --release -q "${CARGO_FLAGS[@]}" --example "$ex" >"$examples_out/$ex.txt"
+done
+readme_quickstart=$(awk '/^\$ cargo run --release --example quickstart$/ { on = 1; next }
+  on && /^```$/ { exit } on' README.md)
+if [[ "$(head -n 8 "$examples_out/quickstart.txt")" != "$readme_quickstart" ]]; then
+  echo "ci: quickstart output differs from the README Quickstart block:" >&2
+  diff <(printf '%s\n' "$readme_quickstart") <(head -n 8 "$examples_out/quickstart.txt") >&2 || true
+  exit 1
+fi
+rm -r "$examples_out"
+echo "ci: ${#examples[@]} examples run, quickstart matches the README"
+
 # The benchmark is a package of its own (mcbench/, outside the workspace):
 # its unit tests, then a smoke run — one pass of each of the five workloads
 # at a tenth of the simulated length, every pass checked. The smoke run

@@ -1,18 +1,16 @@
 //! Ordering and concurrency guarantees of the NIC-based multicast, driven
 //! through the public API with hand-rolled host applications.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
-use myri_mcast::gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
+use myri_mcast::gm::{drive, Cluster, Driven, GmParams, HostApp, HostCtx, Notice};
 use myri_mcast::mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 use myri_mcast::net::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
 use myri_mcast::sim::SimTime;
 
 const PORT: PortId = PortId(0);
 
-type DeliveryLog = Arc<Mutex<Vec<(u64, Bytes)>>>;
+/// Deliveries a destination saw: (tag, data).
+type DeliveryLog = Vec<(u64, Bytes)>;
 
 /// Root app: installs its group entry and fires `count` back-to-back
 /// multicasts without waiting for anything.
@@ -20,7 +18,8 @@ struct BurstRoot {
     gid: GroupId,
     tree: SpanningTree,
     count: u64,
-    done: Arc<Mutex<u64>>,
+    /// `SendDone` notices seen.
+    done: u64,
 }
 
 impl HostApp<McastExt> for BurstRoot {
@@ -50,7 +49,7 @@ impl HostApp<McastExt> for BurstRoot {
                 }
             }
             Notice::Ext(McastNotice::SendDone { .. }) => {
-                *self.done.lock().unwrap() += 1;
+                self.done += 1;
             }
             _ => {}
         }
@@ -80,23 +79,17 @@ impl HostApp<McastExt> for Logger {
     fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
         if let Notice::Recv { tag, data, .. } = n {
             ctx.provide_recv(PORT, 1);
-            self.log.lock().unwrap().push((tag, data));
+            self.log.push((tag, data));
         }
     }
 }
 
-fn burst_cluster(
-    n: u32,
-    shape: TreeShape,
-    count: u64,
-    faults: FaultPlan,
-) -> (Cluster<McastExt>, Vec<DeliveryLog>, Arc<Mutex<u64>>) {
+fn burst_cluster(n: u32, shape: TreeShape, count: u64, faults: FaultPlan) -> Cluster<McastExt> {
     let topo = Topology::for_nodes(n);
     let fabric = Fabric::with_config(topo, NetParams::default(), faults, 77);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, shape);
     let gid = GroupId(9);
-    let done = Arc::new(Mutex::new(0u64));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     cluster.set_app(
         NodeId(0),
@@ -104,29 +97,30 @@ fn burst_cluster(
             gid,
             tree: tree.clone(),
             count,
-            done: done.clone(),
+            done: 0,
         }),
     );
-    let mut logs = Vec::new();
     for &d in &dests {
-        let log: DeliveryLog = Arc::default();
-        logs.push(log.clone());
         cluster.set_app(
             d,
             Box::new(Logger {
                 gid,
                 tree: tree.clone(),
                 me: d,
-                log,
+                log: DeliveryLog::new(),
             }),
         );
     }
-    (cluster, logs, done)
+    cluster
 }
 
-fn assert_burst_delivery(logs: &[DeliveryLog], count: u64) {
+/// The delivery logs of the `Logger`s on nodes `1..n`.
+fn logger_logs(d: &Driven<McastExt>, n: u32) -> Vec<&DeliveryLog> {
+    (1..n).map(|i| &d.app::<Logger>(NodeId(i)).log).collect()
+}
+
+fn assert_burst_delivery(logs: &[&DeliveryLog], count: u64) {
     for (i, log) in logs.iter().enumerate() {
-        let log = log.lock().unwrap();
         assert_eq!(
             log.len(),
             count as usize,
@@ -151,23 +145,26 @@ fn assert_burst_delivery(logs: &[DeliveryLog], count: u64) {
 #[test]
 fn burst_of_mixed_size_multicasts_arrives_in_order_everywhere() {
     for shape in [TreeShape::Binomial, TreeShape::Flat, TreeShape::Chain, TreeShape::KAry(2)] {
-        let (cluster, logs, done) = burst_cluster(8, shape, 12, FaultPlan::none());
-        let mut eng = cluster.into_engine(1);
-        eng.run_to_idle();
-        assert_burst_delivery(&logs, 12);
-        assert_eq!(*done.lock().unwrap(), 12, "root must see every SendDone");
+        let d = drive(burst_cluster(8, shape, 12, FaultPlan::none()), 1);
+        assert_burst_delivery(&logger_logs(&d, 8), 12);
+        assert_eq!(
+            d.app::<BurstRoot>(NodeId(0)).done,
+            12,
+            "root must see every SendDone"
+        );
     }
 }
 
 #[test]
 fn burst_survives_random_loss_in_order() {
-    let (cluster, logs, done) = burst_cluster(8, TreeShape::Binomial, 10, FaultPlan::with_loss(0.03));
-    let mut eng = cluster.into_engine(1);
-    eng.run_to_idle();
-    assert_burst_delivery(&logs, 10);
-    assert_eq!(*done.lock().unwrap(), 10);
+    let d = drive(
+        burst_cluster(8, TreeShape::Binomial, 10, FaultPlan::with_loss(0.03)),
+        1,
+    );
+    assert_burst_delivery(&logger_logs(&d, 8), 10);
+    assert_eq!(d.app::<BurstRoot>(NodeId(0)).done, 10);
     // Loss must actually have occurred for this test to mean anything.
-    let dropped: u64 = eng.world(0).fabric().counters().get("dropped_random");
+    let dropped: u64 = d.worlds[0].fabric().counters().get("dropped_random");
     assert!(dropped > 0, "expected some loss at 3%");
 }
 
@@ -245,7 +242,7 @@ fn two_concurrent_groups_with_interleaved_membership() {
                 }
                 Notice::Recv { tag, data, .. } => {
                     ctx.provide_recv(PORT, 1);
-                    self.log.lock().unwrap().push((tag, data));
+                    self.log.push((tag, data));
                 }
                 _ => {}
             }
@@ -253,10 +250,7 @@ fn two_concurrent_groups_with_interleaved_membership() {
     }
 
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
-    let mut logs: Vec<DeliveryLog> = Vec::new();
     for i in 0..n {
-        let log: DeliveryLog = Arc::default();
-        logs.push(log.clone());
         cluster.set_app(
             NodeId(i),
             Box::new(DualApp {
@@ -266,16 +260,15 @@ fn two_concurrent_groups_with_interleaved_membership() {
                 tree_a: tree_a.clone(),
                 tree_b: tree_b.clone(),
                 count: 6,
-                log,
+                log: DeliveryLog::new(),
                 ready: 0,
             }),
         );
     }
-    let mut eng = cluster.into_engine(1);
-    eng.run_to_idle();
-    assert!(eng.now() > SimTime::ZERO);
-    for (i, log) in logs.iter().enumerate() {
-        let log = log.lock().unwrap();
+    let d = drive(cluster, 1);
+    assert!(d.end > SimTime::ZERO);
+    for i in 0..n {
+        let log = &d.app::<DualApp>(NodeId(i)).log;
         // Node 0 only receives group B (6 msgs); node 7 only group A; the
         // rest receive both (12).
         let expect = if i == 0 || i == 7 { 6 } else { 12 };
@@ -305,7 +298,6 @@ fn scarce_receive_credits_recover_via_retransmission() {
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Flat);
     let gid = GroupId(4);
-    let done = Arc::new(Mutex::new(0u64));
     let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
     cluster.set_app(
         NodeId(0),
@@ -313,7 +305,7 @@ fn scarce_receive_credits_recover_via_retransmission() {
             gid,
             tree: tree.clone(),
             count: 12,
-            done: done.clone(),
+            done: 0,
         }),
     );
 
@@ -333,7 +325,7 @@ fn scarce_receive_credits_recover_via_retransmission() {
         }
         fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
             if let Notice::Recv { tag, data, .. } = n {
-                self.inner.log.lock().unwrap().push((tag, data));
+                self.inner.log.push((tag, data));
                 // Dawdle before reposting the credit so the next message
                 // finds the pool empty and must be recovered by timeout.
                 ctx.compute(myri_mcast::sim::SimDuration::from_micros(40), 1_000_000);
@@ -342,10 +334,7 @@ fn scarce_receive_credits_recover_via_retransmission() {
         }
     }
 
-    let mut logs = Vec::new();
     for &d in &dests {
-        let log: DeliveryLog = Arc::default();
-        logs.push(log.clone());
         cluster.set_app(
             d,
             Box::new(StingyLogger {
@@ -353,17 +342,19 @@ fn scarce_receive_credits_recover_via_retransmission() {
                     gid,
                     tree: tree.clone(),
                     me: d,
-                    log,
+                    log: DeliveryLog::new(),
                 },
             }),
         );
     }
-    let mut eng = cluster.into_engine(1);
-    eng.run_to_idle();
+    let d = drive(cluster, 1);
+    let logs: Vec<&DeliveryLog> = (1..n)
+        .map(|i| &d.app::<StingyLogger>(NodeId(i)).inner.log)
+        .collect();
     assert_burst_delivery(&logs, 12);
-    assert_eq!(*done.lock().unwrap(), 12);
+    assert_eq!(d.app::<BurstRoot>(NodeId(0)).done, 12);
     let token_drops: u64 = (1..n)
-        .map(|i| eng.world(0).nic(NodeId(i)).counters.get("rx_drop_no_token"))
+        .map(|i| d.worlds[0].nic(NodeId(i)).counters.get("rx_drop_no_token"))
         .sum();
     assert!(token_drops > 0, "the credit wall must have been hit");
 }

@@ -2,17 +2,12 @@
 //! bound to port B must deliver only on port B, even when port A has
 //! credits too.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
-use myri_mcast::gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
+use myri_mcast::gm::{drive, Cluster, GmParams, HostApp, HostCtx, Notice};
 use myri_mcast::net::{Fabric, GroupId, NodeId, PortId, Topology};
 
 const PA: PortId = PortId(0);
 const PB: PortId = PortId(1);
-
-type Log = Arc<Mutex<Vec<(PortId, u64)>>>;
 
 #[test]
 fn multicast_groups_deliver_only_on_their_port() {
@@ -21,7 +16,8 @@ fn multicast_groups_deliver_only_on_their_port() {
     struct GroupHost {
         me: NodeId,
         tree: SpanningTree,
-        log: Log,
+        /// Deliveries: (port, tag).
+        log: Vec<(PortId, u64)>,
     }
     impl HostApp<McastExt> for GroupHost {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
@@ -46,7 +42,7 @@ fn multicast_groups_deliver_only_on_their_port() {
                     });
                 }
                 Notice::Recv { port, tag, .. } => {
-                    self.log.lock().unwrap().push((port, tag));
+                    self.log.push((port, tag));
                 }
                 _ => {}
             }
@@ -55,7 +51,6 @@ fn multicast_groups_deliver_only_on_their_port() {
     let n = 4u32;
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let logs: Vec<Log> = (0..n).map(|_| Log::default()).collect();
     let mut c = Cluster::new(
         GmParams::default(),
         Fabric::new(Topology::for_nodes(n), 3),
@@ -67,13 +62,13 @@ fn multicast_groups_deliver_only_on_their_port() {
             Box::new(GroupHost {
                 me: NodeId(i),
                 tree: tree.clone(),
-                log: logs[i as usize].clone(),
+                log: Vec::new(),
             }),
         );
     }
-    c.into_engine(1).run_to_idle();
-    for (i, log) in logs.iter().enumerate().skip(1) {
-        let got = log.lock().unwrap();
+    let d = drive(c, 1);
+    for i in 1..n {
+        let got = &d.app::<GroupHost>(NodeId(i)).log;
         assert_eq!(got.len(), 1, "node {i}");
         assert_eq!(got[0], (PB, 9), "delivery bound to the group's port");
     }

@@ -7,11 +7,8 @@
 //! and with the multicast extension installed (idle group present) and
 //! require the timelines to be bit-identical.
 
-use std::sync::Mutex;
-use std::sync::Arc;
-
 use bytes::Bytes;
-use myri_mcast::gm::{Cluster, GmParams, HostApp, HostCtx, NicExtension, NoExt, Notice};
+use myri_mcast::gm::{drive, Cluster, GmParams, HostApp, HostCtx, NicExtension, NoExt, Notice};
 use myri_mcast::mcast::{McastExt, McastRequest};
 use myri_mcast::net::{Fabric, GroupId, NodeId, PortId, Topology};
 use myri_mcast::sim::SimTime;
@@ -21,7 +18,8 @@ const P0: PortId = PortId(0);
 struct Pinger {
     size: usize,
     remaining: u32,
-    times: Arc<Mutex<Vec<SimTime>>>,
+    /// When each reply arrived.
+    times: Vec<SimTime>,
 }
 
 impl<X: NicExtension> HostApp<X> for Pinger {
@@ -31,7 +29,7 @@ impl<X: NicExtension> HostApp<X> for Pinger {
     }
     fn on_notice(&mut self, n: Notice<X::Notice>, ctx: &mut HostCtx<'_, X>) {
         if let Notice::Recv { .. } = n {
-            self.times.lock().unwrap().push(ctx.now());
+            self.times.push(ctx.now());
             self.remaining -= 1;
             ctx.provide_recv(P0, 1);
             if self.remaining > 0 {
@@ -84,7 +82,6 @@ impl HostApp<McastExt> for PingerWithGroup {
 fn idle_multicast_firmware_leaves_unicast_timelines_bit_identical() {
     for size in [1usize, 512, 4096, 16384] {
         let baseline = {
-            let times = Arc::new(Mutex::new(Vec::new()));
             let mut c = Cluster::new(
                 GmParams::default(),
                 Fabric::new(Topology::for_nodes(2), 1),
@@ -95,16 +92,13 @@ fn idle_multicast_firmware_leaves_unicast_timelines_bit_identical() {
                 Box::new(Pinger {
                     size,
                     remaining: 25,
-                    times: times.clone(),
+                    times: Vec::new(),
                 }),
             );
             c.set_app(NodeId(1), Box::new(Echo { size }));
-            c.into_engine(1).run_to_idle();
-            let t = times.lock().unwrap().clone();
-            t
+            drive(c, 1).app::<Pinger>(NodeId(0)).times.clone()
         };
         let with_ext = {
-            let times = Arc::new(Mutex::new(Vec::new()));
             let mut c = Cluster::new(
                 GmParams::default(),
                 Fabric::new(Topology::for_nodes(2), 1),
@@ -115,13 +109,12 @@ fn idle_multicast_firmware_leaves_unicast_timelines_bit_identical() {
                 Box::new(PingerWithGroup(Pinger {
                     size,
                     remaining: 25,
-                    times: times.clone(),
+                    times: Vec::new(),
                 })),
             );
             c.set_app(NodeId(1), Box::new(Echo { size }));
-            c.into_engine(1).run_to_idle();
-            let t = times.lock().unwrap().clone();
-            t
+            let run = drive(c, 1);
+            run.app::<PingerWithGroup>(NodeId(0)).0.times.clone()
         };
         assert_eq!(baseline.len(), 25);
         // Group installation happens concurrently with the first ping, so
