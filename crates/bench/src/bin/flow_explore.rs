@@ -30,7 +30,7 @@ use nic_mcast::{BuiltScenario, McastMode, ProbeConfig, Report};
 /// scenario under the opposite scheme, plus `--check`.
 fn parse(a: &cli::Args) -> Result<(BuiltScenario, BuiltScenario, bool), CliError> {
     let shards = a.get("--shards", 1)?;
-    let probes = a.get("--probe-capacity", ProbeConfig::DEFAULT_CAPACITY)?;
+    let probes = cli::ring_capacity(a, "--probe-capacity", ProbeConfig::DEFAULT_CAPACITY)?;
     let series = a.get("--series-capacity", SeriesConfig::DEFAULT_CAPACITY)?;
     let observed = |mode| {
         let scenario = cli::scenario(a, mode, 4096, 5, 2)?

@@ -36,14 +36,16 @@ fn parse(a: &cli::Args) -> Result<(Opts, BuiltWorkload), CliError> {
         Some(us) => WatchConfig::with_window(SimDuration::from_micros(us)),
         None => WatchConfig::on(),
     };
+    let probes = cli::ring_capacity(a, "--probe-capacity", 1 << 20)?;
+    let series = cli::ring_capacity(a, "--series-capacity", 1 << 20)?;
     let workload = wl
         .workload()
         .faults(myrinet::FaultPlan {
             drop_prob: loss,
             ..myrinet::FaultPlan::none()
         })
-        .probes(ProbeConfig::spans_with_capacity(a.get("--probe-capacity", 1 << 20)?))
-        .series(SeriesConfig::with_capacity(a.get("--series-capacity", 1 << 20)?))
+        .probes(ProbeConfig::spans_with_capacity(probes))
+        .series(SeriesConfig::with_capacity(series))
         .watch(watch);
     let built = workload.clone().build().map_err(|e| CliError::Invalid(e.to_string()))?;
     let check = a.has("--check");

@@ -215,6 +215,18 @@ pub fn ring_overflows(metrics: &Metrics) -> Vec<String> {
     out
 }
 
+/// Decode a ring-capacity flag whose ring `--check` reads, else
+/// `default`. Zero would disable the ring, and the gate would then report a
+/// misleading cause, so it is rejected.
+pub fn ring_capacity(a: &Args, flag: &'static str, default: usize) -> Result<usize, CliError> {
+    match a.get(flag, default)? {
+        0 => Err(CliError::Invalid(format!(
+            "{flag} 0 disables the ring --check reads"
+        ))),
+        n => Ok(n),
+    }
+}
+
 /// Decode `--mode`: `nic` or `host`.
 pub fn parse_mode(v: &str) -> Option<McastMode> {
     match v {

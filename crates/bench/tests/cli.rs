@@ -1,6 +1,10 @@
 //! The shared command-line parser: flag groups, the `--shape`/`--mode`
 //! decoders, typed values and their errors, and each binary's exact flag
-//! set — all driven from argument lists, without exiting the process.
+//! set — all driven from argument lists, without exiting the process. The
+//! zero-capacity checks run the explorers themselves, since what they pin
+//! is each binary's exit status.
+
+use std::process::Command;
 
 use bench::cli::{self, parse_mode, parse_shape, Args, CliError, CliOpts, Flags, WorkloadOpts};
 use gm_sim::SimDuration;
@@ -265,4 +269,34 @@ fn ring_overflows_name_each_ring() {
     assert_eq!(f.len(), 2);
     assert!(f[0].starts_with("probe ring overflowed, 3 events"));
     assert!(f[1].starts_with("series ring overflowed, 4 points"));
+}
+
+/// Whether `bin` rejects `argv` the way every bad command line is
+/// rejected: exit status 2, the usage line last on stderr.
+fn rejected(bin: &str, argv: &[&str]) -> bool {
+    let out = Command::new(bin)
+        .args(argv)
+        .output()
+        .expect("explorer runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    out.status.code() == Some(2)
+        && stderr
+            .lines()
+            .last()
+            .is_some_and(|l| l.starts_with("usage: "))
+}
+
+#[test]
+fn zero_capacity_rings_that_check_reads_are_rejected() {
+    let health = env!("CARGO_BIN_EXE_health_explore");
+    assert!(
+        rejected(health, &["--probe-capacity", "0"])
+            && rejected(health, &["--series-capacity", "0"]),
+        "health_explore must reject zero probe and series capacities"
+    );
+    let flow = env!("CARGO_BIN_EXE_flow_explore");
+    assert!(
+        rejected(flow, &["--probe-capacity", "0"]),
+        "flow_explore must reject a zero probe capacity"
+    );
 }

@@ -15,6 +15,10 @@
 //! event split, since on a multi-core host its second shard runs on
 //! another thread.
 //!
+//! The allocator also tracks the thread's live heap bytes and their
+//! high-water mark. The observed run pins its peak, so a harvest that
+//! holds a second copy of the probe stream fails here.
+//!
 //! A pin that moves on purpose is updated here, with the reason in
 //! CHANGES.md.
 
@@ -22,41 +26,60 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gm_mpi::{execute_mpi, BcastImpl, MpiRun};
-use gm_sim::SimDuration;
+use gm_sim::{ProbeConfig, SeriesConfig, SimDuration, WatchConfig};
+use myrinet::FaultPlan;
 use nic_mcast::{
-    ArrivalProcess, BuiltScenario, BuiltWorkload, FanoutDist, Scenario, StopCondition, TreeShape,
-    Workload,
+    ArrivalProcess, BuiltScenario, FanoutDist, Scenario, StopCondition, TreeShape, Workload,
 };
 
 thread_local! {
     /// Allocations and reallocations made on this thread so far.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread has allocated and not yet freed. Memory freed
+    /// on another thread than it was allocated on skews both threads, so
+    /// only single-threaded runs read it.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since [`measured`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting `alloc` (which `alloc_zeroed` routes
-/// through) and `realloc` on the calling thread.
+/// through) and `realloc` on the calling thread, and tracking its live
+/// bytes.
 struct CountingAlloc;
 
-fn bump() {
+/// Record one allocation or reallocation that changed live bytes by
+/// `delta`.
+fn bump(delta: i64) {
     ALLOCS.with(|n| n.set(n.get() + 1));
+    grow(delta);
+}
+
+fn grow(delta: i64) {
+    let live = LIVE.with(|l| {
+        l.set(l.get() + delta);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 // SAFETY: every method forwards its exact arguments to `System`, whose
-// `GlobalAlloc` contract is inherited unchanged; the counter is a
-// const-initialized thread-local `Cell` that never allocates.
+// `GlobalAlloc` contract is inherited unchanged; the counters are
+// const-initialized thread-local `Cell`s that never allocate.
 #[allow(unsafe_code)] // the one GlobalAlloc impl, delegating entirely to System
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size() as i64);
         // SAFETY: the caller upholds `alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(-(layout.size() as i64));
         // SAFETY: `ptr` came from this allocator, which is `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with `layout`; the caller upholds
         // `realloc`'s contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -66,11 +89,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Run `f`, returning its result and the allocations it made on this thread.
-fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+/// What `f` did to this thread's heap.
+struct Heap {
+    /// Allocations and reallocations made.
+    allocs: u64,
+    /// The most bytes live at once, above what was live before `f`.
+    peak_bytes: u64,
+}
+
+/// Run `f`, returning its result and what it did to this thread's heap.
+fn measured<R>(f: impl FnOnce() -> R) -> (R, Heap) {
     let before = ALLOCS.with(Cell::get);
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(live));
     let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    let heap = Heap {
+        allocs: ALLOCS.with(Cell::get) - before,
+        peak_bytes: (PEAK.with(Cell::get) - live) as u64,
+    };
+    (out, heap)
 }
 
 fn pin(what: &str, got: u64, pinned: u64) {
@@ -95,50 +132,80 @@ fn scenario(s: Scenario) -> BuiltScenario {
 
 /// 32 nodes, 64 groups with Zipf(1.2) fan-outs, per-group Poisson arrivals
 /// at 20 kHz for 2 ms.
-fn workload(shards: u32) -> BuiltWorkload {
+fn workload(shards: u32) -> Workload {
     Workload::new(32)
         .groups(64)
         .fanout(FanoutDist::Zipf { exponent: 1.2 })
         .arrivals(ArrivalProcess::Poisson { rate_hz: 20_000.0 })
         .stop(StopCondition::Duration(SimDuration::from_millis(2)))
         .shards(shards)
-        .build()
-        .expect("valid workload")
 }
 
 #[test]
 fn nic_based_scenario_counts() {
     let built = scenario(Scenario::nic_based(16));
-    let (report, allocs) = counting(|| built.run());
+    let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("NIC-based scenario events", events, 5_067);
-    pin("NIC-based scenario allocations", allocs, 3_175);
+    pin("NIC-based scenario allocations", heap.allocs, 3_175);
 }
 
 #[test]
 fn host_based_scenario_counts() {
     let built = scenario(Scenario::host_based(16));
-    let (report, allocs) = counting(|| built.run());
+    let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("host-based scenario events", events, 6_049);
-    pin("host-based scenario allocations", allocs, 3_243);
+    pin("host-based scenario allocations", heap.allocs, 3_243);
 }
 
 #[test]
 fn workload_counts() {
-    let built = workload(1);
-    let (report, allocs) = counting(|| built.run());
+    let built = workload(1).build().expect("valid workload");
+    let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("workload events", events, 76_917);
-    pin("workload allocations", allocs, 25_138);
+    pin("workload allocations", heap.allocs, 25_138);
+}
+
+/// The probe records and series points the observed run keeps. Its rings
+/// hold exactly this many, so nothing is evicted and nothing is spare.
+const OBSERVED_RECORDS: (usize, usize) = (153_460, 58_194);
+
+/// The [`workload`] run at 2% loss with probes, series and the watch
+/// detectors on: the observed path, whose harvest merges the streams.
+#[test]
+fn observed_workload_counts() {
+    let (records, points) = OBSERVED_RECORDS;
+    let built = workload(1)
+        .faults(FaultPlan::with_loss(0.02))
+        .probes(ProbeConfig::spans_with_capacity(records))
+        .series(SeriesConfig::with_capacity(points))
+        .watch(WatchConfig::on())
+        .build()
+        .expect("valid workload");
+    let (report, heap) = measured(|| built.run());
+    assert_eq!(
+        (report.probe.len(), report.series.len()),
+        OBSERVED_RECORDS,
+        "the rings are sized to the run"
+    );
+    let events = report.metrics.get("engine.events");
+    pin("observed workload events", events, 94_187);
+    pin("observed workload allocations", heap.allocs, 46_066);
+    pin(
+        "observed workload peak live bytes",
+        heap.peak_bytes,
+        22_087_892,
+    );
 }
 
 #[test]
 fn mpi_bcast_counts() {
     let run = MpiRun::bcast_loop(8, 1024, BcastImpl::NicBased, SimDuration::ZERO, 3, 15);
-    let (out, allocs) = counting(|| execute_mpi(&run));
+    let (out, heap) = measured(|| execute_mpi(&run));
     pin("MPI broadcast events", out.events, 8_647);
-    pin("MPI broadcast allocations", allocs, 3_033);
+    pin("MPI broadcast allocations", heap.allocs, 3_033);
 }
 
 #[test]

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use gm_sim::probe::{ProbeConfig, ProbeSink};
 use gm_sim::{
-    Engine, FlowId, OutMsg, Scheduler, SeriesConfig, SeriesSink, SimDuration, SimTime, Slab, World,
-    FLOW_DELIVERY,
+    Engine, FlowId, GaugeId, OutMsg, Scheduler, SeriesConfig, SeriesSink, SimDuration, SimTime,
+    Slab, World, FLOW_DELIVERY,
 };
 use myrinet::{Fabric, NodeId, Packet, RxOutcome, WireHandoff};
 
@@ -142,6 +142,25 @@ impl<X: NicExtension> Slot<X> {
     }
 }
 
+/// The NIC gauges every pump samples, in sampling order.
+const NIC_GAUGES: [&str; 8] = [
+    "send_tokens_used",
+    "recv_tokens_avail",
+    "sram_used",
+    "lanai_queue",
+    "pci_queue",
+    "tx_queue",
+    "groups_used",
+    "retx_total",
+];
+
+/// A series sink for `config` and the handles of [`NIC_GAUGES`] in it.
+fn series_sink(config: SeriesConfig) -> (SeriesSink, [GaugeId; NIC_GAUGES.len()]) {
+    let mut sink = SeriesSink::new(config);
+    let gauges = NIC_GAUGES.map(|name| sink.gauge(name));
+    (sink, gauges)
+}
+
 /// N nodes plus the fabric — or, in a sharded engine, one shard's
 /// contiguous slice of them (plus that shard's fabric clone).
 pub struct Cluster<X: NicExtension> {
@@ -152,8 +171,12 @@ pub struct Cluster<X: NicExtension> {
     /// Observability sink (disabled by default; see [`set_probes`](Self::set_probes)).
     pub probe: ProbeSink,
     /// Time-series gauge sink (disabled by default; see
-    /// [`set_series`](Self::set_series)).
-    pub series: SeriesSink,
+    /// [`set_series`](Self::set_series)). Crate-private because
+    /// `nic_gauges` must be its handles; [`harvest`](crate::harvest) hands
+    /// it out.
+    pub(crate) series: SeriesSink,
+    /// Handles of [`NIC_GAUGES`] in `series`.
+    nic_gauges: [GaugeId; NIC_GAUGES.len()],
     /// Events handled (drives subsampling of execution gauges).
     events_handled: u64,
     /// Owning shard of every node (all zero in an unsplit cluster).
@@ -179,13 +202,15 @@ impl<X: NicExtension> Cluster<X> {
         let slots = (0..n)
             .map(|i| Slot::new(NodeId(i), &params, mk_ext(NodeId(i))))
             .collect();
+        let (series, nic_gauges) = series_sink(SeriesConfig::off());
         Cluster {
             params,
             fabric,
             slots,
             start_times: vec![SimTime::ZERO; n as usize],
             probe: ProbeSink::disabled(),
-            series: SeriesSink::disabled(),
+            series,
+            nic_gauges,
             events_handled: 0,
             shard_of: Arc::new(vec![0; n as usize]),
             my_shard: 0,
@@ -232,7 +257,7 @@ impl<X: NicExtension> Cluster<X> {
     /// [`SeriesConfig::off`] (the default) no gauges are sampled and
     /// nothing is allocated.
     pub fn set_series(&mut self, config: SeriesConfig) {
-        self.series = SeriesSink::new(config);
+        (self.series, self.nic_gauges) = series_sink(config);
     }
 
     /// Number of nodes in the whole cluster (not just this shard's slice).
@@ -373,13 +398,15 @@ impl<X: NicExtension> Cluster<X> {
         let mut node_base = 0u32;
         for s in 0..actual {
             let count = shard_of.iter().filter(|&&x| x == s).count();
+            let (series, nic_gauges) = series_sink(series_config);
             shards.push(Cluster {
                 params: self.params.clone(),
                 fabric: self.fabric.clone(),
                 slots: slots.by_ref().take(count).collect(),
                 start_times: self.start_times.clone(),
                 probe: ProbeSink::new(config),
-                series: SeriesSink::new(series_config),
+                series,
+                nic_gauges,
                 events_handled: 0,
                 shard_of: Arc::clone(&shard_of),
                 my_shard: s,
@@ -557,21 +584,6 @@ impl<X: NicExtension> Cluster<X> {
         }
         let li = self.local(node);
         let nic = &self.slots[li].nic;
-        let n = node.0;
-        self.series
-            .record(now, n, "send_tokens_used", nic.send_tokens_used() as u64);
-        self.series
-            .record(now, n, "recv_tokens_avail", nic.recv_tokens_avail() as u64);
-        self.series
-            .record(now, n, "sram_used", nic.sram_buffers_used() as u64);
-        self.series
-            .record(now, n, "lanai_queue", nic.lanai_queue_len() as u64);
-        self.series
-            .record(now, n, "pci_queue", nic.pci_queue_len() as u64);
-        self.series
-            .record(now, n, "tx_queue", nic.tx_queue_len() as u64);
-        self.series
-            .record(now, n, "groups_used", nic.groups_used() as u64);
         // Cumulative retransmissions (unicast Go-Back-N + multicast) sampled
         // as a step function of NIC state, so rate-of-change health
         // detectors (`sim::watch`) can resolve storms in time. Consecutive
@@ -579,7 +591,19 @@ impl<X: NicExtension> Cluster<X> {
         // one comparison per pump.
         let retx =
             nic.counters.get("retransmissions") + nic.counters.get("mcast_retransmissions");
-        self.series.record(now, n, "retx_total", retx);
+        let values = [
+            nic.send_tokens_used() as u64,
+            nic.recv_tokens_avail() as u64,
+            nic.sram_buffers_used() as u64,
+            nic.lanai_queue_len() as u64,
+            nic.pci_queue_len() as u64,
+            nic.tx_queue_len() as u64,
+            nic.groups_used() as u64,
+            retx,
+        ];
+        for (gauge, value) in self.nic_gauges.into_iter().zip(values) {
+            self.series.record_gauge(now, node.0, gauge, value);
+        }
     }
 
     /// Park a hand-off whose receive stage runs on this shard and schedule

@@ -44,6 +44,7 @@
 mod engine;
 pub mod critical_path;
 pub mod flow;
+mod merge;
 mod parallel;
 pub mod probe;
 mod queue;
@@ -59,7 +60,7 @@ pub use engine::{dispatch_stats, OutMsg, RunOutcome, Scheduler, World};
 pub use flow::FlowId;
 pub use parallel::{Engine, ShardStats};
 pub use probe::{Metrics, ProbeConfig, ProbeEvent, ProbeSink};
-pub use series::{GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
+pub use series::{GaugeId, GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
 pub use queue::{set_kind_override as set_queue_override, EventQueue, QueueKind};
 pub use rng::{splitmix64, DetRng};
 pub use slab::Slab;

@@ -27,6 +27,7 @@
 use std::collections::BTreeMap;
 
 use crate::flow::FlowId;
+use crate::merge;
 use crate::time::{SimDuration, SimTime};
 
 /// The resource a probe point belongs to; becomes the Perfetto thread
@@ -402,9 +403,9 @@ impl ProbeSink {
         self.iter().copied().collect()
     }
 
-    /// Merge per-shard sinks into one canonical stream: a stable sort by
-    /// `(time, node)` (preserving each sink's internal order) followed by a
-    /// seq renumbering.
+    /// Merge per-shard sinks into one canonical stream, ordered by
+    /// `(time, node)` with each sink's internal order kept among ties, and
+    /// renumber `seq`.
     ///
     /// Both the sequential and the sharded scenario paths run their streams
     /// through this, so the two modes produce byte-identical probe output:
@@ -414,15 +415,21 @@ impl ProbeSink {
     /// per-sink order is a total, mode-independent key. (If any ring
     /// evicted, per-shard rings evict different records than one global ring
     /// would — size the capacity to the run when exact parity matters.)
+    ///
+    /// The merge works in place: the first sink's ring becomes the merged
+    /// stream, and the sort moves 16-byte `(time, node, position)` keys
+    /// instead of records (see `sim::merge`).
     pub fn merge_canonical(sinks: Vec<ProbeSink>) -> ProbeSink {
         let enabled = sinks.iter().any(ProbeSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
         let evicted: u64 = sinks.iter().map(|s| s.evicted).sum();
-        let mut events: Vec<ProbeEvent> = Vec::with_capacity(sinks.iter().map(ProbeSink::len).sum());
-        for sink in &sinks {
-            events.extend(sink.iter().copied());
-        }
-        events.sort_by_key(|e| (e.time, e.node));
+        let mut events = merge::concat_rings(sinks.into_iter().map(|s| (s.events, s.head)));
+        let mut keys: Vec<(SimTime, u32, u32)> = events
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.time, e.node, merge::position(i)))
+            .collect();
+        merge::sort_by_keys(&mut events, &mut keys, |k| k.2);
         for (i, e) in events.iter_mut().enumerate() {
             e.seq = i as u64;
         }

@@ -13,15 +13,21 @@
 //!   never allocates on a disabled sink;
 //! * **bounded** — points land in a ring pre-allocated at construction;
 //!   overflow bumps a `dropped` counter instead of growing;
-//! * **canonical merge** — per-shard sinks merge by a stable sort on
-//!   `(time, node, gauge)`, and since every `(node, gauge)` pair is owned
-//!   by exactly one shard, the merged stream is identical at any shard
-//!   count.
+//! * **canonical merge** — per-shard sinks merge in place into one stream
+//!   ordered by `(time, node, gauge)`, each sink's internal order kept among
+//!   ties, and since every `(node, gauge)` pair is owned by exactly one
+//!   shard, the merged stream is identical at any shard count.
+//!
+//! A sampling site names its gauge once: [`SeriesSink::gauge`] interns the
+//! name into a [`GaugeId`], and [`SeriesSink::record_gauge`] records by
+//! that handle without comparing strings. [`SeriesSink::record`] is the
+//! two steps in one call.
 //!
 //! [`SeriesSink::summarize`] folds the step functions into per-gauge
 //! [`GaugeSummary`] rows: min/max/last, a time-weighted mean, and a
 //! fixed-width histogram of time spent at each value band.
 
+use crate::merge;
 use crate::time::SimTime;
 
 /// What a run samples.
@@ -113,6 +119,11 @@ pub struct GaugeSummary {
     pub hist: [u64; HIST_BINS],
 }
 
+/// A gauge name interned in one [`SeriesSink`] by [`SeriesSink::gauge`].
+/// Valid only for the sink that issued it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GaugeId(u32);
+
 /// The ring-buffer sink gauge transitions land in.
 #[derive(Clone, Debug, Default)]
 pub struct SeriesSink {
@@ -121,10 +132,9 @@ pub struct SeriesSink {
     head: usize,
     seq: u64,
     dropped: u64,
-    /// Last value per `(node, gauge)` — the dedup filter. Two levels: a
-    /// pointer-compared scan over the handful of distinct gauge names, then
-    /// a dense per-node table, so the hot path is O(#gauges) cheap compares
-    /// plus one index instead of a linear scan over nodes × gauges.
+    /// Last value per `(node, gauge)` — the dedup filter. Two levels: the
+    /// interned gauge names, indexed by [`GaugeId`], then a dense per-node
+    /// table, so recording by handle is one index plus one compare.
     last: Vec<(&'static str, Vec<Option<u64>>)>,
 }
 
@@ -162,26 +172,48 @@ impl SeriesSink {
         self.config
     }
 
+    /// The handle of gauge `name` in this sink, interning it on first
+    /// sight. A disabled sink interns nothing (it never allocates) and
+    /// returns a handle its [`record_gauge`](Self::record_gauge) ignores.
+    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
+        if !self.config.enabled {
+            return GaugeId::default();
+        }
+        // Gauge names are `&'static str`s, so pointer equality is the
+        // common-case hit; fall back to string equality for safety.
+        let i = match self
+            .last
+            .iter()
+            .position(|(g, _)| std::ptr::eq(*g, name) || *g == name)
+        {
+            Some(i) => i,
+            None => self.intern_gauge(name),
+        };
+        GaugeId(i as u32)
+    }
+
+    /// Sample `(node, name) = value` at `time`: [`gauge`](Self::gauge) then
+    /// [`record_gauge`](Self::record_gauge). Sites that sample on every
+    /// pump keep the handle instead of naming the gauge each time.
+    #[inline]
+    pub fn record(&mut self, time: SimTime, node: u32, name: &'static str, value: u64) {
+        if !self.config.enabled {
+            return;
+        }
+        let gauge = self.gauge(name);
+        self.record_gauge(time, node, gauge, value);
+    }
+
     /// Sample `(node, gauge) = value` at `time`. Free (one branch) when
     /// disabled; a no-op when the value is unchanged; otherwise a ring
     /// write (overflow bumps [`SeriesSink::dropped`], never grows).
     // simlint::hot
     #[inline]
-    pub fn record(&mut self, time: SimTime, node: u32, gauge: &'static str, value: u64) {
+    pub fn record_gauge(&mut self, time: SimTime, node: u32, gauge: GaugeId, value: u64) {
         if !self.config.enabled {
             return;
         }
-        // Gauge names are interned `&'static str`s, so pointer equality is
-        // the common-case hit; fall back to string equality for safety.
-        let gi = match self
-            .last
-            .iter()
-            .position(|(g, _)| std::ptr::eq(*g, gauge) || *g == gauge)
-        {
-            Some(i) => i,
-            None => self.intern_gauge(gauge),
-        };
-        let nodes = &mut self.last[gi].1;
+        let (name, nodes) = &mut self.last[gauge.0 as usize];
         let slot = node as usize;
         if slot >= nodes.len() {
             Self::grow_nodes(nodes, slot);
@@ -194,7 +226,7 @@ impl SeriesSink {
             time,
             seq: self.seq,
             node,
-            gauge,
+            gauge: name,
             value,
         };
         self.seq += 1;
@@ -208,7 +240,7 @@ impl SeriesSink {
     }
 
     /// First sighting of a gauge name: append a dedup row for it. Runs once
-    /// per distinct gauge per sink — kept out of the hot path so `record`
+    /// per distinct gauge per sink — kept out of the hot path so recording
     /// stays allocation-free after warm-up.
     #[cold]
     fn intern_gauge(&mut self, gauge: &'static str) -> usize {
@@ -248,20 +280,27 @@ impl SeriesSink {
         self.dropped
     }
 
-    /// Merge per-shard sinks into one canonical stream: stable sort by
-    /// `(time, node, gauge)` (preserving each sink's internal order), then
-    /// renumber. Every `(node, gauge)` pair is sampled by exactly one
-    /// shard, so the merged stream is independent of the sharding.
+    /// Merge per-shard sinks into one canonical stream, ordered by
+    /// `(time, node, gauge)` (gauges by name) with each sink's internal
+    /// order kept among ties, and renumber `seq`. Every `(node, gauge)` pair
+    /// is sampled by exactly one shard, so the merged stream is independent
+    /// of the sharding.
+    ///
+    /// The merge works in place, like
+    /// [`ProbeSink::merge_canonical`](crate::ProbeSink::merge_canonical):
+    /// the first sink's ring becomes the merged stream, and the sort moves
+    /// `(time, node, gauge, position)` keys instead of points.
     pub fn merge_canonical(sinks: Vec<SeriesSink>) -> SeriesSink {
         let enabled = sinks.iter().any(SeriesSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
         let dropped: u64 = sinks.iter().map(|s| s.dropped).sum();
-        let mut points: Vec<SeriesPoint> =
-            Vec::with_capacity(sinks.iter().map(SeriesSink::len).sum());
-        for sink in &sinks {
-            points.extend(sink.iter().copied());
-        }
-        points.sort_by_key(|p| (p.time, p.node, p.gauge));
+        let mut points = merge::concat_rings(sinks.into_iter().map(|s| (s.points, s.head)));
+        let mut keys: Vec<(SimTime, u32, &'static str, u32)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.time, p.node, p.gauge, merge::position(i)))
+            .collect();
+        merge::sort_by_keys(&mut points, &mut keys, |k| k.3);
         for (i, p) in points.iter_mut().enumerate() {
             p.seq = i as u64;
         }
@@ -283,20 +322,19 @@ impl SeriesSink {
     /// sorted by `(gauge, node)`. Each function is evaluated from its first
     /// transition to `end`.
     pub fn summarize(&self, end: SimTime) -> Vec<GaugeSummary> {
-        // Group points per (gauge, node), preserving time order.
-        let mut keys: Vec<(&'static str, u32)> = Vec::new();
-        for p in self.iter() {
-            if !keys.contains(&(p.gauge, p.node)) {
-                keys.push((p.gauge, p.node));
-            }
-        }
-        keys.sort();
-        let mut out = Vec::with_capacity(keys.len());
-        for (gauge, node) in keys {
-            let pts: Vec<&SeriesPoint> = self
-                .iter()
-                .filter(|p| p.gauge == gauge && p.node == node)
-                .collect();
+        // Group points per (gauge, node) in one sort of their positions:
+        // each group is one run of the order, its points in time order.
+        let all: Vec<&SeriesPoint> = self.iter().collect();
+        let mut order: Vec<(&'static str, u32, u32)> = all
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.gauge, p.node, merge::position(i)))
+            .collect();
+        order.sort_unstable();
+        let mut out = Vec::new();
+        for group in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (gauge, node, _) = group[0];
+            let pts: Vec<&SeriesPoint> = group.iter().map(|k| all[k.2 as usize]).collect();
             let min = pts.iter().map(|p| p.value).min().unwrap_or(0);
             let max = pts.iter().map(|p| p.value).max().unwrap_or(0);
             let last = pts.last().map_or(0, |p| p.value);

@@ -334,11 +334,12 @@ impl Counters {
         self.add(name, 1);
     }
 
-    /// Current value of `name` (0 if never touched).
+    /// Current value of `name` (0 if never touched). Like [`add`](Self::add),
+    /// pointer identity short-circuits the byte comparison.
     pub fn get(&self, name: &str) -> u64 {
         self.entries
             .iter()
-            .find(|e| e.0 == name)
+            .find(|e| std::ptr::eq(e.0, name) || e.0 == name)
             .map_or(0, |e| e.1)
     }
 
