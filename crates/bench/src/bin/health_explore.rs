@@ -33,6 +33,9 @@ fn parse(a: &cli::Args) -> Result<(Opts, BuiltWorkload), CliError> {
     let wl = WorkloadOpts::from_args(a, 32, 64, 2)?;
     let loss = a.get("--loss", 0.02)?;
     let watch = match a.opt("--window-us")? {
+        Some(0) => {
+            return Err(CliError::Invalid("--window-us 0 gives the detectors no window".into()))
+        }
         Some(us) => WatchConfig::with_window(SimDuration::from_micros(us)),
         None => WatchConfig::on(),
     };

@@ -244,8 +244,8 @@ pub fn mode_name(mode: McastMode) -> &'static str {
     }
 }
 
-/// Decode `--shape`: `adaptive`, `binomial`, `flat`, `chain`, `kary:K` or
-/// `postal:T_US:GAP_US`.
+/// Decode `--shape`: `adaptive`, `binomial`, `flat`, `chain`, `kary:K`
+/// (`K` ≥ 1) or `postal:T_US:GAP_US`.
 pub fn parse_shape(v: &str) -> Option<TreeShape> {
     match v {
         "adaptive" => Some(TreeShape::auto()),
@@ -254,7 +254,7 @@ pub fn parse_shape(v: &str) -> Option<TreeShape> {
         "chain" => Some(TreeShape::Chain),
         _ => {
             if let Some(k) = v.strip_prefix("kary:") {
-                return k.parse().ok().map(TreeShape::KAry);
+                return k.parse().ok().filter(|&k| k > 0).map(TreeShape::KAry);
             }
             let mut us = v.strip_prefix("postal:")?.split(':');
             let mut next = || us.next()?.parse().ok().map(SimDuration::from_micros);

@@ -1,8 +1,8 @@
 //! The shared command-line parser: flag groups, the `--shape`/`--mode`
 //! decoders, typed values and their errors, and each binary's exact flag
 //! set — all driven from argument lists, without exiting the process. The
-//! zero-capacity checks run the explorers themselves, since what they pin
-//! is each binary's exit status.
+//! rejection checks run the explorers themselves, since what they pin is
+//! each binary's exit status.
 
 use std::process::Command;
 
@@ -35,6 +35,7 @@ fn every_shape_form_decodes() {
     for bad in [
         "star",
         "kary:",
+        "kary:0",
         "kary:x",
         "postal:5",
         "postal:5:x",
@@ -298,5 +299,31 @@ fn zero_capacity_rings_that_check_reads_are_rejected() {
     assert!(
         rejected(flow, &["--probe-capacity", "0"]),
         "flow_explore must reject a zero probe capacity"
+    );
+}
+
+#[test]
+fn configurations_the_run_cannot_honour_are_rejected() {
+    let explore = env!("CARGO_BIN_EXE_explore");
+    assert!(
+        rejected(explore, &["--nodes", "129"]),
+        "explore must reject more nodes than a topology holds"
+    );
+    assert!(
+        rejected(explore, &["--shape", "kary:0"]),
+        "explore must reject a zero-ary tree"
+    );
+    let workload = env!("CARGO_BIN_EXE_workload_explore");
+    assert!(
+        rejected(
+            workload,
+            &["--nodes", "129", "--groups", "10", "--duration-ms", "1"]
+        ),
+        "workload_explore must reject more nodes than a topology holds"
+    );
+    let health = env!("CARGO_BIN_EXE_health_explore");
+    assert!(
+        rejected(health, &["--window-us", "0"]),
+        "health_explore must reject a zero detector window"
     );
 }

@@ -10,10 +10,12 @@
 //!
 //! Allocations are counted per thread by the allocator below, so tests
 //! running in parallel never mix their counts; only the calling thread is
-//! counted, which is why every pinned run sets `.shards(1)` (and so also
-//! ignores `MYRI_SIM_SHARDS`). The 2-shard test pins only the per-shard
-//! event split, since on a multi-core host its second shard runs on
-//! another thread.
+//! counted, which is why every pinned Scenario and Workload run sets
+//! `.shards(1)` (and so also ignores `MYRI_SIM_SHARDS`). An MPI run has no
+//! shard option and reads `MYRI_SIM_SHARDS` like every default run, so its
+//! test asserts that it took one shard before it checks a pin. The 2-shard
+//! test pins only the per-shard event split, since on a multi-core host
+//! its second shard runs on another thread.
 //!
 //! The allocator also tracks the thread's live heap bytes and their
 //! high-water mark. The observed run pins its peak, so a harvest that
@@ -204,8 +206,13 @@ fn observed_workload_counts() {
 fn mpi_bcast_counts() {
     let run = MpiRun::bcast_loop(8, 1024, BcastImpl::NicBased, SimDuration::ZERO, 3, 15);
     let (out, heap) = measured(|| execute_mpi(&run));
+    assert_eq!(
+        out.metrics.get("parallel.shards"),
+        0,
+        "the MPI run took more than one shard: unset MYRI_SIM_SHARDS to count it"
+    );
     pin("MPI broadcast events", out.events, 8_647);
-    pin("MPI broadcast allocations", heap.allocs, 3_033);
+    pin("MPI broadcast allocations", heap.allocs, 3_053);
 }
 
 #[test]

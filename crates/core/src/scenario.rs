@@ -27,7 +27,7 @@ use gm::GmParams;
 use gm_sim::probe::{attribution::Attribution, ProbeConfig};
 use gm_sim::watch::Incident;
 use gm_sim::{SeriesConfig, SimTime, WatchConfig};
-use myrinet::{FaultPlan, NetParams, NodeId};
+use myrinet::{FaultPlan, NetParams, NodeId, MAX_NODES};
 
 use crate::calibrate::shape_for_size;
 use crate::group::McastConfig;
@@ -55,6 +55,8 @@ pub struct Scenario {
 pub enum ScenarioError {
     /// Fewer than two nodes: there is nobody to multicast to.
     TooFewNodes(u32),
+    /// More nodes than a topology holds ([`MAX_NODES`]).
+    TooManyNodes(u32),
     /// The destination set is empty.
     NoDestinations,
     /// A destination appears twice.
@@ -77,6 +79,9 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::TooFewNodes(n) => write!(f, "need at least 2 nodes, got {n}"),
+            ScenarioError::TooManyNodes(n) => {
+                write!(f, "{n} nodes exceed the topology limit of {MAX_NODES}")
+            }
             ScenarioError::NoDestinations => write!(f, "destination set is empty"),
             ScenarioError::DuplicateDestination(d) => write!(f, "duplicate destination {d}"),
             ScenarioError::DestinationOutOfRange(d) => {
@@ -273,6 +278,9 @@ impl Scenario {
         if run.n_nodes < 2 {
             return Err(ScenarioError::TooFewNodes(run.n_nodes));
         }
+        if run.n_nodes > MAX_NODES {
+            return Err(ScenarioError::TooManyNodes(run.n_nodes));
+        }
         // A moved root regenerates the default destination/probe set.
         if !dests_overridden {
             run.dests = (0..run.n_nodes).map(NodeId).filter(|&d| d != run.root).collect();
@@ -434,6 +442,10 @@ mod tests {
             Scenario::nic_based(1).build().unwrap_err(),
             ScenarioError::TooFewNodes(1)
         );
+        let err = Scenario::nic_based(MAX_NODES + 1).build().unwrap_err();
+        assert_eq!(err, ScenarioError::TooManyNodes(129));
+        assert_eq!(err.to_string(), "129 nodes exceed the topology limit of 128");
+        assert!(Scenario::nic_based(MAX_NODES).build().is_ok());
         assert_eq!(
             Scenario::nic_based(4).iters(0).build().unwrap_err(),
             ScenarioError::NoIterations

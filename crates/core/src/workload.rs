@@ -50,7 +50,7 @@ use gm_sim::watch::{self, Incident, Severity, Thresh, WatchConfig};
 use gm_sim::{
     DetRng, LogHistogram, Metrics, ProbeSink, SeriesConfig, SeriesSink, SimDuration, SimTime,
 };
-use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Topology};
+use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Topology, MAX_NODES};
 
 use crate::calibrate::shape_for_size;
 use crate::ext::McastExt;
@@ -137,6 +137,8 @@ pub enum StopCondition {
 pub enum WorkloadError {
     /// Fewer than two nodes: there is nobody to multicast to.
     TooFewNodes(u32),
+    /// More nodes than a topology holds ([`MAX_NODES`]).
+    TooManyNodes(u32),
     /// The group population is empty.
     NoGroups,
     /// More groups than the tag encoding supports ([`MAX_GROUPS`]).
@@ -176,6 +178,9 @@ impl std::fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorkloadError::TooFewNodes(n) => write!(f, "need at least 2 nodes, got {n}"),
+            WorkloadError::TooManyNodes(n) => {
+                write!(f, "{n} nodes exceed the topology limit of {MAX_NODES}")
+            }
             WorkloadError::NoGroups => write!(f, "group population is empty"),
             WorkloadError::TooManyGroups(g) => {
                 write!(f, "{g} groups exceed the tag-encoding limit of {MAX_GROUPS}")
@@ -389,6 +394,9 @@ impl Workload {
     pub fn build(self) -> Result<BuiltWorkload, WorkloadError> {
         if self.n_nodes < 2 {
             return Err(WorkloadError::TooFewNodes(self.n_nodes));
+        }
+        if self.n_nodes > MAX_NODES {
+            return Err(WorkloadError::TooManyNodes(self.n_nodes));
         }
         if self.groups == 0 {
             return Err(WorkloadError::NoGroups);

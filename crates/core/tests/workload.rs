@@ -5,7 +5,7 @@
 
 use gm::GmParams;
 use gm_sim::{SeriesConfig, SimDuration, SimTime};
-use myrinet::FaultPlan;
+use myrinet::{FaultPlan, MAX_NODES};
 use nic_mcast::{
     ArrivalProcess, FanoutDist, StopCondition, Workload, WorkloadError, MAX_GROUPS,
 };
@@ -31,6 +31,15 @@ fn rejects_too_few_nodes() {
         Workload::new(1),
         WorkloadError::TooFewNodes(1),
         "need at least 2 nodes, got 1",
+    );
+}
+
+#[test]
+fn rejects_too_many_nodes() {
+    expect_err(
+        Workload::new(MAX_NODES + 1),
+        WorkloadError::TooManyNodes(129),
+        "129 nodes exceed the topology limit of 128",
     );
 }
 

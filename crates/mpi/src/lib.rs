@@ -25,7 +25,5 @@ mod rank;
 mod run;
 mod stats;
 
-pub use msg::{barrier_tag, tag, untag, Ctx, GroupSetup, BCAST_PORT, MPI_PORT};
-pub use rank::{BcastImpl, MpiOp, RankApp, RankCfg};
-pub use run::{execute_mpi, execute_mpi_observed, MpiOutput, MpiRun, DEFAULT_COPY_BANDWIDTH};
-pub use stats::{MpiStats, SharedStats};
+pub use rank::{BcastImpl, MpiOp};
+pub use run::{execute_mpi, MpiOutput, MpiRun, DEFAULT_COPY_BANDWIDTH};

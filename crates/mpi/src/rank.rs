@@ -26,7 +26,7 @@ use myrinet::{GroupId, NodeId};
 use nic_mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 
 use crate::msg::{barrier_tag, tag, untag, Ctx, GroupSetup, BCAST_PORT, MPI_PORT};
-use crate::stats::SharedStats;
+use crate::stats::{BcastRecord, Records};
 
 /// App-track probe points for the MPI layer.
 pub mod probes {
@@ -90,11 +90,9 @@ pub enum BcastImpl {
     HostBinomial,
 }
 
-/// Static configuration shared by all ranks.
+/// Static configuration shared by all ranks (rank r lives on node r).
 #[derive(Clone, Debug)]
 pub struct RankCfg {
-    /// Number of ranks (rank r lives on node r).
-    pub n: u32,
     /// The communicator: the sorted world ranks participating in this
     /// program's collectives. Collectives, barrier partners and broadcast
     /// trees are all expressed over this subset (`0..n` = MPI_COMM_WORLD).
@@ -171,8 +169,9 @@ pub struct RankApp {
     me: u32,
     ops: Vec<MpiOp>,
     repeat: u32,
-    stats: SharedStats,
     rng: DetRng,
+    /// What this rank measured, read back after the run.
+    pub records: Records,
 
     iter: u32,
     pc: usize,
@@ -183,8 +182,6 @@ pub struct RankApp {
     barrier_seq: u64,
     /// Per-root broadcast sequence numbers (collective ordinal per root).
     bcast_seq: BTreeMap<u32, u64>,
-    /// Broadcast ops completed by this rank.
-    bcast_ordinal: u32,
     /// Groups this rank (as root) has installed.
     groups_ready: BTreeSet<u32>,
     /// Member side: root to ack once our GroupReady notice arrives.
@@ -199,29 +196,31 @@ pub struct RankApp {
 
 impl RankApp {
     /// Build rank `me`'s app for `ops` repeated `repeat` times.
-    pub fn new(
-        cfg: RankCfg,
-        me: u32,
-        ops: Vec<MpiOp>,
-        repeat: u32,
-        stats: SharedStats,
-    ) -> RankApp {
+    pub fn new(cfg: RankCfg, me: u32, ops: Vec<MpiOp>, repeat: u32) -> RankApp {
         assert!(!ops.is_empty() && repeat > 0);
         let rng = DetRng::substream(cfg.seed, "mpi-skew", me as u64);
+        // Records sized from the program: at most one per op and repetition.
+        let per_run = |f: fn(&MpiOp) -> bool| {
+            ops.iter().filter(|op| f(op)).count() * repeat as usize
+        };
+        let records = Records {
+            bcasts: Vec::with_capacity(per_run(|op| matches!(op, MpiOp::Bcast { .. }))),
+            skews: Vec::with_capacity(per_run(|op| matches!(op, MpiOp::SkewUniform { .. }))),
+            barrier_exits: Vec::with_capacity(per_run(|op| matches!(op, MpiOp::Barrier))),
+        };
         RankApp {
             cfg,
             me,
             ops,
             repeat,
-            stats,
             rng,
+            records,
             iter: 0,
             pc: 0,
             wait: Wait::None,
             unexpected: BTreeMap::new(),
             barrier_seq: 0,
             bcast_seq: BTreeMap::new(),
-            bcast_ordinal: 0,
             groups_ready: BTreeSet::new(),
             pending_group_ack: None,
             sends_pending: 0,
@@ -382,8 +381,8 @@ impl RankApp {
         }
         // simlint::allow(units, "skew draw is raw nanoseconds by construction; positive after the guard above")
         let d = SimDuration::from_nanos(draw as u64);
-        if self.bcast_ordinal >= self.cfg.warmup {
-            self.stats.lock().expect("shared app state mutex poisoned").skew_applied.record_duration(d);
+        if self.records.bcasts.len() >= self.cfg.warmup as usize {
+            self.records.skews.push((ctx.now(), d));
         }
         ctx.compute(d, tag(Ctx::Internal, INTERNAL_OP));
         self.wait = Wait::ComputeDone;
@@ -397,16 +396,9 @@ impl RankApp {
         self.barrier_seq += 1;
         let done = self.barrier_progress(ctx, 0);
         if done {
-            self.record_barrier_exit(ctx);
+            self.records.barrier_exits.push(ctx.cpu_now());
         }
         done
-    }
-
-    fn record_barrier_exit(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
-        let ordinal = self.barrier_seq - 1;
-        self.stats
-            .lock().expect("shared app state mutex poisoned")
-            .record_barrier_exit(ordinal, ctx.cpu_now());
     }
 
     /// Drive the dissemination barrier from `round`; returns true when all
@@ -536,11 +528,6 @@ impl RankApp {
             *e += 1;
             s
         };
-        if self.bcast_is_root {
-            self.stats
-                .lock().expect("shared app state mutex poisoned")
-                .record_enter(self.bcast_ordinal, self.bcast_enter);
-        }
         let nic = self.cfg.bcast == BcastImpl::NicBased
             && (size <= self.cfg.eager_limit || self.cfg.nic_rndv);
         let done = if nic {
@@ -747,14 +734,12 @@ impl RankApp {
 
     /// Record this rank's bcast exit.
     fn finish_bcast(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
-        let exit = ctx.cpu_now();
-        self.stats.lock().expect("shared app state mutex poisoned").record_exit(
-            self.bcast_ordinal,
-            self.bcast_is_root,
-            self.bcast_enter,
-            exit,
-        );
-        self.bcast_ordinal += 1;
+        self.records.bcasts.push(BcastRecord {
+            at: ctx.now(),
+            enter: self.bcast_enter,
+            exit: ctx.cpu_now(),
+            root: self.bcast_is_root,
+        });
     }
 
     fn finish_bcast_and_continue(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
@@ -881,7 +866,7 @@ impl RankApp {
             match matched {
                 Some(round) => {
                     if self.barrier_progress(ctx, round + 1) {
-                        self.record_barrier_exit(ctx);
+                        self.records.barrier_exits.push(ctx.cpu_now());
                         self.op_done(ctx);
                     }
                 }
@@ -1026,11 +1011,9 @@ impl HostApp<McastExt> for RankApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::MpiStats;
 
     fn app(n: u32, me: u32) -> RankApp {
         let cfg = RankCfg {
-            n,
             comm: (0..n).collect(),
             bcast: BcastImpl::HostBinomial,
             eager_limit: 16_287,
@@ -1040,7 +1023,7 @@ mod tests {
             warmup: 0,
             seed: 1,
         };
-        RankApp::new(cfg, me, vec![MpiOp::Barrier], 1, MpiStats::new(0, 0, 1))
+        RankApp::new(cfg, me, vec![MpiOp::Barrier], 1)
     }
 
     /// Reconstruct the tree from children lists and check it is a valid

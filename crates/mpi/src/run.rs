@@ -5,10 +5,10 @@ use gm::{drive, harvest, Cluster, GmParams, EAGER_LIMIT};
 use gm_sim::probe::{ProbeConfig, ProbeSink};
 use gm_sim::{Metrics, OnlineStats, SimDuration, SimTime};
 use myrinet::{Fabric, FaultPlan, NetParams, NodeId, Topology};
-use nic_mcast::{shape_for_size, McastConfig, McastExt, TreeShape};
+use nic_mcast::{env_shards, shape_for_size, McastConfig, McastExt, TreeShape};
 
 use crate::rank::{BcastImpl, MpiOp, RankApp, RankCfg};
-use crate::stats::MpiStats;
+use crate::stats::{fold, Records};
 
 /// Default host memcpy bandwidth for eager bounce-buffer copies
 /// (PIII-700-era, bytes/s).
@@ -67,6 +67,8 @@ pub struct MpiRun {
     pub faults: FaultPlan,
     /// Multicast firmware ablation switches.
     pub mcast_config: McastConfig,
+    /// What the run records (default: nothing).
+    pub probes: ProbeConfig,
 }
 
 impl MpiRun {
@@ -101,6 +103,7 @@ impl MpiRun {
             net: NetParams::default(),
             faults: FaultPlan::none(),
             mcast_config: McastConfig::default(),
+            probes: ProbeConfig::off(),
         }
     }
 }
@@ -123,22 +126,25 @@ pub struct MpiOutput {
     /// Events dispatched.
     pub events: u64,
     /// Counter snapshot: NIC counters summed over every node under `nic.`,
-    /// fabric counters under `fabric.`, `engine.events`, and probe/series
-    /// sink health under `probe.`/`series.`. Nodes outside the communicator
-    /// see no traffic, so their counters add nothing.
+    /// fabric counters under `fabric.`, `engine.events`, probe/series sink
+    /// health under `probe.`/`series.` and, on sharded runs, `parallel.*`.
+    /// Nodes outside the communicator see no traffic, so their counters add
+    /// nothing.
     pub metrics: Metrics,
+    /// The canonical probe stream (empty unless [`MpiRun::probes`] is on):
+    /// the input to lineage reconstruction and critical-path extraction
+    /// over an MPI program.
+    pub probe: ProbeSink,
 }
 
-/// Execute `run` to completion.
+/// Execute `run` to completion, on the shard count `MYRI_SIM_SHARDS` names
+/// (default 1) — bit-for-bit the same results at any count.
 pub fn execute_mpi(run: &MpiRun) -> MpiOutput {
-    execute_mpi_observed(run, ProbeConfig::off()).0
+    execute_on(run, env_shards())
 }
 
-/// Execute `run` with probes on, returning the canonical probe stream next
-/// to the aggregates — the input to lineage reconstruction and
-/// critical-path extraction over an MPI program (e.g. the fig6-style skew
-/// experiments).
-pub fn execute_mpi_observed(run: &MpiRun, probes: ProbeConfig) -> (MpiOutput, ProbeSink) {
+/// [`execute_mpi`] on `shards` shards.
+pub(crate) fn execute_on(run: &MpiRun, shards: u32) -> MpiOutput {
     assert!(run.n_ranks >= 2, "need at least two ranks");
     let bcast_size = run
         .ops
@@ -177,11 +183,6 @@ pub fn execute_mpi_observed(run: &MpiRun, probes: ProbeConfig) -> (MpiOutput, Pr
         .iter()
         .filter(|op| matches!(op, MpiOp::Barrier))
         .count() as u32;
-    let stats = MpiStats::new(
-        run.warmup * bcasts_per_repeat,
-        run.repeat * bcasts_per_repeat,
-        run.repeat * barriers_per_repeat,
-    );
     let comm: Vec<u32> = match &run.comm {
         Some(c) => {
             let mut c = c.clone();
@@ -197,7 +198,6 @@ pub fn execute_mpi_observed(run: &MpiRun, probes: ProbeConfig) -> (MpiOutput, Pr
         None => (0..run.n_ranks).collect(),
     };
     let cfg = RankCfg {
-        n: run.n_ranks,
         comm: comm.clone(),
         bcast: run.bcast,
         eager_limit: run.eager_limit,
@@ -211,39 +211,87 @@ pub fn execute_mpi_observed(run: &MpiRun, probes: ProbeConfig) -> (MpiOutput, Pr
     let fabric = Fabric::with_config(topo, run.net, run.faults.clone(), run.seed);
     let mcfg = run.mcast_config;
     let mut cluster = Cluster::new(run.params.clone(), fabric, |_| McastExt::with_config(mcfg));
-    cluster.set_probes(probes);
+    cluster.set_probes(run.probes);
     for &r in &comm {
-        cluster.set_app(
-            NodeId(r),
-            Box::new(RankApp::new(
-                cfg.clone(),
-                r,
-                ops_for(r).clone(),
-                run.repeat,
-                stats.clone(),
-            )),
-        );
+        let app = RankApp::new(cfg.clone(), r, ops_for(r).clone(), run.repeat);
+        cluster.set_app(NodeId(r), Box::new(app));
     }
-    let mut driven = drive(cluster, 1);
-    let s = stats.lock().expect("shared app state mutex poisoned");
-    let expected: u64 = comm
+    let mut driven = drive(cluster, shards);
+    let ranks: Vec<&Records> = comm
         .iter()
-        .map(|&r| run.repeat as u64 * bcasts_in(ops_for(r)) as u64)
-        .sum();
-    assert_eq!(
-        s.bcasts_completed, expected,
-        "every rank must complete every broadcast"
+        .map(|&r| &driven.app::<RankApp>(NodeId(r)).records)
+        .collect();
+    let completed: usize = ranks.iter().map(|r| r.bcasts.len()).sum();
+    let expected: u32 = comm.iter().map(|&r| run.repeat * bcasts_in(ops_for(r))).sum();
+    assert_eq!(completed, expected as usize, "every rank must complete every broadcast");
+    let s = fold(
+        &ranks,
+        run.warmup * bcasts_per_repeat,
+        run.repeat * bcasts_per_repeat,
+        run.repeat * barriers_per_repeat,
     );
     let harvest = harvest(&mut driven);
-    let out = MpiOutput {
-        latency: s.latencies(),
-        bcast_cpu: s.bcast_cpu.clone(),
-        bcast_cpu_nonroot: s.bcast_cpu_nonroot.clone(),
-        skew_applied: s.skew_applied.clone(),
-        barrier_round: s.barrier_round(),
+    MpiOutput {
+        latency: s.latency,
+        bcast_cpu: s.bcast_cpu,
+        bcast_cpu_nonroot: s.bcast_cpu_nonroot,
+        skew_applied: s.skew_applied,
+        barrier_round: s.barrier_round,
         end_time: driven.end,
         events: driven.events,
         metrics: harvest.metrics,
-    };
-    (out, harvest.probe)
+        probe: harvest.probe,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(s: &OnlineStats) -> [u64; 5] {
+        [
+            s.count(),
+            s.mean().to_bits(),
+            s.stddev().to_bits(),
+            s.min().to_bits(),
+            s.max().to_bits(),
+        ]
+    }
+
+    /// Skewed broadcast loops fold to the same bits on one shard and on
+    /// two: the ranks' records, not the schedule, fix the sample order.
+    #[test]
+    fn skewed_bcasts_are_bit_identical_across_shard_counts() {
+        for bcast in [BcastImpl::NicBased, BcastImpl::HostBinomial] {
+            for size in [4usize, 4096] {
+                let mut run =
+                    MpiRun::bcast_loop(16, size, bcast, SimDuration::from_micros(1600), 2, 6);
+                run.probes = ProbeConfig::spans();
+                let (a, b) = (execute_on(&run, 1), execute_on(&run, 2));
+                let name = format!("{bcast:?} {size} B");
+                assert_eq!(b.metrics.get("parallel.shards"), 2, "{name}: ran on 2 shards");
+                let stats = |o: &MpiOutput| {
+                    [
+                        &o.latency,
+                        &o.bcast_cpu,
+                        &o.bcast_cpu_nonroot,
+                        &o.skew_applied,
+                        &o.barrier_round,
+                    ]
+                    .map(bits)
+                };
+                assert!(a.skew_applied.count() > 0, "{name}: no skew applied");
+                assert_eq!(stats(&a), stats(&b), "{name}: aggregates differ");
+                assert_eq!(a.events, b.events, "{name}: event counts differ");
+                assert_eq!(a.end_time, b.end_time, "{name}: end times differ");
+                assert_eq!(
+                    a.metrics.without_layer("parallel"),
+                    b.metrics.without_layer("parallel"),
+                    "{name}: counter snapshots differ"
+                );
+                assert!(!a.probe.is_empty(), "{name}: no probe events");
+                assert!(a.probe.to_vec() == b.probe.to_vec(), "{name}: probe streams differ");
+            }
+        }
+    }
 }

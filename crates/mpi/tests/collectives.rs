@@ -2,7 +2,7 @@
 //! correctness in both algorithms, rendezvous, group-creation costs, and
 //! skew accounting.
 
-use gm_mpi::{execute_mpi, execute_mpi_observed, BcastImpl, MpiOp, MpiRun};
+use gm_mpi::{execute_mpi, BcastImpl, MpiOp, MpiRun};
 use gm_sim::probe::ProbeConfig;
 use gm_sim::SimDuration;
 use myrinet::FaultPlan;
@@ -217,9 +217,10 @@ fn sub_communicator_collectives_leave_outsiders_untouched() {
     let mut run = MpiRun::bcast_loop(8, 512, BcastImpl::NicBased, SimDuration::ZERO, 1, 6);
     run.comm = Some(vec![1, 3, 5, 7]);
     run.ops = vec![MpiOp::Barrier, MpiOp::Bcast { root: 3, size: 512 }];
-    let (out, probe) = execute_mpi_observed(&run, ProbeConfig::spans());
-    assert!(!probe.is_empty());
-    let outsider = probe.iter().find(|e| [0, 2, 4, 6].contains(&e.node));
+    run.probes = ProbeConfig::spans();
+    let out = execute_mpi(&run);
+    assert!(!out.probe.is_empty());
+    let outsider = out.probe.iter().find(|e| [0, 2, 4, 6].contains(&e.node));
     assert!(outsider.is_none(), "outsider saw traffic: {outsider:?}");
     assert_eq!(out.latency.count(), 6);
     assert!(out.latency.mean() > 0.0);

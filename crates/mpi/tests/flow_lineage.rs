@@ -6,7 +6,7 @@
 //! why fig 6 shows flat CPU cost; the contrast is pinned here at the
 //! causal-structure level.)
 
-use gm_mpi::{execute_mpi_observed, BcastImpl, MpiOp, MpiRun};
+use gm_mpi::{execute_mpi, BcastImpl, MpiOp, MpiRun};
 use gm_sim::probe::ProbeConfig;
 use gm_sim::{FlowGraph, SimDuration, SimTime};
 
@@ -31,8 +31,9 @@ fn bcast_signature(skewed_rank: Option<u32>) -> String {
         ];
         run.rank_ops = Some(per_rank);
     }
-    let (out, probe) = execute_mpi_observed(&run, ProbeConfig::spans());
-    let events = probe.to_vec();
+    run.probes = ProbeConfig::spans();
+    let out = execute_mpi(&run);
+    let events = out.probe.to_vec();
     let graph = FlowGraph::build(&events);
     assert_eq!(graph.validate(), Vec::<String>::new());
     let cp = graph

@@ -8,7 +8,7 @@
 //! The queue kind is process-global and sampled at queue construction
 //! (`gm_sim::set_queue_override`), so every case runs inside one test.
 
-use gm_mpi::{execute_mpi_observed, BcastImpl, MpiOp, MpiRun};
+use gm_mpi::{execute_mpi, BcastImpl, MpiOp, MpiRun};
 use gm_sim::probe::ProbeConfig;
 use gm_sim::{set_queue_override, OnlineStats, ProbeEvent, QueueKind, SimDuration};
 
@@ -25,7 +25,10 @@ fn bits(s: &OnlineStats) -> [u64; 5] {
 /// Everything compared between the two queues.
 fn observables(run: &MpiRun, kind: QueueKind) -> ([[u64; 5]; 4], u64, Vec<ProbeEvent>) {
     set_queue_override(Some(kind));
-    let (out, probe) = execute_mpi_observed(run, ProbeConfig::spans());
+    let out = execute_mpi(&MpiRun {
+        probes: ProbeConfig::spans(),
+        ..run.clone()
+    });
     set_queue_override(None);
     let stats = [
         &out.latency,
@@ -34,7 +37,7 @@ fn observables(run: &MpiRun, kind: QueueKind) -> ([[u64; 5]; 4], u64, Vec<ProbeE
         &out.barrier_round,
     ]
     .map(bits);
-    (stats, out.events, probe.to_vec())
+    (stats, out.events, out.probe.to_vec())
 }
 
 #[test]

@@ -34,4 +34,4 @@ mod topology;
 pub use fabric::{Fabric, NetParams, RxOutcome, TxVerdict, WireHandoff};
 pub use fault::{DropReason, DropRule, FaultPlan};
 pub use packet::{GroupId, NodeId, Packet, PacketKind, PortId, HEADER_BYTES, MTU};
-pub use topology::{LinkEnds, LinkId, SwitchId, TopoKind, Topology, SWITCH_PORTS};
+pub use topology::{LinkEnds, LinkId, SwitchId, TopoKind, Topology, MAX_NODES, SWITCH_PORTS};

@@ -66,6 +66,11 @@ pub struct Topology {
 /// Radix of the modelled crossbar switches (Myrinet-2000 XBar16).
 pub const SWITCH_PORTS: u32 = 16;
 
+/// The most hosts a topology holds: a two-level Clos of 16-port crossbars
+/// whose leaves give half their ports to hosts. Larger systems need a
+/// third switching stage.
+pub const MAX_NODES: u32 = SWITCH_PORTS * SWITCH_PORTS / 2;
+
 impl Topology {
     /// Build the default topology for `n_nodes`: a single crossbar when the
     /// cluster fits on one switch, otherwise a two-level Clos of 16-port
@@ -73,8 +78,8 @@ impl Topology {
     pub fn for_nodes(n_nodes: u32) -> Topology {
         assert!(n_nodes >= 1, "need at least one node");
         assert!(
-            n_nodes <= SWITCH_PORTS * SWITCH_PORTS / 2,
-            "a two-level Clos of 16-port crossbars tops out at 128 hosts;              larger systems need a third switching stage"
+            n_nodes <= MAX_NODES,
+            "a two-level Clos of 16-port crossbars tops out at {MAX_NODES} hosts, got {n_nodes}"
         );
         if n_nodes <= SWITCH_PORTS {
             Self::single_crossbar(n_nodes)

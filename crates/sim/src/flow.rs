@@ -24,8 +24,9 @@
 //!
 //! The triple packs into one `u64` so probe records stay `Copy` and
 //! recording stays allocation-free. This module is the only place allowed
-//! to treat a flow as a raw integer — the simlint `flow-id` rule forbids
-//! `u64`-typed flow identifiers (and `FlowId::from_raw`) everywhere else.
+//! to treat a flow as a raw integer: nothing outside it can rebuild a
+//! `FlowId` from one, and the simlint `flow-id` rule forbids `u64`-typed
+//! flow identifiers everywhere else.
 
 /// Packed causal identity of one message delivery. See the module docs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -83,16 +84,16 @@ impl FlowId {
     }
 
     /// The packed representation, for export surfaces only (Perfetto flow
-    /// `id` fields, JSON artifacts). Everything else passes `FlowId` around.
+    /// `id` fields, JSON artifacts). Everything else passes `FlowId` around,
+    /// and there is no way back from the integer:
+    ///
+    /// ```compile_fail,E0599
+    /// use gm_sim::FlowId;
+    ///
+    /// let f = FlowId::from_raw(FlowId::new(3, 41, 12).raw());
+    /// ```
     pub const fn raw(self) -> u64 {
         self.0
-    }
-
-    /// Rebuild a flow from its packed representation. Only this module and
-    /// deserializing test code may call it — the simlint `flow-id` rule
-    /// flags any other use.
-    pub const fn from_raw(raw: u64) -> FlowId {
-        FlowId(raw)
     }
 }
 
@@ -117,7 +118,7 @@ mod tests {
         assert_eq!(f.origin(), 3);
         assert_eq!(f.tag(), 41);
         assert_eq!(f.dest(), 12);
-        assert_eq!(FlowId::from_raw(f.raw()), f);
+        assert_eq!(FlowId(f.raw()), f);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   diagnostics use an `exec_`-prefixed detector id and are stripped by
 //!   parity comparisons, mirroring the `exec_*` gauge convention.
 //! * **Unit-carrying thresholds** — every threshold is a [`Thresh`], a value
-//!   tagged with its [`Unit`]. The simlint `watch-units` rule forbids the
-//!   raw constructor outside this module, so a detector threshold can never
-//!   silently mix "per millisecond" with "percent of capacity".
+//!   tagged with its [`Unit`]. The raw constructor is private to this
+//!   module, so a detector threshold can never silently mix "per
+//!   millisecond" with "percent of capacity".
 
 use crate::critical_path::FlowGraph;
 use crate::flow::FlowId;
@@ -130,9 +130,14 @@ impl Unit {
 /// A detector threshold: a value that always carries its [`Unit`].
 ///
 /// Construct through the unit-named constructors ([`Thresh::per_ms`],
-/// [`Thresh::pct`], ...). The raw constructor exists for this module's
-/// internal arithmetic only; the simlint `watch-units` rule flags any use
-/// outside `sim::watch`.
+/// [`Thresh::pct`], ...). The raw constructor is private to this module,
+/// so a threshold built anywhere else names its unit:
+///
+/// ```compile_fail,E0624
+/// use gm_sim::{Thresh, Unit};
+///
+/// let t = Thresh::raw(64, Unit::PerMs);
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Thresh {
     value: u64,
@@ -165,10 +170,8 @@ impl Thresh {
         Thresh::raw(value, Unit::PerMille)
     }
 
-    /// Raw constructor — `sim::watch` internal. Everything outside this
-    /// module must use a unit-named constructor (enforced by the simlint
-    /// `watch-units` rule).
-    pub const fn raw(value: u64, unit: Unit) -> Thresh {
+    /// Raw constructor, private: the unit-named constructors wrap it.
+    const fn raw(value: u64, unit: Unit) -> Thresh {
         Thresh { value, unit }
     }
 

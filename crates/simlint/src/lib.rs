@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use lexer::{lex, Comment, Tok, TokKind};
 use rules::{
     is_known_rule, rule_info, ALLOW_HYGIENE, DET_HASH, DET_THREAD, DET_WALLTIME, ERROR_UNWRAP,
-    FLOW_ID, HOT_ALLOC, PROBE_UNIQUE, STATE_PURE, UNITS, WATCH_UNITS,
+    FLOW_ID, HOT_ALLOC, PROBE_UNIQUE, STATE_PURE, UNITS,
 };
 
 // ---------------------------------------------------------------------------
@@ -48,9 +48,6 @@ pub struct FileClass {
     /// `sim::flow` itself — the one module allowed to touch the raw packed
     /// representation of flow identity, so `flow-id` does not apply.
     pub flow_module: bool,
-    /// `sim::watch` itself — the one module allowed to build unit-less
-    /// thresholds (`Thresh::raw`), so `watch-units` does not apply.
-    pub watch_module: bool,
     /// The pure protocol core (`gm::proto`), shared between the simulator
     /// and the `simcheck` model checker: the `state-pure` rule applies.
     pub proto_module: bool,
@@ -67,7 +64,6 @@ impl FileClass {
             walltime_exempt: false,
             time_module: false,
             flow_module: false,
-            watch_module: false,
             proto_module: false,
         }
     }
@@ -107,7 +103,6 @@ pub fn classify(rel: &str) -> Option<FileClass> {
         walltime_exempt: walltime_roots.iter().any(|p| rel.starts_with(p)),
         time_module: rel == "crates/sim/src/time.rs",
         flow_module: rel == "crates/sim/src/flow.rs",
-        watch_module: rel == "crates/sim/src/watch.rs",
         proto_module: rel == "crates/gm/src/proto.rs" || rel.starts_with("crates/gm/src/proto/"),
     })
 }
@@ -642,39 +637,6 @@ fn scan_rules(
                 }
             }
         }
-        // flow-id: rebuilding flow identity from a raw integer
-        // (`FlowId::from_raw(...)`) outside `sim::flow`.
-        if !class.flow_module
-            && t.text == "FlowId"
-            && punct_at(toks, i + 1, ':')
-            && punct_at(toks, i + 2, ':')
-            && ident_at(toks, i + 3, "from_raw")
-            && punct_at(toks, i + 4, '(')
-        {
-            diags.push(RawDiag {
-                rule: FLOW_ID,
-                line: t.line,
-                message: "`FlowId::from_raw` rebuilds flow identity from a raw integer"
-                    .to_string(),
-            });
-        }
-        // watch-units: a detector threshold built without a unit
-        // (`Thresh::raw(...)`) outside `sim::watch`. The typed constructors
-        // stamp the unit into every incident record; a raw threshold prints
-        // as a bare number nobody can interpret.
-        if !class.watch_module
-            && t.text == "Thresh"
-            && punct_at(toks, i + 1, ':')
-            && punct_at(toks, i + 2, ':')
-            && ident_at(toks, i + 3, "raw")
-            && punct_at(toks, i + 4, '(')
-        {
-            diags.push(RawDiag {
-                rule: WATCH_UNITS,
-                line: t.line,
-                message: "`Thresh::raw` builds a detector threshold without a unit".to_string(),
-            });
-        }
         // flow-id: a flow-named binding, field, or parameter typed as a bare
         // `u64` (`flow: u64`, `flow_id: u64`) — flow identity must stay in
         // the packed newtype. A double colon (`flow::`) is a module path,
@@ -1143,22 +1105,6 @@ mod tests {
         )
         .diagnostics;
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn watch_units_scoped_to_watch_module() {
-        let src = "let t = Thresh::raw(64, Unit::PerMs);\n";
-        assert_eq!(strict(src)[0].rule, "watch-units");
-        // Typed constructors are the sanctioned path.
-        assert!(strict("let t = Thresh::per_ms(64);\n").is_empty());
-        // sim::watch itself may build raw thresholds.
-        let class = FileClass {
-            watch_module: true,
-            ..FileClass::strict()
-        };
-        assert!(lint_source("crates/sim/src/watch.rs", src, &class)
-            .diagnostics
-            .is_empty());
     }
 
     #[test]

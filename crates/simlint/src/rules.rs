@@ -18,10 +18,7 @@
 //!   silently merges two probe points into one timeline. [`FLOW_ID`]: flow
 //!   identity is the packed `gm_sim::FlowId` newtype; a raw `u64` copy of
 //!   it bypasses the validity bit and field packing that causal lineage
-//!   reconstruction depends on. [`WATCH_UNITS`]: health-detector thresholds
-//!   must carry a unit (`Thresh::per_ms(...)`, `::pct(...)`, ...); a bare
-//!   `Thresh::raw(...)` outside `sim::watch` reintroduces the unitless
-//!   magic numbers the typed constructors exist to prevent.
+//!   reconstruction depends on.
 //!
 //! Plus [`ALLOW_HYGIENE`], which polices the suppression mechanism itself.
 
@@ -52,8 +49,6 @@ pub const ERROR_UNWRAP: &str = "error-unwrap";
 pub const PROBE_UNIQUE: &str = "probe-unique";
 /// O: no raw `u64` flow identifiers outside `sim::flow`.
 pub const FLOW_ID: &str = "flow-id";
-/// O: no unit-less `Thresh::raw(...)` detector thresholds outside `sim::watch`.
-pub const WATCH_UNITS: &str = "watch-units";
 /// P: no clock/RNG/probe/global-state access inside `gm::proto`.
 pub const STATE_PURE: &str = "state-pure";
 /// Suppressions must name a known rule, carry a reason, and actually fire.
@@ -99,12 +94,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: FLOW_ID,
         summary: "raw u64 flow identifier outside sim::flow loses the packed-FlowId type safety",
-        help: "pass and store gm_sim::FlowId; only crates/sim/src/flow.rs may touch the raw representation (from_raw), reading .raw() for serialization is fine",
-    },
-    RuleInfo {
-        name: WATCH_UNITS,
-        summary: "unit-less `Thresh::raw` detector threshold outside sim::watch",
-        help: "use a typed constructor (Thresh::per_ms/pct/count/micros/per_mille) so the threshold's unit is explicit in the incident record; only crates/sim/src/watch.rs may build a raw threshold",
+        help: "pass and store gm_sim::FlowId; only crates/sim/src/flow.rs may touch the raw representation, reading .raw() for serialization is fine",
     },
     RuleInfo {
         name: STATE_PURE,

@@ -1,6 +1,6 @@
-// Flow identity smuggled around as a raw integer: a struct field typed
-// `u64` and a lossy round-trip through `FlowId::from_raw` outside
-// `sim::flow`. Both bypass the packed newtype's validity bit.
+// Flow identity smuggled around as a raw integer: a struct field and a
+// parameter typed `u64` outside `sim::flow`. Both bypass the packed
+// newtype's validity bit.
 
 struct PacketMeta {
     flow: u64,
@@ -12,10 +12,6 @@ fn stash(f: FlowId) -> PacketMeta {
         flow: f.raw(),
         len: 0,
     }
-}
-
-fn unstash(m: &PacketMeta) -> FlowId {
-    FlowId::from_raw(m.flow)
 }
 
 fn relabel(flow_id: u64) -> u64 {

@@ -34,12 +34,15 @@ run test -q "${CARGO_FLAGS[@]}"
 run test -q --workspace "${CARGO_FLAGS[@]}"
 
 # One-CPU pass: on a multi-core host sharded runs take the threaded window
-# loop, so pin the parity and determinism suites to one core to run the
+# loop, so pin the parity and determinism suites (and gm-mpi's unit tests,
+# which run MPI programs on one and two shards) to one core to run the
 # calling-thread loop with several shards end to end, as a single-core host
 # does.
 if command -v taskset >/dev/null 2>&1; then
   echo "+ taskset -c 0 cargo test -q -p nic-mcast --test parallel_parity --test determinism"
   taskset -c 0 cargo test -q -p nic-mcast --test parallel_parity --test determinism "${CARGO_FLAGS[@]}"
+  echo "+ taskset -c 0 cargo test -q -p gm-mpi --lib"
+  taskset -c 0 cargo test -q -p gm-mpi --lib "${CARGO_FLAGS[@]}"
 else
   echo "ci: taskset not found, skipping the one-CPU parity pass"
 fi
@@ -161,7 +164,16 @@ for bin in "${fresh_bins[@]}"; do
   run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
     "$artifact_snapshots/$bin.json" "results/$bin.json"
 done
-rm -r "$artifact_snapshots"
 echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts regenerate identically"
+
+# MPI shard-parity gate: the skew-scaling figure rerun on 2 shards must
+# reproduce the committed artifact byte for byte, so MPI aggregates that
+# depend on the cross-rank dispatch order fail the build.
+echo "+ MYRI_SIM_SHARDS=2 cargo run -q --release -p bench --bin fig7_skew_scaling"
+MYRI_SIM_SHARDS=2 cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin fig7_skew_scaling >/dev/null
+run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
+  "$artifact_snapshots/fig7_skew_scaling.json" results/fig7_skew_scaling.json
+rm -r "$artifact_snapshots"
+echo "ci: fig7_skew_scaling regenerates identically on 2 shards"
 
 echo "ci: all green"
