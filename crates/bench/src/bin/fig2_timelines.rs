@@ -12,14 +12,14 @@ use gm_sim::SimTime;
 use nic_mcast::{McastMode, ProbeConfig, Scenario, TreeShape};
 
 fn describe(e: &ProbeEvent) -> String {
-    let name = e.id.name;
+    let (name, label) = (e.id.name, e.label());
     match e.phase {
-        Phase::Begin if e.label.is_empty() => format!("{name} start"),
-        Phase::Begin => format!("{name} start ({})", e.label),
+        Phase::Begin if label.is_empty() => format!("{name} start"),
+        Phase::Begin => format!("{name} start ({label})"),
         Phase::End => format!("{name} end"),
-        Phase::Mark if e.label.is_empty() => name.to_string(),
-        Phase::Mark => format!("{name} ({})", e.label),
-        Phase::Complete => format!("{name} span {:.2}us", e.dur.as_micros_f64()),
+        Phase::Mark if label.is_empty() => name.to_string(),
+        Phase::Mark => format!("{name} ({label})"),
+        Phase::Complete => format!("{name} span {:.2}us", e.dur().as_micros_f64()),
     }
 }
 
@@ -30,7 +30,7 @@ fn render(title: &str, scenario: Scenario, focus: &[u32], window_from_first: &st
     let start = report
         .probe
         .iter()
-        .find(|e| e.time > SimTime::from_nanos(200_000) && e.id == gm::probes::HOST_CALL)
+        .find(|e| e.time > SimTime::from_nanos(200_000) && *e.id == gm::probes::HOST_CALL)
         .map(|e| e.time)
         .unwrap_or(SimTime::ZERO);
     println!("== {title} ==");

@@ -63,8 +63,8 @@ fn main() {
     let (built, opposite, check) = cli::parse_or_exit(cli::FLOW_EXPLORE, parse);
     let spec = built.spec();
     let report = built.run();
-    let events = report.probe.to_vec();
-    let graph = FlowGraph::build(&events);
+    let events = report.probe.as_slice();
+    let graph = FlowGraph::build(events);
     let delivered = graph.delivered();
 
     println!(
@@ -89,7 +89,7 @@ fn main() {
     println!("\ncritical paths ({} measured windows):", report.windows.len());
     let mut last_path = None;
     for (i, &w) in report.windows.iter().enumerate() {
-        match graph.critical_path(&events, w) {
+        match graph.critical_path(events, w) {
             Some(cp) => {
                 println!(
                     "  window {i}: {:>9.2} us  {}",
@@ -149,16 +149,16 @@ fn main() {
     // Scheme diff: same configuration under the opposite scheme.
     let other_mode = opposite.spec().mode;
     let other = opposite.run();
-    let other_events = other.probe.to_vec();
-    let other_graph = FlowGraph::build(&other_events);
+    let other_events = other.probe.as_slice();
+    let other_graph = FlowGraph::build(other_events);
     let sig = |r: &Report, g: &FlowGraph, ev: &[gm_sim::ProbeEvent]| -> Option<(String, SimDuration)> {
         let &w = r.windows.last()?;
         let cp = g.critical_path(ev, w)?;
         Some((cp.signature(), cp.total))
     };
     if let (Some((a, ta)), Some((b, tb))) = (
-        sig(&report, &graph, &events),
-        sig(&other, &other_graph, &other_events),
+        sig(&report, &graph, events),
+        sig(&other, &other_graph, other_events),
     ) {
         println!("\ncritical-path diff (final window):");
         println!(

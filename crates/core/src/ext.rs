@@ -879,13 +879,18 @@ impl McastExt {
         // may be freed (the seeded off-by-one mutation widens the horizon —
         // freeing a record no one confirmed, which kills retransmission).
         let horizon = proto::release_horizon(min_acked, core.params().mutation);
+        // Only a forwarder under the HoldSram or FreePool ablation has
+        // anything to release per record, so only it collects them.
+        let collect = is_forwarder && (hold_sram || free_pool);
         let mut freed: Vec<u64> = Vec::new();
         while let Some(front) = g.records.front() {
             if front.seq >= horizon {
                 break;
             }
             let rec = g.records.pop_front().expect("nonempty");
-            freed.push(rec.seq);
+            if collect {
+                freed.push(rec.seq);
+            }
         }
         // Root: complete messages whose last packet is globally acked.
         // Barrier releases complete silently (the host already got its
@@ -902,10 +907,10 @@ impl McastExt {
             }
         }
         for seq in freed {
-            if hold_sram && is_forwarder {
+            if hold_sram {
                 self.dec_ref(core, group, seq);
             }
-            if free_pool && is_forwarder {
+            if free_pool {
                 core.return_send_token();
             }
         }

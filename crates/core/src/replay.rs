@@ -103,7 +103,7 @@ pub fn replay(spec: &ReplaySpec) -> ReplayOutcome {
     // Delivery verdict via causal lineage: the workload tags iteration 0
     // with tag 0, and each member's copy is the flow (root=0, tag, member).
     let tag = flow_tag(0);
-    let graph = FlowGraph::build(&report.probe.to_vec());
+    let graph = FlowGraph::build(report.probe.as_slice());
     let delivered: BTreeSet<u32> = graph
         .delivered()
         .into_iter()

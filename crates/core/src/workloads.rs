@@ -426,7 +426,7 @@ pub fn execute(
     };
     let incidents = analyze(&watch, &run.params, &harvest, now, Vec::new());
     let attribution = (probes.is_enabled() && !windows.is_empty())
-        .then(|| attribution::attribute(&harvest.probe.to_vec(), &windows));
+        .then(|| attribution::attribute(harvest.probe.as_slice(), &windows));
     Report {
         output,
         metrics: harvest.metrics,

@@ -15,17 +15,17 @@ use nic_mcast::{build_cluster, McastMode, McastRun, TreeShape};
 /// flight, stalls, drops, timers).
 fn legacy_line(e: &ProbeEvent) -> Option<String> {
     let what = match (e.id.name, e.phase) {
-        ("host_call", Phase::Mark) => format!("HostCall({:?})", e.label),
-        ("lanai", Phase::Begin) => format!("LanaiStart({:?})", e.label),
-        ("lanai", Phase::End) => format!("LanaiEnd({:?})", e.label),
-        ("pci_dma", Phase::Begin) => format!("DmaStart {{ ns: {} }}", e.a),
+        ("host_call", Phase::Mark) => format!("HostCall({:?})", e.label()),
+        ("lanai", Phase::Begin) => format!("LanaiStart({:?})", e.label()),
+        ("lanai", Phase::End) => format!("LanaiEnd({:?})", e.label()),
+        ("pci_dma", Phase::Begin) => format!("DmaStart {{ ns: {} }}", e.a()),
         ("pci_dma", Phase::End) => "DmaEnd".to_string(),
         ("wire_tx", Phase::Begin) => {
-            format!("TxStart {{ dst: NodeId({}), bytes: {} }}", e.a, e.b)
+            format!("TxStart {{ dst: NodeId({}), bytes: {} }}", e.a(), e.b())
         }
         ("wire_tx", Phase::End) => "TxEnd".to_string(),
-        ("rx_arrive", Phase::Mark) => format!("RxArrive {{ src: NodeId({}) }}", e.a),
-        ("notice", Phase::Mark) => format!("Notice({:?})", e.label),
+        ("rx_arrive", Phase::Mark) => format!("RxArrive {{ src: NodeId({}) }}", e.a()),
+        ("notice", Phase::Mark) => format!("Notice({:?})", e.label()),
         _ => return None,
     };
     Some(format!("{} n{} {}", e.time.as_nanos(), e.node, what))

@@ -42,25 +42,25 @@ pub mod probes {
     use gm_sim::probe::{ProbeId, Track};
 
     /// A host call reached the NIC (doorbell). Label: `"send"` / `"ext"`.
-    pub const HOST_CALL: ProbeId = ProbeId::new("host_call", Track::Host);
+    pub static HOST_CALL: ProbeId = ProbeId::new("host_call", Track::Host);
     /// Host CPU busy interval (API overhead, notice handling, compute).
-    pub const HOST_BUSY: ProbeId = ProbeId::new("host_busy", Track::Host);
+    pub static HOST_BUSY: ProbeId = ProbeId::new("host_busy", Track::Host);
     /// A notice was delivered to the host application. Label: notice kind.
-    pub const NOTICE: ProbeId = ProbeId::new("notice", Track::Host);
+    pub static NOTICE: ProbeId = ProbeId::new("notice", Track::Host);
     /// LANai work-item span. Label: work kind (`"send_token"`, ...).
-    pub const LANAI: ProbeId = ProbeId::new("lanai", Track::Lanai);
+    pub static LANAI: ProbeId = ProbeId::new("lanai", Track::Lanai);
     /// PCI DMA transfer span. Payload `a`: transfer nanoseconds.
-    pub const PCI_DMA: ProbeId = ProbeId::new("pci_dma", Track::Pci);
+    pub static PCI_DMA: ProbeId = ProbeId::new("pci_dma", Track::Pci);
     /// Wire serialization span on the injection link. Payload: `a` =
     /// destination node, `b` = wire bytes.
-    pub const WIRE_TX: ProbeId = ProbeId::new("wire_tx", Track::Wire);
+    pub static WIRE_TX: ProbeId = ProbeId::new("wire_tx", Track::Wire);
     /// Flight of a packet to its destination (propagation + switching +
     /// eject serialization), recorded on the destination's wire track.
-    pub const WIRE_FLIGHT: ProbeId = ProbeId::new("wire_flight", Track::Wire);
+    pub static WIRE_FLIGHT: ProbeId = ProbeId::new("wire_flight", Track::Wire);
     /// A packet's tail arrived from the wire. Payload `a`: source node.
-    pub const RX_ARRIVE: ProbeId = ProbeId::new("rx_arrive", Track::Wire);
+    pub static RX_ARRIVE: ProbeId = ProbeId::new("rx_arrive", Track::Wire);
     /// A NIC timer fired. Label: `"conn"` / `"ack_flush"` / `"ext"`.
-    pub const NIC_TIMER: ProbeId = ProbeId::new("nic_timer", Track::Lanai);
+    pub static NIC_TIMER: ProbeId = ProbeId::new("nic_timer", Track::Lanai);
 
     pub use gm_sim::probe::{LINK_STALL, PKT_DROP};
 }
@@ -455,7 +455,7 @@ impl<X: NicExtension> Cluster<X> {
         if free_after > busy_from {
             let dur = free_after.saturating_since(busy_from);
             self.probe
-                .complete(busy_from, node.0, probes::HOST_BUSY, dur, "");
+                .complete(busy_from, node.0, &probes::HOST_BUSY, dur, "");
         }
         self.pump_host(node, sched);
         self.pump_nic(node, sched);
@@ -506,7 +506,7 @@ impl<X: NicExtension> Cluster<X> {
                         let flow = slot.nic.flow_of_work(&slot.ext);
                         let name = slot.nic.work_kind();
                         self.probe
-                            .begin_flow(now, node.0, probes::LANAI, name, 0, 0, flow);
+                            .begin_flow(now, node.0, &probes::LANAI, name, 0, 0, flow);
                     }
                     sched.after(cost, Ev::LanaiDone(node));
                 }
@@ -514,7 +514,7 @@ impl<X: NicExtension> Cluster<X> {
                     if self.probe.is_enabled() {
                         let flow = slot.nic.flow_of_pci(&slot.ext);
                         self.probe
-                            .begin_flow(now, node.0, probes::PCI_DMA, "dma", dur.as_nanos(), 0, flow);
+                            .begin_flow(now, node.0, &probes::PCI_DMA, "dma", dur.as_nanos(), 0, flow);
                     }
                     sched.after(dur, Ev::PciDone(node));
                 }
@@ -523,7 +523,7 @@ impl<X: NicExtension> Cluster<X> {
                         self.probe.begin_flow(
                             now,
                             node.0,
-                            probes::WIRE_TX,
+                            &probes::WIRE_TX,
                             "tx",
                             u64::from(pkt.dst.0),
                             pkt.wire_bytes(),
@@ -535,7 +535,7 @@ impl<X: NicExtension> Cluster<X> {
                     if stall > SimDuration::ZERO && self.probe.is_enabled() {
                         let flow = flow_of_packet(&tx.handoff.pkt);
                         self.probe
-                            .complete_flow(now, node.0, probes::LINK_STALL, stall, "", flow);
+                            .complete_flow(now, node.0, &probes::LINK_STALL, stall, "", flow);
                     }
                     sched.at(tx.src_free, Ev::TxDrained(node));
                     let slot = &mut self.slots[li];
@@ -627,12 +627,12 @@ impl<X: NicExtension> Cluster<X> {
                 let stall = self.fabric.last_inject_stall();
                 if stall > SimDuration::ZERO {
                     self.probe
-                        .complete_flow(now, dst.0, probes::LINK_STALL, stall, "", flow);
+                        .complete_flow(now, dst.0, &probes::LINK_STALL, stall, "", flow);
                 }
                 self.probe.complete_flow(
                     now,
                     dst.0,
-                    probes::WIRE_FLIGHT,
+                    &probes::WIRE_FLIGHT,
                     at.saturating_since(now),
                     "flight",
                     flow,
@@ -643,7 +643,7 @@ impl<X: NicExtension> Cluster<X> {
             }
             RxOutcome::Dropped { .. } => {
                 self.probe
-                    .instant_flow(now, dst.0, probes::PKT_DROP, "", 0, flow);
+                    .instant_flow(now, dst.0, &probes::PKT_DROP, "", 0, flow);
             }
         }
     }
@@ -684,12 +684,12 @@ impl<X: NicExtension> Cluster<X> {
             slot.nic.flow_of_notice(&notice, &slot.ext)
         };
         self.probe
-            .instant_flow(now, node.0, probes::NOTICE, name, 0, flow);
+            .instant_flow(now, node.0, &probes::NOTICE, name, 0, flow);
         if flow.is_some() {
             // The lineage terminal: this message reached its destination
             // application (see `gm_sim::critical_path`).
             self.probe
-                .instant_flow(now, node.0, FLOW_DELIVERY, name, 0, flow);
+                .instant_flow(now, node.0, &FLOW_DELIVERY, name, 0, flow);
         }
         let slot = &mut self.slots[li];
         let busy_from = slot.host.free_at().max(now);
@@ -754,7 +754,7 @@ impl<X: NicExtension> World for Cluster<X> {
                     HostCall::Send(args) => {
                         let flow = FlowId::new(n.0, crate::nic::flow_tag(args.tag), args.dst.0);
                         self.probe
-                            .instant_flow(now, n.0, probes::HOST_CALL, "send", 0, flow);
+                            .instant_flow(now, n.0, &probes::HOST_CALL, "send", 0, flow);
                         if slot.nic.send_tokens_free() == 0 || !slot.parked_sends.is_empty() {
                             // Out of tokens (or behind earlier parked
                             // sends): queue client-side, replay in order
@@ -771,7 +771,7 @@ impl<X: NicExtension> World for Cluster<X> {
                     HostCall::Ext(req) => {
                         let flow = slot.ext.flow_of_request(n.0, &req);
                         self.probe
-                            .instant_flow(now, n.0, probes::HOST_CALL, "ext", 0, flow);
+                            .instant_flow(now, n.0, &probes::HOST_CALL, "ext", 0, flow);
                         let cost = slot.ext.request_cost(&req, &self.params);
                         slot.nic.host_ext_request(cost, req);
                     }
@@ -797,7 +797,7 @@ impl<X: NicExtension> World for Cluster<X> {
                 let li = self.local(n);
                 if self.probe.is_enabled() {
                     let name = self.slots[li].nic.work_kind();
-                    self.probe.end(sched.now(), n.0, probes::LANAI, name);
+                    self.probe.end(sched.now(), n.0, &probes::LANAI, name);
                 }
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
@@ -805,7 +805,7 @@ impl<X: NicExtension> World for Cluster<X> {
                 self.pump_nic(n, sched);
             }
             Ev::PciDone(n) => {
-                self.probe.end(sched.now(), n.0, probes::PCI_DMA, "dma");
+                self.probe.end(sched.now(), n.0, &probes::PCI_DMA, "dma");
                 let li = self.local(n);
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
@@ -813,7 +813,7 @@ impl<X: NicExtension> World for Cluster<X> {
                 self.pump_nic(n, sched);
             }
             Ev::TxDrained(n) => {
-                self.probe.end(sched.now(), n.0, probes::WIRE_TX, "tx");
+                self.probe.end(sched.now(), n.0, &probes::WIRE_TX, "tx");
                 let li = self.local(n);
                 let slot = &mut self.slots[li];
                 let cb = slot.tx_cb.take().expect("a callback for the packet on the wire");
@@ -827,7 +827,7 @@ impl<X: NicExtension> World for Cluster<X> {
                 self.probe.instant_flow(
                     sched.now(),
                     n.0,
-                    probes::RX_ARRIVE,
+                    &probes::RX_ARRIVE,
                     "",
                     u64::from(pkt.src.0),
                     flow_of_packet(&pkt),
@@ -846,7 +846,7 @@ impl<X: NicExtension> World for Cluster<X> {
                     TimerTag::Ext(_) => "ext",
                 };
                 self.probe
-                    .instant(sched.now(), n.0, probes::NIC_TIMER, label, 0);
+                    .instant(sched.now(), n.0, &probes::NIC_TIMER, label, 0);
                 let slot = &mut self.slots[li];
                 slot.nic.set_now(sched.now());
                 slot.nic.timer_fired(tag, &mut slot.ext);

@@ -120,14 +120,14 @@ impl<'a, X: NicExtension> HostCtx<'a, X> {
     /// Record an instant probe event on this node's timeline. Applications
     /// use this to mark their own milestones (e.g. MPI operations) on the
     /// `App` track; a no-op when probes are disabled.
-    pub fn mark(&mut self, id: ProbeId, label: &'static str, a: u64) {
+    pub fn mark(&mut self, id: &'static ProbeId, label: &'static str, a: u64) {
         let node = self.host.node().0;
         self.probe.instant(self.now, node, id, label, a);
     }
 
     /// Like [`HostCtx::mark`], but tagging the record with the causal flow
     /// of the message the milestone concerns (see `sim::flow`).
-    pub fn mark_flow(&mut self, id: ProbeId, label: &'static str, a: u64, flow: FlowId) {
+    pub fn mark_flow(&mut self, id: &'static ProbeId, label: &'static str, a: u64, flow: FlowId) {
         let node = self.host.node().0;
         self.probe.instant_flow(self.now, node, id, label, a, flow);
     }
@@ -260,5 +260,38 @@ mod tests {
         ctx.send(NodeId(1), PortId(0), PortId(0), Bytes::new(), 2);
         // The send's arrival time is after the compute block.
         assert!(h.calls[1].0 > SimTime::from_nanos(10_000));
+    }
+
+    #[test]
+    fn marks_read_back_across_a_merge() {
+        use gm_sim::probe::{Phase, ProbeConfig, Track};
+        static MARK: ProbeId = ProbeId::new("host_test_mark", Track::App);
+        let params = GmParams::default();
+        // Two hosts mark the same labels in opposite orders into two sinks.
+        let sinks = [(0, ["bcast", "barrier"]), (1, ["barrier", "bcast"])].map(|(node, labels)| {
+            let mut h: Host<NoExt> = Host::new(NodeId(node));
+            let mut probe = ProbeSink::new(ProbeConfig::spans());
+            let mut ctx = HostCtx::new(&mut h, &params, &mut probe, SimTime::from_nanos(100));
+            ctx.mark(&MARK, labels[0], u64::MAX);
+            ctx.mark_flow(&MARK, labels[1], 3, FlowId::new(node, 5, 2));
+            probe
+        });
+        let merged = ProbeSink::merge_canonical(sinks.into());
+        let got: Vec<_> = merged
+            .as_slice()
+            .iter()
+            .map(|e| (e.node, e.id.name, e.id.track, e.label(), e.phase, e.a(), e.b(), e.dur(), e.flow))
+            .collect();
+        let (zero, none) = (SimDuration::ZERO, FlowId::NONE);
+        let (name, app, mark) = ("host_test_mark", Track::App, Phase::Mark);
+        assert_eq!(
+            got,
+            vec![
+                (0, name, app, "bcast", mark, u64::MAX, 0, zero, none),
+                (0, name, app, "barrier", mark, 3, 0, zero, FlowId::new(0, 5, 2)),
+                (1, name, app, "barrier", mark, u64::MAX, 0, zero, none),
+                (1, name, app, "bcast", mark, 3, 0, zero, FlowId::new(1, 5, 2)),
+            ]
+        );
     }
 }

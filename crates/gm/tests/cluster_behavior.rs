@@ -122,21 +122,21 @@ fn trace_captures_the_full_protocol_pipeline() {
     let idx = |node: u32, pred: &dyn Fn(&ProbeEvent) -> bool| {
         events.iter().position(|e| e.node == node && pred(e))
     };
-    let span_begin = |id: ProbeId, label: &'static str| {
-        move |e: &ProbeEvent| e.id == id && e.phase == Phase::Begin && e.label == label
+    let span_begin = |id: &'static ProbeId, label: &'static str| {
+        move |e: &ProbeEvent| e.id == id && e.phase == Phase::Begin && e.label() == label
     };
     let host_call = idx(0, &|e| {
-        e.id == probes::HOST_CALL && e.phase == Phase::Mark && e.label == "send"
+        *e.id == probes::HOST_CALL && e.phase == Phase::Mark && e.label() == "send"
     })
     .expect("host call");
-    let lanai = idx(0, &span_begin(probes::LANAI, "send_token")).expect("lanai");
-    let dma = idx(0, &span_begin(probes::PCI_DMA, "dma")).expect("sdma");
-    let tx = idx(0, &span_begin(probes::WIRE_TX, "tx")).expect("tx");
+    let lanai = idx(0, &span_begin(&probes::LANAI, "send_token")).expect("lanai");
+    let dma = idx(0, &span_begin(&probes::PCI_DMA, "dma")).expect("sdma");
+    let tx = idx(0, &span_begin(&probes::WIRE_TX, "tx")).expect("tx");
     assert!(host_call < lanai && lanai < dma && dma < tx);
     // ...and the receiver sees arrival, then its own notice.
-    let rx = idx(1, &|e| e.id == probes::RX_ARRIVE && e.phase == Phase::Mark).expect("rx");
+    let rx = idx(1, &|e| *e.id == probes::RX_ARRIVE && e.phase == Phase::Mark).expect("rx");
     let notice = idx(1, &|e| {
-        e.id == probes::NOTICE && e.phase == Phase::Mark && e.label == "recv"
+        *e.id == probes::NOTICE && e.phase == Phase::Mark && e.label() == "recv"
     })
     .expect("notice");
     assert!(rx < notice);

@@ -33,13 +33,13 @@ pub mod probes {
     use gm_sim::probe::{ProbeId, Track};
 
     /// A rank entered an MPI operation (label = op kind, payload = iteration).
-    pub const MPI_OP: ProbeId = ProbeId::new("mpi_op", Track::App);
+    pub static MPI_OP: ProbeId = ProbeId::new("mpi_op", Track::App);
 
     /// NIC-based broadcast endpoints, annotated with the message's
     /// [`FlowId`](gm_sim::FlowId) so MPI-level send/deliver marks join the
     /// causal lineage of the underlying multicast (label = "send" or
     /// "deliver", payload = broadcast sequence).
-    pub const MPI_BCAST_FLOW: ProbeId = ProbeId::new("mpi_bcast", Track::App);
+    pub static MPI_BCAST_FLOW: ProbeId = ProbeId::new("mpi_bcast", Track::App);
 }
 
 /// One MPI operation in a rank program.
@@ -333,7 +333,7 @@ impl RankApp {
                 MpiOp::Send { .. } => "send",
                 MpiOp::Recv { .. } => "recv",
             };
-            ctx.mark(probes::MPI_OP, label, self.iter as u64);
+            ctx.mark(&probes::MPI_OP, label, self.iter as u64);
             let advanced = match op {
                 MpiOp::Barrier => self.op_barrier(ctx),
                 MpiOp::Compute(d) => {
@@ -561,7 +561,7 @@ impl RankApp {
         // Same self-flow the NIC assigns the request (origin == dest == root),
         // so this mark is the lineage's host-level starting point.
         ctx.mark_flow(
-            probes::MPI_BCAST_FLOW,
+            &probes::MPI_BCAST_FLOW,
             "send",
             seq,
             FlowId::new(self.me, flow_tag(t), self.me),

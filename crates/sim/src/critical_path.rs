@@ -36,7 +36,7 @@ use crate::time::{SimDuration, SimTime};
 /// Delivery anchor: recorded (with a flow) when a message reaches its
 /// destination application callback. Terminates the flow's lineage and
 /// marks the completion candidates for critical-path extraction.
-pub const FLOW_DELIVERY: ProbeId = ProbeId::new("flow_delivery", Track::App);
+pub static FLOW_DELIVERY: ProbeId = ProbeId::new("flow_delivery", Track::App);
 
 /// Per-flow facts extracted from the stream.
 #[derive(Clone, Debug)]
@@ -93,7 +93,7 @@ impl FlowGraph {
                 }
                 None => info.node_first.push((e.node, e.time, e.seq)),
             }
-            if e.id.name == FLOW_DELIVERY.name {
+            if *e.id == FLOW_DELIVERY {
                 info.delivery = Some(info.delivery.map_or(key, |d| d.max(key)));
             }
             if e.id.track == Track::Host {
@@ -228,7 +228,7 @@ impl FlowGraph {
             .iter()
             .rev()
             .take_while(|e| e.time >= ws)
-            .find(|e| e.id.name == FLOW_DELIVERY.name && e.flow.is_some())?
+            .find(|e| *e.id == FLOW_DELIVERY && e.flow.is_some())?
             .flow;
         Some(
             self.lineage(terminal)
@@ -291,7 +291,7 @@ impl FlowGraph {
                 Phase::Complete => {
                     if let Some(i) = step_of(e.flow) {
                         let s = e.time.as_nanos();
-                        spans.push((s, s + e.dur.as_nanos(), i, e.id.track));
+                        spans.push((s, s + e.dur().as_nanos(), i, e.id.track));
                     }
                 }
                 Phase::Mark => {}
@@ -416,9 +416,10 @@ mod tests {
     use super::*;
     use crate::probe::{ProbeConfig, ProbeSink};
 
-    const HOSTP: ProbeId = ProbeId::new("cp_host", Track::Host);
-    const PCIP: ProbeId = ProbeId::new("cp_pci", Track::Pci);
-    const WIREP: ProbeId = ProbeId::new("cp_wire", Track::Wire);
+    static HOSTP: ProbeId = ProbeId::new("cp_host", Track::Host);
+    static PCIP: ProbeId = ProbeId::new("cp_pci", Track::Pci);
+    static WIREP: ProbeId = ProbeId::new("cp_wire", Track::Wire);
+    static RXP: ProbeId = ProbeId::new("cp_rx", Track::Wire);
 
     fn at(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -431,19 +432,19 @@ mod tests {
         let root = FlowId::new(0, 7, 0);
         let h1 = FlowId::new(0, 7, 1);
         let h2 = FlowId::new(0, 7, 2);
-        s.complete_flow(at(0), 0, HOSTP, SimDuration::from_nanos(100), "send", root);
-        s.begin_flow(at(100), 0, PCIP, "sdma", 0, 0, h1);
-        s.end(at(300), 0, PCIP, "sdma");
-        s.begin_flow(at(300), 0, WIREP, "tx", 1, 0, h1);
-        s.end(at(600), 0, WIREP, "tx");
+        s.complete_flow(at(0), 0, &HOSTP, SimDuration::from_nanos(100), "send", root);
+        s.begin_flow(at(100), 0, &PCIP, "sdma", 0, 0, h1);
+        s.end(at(300), 0, &PCIP, "sdma");
+        s.begin_flow(at(300), 0, &WIREP, "tx", 1, 0, h1);
+        s.end(at(600), 0, &WIREP, "tx");
         // The packet's arrival at n1 is recorded before any forwarding
         // work it triggers — that mark is what the predecessor link keys on.
-        s.instant_flow(at(620), 1, ProbeId::new("cp_rx", Track::Wire), "arrive", 0, h1);
-        s.instant_flow(at(700), 1, FLOW_DELIVERY, "recv", 0, h1);
+        s.instant_flow(at(620), 1, &RXP, "arrive", 0, h1);
+        s.instant_flow(at(700), 1, &FLOW_DELIVERY, "recv", 0, h1);
         // Forwarding hop starts at n1 (cut-through: before n1's delivery).
-        s.begin_flow(at(650), 1, WIREP, "tx", 2, 0, h2);
-        s.end(at(950), 1, WIREP, "tx");
-        s.instant_flow(at(1_050), 2, FLOW_DELIVERY, "recv", 0, h2);
+        s.begin_flow(at(650), 1, &WIREP, "tx", 2, 0, h2);
+        s.end(at(950), 1, &WIREP, "tx");
+        s.instant_flow(at(1_050), 2, &FLOW_DELIVERY, "recv", 0, h2);
         let mut v = s.to_vec();
         v.sort_by_key(|e| (e.time, e.seq));
         v
@@ -484,9 +485,9 @@ mod tests {
     fn missing_host_anchor_is_reported() {
         let mut s = ProbeSink::new(ProbeConfig::spans());
         let orphan = FlowId::new(3, 1, 4);
-        s.begin_flow(at(0), 3, WIREP, "tx", 4, 0, orphan);
-        s.end(at(100), 3, WIREP, "tx");
-        s.instant_flow(at(200), 4, FLOW_DELIVERY, "recv", 0, orphan);
+        s.begin_flow(at(0), 3, &WIREP, "tx", 4, 0, orphan);
+        s.end(at(100), 3, &WIREP, "tx");
+        s.instant_flow(at(200), 4, &FLOW_DELIVERY, "recv", 0, orphan);
         let g = FlowGraph::build(&s.to_vec());
         let errs = g.validate();
         assert_eq!(errs.len(), 1);

@@ -3,11 +3,11 @@
 //! Every layer of the stack (engine, fabric, NIC firmware, multicast
 //! extension, MPI ranks) reports through this one surface:
 //!
-//! * a **typed event bus**: probe points are static [`ProbeId`]s (name +
-//!   [`Track`]); records carry a [`Phase`] and a small `Copy` payload, land
-//!   in a bounded ring-buffer [`ProbeSink`], and are totally ordered by
-//!   `(SimTime, seq)` — deterministic because recording happens inside the
-//!   deterministic event loop;
+//! * a **typed event bus**: probe points are [`ProbeId`] descriptors (name +
+//!   [`Track`]) declared as `static`s; records carry a [`Phase`] and a small
+//!   `Copy` payload, land in a bounded ring-buffer [`ProbeSink`], and are
+//!   totally ordered by `(SimTime, seq)` — deterministic because recording
+//!   happens inside the deterministic event loop;
 //! * a **counter registry**: [`Metrics`] is the per-run snapshot of every
 //!   protocol counter (NIC, fabric, engine), replacing scattered bench-local
 //!   tallies;
@@ -20,11 +20,19 @@
 //!   serialization / contention / retransmission buckets that sum exactly
 //!   to the measured latency.
 //!
-//! Disabled probes are free beyond one branch: [`ProbeSink::record`] returns
-//! before touching the (never-allocated) buffer, so `// simlint::hot` paths
-//! stay allocation-free.
+//! A [`ProbeEvent`] is 48 bytes and describes itself: it points at its
+//! probe point's `&'static` descriptor, names its label by a process-wide
+//! handle ([`ProbeEvent::label`] resolves it), and keeps its span length or
+//! payload words in one shared word ([`ProbeEvent::dur`], [`ProbeEvent::a`],
+//! [`ProbeEvent::b`]).
+//!
+//! Disabled probes are free beyond one branch: every recording method
+//! returns before touching the (never-allocated) buffer, so `// simlint::hot`
+//! paths stay allocation-free.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::sync::{PoisonError, RwLock};
 
 use crate::flow::FlowId;
 use crate::merge;
@@ -70,9 +78,12 @@ impl Track {
     }
 }
 
-/// Static identity of one probe point. Declare these as `const`s; the
-/// simlint `probe-unique` rule enforces workspace-wide name uniqueness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Static identity of one probe point: a workspace-unique name (the simlint
+/// `probe-unique` rule enforces it) and the track its records land on.
+/// Declare each as a `static`, so every record of the point holds the same
+/// 8-byte `&'static ProbeId`; it is not `Copy`, since a copy would be a
+/// second address for the same point.
+#[derive(Debug)]
 pub struct ProbeId {
     /// Unique event-kind name.
     pub name: &'static str,
@@ -87,13 +98,24 @@ impl ProbeId {
     }
 }
 
+impl PartialEq for ProbeId {
+    /// The same probe point: the same descriptor, which for `static`s is
+    /// one address compare, or else the same name and track (copies of a
+    /// `const` may sit at different addresses).
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other) || (self.name == other.name && self.track == other.track)
+    }
+}
+
+impl Eq for ProbeId {}
+
 /// Contention stall reported by the fabric: time a packet spent waiting for
 /// busy links along its route. Attributed to the *contention* bucket.
-pub const LINK_STALL: ProbeId = ProbeId::new("link_stall", Track::Wire);
+pub static LINK_STALL: ProbeId = ProbeId::new("link_stall", Track::Wire);
 
 /// A packet dropped by the fabric (loss / corruption). Gap time after a drop
 /// is attributed to the *retransmission* bucket.
-pub const PKT_DROP: ProbeId = ProbeId::new("pkt_drop", Track::Wire);
+pub static PKT_DROP: ProbeId = ProbeId::new("pkt_drop", Track::Wire);
 
 /// How a record relates to a span on its track.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,8 +130,46 @@ pub enum Phase {
     Complete,
 }
 
-/// One record on the bus. All fields are `Copy`; recording never allocates.
+/// Every distinct label recorded in this process, indexed by [`Label`].
+/// Append-only, so a handle names one string for the life of the process:
+/// a bare record resolves its label without its sink, and two records hold
+/// the same handle exactly when their labels are equal.
+static LABELS: RwLock<Vec<&'static str>> = RwLock::new(Vec::new());
+
+/// A record's label, as its index in [`LABELS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Label(u16);
+
+impl Label {
+    /// The handle of `label`, appending it to [`LABELS`] on first sight.
+    /// Every update is one push, so a table poisoned by a panicking
+    /// thread is still whole.
+    fn intern(label: &'static str) -> Label {
+        let mut labels = LABELS.write().unwrap_or_else(PoisonError::into_inner);
+        let i = match labels.iter().position(|&l| l == label) {
+            Some(i) => i,
+            None => {
+                labels.push(label);
+                labels.len() - 1
+            }
+        };
+        Label(u16::try_from(i).expect("a process records at most 65,536 distinct probe labels"))
+    }
+
+    /// The string this handle names.
+    fn resolve(self) -> &'static str {
+        LABELS.read().unwrap_or_else(PoisonError::into_inner)[usize::from(self.0)]
+    }
+}
+
+/// One record on the bus: 48 bytes, all `Copy`.
+///
+/// No record carries a span length and payload words at once, so they
+/// share one word: the length on [`Phase::Complete`], `a` on
+/// [`Phase::Mark`], `a` and `b` as two 32-bit halves on [`Phase::Begin`],
+/// nothing on [`Phase::End`]. Read them through [`ProbeEvent::dur`],
+/// [`ProbeEvent::a`] and [`ProbeEvent::b`].
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct ProbeEvent {
     /// Simulated time of the record.
     pub time: SimTime,
@@ -118,21 +178,77 @@ pub struct ProbeEvent {
     /// Node the event happened on.
     pub node: u32,
     /// Which probe point fired.
-    pub id: ProbeId,
+    pub id: &'static ProbeId,
     /// Span phase.
     pub phase: Phase,
-    /// Span length (only for [`Phase::Complete`]).
-    pub dur: SimDuration,
-    /// Sub-label (e.g. the LANai work-item kind).
-    pub label: &'static str,
-    /// First payload word (destination node, DMA ns, ...).
-    pub a: u64,
-    /// Second payload word (wire bytes, ...).
-    pub b: u64,
     /// Causal flow this record belongs to ([`FlowId::NONE`] when the record
     /// is not message-scoped). `End` records may leave this `NONE`: span
     /// pairing per `(node, track)` inherits the opening `Begin`'s flow.
     pub flow: FlowId,
+    /// Sub-label (e.g. the LANai work-item kind).
+    label: Label,
+    /// The span length or the payload words, by `phase`.
+    word: u64,
+}
+
+impl ProbeEvent {
+    /// Sub-label (e.g. the LANai work-item kind).
+    pub fn label(&self) -> &'static str {
+        self.label.resolve()
+    }
+
+    /// Span length: non-zero only on [`Phase::Complete`].
+    pub fn dur(&self) -> SimDuration {
+        match self.phase {
+            Phase::Complete => SimDuration::from_nanos(self.word),
+            _ => SimDuration::ZERO,
+        }
+    }
+
+    /// First payload word (destination node, DMA ns, ...): set on
+    /// [`Phase::Begin`] and [`Phase::Mark`].
+    pub fn a(&self) -> u64 {
+        match self.phase {
+            Phase::Begin => self.word & u64::from(u32::MAX),
+            Phase::Mark => self.word,
+            Phase::End | Phase::Complete => 0,
+        }
+    }
+
+    /// Second payload word (wire bytes, ...): set on [`Phase::Begin`].
+    pub fn b(&self) -> u64 {
+        match self.phase {
+            Phase::Begin => self.word >> 32,
+            _ => 0,
+        }
+    }
+}
+
+/// Shows the label and the payload words as the accessors read them: a
+/// handle's number depends on which thread interned the label first.
+impl fmt::Debug for ProbeEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ProbeEvent")
+            .field("time", &self.time)
+            .field("seq", &self.seq)
+            .field("node", &self.node)
+            .field("id", self.id)
+            .field("phase", &self.phase)
+            .field("dur", &self.dur())
+            .field("label", &self.label())
+            .field("a", &self.a())
+            .field("b", &self.b())
+            .field("flow", &self.flow)
+            .finish()
+    }
+}
+
+/// The two payload words of a [`Phase::Begin`] record as one word. Each
+/// must fit in 32 bits.
+fn begin_word(a: u64, b: u64) -> u64 {
+    let a = u32::try_from(a).expect("a Begin record's payload word `a` fits in 32 bits");
+    let b = u32::try_from(b).expect("a Begin record's payload word `b` fits in 32 bits");
+    u64::from(b) << 32 | u64::from(a)
 }
 
 /// What a run records.
@@ -185,7 +301,8 @@ impl Default for ProbeConfig {
 /// The ring-buffer sink probe records land in.
 ///
 /// The buffer is allocated once at construction (only if enabled); recording
-/// is a branch plus a slot write, so instrumented hot paths never allocate.
+/// is a branch, a label lookup and a slot write, so instrumented hot paths
+/// allocate only the first time a sink sees a label.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeSink {
     config: ProbeConfig,
@@ -194,6 +311,9 @@ pub struct ProbeSink {
     head: usize,
     seq: u64,
     evicted: u64,
+    /// The labels this sink has recorded and their handles, matched by
+    /// address, so [`LABELS`] is locked once per label address per sink.
+    labels: Vec<(&'static str, Label)>,
 }
 
 impl ProbeSink {
@@ -210,6 +330,7 @@ impl ProbeSink {
             head: 0,
             seq: 0,
             evicted: 0,
+            labels: Vec::new(),
         }
     }
 
@@ -229,39 +350,20 @@ impl ProbeSink {
         self.config
     }
 
-    /// Record one event with no flow identity. Free (one branch) when
-    /// disabled; never allocates beyond the ring reserved at construction.
+    /// Append one record. `word` is already packed for `phase` (see
+    /// [`ProbeEvent`]). Free (one branch) when disabled; never allocates
+    /// beyond the ring reserved at construction and the label cache.
+    // simlint::hot
     #[inline]
     #[allow(clippy::too_many_arguments)]
-    pub fn record(
+    fn push(
         &mut self,
         time: SimTime,
         node: u32,
-        id: ProbeId,
+        id: &'static ProbeId,
         phase: Phase,
-        dur: SimDuration,
         label: &'static str,
-        a: u64,
-        b: u64,
-    ) {
-        self.record_flow(time, node, id, phase, dur, label, a, b, FlowId::NONE);
-    }
-
-    /// Record one event tagged with the causal flow it belongs to. Free (one
-    /// branch) when disabled; never allocates beyond the ring reserved at
-    /// construction.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_flow(
-        &mut self,
-        time: SimTime,
-        node: u32,
-        id: ProbeId,
-        phase: Phase,
-        dur: SimDuration,
-        label: &'static str,
-        a: u64,
-        b: u64,
+        word: u64,
         flow: FlowId,
     ) {
         if !self.config.enabled {
@@ -273,11 +375,9 @@ impl ProbeSink {
             node,
             id,
             phase,
-            dur,
-            label,
-            a,
-            b,
             flow,
+            label: self.label(label),
+            word,
         };
         self.seq += 1;
         if self.events.len() < self.config.capacity {
@@ -290,38 +390,61 @@ impl ProbeSink {
         }
     }
 
-    /// Open a span on `(node, id.track)`.
+    /// The handle of `label`: one address compare per label this sink has
+    /// recorded, [`Label::intern`] on a new address.
     #[inline]
-    pub fn begin(&mut self, time: SimTime, node: u32, id: ProbeId, label: &'static str, a: u64, b: u64) {
-        self.record(time, node, id, Phase::Begin, SimDuration::ZERO, label, a, b);
+    fn label(&mut self, label: &'static str) -> Label {
+        match self.labels.iter().find(|(l, _)| std::ptr::eq(*l, label)) {
+            Some(&(_, handle)) => handle,
+            None => self.learn_label(label),
+        }
     }
 
-    /// Open a span on `(node, id.track)` belonging to `flow`.
+    /// First sighting of a label address in this sink. Kept out of line so
+    /// the record path stays small.
+    #[cold]
+    fn learn_label(&mut self, label: &'static str) -> Label {
+        let handle = Label::intern(label);
+        self.labels.push((label, handle));
+        handle
+    }
+
+    /// Open a span on `(node, id.track)`. `a` and `b` must each fit in
+    /// 32 bits (checked).
+    #[inline]
+    pub fn begin(&mut self, time: SimTime, node: u32, id: &'static ProbeId, label: &'static str, a: u64, b: u64) {
+        self.begin_flow(time, node, id, label, a, b, FlowId::NONE);
+    }
+
+    /// Open a span on `(node, id.track)` belonging to `flow`. `a` and `b`
+    /// must each fit in 32 bits (checked).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn begin_flow(
         &mut self,
         time: SimTime,
         node: u32,
-        id: ProbeId,
+        id: &'static ProbeId,
         label: &'static str,
         a: u64,
         b: u64,
         flow: FlowId,
     ) {
-        self.record_flow(time, node, id, Phase::Begin, SimDuration::ZERO, label, a, b, flow);
+        if self.config.enabled {
+            self.push(time, node, id, Phase::Begin, label, begin_word(a, b), flow);
+        }
     }
 
     /// Close the open span on `(node, id.track)`.
     #[inline]
-    pub fn end(&mut self, time: SimTime, node: u32, id: ProbeId, label: &'static str) {
-        self.record(time, node, id, Phase::End, SimDuration::ZERO, label, 0, 0);
+    pub fn end(&mut self, time: SimTime, node: u32, id: &'static ProbeId, label: &'static str) {
+        self.push(time, node, id, Phase::End, label, 0, FlowId::NONE);
     }
 
     /// Record a point event.
     #[inline]
-    pub fn instant(&mut self, time: SimTime, node: u32, id: ProbeId, label: &'static str, a: u64) {
-        self.record(time, node, id, Phase::Mark, SimDuration::ZERO, label, a, 0);
+    pub fn instant(&mut self, time: SimTime, node: u32, id: &'static ProbeId, label: &'static str, a: u64) {
+        self.push(time, node, id, Phase::Mark, label, a, FlowId::NONE);
     }
 
     /// Record a point event belonging to `flow`.
@@ -330,18 +453,18 @@ impl ProbeSink {
         &mut self,
         time: SimTime,
         node: u32,
-        id: ProbeId,
+        id: &'static ProbeId,
         label: &'static str,
         a: u64,
         flow: FlowId,
     ) {
-        self.record_flow(time, node, id, Phase::Mark, SimDuration::ZERO, label, a, 0, flow);
+        self.push(time, node, id, Phase::Mark, label, a, flow);
     }
 
     /// Record a self-contained `[time, time + dur]` span.
     #[inline]
-    pub fn complete(&mut self, time: SimTime, node: u32, id: ProbeId, dur: SimDuration, label: &'static str) {
-        self.record(time, node, id, Phase::Complete, dur, label, 0, 0);
+    pub fn complete(&mut self, time: SimTime, node: u32, id: &'static ProbeId, dur: SimDuration, label: &'static str) {
+        self.push(time, node, id, Phase::Complete, label, dur.as_nanos(), FlowId::NONE);
     }
 
     /// Record a self-contained `[time, time + dur]` span belonging to `flow`.
@@ -350,12 +473,12 @@ impl ProbeSink {
         &mut self,
         time: SimTime,
         node: u32,
-        id: ProbeId,
+        id: &'static ProbeId,
         dur: SimDuration,
         label: &'static str,
         flow: FlowId,
     ) {
-        self.record_flow(time, node, id, Phase::Complete, dur, label, 0, 0, flow);
+        self.push(time, node, id, Phase::Complete, label, dur.as_nanos(), flow);
     }
 
     /// Recorded events, oldest first (ring rotation already applied).
@@ -418,7 +541,8 @@ impl ProbeSink {
     ///
     /// The merge works in place: the first sink's ring becomes the merged
     /// stream, and the sort moves 16-byte `(time, node, position)` keys
-    /// instead of records (see `sim::merge`).
+    /// instead of records (see `sim::merge`). Label handles are
+    /// process-wide, so records change sinks as they are.
     pub fn merge_canonical(sinks: Vec<ProbeSink>) -> ProbeSink {
         let enabled = sinks.iter().any(ProbeSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
@@ -443,6 +567,7 @@ impl ProbeSink {
             head: 0,
             seq,
             evicted,
+            labels: Vec::new(),
         }
     }
 }
@@ -595,7 +720,8 @@ pub mod perfetto {
                 Phase::Mark => "i",
                 Phase::Complete => "X",
             };
-            let name = if e.label.is_empty() { e.id.name } else { e.label };
+            let label = e.label();
+            let name = if label.is_empty() { e.id.name } else { label };
             sep(&mut out, &mut first);
             let _ = write!(
                 out,
@@ -605,16 +731,16 @@ pub mod perfetto {
             write_ts(&mut out, e.time.as_nanos());
             if e.phase == Phase::Complete {
                 out.push_str(",\"dur\":");
-                write_ts(&mut out, e.dur.as_nanos());
+                write_ts(&mut out, e.dur().as_nanos());
             }
             let _ = write!(out, ",\"pid\":{},\"tid\":{}", e.node, e.id.track.tid());
             if e.phase == Phase::Mark {
                 out.push_str(",\"s\":\"t\"");
             }
             if e.flow.is_some() {
-                let _ = write!(out, ",\"args\":{{\"a\":{},\"b\":{},\"flow\":{}}}}}", e.a, e.b, e.flow.raw());
+                let _ = write!(out, ",\"args\":{{\"a\":{},\"b\":{},\"flow\":{}}}}}", e.a(), e.b(), e.flow.raw());
             } else {
-                let _ = write!(out, ",\"args\":{{\"a\":{},\"b\":{}}}}}", e.a, e.b);
+                let _ = write!(out, ",\"args\":{{\"a\":{},\"b\":{}}}}}", e.a(), e.b());
             }
             // Flow arrow anchored to this record (same ts/pid/tid binds it
             // to the slice just emitted).
@@ -723,7 +849,7 @@ pub mod attribution {
     const PRIORITY: [usize; N_BUCKETS] = [CONT, SER, PCI, NIC, HOST];
 
     fn bucket_of(ev: &ProbeEvent) -> usize {
-        if ev.id.name == LINK_STALL.name {
+        if *ev.id == LINK_STALL {
             return CONT;
         }
         match ev.id.track {
@@ -769,10 +895,10 @@ pub mod attribution {
                 }
                 Phase::Complete => {
                     let s = ev.time.as_nanos();
-                    intervals.push((s, s + ev.dur.as_nanos(), bucket_of(ev)));
+                    intervals.push((s, s + ev.dur().as_nanos(), bucket_of(ev)));
                 }
                 Phase::Mark => {
-                    if ev.id.name == PKT_DROP.name {
+                    if *ev.id == PKT_DROP {
                         drops.push(ev.time.as_nanos());
                     }
                 }
@@ -867,8 +993,8 @@ pub mod attribution {
 mod tests {
     use super::*;
 
-    const T_A: ProbeId = ProbeId::new("test_a", Track::Lanai);
-    const T_B: ProbeId = ProbeId::new("test_b", Track::Wire);
+    static T_A: ProbeId = ProbeId::new("test_a", Track::Lanai);
+    static T_B: ProbeId = ProbeId::new("test_b", Track::Wire);
 
     fn at(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -878,7 +1004,9 @@ mod tests {
     fn disabled_sink_records_nothing_and_allocates_nothing() {
         let mut s = ProbeSink::disabled();
         for i in 0..10_000 {
-            s.instant(at(i), 0, T_A, "x", i);
+            s.instant(at(i), 0, &T_A, "x", i);
+            // Nothing is packed either, so nothing is checked.
+            s.begin(at(i), 0, &T_A, "x", u64::MAX, u64::MAX);
         }
         assert!(s.is_empty());
         assert_eq!(s.allocated_capacity(), 0, "disabled sink must not allocate");
@@ -889,9 +1017,9 @@ mod tests {
     fn ring_keeps_newest_in_order() {
         let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(4));
         for i in 0..10u64 {
-            s.instant(at(i), 0, T_A, "x", i);
+            s.instant(at(i), 0, &T_A, "x", i);
         }
-        let kept: Vec<u64> = s.iter().map(|e| e.a).collect();
+        let kept: Vec<u64> = s.iter().map(ProbeEvent::a).collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
         assert_eq!(s.evicted(), 6);
         // Ordering key (time, seq) is strictly increasing.
@@ -899,7 +1027,7 @@ mod tests {
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
         // Merging rotates the ring into one ordered slice.
         let merged = ProbeSink::merge_canonical(vec![s.clone()]);
-        assert_eq!(merged.as_slice().iter().map(|e| e.a).collect::<Vec<_>>(), kept);
+        assert_eq!(merged.as_slice().iter().map(ProbeEvent::a).collect::<Vec<_>>(), kept);
         let wrapped = std::panic::catch_unwind(|| s.as_slice().len());
         assert!(wrapped.is_err(), "a wrapped ring has no in-order slice");
     }
@@ -910,7 +1038,7 @@ mod tests {
         let cap = s.allocated_capacity();
         assert!(cap >= 64);
         for i in 0..200u64 {
-            s.instant(at(i), 0, T_A, "x", i);
+            s.instant(at(i), 0, &T_A, "x", i);
         }
         assert_eq!(s.allocated_capacity(), cap, "recording must not reallocate");
     }
@@ -933,10 +1061,10 @@ mod tests {
     #[test]
     fn perfetto_export_is_well_formed() {
         let mut s = ProbeSink::new(ProbeConfig::spans());
-        s.begin(at(1_000), 0, T_A, "work", 0, 0);
-        s.end(at(2_500), 0, T_A, "work");
-        s.instant(at(3_000), 1, T_B, "arrive", 7);
-        s.complete(at(3_000), 1, T_B, SimDuration::from_nanos(500), "busy");
+        s.begin(at(1_000), 0, &T_A, "work", 0, 0);
+        s.end(at(2_500), 0, &T_A, "work");
+        s.instant(at(3_000), 1, &T_B, "arrive", 7);
+        s.complete(at(3_000), 1, &T_B, SimDuration::from_nanos(500), "busy");
         let json = perfetto::chrome_trace_json(s.iter());
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"traceEvents\""));
@@ -956,13 +1084,13 @@ mod tests {
         let mut s = ProbeSink::new(ProbeConfig::spans());
         // Window [0, 1000]: host 0-100 (Complete), lanai 100-400 (B/E),
         // wire 300-700 (B/E, overlap wins over lanai), gap 700-1000.
-        const H: ProbeId = ProbeId::new("test_host", Track::Host);
-        const W: ProbeId = ProbeId::new("test_wire", Track::Wire);
-        s.complete(at(0), 0, H, SimDuration::from_nanos(100), "api");
-        s.begin(at(100), 0, T_A, "work", 0, 0);
-        s.begin(at(300), 0, W, "tx", 0, 0);
-        s.end(at(400), 0, T_A, "work");
-        s.end(at(700), 0, W, "tx");
+        static H: ProbeId = ProbeId::new("test_host", Track::Host);
+        static W: ProbeId = ProbeId::new("test_wire", Track::Wire);
+        s.complete(at(0), 0, &H, SimDuration::from_nanos(100), "api");
+        s.begin(at(100), 0, &T_A, "work", 0, 0);
+        s.begin(at(300), 0, &W, "tx", 0, 0);
+        s.end(at(400), 0, &T_A, "work");
+        s.end(at(700), 0, &W, "tx");
         let ev = s.to_vec();
         let win = [(at(0), at(1_000))];
         let a = attribution::attribute(&ev, &win);
@@ -977,11 +1105,11 @@ mod tests {
     #[test]
     fn attribution_gap_after_drop_is_retransmission() {
         let mut s = ProbeSink::new(ProbeConfig::spans());
-        s.begin(at(0), 0, T_B, "tx", 0, 0);
-        s.end(at(200), 0, T_B, "tx");
-        s.instant(at(200), 0, PKT_DROP, "", 0);
-        s.begin(at(900), 0, T_B, "tx", 0, 0);
-        s.end(at(1_000), 0, T_B, "tx");
+        s.begin(at(0), 0, &T_B, "tx", 0, 0);
+        s.end(at(200), 0, &T_B, "tx");
+        s.instant(at(200), 0, &PKT_DROP, "", 0);
+        s.begin(at(900), 0, &T_B, "tx", 0, 0);
+        s.end(at(1_000), 0, &T_B, "tx");
         let ev = s.to_vec();
         let a = attribution::attribute(&ev, &[(at(0), at(1_000))]);
         assert_eq!(a.serialization.as_nanos(), 300);
@@ -992,13 +1120,85 @@ mod tests {
     #[test]
     fn link_stall_outranks_serialization() {
         let mut s = ProbeSink::new(ProbeConfig::spans());
-        s.begin(at(0), 0, T_B, "tx", 0, 0);
-        s.complete(at(100), 1, LINK_STALL, SimDuration::from_nanos(200), "");
-        s.end(at(500), 0, T_B, "tx");
+        s.begin(at(0), 0, &T_B, "tx", 0, 0);
+        s.complete(at(100), 1, &LINK_STALL, SimDuration::from_nanos(200), "");
+        s.end(at(500), 0, &T_B, "tx");
         let ev = s.to_vec();
         let a = attribution::attribute(&ev, &[(at(0), at(500))]);
         assert_eq!(a.contention.as_nanos(), 200);
         assert_eq!(a.serialization.as_nanos(), 300);
         assert_eq!(a.total.as_nanos(), 500);
+    }
+
+    #[test]
+    fn probe_records_are_thin() {
+        // A record points at its descriptor and names its label by a u16
+        // handle; the span length and the payload words share one word.
+        let size = std::mem::size_of::<ProbeEvent>();
+        assert!(size <= 48, "ProbeEvent is {size} bytes");
+    }
+
+    /// A record as its recording call saw it: time, node, probe name and
+    /// track, label, phase, span length, `a`, `b` and flow.
+    type Fields = (u64, u32, &'static str, Track, &'static str, Phase, u64, u64, u64, FlowId);
+
+    fn fields(e: &ProbeEvent) -> Fields {
+        let (time, dur) = (e.time.as_nanos(), e.dur().as_nanos());
+        (time, e.node, e.id.name, e.id.track, e.label(), e.phase, dur, e.a(), e.b(), e.flow)
+    }
+
+    #[test]
+    fn records_read_back_what_was_recorded_across_a_merge() {
+        static P: ProbeId = ProbeId::new("test_pci", Track::Pci);
+        let (f, g) = (FlowId::new(3, 9, 4), FlowId::new(4, 1, 0));
+        let (max32, none) = (u64::from(u32::MAX), FlowId::NONE);
+        // Sink one learns "zeta" before "alpha", sink two the other way
+        // round, from strings at other addresses.
+        let mut one = ProbeSink::new(ProbeConfig::spans());
+        one.begin(at(10), 0, &T_A, "zeta", max32, 7);
+        one.instant(at(30), 0, &T_B, "alpha", u64::MAX);
+        one.end(at(50), 0, &T_A, "zeta");
+        one.complete_flow(at(70), 0, &P, SimDuration::from_nanos(u64::MAX - 70), "", f);
+        let mut two = ProbeSink::new(ProbeConfig::spans());
+        let alpha: &'static str = String::from("alpha").leak();
+        let zeta: &'static str = String::from("zeta").leak();
+        two.instant_flow(at(20), 1, &T_B, alpha, 5, g);
+        two.begin_flow(at(40), 1, &P, zeta, 1, max32, g);
+        two.end(at(60), 1, &P, "dma");
+        two.complete(at(80), 1, &T_A, SimDuration::from_nanos(9), alpha);
+        let merged = ProbeSink::merge_canonical(vec![one, two]);
+        let got: Vec<Fields> = merged.as_slice().iter().map(fields).collect();
+        let (begin, end, mark, span) = (Phase::Begin, Phase::End, Phase::Mark, Phase::Complete);
+        let (lanai, wire, pci) = (Track::Lanai, Track::Wire, Track::Pci);
+        let want: Vec<Fields> = vec![
+            (10, 0, "test_a", lanai, "zeta", begin, 0, max32, 7, none),
+            (20, 1, "test_b", wire, "alpha", mark, 0, 5, 0, g),
+            (30, 0, "test_b", wire, "alpha", mark, 0, u64::MAX, 0, none),
+            (40, 1, "test_pci", pci, "zeta", begin, 0, 1, max32, g),
+            (50, 0, "test_a", lanai, "zeta", end, 0, 0, 0, none),
+            (60, 1, "test_pci", pci, "dma", end, 0, 0, 0, none),
+            (70, 0, "test_pci", pci, "", span, u64::MAX - 70, 0, 0, f),
+            (80, 1, "test_a", lanai, "alpha", span, 9, 0, 0, none),
+        ];
+        assert_eq!(got, want);
+        // Equal labels share one handle, whichever sink or address they
+        // came from.
+        let ev = merged.as_slice();
+        assert_eq!((ev[0].label, ev[1].label), (ev[3].label, ev[2].label));
+        assert_ne!(ev[0].label, ev[1].label);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload word `a` fits in 32 bits")]
+    fn begin_word_a_over_32_bits_panics() {
+        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(1));
+        s.begin(at(0), 0, &T_A, "", u64::from(u32::MAX) + 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload word `b` fits in 32 bits")]
+    fn begin_word_b_over_32_bits_panics() {
+        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(1));
+        s.begin_flow(at(0), 0, &T_A, "", 0, u64::from(u32::MAX) + 1, FlowId::new(0, 0, 1));
     }
 }

@@ -820,9 +820,9 @@ mod tests {
         use crate::critical_path::FLOW_DELIVERY;
         use crate::probe::{ProbeConfig, ProbeId, ProbeSink, Track};
 
-        const HOST: ProbeId = ProbeId::new("wt_host", Track::Host);
-        const WIRE: ProbeId = ProbeId::new("wt_wire", Track::Wire);
-        const RX: ProbeId = ProbeId::new("wt_rx", Track::Wire);
+        static HOST: ProbeId = ProbeId::new("wt_host", Track::Host);
+        static WIRE: ProbeId = ProbeId::new("wt_wire", Track::Wire);
+        static RX: ProbeId = ProbeId::new("wt_rx", Track::Wire);
 
         fn at(ns: u64) -> SimTime {
             SimTime::from_nanos(ns)
@@ -838,15 +838,15 @@ mod tests {
         /// their streams to `attach_evidence`.
         fn stream() -> ProbeSink {
             let mut s = ProbeSink::new(ProbeConfig::spans());
-            s.complete_flow(at(0), 0, HOST, SimDuration::from_nanos(100), "send", ROOT_A);
-            s.begin_flow(at(100), 0, WIRE, "tx", 1, 0, HOP_A);
-            s.end(at(200), 0, WIRE, "tx");
-            s.instant_flow(at(250), 1, RX, "arrive", 0, HOP_A);
-            s.instant_flow(at(300), 1, FLOW_DELIVERY, "recv", 0, HOP_A);
-            s.complete_flow(at(400), 2, HOST, SimDuration::from_nanos(50), "send", ROOT_B);
-            s.begin_flow(at(450), 2, WIRE, "tx", 3, 0, HOP_B);
-            s.end(at(500), 2, WIRE, "tx");
-            s.instant_flow(at(600), 3, FLOW_DELIVERY, "recv", 0, HOP_B);
+            s.complete_flow(at(0), 0, &HOST, SimDuration::from_nanos(100), "send", ROOT_A);
+            s.begin_flow(at(100), 0, &WIRE, "tx", 1, 0, HOP_A);
+            s.end(at(200), 0, &WIRE, "tx");
+            s.instant_flow(at(250), 1, &RX, "arrive", 0, HOP_A);
+            s.instant_flow(at(300), 1, &FLOW_DELIVERY, "recv", 0, HOP_A);
+            s.complete_flow(at(400), 2, &HOST, SimDuration::from_nanos(50), "send", ROOT_B);
+            s.begin_flow(at(450), 2, &WIRE, "tx", 3, 0, HOP_B);
+            s.end(at(500), 2, &WIRE, "tx");
+            s.instant_flow(at(600), 3, &FLOW_DELIVERY, "recv", 0, HOP_B);
             ProbeSink::merge_canonical(vec![s])
         }
 

@@ -7,15 +7,14 @@
 //! small rings (so some wrap), dense `(time, node)` ties across sinks, and
 //! records dated later than the ones recorded after them.
 
-use gm_sim::probe::{Phase, ProbeId, Track};
+use gm_sim::probe::{ProbeId, Track};
 use gm_sim::{
-    GaugeId, ProbeConfig, ProbeEvent, ProbeSink, SeriesConfig, SeriesPoint, SeriesSink,
-    SimDuration, SimTime,
+    GaugeId, ProbeConfig, ProbeEvent, ProbeSink, SeriesConfig, SeriesPoint, SeriesSink, SimTime,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-const REC: ProbeId = ProbeId::new("merge_props_record", Track::Lanai);
+static REC: ProbeId = ProbeId::new("merge_props_record", Track::Lanai);
 
 /// One sink's ring capacity and its records, in recording order. Times and
 /// nodes come from small ranges, so ties are dense and some records are
@@ -63,7 +62,7 @@ proptest! {
                 for (i, &(t, node)) in records.iter().enumerate() {
                     // (sink, record) in the payload tells every record apart.
                     let (a, b) = (k as u64, i as u64);
-                    s.record(at(t), node, REC, Phase::Mark, SimDuration::ZERO, "", a, b);
+                    s.begin(at(t), node, &REC, "", a, b);
                 }
                 s
             })

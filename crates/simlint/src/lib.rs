@@ -1028,14 +1028,18 @@ fn cold() -> Vec<u32> { Vec::new() }
 
     #[test]
     fn duplicate_probe_name_in_one_file_fires() {
-        let src = "\
-const A: ProbeId = ProbeId::new(\"wire_tx\", Track::Wire);
-const B: ProbeId = ProbeId::new(\"wire_tx\", Track::Host);
-";
-        let d = strict(src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "probe-unique");
-        assert_eq!(d[0].line, 2);
+        // Probe points are declared as `static`s; a `const` with the same
+        // name is still the same name.
+        for second in [
+            "static B: ProbeId = ProbeId::new(\"wire_tx\", Track::Host);",
+            "const B: ProbeId = ProbeId::new(\"wire_tx\", Track::Host);",
+        ] {
+            let src = format!("pub static A: ProbeId = ProbeId::new(\"wire_tx\", Track::Wire);\n{second}\n");
+            let d = strict(&src);
+            assert_eq!(d.len(), 1, "{second}: {d:?}");
+            assert_eq!(d[0].rule, "probe-unique");
+            assert_eq!(d[0].line, 2);
+        }
     }
 
     #[test]

@@ -108,6 +108,16 @@ run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
 mv "$trace_snapshot" results/trace_nic_16n_4096B.json
 echo "ci: trace schema OK, results/trace_nic_16n_4096B.json regenerates identically"
 
+# Figure 2 gate: fig2_timelines prints each probe record's name, label,
+# phase and span length for three scenarios, so a record that reads back
+# differently from how it was recorded changes this text.
+fig2_out=$(mktemp)
+echo "+ cargo run -q --release -p bench --bin fig2_timelines > $fig2_out"
+cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin fig2_timelines >"$fig2_out"
+diff -u results/fig2_timelines.txt "$fig2_out"
+rm "$fig2_out"
+echo "ci: results/fig2_timelines.txt regenerates identically"
+
 # Explorer smoke: the interactive explorer must build and run an explicit
 # postal tree and print it (no other gate runs this binary).
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin explore -- \
