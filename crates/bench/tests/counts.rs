@@ -23,7 +23,12 @@
 //! probe stream, or a record that grows, fails here. Probe labels are
 //! interned in one process-wide table, which allocates on the thread that
 //! records a label first; the observed run is the only test here that
-//! records probes, so its allocation count is exact too.
+//! records probes, so its allocation count is exact too. The workload run
+//! pins its peak as well, so a run that copies the group population or the
+//! agendas' arrival times, or a histogram that outgrows its samples, fails
+//! here. A trace workload pins build and run together, its trace made
+//! before the count starts, so a build that keeps or copies the trace
+//! fails here too.
 //!
 //! A pin that moves on purpose is updated here, with the reason in
 //! CHANGES.md.
@@ -32,7 +37,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gm_mpi::{execute_mpi, BcastImpl, MpiRun};
-use gm_sim::{ProbeConfig, SeriesConfig, SimDuration, WatchConfig};
+use gm_sim::{DetRng, ProbeConfig, SeriesConfig, SimDuration, SimTime, WatchConfig};
 use myrinet::FaultPlan;
 use nic_mcast::{
     ArrivalProcess, BuiltScenario, FanoutDist, Scenario, StopCondition, TreeShape, Workload,
@@ -171,7 +176,41 @@ fn workload_counts() {
     let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("workload events", events, 76_917);
-    pin("workload allocations", heap.allocs, 21_817);
+    pin("workload allocations", heap.allocs, 21_251);
+    pin("workload peak live bytes", heap.peak_bytes, 1_044_604);
+}
+
+/// Per-group Poisson arrivals at 20 kHz over 2 ms for the [`workload`]'s
+/// 64 groups, listed group by group, so the build has to sort them.
+fn arrival_trace() -> Vec<(SimTime, u32)> {
+    let mut trace = Vec::new();
+    for g in 0..64u32 {
+        let mut rng = DetRng::substream(7, "counts.trace", u64::from(g));
+        let mut t = 0u64;
+        loop {
+            t += (-(1.0 - rng.unit()).ln() / 20_000.0 * 1e9).ceil().max(1.0) as u64;
+            if t >= 2_000_000 {
+                break;
+            }
+            trace.push((SimTime::from_nanos(t), g));
+        }
+    }
+    trace
+}
+
+#[test]
+fn trace_workload_counts() {
+    let trace = arrival_trace();
+    let spec = workload(1).arrivals(ArrivalProcess::Trace(trace));
+    let (report, heap) = measured(|| spec.build().expect("valid workload").run());
+    let events = report.metrics.get("engine.events");
+    pin("trace workload events", events, 78_751);
+    pin("trace workload build and run allocations", heap.allocs, 22_466);
+    pin(
+        "trace workload build and run peak live bytes",
+        heap.peak_bytes,
+        1_024_640,
+    );
 }
 
 /// The probe records and series points the observed run keeps. Its rings
@@ -198,11 +237,11 @@ fn observed_workload_counts() {
     );
     let events = report.metrics.get("engine.events");
     pin("observed workload events", events, 94_187);
-    pin("observed workload allocations", heap.allocs, 42_827);
+    pin("observed workload allocations", heap.allocs, 42_340);
     pin(
         "observed workload peak live bytes",
         heap.peak_bytes,
-        14_722_092,
+        13_810_020,
     );
 }
 

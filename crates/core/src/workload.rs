@@ -116,8 +116,10 @@ pub enum ArrivalProcess {
         /// Per-group arrival rate in messages per simulated second.
         rate_hz: f64,
     },
-    /// An explicit arrival trace: `(time, group index)` pairs. Entries are
-    /// sorted by `(time, group)`; group indices must be `< groups`.
+    /// An explicit arrival trace: `(time, group index)` pairs in any order;
+    /// group indices must be `< groups`. The build sorts the entries by
+    /// `(time, group)` and moves them into the groups' streams. A group may
+    /// name the same time more than once.
     Trace(Vec<(SimTime, u32)>),
 }
 
@@ -390,8 +392,9 @@ impl Workload {
 
     /// Validate and synthesize into an executable workload: group
     /// populations, membership, spanning trees and arrival streams are all
-    /// drawn here, deterministically from the seed.
-    pub fn build(self) -> Result<BuiltWorkload, WorkloadError> {
+    /// drawn here, deterministically from the seed. A trace is moved into
+    /// the groups' streams, not copied.
+    pub fn build(mut self) -> Result<BuiltWorkload, WorkloadError> {
         if self.n_nodes < 2 {
             return Err(WorkloadError::TooFewNodes(self.n_nodes));
         }
@@ -460,7 +463,10 @@ impl Workload {
         }
         let arrivals = self.gen_arrivals()?;
         let groups = self.synthesize_groups(arrivals)?;
-        Ok(BuiltWorkload { spec: self, groups })
+        Ok(BuiltWorkload {
+            spec: self,
+            groups: groups.into(),
+        })
     }
 
     /// Build and execute, returning the [`WorkloadReport`].
@@ -474,27 +480,35 @@ impl Workload {
         }
     }
 
-    /// Per-group arrival streams (index = declaration order; streams may be
-    /// empty — such groups are dropped by `synthesize_groups`).
-    fn gen_arrivals(&self) -> Result<Vec<Vec<SimTime>>, WorkloadError> {
+    /// Per-group arrival streams, each allocated to its length (index =
+    /// declaration order; streams may be empty — such groups are dropped by
+    /// `synthesize_groups`). A trace is taken out of the spec, sorted in
+    /// place, counted per group, dealt out and dropped.
+    fn gen_arrivals(&mut self) -> Result<Vec<Vec<SimTime>>, WorkloadError> {
         let g = self.groups;
         let mut per_group: Vec<Vec<SimTime>> = vec![Vec::new(); g];
-        match (&self.arrivals, self.stop) {
+        match (&mut self.arrivals, self.stop) {
             (ArrivalProcess::Trace(t), stop) => {
-                let mut t = t.clone();
-                t.sort_by_key(|&(at, gi)| (at, gi));
-                match stop {
+                let mut t = std::mem::take(t);
+                // Equal `(time, group)` entries are indistinguishable, so the
+                // unstable sort leaves the stable sort's order.
+                t.sort_unstable();
+                let kept = match stop {
                     StopCondition::Duration(d) => {
-                        let end = SimTime::ZERO + d;
-                        for (at, gi) in t.into_iter().filter(|&(at, _)| at < end) {
-                            per_group[gi as usize].push(at);
-                        }
+                        t.partition_point(|&(at, _)| at < SimTime::ZERO + d)
                     }
-                    StopCondition::Messages(m) => {
-                        for (at, gi) in t.into_iter().take(m as usize) {
-                            per_group[gi as usize].push(at);
-                        }
-                    }
+                    StopCondition::Messages(m) => t.len().min(m as usize),
+                };
+                let kept = &t[..kept];
+                let mut lens = vec![0usize; g];
+                for &(_, gi) in kept {
+                    lens[gi as usize] += 1;
+                }
+                for (stream, len) in per_group.iter_mut().zip(lens) {
+                    stream.reserve_exact(len);
+                }
+                for &(at, gi) in kept {
+                    per_group[gi as usize].push(at);
                 }
             }
             (proc_, StopCondition::Duration(d)) => {
@@ -524,6 +538,8 @@ impl Workload {
                 }
             }
         }
+        // Drawn streams grew by push; a trace's were reserved exactly.
+        per_group.iter_mut().for_each(Vec::shrink_to_fit);
         if let Some(n) = per_group.iter().map(Vec::len).find(|&n| n >= MAX_MSGS_PER_GROUP) {
             return Err(WorkloadError::TooManyMessagesPerGroup(n));
         }
@@ -634,21 +650,38 @@ pub struct WorkloadGroup {
     pub root: NodeId,
     /// The member set (excluding the root), ascending.
     pub members: Vec<NodeId>,
-    /// Scheduled send times, strictly increasing.
+    /// Scheduled send times, non-decreasing: drawn arrivals strictly
+    /// increase, while a trace may give a group the same time twice.
     pub arrivals: Vec<SimTime>,
     tree: SpanningTree,
+}
+
+impl WorkloadGroup {
+    /// When the root and members install their entries: [`INSTALL_LEAD`]
+    /// before the first arrival.
+    fn install_at(&self) -> SimTime {
+        SimTime::from_nanos(self.arrivals[0].as_nanos().saturating_sub(INSTALL_LEAD.as_nanos()))
+    }
+
+    /// The last arrival, when the root disbands the group.
+    fn last_arrival(&self) -> SimTime {
+        *self.arrivals.last().expect("nonempty stream")
+    }
 }
 
 /// A validated workload, ready to execute (or inspect).
 #[derive(Clone, Debug)]
 pub struct BuiltWorkload {
+    /// The validated spec; a trace has moved from it into `groups`.
     spec: Workload,
-    groups: Vec<WorkloadGroup>,
+    /// The population, shared read-only with every run's node apps.
+    groups: Arc<[WorkloadGroup]>,
 }
 
 // -- runtime ------------------------------------------------------------------
 
-/// An agenda entry: what a node does at a scheduled instant.
+/// An agenda entry: what a node does at a scheduled instant. It is 8
+/// bytes; its instant is read from the group's stream ([`Act::due`]).
 #[derive(Clone, Copy, Debug)]
 enum Act {
     /// Install this node's entry for group `gidx` (root and members).
@@ -659,9 +692,48 @@ enum Act {
     Disband(u32),
 }
 
+impl Act {
+    /// The scheduled instant of this act.
+    fn due(self, groups: &[WorkloadGroup]) -> SimTime {
+        match self {
+            Act::Install(gidx) => groups[gidx as usize].install_at(),
+            Act::Send(gidx, msg) => groups[gidx as usize].arrivals[msg as usize],
+            Act::Disband(gidx) => groups[gidx as usize].last_arrival(),
+        }
+    }
+}
+
+/// Every node's agenda, in node order: its acts stably time-sorted, so
+/// simultaneous acts keep group declaration order (and, within one group,
+/// install < send < disband). Nodes are built one at a time, so only one
+/// node's timed entries are live at once, and the sort reads each time
+/// from its entry rather than through the groups.
+fn agendas(groups: &[WorkloadGroup], n: u32) -> Vec<Box<[Act]>> {
+    let mut timed: Vec<(SimTime, Act)> = Vec::new();
+    (0..n)
+        .map(NodeId)
+        .map(|node| {
+            timed.clear();
+            for (gi, g) in groups.iter().enumerate() {
+                let gi = gi as u32;
+                if g.root == node {
+                    timed.push((g.install_at(), Act::Install(gi)));
+                    let sends = g.arrivals.iter().enumerate();
+                    timed.extend(sends.map(|(mi, &at)| (at, Act::Send(gi, mi as u16))));
+                    timed.push((g.last_arrival(), Act::Disband(gi)));
+                } else if g.members.binary_search(&node).is_ok() {
+                    timed.push((g.install_at(), Act::Install(gi)));
+                }
+            }
+            timed.sort_by_key(|&(at, _)| at);
+            timed.iter().map(|&(_, act)| act).collect()
+        })
+        .collect()
+}
+
 /// Read-only run context shared by every node's app.
 struct WlShared {
-    groups: Vec<WorkloadGroup>,
+    groups: Arc<[WorkloadGroup]>,
     warmup: SimTime,
     size: usize,
     /// Record warmup deliveries into the baseline histogram (only needed
@@ -690,7 +762,7 @@ struct NodeStats {
 struct WlApp {
     me: NodeId,
     shared: Arc<WlShared>,
-    agenda: Vec<(SimTime, Act)>,
+    agenda: Box<[Act]>,
     next: usize,
     /// Groups whose local install completed (`GroupReady` received).
     ready: BTreeSet<u32>,
@@ -703,13 +775,14 @@ struct WlApp {
 impl WlApp {
     fn pump(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
         let now = ctx.now();
-        while self.next < self.agenda.len() && self.agenda[self.next].0 <= now {
-            let act = self.agenda[self.next].1;
+        while let Some(&act) = self.agenda.get(self.next) {
+            let at = act.due(&self.shared.groups);
+            if at > now {
+                ctx.wake_at(at, WAKE_TAG);
+                return;
+            }
             self.next += 1;
             self.exec(act, ctx);
-        }
-        if self.next < self.agenda.len() {
-            ctx.wake_at(self.agenda[self.next].0, WAKE_TAG);
         }
     }
 
@@ -832,7 +905,7 @@ impl BuiltWorkload {
     /// `messages x (1 + children)`. Idle nodes keep weight 1.
     pub fn partition_weights(&self) -> Vec<u64> {
         let mut weights = vec![1u64; self.spec.n_nodes as usize];
-        for g in &self.groups {
+        for g in self.groups.iter() {
             let msgs = g.arrivals.len() as u64 + 1; // + the disband marker
             for node in std::iter::once(g.root).chain(g.members.iter().copied()) {
                 let children = g.tree.children(node).len() as u64;
@@ -860,32 +933,13 @@ impl BuiltWorkload {
         cluster.set_series(spec.series);
         cluster.set_partition_weights(self.partition_weights());
 
-        // Per-node agendas, stably time-sorted so simultaneous acts keep
-        // group declaration order (and, within one group, install < send <
-        // disband).
-        let mut agendas: Vec<Vec<(SimTime, Act)>> = vec![Vec::new(); n as usize];
-        for (gi, g) in self.groups.iter().enumerate() {
-            let gi = gi as u32;
-            let install_at =
-                SimTime::from_nanos(g.arrivals[0].as_nanos().saturating_sub(INSTALL_LEAD.as_nanos()));
-            agendas[g.root.0 as usize].push((install_at, Act::Install(gi)));
-            for &m in &g.members {
-                agendas[m.0 as usize].push((install_at, Act::Install(gi)));
-            }
-            for (mi, &at) in g.arrivals.iter().enumerate() {
-                agendas[g.root.0 as usize].push((at, Act::Send(gi, mi as u16)));
-            }
-            let last = *g.arrivals.last().expect("nonempty stream");
-            agendas[g.root.0 as usize].push((last, Act::Disband(gi)));
-        }
         let shared = Arc::new(WlShared {
-            groups: self.groups.clone(),
+            groups: Arc::clone(&self.groups),
             warmup: SimTime::ZERO + spec.warmup,
             size: spec.size,
             baseline: spec.watch.is_enabled(),
         });
-        for (node, mut agenda) in agendas.into_iter().enumerate() {
-            agenda.sort_by_key(|&(at, _)| at);
+        for (node, agenda) in agendas(&self.groups, n).into_iter().enumerate() {
             cluster.set_app(
                 NodeId(node as u32),
                 Box::new(WlApp {
@@ -936,7 +990,7 @@ impl BuiltWorkload {
         let horizon = self
             .groups
             .iter()
-            .map(|g| *g.arrivals.last().expect("nonempty"))
+            .map(WorkloadGroup::last_arrival)
             .max()
             .expect("nonempty population");
         let warmup_t = SimTime::ZERO + spec.warmup;
@@ -1133,6 +1187,11 @@ mod tests {
             report.metrics.get("nic.mcast_group_frees"),
             "every installed group entry must be freed by the disband path"
         );
+    }
+
+    #[test]
+    fn agenda_entries_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Act>(), 8);
     }
 
     #[test]

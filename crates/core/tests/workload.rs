@@ -1,10 +1,11 @@
 //! The workload layer's contracts: typed validation (every error variant,
-//! with its rustc-style message), determinism of the summary JSON, arrival
-//! stream monotonicity, and group-table saturation/recovery under admission
+//! with its rustc-style message), determinism of the summary JSON, reuse of
+//! one built workload, arrival stream monotonicity, trace order and
+//! duplicates, and group-table saturation/recovery under admission
 //! backpressure.
 
 use gm::GmParams;
-use gm_sim::{SeriesConfig, SimDuration, SimTime};
+use gm_sim::{DetRng, SeriesConfig, SimDuration, SimTime};
 use myrinet::{FaultPlan, MAX_NODES};
 use nic_mcast::{
     ArrivalProcess, FanoutDist, StopCondition, Workload, WorkloadError, MAX_GROUPS,
@@ -240,6 +241,71 @@ fn identical_seeds_give_byte_identical_reports() {
 }
 
 #[test]
+fn one_built_workload_runs_twice_alike() {
+    // Runs share the built population instead of copying it, so a second
+    // run must find it exactly as the first left it.
+    let built = Workload::new(16)
+        .groups(12)
+        .fanout(FanoutDist::Zipf { exponent: 1.2 })
+        .overlap(0.5)
+        .arrivals(ArrivalProcess::Poisson { rate_hz: 30_000.0 })
+        .stop(StopCondition::Duration(SimDuration::from_millis(1)))
+        .warmup(SimDuration::from_micros(100))
+        .seed(7)
+        .build()
+        .expect("valid workload");
+    let a = built.run();
+    let b = built.run();
+    assert_eq!(a.summary_json(), b.summary_json());
+    assert_eq!(a.events, b.events);
+    assert_eq!(a.metrics, b.metrics);
+    assert_eq!(a.summary_json(), built.clone().run().summary_json());
+}
+
+/// A sorted trace over 4 groups in which the first ten entries appear
+/// twice, so some groups name the same time twice.
+fn trace_with_duplicates() -> Vec<(SimTime, u32)> {
+    let mut trace: Vec<(SimTime, u32)> = (0..60u64)
+        .map(|i| (SimTime::from_nanos(10_000 + i * 7_919 % 400_000), (i % 4) as u32))
+        .collect();
+    trace.extend_from_within(..10);
+    trace.sort_unstable();
+    trace
+}
+
+/// `trace` in the order of `keys` (one per entry).
+fn shuffled(trace: &[(SimTime, u32)], keys: &[u64]) -> Vec<(SimTime, u32)> {
+    let mut order: Vec<usize> = (0..trace.len()).collect();
+    order.sort_by_key(|&i| keys[i]);
+    order.into_iter().map(|i| trace[i]).collect()
+}
+
+fn trace_workload(trace: Vec<(SimTime, u32)>, stop: StopCondition) -> Workload {
+    Workload::new(8)
+        .groups(4)
+        .arrivals(ArrivalProcess::Trace(trace))
+        .stop(stop)
+}
+
+#[test]
+fn trace_duplicates_are_separate_messages() {
+    let trace = trace_with_duplicates();
+    let mut keys = DetRng::new(3, "shuffle");
+    let keys: Vec<u64> = (0..trace.len()).map(|_| keys.next_u64()).collect();
+    let stop = StopCondition::Duration(SimDuration::from_millis(1));
+    let built = trace_workload(trace.clone(), stop).build().expect("valid");
+    // Streams are non-decreasing, and a duplicate repeats a time.
+    let streams = || built.groups().iter().map(|g| &g.arrivals);
+    assert!(streams().all(|a| a.windows(2).all(|w| w[0] <= w[1])));
+    assert!(streams().any(|a| a.windows(2).any(|w| w[0] == w[1])));
+    // Each entry is its own message, and every one is delivered.
+    let report = built.run();
+    assert_eq!(report.messages, trace.len() as u64);
+    let again = trace_workload(shuffled(&trace, &keys), stop).run();
+    assert_eq!(report.summary_json(), again.summary_json());
+}
+
+#[test]
 fn group_table_saturates_and_recovers_under_backpressure() {
     // 12 all-node groups on a 4-slot table: 8 installs must park per node,
     // admit in FIFO order as earlier groups disband, and the occupancy gauge
@@ -290,6 +356,37 @@ fn group_table_saturates_and_recovers_under_backpressure() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A trace in any order, duplicates included, builds the same groups
+    /// as its sorted copy, under either stop condition.
+    #[test]
+    fn shuffled_trace_builds_like_its_sorted_copy(
+        keys in proptest::collection::vec(any::<u64>(), 70),
+        by_count in any::<bool>(),
+        limit in 1u64..80,
+    ) {
+        let sorted = trace_with_duplicates();
+        prop_assert_eq!(sorted.len(), keys.len());
+        let stop = if by_count {
+            StopCondition::Messages(limit)
+        } else {
+            StopCondition::Duration(SimDuration::from_micros(limit * 5))
+        };
+        let a = trace_workload(sorted.clone(), stop).build();
+        let b = trace_workload(shuffled(&sorted, &keys), stop).build();
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.groups().len(), b.groups().len());
+                for (ga, gb) in a.groups().iter().zip(b.groups()) {
+                    prop_assert_eq!(ga.gid, gb.gid);
+                    prop_assert_eq!(ga.root, gb.root);
+                    prop_assert_eq!(&ga.members, &gb.members);
+                    prop_assert_eq!(&ga.arrivals, &gb.arrivals);
+                }
+            }
+            (a, b) => prop_assert_eq!(a.err(), b.err()),
+        }
+    }
 
     /// Arrival streams are strictly increasing in sim-time for every
     /// process/stop combination the generator covers.

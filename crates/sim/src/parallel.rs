@@ -41,11 +41,12 @@
 //!   bit-for-bit identical at any shard count — proven by the differential
 //!   suites in `crates/core`.
 //!
-//! With several shards and more than one core, each shard runs on a worker
-//! thread of its own. Otherwise the identical window protocol runs on the
-//! calling thread: same results, no thread overhead.
+//! With several shards, each shard runs on a worker thread of its own when
+//! every worker gets a core that no other engine's shard workers hold.
+//! Otherwise the identical window protocol runs on the calling thread: same
+//! results, no thread overhead, and no spinning worker left without a core.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::engine::{dispatch_stats, OutMsg, RunOutcome, Scheduler, World};
@@ -173,10 +174,47 @@ impl SpinBarrier {
     }
 }
 
-/// Whether to run the shards on worker threads: only when there are
-/// several of them and more than one core to put them on.
-fn use_threads(n_shards: usize) -> bool {
-    n_shards > 1 && std::thread::available_parallelism().map_or(1, std::num::NonZero::get) > 1
+/// Shard workers running in this process, over every threaded run (a
+/// threaded run's calling thread is one of its workers).
+static RUNNING_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Whether a run of `shards` shards takes worker threads on a host of
+/// `cores` cores where `running` shard workers already run: only several
+/// shards do, and only if every worker gets a core of its own. Workers
+/// spin at the window barriers, so two of them sharing a core take turns
+/// at a time slice each.
+fn workers_fit(shards: usize, cores: usize, running: usize) -> bool {
+    shards > 1 && running.saturating_add(shards) <= cores
+}
+
+/// Cores held for one threaded run's shard workers, given back when it is
+/// dropped, on every exit path.
+struct Cores(usize);
+
+impl Cores {
+    /// Hold a core for each of `shards` workers if they fit (see
+    /// [`workers_fit`]). One compare-and-swap decides, so two engines
+    /// starting at once cannot both take the last free cores.
+    fn reserve(shards: usize) -> Option<Cores> {
+        // Most runs have one shard: they need no threads, so skip asking
+        // the OS for the core count.
+        if shards < 2 {
+            return None;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+        RUNNING_WORKERS
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |running| {
+                workers_fit(shards, cores, running).then_some(running + shards)
+            })
+            .ok()
+            .map(|_| Cores(shards))
+    }
+}
+
+impl Drop for Cores {
+    fn drop(&mut self) {
+        RUNNING_WORKERS.fetch_sub(self.0, Ordering::AcqRel);
+    }
 }
 
 /// `floor + lookahead`, saturating at `SimTime::MAX` (idle shards publish
@@ -296,15 +334,14 @@ impl<W: World> Engine<W> {
     /// dispatched. On the calling thread the budget is exact; threaded
     /// shards each may spend what was left of it at the window start.
     pub fn run(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        if use_threads(self.lanes.len()) {
-            self.run_threaded(deadline, max_events)
-        } else {
-            self.run_on_caller(deadline, max_events)
+        match Cores::reserve(self.lanes.len()) {
+            Some(_held) => self.run_threaded(deadline, max_events),
+            None => self.run_on_caller(deadline, max_events),
         }
     }
 
-    /// The window protocol on the calling thread (one shard, or one core):
-    /// identical decisions, identical results.
+    /// The window protocol on the calling thread (one shard, or no free
+    /// core for each shard): identical decisions, identical results.
     fn run_on_caller(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
         let started = std::time::Instant::now();
@@ -575,6 +612,20 @@ mod tests {
         eng.schedule(0, SimTime::ZERO, ());
         assert_eq!(eng.run(SimTime::MAX, 1_000), RunOutcome::EventLimit);
         assert_eq!(eng.events_handled(), 1_000);
+    }
+
+    #[test]
+    fn shards_take_threads_only_when_every_worker_gets_a_free_core() {
+        assert!(!workers_fit(1, 8, 0), "one shard runs on the calling thread");
+        assert!(!workers_fit(2, 1, 0), "two shards on one core");
+        assert!(workers_fit(2, 2, 0));
+        assert!(workers_fit(4, 4, 0));
+        assert!(!workers_fit(4, 2, 0), "more shards than cores");
+        // Two sharded runs at once on two cores: the first takes both.
+        assert!(!workers_fit(2, 2, 2));
+        assert!(!workers_fit(2, 3, 2), "one core free for two workers");
+        assert!(workers_fit(2, 4, 2));
+        assert!(!workers_fit(2, 64, usize::MAX), "a full count never wraps round");
     }
 
     const LOOKAHEAD_NS: u64 = 500;

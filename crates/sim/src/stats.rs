@@ -176,42 +176,33 @@ impl Histogram {
 /// upper bound is within ~3% of the samples it holds).
 const LOG_SUB_BITS: u32 = 5;
 const LOG_SUB: usize = 1 << LOG_SUB_BITS;
-/// Highest shift a 64-bit nanosecond value can need (63 - LOG_SUB_BITS).
-const LOG_BUCKETS: usize = (64 - LOG_SUB_BITS as usize) * LOG_SUB;
 
 /// Deterministic streaming histogram of nanosecond durations with
 /// logarithmic buckets (HDR-style: 32 linear sub-buckets per power of two,
 /// bounding relative error at ~3%).
 ///
 /// Unlike [`OnlineStats`] it supports arbitrary percentiles, and unlike
-/// [`Histogram`] its range covers nanoseconds to hours in ~1900 fixed
-/// `u64` buckets. All bookkeeping is integer, so recording and merging are
-/// order-independent: merging per-node histograms in any order yields
-/// bit-identical percentiles — the property that keeps sharded workload
-/// reports byte-stable.
-#[derive(Debug, Clone)]
+/// [`Histogram`] its range covers every `u64` nanosecond value. Its `u64`
+/// buckets are sized to the samples it holds: an empty histogram allocates
+/// nothing, and the bucket array grows a whole octave at a time to the one
+/// holding the largest sample (832 buckets cover anything under a second;
+/// the full range needs 1,920). All bookkeeping is integer, so recording
+/// and merging are order-independent: merging per-node histograms in any
+/// order yields bit-identical percentiles — the property that keeps sharded
+/// workload reports byte-stable.
+#[derive(Debug, Clone, Default)]
 pub struct LogHistogram {
+    /// Counts of buckets `0..len`; every bucket past the end is empty.
     counts: Vec<u64>,
     total: u64,
     sum_ns: u128,
     max_ns: u64,
 }
 
-impl Default for LogHistogram {
-    fn default() -> Self {
-        LogHistogram::new()
-    }
-}
-
 impl LogHistogram {
-    /// Empty histogram.
+    /// Empty histogram (allocates nothing).
     pub fn new() -> Self {
-        LogHistogram {
-            counts: vec![0; LOG_BUCKETS],
-            total: 0,
-            sum_ns: 0,
-            max_ns: 0,
-        }
+        LogHistogram::default()
     }
 
     fn bucket_of(ns: u64) -> usize {
@@ -238,9 +229,23 @@ impl LogHistogram {
         self.record_ns(d.as_nanos());
     }
 
+    /// Grow the bucket array to at least `len` buckets, rounded up to a
+    /// whole octave, with no spare capacity past it.
+    fn grow_to(&mut self, len: usize) {
+        let len = len.next_multiple_of(LOG_SUB);
+        if len > self.counts.len() {
+            self.counts.reserve_exact(len - self.counts.len());
+            self.counts.resize(len, 0);
+        }
+    }
+
     /// Record one nanosecond sample.
     pub fn record_ns(&mut self, ns: u64) {
-        self.counts[Self::bucket_of(ns)] += 1;
+        let bucket = Self::bucket_of(ns);
+        if bucket >= self.counts.len() {
+            self.grow_to(bucket + 1);
+        }
+        self.counts[bucket] += 1;
         self.total += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
@@ -249,6 +254,7 @@ impl LogHistogram {
     /// Fold another histogram into this one (bucket-wise addition; the
     /// result is independent of merge order).
     pub fn merge_from(&mut self, other: &LogHistogram) {
+        self.grow_to(other.counts.len());
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -428,7 +434,10 @@ mod tests {
         // Every nanosecond value maps to exactly one bucket whose bounds
         // contain it, and bucket indices are monotone in the value.
         let mut prev = 0usize;
-        for ns in [0u64, 1, 31, 32, 33, 63, 64, 1_000, 999_983, 1 << 40, u64::MAX / 2] {
+        let samples = [
+            0u64, 1, 31, 32, 33, 63, 64, 1_000, 999_983, 1 << 40, u64::MAX / 2, 1 << 63, u64::MAX,
+        ];
+        for ns in samples {
             let b = LogHistogram::bucket_of(ns);
             assert!(ns <= LogHistogram::upper_bound(b), "{ns} above its bucket");
             assert!(b >= prev, "bucket index regressed at {ns}");
@@ -451,6 +460,25 @@ mod tests {
         assert!((p999 - 999.0).abs() / 999.0 < 0.04, "p999 {p999}");
         assert_eq!(h.percentile(100.0), 1000.0);
         assert_eq!(h.max_us(), 1000.0);
+    }
+
+    #[test]
+    fn log_histogram_is_sized_to_its_samples() {
+        let mut h = LogHistogram::new();
+        assert_eq!(h.counts.capacity(), 0, "an empty histogram allocates nothing");
+        h.merge_from(&LogHistogram::new());
+        assert_eq!(h.counts.capacity(), 0, "merging an empty one allocates nothing");
+        h.record_ns(999_999_999);
+        assert_eq!(h.counts.len(), 832, "a sample under a second needs 26 octaves");
+        assert_eq!(h.counts.capacity(), 832, "no spare capacity");
+        h.record_ns(5);
+        assert_eq!(h.counts.len(), 832, "a smaller sample does not grow it");
+        let mut top = LogHistogram::new();
+        top.record_ns(u64::MAX);
+        assert_eq!(top.counts.len(), 1920, "the full range is 60 octaves");
+        h.merge_from(&top);
+        assert_eq!(h.counts.len(), 1920);
+        assert_eq!(h.percentile(100.0), u64::MAX as f64 / 1_000.0);
     }
 
     #[test]

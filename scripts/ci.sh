@@ -176,14 +176,18 @@ for bin in "${fresh_bins[@]}"; do
 done
 echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts regenerate identically"
 
-# MPI shard-parity gate: the skew-scaling figure rerun on 2 shards must
-# reproduce the committed artifact byte for byte, so MPI aggregates that
-# depend on the cross-rank dispatch order fail the build.
-echo "+ MYRI_SIM_SHARDS=2 cargo run -q --release -p bench --bin fig7_skew_scaling"
-MYRI_SIM_SHARDS=2 cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin fig7_skew_scaling >/dev/null
-run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
-  "$artifact_snapshots/fig7_skew_scaling.json" results/fig7_skew_scaling.json
+# MPI shard-parity gate: the skew-scaling, MPI-broadcast and NIC-barrier
+# figures rerun on 2 shards must reproduce the committed artifacts byte for
+# byte, so MPI aggregates that depend on the cross-rank dispatch order fail
+# the build.
+shard_bins=(fig7_skew_scaling fig4_mpi_bcast ext_nic_barrier)
+for bin in "${shard_bins[@]}"; do
+  echo "+ MYRI_SIM_SHARDS=2 cargo run -q --release -p bench --bin $bin"
+  MYRI_SIM_SHARDS=2 cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >/dev/null
+  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
+    "$artifact_snapshots/$bin.json" "results/$bin.json"
+done
 rm -r "$artifact_snapshots"
-echo "ci: fig7_skew_scaling regenerates identically on 2 shards"
+echo "ci: ${shard_bins[*]} regenerate identically on 2 shards"
 
 echo "ci: all green"
