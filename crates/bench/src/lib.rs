@@ -26,6 +26,12 @@ pub mod cli;
 /// evaluates it, so no lock is held around the evaluation itself.
 /// Simulator instances are fully independent, so this is a pure speedup
 /// with identical results to a serial run.
+///
+/// Each worker holds a core in the count sharded engines reserve from
+/// ([`gm_sim::CoreHold`]) while it runs, so an engine in the sweep takes
+/// shard worker threads only for cores no sweep worker holds: with a
+/// worker on every core, every engine runs its shards on its calling
+/// thread instead of spinning them on cores the other workers need.
 pub fn par_map<I, T, R, F>(items: I, f: F) -> Vec<R>
 where
     I: IntoIterator<Item = T>,
@@ -43,6 +49,7 @@ where
         let workers: Vec<_> = (0..threads)
             .map(|_| {
                 s.spawn(|| {
+                    let _core = gm_sim::CoreHold::take();
                     std::iter::from_fn(|| {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         items.get(i).map(|item| (i, f(item)))

@@ -19,11 +19,13 @@
 //!
 //! The allocator also tracks the thread's live heap bytes and their
 //! high-water mark. The observed run pins its peak, which its probe ring of
-//! 48-byte records dominates, so a harvest that holds a second copy of the
-//! probe stream, or a record that grows, fails here. Probe labels are
-//! interned in one process-wide table, which allocates on the thread that
-//! records a label first; the observed run is the only test here that
-//! records probes, so its allocation count is exact too. The workload run
+//! 48-byte records and its series ring of 32-byte points dominate, so a
+//! harvest that holds a second copy of a stream, a merge or an analysis
+//! that allocates per record, or a record that grows, fails here. Probe
+//! labels and gauge names are interned in process-wide tables, which
+//! allocate on the thread that interns a name first; the observed run is
+//! the only test here that records probes or samples gauges, so its
+//! allocation count is exact too. The workload run
 //! pins its peak as well, so a run that copies the group population or the
 //! agendas' arrival times, or a histogram that outgrows its samples, fails
 //! here. A trace workload pins build and run together, its trace made
@@ -237,11 +239,11 @@ fn observed_workload_counts() {
     );
     let events = report.metrics.get("engine.events");
     pin("observed workload events", events, 94_187);
-    pin("observed workload allocations", heap.allocs, 42_340);
+    pin("observed workload allocations", heap.allocs, 24_191);
     pin(
         "observed workload peak live bytes",
         heap.peak_bytes,
-        13_810_020,
+        11_204_572,
     );
 }
 

@@ -56,8 +56,8 @@ fn observables(o: &Report) -> (Vec<u64>, u64, u64, SeriesPoints) {
     let series = o
         .series
         .iter()
-        .filter(|p| !p.gauge.starts_with("exec_"))
-        .map(|p| (p.time, p.node, p.gauge, p.value))
+        .filter(|p| !p.gauge().starts_with("exec_"))
+        .map(|p| (p.time, p.node, p.gauge(), p.value))
         .collect();
     (
         latency_bits,

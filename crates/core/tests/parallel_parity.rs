@@ -31,8 +31,8 @@ fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> Report {
 fn sim_series(o: &Report) -> Vec<(SimTime, u32, &'static str, u64)> {
     o.series
         .iter()
-        .filter(|p| !p.gauge.starts_with("exec_"))
-        .map(|p| (p.time, p.node, p.gauge, p.value))
+        .filter(|p| !p.gauge().starts_with("exec_"))
+        .map(|p| (p.time, p.node, p.gauge(), p.value))
         .collect()
 }
 
@@ -178,8 +178,8 @@ fn many_group_workload_matches_across_shard_counts() {
         let strip = |r: &nic_mcast::WorkloadReport| {
             r.series
                 .iter()
-                .filter(|p| !p.gauge.starts_with("exec_"))
-                .map(|p| (p.time, p.node, p.gauge, p.value))
+                .filter(|p| !p.gauge().starts_with("exec_"))
+                .map(|p| (p.time, p.node, p.gauge(), p.value))
                 .collect::<Vec<_>>()
         };
         assert_eq!(strip(&seq), strip(&par), "gauge series at {shards} shards");

@@ -336,7 +336,7 @@ fn group_table_saturates_and_recovers_under_backpressure() {
     let occupancy: Vec<u64> = report
         .series
         .iter()
-        .filter(|p| p.gauge == "groups_used" && p.node == 0)
+        .filter(|p| p.gauge() == "groups_used" && p.node == 0)
         .map(|p| p.value)
         .collect();
     assert!(

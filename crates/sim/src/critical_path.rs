@@ -31,6 +31,7 @@ use std::collections::BTreeMap;
 
 use crate::flow::FlowId;
 use crate::probe::{Phase, ProbeEvent, ProbeId, Track};
+use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
 /// Delivery anchor: recorded (with a flow) when a message reaches its
@@ -39,128 +40,204 @@ use crate::time::{SimDuration, SimTime};
 pub static FLOW_DELIVERY: ProbeId = ProbeId::new("flow_delivery", Track::App);
 
 /// Per-flow facts extracted from the stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct FlowInfo {
+    flow: FlowId,
     /// `(time, seq)` and node of the flow's first record.
     first: (SimTime, u64),
     first_node: u32,
-    /// Earliest `(time, seq)` of a record of this flow per node — when the
-    /// payload first became visible there (the arrival, at the hop's
-    /// destination).
-    node_first: Vec<(u32, SimTime, u64)>,
-    /// `(time, seq)` of the flow's `FLOW_DELIVERY` record, if delivered.
-    delivery: Option<(SimTime, u64)>,
+    /// Earliest `(time, seq)` of a record of this flow at its destination —
+    /// when the payload first became visible there. The link pass reads
+    /// nothing else of a candidate predecessor: it picks candidates by
+    /// destination, so this is the candidate's entry at the start node.
+    at_dest: Option<(SimTime, u64)>,
+    /// Whether the flow reached a [`FLOW_DELIVERY`] record.
+    delivered: bool,
     /// Whether the flow includes a host-track record (the send call) — the
     /// anchor of a complete lineage.
     has_host: bool,
-    /// The causal predecessor hop (filled by the link pass).
-    pred: Option<FlowId>,
+    /// The causal predecessor hop (filled by the link pass), or
+    /// [`FlowId::NONE`].
+    pred: FlowId,
+}
+
+/// Where each flow's entry sits in the entry `Vec` while
+/// [`FlowGraph::build`] reads the stream: open addressing over `u32` slots,
+/// each [`FlowSlots::EMPTY`] or an entry's index, at most half full,
+/// probed linearly from the flow's `splitmix64` hash. It is only looked up,
+/// never iterated, so nothing about it reaches the graph's order.
+#[derive(Default)]
+struct FlowSlots(Vec<u32>);
+
+impl FlowSlots {
+    const EMPTY: u32 = u32::MAX;
+
+    /// The index of `flow`'s entry in `flows`, pushing `new()` for it
+    /// first if it has none.
+    fn entry(
+        &mut self,
+        flows: &mut Vec<FlowInfo>,
+        flow: FlowId,
+        new: impl FnOnce() -> FlowInfo,
+    ) -> usize {
+        if 2 * (flows.len() + 1) > self.0.len() {
+            self.grow(flows);
+        }
+        let mut s = self.home(flow);
+        loop {
+            match self.0[s] {
+                Self::EMPTY => {
+                    self.0[s] =
+                        u32::try_from(flows.len()).expect("a flow graph holds at most 2^32 flows");
+                    flows.push(new());
+                    return flows.len() - 1;
+                }
+                i if flows[i as usize].flow == flow => return i as usize,
+                _ => s = (s + 1) & (self.0.len() - 1),
+            }
+        }
+    }
+
+    /// The slot `flow`'s probe starts at.
+    fn home(&self, flow: FlowId) -> usize {
+        (splitmix64(flow.raw()) & (self.0.len() as u64 - 1)) as usize
+    }
+
+    /// Double the table (to 64 slots at first) and re-place every entry.
+    #[cold]
+    fn grow(&mut self, flows: &[FlowInfo]) {
+        let len = (2 * self.0.len()).max(64);
+        self.0.clear();
+        self.0.resize(len, Self::EMPTY);
+        for (i, info) in flows.iter().enumerate() {
+            let mut s = self.home(info.flow);
+            while self.0[s] != Self::EMPTY {
+                s = (s + 1) & (len - 1);
+            }
+            self.0[s] = i as u32;
+        }
+    }
 }
 
 /// The causal links between the flows of one recorded run.
+///
+/// The flows are one exactly sized `Vec` sorted by [`FlowId`], looked up by
+/// binary search, so the graph holds one fixed-size entry per flow and
+/// makes no allocation per flow or per record.
 #[derive(Clone, Debug, Default)]
 pub struct FlowGraph {
-    flows: BTreeMap<FlowId, FlowInfo>,
+    flows: Vec<FlowInfo>,
 }
 
 impl FlowGraph {
     /// Build the graph from a canonical probe stream (events in
     /// `(time, seq)` record order, e.g. `ProbeSink::to_vec`).
     pub fn build(events: &[ProbeEvent]) -> FlowGraph {
-        let mut flows: BTreeMap<FlowId, FlowInfo> = BTreeMap::new();
+        // One entry per flow, in order of first sight; `slots` finds a
+        // flow's entry.
+        let mut flows: Vec<FlowInfo> = Vec::new();
+        let mut slots = FlowSlots::default();
         for e in events {
             if e.flow.is_none() {
                 continue;
             }
             let key = (e.time, e.seq);
-            let info = flows.entry(e.flow).or_insert_with(|| FlowInfo {
+            let i = slots.entry(&mut flows, e.flow, || FlowInfo {
+                flow: e.flow,
                 first: key,
                 first_node: e.node,
-                node_first: Vec::new(),
-                delivery: None,
+                at_dest: None,
+                delivered: false,
                 has_host: false,
-                pred: None,
+                pred: FlowId::NONE,
             });
+            let info = &mut flows[i];
             if key < info.first {
                 info.first = key;
                 info.first_node = e.node;
             }
-            match info.node_first.iter_mut().find(|(n, _, _)| *n == e.node) {
-                Some(slot) => {
-                    if (slot.1, slot.2) > key {
-                        (slot.1, slot.2) = key;
-                    }
-                }
-                None => info.node_first.push((e.node, e.time, e.seq)),
+            if e.node == e.flow.dest() && info.at_dest.is_none_or(|k| key < k) {
+                info.at_dest = Some(key);
             }
             if *e.id == FLOW_DELIVERY {
-                info.delivery = Some(info.delivery.map_or(key, |d| d.max(key)));
+                info.delivered = true;
             }
             if e.id.track == Track::Host {
                 info.has_host = true;
             }
         }
+        drop(slots); // before the sort, the shrink and the index below
+        flows.sort_unstable_by_key(|i| i.flow);
+        flows.shrink_to_fit();
 
-        // Link pass: index flows by (dest, tag), then find each flow's
-        // predecessor hop at its start node.
-        let mut by_dest_tag: BTreeMap<(u32, u64), Vec<FlowId>> = BTreeMap::new();
-        for &f in flows.keys() {
-            by_dest_tag.entry((f.dest(), f.tag())).or_default().push(f);
-        }
-        let mut preds: Vec<(FlowId, FlowId)> = Vec::new();
-        for (&g, info) in &flows {
-            let Some(cands) = by_dest_tag.get(&(info.first_node, g.tag())) else {
-                continue;
-            };
-            let mut best: Option<((SimTime, u64), FlowId)> = None;
-            for &p in cands {
+        // Link pass: index flows by (dest, tag), in FlowId order within
+        // each, then find each flow's predecessor hop among the flows whose
+        // destination is its start node.
+        let mut by_dest_tag: Vec<(u32, u64, u32)> = Vec::with_capacity(flows.len());
+        by_dest_tag.extend(flows.iter().enumerate().map(|(i, info)| {
+            let i = u32::try_from(i).expect("a flow graph holds at most 2^32 flows");
+            (info.flow.dest(), info.flow.tag(), i)
+        }));
+        by_dest_tag.sort_unstable();
+        for g in 0..flows.len() {
+            let info = flows[g];
+            let at = (info.first_node, info.flow.tag());
+            let lo = by_dest_tag.partition_point(|&(d, t, _)| (d, t) < at);
+            let cands = by_dest_tag[lo..]
+                .iter()
+                .take_while(|&&(d, t, _)| (d, t) == at);
+            // The latest arrival at the start node not after this flow's
+            // first record; on a tie the first candidate in FlowId order.
+            let mut best: Option<((SimTime, u64), usize)> = None;
+            for &(_, _, p) in cands {
+                let p = p as usize;
                 if p == g {
                     continue;
                 }
-                let pi = &flows[&p];
-                let Some(&(_, t, s)) = pi
-                    .node_first
-                    .iter()
-                    .find(|(n, _, _)| *n == info.first_node)
-                else {
+                let Some(k) = flows[p].at_dest else {
                     continue;
                 };
-                if (t, s) <= info.first && best.is_none_or(|(k, _)| (t, s) > k) {
-                    best = Some(((t, s), p));
+                if k <= info.first && best.is_none_or(|(b, _)| k > b) {
+                    best = Some((k, p));
                 }
             }
             if let Some((_, p)) = best {
-                preds.push((g, p));
+                flows[g].pred = flows[p].flow;
             }
-        }
-        for (g, p) in preds {
-            flows.get_mut(&g).expect("pred source flow exists").pred = Some(p);
         }
         FlowGraph { flows }
     }
 
+    /// The entry of `flow`, if it was seen.
+    fn info(&self, flow: FlowId) -> Option<&FlowInfo> {
+        self.flows
+            .binary_search_by_key(&flow, |i| i.flow)
+            .ok()
+            .map(|i| &self.flows[i])
+    }
+
     /// All flows seen, in `FlowId` order.
     pub fn flows(&self) -> impl Iterator<Item = FlowId> + '_ {
-        self.flows.keys().copied()
+        self.flows.iter().map(|i| i.flow)
     }
 
     /// Flows that reached a [`FLOW_DELIVERY`] record.
     pub fn delivered(&self) -> Vec<FlowId> {
         self.flows
             .iter()
-            .filter(|(_, i)| i.delivery.is_some())
-            .map(|(&f, _)| f)
+            .filter(|i| i.delivered)
+            .map(|i| i.flow)
             .collect()
     }
 
     /// The causal predecessor hop of `flow`, if any.
     pub fn pred(&self, flow: FlowId) -> Option<FlowId> {
-        self.flows.get(&flow).and_then(|i| i.pred)
+        self.info(flow).map(|i| i.pred).filter(|p| p.is_some())
     }
 
     /// Node at which `flow`'s work began (the hop's source).
     pub fn start_node(&self, flow: FlowId) -> Option<u32> {
-        self.flows.get(&flow).map(|i| i.first_node)
+        self.info(flow).map(|i| i.first_node)
     }
 
     /// The lineage of `flow`: anchor hop first, `flow` last. Stops (rather
@@ -186,19 +263,20 @@ impl FlowGraph {
     /// message per violation (empty = clean).
     pub fn validate(&self) -> Vec<String> {
         let mut errors = Vec::new();
-        for (&g, info) in &self.flows {
-            if let Some(p) = info.pred {
-                let pf = &self.flows[&p];
+        for info in &self.flows {
+            let (g, p) = (info.flow, info.pred);
+            if p.is_some() {
+                let pf = self.info(p).expect("a predecessor is a flow of the graph");
                 if pf.first >= info.first {
                     errors.push(format!(
                         "flow graph not acyclic: pred {p} of {g} does not precede it"
                     ));
                 }
             }
-            if info.delivery.is_some() {
+            if info.delivered {
                 let chain = self.lineage(g);
                 let anchor = chain[0];
-                let ai = &self.flows[&anchor];
+                let ai = self.info(anchor).expect("lineage flows are in the graph");
                 if ai.pred.is_some() {
                     errors.push(format!("lineage of {g} contains a cycle"));
                 } else if !ai.has_host {

@@ -45,6 +45,7 @@ mod engine;
 pub mod critical_path;
 pub mod flow;
 mod merge;
+mod names;
 mod parallel;
 pub mod probe;
 mod queue;
@@ -58,7 +59,7 @@ pub mod watch;
 pub use critical_path::{CriticalPath, FlowGraph, PathStep, FLOW_DELIVERY};
 pub use engine::{dispatch_stats, OutMsg, RunOutcome, Scheduler, World};
 pub use flow::FlowId;
-pub use parallel::{Engine, ShardStats};
+pub use parallel::{CoreHold, Engine, ShardStats};
 pub use probe::{Metrics, ProbeConfig, ProbeEvent, ProbeSink};
 pub use series::{GaugeId, GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
 pub use queue::{set_kind_override as set_queue_override, EventQueue, QueueKind};

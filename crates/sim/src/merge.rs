@@ -3,17 +3,19 @@
 //! [`ProbeSink::merge_canonical`](crate::ProbeSink::merge_canonical) and
 //! [`SeriesSink::merge_canonical`](crate::SeriesSink::merge_canonical) both
 //! turn one ring per shard into one stream in canonical order. They share
-//! the two steps here, so no second record buffer and no stable-sort
-//! scratch is ever live beside the rings:
+//! the two steps here, and neither allocates per record: no second record
+//! buffer, no sort key and no stable-sort scratch is ever live beside the
+//! rings.
 //!
 //! * [`concat_rings`] keeps the first ring's buffer, rotates it oldest
 //!   first in place, and appends the other rings' records;
-//! * [`sort_by_keys`] sorts one compact key per record instead of the
-//!   records, then moves each record once along the permutation's cycles.
+//! * [`sort_in_place`] writes each record's position in that stream into
+//!   its own `seq`, sorts the records themselves on a key that ends in
+//!   `seq`, and renumbers `seq`.
 //!
-//! Every key ends in the record's [`position`] in the concatenated stream,
-//! so keys are unique and an unstable sort of them gives exactly the order
-//! a stable sort on the leading fields would.
+//! The position makes every key unique, so an unstable sort gives exactly
+//! the order a stable sort on the leading fields would: records that tie
+//! keep their ring order, and the rings keep their shard order.
 
 /// Concatenate ring buffers into one stream, each ring oldest first.
 /// `rings` yields `(buffer, head)` pairs, `head` being the slot of the
@@ -33,41 +35,21 @@ pub(crate) fn concat_rings<T: Copy>(rings: impl IntoIterator<Item = (Vec<T>, usi
     out
 }
 
-/// A record's position in a concatenated stream, as the last field of its
-/// sort key. Ring capacities come from the command line, so the narrowing
-/// is checked.
-pub(crate) fn position(i: usize) -> u32 {
-    u32::try_from(i).expect("a merged record stream holds at most 2^32 records")
-}
-
-/// Sort `keys` (one per record, each ending in its record's [`position`])
-/// and reorder `records` to match: slot `i` receives the record at
-/// `pos(&keys[i])`. Each permutation cycle is walked once with one record
-/// held aside, so the scratch is the keys plus one flag per record.
-pub(crate) fn sort_by_keys<T: Copy, K: Ord>(
+/// Sort `records` into canonical order in place and renumber them: write
+/// each record's position into its `seq`, `sort_unstable` on `key` (which
+/// must end in `seq`, so that ties keep their order), then number the
+/// records 0, 1, 2, ... in their new order.
+pub(crate) fn sort_in_place<T, K: Ord>(
     records: &mut [T],
-    keys: &mut [K],
-    pos: impl Fn(&K) -> u32,
+    seq: impl Fn(&mut T) -> &mut u64,
+    key: impl FnMut(&T) -> K,
 ) {
-    debug_assert_eq!(records.len(), keys.len());
-    keys.sort_unstable();
-    let mut placed = vec![false; records.len()];
-    for start in 0..records.len() {
-        if placed[start] {
-            continue;
-        }
-        let held = records[start];
-        let mut dst = start;
-        loop {
-            placed[dst] = true;
-            let src = pos(&keys[dst]) as usize;
-            if src == start {
-                records[dst] = held;
-                break;
-            }
-            records[dst] = records[src];
-            dst = src;
-        }
+    for (i, r) in records.iter_mut().enumerate() {
+        *seq(r) = i as u64;
+    }
+    records.sort_unstable_by_key(key);
+    for (i, r) in records.iter_mut().enumerate() {
+        *seq(r) = i as u64;
     }
 }
 
@@ -89,16 +71,22 @@ mod tests {
     }
 
     #[test]
-    fn sorting_keys_is_a_stable_sort_of_the_records() {
-        let mut records = [(3, 'a'), (1, 'b'), (3, 'c'), (0, 'd'), (1, 'e'), (2, 'f')];
+    fn sorting_in_place_is_a_stable_sort_that_renumbers() {
+        // (key, seq, tag): the seqs are stale, as a shard's own are.
+        let mut records = [
+            (3, 9, 'a'),
+            (1, 0, 'b'),
+            (3, 0, 'c'),
+            (0, 5, 'd'),
+            (1, 1, 'e'),
+            (2, 2, 'f'),
+        ];
         let mut oracle = records;
         oracle.sort_by_key(|r| r.0);
-        let mut keys: Vec<(u32, u32)> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.0, position(i)))
-            .collect();
-        sort_by_keys(&mut records, &mut keys, |k| k.1);
+        for (i, r) in oracle.iter_mut().enumerate() {
+            r.1 = i as u64;
+        }
+        sort_in_place(&mut records, |r| &mut r.1, |r| (r.0, r.1));
         assert_eq!(records, oracle);
     }
 }

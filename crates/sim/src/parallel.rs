@@ -42,9 +42,10 @@
 //!   suites in `crates/core`.
 //!
 //! With several shards, each shard runs on a worker thread of its own when
-//! every worker gets a core that no other engine's shard workers hold.
-//! Otherwise the identical window protocol runs on the calling thread: same
-//! results, no thread overhead, and no spinning worker left without a core.
+//! every worker gets a core that neither another engine's shard workers
+//! nor a [`CoreHold`] holds. Otherwise the identical window protocol runs
+//! on the calling thread: same results, no thread overhead, and no
+//! spinning worker left without a core.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -175,7 +176,8 @@ impl SpinBarrier {
 }
 
 /// Shard workers running in this process, over every threaded run (a
-/// threaded run's calling thread is one of its workers).
+/// threaded run's calling thread is one of its workers), plus the threads
+/// holding a [`CoreHold`].
 static RUNNING_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Whether a run of `shards` shards takes worker threads on a host of
@@ -187,33 +189,71 @@ fn workers_fit(shards: usize, cores: usize, running: usize) -> bool {
     shards > 1 && running.saturating_add(shards) <= cores
 }
 
-/// Cores held for one threaded run's shard workers, given back when it is
-/// dropped, on every exit path.
-struct Cores(usize);
+/// Cores held in a running count, given back when dropped, on every exit
+/// path.
+struct Cores {
+    running: &'static AtomicUsize,
+    held: usize,
+}
 
 impl Cores {
-    /// Hold a core for each of `shards` workers if they fit (see
-    /// [`workers_fit`]). One compare-and-swap decides, so two engines
-    /// starting at once cannot both take the last free cores.
-    fn reserve(shards: usize) -> Option<Cores> {
+    /// Hold a core in `running` for each of `shards` workers on a host of
+    /// `cores` cores, if they fit (see [`workers_fit`]). One
+    /// compare-and-swap decides, so two engines starting at once cannot
+    /// both take the last free cores.
+    fn reserve(running: &'static AtomicUsize, shards: usize, cores: usize) -> Option<Cores> {
+        running
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |r| {
+                workers_fit(shards, cores, r).then_some(r + shards)
+            })
+            .ok()
+            .map(|_| Cores {
+                running,
+                held: shards,
+            })
+    }
+
+    /// The cores a threaded run of `shards` shards takes from
+    /// [`RUNNING_WORKERS`], or `None` to run on the calling thread.
+    fn for_run(shards: usize) -> Option<Cores> {
         // Most runs have one shard: they need no threads, so skip asking
         // the OS for the core count.
         if shards < 2 {
             return None;
         }
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        RUNNING_WORKERS
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |running| {
-                workers_fit(shards, cores, running).then_some(running + shards)
-            })
-            .ok()
-            .map(|_| Cores(shards))
+        Cores::reserve(&RUNNING_WORKERS, shards, cores)
     }
 }
 
 impl Drop for Cores {
     fn drop(&mut self) {
-        RUNNING_WORKERS.fetch_sub(self.0, Ordering::AcqRel);
+        self.running.fetch_sub(self.held, Ordering::AcqRel);
+    }
+}
+
+/// One core held in the count that sharded engines reserve worker cores
+/// from, given back when dropped. A thread that runs simulations beside
+/// other such threads (a worker of a parallel sweep) holds one while it
+/// runs, so an engine takes worker threads only for cores that no such
+/// thread is busy on. An engine counts all its shards' workers apart from
+/// any hold, its calling thread's too, so when holds cover every core no
+/// engine takes threads.
+pub struct CoreHold {
+    _core: Cores,
+}
+
+impl CoreHold {
+    /// Hold a core until the hold is dropped.
+    pub fn take() -> CoreHold {
+        CoreHold::take_in(&RUNNING_WORKERS)
+    }
+
+    fn take_in(running: &'static AtomicUsize) -> CoreHold {
+        running.fetch_add(1, Ordering::AcqRel);
+        CoreHold {
+            _core: Cores { running, held: 1 },
+        }
     }
 }
 
@@ -334,7 +374,7 @@ impl<W: World> Engine<W> {
     /// dispatched. On the calling thread the budget is exact; threaded
     /// shards each may spend what was left of it at the window start.
     pub fn run(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        match Cores::reserve(self.lanes.len()) {
+        match Cores::for_run(self.lanes.len()) {
             Some(_held) => self.run_threaded(deadline, max_events),
             None => self.run_on_caller(deadline, max_events),
         }
@@ -626,6 +666,31 @@ mod tests {
         assert!(!workers_fit(2, 3, 2), "one core free for two workers");
         assert!(workers_fit(2, 4, 2));
         assert!(!workers_fit(2, 64, usize::MAX), "a full count never wraps round");
+    }
+
+    #[test]
+    fn held_cores_count_against_every_engine() {
+        static RUNNING: AtomicUsize = AtomicUsize::new(0);
+        let count = || RUNNING.load(Ordering::Acquire);
+        let (a, b) = (CoreHold::take_in(&RUNNING), CoreHold::take_in(&RUNNING));
+        assert_eq!(count(), 2);
+        // Two sweep workers hold both cores of a 2-core host: no engine
+        // takes threads, whichever thread runs it.
+        assert!(Cores::reserve(&RUNNING, 2, 2).is_none());
+        // On four cores an engine takes the two free ones and gives them
+        // back.
+        assert!(Cores::reserve(&RUNNING, 2, 4).is_some_and(|c| c.held == 2));
+        assert_eq!(count(), 2);
+        drop(a);
+        assert_eq!(count(), 1);
+        assert!(
+            Cores::reserve(&RUNNING, 2, 2).is_none(),
+            "one core is still held"
+        );
+        drop(b);
+        assert_eq!(count(), 0);
+        assert!(Cores::reserve(&RUNNING, 2, 2).is_some_and(|c| c.held == 2));
+        assert_eq!(count(), 0);
     }
 
     const LOOKAHEAD_NS: u64 = 500;

@@ -32,10 +32,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{PoisonError, RwLock};
 
 use crate::flow::FlowId;
 use crate::merge;
+use crate::names::NameTable;
 use crate::time::{SimDuration, SimTime};
 
 /// The resource a probe point belongs to; becomes the Perfetto thread
@@ -130,11 +130,9 @@ pub enum Phase {
     Complete,
 }
 
-/// Every distinct label recorded in this process, indexed by [`Label`].
-/// Append-only, so a handle names one string for the life of the process:
-/// a bare record resolves its label without its sink, and two records hold
-/// the same handle exactly when their labels are equal.
-static LABELS: RwLock<Vec<&'static str>> = RwLock::new(Vec::new());
+/// Every distinct label recorded in this process, indexed by [`Label`]
+/// (see `sim::names`).
+static LABELS: NameTable = NameTable::new("probe labels");
 
 /// A record's label, as its index in [`LABELS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,23 +140,13 @@ struct Label(u16);
 
 impl Label {
     /// The handle of `label`, appending it to [`LABELS`] on first sight.
-    /// Every update is one push, so a table poisoned by a panicking
-    /// thread is still whole.
     fn intern(label: &'static str) -> Label {
-        let mut labels = LABELS.write().unwrap_or_else(PoisonError::into_inner);
-        let i = match labels.iter().position(|&l| l == label) {
-            Some(i) => i,
-            None => {
-                labels.push(label);
-                labels.len() - 1
-            }
-        };
-        Label(u16::try_from(i).expect("a process records at most 65,536 distinct probe labels"))
+        Label(LABELS.intern(label))
     }
 
     /// The string this handle names.
     fn resolve(self) -> &'static str {
-        LABELS.read().unwrap_or_else(PoisonError::into_inner)[usize::from(self.0)]
+        LABELS.resolve(self.0)
     }
 }
 
@@ -539,24 +527,17 @@ impl ProbeSink {
     /// evicted, per-shard rings evict different records than one global ring
     /// would — size the capacity to the run when exact parity matters.)
     ///
-    /// The merge works in place: the first sink's ring becomes the merged
-    /// stream, and the sort moves 16-byte `(time, node, position)` keys
-    /// instead of records (see `sim::merge`). Label handles are
-    /// process-wide, so records change sinks as they are.
+    /// The merge works in place and allocates nothing per record: the
+    /// first sink's ring becomes the merged stream, and the records
+    /// themselves are sorted on `(time, node, position)`, their position in
+    /// the concatenated rings written into `seq` first (see `sim::merge`).
+    /// Label handles are process-wide, so records change sinks as they are.
     pub fn merge_canonical(sinks: Vec<ProbeSink>) -> ProbeSink {
         let enabled = sinks.iter().any(ProbeSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
         let evicted: u64 = sinks.iter().map(|s| s.evicted).sum();
         let mut events = merge::concat_rings(sinks.into_iter().map(|s| (s.events, s.head)));
-        let mut keys: Vec<(SimTime, u32, u32)> = events
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.time, e.node, merge::position(i)))
-            .collect();
-        merge::sort_by_keys(&mut events, &mut keys, |k| k.2);
-        for (i, e) in events.iter_mut().enumerate() {
-            e.seq = i as u64;
-        }
+        merge::sort_in_place(&mut events, |e| &mut e.seq, |e| (e.time, e.node, e.seq));
         let seq = events.len() as u64;
         ProbeSink {
             config: ProbeConfig {

@@ -23,11 +23,18 @@
 //! that handle without comparing strings. [`SeriesSink::record`] is the
 //! two steps in one call.
 //!
+//! A [`SeriesPoint`] is 32 bytes: it names its gauge by a `u16` handle into
+//! one process-wide table of gauge names, which [`SeriesPoint::gauge`]
+//! resolves.
+//!
 //! [`SeriesSink::summarize`] folds the step functions into per-gauge
 //! [`GaugeSummary`] rows: min/max/last, a time-weighted mean, and a
 //! fixed-width histogram of time spent at each value band.
 
+use std::fmt;
+
 use crate::merge;
+use crate::names::NameTable;
 use crate::time::SimTime;
 
 /// What a run samples.
@@ -77,22 +84,72 @@ impl Default for SeriesConfig {
     }
 }
 
-/// One gauge transition: `(node, gauge)` took `value` at `time`.
+/// Every distinct gauge name sampled in this process, indexed by
+/// [`GaugeName`] (see `sim::names`).
+static GAUGE_NAMES: NameTable = NameTable::new("gauge names");
+
+/// A point's gauge, as its index in [`GAUGE_NAMES`]. Handles are in
+/// interning order, not name order: code that orders points by name ranks
+/// the table once ([`NameTable::ranks`]) and compares ranks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct GaugeName(u16);
+
+impl GaugeName {
+    /// Index into a [`NameTable::snapshot`] or [`NameTable::ranks`] of
+    /// [`GAUGE_NAMES`].
+    pub(crate) fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
+/// Every gauge name sampled so far, indexed by [`GaugeName::index`].
+pub(crate) fn gauge_names() -> Vec<&'static str> {
+    GAUGE_NAMES.snapshot()
+}
+
+/// One gauge transition: `(node, gauge)` took `value` at `time`. 32 bytes,
+/// all `Copy`.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SeriesPoint {
     /// Simulated time of the transition.
     pub time: SimTime,
     /// Total order among equal timestamps (per sink; renumbered on merge).
     pub seq: u64,
+    /// The new value.
+    pub value: u64,
     /// Node the gauge belongs to (shard index for execution gauges).
     pub node: u32,
+    /// The gauge, read through [`SeriesPoint::gauge`].
+    gauge: GaugeName,
+}
+
+impl SeriesPoint {
     /// Static gauge name. Gauges prefixed `exec_` describe the *execution*
     /// (queue depths, shard scheduling) and are allowed to differ between
     /// sequential and sharded runs; all others are simulation state and
     /// must be mode-independent.
-    pub gauge: &'static str,
-    /// The new value.
-    pub value: u64,
+    pub fn gauge(&self) -> &'static str {
+        GAUGE_NAMES.resolve(self.gauge.0)
+    }
+
+    /// The gauge's handle in the process-wide name table.
+    pub(crate) fn gauge_name(&self) -> GaugeName {
+        self.gauge
+    }
+}
+
+/// Shows the gauge by name: a handle's number depends on which thread
+/// interned the name first.
+impl fmt::Debug for SeriesPoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SeriesPoint")
+            .field("time", &self.time)
+            .field("seq", &self.seq)
+            .field("node", &self.node)
+            .field("gauge", &self.gauge())
+            .field("value", &self.value)
+            .finish()
+    }
 }
 
 /// Number of fixed-width value bands in a [`GaugeSummary`] histogram.
@@ -133,9 +190,10 @@ pub struct SeriesSink {
     seq: u64,
     dropped: u64,
     /// Last value per `(node, gauge)` — the dedup filter. Two levels: the
-    /// interned gauge names, indexed by [`GaugeId`], then a dense per-node
-    /// table, so recording by handle is one index plus one compare.
-    last: Vec<(&'static str, Vec<Option<u64>>)>,
+    /// gauges this sink has interned, indexed by [`GaugeId`], each with its
+    /// process-wide handle, then a dense per-node table, so recording by
+    /// handle is one index plus one compare.
+    last: Vec<(&'static str, GaugeName, Vec<Option<u64>>)>,
 }
 
 impl SeriesSink {
@@ -184,7 +242,7 @@ impl SeriesSink {
         let i = match self
             .last
             .iter()
-            .position(|(g, _)| std::ptr::eq(*g, name) || *g == name)
+            .position(|(g, _, _)| std::ptr::eq(*g, name) || *g == name)
         {
             Some(i) => i,
             None => self.intern_gauge(name),
@@ -213,7 +271,7 @@ impl SeriesSink {
         if !self.config.enabled {
             return;
         }
-        let (name, nodes) = &mut self.last[gauge.0 as usize];
+        let (_, name, nodes) = &mut self.last[gauge.0 as usize];
         let slot = node as usize;
         if slot >= nodes.len() {
             Self::grow_nodes(nodes, slot);
@@ -225,9 +283,9 @@ impl SeriesSink {
         let p = SeriesPoint {
             time,
             seq: self.seq,
-            node,
-            gauge: name,
             value,
+            node,
+            gauge: *name,
         };
         self.seq += 1;
         if self.points.len() < self.config.capacity {
@@ -239,12 +297,13 @@ impl SeriesSink {
         }
     }
 
-    /// First sighting of a gauge name: append a dedup row for it. Runs once
-    /// per distinct gauge per sink — kept out of the hot path so recording
-    /// stays allocation-free after warm-up.
+    /// First sighting of a gauge name: intern it process-wide and append a
+    /// dedup row for it. Runs once per distinct gauge per sink — kept out of
+    /// the hot path so recording stays allocation-free after warm-up.
     #[cold]
     fn intern_gauge(&mut self, gauge: &'static str) -> usize {
-        self.last.push((gauge, Vec::new()));
+        let handle = GaugeName(GAUGE_NAMES.intern(gauge));
+        self.last.push((gauge, handle, Vec::new()));
         self.last.len() - 1
     }
 
@@ -288,22 +347,25 @@ impl SeriesSink {
     ///
     /// The merge works in place, like
     /// [`ProbeSink::merge_canonical`](crate::ProbeSink::merge_canonical):
-    /// the first sink's ring becomes the merged stream, and the sort moves
-    /// `(time, node, gauge, position)` keys instead of points.
+    /// the first sink's ring becomes the merged stream, and the points
+    /// themselves are sorted on `(time, node, gauge rank, position)`, the
+    /// name table ranked once for the whole sort.
     pub fn merge_canonical(sinks: Vec<SeriesSink>) -> SeriesSink {
         let enabled = sinks.iter().any(SeriesSink::is_enabled);
         let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
         let dropped: u64 = sinks.iter().map(|s| s.dropped).sum();
         let mut points = merge::concat_rings(sinks.into_iter().map(|s| (s.points, s.head)));
-        let mut keys: Vec<(SimTime, u32, &'static str, u32)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.time, p.node, p.gauge, merge::position(i)))
-            .collect();
-        merge::sort_by_keys(&mut points, &mut keys, |k| k.3);
-        for (i, p) in points.iter_mut().enumerate() {
-            p.seq = i as u64;
-        }
+        // Ranking allocates, so a run that sampled nothing skips it.
+        let rank = if points.is_empty() {
+            Vec::new()
+        } else {
+            GAUGE_NAMES.ranks()
+        };
+        merge::sort_in_place(
+            &mut points,
+            |p| &mut p.seq,
+            |p| (p.time, p.node, rank[p.gauge.index()], p.seq),
+        );
         let seq = points.len() as u64;
         SeriesSink {
             config: SeriesConfig {
@@ -325,16 +387,20 @@ impl SeriesSink {
         // Group points per (gauge, node) in one sort of their positions:
         // each group is one run of the order, its points in time order.
         let all: Vec<&SeriesPoint> = self.iter().collect();
-        let mut order: Vec<(&'static str, u32, u32)> = all
+        let rank = GAUGE_NAMES.ranks();
+        let mut order: Vec<(u16, u32, u32)> = all
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.gauge, p.node, merge::position(i)))
+            .map(|(i, p)| {
+                let i = u32::try_from(i).expect("a series holds at most 2^32 points");
+                (rank[p.gauge.index()], p.node, i)
+            })
             .collect();
         order.sort_unstable();
         let mut out = Vec::new();
         for group in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (gauge, node, _) = group[0];
             let pts: Vec<&SeriesPoint> = group.iter().map(|k| all[k.2 as usize]).collect();
+            let (gauge, node) = (pts[0].gauge(), pts[0].node);
             let min = pts.iter().map(|p| p.value).min().unwrap_or(0);
             let max = pts.iter().map(|p| p.value).max().unwrap_or(0);
             let last = pts.last().map_or(0, |p| p.value);
@@ -464,6 +530,13 @@ mod tests {
         // min band holds the 700ns at value 2; top band the 300ns at 6.
         assert_eq!(g.hist[0], 700);
         assert_eq!(g.hist.iter().rev().sum::<u64>() - g.hist[0], 300);
+    }
+
+    #[test]
+    fn series_points_are_thin() {
+        // A point names its gauge by a u16 handle, not a 16-byte name.
+        let size = std::mem::size_of::<SeriesPoint>();
+        assert!(size <= 32, "SeriesPoint is {size} bytes");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::critical_path::FlowGraph;
 use crate::flow::FlowId;
 use crate::probe::{Metrics, ProbeEvent};
-use crate::series::SeriesPoint;
+use crate::series::{self, SeriesPoint};
 use crate::time::{SimDuration, SimTime};
 
 /// Evidence cap per incident: enough flows to chase a storm to its origin,
@@ -445,14 +445,17 @@ impl WatchEngine {
         }
         // Regroup the canonical (time, node, gauge) stream into per-signal
         // step functions. BTreeMap keeps (node, gauge) iteration stable.
+        // Gauge names are read from one snapshot of the name table.
+        let names = series::gauge_names();
         let mut signals: std::collections::BTreeMap<(u32, &'static str), Vec<(u64, u64)>> =
             std::collections::BTreeMap::new();
         for p in points {
-            if p.gauge.starts_with("exec_") {
+            let gauge = names[p.gauge_name().index()];
+            if gauge.starts_with("exec_") {
                 continue; // execution gauges are not health signals
             }
             signals
-                .entry((p.node, p.gauge))
+                .entry((p.node, gauge))
                 .or_default()
                 .push((p.time.as_nanos(), p.value));
         }
@@ -618,9 +621,9 @@ impl WatchEngine {
 
 /// Link causal evidence into incidents. For an incident window `(ws, we)`:
 ///
-/// * `flows` — the distinct [`FlowId`]s of the records at `ws <= t < we`
-///   (half-open) on the incident's node, or on any node for cluster-wide
-///   incidents; sorted and capped at [`MAX_EVIDENCE_FLOWS`];
+/// * `flows` — the [`MAX_EVIDENCE_FLOWS`] smallest distinct [`FlowId`]s of
+///   the records at `ws <= t < we` (half-open) on the incident's node, or
+///   on any node for cluster-wide incidents, sorted;
 /// * `signature` — the node route of the lineage of the last delivery at
 ///   `ws <= t <= we` (closed: a delivery exactly at `we` counts),
 ///   [`FlowGraph::path_signature`]; empty when there is none.
@@ -629,7 +632,9 @@ impl WatchEngine {
 /// `(time, seq)` ([`crate::probe::ProbeSink::merge_canonical`]). Each window
 /// is located by binary search, so beyond one [`FlowGraph`] build an
 /// incident costs its window's records plus its lineage — not a scan of the
-/// whole stream. Passing an empty stream leaves evidence untouched.
+/// whole stream; the flows are kept in a sorted buffer of
+/// [`MAX_EVIDENCE_FLOWS`], never in a copy of the window. Passing an empty
+/// stream leaves evidence untouched.
 pub fn attach_evidence(incidents: &mut [Incident], events: &[ProbeEvent]) {
     if incidents.is_empty() || events.is_empty() {
         return;
@@ -643,17 +648,35 @@ pub fn attach_evidence(incidents: &mut [Incident], events: &[ProbeEvent]) {
         let (ws, we) = inc.window;
         let lo = events.partition_point(|e| e.time < ws);
         let hi = events.partition_point(|e| e.time < we).max(lo);
-        let mut flows: Vec<FlowId> = events[lo..hi]
-            .iter()
-            .filter(|e| e.flow.is_some() && (inc.node == CLUSTER_NODE || e.node == inc.node))
-            .map(|e| e.flow)
-            .collect();
-        flows.sort_unstable();
-        flows.dedup();
-        flows.truncate(MAX_EVIDENCE_FLOWS);
-        inc.flows = flows;
+        inc.flows = smallest_flows(
+            events[lo..hi]
+                .iter()
+                .filter(|e| e.flow.is_some() && (inc.node == CLUSTER_NODE || e.node == inc.node))
+                .map(|e| e.flow),
+        );
         inc.signature = graph.path_signature(events, inc.window);
     }
+}
+
+/// The [`MAX_EVIDENCE_FLOWS`] smallest distinct flows of `flows`, sorted:
+/// what sorting, deduplicating and truncating all of them gives, kept in
+/// one buffer of that size.
+fn smallest_flows(flows: impl Iterator<Item = FlowId>) -> Vec<FlowId> {
+    let mut kept: Vec<FlowId> = Vec::new();
+    for f in flows {
+        if kept.len() == MAX_EVIDENCE_FLOWS && f >= kept[MAX_EVIDENCE_FLOWS - 1] {
+            continue;
+        }
+        if let Err(i) = kept.binary_search(&f) {
+            if kept.len() == MAX_EVIDENCE_FLOWS {
+                kept.pop();
+            } else if kept.is_empty() {
+                kept.reserve_exact(MAX_EVIDENCE_FLOWS);
+            }
+            kept.insert(i, f);
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
@@ -956,6 +979,23 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn evidence_keeps_the_smallest_distinct_flows() {
+        let mut rng = crate::DetRng::substream(3, "watch.smallest_flows", 0);
+        for len in 0..60u64 {
+            // Small tag ranges repeat flows; large ones rarely do.
+            let tags = 1 + len % 20;
+            let flows: Vec<FlowId> = (0..len)
+                .map(|_| FlowId::new(0, rng.below(tags), 1))
+                .collect();
+            let mut oracle = flows.clone();
+            oracle.sort_unstable();
+            oracle.dedup();
+            oracle.truncate(MAX_EVIDENCE_FLOWS);
+            assert_eq!(smallest_flows(flows.into_iter()), oracle, "{len} flows");
         }
     }
 

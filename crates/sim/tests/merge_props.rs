@@ -1,7 +1,8 @@
 //! Differential property tests of the canonical probe and series merges.
 //!
-//! The merges work in place and sort compact keys instead of records. The
-//! oracle here is the plain algorithm they replace: copy every sink's
+//! The merges work in place: they sort the records themselves, keyed on
+//! each record's position in the concatenated rings. The oracle here is
+//! the plain algorithm they replace: copy every sink's
 //! records out oldest first, stable-sort the copy on the ordering fields,
 //! renumber `seq`. Inputs are random streams into one to four sinks with
 //! small rings (so some wrap), dense `(time, node)` ties across sinks, and
@@ -38,7 +39,7 @@ fn probe_oracle(sinks: &[ProbeSink]) -> Vec<ProbeEvent> {
 
 fn series_oracle(sinks: &[SeriesSink]) -> Vec<SeriesPoint> {
     let mut points: Vec<SeriesPoint> = sinks.iter().flat_map(|s| s.iter().copied()).collect();
-    points.sort_by_key(|p| (p.time, p.node, p.gauge));
+    points.sort_by_key(|p| (p.time, p.node, p.gauge()));
     for (i, p) in points.iter_mut().enumerate() {
         p.seq = i as u64;
     }

@@ -126,10 +126,23 @@ echo "ci: explore smoke OK"
 
 # Causal-tracing gate: the flow graph of the headline configuration must be
 # acyclic with complete lineages, and every measured window's critical-path
-# buckets must sum exactly to the completion latency (DESIGN.md §12).
-run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin flow_explore -- \
-  --nodes 16 --size 4096 --mode nic --shape adaptive --check >/dev/null
-echo "ci: flow check OK (lineages complete, critical-path buckets exact)"
+# buckets must sum exactly to the completion latency (DESIGN.md §12). The
+# same configuration runs again at 2% loss on 4 shards, and the stdout of
+# both runs (flow counts, critical paths, their buckets, gauge summaries)
+# must match results/flow_explore.txt byte for byte. The barrier-wait count
+# is cut from the sharded-execution line: it counts threaded windows, so it
+# depends on whether the host had a free core for every shard.
+flow_args=(--nodes 16 --size 4096 --mode nic --shape adaptive --check)
+flow_out=$(mktemp)
+echo "+ cargo run -q --release -p bench --bin flow_explore -- ${flow_args[*]} [--loss 0.02 --shards 4]"
+{
+  cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin flow_explore -- "${flow_args[@]}"
+  cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin flow_explore -- "${flow_args[@]}" \
+    --loss 0.02 --shards 4
+} | sed -E 's/, [0-9]+ barrier waits$//' >"$flow_out"
+diff -u results/flow_explore.txt "$flow_out"
+rm "$flow_out"
+echo "ci: flow check OK (lineages complete, critical-path buckets exact, results/flow_explore.txt regenerates identically)"
 
 # Sustained-traffic gate: a many-group Zipf workload under deliberate
 # group-table pressure (32 slots, 64 groups) must produce a complete

@@ -242,7 +242,10 @@ impl BytesMut {
         self.buf.is_empty()
     }
 
-    /// Convert into an immutable [`Bytes`] (single move, no copy).
+    /// Convert into an immutable [`Bytes`]. This allocates once and copies
+    /// the contents once: `Bytes` shares an `Arc<[u8]>`, whose reference
+    /// counts sit in front of the bytes, so the vector's buffer cannot be
+    /// taken over as it is.
     #[inline]
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.buf)
