@@ -5,10 +5,9 @@
 //! unmodified firmware (`NoExt`) and with the multicast extension installed
 //! (`McastExt`, groups present but idle) and print both.
 
-use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, NicExtension, NoExt, Notice};
 use gm_sim::{SimTime, OnlineStats};
-use myrinet::{Fabric, NodeId, PortId, Topology};
+use myrinet::{Fabric, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastRequest};
 
 const P0: PortId = PortId(0);
@@ -27,7 +26,7 @@ impl<X: NicExtension> HostApp<X> for Pinger {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, X>) {
         ctx.provide_recv(P0, 2);
         self.t0 = ctx.now();
-        ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), 0);
+        ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), 0);
     }
     fn on_notice(&mut self, n: Notice<X::Notice>, ctx: &mut HostCtx<'_, X>) {
         if let Notice::Recv { .. } = n {
@@ -38,7 +37,7 @@ impl<X: NicExtension> HostApp<X> for Pinger {
             ctx.provide_recv(P0, 1);
             if self.count < self.iters + self.warmup {
                 self.t0 = ctx.now();
-                ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), 0);
+                ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), 0);
             }
         }
     }
@@ -55,7 +54,7 @@ impl<X: NicExtension> HostApp<X> for Echo {
     fn on_notice(&mut self, n: Notice<X::Notice>, ctx: &mut HostCtx<'_, X>) {
         if let Notice::Recv { .. } = n {
             ctx.provide_recv(P0, 1);
-            ctx.send(NodeId(0), P0, P0, Bytes::from(vec![0; self.size]), 0);
+            ctx.send(NodeId(0), P0, P0, Payload::new(0, self.size), 0);
         }
     }
 }

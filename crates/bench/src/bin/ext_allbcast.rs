@@ -11,10 +11,9 @@
 use std::sync::Arc;
 
 use bench::{factor, par_map, us, CliOpts, Table};
-use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::SimTime;
-use myrinet::{Fabric, GroupId, NodeId, PortId, Topology};
+use myrinet::{Fabric, GroupId, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 use serde::Serialize;
 
@@ -61,15 +60,14 @@ impl HostApp<McastExt> for NbAll {
                 if self.ready == self.n {
                     ctx.ext(McastRequest::Send {
                         group: GroupId(self.me.0),
-                        data: Bytes::from(vec![self.me.0 as u8; self.size]),
+                        data: Payload::new(self.me.0, self.size),
                         tag: self.me.0 as u64,
                     });
                 }
             }
             Notice::Recv { tag, data, .. } => {
                 ctx.provide_recv(PORT, 1);
-                assert_eq!(data.len(), self.size);
-                assert!(data.iter().all(|&b| b == tag as u8));
+                assert_eq!(data, Payload::new(tag as u32, self.size));
                 self.got += 1;
                 if self.got == self.n - 1 {
                     self.done = ctx.now();
@@ -91,9 +89,9 @@ struct HbAll {
 }
 
 impl HbAll {
-    fn forward(&self, ctx: &mut HostCtx<'_, McastExt>, root: u32, data: &Bytes) {
+    fn forward(&self, ctx: &mut HostCtx<'_, McastExt>, root: u32, data: Payload) {
         for &c in self.trees[root as usize].children(self.me) {
-            ctx.send(c, PORT, PORT, data.clone(), root as u64);
+            ctx.send(c, PORT, PORT, data, root as u64);
         }
     }
 }
@@ -101,14 +99,14 @@ impl HbAll {
 impl HostApp<McastExt> for HbAll {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
         ctx.provide_recv(PORT, 4 * self.n as usize);
-        let data = Bytes::from(vec![self.me.0 as u8; self.size]);
-        self.forward(ctx, self.me.0, &data);
+        let data = Payload::new(self.me.0, self.size);
+        self.forward(ctx, self.me.0, data);
     }
     fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
         if let Notice::Recv { tag, data, .. } = n {
             ctx.provide_recv(PORT, 1);
             let root = tag as u32;
-            self.forward(ctx, root, &data);
+            self.forward(ctx, root, data);
             self.got += 1;
             if self.got == self.n - 1 {
                 self.done = ctx.now();

@@ -4,10 +4,9 @@
 //! (the classic MPI implementation).
 
 use bench::{par_map, us, CliOpts, Table};
-use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::SimTime;
-use myrinet::{Fabric, GroupId, NodeId, PortId, Topology};
+use myrinet::{Fabric, GroupId, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastNotice, McastRequest, ReduceOp, SpanningTree, TreeShape};
 use serde::Serialize;
 
@@ -107,13 +106,8 @@ impl HostReduceLoop {
         }
         match self.tree.parent(self.me) {
             Some(parent) => {
-                ctx.send(
-                    parent,
-                    PORT,
-                    PORT,
-                    Bytes::copy_from_slice(&self.acc.to_le_bytes()),
-                    self.round as u64,
-                );
+                let partial = Payload::new(0, 8).with_value(self.acc);
+                ctx.send(parent, PORT, PORT, partial, self.round as u64);
             }
             None => {
                 // Root holds the result: broadcast it down.
@@ -125,13 +119,8 @@ impl HostReduceLoop {
 
     fn broadcast_down(&mut self, ctx: &mut HostCtx<'_, McastExt>, result: u64) {
         for &c in self.tree.children(self.me) {
-            ctx.send(
-                c,
-                PORT,
-                PORT,
-                Bytes::copy_from_slice(&result.to_le_bytes()),
-                (1 << 32) | self.round as u64,
-            );
+            let release = Payload::new(0, 8).with_value(result);
+            ctx.send(c, PORT, PORT, release, (1 << 32) | self.round as u64);
         }
     }
 
@@ -169,7 +158,7 @@ impl HostApp<McastExt> for HostReduceLoop {
     fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
         if let Notice::Recv { tag, data, .. } = n {
             ctx.provide_recv(PORT, 1);
-            let value = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
+            let value = data.value();
             if tag & (1 << 32) != 0 {
                 // Result coming down: forward and complete.
                 self.broadcast_down(ctx, value);

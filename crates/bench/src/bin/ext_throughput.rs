@@ -5,10 +5,9 @@
 //! delivered to every destination over the makespan.
 
 use bench::{factor, par_map, CliOpts, Table};
-use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::SimTime;
-use myrinet::{Fabric, GroupId, NodeId, PortId, Topology};
+use myrinet::{Fabric, GroupId, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 use serde::Serialize;
 
@@ -46,7 +45,7 @@ impl HostApp<McastExt> for StreamRoot {
 impl StreamRoot {
     fn blast(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
         for i in 0..self.burst {
-            let data = Bytes::from(vec![(i % 251) as u8; self.size]);
+            let data = Payload::new(i, self.size);
             if self.nic {
                 ctx.ext(McastRequest::Send {
                     group: GID,
@@ -55,7 +54,7 @@ impl StreamRoot {
                 });
             } else {
                 for &c in self.tree.children(self.tree.root()) {
-                    ctx.send(c, PORT, PORT, data.clone(), i as u64);
+                    ctx.send(c, PORT, PORT, data, i as u64);
                 }
             }
         }
@@ -89,7 +88,7 @@ impl HostApp<McastExt> for StreamDest {
         if let Notice::Recv { tag, data, .. } = n {
             if !self.nic {
                 for &c in self.tree.children(self.me) {
-                    ctx.send(c, PORT, PORT, data.clone(), tag);
+                    ctx.send(c, PORT, PORT, data, tag);
                 }
             }
             self.got += 1;

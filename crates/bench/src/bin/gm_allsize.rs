@@ -5,10 +5,9 @@
 //! bandwidth approaching the 250 MB/s wire limit).
 
 use bench::{par_map, Table};
-use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
 use gm_sim::SimTime;
-use myrinet::{Fabric, NodeId, PortId, Topology};
+use myrinet::{Fabric, NodeId, Payload, PortId, Topology};
 use serde::Serialize;
 
 const P0: PortId = PortId(0);
@@ -27,7 +26,7 @@ impl HostApp<NoExt> for Pinger {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
         ctx.provide_recv(P0, 2);
         self.t0 = ctx.now();
-        ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), 0);
+        ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), 0);
     }
     fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
         if let Notice::Recv { .. } = n {
@@ -38,7 +37,7 @@ impl HostApp<NoExt> for Pinger {
             ctx.provide_recv(P0, 1);
             if self.count < self.iters + self.warmup {
                 self.t0 = ctx.now();
-                ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), 0);
+                ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), 0);
             }
         }
     }
@@ -55,7 +54,7 @@ impl HostApp<NoExt> for Echo {
     fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
         if let Notice::Recv { .. } = n {
             ctx.provide_recv(P0, 1);
-            ctx.send(NodeId(0), P0, P0, Bytes::from(vec![0; self.size]), 0);
+            ctx.send(NodeId(0), P0, P0, Payload::new(0, self.size), 0);
         }
     }
 }
@@ -69,7 +68,7 @@ struct Blaster {
 impl HostApp<NoExt> for Blaster {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
         for i in 0..self.count {
-            ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), i as u64);
+            ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), i as u64);
         }
     }
     fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}

@@ -176,11 +176,11 @@ pub fn factor(hb: f64, nb: f64) -> String {
     format!("{:.2}", hb / nb)
 }
 
-/// The workspace-root `results/` directory, anchored to this crate's
-/// manifest so binaries land their output in the same place regardless of
-/// the invoking working directory.
+/// The workspace-root `results/` directory. The root is found at run time
+/// ([`simlint::workspace_root`]), so a binary run from anywhere inside a
+/// copy of the repository writes that copy's `results/`.
 pub fn results_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    simlint::workspace_root().join("results")
 }
 
 /// Write `contents` to `path` atomically: serialize into a same-directory

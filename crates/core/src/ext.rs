@@ -17,9 +17,8 @@
 //!   acknowledged them, from the host-memory replica (the receive token is
 //!   transformed into a send token, so no extra NIC resources are needed).
 
-use bytes::BytesMut;
 use gm_sim::{FlowId, SimTime};
-use myrinet::{GroupId, NodeId, Packet, PacketKind, MTU};
+use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload};
 
 use gm::proto::{self, RxVerdict};
 use gm::{flow_tag, Cb, GmParams, NicCore, NicExtension};
@@ -67,7 +66,7 @@ pub enum McastTag {
         group: GroupId,
         /// Packet sequence (for buffer refcounting).
         seq: u64,
-        /// Bytes uploaded.
+        /// Byte count uploaded.
         bytes: u32,
     },
     /// A retransmission finished re-downloading from host memory.
@@ -122,6 +121,10 @@ pub const OP_BARRIER_UP: u8 = 1;
 /// Barrier release messages travel as zero-byte multicasts whose tag has
 /// this bit set (low bits carry the round).
 pub const BARRIER_TAG_BIT: u64 = 1 << 63;
+
+/// Length of an allreduce release: the result is one `u64` on the wire,
+/// carried in the release's value word.
+const RESULT_BYTES: usize = 8;
 
 /// A queued single-target transmission request.
 #[derive(Clone, Copy, Debug)]
@@ -203,10 +206,7 @@ impl McastExt {
             .find(|r| r.seq == seq)
             .map(|r| r.tag)
             .or_else(|| {
-                g.in_msgs
-                    .iter()
-                    .find(|m| m.rdma_done < m.msg_len || m.msg_len == 0)
-                    .map(|m| m.tag)
+                g.in_msgs.iter().find(|m| m.uploading()).map(|m| m.tag)
             })?;
         Some((g.root.0, flow_tag(tag)))
     }
@@ -221,17 +221,17 @@ impl McastExt {
                 group,
                 seq: rec.seq,
                 offset: rec.offset,
-                msg_len: rec.msg_len,
                 tag: rec.tag,
                 root,
             },
-            payload: rec.payload.clone(),
+            payload: rec.payload,
+            len: rec.len(),
         }
     }
 
     // -- root send path ----------------------------------------------------------
 
-    fn start_send(&mut self, core: &mut NicCore<Self>, group: GroupId, data: bytes::Bytes, tag: u64) {
+    fn start_send(&mut self, core: &mut NicCore<Self>, group: GroupId, data: Payload, tag: u64) {
         let Some(g) = self.groups.get_mut(&group) else {
             core.counters.bump("mcast_send_unknown_group");
             return;
@@ -245,22 +245,20 @@ impl McastExt {
             core.ext_notify(McastNotice::SendDone { group, tag });
             return;
         }
-        let len = data.len();
+        let len = data.len() as u32;
         let first_seq = g.tx.next_seq();
-        let mut off = 0usize;
+        let mut off = 0;
         loop {
-            let chunk = (len - off).min(MTU);
             let seq = g.tx.assign_seq();
             g.records.push_back(McastRec {
                 seq,
-                offset: off as u32,
-                msg_len: len as u32,
+                offset: off,
                 tag,
-                payload: data.slice(off..off + chunk),
+                payload: data,
                 last_tx: None,
                 retries: 0,
             });
-            off += chunk;
+            off += data.packet_len(off);
             if off >= len {
                 break;
             }
@@ -295,7 +293,7 @@ impl McastExt {
     fn pump_sdma(&mut self, core: &mut NicCore<Self>) {
         while let Some(&(group, seq)) = self.sdma_pending.front() {
             let bytes = match self.groups.get_mut(&group).and_then(|g| g.record(seq)) {
-                Some(rec) => rec.payload.len() as u64,
+                Some(rec) => u64::from(rec.len()),
                 None => {
                     self.sdma_pending.pop_front();
                     continue;
@@ -374,7 +372,6 @@ impl McastExt {
             group,
             seq,
             offset,
-            msg_len,
             tag,
             root: _,
         } = pkt.kind
@@ -412,9 +409,12 @@ impl McastExt {
         if is_collective {
             // Collective release: pure NIC-level control riding the
             // reliable multicast path. No receive token, no host copy.
-            debug_assert!(msg_len == 0 || msg_len == 8, "release payload");
-            let payload = pkt.payload.clone();
-            return self.accept_barrier_release(core, &payload, group, seq);
+            debug_assert!(
+                pkt.payload.is_empty() || pkt.payload.len() == RESULT_BYTES,
+                "release payload {:?}",
+                pkt.payload
+            );
+            return self.accept_barrier_release(core, pkt.payload, group, seq);
         }
         if offset == 0 {
             // A new message needs a receive token ("the receive token is
@@ -426,18 +426,21 @@ impl McastExt {
             let g = self.groups.get_mut(&group).expect("group exists");
             g.in_msgs.push_back(InMsg {
                 tag,
-                msg_len,
+                data: pkt.payload,
                 received: 0,
                 rdma_done: 0,
-                data: BytesMut::with_capacity(msg_len as usize),
             });
         }
         let g = self.groups.get_mut(&group).expect("group exists");
         g.rx.accept();
         let msg = g.in_msgs.back_mut().expect("open message");
-        debug_assert_eq!(msg.received, offset);
-        msg.data.extend_from_slice(&pkt.payload);
-        msg.received += pkt.payload.len() as u32;
+        debug_assert_eq!(pkt.payload, msg.data, "packet of another message");
+        debug_assert_eq!(
+            offset, msg.received,
+            "message {:?}: a packet that does not continue the covered prefix",
+            msg.data
+        );
+        msg.received += pkt.len;
         core.counters.bump("mcast_rx");
 
         let has_children = !g.children.is_empty();
@@ -455,9 +458,8 @@ impl McastExt {
             g.records.push_back(McastRec {
                 seq,
                 offset,
-                msg_len,
                 tag,
-                payload: pkt.payload.clone(),
+                payload: pkt.payload,
                 last_tx: None,
                 retries: 0,
             });
@@ -478,11 +480,11 @@ impl McastExt {
         // with forwarding.
         core.ext_tx(Packet::mcast_ack(me, parent, group, seq), Cb::None);
         core.ext_dma(
-            pkt.payload.len() as u64,
+            u64::from(pkt.len),
             McastTag::RdmaDone {
                 group,
                 seq,
-                bytes: pkt.payload.len() as u32,
+                bytes: pkt.len,
             },
         );
     }
@@ -533,15 +535,21 @@ impl McastExt {
         if let Some(g) = self.groups.get_mut(&group) {
             // FIFO PCI completions: credit the oldest message still
             // uploading.
-            if let Some(msg) = g.in_msgs.iter_mut().find(|m| m.rdma_done < m.msg_len || m.msg_len == 0) {
+            if let Some(msg) = g.in_msgs.iter_mut().find(|m| m.uploading()) {
                 msg.rdma_done += bytes;
             }
             // Deliver every fully-arrived, fully-uploaded message in order.
             while let Some(front) = g.in_msgs.front() {
-                if front.received >= front.msg_len && front.rdma_done >= front.msg_len {
+                let len = front.data.len() as u32;
+                if front.received >= len && front.rdma_done >= len {
                     let m = g.in_msgs.pop_front().expect("nonempty");
+                    debug_assert_eq!(
+                        m.received, len,
+                        "message {:?} delivered before [0, len) was covered exactly once",
+                        m.data
+                    );
                     let (port, root) = (g.port, g.root);
-                    core.notify_recv(port, root, port, m.tag, m.data.freeze());
+                    core.notify_recv(port, root, port, m.tag, m.data);
                     core.counters.bump("mcast_delivered");
                 } else {
                     break;
@@ -716,10 +724,10 @@ impl McastExt {
                 g.bar_entered = false;
                 g.bar_up_sent = false;
                 core.counters.bump("mcast_barrier_rounds");
-                let payload = match kind {
+                let release = match kind {
                     CollKind::Barrier => {
                         core.ext_notify(McastNotice::BarrierDone { group, tag });
-                        bytes::Bytes::new()
+                        Payload::EMPTY
                     }
                     CollKind::Allreduce(_) => {
                         core.ext_notify(McastNotice::AllreduceDone {
@@ -727,10 +735,10 @@ impl McastExt {
                             result: partial,
                             tag,
                         });
-                        bytes::Bytes::copy_from_slice(&partial.to_le_bytes())
+                        Payload::new(0, RESULT_BYTES).with_value(partial)
                     }
                 };
-                self.start_send(core, group, payload, BARRIER_TAG_BIT | round);
+                self.start_send(core, group, release, BARRIER_TAG_BIT | round);
             }
             Some(parent) => {
                 if g.bar_up_sent {
@@ -751,11 +759,12 @@ impl McastExt {
     /// A collective release (multicast with the collective tag bit) was
     /// accepted in sequence: complete the round at this member and let the
     /// normal forwarding machinery push it to the children. A zero-byte
-    /// release is a barrier; an 8-byte release carries the allreduce result.
+    /// release is a barrier; an 8-byte release carries the allreduce result
+    /// in its value word.
     fn accept_barrier_release(
         &mut self,
         core: &mut NicCore<Self>,
-        pkt_payload: &bytes::Bytes,
+        release: Payload,
         group: GroupId,
         seq: u64,
     ) {
@@ -769,8 +778,8 @@ impl McastExt {
         g.bar_entered = false;
         g.bar_up_sent = false;
         core.counters.bump("mcast_barrier_rounds");
-        if pkt_payload.len() == 8 {
-            let result = u64::from_le_bytes(pkt_payload[..].try_into().expect("8 bytes"));
+        if release.len() == RESULT_BYTES {
+            let result = release.value();
             core.ext_notify(McastNotice::AllreduceDone { group, result, tag });
         } else {
             core.ext_notify(McastNotice::BarrierDone { group, tag });
@@ -786,9 +795,8 @@ impl McastExt {
             g.records.push_back(McastRec {
                 seq,
                 offset: 0,
-                msg_len: pkt_payload.len() as u32,
                 tag: BARRIER_TAG_BIT | (g.bar_round - 1),
-                payload: pkt_payload.clone(),
+                payload: release,
                 last_tx: None,
                 retries: 0,
             });
@@ -980,7 +988,7 @@ impl McastExt {
             }
             rec.last_tx = Some(now); // pending retransmit counts as a round
         }
-        core.counters.add("mcast_retransmissions", queued);
+        core.add_retransmissions("mcast_retransmissions", queued);
         self.single_pending.extend(to_queue);
         // Re-arm.
         let g = self.groups.get_mut(&group).expect("group exists");
@@ -1046,7 +1054,7 @@ impl McastExt {
                 }
                 self.single_pending.pop_front();
                 let g = self.groups.get_mut(&group).expect("group exists");
-                let bytes = g.record(seq).expect("record exists").payload.len() as u64;
+                let bytes = u64::from(g.record(seq).expect("record exists").len());
                 core.ext_dma(bytes, McastTag::RetxDma { group, seq, child });
             }
         }

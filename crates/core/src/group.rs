@@ -10,10 +10,9 @@
 
 use std::collections::VecDeque;
 
-use bytes::{Bytes, BytesMut};
 use gm::proto::{ChildAcks, GbnRx, GbnTx};
 use gm_sim::SimTime;
-use myrinet::{GroupId, NodeId, PortId};
+use myrinet::{GroupId, NodeId, Payload, PortId};
 
 /// Host-to-NIC multicast requests.
 #[derive(Clone, Debug)]
@@ -37,8 +36,8 @@ pub enum McastRequest {
     Send {
         /// Target group.
         group: GroupId,
-        /// Message payload.
-        data: Bytes,
+        /// The message.
+        data: Payload,
         /// Tag delivered to receivers and echoed in the completion notice.
         tag: u64,
     },
@@ -202,24 +201,41 @@ pub struct McastConfig {
 pub(crate) struct McastRec {
     pub seq: u64,
     pub offset: u32,
-    pub msg_len: u32,
     pub tag: u64,
-    /// The payload replica (models the registered host-memory copy under
-    /// [`RetxBufferPolicy::HostMemory`], the held SRAM buffer otherwise).
-    pub payload: Bytes,
+    /// The message this packet is a piece of. Its replica is the registered
+    /// host-memory copy under [`RetxBufferPolicy::HostMemory`], the held
+    /// SRAM buffer otherwise.
+    pub payload: Payload,
     /// Last time this packet finished serializing to any child.
     pub last_tx: Option<SimTime>,
     pub retries: u32,
 }
 
-/// An in-flight inbound multicast message being reassembled.
+impl McastRec {
+    /// Payload bytes of this packet.
+    pub fn len(&self) -> u32 {
+        self.payload.packet_len(self.offset)
+    }
+}
+
+/// An in-flight inbound multicast message being reassembled. The parent's
+/// Go-Back-N accepts packets in order, so what has arrived is always the
+/// prefix `[0, received)`: coverage is one counter, and no bytes are copied.
 #[derive(Debug)]
 pub(crate) struct InMsg {
     pub tag: u64,
-    pub msg_len: u32,
+    /// The message, from its first packet.
+    pub data: Payload,
     pub received: u32,
     pub rdma_done: u32,
-    pub data: BytesMut,
+}
+
+impl InMsg {
+    /// Whether bytes of this message are still uploading to host memory (a
+    /// zero-byte message counts until it is delivered).
+    pub fn uploading(&self) -> bool {
+        self.rdma_done < self.data.len() as u32 || self.data.is_empty()
+    }
 }
 
 /// This NIC's entry for one group.

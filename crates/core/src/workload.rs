@@ -43,14 +43,13 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::ProbeConfig;
 use gm_sim::watch::{self, Incident, Severity, Thresh, WatchConfig};
 use gm_sim::{
     DetRng, LogHistogram, Metrics, ProbeSink, SeriesConfig, SeriesSink, SimDuration, SimTime,
 };
-use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Topology, MAX_NODES};
+use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, Topology, MAX_NODES};
 
 use crate::calibrate::shape_for_size;
 use crate::ext::McastExt;
@@ -816,11 +815,11 @@ impl WlApp {
 
     fn post_send(&self, gidx: u32, msg: u16, ctx: &mut HostCtx<'_, McastExt>) {
         let g = &self.shared.groups[gidx as usize];
-        let data = Bytes::from(vec![(msg % 251) as u8; self.shared.size]);
+        let tag = ((gidx as u64) << 16) | msg as u64;
         ctx.ext(McastRequest::Send {
             group: g.gid,
-            data,
-            tag: ((gidx as u64) << 16) | msg as u64,
+            data: Payload::new(tag as u32, self.shared.size),
+            tag,
         });
     }
 
@@ -828,7 +827,7 @@ impl WlApp {
         let g = &self.shared.groups[gidx as usize];
         ctx.ext(McastRequest::Send {
             group: g.gid,
-            data: Bytes::new(),
+            data: Payload::EMPTY,
             tag: ((gidx as u64) << 16) | DISBAND_IDX,
         });
     }
@@ -872,7 +871,11 @@ impl HostApp<McastExt> for WlApp {
                     ctx.ext(McastRequest::Leave { group: g.gid });
                     return;
                 }
-                debug_assert_eq!(data.len(), self.shared.size, "payload length corrupted");
+                debug_assert_eq!(
+                    data,
+                    Payload::new(tag as u32, self.shared.size),
+                    "payload of another message"
+                );
                 let scheduled = g.arrivals[msg as usize];
                 let lat = ctx.now() - scheduled;
                 let s = &mut self.stats;

@@ -15,11 +15,10 @@
 //!   child and every interior *host* re-sends on receive (the traditional
 //!   store-and-forward broadcast the paper compares against).
 
-use bytes::Bytes;
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::{attribution, ProbeConfig};
 use gm_sim::{Histogram, OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
-use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
+use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, PortId, Topology};
 
 use crate::ext::McastExt;
 use crate::group::{McastConfig, McastNotice, McastRequest};
@@ -190,7 +189,7 @@ impl RootApp {
     }
 
     fn begin_iteration(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
-        let data = Bytes::from(vec![(self.iter % 251) as u8; self.run.size]);
+        let data = Payload::new(self.iter, self.run.size);
         self.t_start = ctx.now();
         self.pending = match self.run.mode {
             McastMode::NicBased => 1,
@@ -206,7 +205,7 @@ impl RootApp {
             }
             McastMode::HostBased => {
                 for &c in self.tree.children(self.run.root) {
-                    ctx.send(c, DATA_PORT, DATA_PORT, data.clone(), self.iter as u64);
+                    ctx.send(c, DATA_PORT, DATA_PORT, data, self.iter as u64);
                 }
             }
         }
@@ -305,22 +304,21 @@ impl HostApp<McastExt> for DestApp {
             if port != DATA_PORT {
                 return;
             }
-            assert_eq!(data.len(), self.run.size, "payload length corrupted");
+            assert_eq!(
+                data,
+                Payload::new(tag as u32, self.run.size),
+                "payload of another iteration"
+            );
             ctx.provide_recv(DATA_PORT, 1);
             if self.run.mode == McastMode::HostBased {
                 // Traditional scheme: the *host* forwards along the tree.
                 for &c in self.tree.children(self.me) {
-                    ctx.send(c, DATA_PORT, DATA_PORT, data.clone(), tag);
+                    ctx.send(c, DATA_PORT, DATA_PORT, data, tag);
                 }
             }
             if self.run.ack == AckMode::ProbeReply && self.me == self.run.probe {
-                ctx.send(
-                    self.run.root,
-                    REPLY_PORT,
-                    REPLY_PORT,
-                    Bytes::from_static(b"!"),
-                    tag,
-                );
+                let reply = Payload::new(tag as u32, 1);
+                ctx.send(self.run.root, REPLY_PORT, REPLY_PORT, reply, tag);
             }
         }
     }

@@ -6,7 +6,7 @@
 
 use gm::{drive, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::{SimDuration, SimTime};
-use myrinet::{DropRule, Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
+use myrinet::{DropRule, Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 
 const PORT: PortId = PortId(0);
@@ -242,7 +242,7 @@ fn barrier_and_multicast_share_the_group() {
                         // Root: data, then barrier, then data.
                         ctx.ext(McastRequest::Send {
                             group: GID,
-                            data: bytes::Bytes::from_static(b"first"),
+                            data: Payload::new(1, 5),
                             tag: 1,
                         });
                     }
@@ -253,7 +253,7 @@ fn barrier_and_multicast_share_the_group() {
                     if self.me.0 == 0 {
                         ctx.ext(McastRequest::Send {
                             group: GID,
-                            data: bytes::Bytes::from_static(b"second"),
+                            data: Payload::new(2, 6),
                             tag: 2,
                         });
                     }
@@ -262,9 +262,9 @@ fn barrier_and_multicast_share_the_group() {
                     ctx.provide_recv(PORT, 1);
                     self.got_data += 1;
                     match tag {
-                        1 => assert_eq!(&data[..], b"first"),
+                        1 => assert_eq!(data, Payload::new(1, 5)),
                         2 => {
-                            assert_eq!(&data[..], b"second");
+                            assert_eq!(data, Payload::new(2, 6));
                             // The barrier release was ordered between the
                             // two data messages.
                             assert!(self.phase >= 1, "second data before release");

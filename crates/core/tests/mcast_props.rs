@@ -1,11 +1,10 @@
 //! Property-based tests of the NIC-based multicast: arbitrary membership,
 //! tree shape, message schedules and loss rates — every destination must
-//! receive every message exactly once, in order, bit-intact.
+//! receive every message exactly once, in order, each the message sent.
 
-use bytes::Bytes;
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::{SimDuration, SimTime};
-use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
+use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastNotice, McastRequest, PostalParams, SpanningTree, TreeShape};
 use proptest::prelude::*;
 
@@ -14,7 +13,13 @@ const G: GroupId = GroupId(1);
 
 struct Root {
     tree: SpanningTree,
-    msgs: Vec<(usize, u8)>,
+    /// Message lengths, in send order.
+    msgs: Vec<usize>,
+}
+
+/// The message sent `i`th: its index is its identity.
+fn message(i: usize, len: usize) -> Payload {
+    Payload::new(i as u32, len)
 }
 
 impl HostApp<McastExt> for Root {
@@ -29,10 +34,10 @@ impl HostApp<McastExt> for Root {
     }
     fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
         if matches!(n, Notice::Ext(McastNotice::GroupReady { .. })) {
-            for (i, &(len, fill)) in self.msgs.iter().enumerate() {
+            for (i, &len) in self.msgs.iter().enumerate() {
                 ctx.ext(McastRequest::Send {
                     group: G,
-                    data: Bytes::from(vec![fill; len]),
+                    data: message(i, len),
                     tag: i as u64,
                 });
             }
@@ -43,8 +48,8 @@ impl HostApp<McastExt> for Root {
 struct Member {
     me: NodeId,
     tree: SpanningTree,
-    /// Deliveries: (tag, length, first byte).
-    log: Vec<(u64, usize, u8)>,
+    /// Deliveries: (tag, message).
+    log: Vec<(u64, Payload)>,
 }
 
 impl HostApp<McastExt> for Member {
@@ -61,8 +66,7 @@ impl HostApp<McastExt> for Member {
     fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
         if let Notice::Recv { tag, data, .. } = n {
             ctx.provide_recv(PORT, 1);
-            let fill = data.first().copied().unwrap_or(0);
-            self.log.push((tag, data.len(), fill));
+            self.log.push((tag, data));
         }
     }
 }
@@ -87,7 +91,7 @@ proptest! {
     fn everyone_gets_everything_in_order(
         n in 2u32..12,
         shape in shapes(),
-        msgs in proptest::collection::vec((1usize..9000, any::<u8>()), 1..10),
+        msgs in proptest::collection::vec(1usize..9000, 1..10),
         loss in 0.0f64..0.15,
         seed in any::<u64>(),
     ) {
@@ -123,10 +127,9 @@ proptest! {
         for &d in &dests {
             let got = &eng.world(0).app::<Member>(d).log;
             prop_assert_eq!(got.len(), msgs.len(), "dest {} count", d.0);
-            for (k, &(tag, len, fill)) in got.iter().enumerate() {
+            for (k, &(tag, data)) in got.iter().enumerate() {
                 prop_assert_eq!(tag, k as u64, "dest {} order", d.0);
-                prop_assert_eq!(len, msgs[k].0);
-                prop_assert_eq!(fill, msgs[k].1);
+                prop_assert_eq!(data, message(k, msgs[k]));
             }
         }
         // No packets left unaccounted: every NIC's records drained.

@@ -2,9 +2,8 @@
 //! bare `NicCore`, no event engine — each test hand-plays the cluster's
 //! role and inspects the NIC's outgoing intents.
 
-use bytes::Bytes;
 use gm::{GmParams, NicCore, NicExtension, Notice, TxJob};
-use myrinet::{GroupId, NodeId, Packet, PacketKind, PortId};
+use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload, PortId};
 use nic_mcast::{McastExt, McastNotice, McastRequest};
 
 const PORT: PortId = PortId(0);
@@ -97,9 +96,10 @@ fn multisend_emits_one_replica_per_child_in_order() {
     let (mut n, mut ext) = nic(0);
     install_root(&mut n, &mut ext, &[1, 2, 3]);
     n.drain_notices();
+    let hello = Payload::new(11, 5);
     let req = McastRequest::Send {
         group: G,
-        data: Bytes::from_static(b"hello"),
+        data: hello,
         tag: 9,
     };
     let cost = ext.request_cost(&req, n.params());
@@ -108,11 +108,11 @@ fn multisend_emits_one_replica_per_child_in_order() {
     let dsts: Vec<u32> = pkts.iter().map(|p| p.dst.0).collect();
     assert_eq!(dsts, vec![1, 2, 3], "replica chain visits children in order");
     for p in &pkts {
-        let PacketKind::Mcast { seq, tag, msg_len, .. } = p.kind else {
+        let PacketKind::Mcast { seq, tag, .. } = p.kind else {
             panic!("non-mcast packet {:?}", p.kind)
         };
-        assert_eq!((seq, tag, msg_len), (0, 9, 5));
-        assert_eq!(&p.payload[..], b"hello");
+        assert_eq!((seq, tag, p.len), (0, 9, 5));
+        assert_eq!(p.payload, hello);
     }
     // One outstanding record until the children ack.
     assert_eq!(ext.outstanding(G), 1);
@@ -125,7 +125,7 @@ fn acks_clear_records_only_when_all_children_acked() {
     n.drain_notices();
     let req = McastRequest::Send {
         group: G,
-        data: Bytes::from_static(b"x"),
+        data: Payload::new(0, 1),
         tag: 4,
     };
     let cost = ext.request_cost(&req, n.params());
@@ -161,11 +161,11 @@ fn forwarder_relays_before_any_host_interaction() {
             group: G,
             seq: 0,
             offset: 0,
-            msg_len: 3,
             tag: 7,
             root: NodeId(0),
         },
-        payload: Bytes::from_static(b"abc"),
+        payload: Payload::new(7, 3),
+        len: 3,
     };
     n.packet_arrived(pkt);
     drain_lanai(&mut n, &mut ext);
@@ -191,7 +191,7 @@ fn forwarder_relays_before_any_host_interaction() {
     assert!(pkts.is_empty());
     let notices = n.drain_notices();
     assert!(
-        matches!(&notices[..], [Notice::Recv { tag: 7, data, .. }] if &data[..] == b"abc"),
+        matches!(&notices[..], [Notice::Recv { tag: 7, data, .. }] if *data == Payload::new(7, 3)),
         "got {notices:?}"
     );
 }
@@ -208,11 +208,11 @@ fn out_of_order_multicast_packet_is_dropped_and_reacked() {
             group: G,
             seq,
             offset: 0,
-            msg_len: 1,
             tag: seq,
             root: NodeId(0),
         },
-        payload: Bytes::from_static(b"z"),
+        payload: Payload::new(0, 1),
+        len: 1,
     };
     // seq 2 before 0/1: dropped, no ack possible yet (nothing in order).
     n.packet_arrived(mk(2));
@@ -241,7 +241,7 @@ fn timeout_retransmits_only_to_unacked_children() {
     n.drain_notices();
     let req = McastRequest::Send {
         group: G,
-        data: Bytes::from_static(b"pkt"),
+        data: Payload::new(0, 3),
         tag: 0,
     };
     let cost = ext.request_cost(&req, n.params());
@@ -278,11 +278,11 @@ fn unknown_group_packets_are_counted_and_dropped() {
             group: GroupId(99),
             seq: 0,
             offset: 0,
-            msg_len: 1,
             tag: 0,
             root: NodeId(0),
         },
-        payload: Bytes::from_static(b"?"),
+        payload: Payload::new(0, 1),
+        len: 1,
     };
     n.packet_arrived(pkt);
     drain_lanai(&mut n, &mut ext);
@@ -298,7 +298,7 @@ fn degenerate_group_with_no_children_completes_immediately() {
     n.drain_notices();
     let req = McastRequest::Send {
         group: G,
-        data: Bytes::from_static(b"solo"),
+        data: Payload::new(0, 4),
         tag: 1,
     };
     let cost = ext.request_cost(&req, n.params());
@@ -316,20 +316,20 @@ fn multipacket_message_reassembles_at_leaf() {
     let (mut n, mut ext) = nic(1);
     install_member(&mut n, &mut ext, 0, &[]);
     n.drain_notices();
-    let payload: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8).collect();
-    for (i, chunk) in payload.chunks(4096).enumerate() {
+    let payload = Payload::new(5, 6000);
+    for (i, offset) in [0u32, 4096].into_iter().enumerate() {
         let pkt = Packet {
             src: NodeId(0),
             dst: NodeId(1),
             kind: PacketKind::Mcast {
                 group: G,
                 seq: i as u64,
-                offset: (i * 4096) as u32,
-                msg_len: 6000,
+                offset,
                 tag: 5,
                 root: NodeId(0),
             },
-            payload: Bytes::copy_from_slice(chunk),
+            payload,
+            len: payload.packet_len(offset),
         };
         n.packet_arrived(pkt);
     }
@@ -338,13 +338,13 @@ fn multipacket_message_reassembles_at_leaf() {
     let delivered: Vec<_> = notices
         .iter()
         .filter_map(|no| match no {
-            Notice::Recv { tag, data, .. } => Some((*tag, data.clone())),
+            Notice::Recv { tag, data, .. } => Some((*tag, *data)),
             _ => None,
         })
         .collect();
     assert_eq!(delivered.len(), 1);
     assert_eq!(delivered[0].0, 5);
-    assert_eq!(&delivered[0].1[..], &payload[..]);
+    assert_eq!(delivered[0].1, payload);
 }
 
 #[test]
@@ -356,7 +356,7 @@ fn group_reinstall_replaces_membership() {
     n.drain_notices();
     let req = McastRequest::Send {
         group: G,
-        data: Bytes::from_static(b"v2"),
+        data: Payload::new(0, 2),
         tag: 0,
     };
     let cost = ext.request_cost(&req, n.params());
@@ -384,7 +384,7 @@ fn work_items_cost_what_the_config_says() {
     );
     let send = McastRequest::Send {
         group: G,
-        data: Bytes::new(),
+        data: Payload::EMPTY,
         tag: 0,
     };
     assert_eq!(ext.request_cost(&send, p), p.ext_req_proc);
@@ -397,7 +397,7 @@ fn replica_chain_holds_exactly_one_send_buffer() {
     n.drain_notices();
     let req = McastRequest::Send {
         group: G,
-        data: Bytes::from_static(b"buf"),
+        data: Payload::new(0, 3),
         tag: 0,
     };
     let cost = ext.request_cost(&req, n.params());
@@ -441,7 +441,7 @@ mod policies {
         n.drain_notices();
         let req = McastRequest::Send {
             group: G,
-            data: Bytes::from_static(b"pd"),
+            data: Payload::new(0, 2),
             tag: 0,
         };
         let cost = ext.request_cost(&req, n.params());
@@ -501,11 +501,11 @@ mod policies {
                 group: G,
                 seq: 0,
                 offset: 0,
-                msg_len: 1,
                 tag: 0,
                 root: NodeId(0),
             },
-            payload: Bytes::from_static(b"x"),
+            payload: Payload::new(0, 1),
+            len: 1,
         };
         n.packet_arrived(pkt);
         drain_lanai(&mut n, &mut ext);
@@ -549,11 +549,11 @@ mod policies {
                 group: G,
                 seq: 0,
                 offset: 0,
-                msg_len: 1,
                 tag: 0,
                 root: NodeId(0),
             },
-            payload: Bytes::from_static(b"h"),
+            payload: Payload::new(0, 1),
+            len: 1,
         };
         n.packet_arrived(pkt);
         let _ = pump_all(&mut n, &mut ext);
@@ -581,11 +581,11 @@ mod policies {
                 group: G,
                 seq: 0,
                 offset: 0,
-                msg_len: 1,
                 tag: 0,
                 root: NodeId(0),
             },
-            payload: Bytes::from_static(b"m"),
+            payload: Payload::new(0, 1),
+            len: 1,
         };
         n.packet_arrived(pkt);
         let _ = pump_all(&mut n, &mut ext);
@@ -608,11 +608,11 @@ fn zero_length_multicast_is_delivered() {
             group: G,
             seq: 0,
             offset: 0,
-            msg_len: 0,
             tag: 77,
             root: NodeId(0),
         },
-        payload: Bytes::new(),
+        payload: Payload::EMPTY,
+        len: 0,
     };
     n.packet_arrived(pkt);
     let _ = pump_all(&mut n, &mut ext);

@@ -589,8 +589,6 @@ impl<X: NicExtension> Cluster<X> {
         // detectors (`sim::watch`) can resolve storms in time. Consecutive
         // equal samples deduplicate inside the sink, so the quiet case costs
         // one comparison per pump.
-        let retx =
-            nic.counters.get("retransmissions") + nic.counters.get("mcast_retransmissions");
         let values = [
             nic.send_tokens_used() as u64,
             nic.recv_tokens_avail() as u64,
@@ -599,7 +597,7 @@ impl<X: NicExtension> Cluster<X> {
             nic.pci_queue_len() as u64,
             nic.tx_queue_len() as u64,
             nic.groups_used() as u64,
-            retx,
+            nic.retransmissions(),
         ];
         for (gauge, value) in self.nic_gauges.into_iter().zip(values) {
             self.series.record_gauge(now, node.0, gauge, value);

@@ -9,10 +9,9 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use bytes::Bytes;
 use gm_sim::probe::{ProbeId, ProbeSink};
 use gm_sim::{FlowId, SimDuration, SimTime};
-use myrinet::{NodeId, PortId};
+use myrinet::{NodeId, Payload, PortId};
 
 use crate::ext::NicExtension;
 use crate::nic::{Notice, SendArgs};
@@ -151,7 +150,7 @@ impl<'a, X: NicExtension> HostCtx<'a, X> {
 
     /// Post a unicast send of `data` to `(dst, dst_port)` from `src_port`.
     /// Completion arrives as [`Notice::SendComplete`] carrying `tag`.
-    pub fn send(&mut self, dst: NodeId, dst_port: PortId, src_port: PortId, data: Bytes, tag: u64) {
+    pub fn send(&mut self, dst: NodeId, dst_port: PortId, src_port: PortId, data: Payload, tag: u64) {
         let at = self.host.charge(self.now, self.params.host_send_post);
         self.host.calls.push((
             at,
@@ -243,7 +242,7 @@ mod tests {
         let mut probe = ProbeSink::disabled();
         let mut ctx = HostCtx::new(&mut h, &params, &mut probe, SimTime::ZERO);
         ctx.provide_recv(PortId(0), 2);
-        ctx.send(NodeId(1), PortId(0), PortId(0), Bytes::from_static(b"x"), 7);
+        ctx.send(NodeId(1), PortId(0), PortId(0), Payload::new(1, 1), 7);
         assert_eq!(h.calls.len(), 2);
         assert!(h.calls[0].0 < h.calls[1].0, "calls pay serial host overhead");
         assert!(matches!(h.calls[0].1, HostCall::ProvideRecv { .. }));
@@ -257,7 +256,7 @@ mod tests {
         let mut probe = ProbeSink::disabled();
         let mut ctx = HostCtx::new(&mut h, &params, &mut probe, SimTime::ZERO);
         ctx.compute(SimDuration::from_micros(10), 1);
-        ctx.send(NodeId(1), PortId(0), PortId(0), Bytes::new(), 2);
+        ctx.send(NodeId(1), PortId(0), PortId(0), Payload::EMPTY, 2);
         // The send's arrival time is after the compute block.
         assert!(h.calls[1].0 > SimTime::from_nanos(10_000));
     }

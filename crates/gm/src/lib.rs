@@ -14,16 +14,16 @@
 //! # Quick start
 //!
 //! ```
-//! use bytes::Bytes;
 //! use gm::{Cluster, GmParams, HostApp, HostCtx, NoExt, Notice};
 //! use gm_sim::SimTime;
-//! use myrinet::{Fabric, NodeId, PortId, Topology};
+//! use myrinet::{Fabric, NodeId, Payload, PortId, Topology};
 //!
 //! // A sender app and an echoing receiver app.
 //! struct Sender;
 //! impl HostApp<NoExt> for Sender {
 //!     fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
-//!         ctx.send(NodeId(1), PortId(0), PortId(0), Bytes::from_static(b"hi"), 7);
+//!         // Message 1, two bytes long: the model carries a descriptor.
+//!         ctx.send(NodeId(1), PortId(0), PortId(0), Payload::new(1, 2), 7);
 //!     }
 //!     fn on_notice(&mut self, n: Notice<gm::Never>, _ctx: &mut HostCtx<'_, NoExt>) {
 //!         if let Notice::SendComplete { tag, .. } = n {
@@ -32,7 +32,7 @@
 //!     }
 //! }
 //! struct Receiver {
-//!     got: Vec<Bytes>,
+//!     got: Vec<Payload>,
 //! }
 //! impl HostApp<NoExt> for Receiver {
 //!     fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
@@ -52,7 +52,7 @@
 //! let run = gm::drive(cluster, 1);
 //! assert!(run.end > SimTime::ZERO);
 //! // Apps keep what they measured: read them back from the finished run.
-//! assert_eq!(run.app::<Receiver>(NodeId(1)).got, [Bytes::from_static(b"hi")]);
+//! assert_eq!(run.app::<Receiver>(NodeId(1)).got, [Payload::new(1, 2)]);
 //! ```
 //!
 //! [`drive`], [`harvest`] and [`analyze`] are the one run pipeline every

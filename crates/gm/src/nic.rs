@@ -14,9 +14,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use bytes::{Bytes, BytesMut};
 use gm_sim::{Counters, FlowId, SimDuration, SimTime};
-use myrinet::{GroupId, NodeId, Packet, PacketKind, PortId, MTU};
+use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload, PortId};
 
 use crate::ext::NicExtension;
 use crate::params::GmParams;
@@ -48,8 +47,8 @@ pub struct SendArgs {
     pub dst_port: PortId,
     /// Sending port.
     pub src_port: PortId,
-    /// Message payload (lives in registered host memory).
-    pub data: Bytes,
+    /// The message (lives in registered host memory).
+    pub data: Payload,
     /// Opaque tag returned in the completion notice and delivered with the
     /// message.
     pub tag: u64,
@@ -75,8 +74,8 @@ pub enum Notice<N> {
         src_port: PortId,
         /// Sender's tag.
         tag: u64,
-        /// Message contents.
-        data: Bytes,
+        /// The message, as the sender posted it.
+        data: Payload,
     },
     /// A host compute block finished (host-internal; never from the NIC).
     ComputeDone {
@@ -221,7 +220,8 @@ struct SendRecord {
     seq: u64,
     token: u64,
     offset: u32,
-    payload: Bytes,
+    /// Payload bytes of this packet.
+    len: u32,
     /// Set when the packet's serialization onto the wire completed; `None`
     /// while the packet is still queued for SDMA/transmit (or re-queued for
     /// retransmission).
@@ -247,21 +247,24 @@ struct SendTokenState {
     dst: NodeId,
     dst_port: PortId,
     src_port: PortId,
-    data: Bytes,
+    data: Payload,
     tag: u64,
-    next_offset: usize,
+    next_offset: u32,
     unacked: usize,
     done_creating: bool,
 }
 
+/// A message being reassembled. Go-Back-N accepts packets in order, so the
+/// bytes received so far are always the prefix `[0, received)`: coverage is
+/// one counter, and no bytes are copied.
 #[derive(Debug)]
 struct InProgressMsg {
     uid: u64,
-    msg_len: u32,
+    /// The message, from its first packet.
+    data: Payload,
     tag: u64,
     received: u32,
     rdma_done: u32,
-    data: BytesMut,
 }
 
 /// Receive-side connection state. Several messages can be in flight at once:
@@ -341,6 +344,10 @@ pub struct NicCore<X: NicExtension> {
     ext_waiting: bool,
     resource_freed: bool,
 
+    /// Retransmitted packets, base protocol and extension together (see
+    /// [`NicCore::add_retransmissions`]).
+    retx_total: u64,
+
     /// Protocol counters (packets, drops, retransmissions...).
     pub counters: Counters,
 }
@@ -372,6 +379,7 @@ impl<X: NicExtension> NicCore<X> {
             timer_reqs: Vec::new(),
             ext_waiting: false,
             resource_freed: false,
+            retx_total: 0,
             counters: Counters::new(),
         }
     }
@@ -702,7 +710,7 @@ impl<X: NicExtension> NicCore<X> {
 
     /// Post a receive notice to the host (the extension delivers multicast
     /// messages through the same host receive path as unicast).
-    pub fn notify_recv(&mut self, port: PortId, src: NodeId, src_port: PortId, tag: u64, data: Bytes) {
+    pub fn notify_recv(&mut self, port: PortId, src: NodeId, src_port: PortId, tag: u64, data: Payload) {
         self.notices.push(Notice::Recv {
             port,
             src,
@@ -829,6 +837,20 @@ impl<X: NicExtension> NicCore<X> {
     /// Group-table slots currently occupied (telemetry gauge).
     pub fn groups_used(&self) -> usize {
         self.group_table.used()
+    }
+
+    /// Count `n` packets queued for retransmission under `counter`, and in
+    /// the NIC's running total of every retransmission. The base protocol
+    /// counts `retransmissions`; an extension names its own counter.
+    pub fn add_retransmissions(&mut self, counter: &'static str, n: u64) {
+        self.counters.add(counter, n);
+        self.retx_total += n;
+    }
+
+    /// Packets retransmitted so far, base protocol and extension together
+    /// (telemetry gauge).
+    pub fn retransmissions(&self) -> u64 {
+        self.retx_total
     }
 
     /// Runtime mirror of simcheck's token-conservation invariant (I2):
@@ -991,20 +1013,19 @@ impl<X: NicExtension> NicCore<X> {
                 return;
             };
             let token = self.tokens.get_mut(&tid).expect("active token exists");
-            let len = token.data.len();
+            let len = token.data.len() as u32;
             let mut made_progress = false;
             while !token.done_creating
                 && conn.tx.can_admit(conn.records.len(), self.params.send_window)
             {
                 let off = token.next_offset;
-                let chunk = (len - off).min(MTU);
-                let payload = token.data.slice(off..off + chunk);
+                let chunk = token.data.packet_len(off);
                 let seq = conn.tx.assign_seq();
                 conn.records.push_back(SendRecord {
                     seq,
                     token: tid,
-                    offset: off as u32,
-                    payload,
+                    offset: off,
+                    len: chunk,
                     sent_at: None,
                     retries: 0,
                 });
@@ -1072,7 +1093,7 @@ impl<X: NicExtension> NicCore<X> {
             };
             let took = self.send_bufs.try_take();
             debug_assert!(took, "loop guard guarantees a free send buffer");
-            let bytes = rec.payload.len() as u64;
+            let bytes = u64::from(rec.len);
             let job = if req.retx {
                 PciJob::Retx {
                     conn: key,
@@ -1108,10 +1129,10 @@ impl<X: NicExtension> NicCore<X> {
                 src_port: key.src_port,
                 seq,
                 offset: rec.offset,
-                msg_len: token.data.len() as u32,
                 tag: token.tag,
             },
-            payload: rec.payload.clone(),
+            payload: token.data,
+            len: rec.len,
         };
         self.counters.bump("tx_data");
         self.tx_q.push_back(TxJob {
@@ -1177,10 +1198,10 @@ impl<X: NicExtension> NicCore<X> {
                 for &seq in retx.iter().rev() {
                     conn.sdma_wait.push_front(SdmaReq { seq, retx: true });
                 }
-                self.counters.add("retransmissions", retx.len() as u64);
                 conn.timer_armed = true;
                 conn.timer_gen += 1;
                 let gen = conn.timer_gen;
+                self.add_retransmissions("retransmissions", retx.len() as u64);
                 // Exponential backoff: never beat a congested network while
                 // it is already draining our duplicates.
                 let delay = timeout * (1u64 << max_retries.min(5));
@@ -1208,7 +1229,6 @@ impl<X: NicExtension> NicCore<X> {
             src_port,
             seq,
             offset,
-            msg_len,
             tag,
         } = &pkt.kind
         else {
@@ -1248,11 +1268,10 @@ impl<X: NicExtension> NicCore<X> {
             conn.next_uid += 1;
             conn.msgs.push_back(InProgressMsg {
                 uid,
-                msg_len,
+                data: pkt.payload,
                 tag,
                 received: 0,
                 rdma_done: 0,
-                data: BytesMut::with_capacity(msg_len as usize),
             });
         }
         let conn = self.recv_conns.get_mut(&key).expect("conn exists");
@@ -1262,10 +1281,13 @@ impl<X: NicExtension> NicCore<X> {
             .msgs
             .back_mut()
             .expect("mid-message packet without an open message");
-        debug_assert_eq!(offset, msg.received, "in-order implies contiguous");
-        debug_assert_eq!(msg_len, msg.msg_len);
-        msg.data.extend_from_slice(&pkt.payload);
-        msg.received += pkt.payload.len() as u32;
+        debug_assert_eq!(pkt.payload, msg.data, "packet of another message");
+        debug_assert_eq!(
+            offset, msg.received,
+            "message {:?}: a packet that does not continue the covered prefix",
+            msg.data
+        );
+        msg.received += pkt.len;
         let msg_uid = msg.uid;
         conn.rx.accept();
         self.counters.bump("rx_data");
@@ -1274,11 +1296,11 @@ impl<X: NicExtension> NicCore<X> {
         // RDMA drains.
         self.ack_or_coalesce(key, seq);
         self.pci_q.push_back((
-            pkt.payload.len() as u64,
+            u64::from(pkt.len),
             PciJob::Rdma {
                 conn: key,
                 msg_uid,
-                bytes: pkt.payload.len() as u32,
+                bytes: pkt.len,
             },
         ));
     }
@@ -1316,14 +1338,20 @@ impl<X: NicExtension> NicCore<X> {
             .expect("rdma for an open message");
         let msg = &mut conn.msgs[idx];
         msg.rdma_done += bytes;
-        if msg.rdma_done >= msg.msg_len && msg.received >= msg.msg_len {
+        let len = msg.data.len() as u32;
+        if msg.rdma_done >= len && msg.received >= len {
             let msg = conn.msgs.remove(idx).expect("index valid");
+            debug_assert_eq!(
+                msg.received, len,
+                "message {:?} delivered before [0, len) was covered exactly once",
+                msg.data
+            );
             self.notices.push(Notice::Recv {
                 port: key.dst_port,
                 src: key.peer,
                 src_port: key.src_port,
                 tag: msg.tag,
-                data: msg.data.freeze(),
+                data: msg.data,
             });
         }
     }
@@ -1395,7 +1423,7 @@ mod tests {
             dst: NodeId(dst),
             dst_port: P0,
             src_port: P0,
-            data: Bytes::from(vec![7u8; len]),
+            data: Payload::new(tag as u32, len),
             tag,
         }
     }
@@ -1428,14 +1456,14 @@ mod tests {
         while n.pci_start().is_some() {
             n.pci_finish(&mut ext);
             while let Some(TxJob { pkt, cb }) = n.tx_start() {
-                if let PacketKind::Data { seq, offset, msg_len, .. } = pkt.kind {
-                    seqs.push((seq, offset));
-                    assert_eq!(msg_len, 10_000);
+                if let PacketKind::Data { seq, offset, .. } = pkt.kind {
+                    seqs.push((seq, offset, pkt.len));
+                    assert_eq!(pkt.payload, Payload::new(5, 10_000));
                 }
                 n.tx_drained(cb);
             }
         }
-        assert_eq!(seqs, vec![(0, 0), (1, 4096), (2, 8192)]);
+        assert_eq!(seqs, vec![(0, 0, 4096), (1, 4096, 4096), (2, 8192, 1808)]);
         // Transmissions armed the retransmission timer.
         assert!(!n.drain_timer_reqs().is_empty());
     }
@@ -1444,7 +1472,7 @@ mod tests {
     fn receive_path_reassembles_and_acks() {
         let (mut n, mut ext) = nic();
         n.host_provide_recv(P0, 1);
-        let payload = Bytes::from(vec![3u8; 100]);
+        let payload = Payload::new(3, 100);
         let pkt = Packet {
             src: NodeId(1),
             dst: NodeId(0),
@@ -1453,10 +1481,10 @@ mod tests {
                 src_port: P0,
                 seq: 0,
                 offset: 0,
-                msg_len: 100,
                 tag: 42,
             },
             payload,
+            len: 100,
         };
         n.packet_arrived(pkt);
         drain_lanai(&mut n, &mut ext);
@@ -1472,7 +1500,7 @@ mod tests {
         match &notices[0] {
             Notice::Recv { tag, data, src, .. } => {
                 assert_eq!(*tag, 42);
-                assert_eq!(data.len(), 100);
+                assert_eq!(*data, payload);
                 assert_eq!(*src, NodeId(1));
             }
             other => panic!("unexpected notice {other:?}"),
@@ -1491,10 +1519,10 @@ mod tests {
                 src_port: P0,
                 seq,
                 offset: 0,
-                msg_len: 4,
                 tag: seq,
             },
-            payload: Bytes::from_static(b"abcd"),
+            payload: Payload::new(seq as u32, 4),
+            len: 4,
         };
         // seq 1 before seq 0: dropped without consuming a token, no ack
         // (nothing in order yet).
@@ -1523,10 +1551,10 @@ mod tests {
                 src_port: P0,
                 seq,
                 offset: 0,
-                msg_len: 4,
                 tag: 0,
             },
-            payload: Bytes::from_static(b"abcd"),
+            payload: Payload::new(seq as u32, 4),
+            len: 4,
         };
         // Two arrivals back-to-back with one buffer: the second drops.
         n.packet_arrived(mk(0));

@@ -1,11 +1,10 @@
 //! Cluster-level behaviours: host-CPU serialization of notice delivery,
 //! client-side send parking under token exhaustion, and protocol tracing.
 
-use bytes::Bytes;
 use gm::{drive, probes, Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
 use gm_sim::probe::{Phase, ProbeConfig, ProbeEvent, ProbeId};
 use gm_sim::{SimDuration, SimTime};
-use myrinet::{Fabric, NodeId, PortId, Topology};
+use myrinet::{Fabric, NodeId, Payload, PortId, Topology};
 
 const P0: PortId = PortId(0);
 
@@ -30,7 +29,7 @@ fn notices_wait_for_a_busy_host() {
     struct Sender;
     impl HostApp<NoExt> for Sender {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
-            ctx.send(NodeId(1), P0, P0, Bytes::from_static(b"hi"), 0);
+            ctx.send(NodeId(1), P0, P0, Payload::new(0, 2), 0);
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
     }
@@ -65,7 +64,7 @@ fn sends_park_when_tokens_run_out_and_replay_in_order() {
     impl HostApp<NoExt> for Burst {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
             for i in 0..MSGS {
-                ctx.send(NodeId(1), P0, P0, Bytes::from(vec![i as u8; 2000]), i);
+                ctx.send(NodeId(1), P0, P0, Payload::new(i as u32, 2000), i);
             }
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
@@ -102,7 +101,7 @@ fn trace_captures_the_full_protocol_pipeline() {
     struct Sender;
     impl HostApp<NoExt> for Sender {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
-            ctx.send(NodeId(1), P0, P0, Bytes::from_static(b"traced"), 0);
+            ctx.send(NodeId(1), P0, P0, Payload::new(0, 6), 0);
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
     }

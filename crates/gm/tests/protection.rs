@@ -2,9 +2,8 @@
 //! own port with private receive credits; traffic addressed to one port can
 //! never consume another port's resources or be delivered to it.
 
-use bytes::Bytes;
 use gm::{drive, Cluster, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
-use myrinet::{Fabric, NodeId, PortId, Topology};
+use myrinet::{Fabric, NodeId, Payload, PortId, Topology};
 
 const PA: PortId = PortId(0);
 const PB: PortId = PortId(1);
@@ -37,7 +36,7 @@ impl HostApp<NoExt> for DualSender {
         // Interleave traffic to both ports.
         for i in 0..6u64 {
             let port = if i % 2 == 0 { PA } else { PB };
-            ctx.send(NodeId(1), port, port, Bytes::from(vec![i as u8; 100]), i);
+            ctx.send(NodeId(1), port, port, Payload::new(i as u32, 100), i);
         }
     }
     fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}
@@ -92,9 +91,9 @@ fn connections_are_independent_per_port_pair() {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
             // A large message on port A, then small ones on port B: the B
             // messages overtake A's completion (ports do not serialize).
-            ctx.send(NodeId(1), PA, PA, Bytes::from(vec![1u8; 60_000]), 100);
+            ctx.send(NodeId(1), PA, PA, Payload::new(100, 60_000), 100);
             for i in 0..4u64 {
-                ctx.send(NodeId(1), PB, PB, Bytes::from(vec![2u8; 16]), i);
+                ctx.send(NodeId(1), PB, PB, Payload::new(i as u32, 16), i);
             }
         }
         fn on_notice(&mut self, _: Notice<Never>, _: &mut HostCtx<'_, NoExt>) {}

@@ -1,17 +1,16 @@
 //! End-to-end tests of the base GM protocol: reliable ordered delivery over
 //! the simulated fabric, with and without injected faults.
 
-use bytes::Bytes;
 use gm::{drive, Cluster, Driven, GmParams, HostApp, HostCtx, Never, NoExt, Notice};
 use gm_sim::{SimDuration, SimTime};
-use myrinet::{DropRule, Fabric, FaultPlan, NetParams, NodeId, PortId, Topology};
+use myrinet::{DropRule, Fabric, FaultPlan, NetParams, NodeId, Payload, PortId, Topology};
 
 const P0: PortId = PortId(0);
 
 /// Sends a scripted list of messages back to back (next send posted when the
 /// previous completes if `serial`, or all at once).
 struct ScriptedSender {
-    msgs: Vec<(NodeId, Bytes, u64)>,
+    msgs: Vec<(NodeId, Payload, u64)>,
     serial: bool,
     next: usize,
     /// Completion tags, in completion order.
@@ -19,7 +18,7 @@ struct ScriptedSender {
 }
 
 impl ScriptedSender {
-    fn new(msgs: Vec<(NodeId, Bytes, u64)>, serial: bool) -> Self {
+    fn new(msgs: Vec<(NodeId, Payload, u64)>, serial: bool) -> Self {
         ScriptedSender {
             msgs,
             serial,
@@ -32,7 +31,7 @@ impl ScriptedSender {
 impl HostApp<NoExt> for ScriptedSender {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
         if self.serial {
-            if let Some((dst, data, tag)) = self.msgs.first().cloned() {
+            if let Some(&(dst, data, tag)) = self.msgs.first() {
                 self.next = 1;
                 ctx.send(dst, P0, P0, data, tag);
             }
@@ -48,7 +47,7 @@ impl HostApp<NoExt> for ScriptedSender {
         if let Notice::SendComplete { tag, .. } = n {
             self.done.push(tag);
             if self.serial && self.next < self.msgs.len() {
-                let (dst, data, tag) = self.msgs[self.next].clone();
+                let (dst, data, tag) = self.msgs[self.next];
                 self.next += 1;
                 ctx.send(dst, P0, P0, data, tag);
             }
@@ -60,7 +59,7 @@ impl HostApp<NoExt> for ScriptedSender {
 struct Sink {
     credits: usize,
     /// Messages received: (src, tag, data).
-    log: Vec<(NodeId, u64, Bytes)>,
+    log: Vec<(NodeId, u64, Payload)>,
     /// When the last message arrived.
     last_at: SimTime,
 }
@@ -93,8 +92,9 @@ fn cluster(n: u32, faults: FaultPlan, seed: u64) -> Cluster<NoExt> {
     Cluster::new(GmParams::default(), fabric, |_| NoExt)
 }
 
-fn payload(len: usize, fill: u8) -> Bytes {
-    Bytes::from(vec![fill; len])
+/// Message `id` of `len` bytes.
+fn payload(len: usize, id: u32) -> Payload {
+    Payload::new(id, len)
 }
 
 /// Install `sender` on node 0 and `receiver` on node 1, and drive `c` until
@@ -123,20 +123,19 @@ fn single_small_message_latency_is_era_plausible() {
 
 #[test]
 fn multi_packet_message_reassembles() {
-    // 3.5 packets worth of data with distinguishable content.
-    let data: Vec<u8> = (0..14_336u32).map(|i| (i % 251) as u8).collect();
-    let data = Bytes::from(data);
-    let sender = ScriptedSender::new(vec![(NodeId(1), data.clone(), 9)], true);
+    // 3.5 packets worth of one message.
+    let data = payload(14_336, 0xD15);
+    let sender = ScriptedSender::new(vec![(NodeId(1), data, 9)], true);
     let d = pair(cluster(2, FaultPlan::none(), 2), sender, Sink::new(1));
     let log = &d.app::<Sink>(NodeId(1)).log;
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].1, 9);
-    assert_eq!(log[0].2, data, "reassembled payload must match exactly");
+    assert_eq!(log[0].2, data, "the reassembled message must be the one sent");
 }
 
 #[test]
 fn zero_length_message_is_delivered() {
-    let sender = ScriptedSender::new(vec![(NodeId(1), Bytes::new(), 4)], true);
+    let sender = ScriptedSender::new(vec![(NodeId(1), Payload::EMPTY, 4)], true);
     let d = pair(cluster(2, FaultPlan::none(), 3), sender, Sink::new(1));
     let log = &d.app::<Sink>(NodeId(1)).log;
     assert_eq!(log.len(), 1);
@@ -145,8 +144,8 @@ fn zero_length_message_is_delivered() {
 
 #[test]
 fn messages_on_one_connection_arrive_in_order() {
-    let msgs: Vec<(NodeId, Bytes, u64)> = (0..20)
-        .map(|i| (NodeId(1), payload(100 + i as usize * 37, i as u8), i))
+    let msgs: Vec<(NodeId, Payload, u64)> = (0..20)
+        .map(|i| (NodeId(1), payload(100 + i as usize * 37, i as u32), i))
         .collect();
     let sender = ScriptedSender::new(msgs, false);
     let d = pair(cluster(2, FaultPlan::none(), 4), sender, Sink::new(20));
@@ -154,7 +153,7 @@ fn messages_on_one_connection_arrive_in_order() {
     assert_eq!(log.len(), 20);
     for (i, (_, tag, data)) in log.iter().enumerate() {
         assert_eq!(*tag, i as u64, "messages must arrive in post order");
-        assert_eq!(data.len(), 100 + i * 37);
+        assert_eq!(*data, payload(100 + i * 37, i as u32));
     }
     assert_eq!(d.app::<ScriptedSender>(NodeId(0)).done.len(), 20);
 }
@@ -202,8 +201,8 @@ fn lost_ack_is_recovered_without_duplicate_delivery() {
 
 #[test]
 fn heavy_random_loss_still_delivers_everything() {
-    let msgs: Vec<(NodeId, Bytes, u64)> = (0..30)
-        .map(|i| (NodeId(1), payload(777, i as u8), i))
+    let msgs: Vec<(NodeId, Payload, u64)> = (0..30)
+        .map(|i| (NodeId(1), payload(777, i as u32), i))
         .collect();
     let sender = ScriptedSender::new(msgs, false);
     let d = pair(
@@ -215,8 +214,7 @@ fn heavy_random_loss_still_delivers_everything() {
     assert_eq!(log.len(), 30);
     for (i, (_, tag, data)) in log.iter().enumerate() {
         assert_eq!(*tag, i as u64, "in-order despite loss");
-        assert_eq!(data.len(), 777);
-        assert!(data.iter().all(|&b| b == i as u8), "payload integrity");
+        assert_eq!(*data, payload(777, i as u32), "payload integrity");
     }
 }
 
@@ -268,7 +266,7 @@ fn bidirectional_traffic_does_not_interfere() {
         fn on_start(&mut self, ctx: &mut HostCtx<'_, NoExt>) {
             ctx.provide_recv(P0, self.n as usize);
             for i in 0..self.n {
-                ctx.send(self.peer, P0, P0, Bytes::from(vec![i as u8; 256]), i);
+                ctx.send(self.peer, P0, P0, payload(256, i as u32), i);
             }
         }
         fn on_notice(&mut self, n: Notice<Never>, _ctx: &mut HostCtx<'_, NoExt>) {
@@ -292,7 +290,7 @@ fn fan_in_many_senders_one_receiver() {
     let n = 8u32;
     let mut c = cluster(n, FaultPlan::none(), 10);
     for s in 1..n {
-        let msgs = vec![(NodeId(0), payload(1024, s as u8), s as u64)];
+        let msgs = vec![(NodeId(0), payload(1024, s), s as u64)];
         c.set_app(NodeId(s), Box::new(ScriptedSender::new(msgs, true)));
     }
     c.set_app(NodeId(0), Box::new(Sink::new((n - 1) as usize)));
@@ -322,8 +320,8 @@ fn larger_messages_take_longer() {
 #[test]
 fn determinism_same_seed_same_timeline() {
     let run = || {
-        let msgs: Vec<(NodeId, Bytes, u64)> = (0..10)
-            .map(|i| (NodeId(1), payload(500, i as u8), i))
+        let msgs: Vec<(NodeId, Payload, u64)> = (0..10)
+            .map(|i| (NodeId(1), payload(500, i as u32), i))
             .collect();
         let sender = ScriptedSender::new(msgs, false);
         let d = pair(
@@ -346,7 +344,7 @@ fn host_cpu_time_accounts_compute_and_overhead() {
         }
         fn on_notice(&mut self, n: Notice<Never>, ctx: &mut HostCtx<'_, NoExt>) {
             if matches!(n, Notice::ComputeDone { tag: 1 }) {
-                ctx.send(NodeId(1), P0, P0, Bytes::from_static(b"x"), 2);
+                ctx.send(NodeId(1), P0, P0, payload(1, 0), 2);
             }
         }
     }
@@ -374,8 +372,8 @@ fn ack_coalescing_cuts_control_traffic_without_losing_anything() {
             13,
         );
         let c = Cluster::new(params, fabric, |_| NoExt);
-        let msgs: Vec<(NodeId, Bytes, u64)> = (0..10)
-            .map(|i| (NodeId(1), payload(12_000, i as u8), i)) // 3 packets each
+        let msgs: Vec<(NodeId, Payload, u64)> = (0..10)
+            .map(|i| (NodeId(1), payload(12_000, i as u32), i)) // 3 packets each
             .collect();
         let d = pair(c, ScriptedSender::new(msgs, false), Sink::new(10));
         assert_eq!(

@@ -1,12 +1,11 @@
-//! MPI wire vocabulary: tag encoding and control-message payloads.
+//! MPI wire vocabulary: tag encoding and control-message lengths.
 //!
 //! All MPI point-to-point traffic runs over GM port 2; NIC-based broadcast
 //! data arrives on GM port 0 (the multicast group's delivery port). A GM
 //! tag is 64 bits: the top byte carries the protocol context, the rest the
 //! context-specific value (iteration number, barrier round, user tag).
 
-use bytes::{Bytes, BytesMut};
-use myrinet::{NodeId, PortId};
+use myrinet::PortId;
 
 /// GM port used for MPI point-to-point messages.
 pub const MPI_PORT: PortId = PortId(2);
@@ -54,47 +53,13 @@ pub fn barrier_tag(seq: u64, round: u32) -> u64 {
     tag(Ctx::Barrier, (seq << 8) | round as u64)
 }
 
-/// Payload of a `GroupSetup` control message: this member's slice of the
-/// spanning tree.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GroupSetup {
-    /// Root rank that owns the group.
-    pub root: u32,
-    /// The member's parent node.
-    pub parent: NodeId,
-    /// The member's children.
-    pub children: Vec<NodeId>,
-}
-
-impl GroupSetup {
-    /// Serialize to wire bytes (little-endian u32s).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(8 + 4 * self.children.len());
-        b.extend_from_slice(&self.root.to_le_bytes());
-        b.extend_from_slice(&self.parent.0.to_le_bytes());
-        b.extend_from_slice(&(self.children.len() as u32).to_le_bytes());
-        for c in &self.children {
-            b.extend_from_slice(&c.0.to_le_bytes());
-        }
-        b.freeze()
-    }
-
-    /// Parse from wire bytes. Panics on malformed input (simulation-internal
-    /// messages are trusted).
-    pub fn decode(data: &[u8]) -> GroupSetup {
-        let u32_at = |i: usize| -> u32 {
-            u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"))
-        };
-        let root = u32_at(0);
-        let parent = NodeId(u32_at(4));
-        let k = u32_at(8) as usize;
-        let children = (0..k).map(|i| NodeId(u32_at(12 + 4 * i))).collect();
-        GroupSetup {
-            root,
-            parent,
-            children,
-        }
-    }
+/// Length of a `GroupSetup` control message for a member with `children`
+/// children: its slice of the spanning tree as little-endian `u32`s (root,
+/// parent, child count, children). The message is modelled at this length;
+/// the member rebuilds the slice itself from the communicator and the root
+/// in the tag, with the same tree build the root ran.
+pub fn group_setup_len(children: usize) -> usize {
+    12 + 4 * children
 }
 
 #[cfg(test)]
@@ -119,18 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn group_setup_roundtrip() {
-        let g = GroupSetup {
-            root: 4,
-            parent: NodeId(2),
-            children: vec![NodeId(9), NodeId(11), NodeId(15)],
-        };
-        assert_eq!(GroupSetup::decode(&g.encode()), g);
-        let leaf = GroupSetup {
-            root: 0,
-            parent: NodeId(0),
-            children: vec![],
-        };
-        assert_eq!(GroupSetup::decode(&leaf.encode()), leaf);
+    fn group_setup_is_three_words_and_one_per_child() {
+        assert_eq!(group_setup_len(0), 12);
+        assert_eq!(group_setup_len(3), 24);
     }
 }

@@ -19,13 +19,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use bytes::Bytes;
 use gm::{flow_tag, HostApp, HostCtx, Notice};
 use gm_sim::{DetRng, FlowId, SimDuration, SimTime};
-use myrinet::{GroupId, NodeId};
+use myrinet::{GroupId, NodeId, Payload};
 use nic_mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
 
-use crate::msg::{barrier_tag, tag, untag, Ctx, GroupSetup, BCAST_PORT, MPI_PORT};
+use crate::msg::{barrier_tag, group_setup_len, tag, untag, Ctx, BCAST_PORT, MPI_PORT};
 use crate::stats::{BcastRecord, Records};
 
 /// App-track probe points for the MPI layer.
@@ -177,8 +176,8 @@ pub struct RankApp {
     pc: usize,
     wait: Wait,
 
-    /// (src node, full tag) → queued payloads not yet matched.
-    unexpected: BTreeMap<(u32, u64), VecDeque<Bytes>>,
+    /// (src node, full tag) → queued messages not yet matched.
+    unexpected: BTreeMap<(u32, u64), VecDeque<Payload>>,
     barrier_seq: u64,
     /// Per-root broadcast sequence numbers (collective ordinal per root).
     bcast_seq: BTreeMap<u32, u64>,
@@ -266,7 +265,7 @@ impl RankApp {
         }
     }
 
-    fn take_unexpected(&mut self, from: u32, t: u64) -> Option<Bytes> {
+    fn take_unexpected(&mut self, from: u32, t: u64) -> Option<Payload> {
         let q = self.unexpected.get_mut(&(from, t))?;
         let m = q.pop_front();
         if q.is_empty() {
@@ -275,7 +274,7 @@ impl RankApp {
         m
     }
 
-    fn stash(&mut self, from: u32, t: u64, data: Bytes) {
+    fn stash(&mut self, from: u32, t: u64, data: Payload) {
         self.unexpected.entry((from, t)).or_default().push_back(data);
     }
 
@@ -411,7 +410,7 @@ impl RankApp {
             let to = self.cfg.comm[((ci + (1 << round)) % n) as usize];
             let from = self.cfg.comm[((ci + n - (1 << round)) % n) as usize];
             let t = barrier_tag(self.barrier_seq, round);
-            ctx.send(Self::node(to), MPI_PORT, MPI_PORT, Bytes::new(), t);
+            ctx.send(Self::node(to), MPI_PORT, MPI_PORT, Payload::EMPTY, t);
             if self.take_unexpected(from, t).is_some() {
                 round += 1;
                 continue;
@@ -435,7 +434,7 @@ impl RankApp {
                 Self::node(to),
                 MPI_PORT,
                 MPI_PORT,
-                Bytes::from(vec![0u8; size]),
+                Payload::new(0, size),
                 t,
             );
             self.sends_pending = 1;
@@ -446,7 +445,7 @@ impl RankApp {
                 Self::node(to),
                 MPI_PORT,
                 MPI_PORT,
-                Bytes::new(),
+                Payload::EMPTY,
                 tag(Ctx::Rts, user as u64),
             );
             if self
@@ -470,7 +469,7 @@ impl RankApp {
             Self::node(to),
             MPI_PORT,
             MPI_PORT,
-            Bytes::from(vec![0u8; size]),
+            Payload::new(0, size),
             tag(Ctx::RndvData, value),
         );
         self.sends_pending = 1;
@@ -490,7 +489,7 @@ impl RankApp {
                 Self::node(from),
                 MPI_PORT,
                 MPI_PORT,
-                Bytes::new(),
+                Payload::EMPTY,
                 tag(Ctx::Cts, user as u64),
             );
             self.wait = Wait::Msg {
@@ -568,7 +567,7 @@ impl RankApp {
         );
         ctx.ext(McastRequest::Send {
             group: self.gid(root),
-            data: Bytes::from(vec![0u8; size]),
+            data: Payload::new(0, size),
             tag: t,
         });
         self.wait = Wait::McastSendDone { tag: t };
@@ -579,27 +578,10 @@ impl RankApp {
     /// ack ("the first broadcast operation for any group will pay the cost
     /// of creating group membership").
     fn create_group(&mut self, ctx: &mut HostCtx<'_, McastExt>, root: u32) {
-        let dests: Vec<NodeId> = self
-            .cfg
-            .comm
-            .iter()
-            .filter(|&&r| r != root)
-            .map(|&r| Self::node(r))
-            .collect();
-        let tree = SpanningTree::build(Self::node(root), &dests, self.cfg.nic_tree);
+        let tree = self.group_tree(root);
         for &d in tree.dests() {
-            let setup = GroupSetup {
-                root,
-                parent: tree.parent(d).expect("dest has parent"),
-                children: tree.children(d).to_vec(),
-            };
-            ctx.send(
-                d,
-                MPI_PORT,
-                MPI_PORT,
-                setup.encode(),
-                tag(Ctx::GroupSetup, root as u64),
-            );
+            let setup = Payload::new(0, group_setup_len(tree.children(d).len()));
+            ctx.send(d, MPI_PORT, MPI_PORT, setup, tag(Ctx::GroupSetup, root as u64));
         }
         ctx.provide_recv(BCAST_PORT, 64);
         ctx.ext(McastRequest::CreateGroup {
@@ -613,6 +595,20 @@ impl RankApp {
             acks: self.cfg.comm.len() as u32 - 1,
             local_ready: false,
         };
+    }
+
+    /// The spanning tree of `root`'s group over the communicator. The root
+    /// builds it to push each member its slice; a member rebuilds it from
+    /// the same inputs to read its slice back.
+    fn group_tree(&self, root: u32) -> SpanningTree {
+        let dests: Vec<NodeId> = self
+            .cfg
+            .comm
+            .iter()
+            .filter(|&&r| r != root)
+            .map(|&r| Self::node(r))
+            .collect();
+        SpanningTree::build(Self::node(root), &dests, self.cfg.nic_tree)
     }
 
     /// Group is live: fire the broadcast that triggered creation.
@@ -644,7 +640,7 @@ impl RankApp {
                     Self::node(parent),
                     MPI_PORT,
                     MPI_PORT,
-                    Bytes::new(),
+                    Payload::EMPTY,
                     tag(Ctx::Cts, seq),
                 );
                 self.wait = Wait::Msg {
@@ -677,7 +673,7 @@ impl RankApp {
                     Self::node(c),
                     MPI_PORT,
                     MPI_PORT,
-                    Bytes::from(vec![0u8; size]),
+                    Payload::new(0, size),
                     tag(Ctx::Bcast, seq),
                 );
             }
@@ -705,7 +701,7 @@ impl RankApp {
             Self::node(children[0]),
             MPI_PORT,
             MPI_PORT,
-            Bytes::new(),
+            Payload::EMPTY,
             tag(Ctx::Rts, seq),
         );
         self.wait = Wait::BcastRndv {
@@ -760,20 +756,21 @@ impl RankApp {
 
     // -- message dispatch ----------------------------------------------------------
 
-    fn on_message(&mut self, ctx: &mut HostCtx<'_, McastExt>, src: u32, t: u64, data: Bytes) {
+    fn on_message(&mut self, ctx: &mut HostCtx<'_, McastExt>, src: u32, t: u64, data: Payload) {
         let (c, value) = untag(t);
         // Control traffic is processed regardless of the current op.
         if c == Ctx::GroupSetup as u8 {
-            let setup = GroupSetup::decode(&data);
+            let root = value as u32;
+            let (tree, me) = (self.group_tree(root), Self::node(self.me));
             ctx.provide_recv(BCAST_PORT, 64);
             ctx.ext(McastRequest::CreateGroup {
-                group: self.gid(setup.root),
+                group: self.gid(root),
                 port: BCAST_PORT,
-                root: Self::node(setup.root),
-                parent: Some(setup.parent),
-                children: setup.children,
+                root: Self::node(root),
+                parent: Some(tree.parent(me).expect("a member has a parent")),
+                children: tree.children(me).to_vec(),
             });
-            self.pending_group_ack = Some(setup.root);
+            self.pending_group_ack = Some(root);
             return;
         }
         if c == Ctx::GroupAck as u8 {
@@ -814,7 +811,7 @@ impl RankApp {
                     Self::node(child),
                     MPI_PORT,
                     MPI_PORT,
-                    Bytes::from(vec![0u8; size]),
+                    Payload::new(0, size),
                     tag(Ctx::RndvData, seq),
                 );
                 self.sends_pending = 1;
@@ -837,7 +834,7 @@ impl RankApp {
                     Self::node(src),
                     MPI_PORT,
                     MPI_PORT,
-                    Bytes::new(),
+                    Payload::EMPTY,
                     tag(Ctx::Cts, value),
                 );
                 self.wait = Wait::Msg {
@@ -950,7 +947,7 @@ impl HostApp<McastExt> for RankApp {
                                 Self::node(child),
                                 MPI_PORT,
                                 MPI_PORT,
-                                Bytes::new(),
+                                Payload::EMPTY,
                                 tag(Ctx::Rts, seq),
                             );
                         } else {
@@ -977,7 +974,7 @@ impl HostApp<McastExt> for RankApp {
                         Self::node(root),
                         MPI_PORT,
                         MPI_PORT,
-                        Bytes::new(),
+                        Payload::EMPTY,
                         tag(Ctx::GroupAck, root as u64),
                     );
                     return;
@@ -1070,13 +1067,14 @@ mod tests {
     #[test]
     fn unexpected_queue_is_fifo_per_key() {
         let mut a = app(2, 0);
-        a.stash(1, 42, Bytes::from_static(b"first"));
-        a.stash(1, 42, Bytes::from_static(b"second"));
-        a.stash(1, 43, Bytes::from_static(b"other"));
-        assert_eq!(&a.take_unexpected(1, 42).unwrap()[..], b"first");
-        assert_eq!(&a.take_unexpected(1, 42).unwrap()[..], b"second");
+        let (first, second, other) = (Payload::new(1, 5), Payload::new(2, 5), Payload::new(3, 5));
+        a.stash(1, 42, first);
+        a.stash(1, 42, second);
+        a.stash(1, 43, other);
+        assert_eq!(a.take_unexpected(1, 42), Some(first));
+        assert_eq!(a.take_unexpected(1, 42), Some(second));
         assert!(a.take_unexpected(1, 42).is_none());
-        assert_eq!(&a.take_unexpected(1, 43).unwrap()[..], b"other");
+        assert_eq!(a.take_unexpected(1, 43), Some(other));
     }
 
     #[test]

@@ -342,8 +342,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::fault::DropRule;
-    use crate::packet::{NodeId, PacketKind, PortId, HEADER_BYTES};
-    use bytes::Bytes;
+    use crate::packet::{NodeId, PacketKind, Payload, PortId, HEADER_BYTES};
 
     fn pkt(src: u32, dst: u32, len: usize) -> Packet {
         Packet {
@@ -354,10 +353,10 @@ mod tests {
                 src_port: PortId(0),
                 seq: 0,
                 offset: 0,
-                msg_len: len as u32,
                 tag: 0,
             },
-            payload: Bytes::from(vec![0u8; len]),
+            payload: Payload::new(0, len),
+            len: len as u32,
         }
     }
 

@@ -122,8 +122,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use crate::packet::{PacketKind, PortId};
+    use crate::packet::{PacketKind, Payload, PortId};
 
     fn data_pkt(src: u32, dst: u32, seq: u64) -> Packet {
         Packet {
@@ -134,10 +133,10 @@ mod tests {
                 src_port: PortId(0),
                 seq,
                 offset: 0,
-                msg_len: 4,
                 tag: 0,
             },
-            payload: Bytes::from_static(b"abcd"),
+            payload: Payload::new(0, 4),
+            len: 4,
         }
     }
 

@@ -6,15 +6,10 @@
 //!
 //! ```
 //! use gm_sim::SimTime;
-//! use myrinet::{Fabric, NodeId, Packet, PacketKind, PortId, RxOutcome, Topology};
+//! use myrinet::{Fabric, NodeId, Packet, PortId, RxOutcome, Topology};
 //!
 //! let mut fabric = Fabric::new(Topology::for_nodes(16), 42);
-//! let pkt = Packet {
-//!     src: NodeId(0),
-//!     dst: NodeId(5),
-//!     kind: PacketKind::Ack { port: PortId(0), seq: 0 },
-//!     payload: bytes::Bytes::new(),
-//! };
+//! let pkt = Packet::ack(NodeId(0), NodeId(5), PortId(0), 0);
 //! // The source side reserves its half of the route; the destination side
 //! // finishes it when the head crosses over, and decides the packet's fate.
 //! let tx = fabric.tx_stage(SimTime::ZERO, pkt);
@@ -33,5 +28,5 @@ mod topology;
 
 pub use fabric::{Fabric, NetParams, RxOutcome, TxVerdict, WireHandoff};
 pub use fault::{DropReason, DropRule, FaultPlan};
-pub use packet::{GroupId, NodeId, Packet, PacketKind, PortId, HEADER_BYTES, MTU};
+pub use packet::{GroupId, NodeId, Packet, PacketKind, Payload, PortId, HEADER_BYTES, MTU};
 pub use topology::{LinkEnds, LinkId, SwitchId, TopoKind, Topology, MAX_NODES, SWITCH_PORTS};

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use bytes::Bytes;
-
 /// A host/NIC pair's network identifier (the "network ID" the paper sorts
 /// destinations by for deadlock freedom).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -47,12 +45,80 @@ impl fmt::Display for GroupId {
     }
 }
 
-/// Bytes of routing + protocol header prepended to every packet on the wire.
+/// Routing + protocol header bytes prepended to every packet on the wire.
 pub const HEADER_BYTES: u64 = 24;
 
 /// GM's maximum packet payload (the paper: "The maximum packet size in GM is
 /// 4096 bytes").
 pub const MTU: usize = 4096;
+
+/// A message as the model carries it: the sender's identity for it, its
+/// length and one value word.
+///
+/// Every cost the model charges (PCI DMA, wire serialization,
+/// packetization) reads only the length, so no message bytes exist
+/// anywhere. A data packet carries its message's descriptor and the
+/// `(offset, len)` of the piece it holds; a receiver reassembles by
+/// counting coverage of `[0, len)`. The id is the sender's to choose (tests
+/// use it to tell same-length messages apart); the value word carries the
+/// one result a collective release needs.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Payload {
+    id: u32,
+    len: u32,
+    value: u64,
+}
+
+impl Payload {
+    /// The zero-length message with id 0: what control packets carry.
+    pub const EMPTY: Payload = Payload {
+        id: 0,
+        len: 0,
+        value: 0,
+    };
+
+    /// Message `id` of `len` bytes, with a zero value word.
+    pub fn new(id: u32, len: usize) -> Payload {
+        let len = u32::try_from(len).expect("a message length fits GM's 32-bit length field");
+        Payload { id, len, value: 0 }
+    }
+
+    /// This message carrying `value` in its value word.
+    pub const fn with_value(self, value: u64) -> Payload {
+        Payload { value, ..self }
+    }
+
+    /// The sender's identity for this message.
+    pub const fn id(self) -> u32 {
+        self.id
+    }
+
+    /// Message length in bytes.
+    pub const fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the message has no bytes.
+    pub const fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The value word.
+    pub const fn value(self) -> u64 {
+        self.value
+    }
+
+    /// Payload bytes of the packet that starts at `offset`: an MTU, or the
+    /// rest of the message. A zero-length message travels as one empty
+    /// packet.
+    pub fn packet_len(self, offset: u32) -> u32 {
+        debug_assert!(
+            offset <= self.len,
+            "offset {offset} past the end of {self:?}"
+        );
+        (self.len - offset).min(MTU as u32)
+    }
+}
 
 /// Protocol content of a packet.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,8 +133,6 @@ pub enum PacketKind {
         seq: u64,
         /// Byte offset of this packet's payload within its message.
         offset: u32,
-        /// Total message length in bytes.
-        msg_len: u32,
         /// Message tag passed through to the receiver.
         tag: u64,
     },
@@ -87,8 +151,6 @@ pub enum PacketKind {
         seq: u64,
         /// Byte offset within the multicast message.
         offset: u32,
-        /// Total multicast message length.
-        msg_len: u32,
         /// Message tag passed through to receivers.
         tag: u64,
         /// Root of the multicast operation (for delivery records).
@@ -151,49 +213,50 @@ pub struct Packet {
     pub dst: NodeId,
     /// Protocol content.
     pub kind: PacketKind,
-    /// Payload bytes (empty for control packets).
-    pub payload: Bytes,
+    /// The message this packet carries a piece of ([`Payload::EMPTY`] for
+    /// control packets).
+    pub payload: Payload,
+    /// Payload bytes on the wire: the piece of `payload` at the kind's
+    /// offset (0 for control packets).
+    pub len: u32,
 }
 
 impl Packet {
     /// Total size on the wire, including header.
     pub fn wire_bytes(&self) -> u64 {
-        HEADER_BYTES + self.payload.len() as u64
+        HEADER_BYTES + u64::from(self.len)
+    }
+
+    /// A control packet: no payload.
+    fn control(src: NodeId, dst: NodeId, kind: PacketKind) -> Packet {
+        Packet {
+            src,
+            dst,
+            kind,
+            payload: Payload::EMPTY,
+            len: 0,
+        }
     }
 
     /// Build an ack packet for a unicast connection.
     pub fn ack(src: NodeId, dst: NodeId, port: PortId, seq: u64) -> Packet {
-        Packet {
-            src,
-            dst,
-            kind: PacketKind::Ack { port, seq },
-            payload: Bytes::new(),
-        }
+        Packet::control(src, dst, PacketKind::Ack { port, seq })
     }
 
     /// Build a multicast ack packet (child -> parent).
     pub fn mcast_ack(src: NodeId, dst: NodeId, group: GroupId, seq: u64) -> Packet {
-        Packet {
-            src,
-            dst,
-            kind: PacketKind::McastAck { group, seq },
-            payload: Bytes::new(),
-        }
+        Packet::control(src, dst, PacketKind::McastAck { group, seq })
     }
 
     /// Build an extension control packet.
     pub fn ctl(src: NodeId, dst: NodeId, group: GroupId, op: u8, seq: u64, value: u64) -> Packet {
-        Packet {
-            src,
-            dst,
-            kind: PacketKind::Ctl {
-                group,
-                op,
-                seq,
-                value,
-            },
-            payload: Bytes::new(),
-        }
+        let kind = PacketKind::Ctl {
+            group,
+            op,
+            seq,
+            value,
+        };
+        Packet::control(src, dst, kind)
     }
 }
 
@@ -203,21 +266,35 @@ mod tests {
 
     #[test]
     fn wire_bytes_includes_header() {
-        let p = Packet {
-            src: NodeId(0),
-            dst: NodeId(1),
-            kind: PacketKind::Ack {
-                port: PortId(0),
-                seq: 3,
-            },
-            payload: Bytes::new(),
-        };
+        let p = Packet::ack(NodeId(0), NodeId(1), PortId(0), 3);
         assert_eq!(p.wire_bytes(), HEADER_BYTES);
         let p2 = Packet {
-            payload: Bytes::from(vec![0u8; 100]),
+            payload: Payload::new(1, 100),
+            len: 100,
             ..p
         };
         assert_eq!(p2.wire_bytes(), HEADER_BYTES + 100);
+    }
+
+    #[test]
+    fn descriptors_are_small_and_packets_fit_a_cache_line() {
+        assert!(std::mem::size_of::<Payload>() <= 16);
+        assert!(std::mem::size_of::<Packet>() <= 64);
+    }
+
+    #[test]
+    fn packets_split_a_message_at_the_mtu() {
+        let m = Payload::new(7, 2 * MTU + 1);
+        assert_eq!(m.packet_len(0), MTU as u32);
+        assert_eq!(m.packet_len(MTU as u32), MTU as u32);
+        assert_eq!(m.packet_len(2 * MTU as u32), 1);
+        assert_eq!(Payload::EMPTY.packet_len(0), 0);
+        assert_eq!(m.with_value(9).value(), 9);
+        assert_ne!(
+            m,
+            Payload::new(8, 2 * MTU + 1),
+            "same length, other message"
+        );
     }
 
     #[test]
@@ -227,14 +304,12 @@ mod tests {
             src_port: PortId(0),
             seq: 1,
             offset: 0,
-            msg_len: 8,
             tag: 0,
         };
         let mc = PacketKind::Mcast {
             group: GroupId(1),
             seq: 2,
             offset: 0,
-            msg_len: 8,
             tag: 0,
             root: NodeId(0),
         };

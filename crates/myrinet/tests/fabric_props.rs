@@ -1,10 +1,10 @@
 //! Property-based tests of the fabric: route validity on arbitrary cluster
 //! sizes, timing monotonicity, and loss accounting.
 
-use bytes::Bytes;
 use gm_sim::{SimDuration, SimTime};
 use myrinet::{
-    Fabric, FaultPlan, LinkEnds, NetParams, NodeId, Packet, PacketKind, PortId, RxOutcome, Topology,
+    Fabric, FaultPlan, LinkEnds, NetParams, NodeId, Packet, PacketKind, Payload, PortId, RxOutcome,
+    Topology,
 };
 use proptest::prelude::*;
 
@@ -17,10 +17,10 @@ fn pkt(src: u32, dst: u32, len: usize) -> Packet {
             src_port: PortId(0),
             seq: 0,
             offset: 0,
-            msg_len: len as u32,
             tag: 0,
         },
-        payload: Bytes::from(vec![0u8; len]),
+        payload: Payload::new(0, len),
+        len: len as u32,
     }
 }
 

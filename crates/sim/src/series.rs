@@ -107,6 +107,11 @@ pub(crate) fn gauge_names() -> Vec<&'static str> {
     GAUGE_NAMES.snapshot()
 }
 
+/// Each gauge name's rank in name order, indexed by [`GaugeName::index`].
+pub(crate) fn gauge_ranks() -> Vec<u16> {
+    GAUGE_NAMES.ranks()
+}
+
 /// One gauge transition: `(node, gauge)` took `value` at `time`. 32 bytes,
 /// all `Copy`.
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -25,6 +25,9 @@
 //!   module, so a detector threshold can never silently mix "per
 //!   millisecond" with "percent of capacity".
 
+use std::collections::BTreeMap;
+use std::ops::Range;
+
 use crate::critical_path::FlowGraph;
 use crate::flow::FlowId;
 use crate::probe::{Metrics, ProbeEvent};
@@ -373,6 +376,17 @@ impl Incident {
     }
 }
 
+/// The gauge a detector scans and how many consecutive windows must fire
+/// (`None` for a detector that reads a counter).
+fn scanned_gauge(d: &Detector) -> Option<(&'static str, u32)> {
+    match d.kind {
+        DetectorKind::Threshold { gauge, sustain, .. } => Some((gauge, sustain.max(1))),
+        DetectorKind::RateOfChange { gauge, .. } => Some((gauge, 1)),
+        DetectorKind::Saturation { gauge, sustain, .. } => Some((gauge, sustain.max(1))),
+        DetectorKind::Counter { .. } => None,
+    }
+}
+
 /// Canonical incident order: `(window start, detector, node, window end)` —
 /// the incident analogue of the series sinks' `(time, node, gauge)` merge
 /// key, so the stream is identical at any shard count.
@@ -436,71 +450,99 @@ impl WatchEngine {
     /// Evaluate the gauge detectors over a series stream (must already be
     /// canonically merged). Returns incidents in canonical order, without
     /// evidence — call [`attach_evidence`] afterwards.
-    pub fn scan_series<'a>(
-        &self,
-        points: impl IntoIterator<Item = &'a SeriesPoint>,
-    ) -> Vec<Incident> {
+    pub fn scan_series<'a, I>(&self, points: I) -> Vec<Incident>
+    where
+        I: IntoIterator<Item = &'a SeriesPoint>,
+        I::IntoIter: Clone,
+    {
         if !self.config.is_enabled() {
             return Vec::new();
         }
-        // Regroup the canonical (time, node, gauge) stream into per-signal
-        // step functions. BTreeMap keeps (node, gauge) iteration stable.
-        // Gauge names are read from one snapshot of the name table.
+        let points = points.into_iter();
+        let Some(any) = points.clone().next() else {
+            return Vec::new();
+        };
+        // Only gauges some detector reads are scanned; execution gauges are
+        // never health signals. Names and ranks come from one snapshot each
+        // of the name table.
         let names = series::gauge_names();
-        let mut signals: std::collections::BTreeMap<(u32, &'static str), Vec<(u64, u64)>> =
-            std::collections::BTreeMap::new();
+        let ranks = series::gauge_ranks();
+        let scanned: Vec<bool> = names
+            .iter()
+            .map(|&g| {
+                !g.starts_with("exec_")
+                    && self
+                        .detectors
+                        .iter()
+                        .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == g))
+            })
+            .collect();
+        // Regroup the canonical (time, node, gauge) stream into per-signal
+        // step functions without copying a point: count each signal's
+        // points, then lay out references to them signal by signal. The
+        // layout is a counting sort, so each signal keeps its time order,
+        // and the map keeps (node, gauge name) order.
+        let mut signals: BTreeMap<(u32, u16), (usize, Range<usize>)> = BTreeMap::new();
+        let key = |p: &SeriesPoint| {
+            let h = p.gauge_name().index();
+            scanned[h].then(|| ((p.node, ranks[h]), h))
+        };
+        for (k, h) in points.clone().filter_map(key) {
+            signals.entry(k).or_insert((h, 0..0)).1.end += 1;
+        }
+        let mut total = 0;
+        for (_, r) in signals.values_mut() {
+            let len = r.end;
+            *r = total..total;
+            total += len;
+        }
+        let mut steps = vec![any; total];
         for p in points {
-            let gauge = names[p.gauge_name().index()];
-            if gauge.starts_with("exec_") {
-                continue; // execution gauges are not health signals
+            if let Some((k, _)) = key(p) {
+                let r = &mut signals.get_mut(&k).expect("counted in the first pass").1;
+                steps[r.end] = p;
+                r.end += 1;
             }
-            signals
-                .entry((p.node, gauge))
-                .or_default()
-                .push((p.time.as_nanos(), p.value));
         }
         let w_ns = self.config.window().as_nanos().max(1);
         let mut incidents = Vec::new();
         for d in &self.detectors {
-            let (gauge, sustain) = match d.kind {
-                DetectorKind::Threshold { gauge, sustain, .. } => (gauge, sustain.max(1)),
-                DetectorKind::RateOfChange { gauge, .. } => (gauge, 1),
-                DetectorKind::Saturation { gauge, sustain, .. } => (gauge, sustain.max(1)),
-                DetectorKind::Counter { .. } => continue,
+            let Some((gauge, sustain)) = scanned_gauge(d) else {
+                continue;
             };
-            for ((node, g), steps) in &signals {
-                if *g != gauge {
+            for (&(node, _), (h, r)) in &signals {
+                if names[*h] != gauge {
                     continue;
                 }
-                self.scan_signal(d, *node, steps, w_ns, sustain, &mut incidents);
+                let signal = &steps[r.clone()];
+                self.scan_signal(d, node, signal, w_ns, sustain, &mut incidents);
             }
         }
         sort_canonical(&mut incidents);
         incidents
     }
 
-    /// Evaluate one detector over one `(node, gauge)` step function.
+    /// Evaluate one detector over one `(node, gauge)` step function: its
+    /// points in time order.
     fn scan_signal(
         &self,
         d: &Detector,
         node: u32,
-        steps: &[(u64, u64)],
+        steps: &[&SeriesPoint],
         w_ns: u64,
         sustain: u32,
         incidents: &mut Vec<Incident>,
     ) {
-        let first = match steps.first() {
-            Some(&(t, _)) => t,
-            None => return,
+        let (Some(first), Some(last)) = (steps.first(), steps.last()) else {
+            return;
         };
-        let last = steps.last().expect("nonempty steps have a last element").0;
-        let first_win = first / w_ns;
-        let last_win = last / w_ns;
+        let first_win = first.time.as_nanos() / w_ns;
+        let last_win = last.time.as_nanos() / w_ns;
         // Walk the windows once, tracking the step function: `si` is the
         // next transition to consume, `cur` the value holding at the
         // window's start.
         let mut si = 0usize;
-        let mut cur = steps[0].1;
+        let mut cur = first.value;
         // A run of consecutive firing windows, merged into one incident.
         let mut run_start: Option<u64> = None;
         let mut run_peak = 0u64;
@@ -509,8 +551,8 @@ impl WatchEngine {
             let win_end = (win + 1) * w_ns;
             let start_val = cur;
             let mut win_max = cur;
-            while si < steps.len() && steps[si].0 < win_end {
-                cur = steps[si].1;
+            while si < steps.len() && steps[si].time.as_nanos() < win_end {
+                cur = steps[si].value;
                 win_max = win_max.max(cur);
                 si += 1;
             }

@@ -33,13 +33,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = Config::ci();
@@ -114,7 +107,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = workspace_root();
+    let root = simlint::workspace_root();
     let started = Instant::now(); // simlint::allow(det-walltime, wall budget for the CI gate)
     let mut interrupt = || ci && started.elapsed().as_secs() > CI_WALL_SECS;
     let out = run(&cfg, &limits, &mut interrupt);

@@ -795,9 +795,18 @@ pub fn lint_source(file: &str, src: &str, class: &FileClass) -> FileLint {
 // Workspace driver
 // ---------------------------------------------------------------------------
 
-/// The workspace root this binary was compiled inside.
+/// The workspace root: the nearest directory at or above the current one
+/// whose `Cargo.toml` declares `[workspace]`, else the current directory.
+/// It is found at run time, so a copy of the repository that reuses another
+/// copy's `target/` still reads and writes its own tree.
 pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let declares_workspace = |dir: &Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    let root = cwd.ancestors().find(|dir| declares_workspace(dir));
+    root.map_or_else(|| cwd.clone(), Path::to_path_buf)
 }
 
 /// Recursively collect `.rs` files under `root`, in sorted (deterministic)

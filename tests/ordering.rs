@@ -1,16 +1,15 @@
 //! Ordering and concurrency guarantees of the NIC-based multicast, driven
 //! through the public API with hand-rolled host applications.
 
-use bytes::Bytes;
 use myri_mcast::gm::{drive, Cluster, Driven, GmParams, HostApp, HostCtx, Notice};
 use myri_mcast::mcast::{McastExt, McastNotice, McastRequest, SpanningTree, TreeShape};
-use myri_mcast::net::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
+use myri_mcast::net::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, PortId, Topology};
 use myri_mcast::sim::SimTime;
 
 const PORT: PortId = PortId(0);
 
 /// Deliveries a destination saw: (tag, data).
-type DeliveryLog = Vec<(u64, Bytes)>;
+type DeliveryLog = Vec<(u64, Payload)>;
 
 /// Root app: installs its group entry and fires `count` back-to-back
 /// multicasts without waiting for anything.
@@ -40,10 +39,9 @@ impl HostApp<McastExt> for BurstRoot {
                 // (some multi-packet) must still arrive in post order.
                 for i in 0..self.count {
                     let len = 100 + (i as usize * 2309) % 9000;
-                    let fill = (i % 251) as u8;
                     ctx.ext(McastRequest::Send {
                         group: self.gid,
-                        data: Bytes::from(vec![fill; len]),
+                        data: Payload::new(i as u32, len),
                         tag: i,
                     });
                 }
@@ -132,9 +130,9 @@ fn assert_burst_delivery(logs: &[&DeliveryLog], count: u64) {
             assert_eq!(*tag, k as u64, "delivery order violated at dest {}", i + 1);
             let expect_len = 100 + (k * 2309) % 9000;
             assert_eq!(data.len(), expect_len, "length corrupted");
-            let fill = (k % 251) as u8;
-            assert!(
-                data.iter().all(|&b| b == fill),
+            assert_eq!(
+                *data,
+                Payload::new(k as u32, expect_len),
                 "payload corrupted at dest {} msg {k}",
                 i + 1
             );
@@ -233,7 +231,7 @@ fn two_concurrent_groups_with_interleaved_membership() {
                             for i in 0..self.count {
                                 ctx.ext(McastRequest::Send {
                                     group: g,
-                                    data: Bytes::from(vec![g.0 as u8; 500]),
+                                    data: Payload::new(g.0, 500),
                                     tag: i,
                                 });
                             }
@@ -274,10 +272,10 @@ fn two_concurrent_groups_with_interleaved_membership() {
         let expect = if i == 0 || i == 7 { 6 } else { 12 };
         assert_eq!(log.len(), expect, "node {i}");
         // Per-group delivery order is preserved.
-        for g in [1u8, 2] {
+        for g in [1u32, 2] {
             let tags: Vec<u64> = log
                 .iter()
-                .filter(|(_, d)| d.first() == Some(&g))
+                .filter(|(_, d)| d.id() == g)
                 .map(|(t, _)| *t)
                 .collect();
             if !tags.is_empty() {

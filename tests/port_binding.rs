@@ -2,9 +2,8 @@
 //! bound to port B must deliver only on port B, even when port A has
 //! credits too.
 
-use bytes::Bytes;
 use myri_mcast::gm::{drive, Cluster, GmParams, HostApp, HostCtx, Notice};
-use myri_mcast::net::{Fabric, GroupId, NodeId, PortId, Topology};
+use myri_mcast::net::{Fabric, GroupId, NodeId, Payload, PortId, Topology};
 
 const PA: PortId = PortId(0);
 const PB: PortId = PortId(1);
@@ -37,7 +36,7 @@ fn multicast_groups_deliver_only_on_their_port() {
                 Notice::Ext(McastNotice::GroupReady { .. }) if self.me.0 == 0 => {
                     ctx.ext(McastRequest::Send {
                         group: GroupId(1),
-                        data: Bytes::from_static(b"grp"),
+                        data: Payload::new(0, 3),
                         tag: 9,
                     });
                 }

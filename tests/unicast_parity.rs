@@ -7,10 +7,9 @@
 //! and with the multicast extension installed (idle group present) and
 //! require the timelines to be bit-identical.
 
-use bytes::Bytes;
 use myri_mcast::gm::{drive, Cluster, GmParams, HostApp, HostCtx, NicExtension, NoExt, Notice};
 use myri_mcast::mcast::{McastExt, McastRequest};
-use myri_mcast::net::{Fabric, GroupId, NodeId, PortId, Topology};
+use myri_mcast::net::{Fabric, GroupId, NodeId, Payload, PortId, Topology};
 use myri_mcast::sim::SimTime;
 
 const P0: PortId = PortId(0);
@@ -25,7 +24,7 @@ struct Pinger {
 impl<X: NicExtension> HostApp<X> for Pinger {
     fn on_start(&mut self, ctx: &mut HostCtx<'_, X>) {
         ctx.provide_recv(P0, 2);
-        ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), 0);
+        ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), 0);
     }
     fn on_notice(&mut self, n: Notice<X::Notice>, ctx: &mut HostCtx<'_, X>) {
         if let Notice::Recv { .. } = n {
@@ -33,7 +32,7 @@ impl<X: NicExtension> HostApp<X> for Pinger {
             self.remaining -= 1;
             ctx.provide_recv(P0, 1);
             if self.remaining > 0 {
-                ctx.send(NodeId(1), P0, P0, Bytes::from(vec![0; self.size]), 0);
+                ctx.send(NodeId(1), P0, P0, Payload::new(0, self.size), 0);
             }
         }
     }
@@ -50,7 +49,7 @@ impl<X: NicExtension> HostApp<X> for Echo {
     fn on_notice(&mut self, n: Notice<X::Notice>, ctx: &mut HostCtx<'_, X>) {
         if let Notice::Recv { .. } = n {
             ctx.provide_recv(P0, 1);
-            ctx.send(NodeId(0), P0, P0, Bytes::from(vec![0; self.size]), 0);
+            ctx.send(NodeId(0), P0, P0, Payload::new(0, self.size), 0);
         }
     }
 }
