@@ -45,6 +45,10 @@ where
         .unwrap_or(4)
         .min(items.len());
     let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "independent simulator instances, results reordered by input index below"
+    )]
     let mut done: Vec<(usize, R)> = thread::scope(|s| {
         let workers: Vec<_> = (0..threads)
             .map(|_| {
@@ -176,11 +180,25 @@ pub fn factor(hb: f64, nb: f64) -> String {
     format!("{:.2}", hb / nb)
 }
 
-/// The workspace-root `results/` directory. The root is found at run time
-/// ([`simlint::workspace_root`]), so a binary run from anywhere inside a
-/// copy of the repository writes that copy's `results/`.
+/// The workspace root: the nearest directory at or above the current one
+/// whose `Cargo.toml` declares `[workspace]`, else the current directory.
+/// It is found at run time, so a copy of the repository that reuses another
+/// copy's `target/` still reads and writes its own tree.
+pub fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let declares_workspace = |dir: &Path| {
+        std::fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    let root = cwd.ancestors().find(|dir| declares_workspace(dir));
+    root.map_or_else(|| cwd.clone(), Path::to_path_buf)
+}
+
+/// The workspace-root `results/` directory ([`workspace_root`]), so a
+/// binary run from anywhere inside a copy of the repository writes that
+/// copy's `results/`.
 pub fn results_dir() -> PathBuf {
-    simlint::workspace_root().join("results")
+    workspace_root().join("results")
 }
 
 /// Write `contents` to `path` atomically: serialize into a same-directory

@@ -81,7 +81,10 @@ fn grow(delta: i64) {
 // SAFETY: every method forwards its exact arguments to `System`, whose
 // `GlobalAlloc` contract is inherited unchanged; the counters are
 // const-initialized thread-local `Cell`s that never allocate.
-#[allow(unsafe_code)] // the one GlobalAlloc impl, delegating entirely to System
+#[expect(
+    unsafe_code,
+    reason = "the one GlobalAlloc impl, delegating entirely to System"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size() as i64);

@@ -20,8 +20,8 @@
 use gm_sim::{FlowId, SimTime};
 use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload};
 
-use gm::proto::{self, RxVerdict};
 use gm::{flow_tag, Cb, GmParams, NicCore, NicExtension};
+use gm_proto::{self as proto, RxVerdict};
 
 use crate::group::{
     CollKind, FwdTokenPolicy, GroupState, InMsg, McastConfig, McastNotice, McastRec,

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use gm::proto::{ChildAcks, GbnRx, GbnTx};
+use gm_proto::{ChildAcks, GbnRx, GbnTx};
 use gm_sim::SimTime;
 use myrinet::{GroupId, NodeId, Payload, PortId};
 

@@ -1,7 +1,7 @@
 //! Replaying `simcheck` counterexample traces through the real simulator.
 //!
 //! The model checker (`crates/simcheck`) explores an abstract rendering of
-//! the protocol built from the same `gm::proto` transition functions the
+//! the protocol built from the same `gm_proto` transition functions the
 //! firmware model runs. When it finds a violation it emits a minimal trace
 //! whose only environment actions are targeted packet drops. This module
 //! turns such a trace into a concrete [`Scenario`]: the drops become
@@ -12,8 +12,8 @@
 
 use std::collections::BTreeSet;
 
-use gm::proto::ProtoMutation;
 use gm::{flow_tag, GmParams};
+use gm_proto::ProtoMutation;
 use gm_sim::{FlowGraph, ProbeConfig};
 use myrinet::{DropRule, FaultPlan, NodeId, MTU};
 

@@ -72,7 +72,6 @@ impl HostApp<McastExt> for ReduceApp {
     }
 }
 
-#[allow(clippy::type_complexity)]
 fn run(
     n: u32,
     op: ReduceOp,

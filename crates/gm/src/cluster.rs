@@ -475,7 +475,6 @@ impl<X: NicExtension> Cluster<X> {
     /// waiting on (e.g. a drained tx freeing a send buffer enqueues a new
     /// DMA). Each pass schedules at least one completion event, so the loop
     /// terminates.
-    // simlint::hot
     fn pump_nic(&mut self, node: NodeId, sched: &mut Sched) {
         let now = sched.now();
         let li = self.local(node);
@@ -606,7 +605,6 @@ impl<X: NicExtension> Cluster<X> {
 
     /// Park a hand-off whose receive stage runs on this shard and schedule
     /// it at its head arrival under its canonical `(src, wire_seq)` key.
-    // simlint::hot
     fn park_handoff(&mut self, h: WireHandoff, sched: &mut Sched) {
         let (at, src, seq) = (h.head_at, u64::from(h.pkt.src.0), h.wire_seq);
         sched.at_wire(at, src, seq, Ev::WireRx(self.wire.insert(h)));

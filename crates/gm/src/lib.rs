@@ -66,7 +66,6 @@ mod host;
 mod nic;
 mod params;
 mod pipeline;
-pub mod proto;
 
 pub use cluster::{probes, Cluster, Ev};
 pub use ext::{Never, NicExtension, NoExt};
@@ -76,4 +75,3 @@ pub use nic::{
 };
 pub use params::{GmParams, EAGER_LIMIT};
 pub use pipeline::{analyze, drive, harvest, Driven, Harvest, EVENT_CAP};
-pub use proto::ProtoMutation;

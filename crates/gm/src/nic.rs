@@ -19,7 +19,7 @@ use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload, PortId};
 
 use crate::ext::NicExtension;
 use crate::params::GmParams;
-use crate::proto::{self, Credits, GbnRx, GbnTx, Pool, RxVerdict};
+use gm_proto::{self as proto, Credits, GbnRx, GbnTx, Pool, RxVerdict};
 
 /// Identifies one direction of a GM connection: the remote node plus the
 /// (sender port, receiver port) pair.
@@ -505,7 +505,6 @@ impl<X: NicExtension> NicCore<X> {
     /// If the LANai is idle and work is queued, start the next item; it
     /// stays at the front of the queue while it runs. The caller schedules
     /// [`lanai_finish`](Self::lanai_finish) after the returned cost.
-    // simlint::hot
     pub fn lanai_start(&mut self) -> Option<SimDuration> {
         if self.lanai_busy {
             return None;
@@ -537,7 +536,6 @@ impl<X: NicExtension> NicCore<X> {
     }
 
     /// Apply the effects of the running work item, which leaves the queue.
-    // simlint::hot
     pub fn lanai_finish(&mut self, ext: &mut X) {
         self.lanai_busy = false;
         let (_cost, work) = self
@@ -560,7 +558,6 @@ impl<X: NicExtension> NicCore<X> {
     /// If the wire is idle and a packet is queued, start transmitting it.
     /// The caller injects the packet into the fabric and schedules
     /// [`tx_drained`](Self::tx_drained) at the fabric's `src_free` time.
-    // simlint::hot
     pub fn tx_start(&mut self) -> Option<TxJob<X::Tag>> {
         if self.tx_busy {
             return None;
@@ -599,7 +596,6 @@ impl<X: NicExtension> NicCore<X> {
     /// If the PCI bus is idle and a DMA is queued, start it; it stays at
     /// the front of the queue while it runs. The caller schedules
     /// [`pci_finish`](Self::pci_finish) after the returned time.
-    // simlint::hot
     pub fn pci_start(&mut self) -> Option<SimDuration> {
         if self.pci_busy {
             return None;
@@ -611,7 +607,6 @@ impl<X: NicExtension> NicCore<X> {
 
     /// Apply the effects of the running DMA transfer, which leaves the
     /// queue.
-    // simlint::hot
     pub fn pci_finish(&mut self, ext: &mut X) {
         self.pci_busy = false;
         let (_bytes, job) = self.pci_q.pop_front().expect("a DMA transfer is running");

@@ -6,7 +6,7 @@
 //! host overhead under 1 µs. Every constant can be overridden; the benchmark
 //! harness uses the defaults. See DESIGN.md §4 for the rationale table.
 
-use crate::proto::ProtoMutation;
+use gm_proto::ProtoMutation;
 use gm_sim::watch::{Detector, DetectorKind, Severity, Thresh};
 use gm_sim::SimDuration;
 
@@ -82,7 +82,7 @@ pub struct GmParams {
 
     // --- Verification ---
     /// Deliberately seeded protocol bug for model↔implementation conformance
-    /// tests (see `gm::proto` and `crates/simcheck`). Always
+    /// tests (see `gm_proto` and `crates/simcheck`). Always
     /// [`ProtoMutation::None`] outside those tests.
     pub mutation: ProtoMutation,
 }

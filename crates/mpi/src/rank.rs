@@ -378,8 +378,7 @@ impl RankApp {
         if draw <= 0 {
             return true;
         }
-        // simlint::allow(units, "skew draw is raw nanoseconds by construction; positive after the guard above")
-        let d = SimDuration::from_nanos(draw as u64);
+        let d = SimDuration::from_nanos(draw.unsigned_abs());
         if self.records.bcasts.len() >= self.cfg.warmup as usize {
             self.records.skews.push((ctx.now(), d));
         }

@@ -200,7 +200,6 @@ impl Fabric {
     ///
     /// Touches only state owned by `pkt.src`'s side of the route, so under a
     /// leaf-aligned sharding it may run concurrently with any other shard.
-    // simlint::hot
     pub fn tx_stage(&mut self, now: SimTime, pkt: Packet) -> TxVerdict {
         let (links, len) = self.route_array(pkt.src, pkt.dst);
         let cut = len / 2;
@@ -226,7 +225,6 @@ impl Fabric {
     /// Touches only state owned by `pkt.dst`'s side of the route. The fault
     /// draw is a pure function of `(fault_seed, src, wire_seq)`, so the
     /// verdict is identical no matter which engine (or shard) runs it.
-    // simlint::hot
     pub fn rx_stage(&mut self, handoff: &WireHandoff) -> RxOutcome {
         let pkt = &handoff.pkt;
         let (links, len) = self.route_array(pkt.src, pkt.dst);
@@ -275,7 +273,6 @@ impl Fabric {
     /// `hop_delay`. Returns the head time past the segment and the
     /// free-time of the segment's first link; updates `last_stall` with the
     /// contention encountered in this segment.
-    // simlint::hot
     fn reserve_segment(
         &mut self,
         links: &[LinkId],

@@ -1,15 +1,22 @@
-//! `gm::proto` — the pure protocol core, shared by the simulator and the
+//! `gm-proto` — the pure protocol core, shared by the simulator and the
 //! `simcheck` model checker.
 //!
-//! Everything in this module is a side-effect-free state machine fragment:
+//! Everything in this crate is a side-effect-free state machine fragment:
 //! plain data plus transition functions over it. No clocks, no RNG, no
-//! probes, no global state — the `simlint` rule `state-pure` enforces that
-//! mechanically. The payoff is that `gm::nic` and the multicast firmware in
-//! `nic-mcast` execute *these exact functions* inside the discrete-event
+//! probes, no global state — the crate depends on nothing but `alloc`, so
+//! the compiler enforces that: no simulator crate means no `SimTime`,
+//! `DetRng` or probe, and `no_std` means no `std::time`, `std::env` or
+//! `thread_local!`. The payoff is that `gm::nic` and the multicast firmware
+//! in `nic-mcast` execute *these exact functions* inside the discrete-event
 //! simulator, while `crates/simcheck` explores the same functions
 //! exhaustively over all interleavings of small configurations. A checker
 //! counterexample is therefore always a real trace of the shipped code, not
 //! of a hand-maintained re-model.
+//!
+//! ```compile_fail,E0433
+//! // The simulator's clock is out of reach here.
+//! let _now = gm_sim::SimTime::ZERO;
+//! ```
 //!
 //! The pieces, mapped to the paper's protocol (§5):
 //!
@@ -28,6 +35,15 @@
 //! * [`ProtoMutation`] — deliberately seeded bugs for model↔implementation
 //!   conformance tests. A mutation changes the shared transition function,
 //!   so enabling one breaks the checker *and* the simulator identically.
+
+#![cfg_attr(not(test), no_std)]
+#![warn(missing_docs)]
+
+extern crate alloc;
+
+use alloc::collections::BTreeMap;
+use alloc::vec;
+use alloc::vec::Vec;
 
 /// A deliberately seeded protocol bug, threaded through [`release_horizon`]
 /// so the checker and the simulator misbehave the same way. `None` in all
@@ -382,7 +398,7 @@ pub struct GroupTable<K: Ord + Copy> {
     /// slot → installed id (`None` = free).
     slots: Vec<Option<K>>,
     /// id → slot, for O(log n) membership tests.
-    index: std::collections::BTreeMap<K, usize>,
+    index: BTreeMap<K, usize>,
     /// Free slot indices, kept sorted descending so `pop()` yields the
     /// lowest free slot (deterministic placement).
     free: Vec<usize>,
@@ -393,7 +409,7 @@ impl<K: Ord + Copy> GroupTable<K> {
     pub fn new(capacity: usize) -> Self {
         GroupTable {
             slots: vec![None; capacity],
-            index: std::collections::BTreeMap::new(),
+            index: BTreeMap::new(),
             free: (0..capacity).rev().collect(),
         }
     }

@@ -23,8 +23,8 @@ pub mod dispatch_stats {
     pub(crate) fn add(events: u64, wall: std::time::Duration) {
         if events > 0 {
             EVENTS.fetch_add(events, Ordering::Relaxed);
-            // simlint::allow(units, "std::time::Duration wall-clock stat, not SimTime")
-            WALL_NANOS.fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+            let nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
+            WALL_NANOS.fetch_add(nanos, Ordering::Relaxed);
         }
     }
 
@@ -147,7 +147,6 @@ impl<E, H> Scheduler<E, H> {
 
     /// Pop the earliest event if it fires at or before `limit`, advancing
     /// the clock to it.
-    // simlint::hot
     #[inline]
     pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<E> {
         let (time, event) = self.queue.pop_due(limit)?;

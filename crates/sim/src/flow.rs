@@ -23,10 +23,10 @@
 //!   deliveries link back to it causally (see `sim::critical_path`).
 //!
 //! The triple packs into one `u64` so probe records stay `Copy` and
-//! recording stays allocation-free. This module is the only place allowed
-//! to treat a flow as a raw integer: nothing outside it can rebuild a
-//! `FlowId` from one, and the simlint `flow-id` rule forbids `u64`-typed
-//! flow identifiers everywhere else.
+//! recording stays allocation-free. Only `gm_sim` can see that integer
+//! (`FlowId::raw` is `pub(crate)`, for its export surfaces), and nothing
+//! can rebuild a `FlowId` from one, so outside this crate no `u64` can
+//! hold a flow.
 
 /// Packed causal identity of one message delivery. See the module docs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -83,16 +83,16 @@ impl FlowId {
         self.0 & TAG_MASK
     }
 
-    /// The packed representation, for export surfaces only (Perfetto flow
-    /// `id` fields, JSON artifacts). Everything else passes `FlowId` around,
-    /// and there is no way back from the integer:
+    /// The packed representation, for this crate's export surfaces only
+    /// (Perfetto flow `id` fields, JSON artifacts). Everything else passes
+    /// `FlowId` around; outside `gm_sim` the integer is out of reach:
     ///
-    /// ```compile_fail,E0599
+    /// ```compile_fail,E0624
     /// use gm_sim::FlowId;
     ///
-    /// let f = FlowId::from_raw(FlowId::new(3, 41, 12).raw());
+    /// let id: u64 = FlowId::new(3, 41, 12).raw();
     /// ```
-    pub const fn raw(self) -> u64 {
+    pub(crate) const fn raw(self) -> u64 {
         self.0
     }
 }

@@ -383,7 +383,10 @@ impl<W: World> Engine<W> {
     /// The window protocol on the calling thread (one shard, or no free
     /// core for each shard): identical decisions, identical results.
     fn run_on_caller(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
-        // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "dispatch-rate measurement of the simulator itself; never feeds simulated time"
+        )]
         let started = std::time::Instant::now();
         let lookahead = self.lookahead;
         // One shard's hand-offs on their way to the others' inboxes.
@@ -426,6 +429,11 @@ impl<W: World> Engine<W> {
 
     /// The window protocol on scoped worker threads, one per shard, meeting
     /// at a spin barrier twice per window.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "barrier-synchronized shard workers: hand-offs merge in canonical (time, src, seq) \
+                  order, so results are schedule-independent (proven by the seq/par differential suites)"
+    )]
     fn run_threaded(&mut self, deadline: SimTime, max_events: u64) -> RunOutcome {
         let n = self.lanes.len() as u32;
         let shared = Shared {
@@ -438,7 +446,6 @@ impl<W: World> Engine<W> {
             max_events,
         };
         let (lane0, rest) = self.lanes.split_at_mut(1);
-        // simlint::allow(det-thread, "barrier-synchronized shard workers: hand-offs merge in canonical (time, src, seq) order, so results are schedule-independent (proven by the seq/par differential suites)")
         std::thread::scope(|scope| {
             for (k, lane) in rest.iter_mut().enumerate() {
                 let shared = &shared;
@@ -468,7 +475,10 @@ struct Shared<H> {
 /// on the same published data, so all of them leave in the same round with
 /// the same outcome.
 fn worker_loop<W: World>(me: usize, lane: &mut Lane<W>, sh: &Shared<W::Handoff>) -> RunOutcome {
-    // simlint::allow(det-walltime, "dispatch-rate measurement of the simulator itself; never feeds simulated time")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "dispatch-rate measurement of the simulator itself; never feeds simulated time"
+    )]
     let started = std::time::Instant::now();
     let mut sense = 0u64;
     let mut local_handled = 0u64;

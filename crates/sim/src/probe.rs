@@ -27,8 +27,9 @@
 //! [`ProbeEvent::b`]).
 //!
 //! Disabled probes are free beyond one branch: every recording method
-//! returns before touching the (never-allocated) buffer, so `// simlint::hot`
-//! paths stay allocation-free.
+//! returns before touching the (never-allocated) buffer, so the hot paths
+//! that record stay allocation-free (the exact allocation pins in
+//! `crates/bench/tests/counts.rs` hold them to it).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -78,8 +79,9 @@ impl Track {
     }
 }
 
-/// Static identity of one probe point: a workspace-unique name (the simlint
-/// `probe-unique` rule enforces it) and the track its records land on.
+/// Static identity of one probe point: a workspace-unique name (the
+/// source scan in `tests/source_rules.rs` enforces it) and the track its
+/// records land on.
 /// Declare each as a `static`, so every record of the point holds the same
 /// 8-byte `&'static ProbeId`; it is not `Copy`, since a copy would be a
 /// second address for the same point.
@@ -341,9 +343,11 @@ impl ProbeSink {
     /// Append one record. `word` is already packed for `phase` (see
     /// [`ProbeEvent`]). Free (one branch) when disabled; never allocates
     /// beyond the ring reserved at construction and the label cache.
-    // simlint::hot
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one record's fields, passed flat so the disabled path stays one branch"
+    )]
     fn push(
         &mut self,
         time: SimTime,
@@ -407,7 +411,10 @@ impl ProbeSink {
     /// Open a span on `(node, id.track)` belonging to `flow`. `a` and `b`
     /// must each fit in 32 bits (checked).
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a span's fields plus its flow, mirroring `begin`"
+    )]
     pub fn begin_flow(
         &mut self,
         time: SimTime,

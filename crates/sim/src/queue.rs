@@ -197,7 +197,6 @@ impl<E> Wheel<E> {
     /// Insert into `active`, preserving ascending key order. Only events in
     /// an already-drained bucket land here, so `active` stays small and the
     /// end cases dominate.
-    // simlint::hot
     fn insert_active(&mut self, entry: Entry<E>) {
         let k = entry.key();
         // O(1) end cases first; they dominate real schedules (an event later
@@ -215,7 +214,6 @@ impl<E> Wheel<E> {
     }
 
     /// Append to absolute bucket `b`, which must lie inside the window.
-    // simlint::hot
     #[inline]
     fn bucket_push(&mut self, b: u64, entry: Entry<E>) {
         debug_assert!(b >= self.cursor && b - self.cursor < BUCKETS, "bucket outside the window");
@@ -225,7 +223,6 @@ impl<E> Wheel<E> {
         self.bucketed += 1;
     }
 
-    // simlint::hot
     #[inline]
     fn push(&mut self, entry: Entry<E>) {
         let b = bucket_of(entry.time);
@@ -260,7 +257,6 @@ impl<E> Wheel<E> {
     /// Move the next non-empty bucket into the (empty) active tier, then
     /// slide the window past it. Caller guarantees an event is pending in
     /// the ring or the far heap.
-    // simlint::hot
     fn refill(&mut self) {
         debug_assert!(self.active.is_empty());
         let c = if self.bucketed > 0 {
@@ -382,7 +378,6 @@ impl<E> EventQueue<E> {
     /// Schedule `event` to fire at `time`, after every ordinary event
     /// already scheduled for that instant (and after all of its wire
     /// events).
-    // simlint::hot
     #[inline]
     pub fn push(&mut self, time: SimTime, event: E) {
         let tie = NORMAL | self.next_seq;
@@ -395,14 +390,12 @@ impl<E> EventQueue<E> {
     /// same instant, and wire events of one instant pop in key order,
     /// whenever they were pushed. `(time, src, seq)` must be unique among
     /// wire events; `src` must fit 24 bits and `seq` 39 (asserted).
-    // simlint::hot
     #[inline]
     pub fn push_wire(&mut self, time: SimTime, src: u64, seq: u64, event: E) {
         let tie = wire_tie(src, seq);
         self.push_entry(Entry { time, tie, event });
     }
 
-    // simlint::hot
     #[inline]
     fn push_entry(&mut self, entry: Entry<E>) {
         match &mut self.inner {
@@ -415,7 +408,6 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event if it fires at or before
     /// `limit`; `None` when the queue is empty or its earliest event is
     /// later. One call does what a peek and a pop would.
-    // simlint::hot
     #[inline]
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
         let entry = match &mut self.inner {

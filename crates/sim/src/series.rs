@@ -270,7 +270,6 @@ impl SeriesSink {
     /// Sample `(node, gauge) = value` at `time`. Free (one branch) when
     /// disabled; a no-op when the value is unchanged; otherwise a ring
     /// write (overflow bumps [`SeriesSink::dropped`], never grows).
-    // simlint::hot
     #[inline]
     pub fn record_gauge(&mut self, time: SimTime, node: u32, gauge: GaugeId, value: u64) {
         if !self.config.enabled {

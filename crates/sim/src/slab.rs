@@ -54,7 +54,6 @@ impl<T> Slab<T> {
 
     /// Store `value`, returning its index. Recycles a freed slot when one is
     /// available; only grows the backing vector otherwise.
-    // simlint::hot
     pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(idx) => {
@@ -74,7 +73,6 @@ impl<T> Slab<T> {
     ///
     /// Panics if the slot is vacant — an index used twice is a logic bug the
     /// caller must hear about, not silently absorb.
-    // simlint::hot
     pub fn take(&mut self, idx: u32) -> T {
         let value = self.slots[idx as usize]
             .take()

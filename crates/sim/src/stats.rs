@@ -324,7 +324,6 @@ impl Counters {
     /// Keys are `&'static str`, so the same counter is almost always named
     /// by the same string constant — pointer identity short-circuits the
     /// byte comparison on the hot path.
-    // simlint::hot
     pub fn add(&mut self, name: &'static str, n: u64) {
         for e in &mut self.entries {
             if std::ptr::eq(e.0, name) || e.0 == name {

@@ -604,7 +604,7 @@ impl WatchEngine {
 
     /// Close one run of firing windows, emitting an incident if it lasted
     /// long enough.
-    #[allow(clippy::too_many_arguments)] // internal plumbing, not API
+    #[expect(clippy::too_many_arguments, reason = "internal plumbing, not API")]
     fn emit(
         &self,
         d: &Detector,

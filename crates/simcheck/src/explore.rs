@@ -166,7 +166,10 @@ fn deadlock_detail(cfg: &Config, st: &State) -> String {
 /// Rebuild the action path to `id` from the BFS parent pointers, then
 /// re-walk it from the initial state to annotate every step with the
 /// packet it touches (the annotation needs the *pre*-state of each step).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the explorer's state tables, borrowed apart for one extraction"
+)]
 fn extract_trace(
     cfg: &Config,
     topo: &Topo,
@@ -288,7 +291,7 @@ fn canonicalize(topo: &Topo, mut st: State) -> State {
             // (ChildAcks has no setter — monotonic on purpose).
             let counts: Vec<u64> = keys.iter().map(|k| k.3).collect();
             let nchildren = topo.children[p].len();
-            let mut fresh = gm::proto::ChildAcks::new(nchildren);
+            let mut fresh = gm_proto::ChildAcks::new(nchildren);
             for ci in 0..nchildren {
                 let count = if let Some(k) = positions.iter().position(|&q| q as usize == ci) {
                     counts[k]
@@ -308,7 +311,7 @@ fn canonicalize(topo: &Topo, mut st: State) -> State {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gm::proto::ProtoMutation;
+    use gm_proto::ProtoMutation;
 
     fn never() -> impl FnMut() -> bool {
         || false

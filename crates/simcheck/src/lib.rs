@@ -4,7 +4,7 @@
 //! The checker explores every interleaving of a small configuration (2–5
 //! nodes, short messages, bounded loss/duplication/reorder/crash budgets)
 //! of the one-to-many Go-Back-N multicast, built directly on the same
-//! pure transition functions (`gm::proto`) the simulator's firmware model
+//! pure transition functions (`gm_proto`) the simulator's firmware model
 //! executes. It verifies, in every reachable state:
 //!
 //! * **exactly-once delivery** to every non-crashed member,

@@ -14,9 +14,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant; // simlint::allow(det-walltime, CLI wall budget, not simulation time)
+use std::time::Instant;
 
-use gm::proto::ProtoMutation;
+use gm_proto::ProtoMutation;
 use simcheck::{extract_replay, run, trace_json, Config, Limits, Topo};
 
 /// Wall-clock budget for the CI run; generous — the CI configuration
@@ -107,8 +107,12 @@ fn main() -> ExitCode {
         }
     }
 
-    let root = simlint::workspace_root();
-    let started = Instant::now(); // simlint::allow(det-walltime, wall budget for the CI gate)
+    let results = bench::results_dir();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall budget of the CI gate; never feeds the explored state"
+    )]
+    let started = Instant::now();
     let mut interrupt = || ci && started.elapsed().as_secs() > CI_WALL_SECS;
     let out = run(&cfg, &limits, &mut interrupt);
     let wall_ms = started.elapsed().as_millis();
@@ -136,7 +140,7 @@ fn main() -> ExitCode {
     );
 
     if ci {
-        let report = report_path.unwrap_or_else(|| root.join("results/simcheck_report.json"));
+        let report = report_path.unwrap_or_else(|| results.join("simcheck_report.json"));
         if let Some(dir) = report.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -186,8 +190,7 @@ fn main() -> ExitCode {
                      not expressible as simulator drop rules"
                 ),
             }
-            let trace =
-                trace_path.unwrap_or_else(|| root.join("results/simcheck_trace.json"));
+            let trace = trace_path.unwrap_or_else(|| results.join("simcheck_trace.json"));
             if let Some(dir) = trace.parent() {
                 let _ = std::fs::create_dir_all(dir);
             }

@@ -1,5 +1,5 @@
 //! The protocol model: one multicast, rendered as a finite transition
-//! system over the **same** pure transition functions (`gm::proto`) the
+//! system over the **same** pure transition functions (`gm_proto`) the
 //! simulator's firmware model executes.
 //!
 //! A state is the cross product of per-node protocol state (Go-Back-N
@@ -30,7 +30,7 @@
 //! * **Payload bytes are dropped.** Delivery correctness is sequence-number
 //!   bookkeeping; the simulator's own tests cover payload integrity.
 
-use gm::proto::{self, ChildAcks, Credits, GbnRx, GbnTx, Pool, ProtoMutation, RxVerdict};
+use gm_proto::{self as proto, ChildAcks, Credits, GbnRx, GbnTx, Pool, ProtoMutation, RxVerdict};
 
 // ---------------------------------------------------------------------------
 // Configuration and topology
@@ -218,7 +218,7 @@ pub struct Rec {
     pub chain: Chain,
 }
 
-/// One node's protocol state. Built entirely from `gm::proto` types plus
+/// One node's protocol state. Built entirely from `gm_proto` types plus
 /// plain queues, so every field the checker branches on is the field the
 /// simulator branches on.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -579,7 +579,7 @@ pub fn apply(cfg: &Config, topo: &Topo, st: &State, action: Action) -> State {
 
 /// A data packet arrives at `dst` from its parent `src`: the GM receive
 /// path (SRAM buffer, sequence verdict, receive credit, forwarding chain,
-/// RDMA queue, per-packet ack) built on `gm::proto`.
+/// RDMA queue, per-packet ack) built on `gm_proto`.
 fn deliver_data(_cfg: &Config, topo: &Topo, s: &mut State, src: u8, dst: u8, seq: u8) {
     let up = topo.link(dst, src);
     let node = &mut s.nodes[dst as usize];

@@ -1,6 +1,6 @@
 //! Model ↔ implementation conformance.
 //!
-//! The checker and the simulator share their protocol core (`gm::proto`),
+//! The checker and the simulator share their protocol core (`gm_proto`),
 //! but the checker's transition system is hand-written on top of it. These
 //! tests pin the two together: the clean CI configuration verifies
 //! exhaustively, the seeded mutation is caught with a counterexample the
@@ -10,7 +10,7 @@
 
 use std::collections::BTreeSet;
 
-use gm::proto::ProtoMutation;
+use gm_proto::ProtoMutation;
 use proptest::prelude::*;
 use simcheck::{
     apply, check, enabled, explore, extract_replay, is_goal, model_delivered, run, trace_json,

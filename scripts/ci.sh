@@ -76,14 +76,17 @@ run test -q --manifest-path mcbench/Cargo.toml "${CARGO_FLAGS[@]}"
 run run --release -q --manifest-path mcbench/Cargo.toml "${CARGO_FLAGS[@]}" -- --smoke >/dev/null
 echo "ci: mcbench smoke OK (target/mcbench/results.json)"
 
-# Lints: the tree stays warning-free.
+# Lints: the tree stays warning-free. With the root clippy.toml and the
+# workspace lint table this is also the determinism and hygiene gate (see
+# DESIGN.md "Static invariants"): no HashMap/HashSet, no Instant::now or
+# SystemTime::now, no thread::spawn or thread::scope, no unwrap() outside
+# tests, and no #[allow]: a suppression is an #[expect] with a reason, and
+# one that suppresses nothing fails. The unit, expect-message and
+# probe-name rules are tests/source_rules.rs, part of the tier-1 suite.
 run clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
-
-# Blocking determinism/unit-safety gate (see DESIGN.md "Static invariants").
-# Writes the machine-readable report to results/simlint_report.json.
-# Includes the probe-unique rule: ProbeId names stay unique workspace-wide.
-run run -q -p simlint "${CARGO_FLAGS[@]}" -- --workspace
-echo "ci: simlint report at results/simlint_report.json"
+# The benchmark keeps the unwrap rule too; reading the wall clock is its job.
+run clippy --manifest-path mcbench/Cargo.toml --all-targets "${CARGO_FLAGS[@]}" -- \
+  -D warnings -D clippy::unwrap_used -A clippy::disallowed_methods
 
 # Model-checking gate: exhaustively explore the CI configuration (3 nodes,
 # window 2, loss budget 2, plus dup/reorder/crash budgets) of the reliable-

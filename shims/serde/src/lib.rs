@@ -7,6 +7,11 @@
 //! renders. The `Serialize` name works both as the trait and as the derive
 //! macro, exactly like `use serde::Serialize` with the real crate.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "serde's API serializes HashMap; keys are sorted before rendering"
+)]
+
 pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, HashMap};
