@@ -165,7 +165,7 @@ fn nic_based_scenario_counts() {
     let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("NIC-based scenario events", events, 5_067);
-    pin("NIC-based scenario allocations", heap.allocs, 2_125);
+    pin("NIC-based scenario allocations", heap.allocs, 1_085);
 }
 
 #[test]
@@ -174,7 +174,7 @@ fn host_based_scenario_counts() {
     let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("host-based scenario events", events, 6_049);
-    pin("host-based scenario allocations", heap.allocs, 2_393);
+    pin("host-based scenario allocations", heap.allocs, 1_433);
 }
 
 #[test]
@@ -183,8 +183,8 @@ fn workload_counts() {
     let (report, heap) = measured(|| built.run());
     let events = report.metrics.get("engine.events");
     pin("workload events", events, 76_917);
-    pin("workload allocations", heap.allocs, 6_079);
-    pin("workload peak live bytes", heap.peak_bytes, 984_120);
+    pin("workload allocations", heap.allocs, 3_294);
+    pin("workload peak live bytes", heap.peak_bytes, 533_052);
 }
 
 /// mcbench's `group_churn` in small: 32 nodes, 200 groups of fixed
@@ -211,8 +211,8 @@ fn churn_workload_counts() {
     );
     let events = report.metrics.get("engine.events");
     pin("churn workload events", events, 74_379);
-    pin("churn workload allocations", heap.allocs, 9_441);
-    pin("churn workload peak live bytes", heap.peak_bytes, 1_240_416);
+    pin("churn workload allocations", heap.allocs, 7_367);
+    pin("churn workload peak live bytes", heap.peak_bytes, 1_009_136);
 }
 
 /// Per-group Poisson arrivals at 20 kHz over 2 ms for the [`workload`]'s
@@ -240,11 +240,11 @@ fn trace_workload_counts() {
     let (report, heap) = measured(|| spec.build().expect("valid workload").run());
     let events = report.metrics.get("engine.events");
     pin("trace workload events", events, 78_751);
-    pin("trace workload build and run allocations", heap.allocs, 6_886);
+    pin("trace workload build and run allocations", heap.allocs, 4_104);
     pin(
         "trace workload build and run peak live bytes",
         heap.peak_bytes,
-        965_104,
+        522_156,
     );
 }
 
@@ -272,7 +272,7 @@ fn observed_workload_counts() {
     );
     let events = report.metrics.get("engine.events");
     pin("observed workload events", events, 94_187);
-    pin("observed workload allocations", heap.allocs, 7_667);
+    pin("observed workload allocations", heap.allocs, 5_094);
     pin(
         "observed workload peak live bytes",
         heap.peak_bytes,
@@ -290,7 +290,7 @@ fn mpi_bcast_counts() {
         "the MPI run took more than one shard: unset MYRI_SIM_SHARDS to count it"
     );
     pin("MPI broadcast events", out.events, 8_647);
-    pin("MPI broadcast allocations", heap.allocs, 2_368);
+    pin("MPI broadcast allocations", heap.allocs, 1_274);
 }
 
 #[test]

@@ -222,12 +222,13 @@ impl<X: NicExtension> Cluster<X> {
 
     /// Supply a per-node expected-event-load estimate (any cost model — the
     /// workload layer derives one from group membership, tree degree and
-    /// arrival counts). A sharded engine then places shard boundaries
-    /// with [`Topology::partition_weighted`], minimizing the heaviest
-    /// shard's load instead of balancing node counts — less time parked at
-    /// window barriers when the traffic is skewed. Weights steer *placement
-    /// only*: results stay bit-for-bit identical at any shard count and any
-    /// weighting, because shard ownership never affects event outcomes.
+    /// arrival counts). A sharded engine then places shard boundaries with
+    /// [`Topology::partition_weighted`](myrinet::Topology::partition_weighted),
+    /// minimizing the heaviest shard's load instead of balancing node
+    /// counts — less time parked at window barriers when the traffic is
+    /// skewed. Weights steer *placement only*: results stay bit-for-bit
+    /// identical at any shard count and any weighting, because shard
+    /// ownership never affects event outcomes.
     pub fn set_partition_weights(&mut self, weights: Vec<u64>) {
         assert_eq!(
             weights.len(),

@@ -29,4 +29,6 @@ mod topology;
 pub use fabric::{Fabric, NetParams, RxOutcome, TxVerdict, WireHandoff};
 pub use fault::{DropReason, DropRule, FaultPlan};
 pub use packet::{GroupId, NodeId, Packet, PacketKind, Payload, PortId, HEADER_BYTES, MTU};
-pub use topology::{LinkEnds, LinkId, SwitchId, TopoKind, Topology, MAX_NODES, SWITCH_PORTS};
+pub use topology::{
+    LinkEnds, LinkId, RouteTable, SwitchId, TopoKind, Topology, MAX_NODES, SWITCH_PORTS,
+};

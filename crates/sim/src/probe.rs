@@ -633,7 +633,7 @@ impl Metrics {
 /// The output loads directly in <https://ui.perfetto.dev> (or
 /// `chrome://tracing`): one process per node, one thread per resource track,
 /// `B`/`E`/`X`/`i` phases, timestamps in microseconds. Records carrying a
-/// [`FlowId`](crate::flow::FlowId) additionally emit Chrome *flow events*
+/// [`FlowId`] additionally emit Chrome *flow events*
 /// (`ph:"s"`/`"t"`/`"f"`, keyed by the packed flow id), which Perfetto
 /// renders as arrows linking the spans of one delivery across tracks and
 /// nodes.

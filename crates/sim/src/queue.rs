@@ -20,7 +20,7 @@
 //!   the bucket being drained; the next ~131 µs are a ring of 1,024
 //!   buckets of 128 ns with an occupancy bitmap; later events wait in a
 //!   far heap and move into the ring as the window slides past them. Most
-//!   pushes are an O(1) bucket append, pops are O(1) front-pops, and
+//!   pushes are an O(1) bucket prepend, pops are O(1) front-pops, and
 //!   sorting happens once per (small) bucket drain.
 //! * **Heap**: the classic single binary heap, kept as the reference
 //!   implementation for differential tests.
@@ -28,7 +28,11 @@
 //! Events are stored inline in the entries. The simulator's events are
 //! 12-byte ids — payloads park with the node that owns them (see
 //! `gm::cluster`) — so an entry is as cheap to move as an index record and
-//! no payload arena is needed.
+//! no payload arena is needed. The ring's buckets share one pool of entries
+//! instead: each slot heads a list linked through a [`Slab`], whose free
+//! list hands a drained entry's slot to the next push. The wheel's bucket
+//! storage therefore follows the number of events pending, not the busiest
+//! lap each bucket has seen.
 //!
 //! Both implementations produce the exact same pop order, so simulated
 //! results are bit-for-bit identical; tests switch the default to the heap
@@ -38,6 +42,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
+use crate::slab::Slab;
 use crate::time::SimTime;
 
 /// Tiebreak bit of ordinary events. Wire keys have it clear, so within an
@@ -110,6 +115,9 @@ const BUCKET_WIDTH: u64 = 1 << BUCKET_SHIFT;
 #[cfg(test)]
 const WINDOW: u64 = BUCKETS * BUCKET_WIDTH;
 
+/// The link past a bucket's oldest entry, and the head of an empty slot.
+const NIL: u32 = u32::MAX;
+
 /// The absolute bucket index of `time`.
 #[inline]
 fn bucket_of(time: SimTime) -> u64 {
@@ -136,16 +144,6 @@ pub fn set_kind_override(kind: Option<QueueKind>) {
     HEAP_OVERRIDE.store(kind == Some(QueueKind::Heap), AtomicOrdering::Relaxed);
 }
 
-/// The implementation `EventQueue::new` selects right now: the reference
-/// heap if [`set_kind_override`] picked it, otherwise the wheel.
-pub fn default_kind() -> QueueKind {
-    if HEAP_OVERRIDE.load(AtomicOrdering::Relaxed) {
-        QueueKind::Heap
-    } else {
-        QueueKind::Wheel
-    }
-}
-
 /// Sliding circular timing wheel with a sorted-deque active tier and a
 /// far-future heap.
 ///
@@ -166,17 +164,24 @@ pub fn default_kind() -> QueueKind {
 /// * `active` is refilled lazily: [`refill`](Self::refill) (called by peek
 ///   and pop) drains the next occupied bucket when `active` is empty, or
 ///   jumps to the far heap's earliest bucket when the ring is empty, then
-///   slides the window and migrates the far events it now covers.
+///   slides the window and migrates the far events it now covers;
+/// * every live `pool` node is linked into exactly one slot's list, newest
+///   first, and a slot's `occupied` bit is set exactly when its list is
+///   non-empty.
 struct Wheel<E> {
     /// Sorted ascending by key; earliest event at the front.
     active: VecDeque<Entry<E>>,
     /// Absolute index of the first bucket not yet drained into `active`.
     cursor: u64,
-    buckets: Vec<Vec<Entry<E>>>,
+    /// Per slot, the pool node of its bucket's newest entry (`NIL` when the
+    /// bucket is empty).
+    heads: [u32; BUCKETS as usize],
+    /// Every bucketed entry, with the node of the entry pushed before it
+    /// into the same bucket. The pool grows only when all its slots are
+    /// live, so it never has more slots than events were ever pending.
+    pool: Slab<(Entry<E>, u32)>,
     /// One bit per slot; lets `refill` skip empty slots 64 at a time.
     occupied: [u64; WORDS],
-    /// Events held in `buckets`.
-    bucketed: usize,
     far: BinaryHeap<Entry<E>>,
 }
 
@@ -185,11 +190,9 @@ impl<E> Wheel<E> {
         Wheel {
             active: VecDeque::new(),
             cursor: 0,
-            buckets: std::iter::repeat_with(Vec::new)
-                .take(BUCKETS as usize)
-                .collect(),
+            heads: [NIL; BUCKETS as usize],
+            pool: Slab::new(),
             occupied: [0; WORDS],
-            bucketed: 0,
             far: BinaryHeap::new(),
         }
     }
@@ -213,14 +216,16 @@ impl<E> Wheel<E> {
         self.active.insert(pos, entry);
     }
 
-    /// Append to absolute bucket `b`, which must lie inside the window.
+    /// Add to absolute bucket `b`, which must lie inside the window.
     #[inline]
     fn bucket_push(&mut self, b: u64, entry: Entry<E>) {
-        debug_assert!(b >= self.cursor && b - self.cursor < BUCKETS, "bucket outside the window");
+        debug_assert!(
+            b >= self.cursor && b - self.cursor < BUCKETS,
+            "bucket outside the window"
+        );
         let slot = (b & SLOT_MASK) as usize;
-        self.buckets[slot].push(entry);
+        self.heads[slot] = self.pool.insert((entry, self.heads[slot]));
         self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.bucketed += 1;
     }
 
     #[inline]
@@ -240,16 +245,25 @@ impl<E> Wheel<E> {
     /// order from there is bucket order, because the ring holds exactly
     /// one window.
     fn next_occupied(&self) -> u64 {
-        debug_assert!(self.bucketed > 0);
+        debug_assert!(!self.pool.is_empty());
         let start = self.cursor & SLOT_MASK;
         let mut wi = (start / 64) as usize;
         let mut word = self.occupied[wi] & (!0u64 << (start % 64));
-        // Terminates within WORDS + 1 words: some bit is set. Revisiting the
-        // start word unmasked yields its low bits — the window's far end.
-        while word == 0 {
+        // Some bit is set, so this ends within WORDS more words: revisiting
+        // the start word unmasked yields its low bits — the window's far
+        // end. A pool node whose bucket lost its bit fails here, not spins.
+        for _ in 0..WORDS {
+            if word != 0 {
+                break;
+            }
             wi = (wi + 1) % WORDS;
             word = self.occupied[wi];
         }
+        assert!(
+            word != 0,
+            "{} pooled entries but no occupied slot",
+            self.pool.len()
+        );
         let slot = (wi as u64) * 64 + u64::from(word.trailing_zeros());
         self.cursor + (slot.wrapping_sub(start) & SLOT_MASK)
     }
@@ -259,13 +273,19 @@ impl<E> Wheel<E> {
     /// the ring or the far heap.
     fn refill(&mut self) {
         debug_assert!(self.active.is_empty());
-        let c = if self.bucketed > 0 {
+        let c = if !self.pool.is_empty() {
             let c = self.next_occupied();
             let slot = (c & SLOT_MASK) as usize;
             self.occupied[slot / 64] &= !(1 << (slot % 64));
-            let bucket = &mut self.buckets[slot];
-            self.bucketed -= bucket.len();
-            self.active.extend(bucket.drain(..));
+            // The list runs newest first, so pushing each entry at the
+            // front leaves `active` in push order, which the sort's
+            // insertion pass takes in near-linear time.
+            let mut node = std::mem::replace(&mut self.heads[slot], NIL);
+            while node != NIL {
+                let (entry, older) = self.pool.take(node);
+                self.active.push_front(entry);
+                node = older;
+            }
             self.active
                 .make_contiguous()
                 .sort_unstable_by_key(Entry::key);
@@ -308,15 +328,50 @@ impl<E> Wheel<E> {
     fn clear(&mut self) {
         self.active.clear();
         self.far.clear();
-        for (wi, word) in self.occupied.iter_mut().enumerate() {
-            while *word != 0 {
-                let b = word.trailing_zeros() as usize;
-                self.buckets[wi * 64 + b].clear();
-                *word &= *word - 1;
+        self.heads = [NIL; BUCKETS as usize];
+        self.occupied = [0; WORDS];
+        self.pool.clear();
+        self.cursor = 0;
+    }
+
+    /// Walk every bucket list and check the pool against it (see
+    /// [`EventQueue::check_pool`]). Returns the number of linked entries;
+    /// a link to a vacant or missing pool slot panics.
+    fn check_pool(&self) -> Result<usize, String> {
+        let mut linked = vec![false; self.pool.capacity()];
+        let mut count = 0;
+        for (slot, &head) in self.heads.iter().enumerate() {
+            let bit = (self.occupied[slot / 64] >> (slot % 64)) & 1 == 1;
+            if bit != (head != NIL) {
+                return Err(format!("slot {slot}: occupancy bit {bit}, head {head}"));
+            }
+            let mut node = head;
+            while node != NIL {
+                if std::mem::replace(&mut linked[node as usize], true) {
+                    return Err(format!(
+                        "node {node} is linked twice (again from slot {slot})"
+                    ));
+                }
+                let (entry, older) = self.pool.get(node);
+                let b = bucket_of(entry.time);
+                if (b & SLOT_MASK) as usize != slot || b < self.cursor || b - self.cursor >= BUCKETS
+                {
+                    return Err(format!(
+                        "node {node} of slot {slot} holds bucket {b}, cursor {}",
+                        self.cursor
+                    ));
+                }
+                count += 1;
+                node = *older;
             }
         }
-        self.bucketed = 0;
-        self.cursor = 0;
+        if count != self.pool.len() {
+            return Err(format!(
+                "the pool holds {} entries, its lists link {count}",
+                self.pool.len()
+            ));
+        }
+        Ok(count)
     }
 }
 
@@ -339,9 +394,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue of the process-default kind (see [`default_kind`]).
+    /// An empty queue of the process-default kind: the wheel, or the
+    /// reference heap if [`set_kind_override`] picked it.
     pub fn new() -> Self {
-        Self::with_kind(default_kind())
+        if HEAP_OVERRIDE.load(AtomicOrdering::Relaxed) {
+            Self::heap()
+        } else {
+            Self::wheel()
+        }
     }
 
     /// An empty queue of an explicit kind (for differential tests).
@@ -460,6 +520,27 @@ impl<E> EventQueue<E> {
         }
         self.len = 0;
     }
+
+    /// Check the wheel's bucket pool, for differential tests: every live
+    /// pool node is linked into exactly one bucket list, the one its time
+    /// maps to inside the window; a slot's occupancy bit is set exactly
+    /// when its list is non-empty; and the active tier, the lists and the
+    /// far heap together hold every pending event. Returns the number of
+    /// bucketed events (0 on the reference heap); the error names the first
+    /// broken invariant.
+    pub fn check_pool(&self) -> Result<usize, String> {
+        let (bucketed, others) = match &self.inner {
+            Inner::Wheel(w) => (w.check_pool()?, w.active.len() + w.far.len()),
+            Inner::Heap(h) => (0, h.len()),
+        };
+        if bucketed + others != self.len {
+            return Err(format!(
+                "{bucketed} bucketed and {others} other entries for {} pending events",
+                self.len
+            ));
+        }
+        Ok(bucketed)
+    }
 }
 
 #[cfg(test)]
@@ -526,6 +607,25 @@ mod tests {
             q.push(t(9), 1);
             assert_eq!(q.pop(), Some((t(9), 1)));
         }
+    }
+
+    #[test]
+    fn clear_empties_the_pool() {
+        let mut q = EventQueue::wheel();
+        for (i, dt) in [0, 100, BUCKET_WIDTH * 9, WINDOW / 2, WINDOW * 2]
+            .into_iter()
+            .enumerate()
+        {
+            q.push(t(dt), i);
+        }
+        assert_eq!(q.pop(), Some((t(0), 0)));
+        assert_eq!(q.check_pool(), Ok(2));
+        q.clear();
+        assert_eq!(q.check_pool(), Ok(0));
+        let Inner::Wheel(w) = &q.inner else {
+            unreachable!("built as a wheel")
+        };
+        assert_eq!(w.pool.capacity(), 0);
     }
 
     #[test]
@@ -702,6 +802,55 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn pool_never_has_more_slots_than_the_peak_pending_count() {
+        // A steady causal schedule over 100 laps of the ring: each pop
+        // pushes one event 0–4 µs ahead, and a second while fewer than 64
+        // are pending; one pop in 128 arms a timer one to two windows
+        // ahead instead of its first near event. However many laps each
+        // slot serves, the pool has no more slots than events were ever
+        // pending at once.
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut rnd = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut q = EventQueue::wheel();
+        for i in 0..64 {
+            q.push(t(i * 60), i);
+        }
+        let mut peak = q.len();
+        let mut pops = 0u64;
+        while let Some((now, _)) = q.pop() {
+            let now = now.as_nanos();
+            if now >= WINDOW * 100 {
+                break;
+            }
+            if rnd() % 128 == 0 {
+                q.push(t(now + WINDOW + rnd() % WINDOW), pops);
+            } else {
+                q.push(t(now + rnd() % 4_000), pops);
+            }
+            if q.len() < 64 {
+                q.push(t(now + rnd() % 4_000), pops);
+            }
+            pops += 1;
+            peak = peak.max(q.len());
+            let Inner::Wheel(w) = &q.inner else {
+                unreachable!("built as a wheel")
+            };
+            assert!(
+                w.pool.capacity() <= peak,
+                "pop {pops}: {} pool slots for at most {peak} pending events",
+                w.pool.capacity()
+            );
+        }
+        assert!(pops > 100_000, "the schedule ran only {pops} pops");
+        assert!(q.check_pool().is_ok(), "{:?}", q.check_pool());
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! payload is moved exactly twice — once in at [`Slab::insert`], once out
 //! at [`Slab::take`] — no matter how many times its index is resorted.
 //!
-//! The cluster (`gm::cluster`) is its one owner: it parks each event's
-//! payload with the node that owns it (host calls, arriving packets, timer
-//! tags) plus its packet hand-offs, so an event is a node id and a `u32`.
-//! The event queue itself keeps no arena: those thin events ride inline.
+//! The cluster (`gm::cluster`) parks each event's payload with the node
+//! that owns it (host calls, arriving packets, timer tags) plus its packet
+//! hand-offs, so an event is a node id and a `u32`. Those thin events ride
+//! inline in the event queue's entries, and the queue's timing wheel keeps
+//! its bucketed entries in one slab of its own: each bucket is a list
+//! linked through slab indices, so the wheel's storage follows the number
+//! of pending events.
 //!
 //! Freed slots are recycled through an internal free list, so a steady-state
 //! simulation reaches a fixed footprint and stops allocating entirely — the

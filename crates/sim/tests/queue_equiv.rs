@@ -3,7 +3,9 @@
 //! queue for any schedule — including same-instant ties, keyed wire-class
 //! pushes, pushes interleaved with pops, and events scheduled during
 //! dispatch (`immediately`-style zero-delay pushes at the last popped
-//! time).
+//! time). After every operation the wheel's bucket pool must hold exactly
+//! its bucketed events, each linked into one bucket list
+//! (`EventQueue::check_pool`).
 
 use gm_sim::{EventQueue, SimTime};
 use proptest::prelude::*;
@@ -80,6 +82,8 @@ proptest! {
             }
             prop_assert_eq!(wheel.len(), heap.len());
             prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+            let pool = wheel.check_pool();
+            prop_assert!(pool.is_ok(), "after {:?}: {:?}", op, pool);
         }
         // Drain both and compare the full tail.
         loop {
@@ -109,6 +113,8 @@ proptest! {
         let mut got = Vec::new();
         while let Some((t, id)) = wheel.pop() {
             got.push((t.as_nanos(), id));
+            let pool = wheel.check_pool();
+            prop_assert!(pool.is_ok(), "after {} pops: {:?}", got.len(), pool);
         }
         prop_assert_eq!(got, expect);
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo gate: tier-1 (release build + root test suite), the full workspace
-# test matrix, and clippy with warnings-as-errors.
+# test matrix, and clippy and rustdoc with warnings-as-errors.
 #
 # Every dependency resolves to an in-tree shim crate under shims/ (see
 # README "Offline builds"), so the whole gate runs with no network access.
@@ -87,6 +87,11 @@ run clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
 # The benchmark keeps the unwrap rule too; reading the wall clock is its job.
 run clippy --manifest-path mcbench/Cargo.toml --all-targets "${CARGO_FLAGS[@]}" -- \
   -D warnings -D clippy::unwrap_used -A clippy::disallowed_methods
+
+# Docs: rustdoc with warnings-as-errors, so a broken intra-doc link, a
+# public doc that links a private item or a redundant link target fails.
+echo "+ RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace "${CARGO_FLAGS[@]}"
 
 # Model-checking gate: exhaustively explore the CI configuration (3 nodes,
 # window 2, loss budget 2, plus dup/reorder/crash budgets) of the reliable-

@@ -12,7 +12,9 @@
 //!   every probe record names exactly one probe point.
 //!
 //! The determinism and suppression rules are clippy's: the root
-//! `clippy.toml` and the workspace lint table (DESIGN.md §9).
+//! `clippy.toml` and the workspace lint table (DESIGN.md §9). One more
+//! check keeps that table whole: `crates/bench/Cargo.toml` copies its
+//! clippy half, and the copy must hold exactly the same lines.
 
 use std::path::{Path, PathBuf};
 
@@ -134,6 +136,39 @@ fn tree() -> Vec<(String, String)> {
         .collect()
 }
 
+/// The `key = value` lines of the TOML table `[name]` in `toml`, trimmed,
+/// with comments and blank lines dropped.
+fn table_lines<'a>(toml: &'a str, name: &str) -> Vec<&'a str> {
+    let header = format!("[{name}]");
+    toml.lines()
+        .map(|l| l.find('#').map_or(l, |i| &l[..i]).trim())
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter(|l| !l.is_empty())
+        .collect()
+}
+
+/// Where bench's `[lints.clippy]` copy differs from the workspace's
+/// `[workspace.lints.clippy]` table: one message per line that only one of
+/// the two holds.
+fn lint_drift(workspace: &str, bench: &str) -> Vec<String> {
+    let ours = table_lines(workspace, "workspace.lints.clippy");
+    let copy = table_lines(bench, "lints.clippy");
+    let mut drift = Vec::new();
+    for (from, to, lines, other) in [
+        ("the workspace", "bench", &ours, &copy),
+        ("bench", "the workspace", &copy, &ours),
+    ] {
+        for line in lines.iter().filter(|l| !other.contains(l)) {
+            drift.push(format!(
+                "`{line}` is in {from}'s clippy lint table, not in {to}'s"
+            ));
+        }
+    }
+    drift
+}
+
 #[test]
 fn the_tree_keeps_the_source_rules() {
     let files = tree();
@@ -181,6 +216,21 @@ fn the_scan_sees_every_probe_point() {
             );
         }
     }
+}
+
+/// `crates/bench` cannot inherit the workspace lints (its counting
+/// allocator needs `unsafe_code` at deny, not forbid), so it copies the
+/// clippy table; a lint added to one table only would skip the other.
+#[test]
+fn the_bench_lint_table_copies_the_workspace_one() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |p: &str| std::fs::read_to_string(root.join(p)).expect("manifest is readable");
+    let drift = lint_drift(&read("Cargo.toml"), &read("crates/bench/Cargo.toml"));
+    assert!(
+        drift.is_empty(),
+        "crates/bench/Cargo.toml's [lints.clippy] has drifted:\n{}",
+        drift.join("\n")
+    );
 }
 
 #[test]
@@ -265,4 +315,24 @@ pub static WIRE_RETX: ProbeId = ProbeId::new("fixture_retx", Track::Wire);"#;
     let good = scan([("t.rs", good_probes)]);
     assert_eq!(good.broken, Vec::<String>::new());
     assert_eq!(good.probes.len(), 2);
+
+    let workspace = r#"
+[workspace.lints.clippy]
+# A comment, then a blank line.
+
+unwrap_used = "warn"
+allow_attributes = "warn"  # trailing comment
+
+[package]
+name = "x""#;
+    let same = "[lints.rust]\nunsafe_code = \"deny\"\n[lints.clippy]\nallow_attributes = \"warn\"\nunwrap_used = \"warn\"";
+    assert_eq!(lint_drift(workspace, same), Vec::<String>::new());
+    let short = "[lints.clippy]\nunwrap_used = \"warn\"\ntodo = \"warn\"";
+    assert_eq!(
+        lint_drift(workspace, short),
+        [
+            "`allow_attributes = \"warn\"` is in the workspace's clippy lint table, not in bench's",
+            "`todo = \"warn\"` is in bench's clippy lint table, not in the workspace's",
+        ]
+    );
 }
