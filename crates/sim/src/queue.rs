@@ -228,7 +228,10 @@ impl<E> Wheel<E> {
         self.occupied[slot / 64] |= 1 << (slot % 64);
     }
 
-    #[inline]
+    // Forced: with the pool's insert inlined into it, LLVM kept `push` out
+    // of line, and the call on every push cost ~5% of `many_groups`'
+    // dispatch. The rare far-heap path stays out of line instead.
+    #[inline(always)]
     fn push(&mut self, entry: Entry<E>) {
         let b = bucket_of(entry.time);
         if b < self.cursor {
@@ -236,8 +239,16 @@ impl<E> Wheel<E> {
         } else if b - self.cursor < BUCKETS {
             self.bucket_push(b, entry);
         } else {
-            self.far.push(entry);
+            self.far_push(entry);
         }
+    }
+
+    /// Queue an event a window or more ahead: rare (retransmission timers,
+    /// for instance), so its heap sift stays out of the inlined `push`.
+    #[cold]
+    #[inline(never)]
+    fn far_push(&mut self, entry: Entry<E>) {
+        self.far.push(entry);
     }
 
     /// The absolute index of the first occupied bucket (the ring must be
