@@ -5,8 +5,9 @@
 //! every repeat and in the debug and release profiles alike. Each test pins
 //! both for one run (Scenario, Workload, MPI), so a change that adds an
 //! event per packet or an allocation per packet moves a pin and fails here
-//! instead of hiding in wall-clock noise. Wall-clock cost itself is
-//! mcbench's to measure.
+//! instead of hiding in wall-clock noise. A test checks every pin of its
+//! run before it fails, and names each value that moved. Wall-clock cost
+//! itself is mcbench's to measure.
 //!
 //! Allocations are counted per thread by the allocator below, so tests
 //! running in parallel never mix their counts; only the calling thread is
@@ -32,7 +33,9 @@
 //! before the count starts, so a build that keeps or copies the trace
 //! fails here too. A group-churn run pins its peak because its admission
 //! waits hold messages in Go-Back-N records: a message that carries bytes
-//! again, or a record that grows, fails here.
+//! again, or a record that grows, fails here. The NIC-based scenario pins
+//! the peak of a closed-loop run, whose root keeps one window per timed
+//! iteration: a table sized to anything but the iterations fails here.
 //!
 //! A pin that moves on purpose is updated here, with the reason in
 //! CHANGES.md.
@@ -128,11 +131,21 @@ fn measured<R>(f: impl FnOnce() -> R) -> (R, Heap) {
     (out, heap)
 }
 
-fn pin(what: &str, got: u64, pinned: u64) {
-    assert_eq!(
-        got, pinned,
-        "{what}: {got}, pinned at {pinned}. If the change meant to move it, \
-         update the pin in crates/bench/tests/counts.rs and say why in CHANGES.md"
+/// Check each `(what, measured, pinned)` of one run, failing once with
+/// every value that moved.
+fn pins(run: &str, values: &[(&str, u64, u64)]) {
+    let moved: Vec<String> = values
+        .iter()
+        .filter(|(_, got, pinned)| got != pinned)
+        .map(|(what, got, pinned)| format!("  {what}: {got}, pinned at {pinned}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "{run}: {} of {} pins moved:\n{}\nIf the change meant to move them, update the \
+         pins in crates/bench/tests/counts.rs and say why in CHANGES.md",
+        moved.len(),
+        values.len(),
+        moved.join("\n")
     );
 }
 
@@ -163,28 +176,41 @@ fn workload(shards: u32) -> Workload {
 fn nic_based_scenario_counts() {
     let built = scenario(Scenario::nic_based(16));
     let (report, heap) = measured(|| built.run());
-    let events = report.metrics.get("engine.events");
-    pin("NIC-based scenario events", events, 5_067);
-    pin("NIC-based scenario allocations", heap.allocs, 1_085);
+    pins(
+        "NIC-based scenario",
+        &[
+            ("events", report.metrics.get("engine.events"), 5_067),
+            ("allocations", heap.allocs, 1_085),
+            ("peak live bytes", heap.peak_bytes, 158_516),
+        ],
+    );
 }
 
 #[test]
 fn host_based_scenario_counts() {
     let built = scenario(Scenario::host_based(16));
     let (report, heap) = measured(|| built.run());
-    let events = report.metrics.get("engine.events");
-    pin("host-based scenario events", events, 6_049);
-    pin("host-based scenario allocations", heap.allocs, 1_433);
+    pins(
+        "host-based scenario",
+        &[
+            ("events", report.metrics.get("engine.events"), 6_049),
+            ("allocations", heap.allocs, 1_433),
+        ],
+    );
 }
 
 #[test]
 fn workload_counts() {
     let built = workload(1).build().expect("valid workload");
     let (report, heap) = measured(|| built.run());
-    let events = report.metrics.get("engine.events");
-    pin("workload events", events, 76_917);
-    pin("workload allocations", heap.allocs, 3_294);
-    pin("workload peak live bytes", heap.peak_bytes, 533_052);
+    pins(
+        "workload",
+        &[
+            ("events", report.metrics.get("engine.events"), 76_917),
+            ("allocations", heap.allocs, 3_294),
+            ("peak live bytes", heap.peak_bytes, 533_052),
+        ],
+    );
 }
 
 /// mcbench's `group_churn` in small: 32 nodes, 200 groups of fixed
@@ -209,10 +235,14 @@ fn churn_workload_counts() {
         report.metrics.get("nic.mcast_group_admission_waits") > 0,
         "the group table churns"
     );
-    let events = report.metrics.get("engine.events");
-    pin("churn workload events", events, 74_379);
-    pin("churn workload allocations", heap.allocs, 7_367);
-    pin("churn workload peak live bytes", heap.peak_bytes, 1_009_136);
+    pins(
+        "churn workload",
+        &[
+            ("events", report.metrics.get("engine.events"), 74_379),
+            ("allocations", heap.allocs, 7_367),
+            ("peak live bytes", heap.peak_bytes, 1_009_136),
+        ],
+    );
 }
 
 /// Per-group Poisson arrivals at 20 kHz over 2 ms for the [`workload`]'s
@@ -238,13 +268,13 @@ fn trace_workload_counts() {
     let trace = arrival_trace();
     let spec = workload(1).arrivals(ArrivalProcess::Trace(trace));
     let (report, heap) = measured(|| spec.build().expect("valid workload").run());
-    let events = report.metrics.get("engine.events");
-    pin("trace workload events", events, 78_751);
-    pin("trace workload build and run allocations", heap.allocs, 4_104);
-    pin(
-        "trace workload build and run peak live bytes",
-        heap.peak_bytes,
-        522_156,
+    pins(
+        "trace workload",
+        &[
+            ("events", report.metrics.get("engine.events"), 78_751),
+            ("build and run allocations", heap.allocs, 4_104),
+            ("build and run peak live bytes", heap.peak_bytes, 522_156),
+        ],
     );
 }
 
@@ -270,13 +300,13 @@ fn observed_workload_counts() {
         OBSERVED_RECORDS,
         "the rings are sized to the run"
     );
-    let events = report.metrics.get("engine.events");
-    pin("observed workload events", events, 94_187);
-    pin("observed workload allocations", heap.allocs, 5_094);
-    pin(
-        "observed workload peak live bytes",
-        heap.peak_bytes,
-        10_455_564,
+    pins(
+        "observed workload",
+        &[
+            ("events", report.metrics.get("engine.events"), 94_187),
+            ("allocations", heap.allocs, 5_094),
+            ("peak live bytes", heap.peak_bytes, 10_455_564),
+        ],
     );
 }
 
@@ -289,14 +319,24 @@ fn mpi_bcast_counts() {
         0,
         "the MPI run took more than one shard: unset MYRI_SIM_SHARDS to count it"
     );
-    pin("MPI broadcast events", out.events, 8_647);
-    pin("MPI broadcast allocations", heap.allocs, 1_274);
+    pins(
+        "MPI broadcast",
+        &[
+            ("events", out.events, 8_647),
+            ("allocations", heap.allocs, 1_274),
+        ],
+    );
 }
 
 #[test]
 fn two_shard_workload_event_split() {
     let report = workload(2).run();
     let shard = |i: u32| report.metrics.get(&format!("parallel.shard{i}.events"));
-    pin("shard 0 events", shard(0), 44_645);
-    pin("shard 1 events", shard(1), 32_272);
+    pins(
+        "2-shard workload",
+        &[
+            ("shard 0 events", shard(0), 44_645),
+            ("shard 1 events", shard(1), 32_272),
+        ],
+    );
 }

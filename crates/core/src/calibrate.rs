@@ -84,6 +84,21 @@ pub fn shape_for_size(
     TreeShape::KAry(best.1)
 }
 
+/// The shape [`TreeShape::Auto`] resolves to for a NIC-based multicast of
+/// `size` bytes to `n_dests` destinations on an `n_nodes`-node cluster:
+/// [`shape_for_size`] over 2 links per tree edge when one 16-port crossbar
+/// holds every node, 4 when edges cross the Clos.
+pub(crate) fn auto_shape(
+    size: usize,
+    n_dests: usize,
+    n_nodes: u32,
+    gp: &GmParams,
+    np: &NetParams,
+) -> TreeShape {
+    let hops = if n_nodes <= 16 { 2 } else { 4 };
+    shape_for_size(size, n_dests, gp, np, hops)
+}
+
 /// Depth of a complete k-ary tree (heap layout) over `n` nodes.
 fn kary_depth(n: usize, k: usize) -> usize {
     assert!(n >= 1 && k >= 1);

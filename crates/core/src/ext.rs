@@ -996,9 +996,8 @@ impl McastExt {
         g.timer_gen += 1;
         let gen = g.timer_gen;
         // Back off exponentially once retransmitting (see GmParams::timeout).
-        let backoff = timeout * (1u64 << max_retries.min(5));
         let delay = if queued > 0 {
-            backoff
+            timeout * proto::backoff_multiplier(max_retries)
         } else {
             earliest_due.map_or(timeout, |e| {
                 e.saturating_since(now).max(gm_sim::SimDuration::from_nanos(1))

@@ -29,7 +29,7 @@ use gm_sim::watch::Incident;
 use gm_sim::{SeriesConfig, SimTime, WatchConfig};
 use myrinet::{FaultPlan, NetParams, NodeId, MAX_NODES};
 
-use crate::calibrate::shape_for_size;
+use crate::calibrate::auto_shape;
 use crate::group::McastConfig;
 use crate::tree::TreeShape;
 use crate::workloads::{execute, AckMode, McastMode, McastRun, RunOutput};
@@ -320,14 +320,13 @@ impl Scenario {
             return Err(ScenarioError::EmptyMessage);
         }
         if run.shape == TreeShape::Auto {
-            let hops = if run.n_nodes <= 16 { 2 } else { 4 };
             run.shape = match run.mode {
-                McastMode::NicBased => shape_for_size(
+                McastMode::NicBased => auto_shape(
                     run.size,
                     run.dests.len(),
+                    run.n_nodes,
                     &run.params,
                     &run.net,
-                    hops,
                 ),
                 // The traditional scheme the paper compares against.
                 McastMode::HostBased => TreeShape::Binomial,

@@ -51,7 +51,7 @@ use gm_sim::{
 };
 use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, Topology, MAX_NODES};
 
-use crate::calibrate::shape_for_size;
+use crate::calibrate::auto_shape;
 use crate::ext::McastExt;
 use crate::group::{McastConfig, McastNotice, McastRequest};
 use crate::tree::{SpanningTree, TreeShape};
@@ -596,10 +596,13 @@ impl Workload {
             }
             let members: Vec<NodeId> = chosen.into_iter().map(NodeId).collect();
             let shape = match self.shape {
-                TreeShape::Auto => {
-                    let hops = if self.n_nodes <= 16 { 2 } else { 4 };
-                    shape_for_size(self.size, members.len(), &self.params, &self.net, hops)
-                }
+                TreeShape::Auto => auto_shape(
+                    self.size,
+                    members.len(),
+                    self.n_nodes,
+                    &self.params,
+                    &self.net,
+                ),
                 s => s,
             };
             let tree = SpanningTree::build(root, &members, shape);

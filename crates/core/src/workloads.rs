@@ -17,7 +17,7 @@
 
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::{attribution, ProbeConfig};
-use gm_sim::{Histogram, OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
+use gm_sim::{OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
 use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, PortId, Topology};
 
 use crate::ext::McastExt;
@@ -161,9 +161,10 @@ pub struct RunOutput {
     pub root_link_utilization: f64,
 }
 
-/// The root's app: it runs the iterations and keeps the measurements,
-/// which [`execute`] reads back from the finished run. A caller that runs
-/// a [`build_cluster`] cluster itself reads `Driven::app::<RootApp>(run.root)`.
+/// The root's app: it runs the iterations and keeps the window of each
+/// timed one, from which [`execute`] derives the latency statistics. A
+/// caller that runs a [`build_cluster`] cluster itself reads
+/// `Driven::app::<RootApp>(run.root)`.
 pub struct RootApp {
     run: McastRun,
     tree: SpanningTree,
@@ -172,18 +173,17 @@ pub struct RootApp {
     t_start: SimTime,
     /// Outstanding completion notices this iteration (NicAck mode).
     pending: u32,
-    /// Per-iteration latency samples (µs).
-    latency: OnlineStats,
-    /// Latency distribution (1 µs buckets up to 100 ms).
-    latency_hist: Histogram,
-    /// Timed iterations completed.
-    pub iters_done: u32,
     /// `(start, end)` of each timed iteration — the windows latency
     /// attribution decomposes.
     windows: Vec<(SimTime, SimTime)>,
 }
 
 impl RootApp {
+    /// `(start, end)` of each timed iteration completed, in order.
+    pub fn windows(&self) -> &[(SimTime, SimTime)] {
+        &self.windows
+    }
+
     fn total(&self) -> u32 {
         self.run.warmup + self.run.iters
     }
@@ -212,11 +212,7 @@ impl RootApp {
     }
 
     fn finish_iteration(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
-        let lat = ctx.now() - self.t_start;
         if self.iter >= self.run.warmup {
-            self.latency.record_duration(lat);
-            self.latency_hist.record(lat.as_micros_f64());
-            self.iters_done += 1;
             self.windows.push((self.t_start, ctx.now()));
         }
         self.iter += 1;
@@ -343,9 +339,6 @@ pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
             iter: 0,
             t_start: SimTime::ZERO,
             pending: 0,
-            latency: OnlineStats::new(),
-            latency_hist: Histogram::new(1.0, 100_000),
-            iters_done: 0,
             windows: Vec::new(),
         }),
     );
@@ -392,13 +385,19 @@ pub fn execute(
     let mut driven = drive(cluster, run.shards);
     let harvest = harvest(&mut driven);
 
-    let root = driven.app::<RootApp>(run.root);
+    let windows = driven.app::<RootApp>(run.root).windows.clone();
     assert!(
-        run.allow_incomplete || root.iters_done == run.iters,
+        run.allow_incomplete || windows.len() == run.iters as usize,
         "not every timed iteration completed ({} of {})",
-        root.iters_done,
+        windows.len(),
         run.iters
     );
+    let mut latencies: Vec<SimDuration> = windows.iter().map(|&(start, end)| end - start).collect();
+    let mut latency = OnlineStats::new();
+    for &d in &latencies {
+        latency.record_duration(d);
+    }
+    latencies.sort_unstable();
     // The root's injection link is owned (and therefore accounted) by the
     // shard that owns the root node.
     let root_world = driven.world_of(run.root);
@@ -409,11 +408,10 @@ pub fn execute(
     } else {
         0.0
     };
-    let windows = root.windows.clone();
     let output = RunOutput {
-        latency: root.latency.clone(),
-        latency_p50: root.latency_hist.percentile(50.0),
-        latency_p99: root.latency_hist.percentile(99.0),
+        latency,
+        latency_p50: percentile_us(&latencies, 50.0),
+        latency_p99: percentile_us(&latencies, 99.0),
         retransmissions: harvest.metrics.get("nic.mcast_retransmissions")
             + harvest.metrics.get("nic.retransmissions"),
         height: tree.height(),
@@ -433,6 +431,24 @@ pub fn execute(
         attribution,
         series: harvest.series,
         incidents,
+    }
+}
+
+/// The `p`-th percentile (0 < p ≤ 100) of `sorted` latencies, in µs on a
+/// 1 µs grid: the k-th smallest, k = ⌈p/100·n⌉, cut to a whole microsecond
+/// plus one, or the largest latency when the k-th is 100 ms or more; 0 for
+/// no latencies. (The grid and its 100 ms end are those the committed
+/// figures were made with.)
+fn percentile_us(sorted: &[SimDuration], p: f64) -> f64 {
+    let Some(max) = sorted.last() else {
+        return 0.0;
+    };
+    let k = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    let us = sorted[k.max(1) - 1].as_micros_f64();
+    if us < 100_000.0 {
+        us.trunc() + 1.0
+    } else {
+        max.as_micros_f64()
     }
 }
 
@@ -532,6 +548,25 @@ mod tests {
             lossy.latency_p50,
             lossy.latency_p99
         );
+    }
+
+    #[test]
+    fn percentiles_sit_on_a_one_microsecond_grid() {
+        let ns = SimDuration::from_nanos;
+        // 0.5, 1.5, …, 99.5 µs.
+        let mut sorted: Vec<SimDuration> = (0..100).map(|i| ns(i * 1_000 + 500)).collect();
+        // The k-th smallest (k = ⌈p/100·n⌉), cut to a whole µs, plus one.
+        assert_eq!(percentile_us(&sorted, 50.0), 50.0);
+        assert_eq!(percentile_us(&sorted, 99.0), 99.0);
+        assert_eq!(percentile_us(&sorted, 100.0), 100.0);
+        // From 100 ms on, a percentile reports the largest latency.
+        sorted.push(SimDuration::from_secs(1));
+        assert_eq!(percentile_us(&sorted, 99.0), 100.0);
+        assert_eq!(percentile_us(&sorted, 100.0), 1e6);
+        let edge = [ns(99_999_999), ns(100_000_000), ns(250_000_001)];
+        assert_eq!(percentile_us(&edge, 33.0), 100_000.0);
+        assert_eq!(percentile_us(&edge, 66.0), 250_000.001);
+        assert_eq!(percentile_us(&[], 50.0), 0.0);
     }
 
     #[test]

@@ -1197,9 +1197,7 @@ impl<X: NicExtension> NicCore<X> {
                 conn.timer_gen += 1;
                 let gen = conn.timer_gen;
                 self.add_retransmissions("retransmissions", retx.len() as u64);
-                // Exponential backoff: never beat a congested network while
-                // it is already draining our duplicates.
-                let delay = timeout * (1u64 << max_retries.min(5));
+                let delay = timeout * proto::backoff_multiplier(max_retries);
                 self.timer_reqs
                     .push((delay, TimerTag::Conn { conn: key, gen }));
                 self.enroll_sdma(key);

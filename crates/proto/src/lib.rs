@@ -28,6 +28,7 @@
 //! * [`GbnTx`] / [`GbnRx`] — the Go-Back-N sender/receiver window: sequence
 //!   assignment, window admission, in-order acceptance, and the
 //!   cumulative-ack release horizon.
+//! * [`backoff_multiplier`] — how far a retransmission timer backs off.
 //! * [`ChildAcks`] — the one-to-many generalization: the per-child array of
 //!   acknowledged sequence numbers whose minimum gates record release.
 //! * [`next_replica`] / [`fwd_buf_refs`] — the tree-forwarding step: replica
@@ -249,6 +250,14 @@ pub fn release_horizon(acked_count: u64, mutation: ProtoMutation) -> u64 {
         ProtoMutation::None => acked_count,
         ProtoMutation::SenderWindowOffByOne => acked_count.saturating_add(1),
     }
+}
+
+/// The factor a Go-Back-N retransmission timer is stretched by when its
+/// records have been retransmitted up to `retries` times: it doubles per
+/// retry, so a sender does not beat a congested network that is still
+/// draining its duplicates, and stops at 32 (from 5 retries on).
+pub fn backoff_multiplier(retries: u32) -> u64 {
+    1 << retries.min(5)
 }
 
 /// The receiver's verdict on an arriving data packet.
@@ -477,6 +486,14 @@ impl<K: Ord + Copy> GroupTable<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backoff_doubles_per_retry_up_to_32() {
+        assert_eq!(
+            [0, 1, 5, 6, u32::MAX].map(backoff_multiplier),
+            [1, 2, 32, 32, 32]
+        );
+    }
 
     #[test]
     fn group_table_allocs_lowest_slot_and_conserves() {

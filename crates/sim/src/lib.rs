@@ -65,6 +65,6 @@ pub use series::{GaugeId, GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, H
 pub use queue::{set_kind_override as set_queue_override, EventQueue, QueueKind};
 pub use rng::{splitmix64, DetRng};
 pub use slab::Slab;
-pub use stats::{Counters, Histogram, LogHistogram, OnlineStats};
+pub use stats::{Counters, LogHistogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use watch::{Detector, DetectorKind, Incident, Severity, Thresh, Unit, WatchConfig, WatchEngine};

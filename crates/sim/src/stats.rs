@@ -103,75 +103,6 @@ impl OnlineStats {
     }
 }
 
-/// Fixed-bucket histogram of microsecond values, for latency distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    bucket_width_us: f64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    max: f64,
-}
-
-impl Histogram {
-    /// `n_buckets` buckets of `bucket_width_us` microseconds each.
-    pub fn new(bucket_width_us: f64, n_buckets: usize) -> Self {
-        assert!(bucket_width_us > 0.0 && n_buckets > 0);
-        Histogram {
-            bucket_width_us,
-            buckets: vec![0; n_buckets],
-            overflow: 0,
-            count: 0,
-            max: 0.0,
-        }
-    }
-
-    /// Record a sample in microseconds.
-    pub fn record(&mut self, us: f64) {
-        self.count += 1;
-        self.max = self.max.max(us);
-        let idx = (us / self.bucket_width_us) as usize;
-        match self.buckets.get_mut(idx) {
-            Some(b) => *b += 1,
-            None => self.overflow += 1,
-        }
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate p-th percentile (0 < p <= 100) via bucket upper bounds.
-    /// Percentiles landing in the overflow region report the exact maximum
-    /// sample instead.
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p));
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = ((p / 100.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.bucket_width_us;
-            }
-        }
-        self.max
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 /// Sub-buckets per octave in [`LogHistogram`] (2^5 = 32 ⇒ every bucket's
 /// upper bound is within ~3% of the samples it holds).
 const LOG_SUB_BITS: u32 = 5;
@@ -181,12 +112,12 @@ const LOG_SUB: usize = 1 << LOG_SUB_BITS;
 /// logarithmic buckets (HDR-style: 32 linear sub-buckets per power of two,
 /// bounding relative error at ~3%).
 ///
-/// Unlike [`OnlineStats`] it supports arbitrary percentiles, and unlike
-/// [`Histogram`] its range covers every `u64` nanosecond value. Its `u64`
-/// buckets are sized to the samples it holds: an empty histogram allocates
-/// nothing, and the bucket array grows a whole octave at a time to the one
-/// holding the largest sample (832 buckets cover anything under a second;
-/// the full range needs 1,920). All bookkeeping is integer, so recording
+/// Unlike [`OnlineStats`] it supports arbitrary percentiles, and its range
+/// covers every `u64` nanosecond value. Its `u64` buckets are sized to the
+/// samples it holds: an empty histogram allocates nothing, and the bucket
+/// array grows a whole octave at a time to the one holding the largest
+/// sample (832 buckets cover anything under a second; the full range needs
+/// 1,920). All bookkeeping is integer, so recording
 /// and merging are order-independent: merging per-node histograms in any
 /// order yields bit-identical percentiles — the property that keeps sharded
 /// workload reports byte-stable.
@@ -410,22 +341,6 @@ mod tests {
         assert!((a.stddev() - all.stddev()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn histogram_percentiles() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        assert_eq!(h.count(), 100);
-        assert!((h.percentile(50.0) - 50.0).abs() < 1.01);
-        assert!((h.percentile(99.0) - 99.0).abs() < 1.01);
-        h.record(1e9);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.max(), 1e9);
-        // A percentile that lands in the overflow reports the max sample.
-        assert_eq!(h.percentile(100.0), 1e9);
     }
 
     #[test]

@@ -231,7 +231,7 @@ fn non_members_never_see_group_traffic() {
     run.warmup = 1;
     run.iters = 5;
     let d = myri_mcast::gm::drive(myri_mcast::mcast::build_cluster(&run), 1);
-    assert_eq!(d.app::<myri_mcast::mcast::RootApp>(run.root).iters_done, 5);
+    assert_eq!(d.app::<myri_mcast::mcast::RootApp>(run.root).windows().len(), 5);
     // Nodes outside the group processed zero multicast receptions.
     for i in [1u32, 2, 4, 5, 7] {
         let c = &d.worlds[0].nic(NodeId(i)).counters;

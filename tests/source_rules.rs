@@ -14,7 +14,10 @@
 //! The determinism and suppression rules are clippy's: the root
 //! `clippy.toml` and the workspace lint table (DESIGN.md §9). One more
 //! check keeps that table whole: `crates/bench/Cargo.toml` copies its
-//! clippy half, and the copy must hold exactly the same lines.
+//! clippy half, and the copy must hold exactly the same lines. And every
+//! dependency a manifest declares must be named by the code it serves:
+//! a `[dependencies]` entry by the crate's `src/`, a `[dev-dependencies]`
+//! entry by its `src/`, `tests/` or `examples/`.
 
 use std::path::{Path, PathBuf};
 
@@ -169,6 +172,82 @@ fn lint_drift(workspace: &str, bench: &str) -> Vec<String> {
     drift
 }
 
+/// The names of the entries of the TOML table `[name]` in `toml`: each
+/// line's key, up to its `=` or `.` (`gm-sim.workspace = true`).
+fn entry_names<'a>(toml: &'a str, name: &str) -> Vec<&'a str> {
+    table_lines(toml, name)
+        .into_iter()
+        .map(|l| l.split(['=', '.']).next().unwrap_or(l).trim())
+        .collect()
+}
+
+/// Whether `ident` occurs in `code` as a whole word.
+fn names(code: &str, ident: &str) -> bool {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(ident)
+        .any(|(at, _)| !code[..at].ends_with(word) && !code[at + ident.len()..].starts_with(word))
+}
+
+/// The dependencies that the crate `krate`'s manifest declares and its
+/// code never names, one message each. `code(dirs)` is the text of the
+/// crate's sources under the given subdirectories.
+fn unused_deps(krate: &str, manifest: &str, code: impl Fn(&[&str]) -> String) -> Vec<String> {
+    let mut unused = Vec::new();
+    for (table, dirs) in [
+        ("dependencies", &["src"][..]),
+        ("dev-dependencies", &["src", "tests", "examples"][..]),
+    ] {
+        let code = strip_comments(&code(dirs));
+        for dep in entry_names(manifest, table) {
+            if !names(&code, &dep.replace('-', "_")) {
+                unused.push(format!(
+                    "{krate}: [{table}] `{dep}` is named by none of {dirs:?}"
+                ));
+            }
+        }
+    }
+    unused
+}
+
+/// The root package and every workspace member, as `(name, directory,
+/// manifest)`.
+fn packages() -> Vec<(String, PathBuf, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("manifest is readable");
+    let members = table_lines(&manifest, "workspace")
+        .into_iter()
+        .find_map(|l| l.strip_prefix("members"))
+        .expect("the root manifest lists its members");
+    let mut dirs = vec![root.to_path_buf()];
+    for member in members.split('"').skip(1).step_by(2) {
+        match member.strip_suffix("/*") {
+            Some(parent) => {
+                let mut found: Vec<PathBuf> = std::fs::read_dir(root.join(parent))
+                    .expect("member directory is readable")
+                    .map(|e| e.expect("directory entry is readable").path())
+                    .filter(|p| p.join("Cargo.toml").is_file())
+                    .collect();
+                found.sort();
+                dirs.extend(found);
+            }
+            None => dirs.push(root.join(member)),
+        }
+    }
+    dirs.into_iter()
+        .map(|dir| {
+            let manifest =
+                std::fs::read_to_string(dir.join("Cargo.toml")).expect("manifest is readable");
+            let name = table_lines(&manifest, "package")
+                .into_iter()
+                .find_map(|l| l.strip_prefix("name"))
+                .and_then(|v| v.split('"').nth(1))
+                .expect("every package is named")
+                .to_string();
+            (name, dir, manifest)
+        })
+        .collect()
+}
+
 #[test]
 fn the_tree_keeps_the_source_rules() {
     let files = tree();
@@ -230,6 +309,36 @@ fn the_bench_lint_table_copies_the_workspace_one() {
         drift.is_empty(),
         "crates/bench/Cargo.toml's [lints.clippy] has drifted:\n{}",
         drift.join("\n")
+    );
+}
+
+/// A dependency no code names still builds, links and costs a place in
+/// every manifest, lock file and build graph that lists it. This file's
+/// fixtures name no dependency of its package.
+#[test]
+fn every_declared_dependency_is_used() {
+    let this_file = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/source_rules.rs");
+    let mut unused = Vec::new();
+    for (krate, dir, manifest) in packages() {
+        let code = |dirs: &[&str]| {
+            let mut files = Vec::new();
+            for d in dirs.iter().map(|d| dir.join(d)).filter(|d| d.is_dir()) {
+                rust_sources(&d, &mut files);
+            }
+            files
+                .iter()
+                .filter(|p| **p != this_file)
+                .map(|p| std::fs::read_to_string(p).expect("source file is readable"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        unused.extend(unused_deps(&krate, &manifest, code));
+    }
+    assert!(
+        unused.is_empty(),
+        "{} declared dependencies are named by no code:\n{}",
+        unused.len(),
+        unused.join("\n")
     );
 }
 
@@ -333,6 +442,29 @@ name = "x""#;
         [
             "`allow_attributes = \"warn\"` is in the workspace's clippy lint table, not in bench's",
             "`todo = \"warn\"` is in bench's clippy lint table, not in the workspace's",
+        ]
+    );
+
+    let manifest = r#"
+[dependencies]
+fixture-core.workspace = true
+fixture = { path = "crates/fixture" }  # `fixture_core` does not name it
+fixture-rng = "0.8"
+
+[dev-dependencies]
+fixture-check.workspace = true
+fixture-json.workspace = true
+"#;
+    let code = |dirs: &[&str]| match dirs {
+        ["src"] => "use fixture_core::Rng; // fixture_rng::random()".into(),
+        _ => "use fixture_core::Rng;\nuse fixture_check::prelude::*;".to_string(),
+    };
+    assert_eq!(
+        unused_deps("t", manifest, code),
+        [
+            "t: [dependencies] `fixture` is named by none of [\"src\"]",
+            "t: [dependencies] `fixture-rng` is named by none of [\"src\"]",
+            "t: [dev-dependencies] `fixture-json` is named by none of [\"src\", \"tests\", \"examples\"]",
         ]
     );
 }
