@@ -49,7 +49,9 @@ fn main() {
 
     let mut t = Table::new(
         "Loss ablation: 2KB multicast over 16 nodes (binomial tree)",
-        &["loss %", "NB mean", "NB p99", "NB retx", "HB mean", "HB retx"],
+        &[
+            "loss %", "NB mean", "NB p99", "NB retx", "HB mean", "HB retx",
+        ],
     );
     for p in &results {
         t.row(vec![

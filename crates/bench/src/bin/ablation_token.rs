@@ -37,14 +37,21 @@ fn measure(tokens: usize, policy: FwdTokenPolicy, iters: u32, warmup: u32) -> (f
             ..McastConfig::default()
         })
         .run();
-    (rep.latency.mean(), rep.metrics.get("nic.mcast_fwd_token_stall"))
+    (
+        rep.latency.mean(),
+        rep.metrics.get("nic.mcast_fwd_token_stall"),
+    )
 }
 
 fn main() {
     let opts = CliOpts::parse();
     let results: Vec<Point> = par_map(vec![64usize, 8, 4, 2, 1], |&tokens| {
-        let (transform_us, tstalls) =
-            measure(tokens, FwdTokenPolicy::TransformRecv, opts.iters, opts.warmup);
+        let (transform_us, tstalls) = measure(
+            tokens,
+            FwdTokenPolicy::TransformRecv,
+            opts.iters,
+            opts.warmup,
+        );
         assert_eq!(tstalls, 0, "transform policy never touches the pool");
         let (freepool_us, freepool_stalls) =
             measure(tokens, FwdTokenPolicy::FreePool, opts.iters, opts.warmup);
@@ -58,7 +65,12 @@ fn main() {
 
     let mut t = Table::new(
         "Forward-token ablation: 8KB multicast over 16 nodes",
-        &["send tokens", "transform (us)", "free pool (us)", "pool stalls"],
+        &[
+            "send tokens",
+            "transform (us)",
+            "free pool (us)",
+            "pool stalls",
+        ],
     );
     for p in &results {
         t.row(vec![

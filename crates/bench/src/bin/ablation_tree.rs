@@ -69,7 +69,11 @@ fn main() {
             us(p.flat_us),
             us(p.chain_us),
             format!("{:.2}x", p.binomial_us / p.adaptive_us),
-            format!("{:.0}%/{:.0}%", p.adaptive_root_util * 100.0, p.flat_root_util * 100.0),
+            format!(
+                "{:.0}%/{:.0}%",
+                p.adaptive_root_util * 100.0,
+                p.flat_root_util * 100.0
+            ),
         ]);
     }
     t.print();

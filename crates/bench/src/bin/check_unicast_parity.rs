@@ -6,7 +6,7 @@
 //! (`McastExt`, groups present but idle) and print both.
 
 use gm::{Cluster, GmParams, HostApp, HostCtx, NicExtension, NoExt, Notice};
-use gm_sim::{SimTime, OnlineStats};
+use gm_sim::{OnlineStats, SimTime};
 use myrinet::{Fabric, NodeId, Payload, PortId, Topology};
 use nic_mcast::{McastExt, McastRequest};
 
@@ -60,7 +60,11 @@ impl<X: NicExtension> HostApp<X> for Echo {
 }
 
 fn pingpong_noext(size: usize) -> f64 {
-    let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
+    let mut c = Cluster::new(
+        GmParams::default(),
+        Fabric::new(Topology::for_nodes(2), 1),
+        |_| NoExt,
+    );
     c.set_app(
         NodeId(0),
         Box::new(Pinger {

@@ -45,7 +45,10 @@ fn main() {
     println!("  tree height:      {:>10}", out.height);
     println!("  avg fan-out:      {:>10.2}", out.avg_fanout);
     println!("  retransmissions:  {:>10}", out.retransmissions);
-    println!("  root link util:   {:>9.1}%", out.root_link_utilization * 100.0);
+    println!(
+        "  root link util:   {:>9.1}%",
+        out.root_link_utilization * 100.0
+    );
     println!("  sim events:       {:>10}", out.events);
     println!("  sim time:         {:>10}", out.end_time);
 }

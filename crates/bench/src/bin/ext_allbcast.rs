@@ -158,7 +158,10 @@ fn makespan(n: u32, size: usize, nic: bool) -> f64 {
             }
         })
         .collect();
-    assert!(d.iter().all(|&t| t > SimTime::ZERO), "someone never finished");
+    assert!(
+        d.iter().all(|&t| t > SimTime::ZERO),
+        "someone never finished"
+    );
     d.iter().map(|t| t.as_micros_f64()).fold(0.0, f64::max)
 }
 

@@ -39,10 +39,7 @@ impl HostApp<McastExt> for BarrierLoop {
     fn on_notice(&mut self, n: Notice<McastNotice>, ctx: &mut HostCtx<'_, McastExt>) {
         match n {
             Notice::Ext(McastNotice::GroupReady { .. }) => {
-                ctx.ext(McastRequest::BarrierEnter {
-                    group: GID,
-                    tag: 0,
-                });
+                ctx.ext(McastRequest::BarrierEnter { group: GID, tag: 0 });
             }
             Notice::Ext(McastNotice::BarrierDone { .. }) => {
                 self.round += 1;

@@ -26,12 +26,25 @@ fn main() {
         let hb = {
             // The paper's configuration: rendezvous sizes take the
             // host-based binomial path regardless of the bcast impl.
-            let run = MpiRun::bcast_loop(n, size, BcastImpl::NicBased, SimDuration::ZERO, opts.warmup, opts.iters);
+            let run = MpiRun::bcast_loop(
+                n,
+                size,
+                BcastImpl::NicBased,
+                SimDuration::ZERO,
+                opts.warmup,
+                opts.iters,
+            );
             execute_mpi(&run).latency.mean()
         };
         let nb = {
-            let mut run =
-                MpiRun::bcast_loop(n, size, BcastImpl::NicBased, SimDuration::ZERO, opts.warmup, opts.iters);
+            let mut run = MpiRun::bcast_loop(
+                n,
+                size,
+                BcastImpl::NicBased,
+                SimDuration::ZERO,
+                opts.warmup,
+                opts.iters,
+            );
             run.nic_rndv = true;
             execute_mpi(&run).latency.mean()
         };
@@ -45,7 +58,12 @@ fn main() {
 
     let mut t = Table::new(
         "Rendezvous-size broadcast, 16 ranks: host-based fallback vs direct NIC multicast",
-        &["size (KB)", "HB rendezvous (us)", "NB direct (us)", "factor"],
+        &[
+            "size (KB)",
+            "HB rendezvous (us)",
+            "NB direct (us)",
+            "factor",
+        ],
     );
     for p in &results {
         t.row(vec![

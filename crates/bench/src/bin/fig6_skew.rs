@@ -66,7 +66,9 @@ fn main() {
 
     let mut cpu = Table::new(
         "Figure 6(a): average host CPU time in MPI_Bcast (us), 16 nodes",
-        &["avg skew", "HB 2B", "HB 4B", "HB 8B", "NB 2B", "NB 4B", "NB 8B"],
+        &[
+            "avg skew", "HB 2B", "HB 4B", "HB 8B", "NB 2B", "NB 4B", "NB 8B",
+        ],
     );
     let mut improv = Table::new(
         "Figure 6(b): improvement factor (HB/NB)",

@@ -52,7 +52,15 @@ fn main() {
 
     let mut t = Table::new(
         "Figure 7: improvement factor vs system size (400us average skew)",
-        &["nodes", "4B HB", "4B NB", "4B factor", "4KB HB", "4KB NB", "4KB factor"],
+        &[
+            "nodes",
+            "4B HB",
+            "4B NB",
+            "4B factor",
+            "4KB HB",
+            "4KB NB",
+            "4KB factor",
+        ],
     );
     for &n in &node_counts {
         let get = |size: usize| {

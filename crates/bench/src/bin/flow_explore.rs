@@ -86,7 +86,10 @@ fn main() {
     }
 
     // Critical path per measured window.
-    println!("\ncritical paths ({} measured windows):", report.windows.len());
+    println!(
+        "\ncritical paths ({} measured windows):",
+        report.windows.len()
+    );
     let mut last_path = None;
     for (i, &w) in report.windows.iter().enumerate() {
         match graph.critical_path(events, w) {
@@ -151,11 +154,12 @@ fn main() {
     let other = opposite.run();
     let other_events = other.probe.as_slice();
     let other_graph = FlowGraph::build(other_events);
-    let sig = |r: &Report, g: &FlowGraph, ev: &[gm_sim::ProbeEvent]| -> Option<(String, SimDuration)> {
-        let &w = r.windows.last()?;
-        let cp = g.critical_path(ev, w)?;
-        Some((cp.signature(), cp.total))
-    };
+    let sig =
+        |r: &Report, g: &FlowGraph, ev: &[gm_sim::ProbeEvent]| -> Option<(String, SimDuration)> {
+            let &w = r.windows.last()?;
+            let cp = g.critical_path(ev, w)?;
+            Some((cp.signature(), cp.total))
+        };
     if let (Some((a, ta)), Some((b, tb))) = (
         sig(&report, &graph, events),
         sig(&other, &other_graph, other_events),

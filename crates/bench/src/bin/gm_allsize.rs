@@ -96,7 +96,11 @@ impl HostApp<NoExt> for Counter {
 }
 
 fn half_rtt_us(size: usize, iters: u32) -> f64 {
-    let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
+    let mut c = Cluster::new(
+        GmParams::default(),
+        Fabric::new(Topology::for_nodes(2), 1),
+        |_| NoExt,
+    );
     c.set_app(
         NodeId(0),
         Box::new(Pinger {
@@ -114,7 +118,11 @@ fn half_rtt_us(size: usize, iters: u32) -> f64 {
 }
 
 fn bandwidth_mbs(size: usize, count: u32) -> f64 {
-    let mut c = Cluster::new(GmParams::default(), Fabric::new(Topology::for_nodes(2), 1), |_| NoExt);
+    let mut c = Cluster::new(
+        GmParams::default(),
+        Fabric::new(Topology::for_nodes(2), 1),
+        |_| NoExt,
+    );
     c.set_app(NodeId(0), Box::new(Blaster { size, count }));
     c.set_app(
         NodeId(1),

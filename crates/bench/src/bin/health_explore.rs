@@ -34,7 +34,9 @@ fn parse(a: &cli::Args) -> Result<(Opts, BuiltWorkload), CliError> {
     let loss = a.get("--loss", 0.02)?;
     let watch = match a.opt("--window-us")? {
         Some(0) => {
-            return Err(CliError::Invalid("--window-us 0 gives the detectors no window".into()))
+            return Err(CliError::Invalid(
+                "--window-us 0 gives the detectors no window".into(),
+            ))
         }
         Some(us) => WatchConfig::with_window(SimDuration::from_micros(us)),
         None => WatchConfig::on(),
@@ -50,9 +52,20 @@ fn parse(a: &cli::Args) -> Result<(Opts, BuiltWorkload), CliError> {
         .probes(ProbeConfig::spans_with_capacity(probes))
         .series(SeriesConfig::with_capacity(series))
         .watch(watch);
-    let built = workload.clone().build().map_err(|e| CliError::Invalid(e.to_string()))?;
+    let built = workload
+        .clone()
+        .build()
+        .map_err(|e| CliError::Invalid(e.to_string()))?;
     let check = a.has("--check");
-    Ok((Opts { wl, loss, workload, check }, built))
+    Ok((
+        Opts {
+            wl,
+            loss,
+            workload,
+            check,
+        },
+        built,
+    ))
 }
 
 /// The machine-readable artifact `report_diff` compares: headline summary
@@ -82,7 +95,10 @@ fn artifact(o: &Opts, report: &WorkloadReport) -> serde::Value {
                 + report.metrics.get("nic.mcast_retransmissions"),
         ),
     );
-    sum.insert("admission_waits", serde::Value::UInt(report.admission_waits));
+    sum.insert(
+        "admission_waits",
+        serde::Value::UInt(report.admission_waits),
+    );
     doc.insert("summary", sum);
     let incidents: Vec<serde::Value> = report
         .incidents
@@ -119,11 +135,7 @@ fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
     if o.loss > 0.0 {
         // Loss must surface as a detected retransmission storm with causal
         // flow evidence — the tentpole guarantee of the watch subsystem.
-        match report
-            .incidents
-            .iter()
-            .find(|i| i.detector == "retx_storm")
-        {
+        match report.incidents.iter().find(|i| i.detector == "retx_storm") {
             None => failures.push(format!(
                 "loss {} injected but no retx_storm incident was raised",
                 o.loss
@@ -214,7 +226,12 @@ fn main() {
             },
         );
         if !peak.flows.is_empty() {
-            let flows: Vec<String> = peak.flows.iter().take(4).map(std::string::ToString::to_string).collect();
+            let flows: Vec<String> = peak
+                .flows
+                .iter()
+                .take(4)
+                .map(std::string::ToString::to_string)
+                .collect();
             println!("    flows: {}", flows.join(", "));
         }
         if !peak.signature.is_empty() {

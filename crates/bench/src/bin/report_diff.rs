@@ -116,7 +116,11 @@ impl Diff {
                 return;
             }
             let abs = (nb - na).abs();
-            let rel = if na != 0.0 { abs / na.abs() } else { f64::INFINITY };
+            let rel = if na != 0.0 {
+                abs / na.abs()
+            } else {
+                f64::INFINITY
+            };
             if abs <= self.tol_abs || rel * 100.0 <= self.tol_pct {
                 return;
             }

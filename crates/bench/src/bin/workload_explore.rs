@@ -33,7 +33,8 @@ fn parse(a: &cli::Args) -> Result<(WorkloadOpts, BuiltWorkload, bool), CliError>
     if let Some(slots) = a.opt("--slots")? {
         params.group_table_slots = slots;
     }
-    let series = SeriesConfig::with_capacity(a.get("--series-capacity", SeriesConfig::DEFAULT_CAPACITY)?);
+    let series =
+        SeriesConfig::with_capacity(a.get("--series-capacity", SeriesConfig::DEFAULT_CAPACITY)?);
     let mut w = wl.workload().params(params).series(series);
     if let Some(fanout) = a.opt("--fanout")? {
         w = w.fanout(FanoutDist::Fixed { fanout });
@@ -102,9 +103,20 @@ fn main() {
         scheduled,
         report.end_time.as_micros_f64() / 1e3,
     );
-    println!("  delivery latency: p50 {:>9.2} us   p99 {:>9.2} us   p999 {:>9.2} us", report.p50_us, report.p99_us, report.p999_us);
-    println!("                    mean {:>8.2} us   max {:>9.2} us   ({} measured deliveries)", report.mean_us, report.max_us, report.delivered);
-    println!("  goodput:          {:>9.2} MB/s aggregate, Jain fairness {:.4} over {} groups", report.goodput_mbs, report.fairness, report.per_group.len());
+    println!(
+        "  delivery latency: p50 {:>9.2} us   p99 {:>9.2} us   p999 {:>9.2} us",
+        report.p50_us, report.p99_us, report.p999_us
+    );
+    println!(
+        "                    mean {:>8.2} us   max {:>9.2} us   ({} measured deliveries)",
+        report.mean_us, report.max_us, report.delivered
+    );
+    println!(
+        "  goodput:          {:>9.2} MB/s aggregate, Jain fairness {:.4} over {} groups",
+        report.goodput_mbs,
+        report.fairness,
+        report.per_group.len()
+    );
     println!(
         "  group table:      {} installs, {} frees, {} admission waits",
         report.metrics.get("nic.mcast_group_installs"),
@@ -122,7 +134,10 @@ fn main() {
     let mut by_rate: Vec<_> = report.per_group.iter().collect();
     by_rate.sort_by(|a, b| b.goodput_mbs.total_cmp(&a.goodput_mbs));
     if by_rate.len() > 1 {
-        println!("\nper-group goodput (top 3 / bottom 1 of {}):", by_rate.len());
+        println!(
+            "\nper-group goodput (top 3 / bottom 1 of {}):",
+            by_rate.len()
+        );
         for g in by_rate.iter().take(3) {
             println!(
                 "  group {:>5}  {:>9.3} MB/s  ({} msgs, {} deliveries)",
@@ -143,9 +158,7 @@ fn main() {
         .filter(|s| s.gauge == "groups_used")
         .max_by_key(|s| (s.max, s.mean_x1000))
     {
-        println!(
-            "\ngroup-table occupancy (busiest node, [{HIST_BINS}-bin value histogram]):"
-        );
+        println!("\ngroup-table occupancy (busiest node, [{HIST_BINS}-bin value histogram]):");
         println!(
             "  n{:<3} min {:>3}  max {:>3}  last {:>3}  mean {:>7.3}  [{}]",
             s.node,

@@ -114,9 +114,9 @@ impl Table {
         };
         out.push_str(&fmt_row(&self.header));
         out.push('\n');
-        out.push_str(&"-".repeat(
-            widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1),
-        ));
+        out.push_str(
+            &"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1)),
+        );
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row));
@@ -166,7 +166,10 @@ pub fn print_sharded(m: &gm_sim::Metrics) {
 /// Print each shard's event count (nothing for a sequential run).
 pub fn print_shard_events(m: &gm_sim::Metrics) {
     for i in 0..m.get("parallel.shards") {
-        println!("  shard {i}: {} events", m.get(&format!("parallel.shard{i}.events")));
+        println!(
+            "  shard {i}: {} events",
+            m.get(&format!("parallel.shard{i}.events"))
+        );
     }
 }
 

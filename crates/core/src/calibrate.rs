@@ -35,10 +35,8 @@ pub fn postal_for_size(size: usize, gp: &GmParams, np: &NetParams, hops: usize) 
     // (request processing, the first SDMA) are paid once at the root and
     // shift every leaf equally, so they do not influence the tree shape.
     let switches = hops.saturating_sub(1) as u64;
-    let latency = ser_pkt * packets
-        + np.wire_prop * hops as u64
-        + np.hop_delay * switches
-        + gp.recv_proc;
+    let latency =
+        ser_pkt * packets + np.wire_prop * hops as u64 + np.hop_delay * switches + gp.recv_proc;
     PostalParams { latency, gap }
 }
 
@@ -66,10 +64,7 @@ pub fn shape_for_size(
     let chunk = size.min(MTU) as u64;
     let ser_pkt = SimDuration::for_bytes(chunk + HEADER_BYTES, np.link_bandwidth);
     let switches = hops.saturating_sub(1) as u64;
-    let t_hop = (ser_pkt
-        + gp.recv_proc
-        + np.wire_prop * hops as u64
-        + np.hop_delay * switches)
+    let t_hop = (ser_pkt + gp.recv_proc + np.wire_prop * hops as u64 + np.hop_delay * switches)
         .as_nanos_f64();
     let t_msg = p.gap.as_nanos_f64();
     let n = n_dests + 1;

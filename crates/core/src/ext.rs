@@ -23,11 +23,11 @@ use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload};
 use gm::{flow_tag, Cb, GmParams, NicCore, NicExtension};
 use gm_proto::{self as proto, RxVerdict};
 
-use crate::group::{
-    CollKind, FwdTokenPolicy, GroupState, InMsg, McastConfig, McastNotice, McastRec,
-    McastRequest, RetxBufferPolicy,
-};
 use crate::group::MultisendImpl;
+use crate::group::{
+    CollKind, FwdTokenPolicy, GroupState, InMsg, McastConfig, McastNotice, McastRec, McastRequest,
+    RetxBufferPolicy,
+};
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -205,9 +205,7 @@ impl McastExt {
             .iter()
             .find(|r| r.seq == seq)
             .map(|r| r.tag)
-            .or_else(|| {
-                g.in_msgs.iter().find(|m| m.uploading()).map(|m| m.tag)
-            })?;
+            .or_else(|| g.in_msgs.iter().find(|m| m.uploading()).map(|m| m.tag))?;
         Some((g.root.0, flow_tag(tag)))
     }
 
@@ -265,7 +263,8 @@ impl McastExt {
         }
         let last_seq = g.tx.next_seq() - 1;
         g.out_msgs.push_back((tag, last_seq));
-        core.counters.add("mcast_packets_out", last_seq - first_seq + 1);
+        core.counters
+            .add("mcast_packets_out", last_seq - first_seq + 1);
         match self.config.multisend {
             MultisendImpl::Callback => {
                 for seq in first_seq..=last_seq {
@@ -628,8 +627,10 @@ impl McastExt {
             }
             let p = self.admission.remove(0);
             self.left.remove(&p.group);
-            self.groups
-                .insert(p.group, GroupState::new(p.port, p.root, p.parent, p.children));
+            self.groups.insert(
+                p.group,
+                GroupState::new(p.port, p.root, p.parent, p.children),
+            );
             core.counters.bump("mcast_group_installs");
             core.ext_notify(McastNotice::GroupReady { group: p.group });
         }
@@ -1000,7 +1001,8 @@ impl McastExt {
             timeout * proto::backoff_multiplier(max_retries)
         } else {
             earliest_due.map_or(timeout, |e| {
-                e.saturating_since(now).max(gm_sim::SimDuration::from_nanos(1))
+                e.saturating_since(now)
+                    .max(gm_sim::SimDuration::from_nanos(1))
             })
         };
         core.ext_timer(delay, McastTag::GroupTimer { group, gen });
@@ -1011,8 +1013,7 @@ impl McastExt {
     /// per-destination-token ablation's sends).
     fn pump_single(&mut self, core: &mut NicCore<Self>) {
         let hold_sram = self.config.retx_buffer == RetxBufferPolicy::HoldSram;
-        while let Some(&SingleTx { group, seq, child }) = self.single_pending.front()
-        {
+        while let Some(&SingleTx { group, seq, child }) = self.single_pending.front() {
             let me = core.node();
             let Some(g) = self.groups.get_mut(&group) else {
                 self.single_pending.pop_front();
@@ -1083,13 +1084,7 @@ impl McastExt {
         );
     }
 
-    fn single_sent(
-        &mut self,
-        core: &mut NicCore<Self>,
-        group: GroupId,
-        seq: u64,
-        buf: bool,
-    ) {
+    fn single_sent(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64, buf: bool) {
         let now = core.now();
         if buf {
             core.free_send_buffer();
@@ -1183,7 +1178,8 @@ impl NicExtension for McastExt {
     fn work(&mut self, core: &mut NicCore<Self>, tag: McastTag) {
         match tag {
             McastTag::PerDestProc { group, seq, child } => {
-                self.single_pending.push_back(SingleTx { group, seq, child });
+                self.single_pending
+                    .push_back(SingleTx { group, seq, child });
                 self.pump_single(core);
             }
             t => unreachable!("unexpected work item {t:?}"),
@@ -1262,12 +1258,10 @@ impl NicExtension for McastExt {
             | McastTag::SingleSent {
                 group, seq, child, ..
             }
-            | McastTag::PerDestProc { group, seq, child } => {
-                match self.flow_parts(*group, *seq) {
-                    Some((root, t)) => FlowId::new(root, t, child.0),
-                    None => FlowId::NONE,
-                }
-            }
+            | McastTag::PerDestProc { group, seq, child } => match self.flow_parts(*group, *seq) {
+                Some((root, t)) => FlowId::new(root, t, child.0),
+                None => FlowId::NONE,
+            },
             McastTag::GroupTimer { .. } | McastTag::BarrierTimer { .. } => FlowId::NONE,
         }
     }

@@ -148,6 +148,9 @@ mod tests {
         });
         assert_eq!(out.delivered, BTreeSet::from([1, 2]));
         assert!(out.send_done);
-        assert!(out.retransmissions > 0, "the drop must cost a retransmission");
+        assert!(
+            out.retransmissions > 0,
+            "the drop must cost a retransmission"
+        );
     }
 }

@@ -283,7 +283,10 @@ impl Scenario {
         }
         // A moved root regenerates the default destination/probe set.
         if !dests_overridden {
-            run.dests = (0..run.n_nodes).map(NodeId).filter(|&d| d != run.root).collect();
+            run.dests = (0..run.n_nodes)
+                .map(NodeId)
+                .filter(|&d| d != run.root)
+                .collect();
             if !run.dests.contains(&run.probe) {
                 run.probe = *run.dests.last().expect("n_nodes >= 2");
             }
@@ -332,7 +335,12 @@ impl Scenario {
                 McastMode::HostBased => TreeShape::Binomial,
             };
         }
-        Ok(BuiltScenario { run, probes, series, watch })
+        Ok(BuiltScenario {
+            run,
+            probes,
+            series,
+            watch,
+        })
     }
 
     /// Build and execute, returning the [`Report`].
@@ -443,7 +451,10 @@ mod tests {
         );
         let err = Scenario::nic_based(MAX_NODES + 1).build().unwrap_err();
         assert_eq!(err, ScenarioError::TooManyNodes(129));
-        assert_eq!(err.to_string(), "129 nodes exceed the topology limit of 128");
+        assert_eq!(
+            err.to_string(),
+            "129 nodes exceed the topology limit of 128"
+        );
         assert!(Scenario::nic_based(MAX_NODES).build().is_ok());
         assert_eq!(
             Scenario::nic_based(4).iters(0).build().unwrap_err(),
@@ -476,7 +487,10 @@ mod tests {
 
     #[test]
     fn moving_the_root_regenerates_defaults() {
-        let built = Scenario::nic_based(4).root(NodeId(3)).build().expect("valid");
+        let built = Scenario::nic_based(4)
+            .root(NodeId(3))
+            .build()
+            .expect("valid");
         assert_eq!(built.spec().root, NodeId(3));
         assert!(!built.spec().dests.contains(&NodeId(3)));
         assert_eq!(built.spec().dests.len(), 3);
@@ -491,7 +505,10 @@ mod tests {
             .build()
             .expect("valid");
         assert_ne!(built.spec().shape, TreeShape::Auto);
-        let hb = Scenario::host_based(8).tree(TreeShape::auto()).build().expect("valid");
+        let hb = Scenario::host_based(8)
+            .tree(TreeShape::auto())
+            .build()
+            .expect("valid");
         assert_eq!(hb.spec().shape, TreeShape::Binomial);
     }
 }

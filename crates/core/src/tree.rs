@@ -142,7 +142,9 @@ impl SpanningTree {
                 tree.build_kary(root, &sorted, k.max(1) as usize);
             }
             TreeShape::Auto => {
-                panic!("TreeShape::Auto must be resolved by Scenario::build before tree construction")
+                panic!(
+                    "TreeShape::Auto must be resolved by Scenario::build before tree construction"
+                )
             }
         }
         tree.validate().expect("builder produced a valid tree");
@@ -435,7 +437,11 @@ mod tests {
             let t = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
             t.validate().unwrap();
             let expected_height = (32 - (n - 1).leading_zeros()) as usize;
-            assert!(t.height() <= expected_height, "n={n}: height {}", t.height());
+            assert!(
+                t.height() <= expected_height,
+                "n={n}: height {}",
+                t.height()
+            );
         }
     }
 
@@ -443,7 +449,11 @@ mod tests {
     fn binomial_with_high_id_root_keeps_ordering() {
         // Root has the largest ID: allowed because root's children are
         // exempt, and deeper links use sorted ascending ranges.
-        let t = SpanningTree::build(NodeId(15), &ids(&(0..15).collect::<Vec<_>>()), TreeShape::Binomial);
+        let t = SpanningTree::build(
+            NodeId(15),
+            &ids(&(0..15).collect::<Vec<_>>()),
+            TreeShape::Binomial,
+        );
         t.validate().unwrap();
     }
 
@@ -451,7 +461,11 @@ mod tests {
     fn postal_small_lambda_is_deep() {
         let p = PostalParams::new(SimDuration::from_micros(10), SimDuration::from_micros(10));
         assert_eq!(p.lambda(), 1);
-        let t = SpanningTree::build(NodeId(0), &ids(&(1..16).collect::<Vec<_>>()), TreeShape::Postal(p));
+        let t = SpanningTree::build(
+            NodeId(0),
+            &ids(&(1..16).collect::<Vec<_>>()),
+            TreeShape::Postal(p),
+        );
         t.validate().unwrap();
         // lambda=1 postal tree is binomial-like: height around log2(16).
         assert!(t.height() >= 3 && t.height() <= 5, "height {}", t.height());
@@ -461,7 +475,11 @@ mod tests {
     fn postal_large_lambda_is_shallow() {
         let p = PostalParams::new(SimDuration::from_micros(70), SimDuration::from_micros(5));
         assert_eq!(p.lambda(), 14);
-        let t = SpanningTree::build(NodeId(0), &ids(&(1..16).collect::<Vec<_>>()), TreeShape::Postal(p));
+        let t = SpanningTree::build(
+            NodeId(0),
+            &ids(&(1..16).collect::<Vec<_>>()),
+            TreeShape::Postal(p),
+        );
         t.validate().unwrap();
         // With lambda near n the root essentially multisends: nearly flat.
         assert!(t.height() <= 2, "height {}", t.height());
@@ -473,7 +491,10 @@ mod tests {
         let dests = ids(&(1..64).collect::<Vec<_>>());
         let mut prev_height = usize::MAX;
         for lam_us in [1u64, 3, 8, 20] {
-            let p = PostalParams::new(SimDuration::from_micros(lam_us), SimDuration::from_micros(1));
+            let p = PostalParams::new(
+                SimDuration::from_micros(lam_us),
+                SimDuration::from_micros(1),
+            );
             let t = SpanningTree::build(NodeId(0), &dests, TreeShape::Postal(p));
             t.validate().unwrap();
             assert!(

@@ -184,7 +184,10 @@ impl std::fmt::Display for WorkloadError {
             }
             WorkloadError::NoGroups => write!(f, "group population is empty"),
             WorkloadError::TooManyGroups(g) => {
-                write!(f, "{g} groups exceed the tag-encoding limit of {MAX_GROUPS}")
+                write!(
+                    f,
+                    "{g} groups exceed the tag-encoding limit of {MAX_GROUPS}"
+                )
             }
             WorkloadError::ZeroRate(r) => {
                 write!(f, "arrival rate {r} must be positive and finite")
@@ -539,7 +542,11 @@ impl Workload {
         }
         // Drawn streams grew by push; a trace's were reserved exactly.
         per_group.iter_mut().for_each(Vec::shrink_to_fit);
-        if let Some(n) = per_group.iter().map(Vec::len).find(|&n| n >= MAX_MSGS_PER_GROUP) {
+        if let Some(n) = per_group
+            .iter()
+            .map(Vec::len)
+            .find(|&n| n >= MAX_MSGS_PER_GROUP)
+        {
             return Err(WorkloadError::TooManyMessagesPerGroup(n));
         }
         Ok(per_group)
@@ -575,7 +582,11 @@ impl Workload {
             let mut tries = 0u64;
             while (chosen.len() as u64) < want && tries < 4 * want + 16 {
                 tries += 1;
-                let pool = if members_rng.chance(self.overlap) { hot } else { n };
+                let pool = if members_rng.chance(self.overlap) {
+                    hot
+                } else {
+                    n
+                };
                 let cand = members_rng.below(pool) as u32;
                 if cand != root.0 {
                     chosen.insert(cand);
@@ -662,7 +673,11 @@ impl WorkloadGroup {
     /// When the root and members install their entries: [`INSTALL_LEAD`]
     /// before the first arrival.
     fn install_at(&self) -> SimTime {
-        SimTime::from_nanos(self.arrivals[0].as_nanos().saturating_sub(INSTALL_LEAD.as_nanos()))
+        SimTime::from_nanos(
+            self.arrivals[0]
+                .as_nanos()
+                .saturating_sub(INSTALL_LEAD.as_nanos()),
+        )
     }
 
     /// The last arrival, when the root disbands the group.
@@ -933,8 +948,9 @@ impl BuiltWorkload {
         let topo = Topology::for_nodes(n);
         let fabric = Fabric::with_config(topo, spec.net, spec.faults.clone(), spec.seed);
         let config = spec.config;
-        let mut cluster =
-            Cluster::new(spec.params.clone(), fabric, |_| McastExt::with_config(config));
+        let mut cluster = Cluster::new(spec.params.clone(), fabric, |_| {
+            McastExt::with_config(config)
+        });
         cluster.set_probes(spec.probes);
         cluster.set_series(spec.series);
         cluster.set_partition_weights(self.partition_weights());
@@ -1023,7 +1039,10 @@ impl BuiltWorkload {
         }
         // Jain's fairness index over per-group goodput.
         let sum: f64 = per_group.iter().map(|g| g.goodput_mbs).sum();
-        let sum_sq: f64 = per_group.iter().map(|g| g.goodput_mbs * g.goodput_mbs).sum();
+        let sum_sq: f64 = per_group
+            .iter()
+            .map(|g| g.goodput_mbs * g.goodput_mbs)
+            .sum();
         let fairness = if sum_sq > 0.0 {
             (sum * sum) / (per_group.len() as f64 * sum_sq)
         } else {

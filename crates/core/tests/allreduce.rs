@@ -142,11 +142,25 @@ fn sum_over_every_cluster_size() {
 fn min_and_max_reduce_correctly() {
     let contribute = |me: NodeId, _: u32| ((me.0 as u64 * 37) % 11) + 1;
     let values: Vec<u64> = (0..8u32).map(|i| ((i as u64 * 37) % 11) + 1).collect();
-    let out = run(8, ReduceOp::Min, 1, contribute, no_stagger, FaultPlan::none());
+    let out = run(
+        8,
+        ReduceOp::Min,
+        1,
+        contribute,
+        no_stagger,
+        FaultPlan::none(),
+    );
     let expect_min = *values.iter().min().unwrap();
     assert!(out[0].iter().all(|&(r, _)| r == expect_min));
 
-    let out = run(8, ReduceOp::Max, 1, contribute, no_stagger, FaultPlan::none());
+    let out = run(
+        8,
+        ReduceOp::Max,
+        1,
+        contribute,
+        no_stagger,
+        FaultPlan::none(),
+    );
     let expect_max = *values.iter().max().unwrap();
     assert!(out[0].iter().all(|&(r, _)| r == expect_max));
 }
@@ -221,7 +235,14 @@ fn no_member_finishes_before_the_last_entry() {
             SimDuration::ZERO
         }
     }
-    let out = run(8, ReduceOp::Sum, 1, |me, _| me.0 as u64, stagger, FaultPlan::none());
+    let out = run(
+        8,
+        ReduceOp::Sum,
+        1,
+        |me, _| me.0 as u64,
+        stagger,
+        FaultPlan::none(),
+    );
     for &(_, t) in &out[0] {
         assert!(
             t >= SimTime::ZERO + SimDuration::from_micros(400),

@@ -67,7 +67,12 @@ fn sharded_caller_mode_is_deterministic_and_matches_sequential() {
     use gm_sim::{SeriesConfig, WatchConfig};
     use nic_mcast::execute;
     let observe = |run: &McastRun| {
-        execute(run, ProbeConfig::spans(), SeriesConfig::off(), WatchConfig::off())
+        execute(
+            run,
+            ProbeConfig::spans(),
+            SeriesConfig::off(),
+            WatchConfig::off(),
+        )
     };
 
     let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);

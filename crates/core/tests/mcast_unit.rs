@@ -60,12 +60,7 @@ fn install_root(n: &mut NicCore<McastExt>, ext: &mut McastExt, children: &[u32])
     drain_lanai(n, ext);
 }
 
-fn install_member(
-    n: &mut NicCore<McastExt>,
-    ext: &mut McastExt,
-    parent: u32,
-    children: &[u32],
-) {
+fn install_member(n: &mut NicCore<McastExt>, ext: &mut McastExt, parent: u32, children: &[u32]) {
     n.host_provide_recv(PORT, 64);
     let req = McastRequest::CreateGroup {
         group: G,
@@ -106,7 +101,11 @@ fn multisend_emits_one_replica_per_child_in_order() {
     n.host_ext_request(cost, req);
     let pkts = pump_all(&mut n, &mut ext);
     let dsts: Vec<u32> = pkts.iter().map(|p| p.dst.0).collect();
-    assert_eq!(dsts, vec![1, 2, 3], "replica chain visits children in order");
+    assert_eq!(
+        dsts,
+        vec![1, 2, 3],
+        "replica chain visits children in order"
+    );
     for p in &pkts {
         let PacketKind::Mcast { seq, tag, .. } = p.kind else {
             panic!("non-mcast packet {:?}", p.kind)

@@ -275,7 +275,8 @@ impl<X: NicExtension> Cluster<X> {
     #[inline]
     fn local(&self, node: NodeId) -> usize {
         debug_assert_eq!(
-            self.shard_of[node.idx()], self.my_shard,
+            self.shard_of[node.idx()],
+            self.my_shard,
             "{node} is not owned by shard {}",
             self.my_shard
         );
@@ -513,8 +514,15 @@ impl<X: NicExtension> Cluster<X> {
                 if let Some(dur) = slot.nic.pci_start() {
                     if self.probe.is_enabled() {
                         let flow = slot.nic.flow_of_pci(&slot.ext);
-                        self.probe
-                            .begin_flow(now, node.0, &probes::PCI_DMA, "dma", dur.as_nanos(), 0, flow);
+                        self.probe.begin_flow(
+                            now,
+                            node.0,
+                            &probes::PCI_DMA,
+                            "dma",
+                            dur.as_nanos(),
+                            0,
+                            flow,
+                        );
                     }
                     sched.after(dur, Ev::PciDone(node));
                 }
@@ -646,12 +654,7 @@ impl<X: NicExtension> Cluster<X> {
     }
 
     /// Deliver a notice now if the host is free; otherwise queue it.
-    fn deliver_or_queue(
-        &mut self,
-        node: NodeId,
-        notice: Notice<X::Notice>,
-        sched: &mut Sched,
-    ) {
+    fn deliver_or_queue(&mut self, node: NodeId, notice: Notice<X::Notice>, sched: &mut Sched) {
         let li = self.local(node);
         let slot = &mut self.slots[li];
         let free_at = slot.host.free_at();
@@ -813,7 +816,10 @@ impl<X: NicExtension> World for Cluster<X> {
                 self.probe.end(sched.now(), n.0, &probes::WIRE_TX, "tx");
                 let li = self.local(n);
                 let slot = &mut self.slots[li];
-                let cb = slot.tx_cb.take().expect("a callback for the packet on the wire");
+                let cb = slot
+                    .tx_cb
+                    .take()
+                    .expect("a callback for the packet on the wire");
                 slot.nic.set_now(sched.now());
                 slot.nic.tx_drained(cb);
                 self.pump_nic(n, sched);
@@ -870,6 +876,10 @@ mod tests {
     fn events_are_thin() {
         // Payloads park with their owners, so the event queue moves a node
         // id and a u32 at most; the queue stores events inline.
-        assert!(std::mem::size_of::<Ev>() <= 16, "Ev is {} bytes", std::mem::size_of::<Ev>());
+        assert!(
+            std::mem::size_of::<Ev>() <= 16,
+            "Ev is {} bytes",
+            std::mem::size_of::<Ev>()
+        );
     }
 }

@@ -441,10 +441,7 @@ impl<X: NicExtension> NicCore<X> {
 
     /// The host preposted `n` receive buffers on `port`.
     pub fn host_provide_recv(&mut self, port: PortId, n: usize) {
-        self.recv_tokens
-            .entry(port)
-            .or_default()
-            .grant(n as u64);
+        self.recv_tokens.entry(port).or_default().grant(n as u64);
         self.debug_check_conservation();
     }
 
@@ -705,7 +702,14 @@ impl<X: NicExtension> NicCore<X> {
 
     /// Post a receive notice to the host (the extension delivers multicast
     /// messages through the same host receive path as unicast).
-    pub fn notify_recv(&mut self, port: PortId, src: NodeId, src_port: PortId, tag: u64, data: Payload) {
+    pub fn notify_recv(
+        &mut self,
+        port: PortId,
+        src: NodeId,
+        src_port: PortId,
+        tag: u64,
+        data: Payload,
+    ) {
         self.notices.push(Notice::Recv {
             port,
             src,
@@ -971,7 +975,10 @@ impl<X: NicExtension> NicCore<X> {
 
     /// Receive tokens available across all ports (telemetry gauge).
     pub fn recv_tokens_avail(&self) -> usize {
-        self.recv_tokens.values().map(|c| c.available() as usize).sum()
+        self.recv_tokens
+            .values()
+            .map(|c| c.available() as usize)
+            .sum()
     }
 
     // -- Base protocol internals ----------------------------------------------
@@ -1011,7 +1018,9 @@ impl<X: NicExtension> NicCore<X> {
             let len = token.data.len() as u32;
             let mut made_progress = false;
             while !token.done_creating
-                && conn.tx.can_admit(conn.records.len(), self.params.send_window)
+                && conn
+                    .tx
+                    .can_admit(conn.records.len(), self.params.send_window)
             {
                 let off = token.next_offset;
                 let chunk = token.data.packet_len(off);
@@ -1313,7 +1322,8 @@ impl<X: NicExtension> NicCore<X> {
         let conn = self.recv_conns.get_mut(&key).expect("conn exists");
         if !conn.ack_armed {
             conn.ack_armed = true;
-            self.timer_reqs.push((window, TimerTag::AckFlush { conn: key }));
+            self.timer_reqs
+                .push((window, TimerTag::AckFlush { conn: key }));
         } else {
             // A flush is already pending: this ack merges into it.
             self.counters.bump("acks_coalesced");

@@ -202,8 +202,14 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let p = GmParams::default();
-        assert!(p.host_send_post < SimDuration::from_micros(1), "host overhead must be sub-microsecond");
-        assert!(p.send_token_proc > p.callback_proc, "multisend must save processing");
+        assert!(
+            p.host_send_post < SimDuration::from_micros(1),
+            "host overhead must be sub-microsecond"
+        );
+        assert!(
+            p.send_token_proc > p.callback_proc,
+            "multisend must save processing"
+        );
         assert!(p.send_buffers >= 1 && p.recv_buffers >= 1);
     }
 

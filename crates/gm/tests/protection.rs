@@ -58,7 +58,11 @@ fn credits_are_per_port_and_traffic_never_crosses() {
     let got = &eng.world(0).app::<TwoPortHost>(NodeId(1)).log;
     // All three port-A messages arrived, in order, despite interleaved
     // port-B traffic stalling.
-    let a_tags: Vec<u64> = got.iter().filter(|(p, _)| *p == PA).map(|(_, t)| *t).collect();
+    let a_tags: Vec<u64> = got
+        .iter()
+        .filter(|(p, _)| *p == PA)
+        .map(|(_, t)| *t)
+        .collect();
     assert_eq!(a_tags, vec![0, 2, 4]);
     // Nothing was ever delivered on port B...
     assert!(got.iter().all(|(p, _)| *p == PA));
@@ -108,7 +112,11 @@ fn connections_are_independent_per_port_pair() {
     let d = drive(c, 1);
     let got = &d.app::<BothPorts>(NodeId(1)).log;
     assert_eq!(got.len(), 5);
-    let b_tags: Vec<u64> = got.iter().filter(|(p, _)| *p == PB).map(|(_, t)| *t).collect();
+    let b_tags: Vec<u64> = got
+        .iter()
+        .filter(|(p, _)| *p == PB)
+        .map(|(_, t)| *t)
+        .collect();
     assert_eq!(b_tags, vec![0, 1, 2, 3], "port B in order");
     // The port-B messages all landed before the 60 KB port-A message
     // finished (wire-interleaved packets, independent reassembly).

@@ -130,7 +130,10 @@ fn multi_packet_message_reassembles() {
     let log = &d.app::<Sink>(NodeId(1)).log;
     assert_eq!(log.len(), 1);
     assert_eq!(log[0].1, 9);
-    assert_eq!(log[0].2, data, "the reassembled message must be the one sent");
+    assert_eq!(
+        log[0].2, data,
+        "the reassembled message must be the one sent"
+    );
 }
 
 #[test]
@@ -239,10 +242,7 @@ fn missing_receive_token_stalls_until_recovered_by_retransmit() {
             }
         }
     }
-    let msgs = vec![
-        (NodeId(1), payload(8, 1), 0),
-        (NodeId(1), payload(8, 2), 1),
-    ];
+    let msgs = vec![(NodeId(1), payload(8, 1), 0), (NodeId(1), payload(8, 2), 1)];
     let sender = ScriptedSender::new(msgs, false);
     let d = pair(
         cluster(2, FaultPlan::none(), 8),
@@ -312,7 +312,10 @@ fn larger_messages_take_longer() {
         assert_eq!(sink.log.len(), 1);
         lat.push(sink.last_at.as_micros_f64());
     }
-    assert!(lat[0] < lat[1] && lat[1] < lat[2], "latency ordering: {lat:?}");
+    assert!(
+        lat[0] < lat[1] && lat[1] < lat[2],
+        "latency ordering: {lat:?}"
+    );
     // 16 KB spans 4 packets; wire time alone is ~66 us.
     assert!(lat[2] > 60.0, "16 KB exchange too fast: {} us", lat[2]);
 }

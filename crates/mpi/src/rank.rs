@@ -199,9 +199,8 @@ impl RankApp {
         assert!(!ops.is_empty() && repeat > 0);
         let rng = DetRng::substream(cfg.seed, "mpi-skew", me as u64);
         // Records sized from the program: at most one per op and repetition.
-        let per_run = |f: fn(&MpiOp) -> bool| {
-            ops.iter().filter(|op| f(op)).count() * repeat as usize
-        };
+        let per_run =
+            |f: fn(&MpiOp) -> bool| ops.iter().filter(|op| f(op)).count() * repeat as usize;
         let records = Records {
             bcasts: Vec::with_capacity(per_run(|op| matches!(op, MpiOp::Bcast { .. }))),
             skews: Vec::with_capacity(per_run(|op| matches!(op, MpiOp::SkewUniform { .. }))),
@@ -275,7 +274,10 @@ impl RankApp {
     }
 
     fn stash(&mut self, from: u32, t: u64, data: Payload) {
-        self.unexpected.entry((from, t)).or_default().push_back(data);
+        self.unexpected
+            .entry((from, t))
+            .or_default()
+            .push_back(data);
     }
 
     /// Binomial broadcast children over the communicator, rotated so `root`
@@ -429,13 +431,7 @@ impl RankApp {
     ) -> bool {
         if size <= self.cfg.eager_limit {
             let t = tag(Ctx::P2p, user as u64);
-            ctx.send(
-                Self::node(to),
-                MPI_PORT,
-                MPI_PORT,
-                Payload::new(0, size),
-                t,
-            );
+            ctx.send(Self::node(to), MPI_PORT, MPI_PORT, Payload::new(0, size), t);
             self.sends_pending = 1;
             self.copy_pending = false;
             self.wait = Wait::SendsAndCopy;
@@ -463,7 +459,13 @@ impl RankApp {
         false
     }
 
-    fn rndv_push_data(&mut self, ctx: &mut HostCtx<'_, McastExt>, to: u32, size: usize, value: u64) {
+    fn rndv_push_data(
+        &mut self,
+        ctx: &mut HostCtx<'_, McastExt>,
+        to: u32,
+        size: usize,
+        value: u64,
+    ) {
         ctx.send(
             Self::node(to),
             MPI_PORT,
@@ -580,7 +582,13 @@ impl RankApp {
         let tree = self.group_tree(root);
         for &d in tree.dests() {
             let setup = Payload::new(0, group_setup_len(tree.children(d).len()));
-            ctx.send(d, MPI_PORT, MPI_PORT, setup, tag(Ctx::GroupSetup, root as u64));
+            ctx.send(
+                d,
+                MPI_PORT,
+                MPI_PORT,
+                setup,
+                tag(Ctx::GroupSetup, root as u64),
+            );
         }
         ctx.provide_recv(BCAST_PORT, 64);
         ctx.ext(McastRequest::CreateGroup {
@@ -620,7 +628,13 @@ impl RankApp {
         self.mcast_send(ctx, root, size, seq);
     }
 
-    fn hb_bcast(&mut self, ctx: &mut HostCtx<'_, McastExt>, root: u32, size: usize, seq: u64) -> bool {
+    fn hb_bcast(
+        &mut self,
+        ctx: &mut HostCtx<'_, McastExt>,
+        root: u32,
+        size: usize,
+        seq: u64,
+    ) -> bool {
         if self.bcast_is_root {
             return self.hb_forward(ctx, root, size, seq, false);
         }
@@ -631,7 +645,10 @@ impl RankApp {
             if let Some(data) = self.take_unexpected(parent, t) {
                 return self.hb_forward(ctx, root, data.len().max(size), seq, true);
             }
-            self.wait = Wait::Msg { from: parent, tag: t };
+            self.wait = Wait::Msg {
+                from: parent,
+                tag: t,
+            };
         } else {
             let t = tag(Ctx::Rts, seq);
             if self.take_unexpected(parent, t).is_some() {
@@ -647,7 +664,10 @@ impl RankApp {
                     tag: tag(Ctx::RndvData, seq),
                 };
             } else {
-                self.wait = Wait::Msg { from: parent, tag: t };
+                self.wait = Wait::Msg {
+                    from: parent,
+                    tag: t,
+                };
             }
         }
         false
@@ -871,7 +891,8 @@ impl RankApp {
             return;
         }
         // Payload traffic: eager bcast, multicast delivery, p2p, rndv data.
-        let matched = matches!(self.wait, Wait::Msg { from, tag: want } if from == src && want == t);
+        let matched =
+            matches!(self.wait, Wait::Msg { from, tag: want } if from == src && want == t);
         if !matched {
             self.stash(src, t, data);
             return;
@@ -920,9 +941,8 @@ impl HostApp<McastExt> for RankApp {
             }
             Notice::SendComplete { tag: t, .. } => {
                 let (c, _) = untag(t);
-                let tracked = c == Ctx::Bcast as u8
-                    || c == Ctx::RndvData as u8
-                    || c == Ctx::P2p as u8;
+                let tracked =
+                    c == Ctx::Bcast as u8 || c == Ctx::RndvData as u8 || c == Ctx::P2p as u8;
                 if !tracked || self.sends_pending == 0 {
                     return;
                 }
@@ -1058,7 +1078,15 @@ mod tests {
 
     #[test]
     fn barrier_round_count_is_ceil_log2() {
-        for (n, rounds) in [(2u32, 1u32), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (16, 4)] {
+        for (n, rounds) in [
+            (2u32, 1u32),
+            (3, 2),
+            (4, 2),
+            (5, 3),
+            (8, 3),
+            (9, 4),
+            (16, 4),
+        ] {
             assert_eq!(app(n, 0).barrier_rounds(), rounds, "n={n}");
         }
     }

@@ -222,8 +222,14 @@ pub(crate) fn execute_on(run: &MpiRun, shards: u32) -> MpiOutput {
         .map(|&r| &driven.app::<RankApp>(NodeId(r)).records)
         .collect();
     let completed: usize = ranks.iter().map(|r| r.bcasts.len()).sum();
-    let expected: u32 = comm.iter().map(|&r| run.repeat * bcasts_in(ops_for(r))).sum();
-    assert_eq!(completed, expected as usize, "every rank must complete every broadcast");
+    let expected: u32 = comm
+        .iter()
+        .map(|&r| run.repeat * bcasts_in(ops_for(r)))
+        .sum();
+    assert_eq!(
+        completed, expected as usize,
+        "every rank must complete every broadcast"
+    );
     let s = fold(
         &ranks,
         run.warmup * bcasts_per_repeat,
@@ -269,7 +275,11 @@ mod tests {
                 run.probes = ProbeConfig::spans();
                 let (a, b) = (execute_on(&run, 1), execute_on(&run, 2));
                 let name = format!("{bcast:?} {size} B");
-                assert_eq!(b.metrics.get("parallel.shards"), 2, "{name}: ran on 2 shards");
+                assert_eq!(
+                    b.metrics.get("parallel.shards"),
+                    2,
+                    "{name}: ran on 2 shards"
+                );
                 let stats = |o: &MpiOutput| {
                     [
                         &o.latency,
@@ -290,7 +300,10 @@ mod tests {
                     "{name}: counter snapshots differ"
                 );
                 assert!(!a.probe.is_empty(), "{name}: no probe events");
-                assert!(a.probe.to_vec() == b.probe.to_vec(), "{name}: probe streams differ");
+                assert!(
+                    a.probe.to_vec() == b.probe.to_vec(),
+                    "{name}: probe streams differ"
+                );
             }
         }
     }

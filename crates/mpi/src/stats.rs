@@ -120,14 +120,23 @@ mod tests {
             let took = [(true, 10), (false, 100 + ord), (false, 50)];
             for (rank, (root, ns)) in ranks.iter_mut().zip(took) {
                 let exit = base + SimDuration::from_nanos(ns);
-                rank.bcasts.push(BcastRecord { at: exit, enter: base, exit, root });
+                rank.bcasts.push(BcastRecord {
+                    at: exit,
+                    enter: base,
+                    exit,
+                    root,
+                });
             }
         }
         let ranks: Vec<&Records> = ranks.iter().collect();
         let s = fold(&ranks, 1, 3, 0);
         // warmup=1 excludes ordinal 0.
         assert_eq!(s.latency.count(), 2);
-        assert!((s.latency.mean() - 0.1015).abs() < 1e-9, "mean {}", s.latency.mean());
+        assert!(
+            (s.latency.mean() - 0.1015).abs() < 1e-9,
+            "mean {}",
+            s.latency.mean()
+        );
         // CPU stats exclude warmup: 3 ranks x 2 ordinals.
         assert_eq!(s.bcast_cpu.count(), 6);
         assert_eq!(s.bcast_cpu_nonroot.count(), 4);

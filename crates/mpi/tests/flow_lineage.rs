@@ -14,20 +14,19 @@ use gm_sim::{FlowGraph, SimDuration, SimTime};
 /// compute delay injected at one rank before its `MPI_Bcast` call.
 /// Returns the critical-path signature of the full run.
 fn bcast_signature(skewed_rank: Option<u32>) -> String {
-    let mut run = MpiRun::bcast_loop(
-        8,
-        1024,
-        BcastImpl::HostBinomial,
-        SimDuration::ZERO,
-        0,
-        1,
-    );
-    run.ops = vec![MpiOp::Bcast { root: 0, size: 1024 }];
+    let mut run = MpiRun::bcast_loop(8, 1024, BcastImpl::HostBinomial, SimDuration::ZERO, 0, 1);
+    run.ops = vec![MpiOp::Bcast {
+        root: 0,
+        size: 1024,
+    }];
     if let Some(r) = skewed_rank {
         let mut per_rank: Vec<Vec<MpiOp>> = (0..8).map(|_| run.ops.clone()).collect();
         per_rank[r as usize] = vec![
             MpiOp::Compute(SimDuration::from_micros(1000)),
-            MpiOp::Bcast { root: 0, size: 1024 },
+            MpiOp::Bcast {
+                root: 0,
+                size: 1024,
+            },
         ];
         run.rank_ops = Some(per_rank);
     }

@@ -376,9 +376,7 @@ mod tests {
         match send(&mut f, SimTime::ZERO, &p) {
             (RxOutcome::Delivered { at }, src_free) => {
                 // route: inject link + eject link = 2 links, 1 switch between.
-                let expect = SimDuration::from_nanos(100) * 2
-                    + SimDuration::from_nanos(300)
-                    + ser;
+                let expect = SimDuration::from_nanos(100) * 2 + SimDuration::from_nanos(300) + ser;
                 assert_eq!(at, SimTime::ZERO + expect);
                 assert_eq!(src_free, SimTime::ZERO + ser);
             }
@@ -437,7 +435,10 @@ mod tests {
         else {
             panic!()
         };
-        assert!(a2 > a1, "second packet to same dst must queue on eject link");
+        assert!(
+            a2 > a1,
+            "second packet to same dst must queue on eject link"
+        );
     }
 
     #[test]
@@ -465,12 +466,7 @@ mod tests {
     #[test]
     fn random_loss_rate_approximately_holds() {
         let topo = Topology::for_nodes(2);
-        let mut f = Fabric::with_config(
-            topo,
-            NetParams::default(),
-            FaultPlan::with_loss(0.2),
-            42,
-        );
+        let mut f = Fabric::with_config(topo, NetParams::default(), FaultPlan::with_loss(0.2), 42);
         let mut t = SimTime::ZERO;
         let mut drops = 0;
         for _ in 0..2000 {

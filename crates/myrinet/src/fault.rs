@@ -149,7 +149,10 @@ mod tests {
     #[test]
     fn probabilistic_drop_uses_draw() {
         let mut plan = FaultPlan::with_loss(0.1);
-        assert_eq!(plan.check(&data_pkt(0, 1, 0), 0.05), Some(DropReason::Random));
+        assert_eq!(
+            plan.check(&data_pkt(0, 1, 0), 0.05),
+            Some(DropReason::Random)
+        );
         assert_eq!(plan.check(&data_pkt(0, 1, 0), 0.15), None);
     }
 
@@ -160,8 +163,14 @@ mod tests {
             corrupt_prob: 0.1,
             rules: vec![],
         };
-        assert_eq!(plan.check(&data_pkt(0, 1, 0), 0.05), Some(DropReason::Random));
-        assert_eq!(plan.check(&data_pkt(0, 1, 0), 0.15), Some(DropReason::Corrupt));
+        assert_eq!(
+            plan.check(&data_pkt(0, 1, 0), 0.05),
+            Some(DropReason::Random)
+        );
+        assert_eq!(
+            plan.check(&data_pkt(0, 1, 0), 0.15),
+            Some(DropReason::Corrupt)
+        );
         assert_eq!(plan.check(&data_pkt(0, 1, 0), 0.25), None);
     }
 
@@ -171,8 +180,14 @@ mod tests {
             rules: vec![DropRule::data_between(NodeId(0), NodeId(1), 2)],
             ..FaultPlan::default()
         };
-        assert_eq!(plan.check(&data_pkt(0, 1, 0), 0.9), Some(DropReason::Rule(0)));
-        assert_eq!(plan.check(&data_pkt(0, 1, 1), 0.9), Some(DropReason::Rule(0)));
+        assert_eq!(
+            plan.check(&data_pkt(0, 1, 0), 0.9),
+            Some(DropReason::Rule(0))
+        );
+        assert_eq!(
+            plan.check(&data_pkt(0, 1, 1), 0.9),
+            Some(DropReason::Rule(0))
+        );
         assert_eq!(plan.check(&data_pkt(0, 1, 2), 0.9), None);
     }
 
@@ -188,7 +203,10 @@ mod tests {
             ..FaultPlan::default()
         };
         assert_eq!(plan.check(&data_pkt(3, 4, 6), 0.9), None);
-        assert_eq!(plan.check(&data_pkt(3, 4, 7), 0.9), Some(DropReason::Rule(0)));
+        assert_eq!(
+            plan.check(&data_pkt(3, 4, 7), 0.9),
+            Some(DropReason::Rule(0))
+        );
         // Ack with seq 7 is not data but matches mcast=false and seq.
         let ack = Packet::ack(NodeId(0), NodeId(1), PortId(0), 7);
         assert_eq!(plan.check(&ack, 0.9), Some(DropReason::Rule(0)));

@@ -205,7 +205,10 @@ impl Topology {
     /// `src == dst` is not routable (GM loops back locally, above the wire).
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
         assert!(src != dst, "no self-route on the fabric");
-        assert!(src.0 < self.n_nodes && dst.0 < self.n_nodes, "node out of range");
+        assert!(
+            src.0 < self.n_nodes && dst.0 < self.n_nodes,
+            "node out of range"
+        );
         match self.kind {
             TopoKind::SingleCrossbar => {
                 vec![self.inject[src.idx()], self.eject[dst.idx()]]
@@ -295,7 +298,8 @@ impl Topology {
         // nonempty).
         let mut unit_w = vec![0u64; units];
         for (n, &w) in node_weight.iter().enumerate() {
-            unit_w[unit_of(n as u32) as usize] = unit_w[unit_of(n as u32) as usize].saturating_add(w);
+            unit_w[unit_of(n as u32) as usize] =
+                unit_w[unit_of(n as u32) as usize].saturating_add(w);
         }
         for w in &mut unit_w {
             *w = (*w).max(1);
@@ -306,9 +310,9 @@ impl Topology {
             prefix[i + 1] = prefix[i].saturating_add(w);
         }
         let range = |a: usize, b: usize| prefix[b] - prefix[a]; // [a, b)
-        // dp[k][i]: minimal max-group-weight splitting units [0, i) into k
-        // nonempty contiguous groups; cut[k][i]: the chosen last boundary
-        // (smallest j on ties, a deterministic tie-break).
+                                                                // dp[k][i]: minimal max-group-weight splitting units [0, i) into k
+                                                                // nonempty contiguous groups; cut[k][i]: the chosen last boundary
+                                                                // (smallest j on ties, a deterministic tie-break).
         let mut dp = vec![vec![u64::MAX; units + 1]; shards + 1];
         let mut cut = vec![vec![0usize; units + 1]; shards + 1];
         dp[0][0] = 0;
@@ -495,7 +499,10 @@ mod tests {
     #[test]
     fn route_is_deterministic() {
         let t = Topology::for_nodes(64);
-        assert_eq!(t.route(NodeId(1), NodeId(60)), t.route(NodeId(1), NodeId(60)));
+        assert_eq!(
+            t.route(NodeId(1), NodeId(60)),
+            t.route(NodeId(1), NodeId(60))
+        );
     }
 
     #[test]
@@ -550,7 +557,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "no self-route")]
     fn route_table_self_route_panics() {
-        Topology::for_nodes(4).route_table().route(NodeId(1), NodeId(1));
+        Topology::for_nodes(4)
+            .route_table()
+            .route(NodeId(1), NodeId(1));
     }
 
     #[test]
@@ -567,7 +576,11 @@ mod tests {
             let p = t.partition(shards);
             assert_eq!(p.len(), 64);
             for n in 0..64usize {
-                assert_eq!(p[n], p[n - n % 8], "leaf of node {n} split at {shards} shards");
+                assert_eq!(
+                    p[n],
+                    p[n - n % 8],
+                    "leaf of node {n} split at {shards} shards"
+                );
             }
             // Contiguous and starting at zero.
             assert_eq!(p[0], 0);
@@ -599,19 +612,27 @@ mod tests {
     #[test]
     fn partition_weighted_never_splits_a_leaf() {
         let t = Topology::for_nodes(64); // 8 leaves x 8 hosts
-        // Load concentrated on the first two leaves.
+                                         // Load concentrated on the first two leaves.
         let w: Vec<u64> = (0..64).map(|n| if n < 16 { 50 } else { 1 }).collect();
         for shards in [2u32, 3, 4, 8] {
             let p = t.partition_weighted(shards, &w);
             assert_eq!(p.len(), 64);
             for n in 0..64usize {
-                assert_eq!(p[n], p[n - n % 8], "leaf of node {n} split at {shards} shards");
+                assert_eq!(
+                    p[n],
+                    p[n - n % 8],
+                    "leaf of node {n} split at {shards} shards"
+                );
             }
             assert_eq!(p[0], 0);
             for win in p.windows(2) {
                 assert!(win[1] == win[0] || win[1] == win[0] + 1, "non-contiguous");
             }
-            assert_eq!(*p.iter().max().unwrap() + 1, shards.min(8), "all shards used");
+            assert_eq!(
+                *p.iter().max().unwrap() + 1,
+                shards.min(8),
+                "all shards used"
+            );
         }
     }
 
@@ -637,10 +658,7 @@ mod tests {
         let t = Topology::for_nodes(24); // 3 leaves
         let p = t.partition_weighted(8, &[0u64; 24]);
         assert_eq!(*p.iter().max().unwrap(), 2, "clamps to 3 leaves");
-        assert_eq!(
-            Topology::for_nodes(1).partition_weighted(4, &[7]),
-            vec![0]
-        );
+        assert_eq!(Topology::for_nodes(1).partition_weighted(4, &[7]), vec![0]);
     }
 
     #[test]

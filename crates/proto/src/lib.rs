@@ -574,10 +574,7 @@ mod tests {
     #[test]
     fn release_horizon_mutation_is_off_by_one() {
         assert_eq!(release_horizon(3, ProtoMutation::None), 3);
-        assert_eq!(
-            release_horizon(3, ProtoMutation::SenderWindowOffByOne),
-            4
-        );
+        assert_eq!(release_horizon(3, ProtoMutation::SenderWindowOffByOne), 4);
     }
 
     #[test]

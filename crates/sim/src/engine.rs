@@ -90,7 +90,11 @@ impl<E, H> Scheduler<E, H> {
     /// Schedule `event` at an absolute time (must not be in the past).
     #[inline]
     pub fn at(&mut self, time: SimTime, event: E) {
-        assert!(time >= self.now, "scheduling into the past: {time} < {}", self.now);
+        assert!(
+            time >= self.now,
+            "scheduling into the past: {time} < {}",
+            self.now
+        );
         self.queue.push(time, event);
     }
 

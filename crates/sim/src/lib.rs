@@ -41,8 +41,8 @@
 
 #![warn(missing_docs)]
 
-mod engine;
 pub mod critical_path;
+mod engine;
 pub mod flow;
 mod merge;
 mod names;
@@ -61,10 +61,12 @@ pub use engine::{dispatch_stats, OutMsg, RunOutcome, Scheduler, World};
 pub use flow::FlowId;
 pub use parallel::{CoreHold, Engine, ShardStats};
 pub use probe::{Metrics, ProbeConfig, ProbeEvent, ProbeSink};
-pub use series::{GaugeId, GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
 pub use queue::{set_kind_override as set_queue_override, EventQueue, QueueKind};
 pub use rng::{splitmix64, DetRng};
+pub use series::{GaugeId, GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
 pub use slab::Slab;
 pub use stats::{Counters, LogHistogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use watch::{Detector, DetectorKind, Incident, Severity, Thresh, Unit, WatchConfig, WatchEngine};
+pub use watch::{
+    Detector, DetectorKind, Incident, Severity, Thresh, Unit, WatchConfig, WatchEngine,
+};

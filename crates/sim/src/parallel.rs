@@ -633,11 +633,8 @@ mod tests {
             let mut eng = Engine::sharded(worlds, SimDuration::from_nanos(500));
             eng.schedule(0, SimTime::ZERO, Ev::Token(0));
             assert_eq!(eng.run_to_idle(), RunOutcome::Idle);
-            let mut log: Vec<(u64, u64)> = eng
-                .into_worlds()
-                .into_iter()
-                .flat_map(|w| w.log)
-                .collect();
+            let mut log: Vec<(u64, u64)> =
+                eng.into_worlds().into_iter().flat_map(|w| w.log).collect();
             log.sort_unstable();
             log
         }
@@ -666,7 +663,10 @@ mod tests {
 
     #[test]
     fn shards_take_threads_only_when_every_worker_gets_a_free_core() {
-        assert!(!workers_fit(1, 8, 0), "one shard runs on the calling thread");
+        assert!(
+            !workers_fit(1, 8, 0),
+            "one shard runs on the calling thread"
+        );
         assert!(!workers_fit(2, 1, 0), "two shards on one core");
         assert!(workers_fit(2, 2, 0));
         assert!(workers_fit(4, 4, 0));
@@ -675,7 +675,10 @@ mod tests {
         assert!(!workers_fit(2, 2, 2));
         assert!(!workers_fit(2, 3, 2), "one core free for two workers");
         assert!(workers_fit(2, 4, 2));
-        assert!(!workers_fit(2, 64, usize::MAX), "a full count never wraps round");
+        assert!(
+            !workers_fit(2, 64, usize::MAX),
+            "a full count never wraps round"
+        );
     }
 
     #[test]
@@ -736,7 +739,8 @@ mod tests {
             match event {
                 ClockEv::Recv(node) => self.received[node as usize] += 1,
                 ClockEv::Tick(node) => {
-                    self.log.push((now.as_nanos(), node, self.received[node as usize]));
+                    self.log
+                        .push((now.as_nanos(), node, self.received[node as usize]));
                     let peer = 1 - node;
                     let at = now + SimDuration::from_nanos(LOOKAHEAD_NS);
                     let seq = self.sent[node as usize];

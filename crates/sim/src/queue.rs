@@ -778,13 +778,13 @@ mod tests {
             let op = rnd() % 10;
             if op < 6 {
                 let dt = match rnd() % 8 {
-                    0 => 0,                            // same instant
-                    1 => rnd() % BUCKET_WIDTH,         // sub-bucket
-                    2 => rnd() % 4_000,                // the common case
-                    3 => rnd() % (WINDOW / 2),         // mid wheel
-                    4 => WINDOW,                       // exactly one window
-                    5 => WINDOW - BUCKET_WIDTH,        // one bucket short
-                    6 => WINDOW + BUCKET_WIDTH,        // one bucket past
+                    0 => 0,                             // same instant
+                    1 => rnd() % BUCKET_WIDTH,          // sub-bucket
+                    2 => rnd() % 4_000,                 // the common case
+                    3 => rnd() % (WINDOW / 2),          // mid wheel
+                    4 => WINDOW,                        // exactly one window
+                    5 => WINDOW - BUCKET_WIDTH,         // one bucket short
+                    6 => WINDOW + BUCKET_WIDTH,         // one bucket past
                     _ => WINDOW + rnd() % (WINDOW * 4), // far heap
                 };
                 if rnd() % 8 == 0 {

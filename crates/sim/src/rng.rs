@@ -40,7 +40,10 @@ impl DetRng {
 
     /// Derive a numbered substream (e.g. one per node).
     pub fn substream(seed: u64, label: &str, index: u64) -> Self {
-        DetRng::new(splitmix64(seed.wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407))), label)
+        DetRng::new(
+            splitmix64(seed.wrapping_add(index.wrapping_mul(0xA24B_AED4_963E_E407))),
+            label,
+        )
     }
 
     /// The state that `rand_core` 0.6's `seed_from_u64` builds: eight

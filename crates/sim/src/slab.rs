@@ -60,7 +60,10 @@ impl<T> Slab<T> {
     pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(idx) => {
-                debug_assert!(self.slots[idx as usize].is_none(), "free-list slot occupied");
+                debug_assert!(
+                    self.slots[idx as usize].is_none(),
+                    "free-list slot occupied"
+                );
                 self.slots[idx as usize] = Some(value);
                 idx
             }
@@ -177,6 +180,9 @@ mod tests {
                 s.take(id);
             }
         }
-        assert!(s.capacity() <= 4, "steady-state churn must not grow the slab");
+        assert!(
+            s.capacity() <= 4,
+            "steady-state churn must not grow the slab"
+        );
     }
 }

@@ -92,9 +92,7 @@ impl OnlineStats {
         let n = self.n + other.n;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.n as f64 * other.n as f64 / n as f64;
+        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
         self.n = n;
         self.mean = mean;
         self.m2 = m2;
@@ -349,7 +347,19 @@ mod tests {
         // contain it, and bucket indices are monotone in the value.
         let mut prev = 0usize;
         let samples = [
-            0u64, 1, 31, 32, 33, 63, 64, 1_000, 999_983, 1 << 40, u64::MAX / 2, 1 << 63, u64::MAX,
+            0u64,
+            1,
+            31,
+            32,
+            33,
+            63,
+            64,
+            1_000,
+            999_983,
+            1 << 40,
+            u64::MAX / 2,
+            1 << 63,
+            u64::MAX,
         ];
         for ns in samples {
             let b = LogHistogram::bucket_of(ns);
@@ -379,11 +389,23 @@ mod tests {
     #[test]
     fn log_histogram_is_sized_to_its_samples() {
         let mut h = LogHistogram::new();
-        assert_eq!(h.counts.capacity(), 0, "an empty histogram allocates nothing");
+        assert_eq!(
+            h.counts.capacity(),
+            0,
+            "an empty histogram allocates nothing"
+        );
         h.merge_from(&LogHistogram::new());
-        assert_eq!(h.counts.capacity(), 0, "merging an empty one allocates nothing");
+        assert_eq!(
+            h.counts.capacity(),
+            0,
+            "merging an empty one allocates nothing"
+        );
         h.record_ns(999_999_999);
-        assert_eq!(h.counts.len(), 832, "a sample under a second needs 26 octaves");
+        assert_eq!(
+            h.counts.len(),
+            832,
+            "a sample under a second needs 26 octaves"
+        );
         assert_eq!(h.counts.capacity(), 832, "no spare capacity");
         h.record_ns(5);
         assert_eq!(h.counts.len(), 832, "a smaller sample does not grow it");

@@ -26,7 +26,13 @@ impl World for Bounce {
     fn handle(&mut self, token: u64, sched: &mut Scheduler<u64, u64>) {
         if token < TOKENS {
             let at = sched.now() + LOOKAHEAD;
-            sched.send(self.peer, at, u64::from(1 - self.peer), self.sent, token + 1);
+            sched.send(
+                self.peer,
+                at,
+                u64::from(1 - self.peer),
+                self.sent,
+                token + 1,
+            );
             self.sent += 1;
         }
     }
@@ -43,9 +49,8 @@ fn threaded(
     want: RunOutcome,
     run: impl FnOnce(&mut Engine<Bounce>) -> RunOutcome,
 ) {
-    let waits = |eng: &Engine<Bounce>| -> u64 {
-        eng.shard_stats().iter().map(|s| s.barrier_waits).sum()
-    };
+    let waits =
+        |eng: &Engine<Bounce>| -> u64 { eng.shard_stats().iter().map(|s| s.barrier_waits).sum() };
     let before = waits(eng);
     assert_eq!(run(eng), want);
     assert!(
@@ -61,10 +66,17 @@ fn a_threaded_run_gives_its_cores_back_on_every_exit() {
         // One core holds no worker thread: every run is on the caller.
         return;
     }
-    let worlds = (0..2).map(|k| Bounce { peer: 1 - k, sent: 0 }).collect();
+    let worlds = (0..2)
+        .map(|k| Bounce {
+            peer: 1 - k,
+            sent: 0,
+        })
+        .collect();
     let mut eng = Engine::sharded(worlds, LOOKAHEAD);
     eng.schedule(0, SimTime::ZERO, 0);
-    threaded(&mut eng, RunOutcome::EventLimit, |e| e.run(SimTime::MAX, 100));
+    threaded(&mut eng, RunOutcome::EventLimit, |e| {
+        e.run(SimTime::MAX, 100)
+    });
     threaded(&mut eng, RunOutcome::TimeLimit, |e| {
         e.run_until(SimTime::from_nanos(1_000_000))
     });

@@ -206,11 +206,7 @@ fn extract_trace(
         kind,
         detail,
         steps,
-        state: if cfg.symmetry {
-            states[id].clone()
-        } else {
-            st
-        },
+        state: if cfg.symmetry { states[id].clone() } else { st },
     }
 }
 

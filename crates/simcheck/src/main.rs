@@ -136,7 +136,11 @@ fn main() -> ExitCode {
         out.transitions,
         out.max_depth,
         wall_ms,
-        if out.complete { "complete" } else { "INCOMPLETE" }
+        if out.complete {
+            "complete"
+        } else {
+            "INCOMPLETE"
+        }
     );
 
     if ci {

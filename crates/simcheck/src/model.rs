@@ -459,8 +459,7 @@ pub fn enabled(cfg: &Config, topo: &Topo, st: &State) -> Vec<Action> {
             }
             let needs_retx = ns.records.iter().any(|rec| {
                 rec.chain == Chain::Done
-                    && (0..topo.children[id].len())
-                        .any(|ci| ns.acks.needs(ci, rec.seq as u64))
+                    && (0..topo.children[id].len()).any(|ci| ns.acks.needs(ci, rec.seq as u64))
             });
             if needs_retx {
                 acts.push(Action::Timeout { node: id as u8 });
@@ -600,7 +599,8 @@ fn deliver_data(_cfg: &Config, topo: &Topo, s: &mut State, src: u8, dst: u8, seq
             }
             node.rx.accept();
             let has_children = !topo.children[dst as usize].is_empty();
-            node.refs.push((seq, proto::fwd_buf_refs(has_children, false)));
+            node.refs
+                .push((seq, proto::fwd_buf_refs(has_children, false)));
             if has_children {
                 node.records.push(Rec {
                     seq,
@@ -689,7 +689,10 @@ pub fn is_goal(cfg: &Config, _topo: &Topo, st: &State) -> bool {
 pub fn check(cfg: &Config, topo: &Topo, st: &State) -> Option<String> {
     for (id, ns) in st.nodes.iter().enumerate() {
         if ns.delivered > 1 {
-            return Some(format!("node {id}: message delivered {} times", ns.delivered));
+            return Some(format!(
+                "node {id}: message delivered {} times",
+                ns.delivered
+            ));
         }
         if !ns.send_bufs.is_conserved() || !ns.recv_bufs.is_conserved() {
             return Some(format!("node {id}: SRAM buffer pool over-freed"));
@@ -858,8 +861,7 @@ mod tests {
 
         pub fn check_tree(n: u8) {
             use nic_mcast::{SpanningTree, TreeShape};
-            let dests: Vec<myrinet::NodeId> =
-                (1..n as u32).map(myrinet::NodeId).collect();
+            let dests: Vec<myrinet::NodeId> = (1..n as u32).map(myrinet::NodeId).collect();
             let tree = SpanningTree::build(myrinet::NodeId(0), &dests, TreeShape::Binomial);
             let topo = Topo::binomial(n);
             for id in 0..n {
@@ -868,8 +870,10 @@ mod tests {
                     .iter()
                     .map(|c| c.0)
                     .collect();
-                let model: Vec<u32> =
-                    topo.children[id as usize].iter().map(|&c| c as u32).collect();
+                let model: Vec<u32> = topo.children[id as usize]
+                    .iter()
+                    .map(|&c| c as u32)
+                    .collect();
                 assert_eq!(model, sim, "children of {id} with n={n}");
             }
         }

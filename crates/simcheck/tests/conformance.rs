@@ -103,7 +103,10 @@ fn committed_mutation_trace_fails_in_the_simulator_identically() {
     let cex = out.violation.expect("mutation must be caught");
     let spec = extract_replay(&cfg, &cex)
         .expect("the committed trace uses only targeted first-transmission drops");
-    assert!(!spec.drops.is_empty(), "this counterexample needs real loss");
+    assert!(
+        !spec.drops.is_empty(),
+        "this counterexample needs real loss"
+    );
     let sim = nic_mcast::replay(&spec);
     assert!(!sim.send_done, "the simulator must also fail to complete");
     assert_eq!(sim.retransmissions, 0, "the mutation kills retransmission");
@@ -126,7 +129,10 @@ fn same_drops_without_mutation_are_recovered() {
         (1..cfg.nodes).map(u32::from).collect::<BTreeSet<u32>>()
     );
     assert!(sim.send_done);
-    assert!(sim.retransmissions > 0, "recovery must cost retransmissions");
+    assert!(
+        sim.retransmissions > 0,
+        "recovery must cost retransmissions"
+    );
 }
 
 /// The checker agrees the faithful protocol survives those same drops: the

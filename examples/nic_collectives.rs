@@ -7,9 +7,7 @@
 //! Run with: `cargo run --release --example nic_collectives`
 
 use myri_mcast::gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
-use myri_mcast::mcast::{
-    McastExt, McastNotice, McastRequest, ReduceOp, SpanningTree, TreeShape,
-};
+use myri_mcast::mcast::{McastExt, McastNotice, McastRequest, ReduceOp, SpanningTree, TreeShape};
 use myri_mcast::net::{Fabric, GroupId, NodeId, PortId, Topology};
 use myri_mcast::sim::SimTime;
 

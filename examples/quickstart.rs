@@ -12,9 +12,8 @@ fn main() {
         "size", "host-based", "NIC-based", "speedup", "NB tree (h/fan)"
     );
     for size in [8usize, 128, 1024, 4096, 16384] {
-        let measure = |s: Scenario, shape: TreeShape| {
-            s.size(size).tree(shape).warmup(5).iters(50).run()
-        };
+        let measure =
+            |s: Scenario, shape: TreeShape| s.size(size).tree(shape).warmup(5).iters(50).run();
         // Binomial for the traditional scheme; TreeShape::auto() resolves to
         // the size-adapted (postal-optimal or pipeline k-ary) tree.
         let hb = measure(Scenario::host_based(16), TreeShape::Binomial);

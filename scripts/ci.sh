@@ -84,6 +84,9 @@ echo "ci: mcbench smoke OK (target/mcbench/results.json)"
 # one that suppresses nothing fails. The unit, expect-message and
 # probe-name rules are tests/source_rules.rs, part of the tier-1 suite.
 run clippy --workspace --all-targets "${CARGO_FLAGS[@]}" -- -D warnings
+# Formatting: every workspace member is rustfmt-clean (mcbench, a workspace
+# of its own, is not covered).
+run fmt --all -- --check
 # The benchmark keeps the unwrap rule too; reading the wall clock is its job.
 run clippy --manifest-path mcbench/Cargo.toml --all-targets "${CARGO_FLAGS[@]}" -- \
   -D warnings -D clippy::unwrap_used -A clippy::disallowed_methods

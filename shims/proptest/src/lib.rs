@@ -289,12 +289,18 @@ impl From<usize> for SizeRange {
 impl From<core::ops::Range<usize>> for SizeRange {
     fn from(r: core::ops::Range<usize>) -> SizeRange {
         assert!(r.start < r.end, "empty size range");
-        SizeRange { lo: r.start, hi: r.end }
+        SizeRange {
+            lo: r.start,
+            hi: r.end,
+        }
     }
 }
 impl From<core::ops::RangeInclusive<usize>> for SizeRange {
     fn from(r: core::ops::RangeInclusive<usize>) -> SizeRange {
-        SizeRange { lo: *r.start(), hi: *r.end() + 1 }
+        SizeRange {
+            lo: *r.start(),
+            hi: *r.end() + 1,
+        }
     }
 }
 
@@ -310,7 +316,10 @@ pub mod collection {
 
     /// A vector of values from `element`, length in `size`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -335,7 +344,10 @@ pub mod collection {
         S: Strategy,
         S::Value: Ord,
     {
-        BTreeSetStrategy { element, size: size.into() }
+        BTreeSetStrategy {
+            element,
+            size: size.into(),
+        }
     }
 
     impl<S> Strategy for BTreeSetStrategy<S>
@@ -361,9 +373,8 @@ pub mod collection {
 /// Everything a property-test file needs (mirror of `proptest::prelude`).
 pub mod prelude {
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-        Any, ArbitraryValue, DynStrategy, Just, ProptestConfig, SizeRange, Strategy, TestRng,
-        Union,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest, Any,
+        ArbitraryValue, DynStrategy, Just, ProptestConfig, SizeRange, Strategy, TestRng, Union,
     };
 }
 
@@ -489,8 +500,7 @@ mod tests {
         for _ in 0..200 {
             let v = crate::collection::vec(0u32..100, 2..5).sample(&mut rng);
             assert!((2..5).contains(&v.len()));
-            let s: BTreeSet<u32> =
-                crate::collection::btree_set(0u32..1000, 1..8).sample(&mut rng);
+            let s: BTreeSet<u32> = crate::collection::btree_set(0u32..1000, 1..8).sample(&mut rng);
             assert!(s.len() < 8);
         }
     }

@@ -353,7 +353,10 @@ mod tests {
     fn roundtrip_pretty() {
         let v = Value::Map(vec![
             ("a".into(), Value::UInt(1)),
-            ("b".into(), Value::Seq(vec![Value::Float(1.5), Value::Float(2.0)])),
+            (
+                "b".into(),
+                Value::Seq(vec![Value::Float(1.5), Value::Float(2.0)]),
+            ),
             ("s".into(), Value::Str("x\"y".into())),
         ]);
         let s = to_string_pretty(&v).unwrap();
@@ -366,11 +369,14 @@ mod tests {
     #[test]
     fn parses_nested() {
         let v = from_str(r#"{"x": [1, -2, 3.5], "y": {"z": null, "t": true}}"#).unwrap();
-        assert_eq!(v.get("x"), Some(&Value::Seq(vec![
-            Value::UInt(1),
-            Value::Int(-2),
-            Value::Float(3.5)
-        ])));
+        assert_eq!(
+            v.get("x"),
+            Some(&Value::Seq(vec![
+                Value::UInt(1),
+                Value::Int(-2),
+                Value::Float(3.5)
+            ]))
+        );
         assert_eq!(v.get("y").unwrap().get("t"), Some(&Value::Bool(true)));
     }
 

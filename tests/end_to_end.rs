@@ -125,27 +125,26 @@ fn mpi_bcast_agrees_between_algorithms_and_scales() {
         };
         let hb = m(BcastImpl::HostBinomial);
         let nb = m(BcastImpl::NicBased);
-        assert!(nb < hb, "n={n}: MPI NIC-based must win ({nb:.1} vs {hb:.1})");
+        assert!(
+            nb < hb,
+            "n={n}: MPI NIC-based must win ({nb:.1} vs {hb:.1})"
+        );
     }
 }
 
 #[test]
 fn mpi_skew_tolerance_grows_with_skew() {
     let cpu = |b: BcastImpl, avg_us: u64| {
-        let run = MpiRun::bcast_loop(
-            16,
-            4,
-            b,
-            SimDuration::from_micros(avg_us * 4),
-            3,
-            40,
-        );
+        let run = MpiRun::bcast_loop(16, 4, b, SimDuration::from_micros(avg_us * 4), 3, 40);
         execute_mpi(&run).bcast_cpu.mean()
     };
     let f100 = cpu(BcastImpl::HostBinomial, 100) / cpu(BcastImpl::NicBased, 100);
     let f400 = cpu(BcastImpl::HostBinomial, 400) / cpu(BcastImpl::NicBased, 400);
     assert!(f100 > 1.5, "skew factor at 100us was {f100:.2}");
-    assert!(f400 > f100, "factor must grow with skew: {f400:.2} vs {f100:.2}");
+    assert!(
+        f400 > f100,
+        "factor must grow with skew: {f400:.2} vs {f100:.2}"
+    );
 }
 
 #[test]
@@ -184,8 +183,7 @@ fn mpi_point_to_point_ring_eager_and_rendezvous() {
             }
             rank_ops.push(ops);
         }
-        let mut run =
-            MpiRun::bcast_loop(n, size, BcastImpl::HostBinomial, SimDuration::ZERO, 0, 3);
+        let mut run = MpiRun::bcast_loop(n, size, BcastImpl::HostBinomial, SimDuration::ZERO, 0, 3);
         run.ops = vec![MpiOp::Barrier];
         run.rank_ops = Some(rank_ops);
         // Completing at all (engine goes idle, no deadlock, all barriers
@@ -231,7 +229,12 @@ fn non_members_never_see_group_traffic() {
     run.warmup = 1;
     run.iters = 5;
     let d = myri_mcast::gm::drive(myri_mcast::mcast::build_cluster(&run), 1);
-    assert_eq!(d.app::<myri_mcast::mcast::RootApp>(run.root).windows().len(), 5);
+    assert_eq!(
+        d.app::<myri_mcast::mcast::RootApp>(run.root)
+            .windows()
+            .len(),
+        5
+    );
     // Nodes outside the group processed zero multicast receptions.
     for i in [1u32, 2, 4, 5, 7] {
         let c = &d.worlds[0].nic(NodeId(i)).counters;

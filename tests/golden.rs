@@ -14,7 +14,13 @@ fn mcast(n: u32, size: usize, mode: McastMode, shape: TreeShape) -> f64 {
         McastMode::NicBased => Scenario::nic_based(n),
         McastMode::HostBased => Scenario::host_based(n),
     };
-    s.size(size).tree(shape).warmup(5).iters(20).run().latency.mean()
+    s.size(size)
+        .tree(shape)
+        .warmup(5)
+        .iters(20)
+        .run()
+        .latency
+        .mean()
 }
 
 #[test]

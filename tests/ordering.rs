@@ -142,7 +142,12 @@ fn assert_burst_delivery(logs: &[&DeliveryLog], count: u64) {
 
 #[test]
 fn burst_of_mixed_size_multicasts_arrives_in_order_everywhere() {
-    for shape in [TreeShape::Binomial, TreeShape::Flat, TreeShape::Chain, TreeShape::KAry(2)] {
+    for shape in [
+        TreeShape::Binomial,
+        TreeShape::Flat,
+        TreeShape::Chain,
+        TreeShape::KAry(2),
+    ] {
         let d = drive(burst_cluster(8, shape, 12, FaultPlan::none()), 1);
         assert_burst_delivery(&logger_logs(&d, 8), 12);
         assert_eq!(
