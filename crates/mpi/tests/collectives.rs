@@ -220,7 +220,7 @@ fn sub_communicator_collectives_leave_outsiders_untouched() {
     run.probes = ProbeConfig::spans();
     let out = execute_mpi(&run);
     assert!(!out.probe.is_empty());
-    let outsider = out.probe.iter().find(|e| [0, 2, 4, 6].contains(&e.node));
+    let outsider = out.probe.iter().find(|e| [0, 2, 4, 6].contains(&e.node()));
     assert!(outsider.is_none(), "outsider saw traffic: {outsider:?}");
     assert_eq!(out.latency.count(), 6);
     assert!(out.latency.mean() > 0.0);

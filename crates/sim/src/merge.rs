@@ -10,12 +10,21 @@
 //! * [`concat_rings`] keeps the first ring's buffer, rotates it oldest
 //!   first in place, and appends the other rings' records;
 //! * [`sort_in_place`] writes each record's position in that stream into
-//!   its own `seq`, sorts the records themselves on a key that ends in
-//!   `seq`, and renumbers `seq`.
+//!   its own `seq`, sorts the records themselves on their time and a key
+//!   that ends in `seq`, and renumbers `seq`.
 //!
 //! The position makes every key unique, so an unstable sort gives exactly
 //! the order a stable sort on the leading fields would: records that tie
 //! keep their ring order, and the rings keep their shard order.
+//!
+//! One ring, recorded as the clock ran, is already in time order: only
+//! records that share an instant, recorded by different nodes, may be out
+//! of canonical order. [`sort_in_place`] checks the order in the pass that
+//! writes the positions and then sorts each instant on its own. Several
+//! rings, or a ring with a record dated before an earlier one, are sorted
+//! whole.
+
+use crate::time::SimTime;
 
 /// Concatenate ring buffers into one stream, each ring oldest first.
 /// `rings` yields `(buffer, head)` pairs, `head` being the slot of the
@@ -35,27 +44,51 @@ pub(crate) fn concat_rings<T: Copy>(rings: impl IntoIterator<Item = (Vec<T>, usi
     out
 }
 
-/// Sort `records` into canonical order in place and renumber them: write
-/// each record's position into its `seq`, `sort_unstable` on `key` (which
-/// must end in `seq`, so that ties keep their order), then number the
-/// records 0, 1, 2, ... in their new order.
+/// Sort `records` into canonical order, by `time` and then `key`, in place
+/// and renumber them; returns how many there are. Each record's position
+/// is written into its `seq` first, and `key` must end in `seq`, so that
+/// ties keep their order.
+///
+/// If the positions come out in time order, each run of equal-time records
+/// is sorted on `key` alone; otherwise the whole stream is sorted on
+/// `(time, key)`. Either way `sort_unstable` does the sorting, so nothing
+/// is allocated. Finally the records are numbered 0, 1, 2, ... in their new
+/// order.
 pub(crate) fn sort_in_place<T, K: Ord>(
     records: &mut [T],
-    seq: impl Fn(&mut T) -> &mut u64,
-    key: impl FnMut(&T) -> K,
-) {
-    for (i, r) in records.iter_mut().enumerate() {
-        *seq(r) = i as u64;
+    seq: impl Fn(&mut T) -> &mut u32,
+    time: impl Fn(&T) -> SimTime,
+    mut key: impl FnMut(&T) -> K,
+) -> u32 {
+    let len = u32::try_from(records.len()).expect("a merged stream holds under 2^32 records");
+    let mut in_time_order = true;
+    let mut last = SimTime::ZERO;
+    for (i, r) in (0..len).zip(records.iter_mut()) {
+        *seq(r) = i;
+        let t = time(r);
+        in_time_order &= last <= t;
+        last = t;
     }
-    records.sort_unstable_by_key(key);
-    for (i, r) in records.iter_mut().enumerate() {
-        *seq(r) = i as u64;
+    if in_time_order {
+        for instant in records.chunk_by_mut(|a, b| time(a) == time(b)) {
+            instant.sort_unstable_by_key(&mut key);
+        }
+    } else {
+        records.sort_unstable_by_key(|r| (time(r), key(r)));
     }
+    for (i, r) in (0..len).zip(records.iter_mut()) {
+        *seq(r) = i;
+    }
+    len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn at(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
 
     #[test]
     fn rings_concatenate_oldest_first() {
@@ -72,21 +105,28 @@ mod tests {
 
     #[test]
     fn sorting_in_place_is_a_stable_sort_that_renumbers() {
-        // (key, seq, tag): the seqs are stale, as a shard's own are.
-        let mut records = [
-            (3, 9, 'a'),
-            (1, 0, 'b'),
-            (3, 0, 'c'),
-            (0, 5, 'd'),
-            (1, 1, 'e'),
-            (2, 2, 'f'),
+        // (time, node, seq, tag): the seqs are stale, as a shard's own are.
+        // The first stream is in time order, the second is not.
+        let in_order = [
+            (0, 5, 9, 'a'),
+            (1, 3, 0, 'b'),
+            (1, 1, 0, 'c'),
+            (1, 3, 5, 'd'),
+            (2, 0, 1, 'e'),
+            (4, 2, 2, 'f'),
+            (4, 1, 7, 'g'),
         ];
-        let mut oracle = records;
-        oracle.sort_by_key(|r| r.0);
-        for (i, r) in oracle.iter_mut().enumerate() {
-            r.1 = i as u64;
+        let mut shuffled = in_order;
+        shuffled.swap(1, 5);
+        for mut records in [in_order, shuffled] {
+            let mut oracle = records;
+            oracle.sort_by_key(|r| (r.0, r.1));
+            for (i, r) in (0..).zip(oracle.iter_mut()) {
+                r.2 = i;
+            }
+            let n = sort_in_place(&mut records, |r| &mut r.2, |r| at(r.0), |r| (r.1, r.2));
+            assert_eq!(records, oracle);
+            assert_eq!(n, 7);
         }
-        sort_in_place(&mut records, |r| &mut r.1, |r| (r.0, r.1));
-        assert_eq!(records, oracle);
     }
 }

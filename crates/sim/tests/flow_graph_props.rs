@@ -48,7 +48,7 @@ enum Kind {
 
 /// One record: `(time, seq)`, node, the flow's `(origin, tag, dest)` and
 /// kind.
-type Spec = ((u64, u64), u32, (u32, u64, u32), Kind);
+type Spec = ((u64, u32), u32, (u32, u64, u32), Kind);
 
 fn spec() -> impl Strategy<Value = Spec> {
     // Wire marks are the common record, as in a run.
@@ -63,7 +63,7 @@ fn spec() -> impl Strategy<Value = Spec> {
         Just(Kind::Flowless),
     ];
     (
-        (0u64..12, 0u64..3),
+        (0u64..12, 0u32..3),
         0u32..4,
         (0u32..4, 0u64..2, 0u32..4),
         kind,
@@ -98,11 +98,11 @@ fn stream(specs: &[Spec]) -> Vec<ProbeEvent> {
 /// Per-flow facts of the reference graph.
 #[derive(Clone, Debug)]
 struct RefInfo {
-    first: (SimTime, u64),
+    first: (SimTime, u32),
     first_node: u32,
     /// Earliest `(time, seq)` of a record of this flow per node.
-    node_first: Vec<(u32, SimTime, u64)>,
-    delivery: Option<(SimTime, u64)>,
+    node_first: Vec<(u32, SimTime, u32)>,
+    delivery: Option<(SimTime, u32)>,
     has_host: bool,
     pred: Option<FlowId>,
 }
@@ -122,7 +122,7 @@ impl Reference {
             let key = (e.time, e.seq);
             let info = flows.entry(e.flow).or_insert_with(|| RefInfo {
                 first: key,
-                first_node: e.node,
+                first_node: e.node(),
                 node_first: Vec::new(),
                 delivery: None,
                 has_host: false,
@@ -130,20 +130,20 @@ impl Reference {
             });
             if key < info.first {
                 info.first = key;
-                info.first_node = e.node;
+                info.first_node = e.node();
             }
-            match info.node_first.iter_mut().find(|(n, _, _)| *n == e.node) {
+            match info.node_first.iter_mut().find(|(n, _, _)| *n == e.node()) {
                 Some(slot) => {
                     if (slot.1, slot.2) > key {
                         (slot.1, slot.2) = key;
                     }
                 }
-                None => info.node_first.push((e.node, e.time, e.seq)),
+                None => info.node_first.push((e.node(), e.time, e.seq)),
             }
-            if *e.id == FLOW_DELIVERY {
+            if *e.id() == FLOW_DELIVERY {
                 info.delivery = Some(info.delivery.map_or(key, |d| d.max(key)));
             }
-            if e.id.track == Track::Host {
+            if e.id().track == Track::Host {
                 info.has_host = true;
             }
         }
@@ -156,7 +156,7 @@ impl Reference {
             let Some(cands) = by_dest_tag.get(&(info.first_node, g.tag())) else {
                 continue;
             };
-            let mut best: Option<((SimTime, u64), FlowId)> = None;
+            let mut best: Option<((SimTime, u32), FlowId)> = None;
             for &p in cands {
                 if p == g {
                     continue;
@@ -251,7 +251,7 @@ impl Reference {
             .iter()
             .rev()
             .take_while(|e| e.time >= ws)
-            .find(|e| *e.id == FLOW_DELIVERY && e.flow.is_some())?
+            .find(|e| *e.id() == FLOW_DELIVERY && e.flow.is_some())?
             .flow;
         Some(
             self.lineage(terminal)
@@ -281,22 +281,22 @@ impl Reference {
         let mut spans: Vec<(u64, u64, usize, Track)> = Vec::new();
         let mut open: BTreeMap<(u32, u32), (u64, FlowId)> = BTreeMap::new();
         for e in events {
-            let key = (e.node, e.id.track.tid());
-            match e.phase {
+            let key = (e.node(), e.id().track.tid());
+            match e.phase() {
                 Phase::Begin => {
                     open.insert(key, (e.time.as_nanos(), e.flow));
                 }
                 Phase::End => {
                     if let Some((s, f)) = open.remove(&key) {
                         if let Some(i) = step_of(f) {
-                            spans.push((s, e.time.as_nanos(), i, e.id.track));
+                            spans.push((s, e.time.as_nanos(), i, e.id().track));
                         }
                     }
                 }
                 Phase::Complete => {
                     if let Some(i) = step_of(e.flow) {
                         let s = e.time.as_nanos();
-                        spans.push((s, s + e.dur().as_nanos(), i, e.id.track));
+                        spans.push((s, s + e.dur().as_nanos(), i, e.id().track));
                     }
                 }
                 Phase::Mark => {}
