@@ -16,10 +16,9 @@
 //!
 //! `--check` turns the run into a CI gate: the flow graph must be acyclic,
 //! every delivered message must have an unbroken lineage back to its host
-//! send call, every window's buckets must sum exactly to the completion
-//! latency, and neither observability ring may overflow (a dropped event
-//! or point means the lineage/telemetry is silently incomplete — size the
-//! rings up with `--probe-capacity` / `--series-capacity` instead).
+//! send call, and every window's buckets must sum exactly to the completion
+//! latency. The probe and series sinks keep every record, so the lineage
+//! and the telemetry are whole.
 
 use bench::cli::{self, mode_name, CliError};
 use bench::sparkline;
@@ -30,13 +29,11 @@ use nic_mcast::{BuiltScenario, McastMode, ProbeConfig, Report};
 /// scenario under the opposite scheme, plus `--check`.
 fn parse(a: &cli::Args) -> Result<(BuiltScenario, BuiltScenario, bool), CliError> {
     let shards = a.get("--shards", 1)?;
-    let probes = cli::ring_capacity(a, "--probe-capacity", ProbeConfig::DEFAULT_CAPACITY)?;
-    let series = a.get("--series-capacity", SeriesConfig::DEFAULT_CAPACITY)?;
     let observed = |mode| {
         let scenario = cli::scenario(a, mode, 4096, 5, 2)?
             .shards(shards)
-            .probes(ProbeConfig::spans_with_capacity(probes))
-            .series(SeriesConfig::with_capacity(series));
+            .probes(ProbeConfig::spans())
+            .series(SeriesConfig::on());
         cli::build(scenario)
     };
     let (mode, opposite) = match cli::mode(a)? {
@@ -179,10 +176,7 @@ fn main() {
         );
     }
 
-    // Ring overflow: a hard --check failure, a warning otherwise.
-    let overflows = cli::ring_overflows(&report.metrics);
     if check {
-        failures.extend(overflows);
         if report.windows.is_empty() {
             failures.push("no measured windows".into());
         }
@@ -197,7 +191,5 @@ fn main() {
                 report.windows.len()
             )
         });
-    } else {
-        overflows.iter().for_each(|msg| eprintln!("warning: {msg}"));
     }
 }

@@ -14,7 +14,7 @@
 //! `--check` turns the run into a CI gate: the incident stream must be
 //! byte-identical when the same run is re-executed at a different shard
 //! count, a lossy run must raise at least one `retx_storm` incident with
-//! non-empty flow evidence, and neither observability ring may overflow.
+//! non-empty flow evidence, and the stream must be in canonical order.
 
 use bench::cli::{self, CliError, WorkloadOpts};
 use gm_sim::{ProbeConfig, SeriesConfig, SimDuration, WatchConfig};
@@ -41,16 +41,14 @@ fn parse(a: &cli::Args) -> Result<(Opts, BuiltWorkload), CliError> {
         Some(us) => WatchConfig::with_window(SimDuration::from_micros(us)),
         None => WatchConfig::on(),
     };
-    let probes = cli::ring_capacity(a, "--probe-capacity", 1 << 20)?;
-    let series = cli::ring_capacity(a, "--series-capacity", 1 << 20)?;
     let workload = wl
         .workload()
         .faults(myrinet::FaultPlan {
             drop_prob: loss,
             ..myrinet::FaultPlan::none()
         })
-        .probes(ProbeConfig::spans_with_capacity(probes))
-        .series(SeriesConfig::with_capacity(series))
+        .probes(ProbeConfig::spans())
+        .series(SeriesConfig::on())
         .watch(watch);
     let built = workload
         .clone()
@@ -131,7 +129,7 @@ fn artifact(o: &Opts, report: &WorkloadReport) -> serde::Value {
 }
 
 fn check(o: &Opts, report: &WorkloadReport) -> Vec<String> {
-    let mut failures = cli::ring_overflows(&report.metrics);
+    let mut failures = Vec::new();
     if o.loss > 0.0 {
         // Loss must surface as a detected retransmission storm with causal
         // flow evidence — the tentpole guarantee of the watch subsystem.
@@ -245,7 +243,7 @@ fn main() {
         cli::report_check("health", &check(&o, &report), || {
             format!(
                 "health check: OK ({total} incidents, storm evidence present, stream canonical, \
-                 byte-identical across shard counts, no ring drops)"
+                 byte-identical across shard counts)"
             )
         });
     }

@@ -12,7 +12,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use gm_sim::{Metrics, SimDuration};
+use gm_sim::SimDuration;
 use nic_mcast::{
     ArrivalProcess, BuiltScenario, FanoutDist, McastMode, PostalParams, Scenario, ScenarioError,
     StopCondition, TreeShape, Workload,
@@ -39,20 +39,14 @@ pub const EXPLORE: &[Flags] = &[SCENARIO_FLAGS, "[--tree]"];
 /// `trace_explore`: a Perfetto timeline plus the attribution table.
 pub const TRACE_EXPLORE: &[Flags] = &[SCENARIO_FLAGS, "[--check]"];
 /// `flow_explore`: the causal flow graph and critical paths.
-pub const FLOW_EXPLORE: &[Flags] = &[
-    SCENARIO_FLAGS,
-    "[--shards N] [--probe-capacity N] [--series-capacity N] [--check]",
-];
+pub const FLOW_EXPLORE: &[Flags] = &[SCENARIO_FLAGS, "[--shards N] [--check]"];
 /// `workload_explore`: open-loop many-group traffic.
 pub const WORKLOAD_EXPLORE: &[Flags] = &[
     WORKLOAD_FLAGS,
-    "[--fanout K] [--fixed-rate] [--messages N] [--slots N] [--series-capacity N] [--check]",
+    "[--fanout K] [--fixed-rate] [--messages N] [--slots N] [--check]",
 ];
 /// `health_explore`: a lossy workload under the watch detectors.
-pub const HEALTH_EXPLORE: &[Flags] = &[
-    WORKLOAD_FLAGS,
-    "[--loss P] [--window-us US] [--probe-capacity N] [--series-capacity N] [--check]",
-];
+pub const HEALTH_EXPLORE: &[Flags] = &[WORKLOAD_FLAGS, "[--loss P] [--window-us US] [--check]"];
 
 /// Every flag of `groups`, as its name and whether it takes a value.
 pub fn flags(groups: &[Flags]) -> impl Iterator<Item = (&'static str, bool)> + '_ {
@@ -191,40 +185,6 @@ pub fn report_check(gate: &str, failures: &[String], ok: impl FnOnce() -> String
         eprintln!("{gate} check FAILED: {f}");
     }
     std::process::exit(1)
-}
-
-/// The `--check` failure every explorer shares: an observability ring that
-/// overflowed. Dropped records mean lineage, attribution or gauge summaries
-/// silently lie — raise the ring's capacity rather than tolerate drops.
-pub fn ring_overflows(metrics: &Metrics) -> Vec<String> {
-    let (events, points) = (
-        metrics.get("probe.dropped_events"),
-        metrics.get("series.dropped_points"),
-    );
-    let mut out = Vec::new();
-    if events > 0 {
-        out.push(format!(
-            "probe ring overflowed, {events} events dropped — lineage is incomplete"
-        ));
-    }
-    if points > 0 {
-        out.push(format!(
-            "series ring overflowed, {points} points dropped — gauge summaries are incomplete"
-        ));
-    }
-    out
-}
-
-/// Decode a ring-capacity flag whose ring `--check` reads, else
-/// `default`. Zero would disable the ring, and the gate would then report a
-/// misleading cause, so it is rejected.
-pub fn ring_capacity(a: &Args, flag: &'static str, default: usize) -> Result<usize, CliError> {
-    match a.get(flag, default)? {
-        0 => Err(CliError::Invalid(format!(
-            "{flag} 0 disables the ring --check reads"
-        ))),
-        n => Ok(n),
-    }
 }
 
 /// Decode `--mode`: `nic` or `host`.

@@ -177,15 +177,7 @@ fn each_binary_accepts_exactly_its_flags() {
     assert_eq!(names(cli::TRACE_EXPLORE), expect(&scenario, &["--check"]));
     assert_eq!(
         names(cli::FLOW_EXPLORE),
-        expect(
-            &scenario,
-            &[
-                "--shards",
-                "--probe-capacity",
-                "--series-capacity",
-                "--check"
-            ]
-        )
+        expect(&scenario, &["--shards", "--check"])
     );
     assert_eq!(
         names(cli::WORKLOAD_EXPLORE),
@@ -196,23 +188,13 @@ fn each_binary_accepts_exactly_its_flags() {
                 "--fixed-rate",
                 "--messages",
                 "--slots",
-                "--series-capacity",
                 "--check"
             ]
         )
     );
     assert_eq!(
         names(cli::HEALTH_EXPLORE),
-        expect(
-            &workload,
-            &[
-                "--loss",
-                "--window-us",
-                "--probe-capacity",
-                "--series-capacity",
-                "--check"
-            ]
-        )
+        expect(&workload, &["--loss", "--window-us", "--check"])
     );
     assert_eq!(
         names(&[cli::FIGURE_FLAGS]),
@@ -260,18 +242,6 @@ fn usage_lists_every_flag() {
     );
 }
 
-#[test]
-fn ring_overflows_name_each_ring() {
-    let mut m = gm_sim::Metrics::new();
-    assert!(cli::ring_overflows(&m).is_empty());
-    m.set("probe", "dropped_events", 3);
-    m.set("series", "dropped_points", 4);
-    let f = cli::ring_overflows(&m);
-    assert_eq!(f.len(), 2);
-    assert!(f[0].starts_with("probe ring overflowed, 3 events"));
-    assert!(f[1].starts_with("series ring overflowed, 4 points"));
-}
-
 /// Whether `bin` rejects `argv` the way every bad command line is
 /// rejected: exit status 2, the usage line last on stderr.
 fn rejected(bin: &str, argv: &[&str]) -> bool {
@@ -285,21 +255,6 @@ fn rejected(bin: &str, argv: &[&str]) -> bool {
             .lines()
             .last()
             .is_some_and(|l| l.starts_with("usage: "))
-}
-
-#[test]
-fn zero_capacity_rings_that_check_reads_are_rejected() {
-    let health = env!("CARGO_BIN_EXE_health_explore");
-    assert!(
-        rejected(health, &["--probe-capacity", "0"])
-            && rejected(health, &["--series-capacity", "0"]),
-        "health_explore must reject zero probe and series capacities"
-    );
-    let flow = env!("CARGO_BIN_EXE_flow_explore");
-    assert!(
-        rejected(flow, &["--probe-capacity", "0"]),
-        "flow_explore must reject a zero probe capacity"
-    );
 }
 
 #[test]

@@ -17,7 +17,7 @@
 
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::{attribution, ProbeConfig};
-use gm_sim::{OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
+use gm_sim::{percentile_rank, OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
 use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, Payload, PortId, Topology};
 
 use crate::ext::McastExt;
@@ -440,14 +440,14 @@ pub fn execute(
 }
 
 /// The `p`-th percentile (0 < p ≤ 100) of `sorted` latencies, in µs on a
-/// 1 µs grid: the k-th smallest, k = ⌈p/100·n⌉, cut to a whole microsecond
-/// plus one; 0 for no latencies.
+/// 1 µs grid: the k-th smallest, k = [`percentile_rank`], cut to a whole
+/// microsecond plus one; 0 for no latencies.
 fn percentile_us(sorted: &[SimDuration], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    let k = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[k.max(1) - 1].as_micros_f64().trunc() + 1.0
+    let k = percentile_rank(sorted.len() as u64, p) as usize;
+    sorted[k - 1].as_micros_f64().trunc() + 1.0
 }
 
 /// Run once per destination as the probe and keep the slowest (the paper's
@@ -577,6 +577,10 @@ mod tests {
         assert_eq!(percentile_us(&edge, 33.0), 100_000.0);
         assert_eq!(percentile_us(&edge, 66.0), 100_001.0);
         assert_eq!(percentile_us(&[], 50.0), 0.0);
+        // p99.9 of 1,000 is the 999th smallest (998.5 µs), as in a
+        // LogHistogram: 99.9/100·1000 in floating point rounds up past 999.
+        let thousand: Vec<SimDuration> = (0..1_000).map(|i| ns(i * 1_000 + 500)).collect();
+        assert_eq!(percentile_us(&thousand, 99.9), 999.0);
     }
 
     #[test]

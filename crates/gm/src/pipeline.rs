@@ -149,11 +149,6 @@ pub fn harvest<X: NicExtension>(run: &mut Driven<X>) -> Harvest {
             .map(|w| std::mem::replace(&mut w.series, SeriesSink::disabled()))
             .collect(),
     );
-    // Sink-health counters: non-zero drops mean the rings were too small to
-    // hold the run and downstream analyses (lineage, critical path, gauge
-    // summaries) may be incomplete.
-    metrics.set("probe", "dropped_events", probe.evicted());
-    metrics.set("series", "dropped_points", series.dropped());
     Harvest {
         metrics,
         probe,

@@ -65,7 +65,7 @@ pub use queue::{set_kind_override as set_queue_override, EventQueue, QueueKind};
 pub use rng::{splitmix64, DetRng};
 pub use series::{GaugeId, GaugeSummary, SeriesConfig, SeriesPoint, SeriesSink, HIST_BINS};
 pub use slab::Slab;
-pub use stats::{Counters, LogHistogram, OnlineStats};
+pub use stats::{percentile_rank, Counters, LogHistogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use watch::{
     Detector, DetectorKind, Incident, Severity, Thresh, Unit, WatchConfig, WatchEngine,

@@ -1,53 +1,44 @@
-//! In-place canonical merge of per-shard record rings.
+//! In-place canonical merge of per-shard record buffers.
 //!
 //! [`ProbeSink::merge_canonical`](crate::ProbeSink::merge_canonical) and
 //! [`SeriesSink::merge_canonical`](crate::SeriesSink::merge_canonical) both
-//! turn one ring per shard into one stream in canonical order. They share
+//! turn one buffer per shard into one stream in canonical order. They share
 //! the two steps here, and neither allocates per record: no second record
 //! buffer, no sort key and no stable-sort scratch is ever live beside the
-//! rings.
+//! buffers.
 //!
-//! * [`concat_rings`] keeps the first ring's buffer, rotates it oldest
-//!   first in place, and appends the other rings' records;
+//! * [`concat`] appends the other buffers' records to the first buffer;
 //! * [`sort_in_place`] writes each record's position in that stream into
 //!   its own `seq`, sorts the records themselves on their time and a key
 //!   that ends in `seq`, and renumbers `seq`.
 //!
 //! The position makes every key unique, so an unstable sort gives exactly
 //! the order a stable sort on the leading fields would: records that tie
-//! keep their ring order, and the rings keep their shard order.
+//! keep their recording order, and the buffers keep their shard order.
 //!
-//! One ring, recorded as the clock ran, is already in time order: only
+//! One buffer, recorded as the clock ran, is already in time order: only
 //! records that share an instant, recorded by different nodes, may be out
 //! of canonical order. [`sort_in_place`] checks the order in the pass that
 //! writes the positions and then sorts each instant on its own. Several
-//! rings, or a ring with a record dated before an earlier one, are sorted
+//! buffers, or one with a record dated before an earlier one, are sorted
 //! whole.
 
 use crate::time::SimTime;
 
-/// Concatenate ring buffers into one stream, each ring oldest first.
-/// `rings` yields `(buffer, head)` pairs, `head` being the slot of the
-/// ring's oldest record; the first buffer is reused for the result.
-pub(crate) fn concat_rings<T: Copy>(rings: impl IntoIterator<Item = (Vec<T>, usize)>) -> Vec<T> {
-    let mut rings = rings.into_iter();
-    let Some((mut out, head)) = rings.next() else {
-        return Vec::new();
-    };
-    out.rotate_left(head);
-    for (ring, head) in rings {
-        let (newest, oldest) = ring.split_at(head);
-        out.reserve(ring.len());
-        out.extend_from_slice(oldest);
-        out.extend_from_slice(newest);
+/// Concatenate record buffers into one stream, in order; the first buffer
+/// is reused for the result.
+pub(crate) fn concat<T: Copy>(buffers: impl IntoIterator<Item = Vec<T>>) -> Vec<T> {
+    let mut buffers = buffers.into_iter();
+    let mut out = buffers.next().unwrap_or_default();
+    for buffer in buffers {
+        out.extend_from_slice(&buffer);
     }
     out
 }
 
 /// Sort `records` into canonical order, by `time` and then `key`, in place
-/// and renumber them; returns how many there are. Each record's position
-/// is written into its `seq` first, and `key` must end in `seq`, so that
-/// ties keep their order.
+/// and renumber them. Each record's position is written into its `seq`
+/// first, and `key` must end in `seq`, so that ties keep their order.
 ///
 /// If the positions come out in time order, each run of equal-time records
 /// is sorted on `key` alone; otherwise the whole stream is sorted on
@@ -59,7 +50,7 @@ pub(crate) fn sort_in_place<T, K: Ord>(
     seq: impl Fn(&mut T) -> &mut u32,
     time: impl Fn(&T) -> SimTime,
     mut key: impl FnMut(&T) -> K,
-) -> u32 {
+) {
     let len = u32::try_from(records.len()).expect("a merged stream holds under 2^32 records");
     let mut in_time_order = true;
     let mut last = SimTime::ZERO;
@@ -79,7 +70,6 @@ pub(crate) fn sort_in_place<T, K: Ord>(
     for (i, r) in (0..len).zip(records.iter_mut()) {
         *seq(r) = i;
     }
-    len
 }
 
 #[cfg(test)]
@@ -88,19 +78,6 @@ mod tests {
 
     fn at(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
-    }
-
-    #[test]
-    fn rings_concatenate_oldest_first() {
-        // Ring A wrapped with its oldest record in slot 2; ring B did not.
-        let a = (vec![4, 5, 2, 3], 2);
-        let b = (vec![7, 8, 9], 0);
-        let c = (vec![12, 10, 11], 1);
-        assert_eq!(
-            concat_rings([a, b, c]),
-            vec![2, 3, 4, 5, 7, 8, 9, 10, 11, 12]
-        );
-        assert!(concat_rings(std::iter::empty::<(Vec<u8>, usize)>()).is_empty());
     }
 
     #[test]
@@ -124,9 +101,8 @@ mod tests {
             for (i, r) in (0..).zip(oracle.iter_mut()) {
                 r.2 = i;
             }
-            let n = sort_in_place(&mut records, |r| &mut r.2, |r| at(r.0), |r| (r.1, r.2));
+            sort_in_place(&mut records, |r| &mut r.2, |r| at(r.0), |r| (r.1, r.2));
             assert_eq!(records, oracle);
-            assert_eq!(n, 7);
         }
     }
 }

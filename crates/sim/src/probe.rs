@@ -5,9 +5,9 @@
 //!
 //! * a **typed event bus**: probe points are [`ProbeId`] descriptors (name +
 //!   [`Track`]) declared as `static`s; records carry a [`Phase`] and a small
-//!   `Copy` payload, land in a bounded ring-buffer [`ProbeSink`], and are
-//!   totally ordered by `(SimTime, seq)` — deterministic because recording
-//!   happens inside the deterministic event loop;
+//!   `Copy` payload, land in an append-only [`ProbeSink`] that keeps every
+//!   record, and are totally ordered by `(SimTime, seq)` — deterministic
+//!   because recording happens inside the deterministic event loop;
 //! * a **counter registry**: [`Metrics`] is the per-run snapshot of every
 //!   protocol counter (NIC, fabric, engine), replacing scattered bench-local
 //!   tallies;
@@ -29,7 +29,9 @@
 //! Disabled probes are free beyond one branch: every recording method
 //! returns before touching the (never-allocated) buffer, so the hot paths
 //! that record stay allocation-free (the exact allocation pins in
-//! `crates/bench/tests/counts.rs` hold them to it).
+//! `crates/bench/tests/counts.rs` hold them to it). An enabled sink
+//! reserves its first 2^20 records up front and grows past them rather
+//! than drop one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -191,8 +193,8 @@ pub struct ProbeEvent {
     /// pairing per `(node, track)` inherits the opening `Begin`'s flow.
     pub flow: FlowId,
     /// Position in the stream (total order among equal timestamps): the
-    /// sink's push count, modulo 2^32, until a merge renumbers the records
-    /// 0, 1, 2, ... in canonical order.
+    /// record's index in its sink, modulo 2^32, until a merge renumbers the
+    /// records 0, 1, 2, ... in canonical order.
     pub seq: u32,
     /// Node the event happened on ([`ProbeEvent::node`]).
     node: u16,
@@ -279,41 +281,21 @@ fn begin_word(a: u64, b: u64) -> u64 {
     u64::from(b) << 32 | u64::from(a)
 }
 
-/// What a run records.
+/// What a run records: span timelines, or nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeConfig {
     enabled: bool,
-    capacity: usize,
 }
 
 impl ProbeConfig {
-    /// Default ring capacity of [`ProbeConfig::spans`]: 2^20 records of
-    /// 32 bytes, a 32 MiB ring, reserved up front; only the slots a run
-    /// writes are ever touched.
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
-
     /// Record nothing; every probe site reduces to one branch.
     pub const fn off() -> Self {
-        ProbeConfig {
-            enabled: false,
-            capacity: 0,
-        }
+        ProbeConfig { enabled: false }
     }
 
-    /// Record full span timelines into a ring of the default capacity.
+    /// Record full span timelines, keeping every record.
     pub const fn spans() -> Self {
-        ProbeConfig {
-            enabled: true,
-            capacity: Self::DEFAULT_CAPACITY,
-        }
-    }
-
-    /// Record spans into a ring of `capacity` events (oldest evicted first).
-    pub const fn spans_with_capacity(capacity: usize) -> Self {
-        ProbeConfig {
-            enabled: capacity > 0,
-            capacity,
-        }
+        ProbeConfig { enabled: true }
     }
 
     /// Whether anything is recorded.
@@ -328,19 +310,21 @@ impl Default for ProbeConfig {
     }
 }
 
-/// The ring-buffer sink probe records land in.
+/// Records an enabled sink reserves at construction: 2^20 records of 32
+/// bytes, 32 MiB, of which a run touches only the slots it writes.
+const RESERVED: usize = 1 << 20;
+
+/// The append-only sink probe records land in: it keeps every record, in
+/// recording order.
 ///
-/// The buffer is allocated once at construction (only if enabled); recording
-/// is a branch, a kind lookup and a slot write, so instrumented hot paths
-/// allocate only the first time a sink sees a kind.
+/// An enabled sink reserves 2^20 records at construction and grows past
+/// them if a run records more; recording is a branch, a kind lookup
+/// and a push, so within the reservation instrumented hot paths allocate
+/// only the first time a sink sees a kind.
 #[derive(Clone, Debug, Default)]
 pub struct ProbeSink {
     config: ProbeConfig,
-    /// Ring storage; once `len == capacity`, `head` wraps and overwrites.
     events: Vec<ProbeEvent>,
-    head: usize,
-    seq: u32,
-    evicted: u64,
     /// The kinds this sink has recorded and their handles, matched by the
     /// addresses of the point and the label, so [`KINDS`] is locked once
     /// per point, label address and phase per sink.
@@ -348,19 +332,16 @@ pub struct ProbeSink {
 }
 
 impl ProbeSink {
-    /// A sink for `config` (pre-allocates the ring iff enabled).
+    /// A sink for `config` (reserves its records iff enabled).
     pub fn new(config: ProbeConfig) -> Self {
         let events = if config.is_enabled() {
-            Vec::with_capacity(config.capacity)
+            Vec::with_capacity(RESERVED)
         } else {
             Vec::new()
         };
         ProbeSink {
             config,
             events,
-            head: 0,
-            seq: 0,
-            evicted: 0,
             kinds: Vec::new(),
         }
     }
@@ -382,9 +363,9 @@ impl ProbeSink {
     }
 
     /// Append one record. `word` is already packed for `phase` (see
-    /// [`ProbeEvent`]). Free (one branch) when disabled; never allocates
-    /// beyond the ring reserved at construction and the kind cache. `node`
-    /// must fit in 16 bits (checked), as it does in a [`FlowId`].
+    /// [`ProbeEvent`]). Free (one branch) when disabled; allocates only for
+    /// a new kind or a record past the reservation. `node` must fit in 16
+    /// bits (checked), as it does in a [`FlowId`].
     #[inline]
     #[expect(
         clippy::too_many_arguments,
@@ -407,19 +388,11 @@ impl ProbeSink {
             time,
             word,
             flow,
-            seq: self.seq,
+            seq: self.events.len() as u32,
             node: u16::try_from(node).expect("a probe record's node fits in 16 bits"),
             kind: self.kind(id, label, phase),
         };
-        self.seq = self.seq.wrapping_add(1);
-        if self.events.len() < self.config.capacity {
-            self.events.push(ev);
-        } else {
-            // Ring is full: overwrite the oldest slot.
-            self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.config.capacity;
-            self.evicted += 1;
-        }
+        self.events.push(ev);
     }
 
     /// The handle of `(id, label, phase)`: a few compares per kind this
@@ -550,13 +523,12 @@ impl ProbeSink {
         self.push(time, node, id, Phase::Complete, label, dur.as_nanos(), flow);
     }
 
-    /// Recorded events, oldest first (ring rotation already applied).
+    /// Recorded events, in recording order.
     pub fn iter(&self) -> impl Iterator<Item = &ProbeEvent> + Clone + '_ {
-        let (tail, front) = self.events.split_at(self.head.min(self.events.len()));
-        front.iter().chain(tail.iter())
+        self.events.iter()
     }
 
-    /// Number of events currently held.
+    /// Number of events held.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -566,33 +538,21 @@ impl ProbeSink {
         self.events.is_empty()
     }
 
-    /// Ring slots actually allocated (0 for a disabled sink: the
+    /// Record slots actually allocated (0 for a disabled sink: the
     /// zero-allocation guarantee the tests pin).
     pub fn allocated_capacity(&self) -> usize {
         self.events.capacity()
     }
 
-    /// Events overwritten because the ring filled.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The retained events as one borrowed slice, oldest first, without a
-    /// copy. That needs the oldest record in slot 0, which holds for every
-    /// sink [`ProbeSink::merge_canonical`] returns. Panics on a ring whose
-    /// oldest record sits elsewhere (use [`ProbeSink::iter`] or
-    /// [`ProbeSink::to_vec`] there).
+    /// The events as one borrowed slice, in recording order, without a
+    /// copy.
     pub fn as_slice(&self) -> &[ProbeEvent] {
-        assert_eq!(
-            self.head, 0,
-            "a wrapped probe ring is not one contiguous slice"
-        );
         &self.events
     }
 
-    /// Copy the retained events out, oldest first.
+    /// Copy the events out, in recording order.
     pub fn to_vec(&self) -> Vec<ProbeEvent> {
-        self.iter().copied().collect()
+        self.events.clone()
     }
 
     /// Merge per-shard sinks into one canonical stream, ordered by
@@ -604,33 +564,26 @@ impl ProbeSink {
     /// a node's records are emitted by exactly one shard in an order that
     /// does not depend on the sharding, and records of different nodes at
     /// the same instant come from commuting handlers, so `(time, node)` plus
-    /// per-sink order is a total, mode-independent key. (If any ring
-    /// evicted, per-shard rings evict different records than one global ring
-    /// would — size the capacity to the run when exact parity matters.)
+    /// per-sink order is a total, mode-independent key. Every sink keeps
+    /// every record, so the merged stream holds the same records at any
+    /// shard count.
     ///
     /// The merge works in place and allocates nothing per record: the
-    /// first sink's ring becomes the merged stream, and each record's
-    /// position in the concatenated rings is written into its `seq`. A
-    /// stream already in time order, as one shard's ring is, is sorted only
+    /// other sinks' records are appended to the first sink's buffer, and
+    /// each record's position in that buffer is written into its `seq`. A
+    /// stream already in time order, as one shard's is, is sorted only
     /// within each instant, on `(node, position)`; any other is sorted
     /// whole on `(time, node, position)` (see `sim::merge`). Kind handles
     /// are process-wide, so records change sinks as they are.
     pub fn merge_canonical(sinks: Vec<ProbeSink>) -> ProbeSink {
-        let enabled = sinks.iter().any(ProbeSink::is_enabled);
-        let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
-        let evicted: u64 = sinks.iter().map(|s| s.evicted).sum();
-        let mut events = merge::concat_rings(sinks.into_iter().map(|s| (s.events, s.head)));
-        let seq =
-            merge::sort_in_place(&mut events, |e| &mut e.seq, |e| e.time, |e| (e.node, e.seq));
+        let config = ProbeConfig {
+            enabled: sinks.iter().any(ProbeSink::is_enabled),
+        };
+        let mut events = merge::concat(sinks.into_iter().map(|s| s.events));
+        merge::sort_in_place(&mut events, |e| &mut e.seq, |e| e.time, |e| (e.node, e.seq));
         ProbeSink {
-            config: ProbeConfig {
-                enabled,
-                capacity: capacity.max(events.len()),
-            },
+            config,
             events,
-            head: 0,
-            seq,
-            evicted,
             kinds: Vec::new(),
         }
     }
@@ -1086,40 +1039,44 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_newest_in_order() {
-        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(4));
-        for i in 0..10u64 {
-            s.instant(at(i), 0, &T_A, "x", i);
-        }
-        let kept: Vec<u64> = s.iter().map(ProbeEvent::a).collect();
-        assert_eq!(kept, vec![6, 7, 8, 9]);
-        assert_eq!(s.evicted(), 6);
-        // Ordering key (time, seq) is strictly increasing.
-        let seqs: Vec<u32> = s.iter().map(|e| e.seq).collect();
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]));
-        // Merging rotates the ring into one ordered slice.
-        let merged = ProbeSink::merge_canonical(vec![s.clone()]);
-        assert_eq!(
-            merged
-                .as_slice()
-                .iter()
-                .map(ProbeEvent::a)
-                .collect::<Vec<_>>(),
-            kept
-        );
-        let wrapped = std::panic::catch_unwind(|| s.as_slice().len());
-        assert!(wrapped.is_err(), "a wrapped ring has no in-order slice");
-    }
-
-    #[test]
     fn capacity_is_reserved_up_front() {
-        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(64));
+        let mut s = ProbeSink::new(ProbeConfig::spans());
         let cap = s.allocated_capacity();
-        assert!(cap >= 64);
+        assert!(cap >= RESERVED);
         for i in 0..200u64 {
             s.instant(at(i), 0, &T_A, "x", i);
         }
         assert_eq!(s.allocated_capacity(), cap, "recording must not reallocate");
+    }
+
+    /// A sink holding one record past its reservation, all marks of `node`
+    /// with `a` counting up and times repeating with `period`.
+    fn past_the_reservation(node: u32, period: u64) -> ProbeSink {
+        let mut s = ProbeSink::new(ProbeConfig::spans());
+        for i in 0..=RESERVED as u64 {
+            s.instant(at(i % period), node, &T_A, "x", i);
+        }
+        s
+    }
+
+    #[test]
+    fn a_sink_keeps_every_record_past_its_reservation() {
+        let s = past_the_reservation(0, u64::MAX);
+        assert_eq!(s.len(), RESERVED + 1);
+        assert!(s.iter().map(ProbeEvent::a).eq(0..=RESERVED as u64));
+        assert!(s.as_slice().iter().map(|e| e.seq).eq(0..=RESERVED as u32));
+    }
+
+    #[test]
+    fn merging_sinks_past_their_reservation_is_a_stable_sort() {
+        let sinks = vec![past_the_reservation(1, 1_000), past_the_reservation(0, 999)];
+        let mut oracle: Vec<ProbeEvent> = sinks.iter().flat_map(ProbeSink::iter).copied().collect();
+        oracle.sort_by_key(|e| (e.time, e.node()));
+        for (i, e) in (0..).zip(oracle.iter_mut()) {
+            e.seq = i;
+        }
+        let merged = ProbeSink::merge_canonical(sinks);
+        assert_eq!(merged.as_slice(), &oracle[..]);
     }
 
     #[test]
@@ -1298,14 +1255,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "payload word `a` fits in 32 bits")]
     fn begin_word_a_over_32_bits_panics() {
-        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(1));
+        let mut s = ProbeSink::new(ProbeConfig::spans());
         s.begin(at(0), 0, &T_A, "", u64::from(u32::MAX) + 1, 0);
     }
 
     #[test]
     #[should_panic(expected = "payload word `b` fits in 32 bits")]
     fn begin_word_b_over_32_bits_panics() {
-        let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(1));
+        let mut s = ProbeSink::new(ProbeConfig::spans());
         s.begin_flow(
             at(0),
             0,

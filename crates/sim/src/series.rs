@@ -11,8 +11,8 @@
 //!
 //! * **zero-cost when disabled** — [`SeriesSink::record`] is one branch and
 //!   never allocates on a disabled sink;
-//! * **bounded** — points land in a ring pre-allocated at construction;
-//!   overflow bumps a `dropped` counter instead of growing;
+//! * **append-only** — a sink keeps every point: it reserves its first
+//!   2^18 points at construction and grows past them rather than drop one;
 //! * **canonical merge** — per-shard sinks merge in place into one stream
 //!   ordered by `(time, node, gauge)`, each sink's internal order kept among
 //!   ties, and since every `(node, gauge)` pair is owned by exactly one
@@ -37,39 +37,21 @@ use crate::merge;
 use crate::names::NameTable;
 use crate::time::SimTime;
 
-/// What a run samples.
+/// What a run samples: every gauge, or nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SeriesConfig {
     enabled: bool,
-    capacity: usize,
 }
 
 impl SeriesConfig {
-    /// Default ring capacity of [`SeriesConfig::on`].
-    pub const DEFAULT_CAPACITY: usize = 1 << 18;
-
     /// Sample nothing; every gauge site reduces to one branch.
     pub const fn off() -> Self {
-        SeriesConfig {
-            enabled: false,
-            capacity: 0,
-        }
+        SeriesConfig { enabled: false }
     }
 
-    /// Sample gauges into a ring of the default capacity.
+    /// Sample every gauge, keeping every transition.
     pub const fn on() -> Self {
-        SeriesConfig {
-            enabled: true,
-            capacity: Self::DEFAULT_CAPACITY,
-        }
-    }
-
-    /// Sample gauges into a ring of `capacity` points.
-    pub const fn with_capacity(capacity: usize) -> Self {
-        SeriesConfig {
-            enabled: capacity > 0,
-            capacity,
-        }
+        SeriesConfig { enabled: true }
     }
 
     /// Whether anything is sampled.
@@ -120,9 +102,9 @@ pub struct SeriesPoint {
     pub time: SimTime,
     /// The new value.
     pub value: u64,
-    /// Total order among equal timestamps: the sink's point count, modulo
-    /// 2^32, until a merge renumbers the points 0, 1, 2, ... in canonical
-    /// order.
+    /// Total order among equal timestamps: the point's index in its sink,
+    /// modulo 2^32, until a merge renumbers the points 0, 1, 2, ... in
+    /// canonical order.
     pub seq: u32,
     /// Node the gauge belongs to, read through [`SeriesPoint::node`].
     node: u16,
@@ -194,14 +176,17 @@ pub struct GaugeSummary {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GaugeId(u32);
 
-/// The ring-buffer sink gauge transitions land in.
+/// Points an enabled sink reserves at construction: 2^18 points of 24
+/// bytes, 6 MiB.
+const RESERVED: usize = 1 << 18;
+
+/// The append-only sink gauge transitions land in: it keeps every point,
+/// in recording order, reserving 2^18 of them at construction and growing
+/// past them if a run records more.
 #[derive(Clone, Debug, Default)]
 pub struct SeriesSink {
     config: SeriesConfig,
     points: Vec<SeriesPoint>,
-    head: usize,
-    seq: u32,
-    dropped: u64,
     /// Last value per `(node, gauge)` — the dedup filter. Two levels: the
     /// gauges this sink has interned, indexed by [`GaugeId`], each with its
     /// process-wide handle, then a dense per-node table, so recording by
@@ -210,19 +195,16 @@ pub struct SeriesSink {
 }
 
 impl SeriesSink {
-    /// A sink for `config` (pre-allocates the ring iff enabled).
+    /// A sink for `config` (reserves its points iff enabled).
     pub fn new(config: SeriesConfig) -> Self {
         let points = if config.is_enabled() {
-            Vec::with_capacity(config.capacity)
+            Vec::with_capacity(RESERVED)
         } else {
             Vec::new()
         };
         SeriesSink {
             config,
             points,
-            head: 0,
-            seq: 0,
-            dropped: 0,
             last: Vec::new(),
         }
     }
@@ -276,9 +258,9 @@ impl SeriesSink {
     }
 
     /// Sample `(node, gauge) = value` at `time`. Free (one branch) when
-    /// disabled; a no-op when the value is unchanged; otherwise a ring
-    /// write (overflow bumps [`SeriesSink::dropped`], never grows). `node`
-    /// must fit in 16 bits (checked).
+    /// disabled; a no-op when the value is unchanged; otherwise a push,
+    /// which allocates only past the reservation. `node` must fit in 16
+    /// bits (checked).
     #[inline]
     pub fn record_gauge(&mut self, time: SimTime, node: u32, gauge: GaugeId, value: u64) {
         if !self.config.enabled {
@@ -296,18 +278,11 @@ impl SeriesSink {
         let p = SeriesPoint {
             time,
             value,
-            seq: self.seq,
+            seq: self.points.len() as u32,
             node: u16::try_from(node).expect("a gauge point's node fits in 16 bits"),
             gauge: *name,
         };
-        self.seq = self.seq.wrapping_add(1);
-        if self.points.len() < self.config.capacity {
-            self.points.push(p);
-        } else {
-            self.points[self.head] = p;
-            self.head = (self.head + 1) % self.config.capacity;
-            self.dropped += 1;
-        }
+        self.points.push(p);
     }
 
     /// First sighting of a gauge name: intern it process-wide and append a
@@ -326,13 +301,12 @@ impl SeriesSink {
         nodes.resize(slot + 1, None);
     }
 
-    /// Recorded transitions, oldest first (ring rotation already applied).
+    /// Recorded transitions, in recording order.
     pub fn iter(&self) -> impl Iterator<Item = &SeriesPoint> + Clone + '_ {
-        let (tail, front) = self.points.split_at(self.head.min(self.points.len()));
-        front.iter().chain(tail.iter())
+        self.points.iter()
     }
 
-    /// Number of transitions currently held.
+    /// Number of transitions held.
     pub fn len(&self) -> usize {
         self.points.len()
     }
@@ -342,14 +316,9 @@ impl SeriesSink {
         self.points.is_empty()
     }
 
-    /// Ring slots actually allocated (0 for a disabled sink).
+    /// Point slots actually allocated (0 for a disabled sink).
     pub fn allocated_capacity(&self) -> usize {
         self.points.capacity()
-    }
-
-    /// Transitions overwritten because the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Merge per-shard sinks into one canonical stream, ordered by
@@ -360,36 +329,31 @@ impl SeriesSink {
     ///
     /// The merge works in place, like
     /// [`ProbeSink::merge_canonical`](crate::ProbeSink::merge_canonical):
-    /// the first sink's ring becomes the merged stream, and the points
-    /// themselves are sorted on `(node, gauge rank, position)` within each
-    /// instant of a stream already in time order, or whole on `(time, node,
-    /// gauge rank, position)`, the name table ranked once for the merge.
+    /// the other sinks' points are appended to the first sink's buffer, and
+    /// the points themselves are sorted on `(node, gauge rank, position)`
+    /// within each instant of a stream already in time order, or whole on
+    /// `(time, node, gauge rank, position)`, the name table ranked once for
+    /// the merge.
     pub fn merge_canonical(sinks: Vec<SeriesSink>) -> SeriesSink {
-        let enabled = sinks.iter().any(SeriesSink::is_enabled);
-        let capacity: usize = sinks.iter().map(|s| s.config.capacity).sum();
-        let dropped: u64 = sinks.iter().map(|s| s.dropped).sum();
-        let mut points = merge::concat_rings(sinks.into_iter().map(|s| (s.points, s.head)));
+        let config = SeriesConfig {
+            enabled: sinks.iter().any(SeriesSink::is_enabled),
+        };
+        let mut points = merge::concat(sinks.into_iter().map(|s| s.points));
         // Ranking allocates, so a run that sampled nothing skips it.
         let rank = if points.is_empty() {
             Vec::new()
         } else {
             GAUGE_NAMES.ranks()
         };
-        let seq = merge::sort_in_place(
+        merge::sort_in_place(
             &mut points,
             |p| &mut p.seq,
             |p| p.time,
             |p| (p.node, rank[p.gauge.index()], p.seq),
         );
         SeriesSink {
-            config: SeriesConfig {
-                enabled,
-                capacity: capacity.max(points.len()),
-            },
+            config,
             points,
-            head: 0,
-            seq,
-            dropped,
             last: Vec::new(),
         }
     }
@@ -479,7 +443,7 @@ mod tests {
 
     #[test]
     fn consecutive_equal_samples_deduplicate() {
-        let mut s = SeriesSink::new(SeriesConfig::with_capacity(16));
+        let mut s = SeriesSink::new(SeriesConfig::on());
         s.record(at(0), 0, "tokens", 4);
         s.record(at(10), 0, "tokens", 4);
         s.record(at(20), 0, "tokens", 3);
@@ -492,22 +456,41 @@ mod tests {
         assert_eq!(s.len(), 4);
     }
 
-    #[test]
-    fn ring_overflow_counts_dropped() {
-        let mut s = SeriesSink::new(SeriesConfig::with_capacity(4));
-        for i in 0..10u64 {
-            s.record(at(i), 0, "q", i);
+    /// A sink holding one point past its reservation, all of gauge `q` on
+    /// `node`, the value counting up and times repeating with `period`.
+    fn past_the_reservation(node: u32, period: u64) -> SeriesSink {
+        let mut s = SeriesSink::new(SeriesConfig::on());
+        for i in 0..=RESERVED as u64 {
+            s.record(at(i % period), node, "q", i);
         }
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.dropped(), 6);
-        let vals: Vec<u64> = s.iter().map(|p| p.value).collect();
-        assert_eq!(vals, vec![6, 7, 8, 9]);
+        s
+    }
+
+    #[test]
+    fn a_sink_keeps_every_point_past_its_reservation() {
+        let s = past_the_reservation(0, u64::MAX);
+        assert_eq!(s.len(), RESERVED + 1);
+        assert!(s.iter().map(|p| p.value).eq(0..=RESERVED as u64));
+        assert!(s.iter().map(|p| p.seq).eq(0..=RESERVED as u32));
+    }
+
+    #[test]
+    fn merging_sinks_past_their_reservation_is_a_stable_sort() {
+        let sinks = vec![past_the_reservation(1, 1_000), past_the_reservation(0, 999)];
+        let mut oracle: Vec<SeriesPoint> =
+            sinks.iter().flat_map(SeriesSink::iter).copied().collect();
+        oracle.sort_by_key(|p| (p.time, p.node(), p.gauge()));
+        for (i, p) in (0..).zip(oracle.iter_mut()) {
+            p.seq = i;
+        }
+        let merged = SeriesSink::merge_canonical(sinks);
+        assert!(merged.iter().eq(oracle.iter()));
     }
 
     #[test]
     fn merge_is_canonical_and_shard_independent() {
         let mk = |recs: &[(u64, u32, u64)]| {
-            let mut s = SeriesSink::new(SeriesConfig::with_capacity(64));
+            let mut s = SeriesSink::new(SeriesConfig::on());
             for &(t, n, v) in recs {
                 s.record(at(t), n, "tokens", v);
             }
@@ -525,7 +508,7 @@ mod tests {
 
     #[test]
     fn summary_is_time_weighted_and_hist_sums_to_span() {
-        let mut s = SeriesSink::new(SeriesConfig::with_capacity(64));
+        let mut s = SeriesSink::new(SeriesConfig::on());
         // value 2 on [0,100), 6 on [100,400), 2 on [400,1000].
         s.record(at(0), 3, "tokens", 2);
         s.record(at(100), 3, "tokens", 6);
@@ -553,7 +536,7 @@ mod tests {
 
     #[test]
     fn summaries_sort_by_gauge_then_node() {
-        let mut s = SeriesSink::new(SeriesConfig::with_capacity(64));
+        let mut s = SeriesSink::new(SeriesConfig::on());
         s.record(at(0), 1, "z", 1);
         s.record(at(0), 0, "a", 1);
         s.record(at(0), 0, "z", 1);

@@ -101,6 +101,15 @@ impl OnlineStats {
     }
 }
 
+/// The 1-based rank of the `p`-th percentile (`0 < p <= 100`) of `n`
+/// samples: ⌈p·n/100⌉, at least 1, in integer arithmetic from `p` in
+/// per-mille, so p99.9 of 1,000 samples is the 999th smallest. Every
+/// percentile the simulator reports takes its rank here.
+pub fn percentile_rank(n: u64, p: f64) -> u64 {
+    let permille = (p * 10.0).round() as u64;
+    (n * permille).div_ceil(1000).max(1)
+}
+
 /// Sub-buckets per octave in [`LogHistogram`] (2^5 = 32 ⇒ every bucket's
 /// upper bound is within ~3% of the samples it holds).
 const LOG_SUB_BITS: u32 = 5;
@@ -212,18 +221,14 @@ impl LogHistogram {
     }
 
     /// The `p`-th percentile (`0 < p <= 100`) in microseconds: the upper
-    /// bound of the bucket holding the sample of that rank (the top bucket
-    /// reports the exact maximum). Deterministic: the rank is computed in
-    /// integer arithmetic from permille of `p`.
+    /// bound of the bucket holding the sample of [`percentile_rank`] (the
+    /// top bucket reports the exact maximum).
     pub fn percentile(&self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
         if self.total == 0 {
             return 0.0;
         }
-        // Permille rank, rounding the target rank up (ceil) so p99.9 of 1000
-        // samples is the 999th order statistic.
-        let permille = (p * 10.0).round() as u64;
-        let rank = (self.total * permille).div_ceil(1000).max(1);
+        let rank = percentile_rank(self.total, p);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;

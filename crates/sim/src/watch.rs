@@ -224,16 +224,6 @@ impl Severity {
 /// What a detector computes over its subscribed stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DetectorKind {
-    /// Rolling-window threshold: the gauge's per-window maximum is `>= min`
-    /// for at least `sustain` consecutive windows.
-    Threshold {
-        /// The subscribed gauge name.
-        gauge: &'static str,
-        /// Firing threshold (must be [`Unit::Count`]).
-        min: Thresh,
-        /// Consecutive hot windows required to fire.
-        sustain: u32,
-    },
     /// Rate of change: the gauge (a cumulative counter sampled as a step
     /// function) grows by at least `rate` per millisecond within a window.
     RateOfChange {
@@ -380,7 +370,6 @@ impl Incident {
 /// (`None` for a detector that reads a counter).
 fn scanned_gauge(d: &Detector) -> Option<(&'static str, u32)> {
     match d.kind {
-        DetectorKind::Threshold { gauge, sustain, .. } => Some((gauge, sustain.max(1))),
         DetectorKind::RateOfChange { gauge, .. } => Some((gauge, 1)),
         DetectorKind::Saturation { gauge, sustain, .. } => Some((gauge, sustain.max(1))),
         DetectorKind::Counter { .. } => None,
@@ -557,7 +546,6 @@ impl WatchEngine {
                 si += 1;
             }
             let (fires, observed) = match d.kind {
-                DetectorKind::Threshold { min, .. } => (win_max >= min.value(), win_max),
                 DetectorKind::RateOfChange { rate, .. } => {
                     // Per-window growth of a cumulative counter, normalized
                     // to events per millisecond (integer arithmetic; w_ns is
@@ -621,7 +609,6 @@ impl WatchEngine {
         }
         let w_ns = self.config.window().as_nanos().max(1);
         let threshold = match d.kind {
-            DetectorKind::Threshold { min, .. } => min,
             DetectorKind::RateOfChange { rate, .. } => rate,
             DetectorKind::Saturation { pct, .. } => pct,
             DetectorKind::Counter { min, .. } => min,
@@ -749,9 +736,10 @@ mod tests {
         let eng = WatchEngine::new(WatchConfig::off()).detector(Detector {
             id: "t",
             severity: Severity::Warn,
-            kind: DetectorKind::Threshold {
+            kind: DetectorKind::Saturation {
                 gauge: "g",
-                min: Thresh::count(1),
+                capacity: 100,
+                pct: Thresh::pct(1),
                 sustain: 1,
             },
         });
@@ -763,13 +751,15 @@ mod tests {
     }
 
     #[test]
-    fn threshold_fires_and_merges_consecutive_windows() {
+    fn saturation_fires_and_merges_consecutive_windows() {
+        // Saturated at 10 of 100 slots (10%) or more.
         let eng = engine(Detector {
             id: "hot",
             severity: Severity::Warn,
-            kind: DetectorKind::Threshold {
+            kind: DetectorKind::Saturation {
                 gauge: "q",
-                min: Thresh::count(10),
+                capacity: 100,
+                pct: Thresh::pct(10),
                 sustain: 1,
             },
         });

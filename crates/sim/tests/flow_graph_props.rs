@@ -73,7 +73,7 @@ fn spec() -> impl Strategy<Value = Spec> {
 /// The stream of `specs`, each record given its generated `seq`, in
 /// `(time, seq)` order (stable, so repeated keys keep generation order).
 fn stream(specs: &[Spec]) -> Vec<ProbeEvent> {
-    let mut sink = ProbeSink::new(ProbeConfig::spans_with_capacity(specs.len().max(1)));
+    let mut sink = ProbeSink::new(ProbeConfig::spans());
     for &((t, _), node, (origin, tag, dest), kind) in specs {
         let flow = FlowId::new(origin, tag, dest);
         match kind {

@@ -1,23 +1,22 @@
 //! Differential property tests of the canonical probe and series merges.
 //!
 //! The merges work in place: they sort the records themselves, keyed on
-//! each record's position in the concatenated rings, and a stream already
+//! each record's position in the concatenated sinks, and a stream already
 //! in time order is sorted only within each instant. The oracle here is
-//! the plain algorithm they replace: copy every sink's records out oldest
-//! first, stable-sort the copy on the ordering fields, renumber `seq`.
+//! the plain algorithm they replace: copy every sink's records out in
+//! recording order, stable-sort the copy on the ordering fields, renumber
+//! `seq`.
 //!
 //! The inputs reach both branches of the sort:
 //!
-//! * random streams into one to four sinks with small rings (so some
-//!   wrap), dense `(time, node)` ties across sinks, and records dated
-//!   later than the ones recorded after them: nearly all are sorted whole;
-//! * one ring recorded in time order, with dense ties across nodes (and
-//!   gauges) in no particular order, sometimes wrapped: sorted within each
-//!   instant, since a wrapped ring rotated oldest first is in time order
-//!   too;
-//! * several rings, each recorded in time order: their concatenation
+//! * random streams into one to four sinks, with dense `(time, node)` ties
+//!   across sinks and records dated later than the ones recorded after
+//!   them: nearly all are sorted whole;
+//! * one sink recorded in time order, with dense ties across nodes (and
+//!   gauges) in no particular order: sorted within each instant;
+//! * several sinks, each recorded in time order: their concatenation
 //!   nearly always goes back in time, so it is sorted whole;
-//! * one ring in time order but for one record dated before the one
+//! * one sink in time order but for one record dated before the one
 //!   recorded ahead of it: sorted whole, unless that record is a gauge
 //!   point that repeats its gauge's value and so is never kept.
 
@@ -32,15 +31,14 @@ use proptest::prelude::*;
 
 static REC: ProbeId = ProbeId::new("merge_props_record", Track::Lanai);
 
-/// One sink's ring capacity and its records, in recording order, each
-/// `(time, rest)`.
-type Ring<R> = (usize, Vec<(u64, R)>);
+/// One sink's records, in recording order, each `(time, rest)`.
+type Records<R> = Vec<(u64, R)>;
 
 /// One to four sinks of random records. Times and nodes come from small
 /// ranges, so ties are dense and some records are dated ahead of later
 /// ones.
-fn sinks<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Ring<R::Value>>> {
-    vec((1usize..24, vec((0u64..8, rest), 0..40)), 1..5)
+fn sinks<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Records<R::Value>>> {
+    vec(vec((0u64..8, rest), 0..40), 1..5)
 }
 
 /// Records whose times never decrease, from 1 ns: most share the instant
@@ -59,25 +57,24 @@ fn timed<R: Strategy>(rest: R, len: Range<usize>) -> impl Strategy<Value = Vec<(
     })
 }
 
-/// One ring recorded in time order, with a capacity that sometimes makes
-/// it wrap.
-fn one_ring_in_time_order<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Ring<R::Value>>> {
-    (1usize..96, timed(rest, 0..80)).prop_map(|ring| vec![ring])
+/// One sink recorded in time order.
+fn one_sink_in_time_order<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Records<R::Value>>> {
+    timed(rest, 0..80).prop_map(|records| vec![records])
 }
 
-/// Two to four rings, each recorded in time order, some wrapped.
-fn rings_in_time_order<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Ring<R::Value>>> {
-    vec((1usize..24, timed(rest, 0..40)), 2..5)
+/// Two to four sinks, each recorded in time order.
+fn sinks_in_time_order<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Records<R::Value>>> {
+    vec(timed(rest, 0..40), 2..5)
 }
 
-/// One ring big enough for its records, recorded in time order but for
-/// one record dated 0, before every other.
-fn one_inversion<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Ring<R::Value>>> {
+/// One sink recorded in time order but for one record dated 0, before
+/// every other.
+fn one_inversion<R: Strategy>(rest: R) -> impl Strategy<Value = Vec<Records<R::Value>>> {
     (timed(rest, 2..80), any::<usize>()).prop_map(|(mut records, at)| {
         // Not the first record, so the one ahead of it is dated later.
         let i = 1 + at % (records.len() - 1);
         records[i].0 = 0;
-        vec![(records.len(), records)]
+        vec![records]
     })
 }
 
@@ -86,12 +83,12 @@ fn at(ns: u64) -> SimTime {
 }
 
 /// Probe sinks holding `input`, each record a `Begin` of node `node`.
-fn probe_sinks(input: &[Ring<u32>]) -> Vec<ProbeSink> {
+fn probe_sinks(input: &[Records<u32>]) -> Vec<ProbeSink> {
     input
         .iter()
         .enumerate()
-        .map(|(k, (capacity, records))| {
-            let mut s = ProbeSink::new(ProbeConfig::spans_with_capacity(*capacity));
+        .map(|(k, records)| {
+            let mut s = ProbeSink::new(ProbeConfig::spans());
             for (i, &(t, node)) in records.iter().enumerate() {
                 // (sink, record) in the payload tells every record apart.
                 let (a, b) = (k as u64, i as u64);
@@ -107,15 +104,15 @@ fn probe_sinks(input: &[Ring<u32>]) -> Vec<ProbeSink> {
 const NAMES: [&str; 3] = ["zeta", "alpha", "mu"];
 
 /// Series sinks holding `input`, each point `(node, gauge, value)`.
-fn series_sinks(input: &[Ring<(u32, usize, u64)>]) -> Vec<SeriesSink> {
+fn series_sinks(input: &[Records<(u32, usize, u64)>]) -> Vec<SeriesSink> {
     // A second copy of each name at another address: gauges must compare
     // by name, not by pointer.
     let copies = NAMES.map(|n| &*String::from(n).leak());
     input
         .iter()
         .enumerate()
-        .map(|(k, (capacity, records))| {
-            let mut s = SeriesSink::new(SeriesConfig::with_capacity(*capacity));
+        .map(|(k, records)| {
+            let mut s = SeriesSink::new(SeriesConfig::on());
             let names = if k % 2 == 0 { NAMES } else { copies };
             let ids: Vec<GaugeId> = names.iter().map(|&n| s.gauge(n)).collect();
             for (i, &(t, (node, g, v))) in records.iter().enumerate() {
@@ -152,25 +149,19 @@ fn series_oracle(sinks: &[SeriesSink]) -> Vec<SeriesPoint> {
     points
 }
 
-/// Merge `sinks` and compare the stream and the eviction count with the
-/// oracle's.
+/// Merge `sinks` and compare the stream with the oracle's.
 fn check_probe_merge(sinks: Vec<ProbeSink>) {
     let expect = probe_oracle(&sinks);
-    let evicted: u64 = sinks.iter().map(ProbeSink::evicted).sum();
     let merged = ProbeSink::merge_canonical(sinks);
     assert_eq!(merged.as_slice(), &expect[..]);
-    assert_eq!(merged.evicted(), evicted);
 }
 
-/// Merge `sinks` and compare the stream and the drop count with the
-/// oracle's.
+/// Merge `sinks` and compare the stream with the oracle's.
 fn check_series_merge(sinks: Vec<SeriesSink>) {
     let expect = series_oracle(&sinks);
-    let dropped: u64 = sinks.iter().map(SeriesSink::dropped).sum();
     let merged = SeriesSink::merge_canonical(sinks);
     let got: Vec<SeriesPoint> = merged.iter().copied().collect();
     assert_eq!(got, expect);
-    assert_eq!(merged.dropped(), dropped);
 }
 
 /// A probe record's node.
@@ -192,17 +183,17 @@ proptest! {
     }
 
     #[test]
-    fn probe_merge_of_one_ring_in_time_order(input in one_ring_in_time_order(node())) {
+    fn probe_merge_of_one_sink_in_time_order(input in one_sink_in_time_order(node())) {
         check_probe_merge(probe_sinks(&input));
     }
 
     #[test]
-    fn probe_merge_of_rings_in_time_order(input in rings_in_time_order(node())) {
+    fn probe_merge_of_sinks_in_time_order(input in sinks_in_time_order(node())) {
         check_probe_merge(probe_sinks(&input));
     }
 
     #[test]
-    fn probe_merge_of_a_ring_with_one_inversion(input in one_inversion(node())) {
+    fn probe_merge_of_a_sink_with_one_inversion(input in one_inversion(node())) {
         check_probe_merge(probe_sinks(&input));
     }
 
@@ -212,17 +203,17 @@ proptest! {
     }
 
     #[test]
-    fn series_merge_of_one_ring_in_time_order(input in one_ring_in_time_order(point())) {
+    fn series_merge_of_one_sink_in_time_order(input in one_sink_in_time_order(point())) {
         check_series_merge(series_sinks(&input));
     }
 
     #[test]
-    fn series_merge_of_rings_in_time_order(input in rings_in_time_order(point())) {
+    fn series_merge_of_sinks_in_time_order(input in sinks_in_time_order(point())) {
         check_series_merge(series_sinks(&input));
     }
 
     #[test]
-    fn series_merge_of_a_ring_with_one_inversion(input in one_inversion(point())) {
+    fn series_merge_of_a_sink_with_one_inversion(input in one_inversion(point())) {
         check_series_merge(series_sinks(&input));
     }
 }

@@ -166,16 +166,16 @@ echo "ci: workload check OK (schema, percentile monotonicity, fairness, group-ta
 
 # Health-monitoring gate: a lossy many-group workload with the streaming
 # detectors armed must (a) raise a retx_storm incident with causal FlowId
-# evidence, (b) emit the incident stream in canonical order, (c) produce a
-# byte-identical health summary across shard counts, and (d) overflow no
-# telemetry ring (DESIGN.md §16). The fresh artifact is then self-diffed
+# evidence, (b) emit the incident stream in canonical order, and (c) produce
+# a byte-identical health summary across shard counts (DESIGN.md §16). The
+# fresh artifact is then self-diffed
 # against the committed one with report_diff: identical configuration must
 # produce an identical report, so the differ's "silent on equal inputs"
 # contract and the artifact's byte-stability are both gated here.
 health_snapshot=$(mktemp)
 cp results/health_explore.json "$health_snapshot"
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin health_explore -- --check >/dev/null
-echo "ci: health check OK (storm evidence, canonical order, shard-invariant, no ring drops)"
+echo "ci: health check OK (storm evidence, canonical order, shard-invariant)"
 run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
   "$health_snapshot" results/health_explore.json
 mv "$health_snapshot" results/health_explore.json
