@@ -29,15 +29,22 @@
 //! allocate on the thread that interns an entry first; the observed run is
 //! the only test here that records probes or samples gauges, so its
 //! allocation count is exact too. The workload run
-//! pins its peak as well, so a run that copies the group population or the
-//! agendas' arrival times, or a histogram that outgrows its samples, fails
-//! here. A trace workload pins build and run together, its trace made
+//! pins its peak as well, so a run that copies the group population, holds
+//! a node's schedule per message instead of per group, or keeps a histogram
+//! that outgrows its samples, fails here. One population run for two
+//! durations pins what each added scheduled message costs at the peak: the
+//! 8 bytes of its arrival time, which a schedule that copies the arrivals
+//! per node doubles. A trace workload pins build and run together, its trace made
 //! before the count starts, so a build that keeps or copies the trace
 //! fails here too. A group-churn run pins its peak because its admission
 //! waits hold messages in Go-Back-N records: a message that carries bytes
 //! again, or a record that grows, fails here. The NIC-based scenario pins
 //! the peak of a closed-loop run, whose root keeps one window per timed
 //! iteration: a table sized to anything but the iterations fails here.
+//!
+//! Every run ends in a harvest that names each node's counters as metric
+//! keys, so one test pins what a key costs: a new one is one allocation of
+//! exactly its length, an update of one nothing.
 //!
 //! A pin that moves on purpose is updated here, with the reason in
 //! CHANGES.md.
@@ -46,7 +53,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gm_mpi::{execute_mpi, BcastImpl, MpiRun};
-use gm_sim::{DetRng, ProbeConfig, SeriesConfig, SimDuration, SimTime, WatchConfig};
+use gm_sim::{DetRng, Metrics, ProbeConfig, SeriesConfig, SimDuration, SimTime, WatchConfig};
 use myrinet::FaultPlan;
 use nic_mcast::{
     ArrivalProcess, BuiltScenario, FanoutDist, Scenario, StopCondition, TreeShape, Workload,
@@ -182,7 +189,7 @@ fn nic_based_scenario_counts() {
         "NIC-based scenario",
         &[
             ("events", report.metrics.get("engine.events"), 5_067),
-            ("allocations", heap.allocs, 1_081),
+            ("allocations", heap.allocs, 970),
             ("peak live bytes", heap.peak_bytes, 158_452),
         ],
     );
@@ -196,7 +203,7 @@ fn host_based_scenario_counts() {
         "host-based scenario",
         &[
             ("events", report.metrics.get("engine.events"), 6_049),
-            ("allocations", heap.allocs, 1_429),
+            ("allocations", heap.allocs, 1_330),
         ],
     );
 }
@@ -209,8 +216,38 @@ fn workload_counts() {
         "workload",
         &[
             ("events", report.metrics.get("engine.events"), 76_917),
-            ("allocations", heap.allocs, 3_288),
-            ("peak live bytes", heap.peak_bytes, 532_988),
+            ("allocations", heap.allocs, 2_883),
+            ("peak live bytes", heap.peak_bytes, 514_196),
+        ],
+    );
+}
+
+/// The [`workload`] population at 2 kHz a group for 40 and for 80 ms,
+/// each built and run inside the count: the peak grows by the added
+/// messages' arrival times, 8 bytes each, plus the in-flight state's
+/// drift, which is small at this load. A schedule held per message (an
+/// act per send at its root) would add 8 more.
+#[test]
+fn scheduled_message_cost() {
+    let run = |ms: u64| {
+        let spec = workload(1)
+            .arrivals(ArrivalProcess::Poisson { rate_hz: 2_000.0 })
+            .stop(StopCondition::Duration(SimDuration::from_millis(ms)));
+        let (messages, heap) = measured(|| {
+            let built = spec.build().expect("valid workload");
+            built.run();
+            built.messages()
+        });
+        (messages, heap.peak_bytes)
+    };
+    let (short, long) = (run(40), run(80));
+    let added = long.0 - short.0;
+    let per_message = (long.1 - short.1 + added / 2) / added;
+    pins(
+        "scheduled-message cost",
+        &[
+            ("added scheduled messages", added, 5_173),
+            ("peak live bytes per added message", per_message, 8),
         ],
     );
 }
@@ -241,8 +278,8 @@ fn churn_workload_counts() {
         "churn workload",
         &[
             ("events", report.metrics.get("engine.events"), 74_379),
-            ("allocations", heap.allocs, 7_363),
-            ("peak live bytes", heap.peak_bytes, 1_009_072),
+            ("allocations", heap.allocs, 6_800),
+            ("peak live bytes", heap.peak_bytes, 1_007_504),
         ],
     );
 }
@@ -274,8 +311,8 @@ fn trace_workload_counts() {
         "trace workload",
         &[
             ("events", report.metrics.get("engine.events"), 78_751),
-            ("build and run allocations", heap.allocs, 4_098),
-            ("build and run peak live bytes", heap.peak_bytes, 522_092),
+            ("build and run allocations", heap.allocs, 3_693),
+            ("build and run peak live bytes", heap.peak_bytes, 502_604),
         ],
     );
 }
@@ -298,8 +335,29 @@ fn observed_workload_counts() {
             ("events", report.metrics.get("engine.events"), 94_187),
             ("records kept", report.probe.len() as u64, 153_460),
             ("points kept", report.series.len() as u64, 58_194),
-            ("allocations", heap.allocs, 5_087),
-            ("peak live bytes", heap.peak_bytes, 41_088_931),
+            ("allocations", heap.allocs, 4_511),
+            ("peak live bytes", heap.peak_bytes, 41_070_124),
+        ],
+    );
+}
+
+#[test]
+fn metric_key_counts() {
+    let mut m = Metrics::new();
+    m.add("fabric", "delivered", 1);
+    let ((), new) = measured(|| m.add("nic", "tx_data", 1));
+    let ((), update) = measured(|| {
+        m.add("nic", "tx_data", 2);
+        m.set("nic", "tx_data", 3);
+        m.set("fabric", "delivered", 4);
+    });
+    assert_eq!((m.get("nic.tx_data"), m.get("fabric.delivered")), (3, 4));
+    pins(
+        "metric keys",
+        &[
+            ("new key allocations", new.allocs, 1),
+            ("new key bytes", new.peak_bytes, "nic.tx_data".len() as u64),
+            ("update allocations", update.allocs, 0),
         ],
     );
 }
@@ -317,7 +375,7 @@ fn mpi_bcast_counts() {
         "MPI broadcast",
         &[
             ("events", out.events, 8_647),
-            ("allocations", heap.allocs, 1_270),
+            ("allocations", heap.allocs, 1_160),
         ],
     );
 }

@@ -40,6 +40,7 @@
 //! ```
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
@@ -80,7 +81,7 @@ const DISBAND_IDX: u64 = 0xFFFF;
 /// scenario path uses before its first warmup iteration).
 const INSTALL_LEAD: SimDuration = SimDuration::from_micros(200);
 
-/// The agenda wake-up tag (never collides with message tags, which encode
+/// The schedule wake-up tag (never collides with message tags, which encode
 /// `(group << 16) | msg`).
 const WAKE_TAG: u64 = u64::MAX;
 
@@ -684,6 +685,11 @@ impl WorkloadGroup {
     fn last_arrival(&self) -> SimTime {
         *self.arrivals.last().expect("nonempty stream")
     }
+
+    /// The root, then the members.
+    fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(self.root).chain(self.members.iter().copied())
+    }
 }
 
 /// A validated workload, ready to execute (or inspect).
@@ -697,9 +703,10 @@ pub struct BuiltWorkload {
 
 // -- runtime ------------------------------------------------------------------
 
-/// An agenda entry: what a node does at a scheduled instant. It is 8
-/// bytes; its instant is read from the group's stream ([`Act::due`]).
-#[derive(Clone, Copy, Debug)]
+/// What a node does at a scheduled instant: one step of its part in a
+/// group, which a [`Cursor`] holds until it is due. It is 8 bytes; its
+/// instant is read from the group's stream ([`Act::due`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Act {
     /// Install this node's entry for group `gidx` (root and members).
     Install(u32),
@@ -710,6 +717,13 @@ enum Act {
 }
 
 impl Act {
+    /// The group index this act belongs to.
+    fn group(self) -> u32 {
+        match self {
+            Act::Install(gidx) | Act::Send(gidx, _) | Act::Disband(gidx) => gidx,
+        }
+    }
+
     /// The scheduled instant of this act.
     fn due(self, groups: &[WorkloadGroup]) -> SimTime {
         match self {
@@ -718,34 +732,121 @@ impl Act {
             Act::Disband(gidx) => groups[gidx as usize].last_arrival(),
         }
     }
+
+    /// What `node` does after this act in group `g`: the root installs,
+    /// sends every message in stream order, then disbands; a member only
+    /// installs. Each act is due no earlier than the one before it.
+    fn next(self, g: &WorkloadGroup, node: NodeId) -> Option<Act> {
+        match self {
+            Act::Install(gidx) if node == g.root => Some(Act::Send(gidx, 0)),
+            Act::Send(gidx, msg) if usize::from(msg) + 1 < g.arrivals.len() => {
+                Some(Act::Send(gidx, msg + 1))
+            }
+            Act::Send(gidx, _) => Some(Act::Disband(gidx)),
+            Act::Install(_) | Act::Disband(_) => None,
+        }
+    }
 }
 
-/// Every node's agenda, in node order: its acts stably time-sorted, so
-/// simultaneous acts keep group declaration order (and, within one group,
-/// install < send < disband). Nodes are built one at a time, so only one
-/// node's timed entries are live at once, and the sort reads each time
-/// from its entry rather than through the groups.
-fn agendas(groups: &[WorkloadGroup], n: u32) -> Vec<Box<[Act]>> {
-    let mut timed: Vec<(SimTime, Act)> = Vec::new();
-    (0..n)
-        .map(NodeId)
-        .map(|node| {
-            timed.clear();
-            for (gi, g) in groups.iter().enumerate() {
-                let gi = gi as u32;
-                if g.root == node {
-                    timed.push((g.install_at(), Act::Install(gi)));
-                    let sends = g.arrivals.iter().enumerate();
-                    timed.extend(sends.map(|(mi, &at)| (at, Act::Send(gi, mi as u16))));
-                    timed.push((g.last_arrival(), Act::Disband(gi)));
-                } else if g.members.binary_search(&node).is_ok() {
-                    timed.push((g.install_at(), Act::Install(gi)));
-                }
+/// A node's place in one group: the next act it does there, and when.
+/// Cursors order by `(due, group index)`, so simultaneous acts of
+/// different groups go in declaration order.
+#[derive(Clone, Copy, Debug)]
+struct Cursor {
+    due: SimTime,
+    act: Act,
+}
+
+impl Cursor {
+    /// A cursor at `act`, due when its group's stream says.
+    fn at(act: Act, groups: &[WorkloadGroup]) -> Cursor {
+        Cursor {
+            due: act.due(groups),
+            act,
+        }
+    }
+
+    /// What cursors order by. A node holds one cursor per group, so no
+    /// two of its cursors share a key.
+    fn key(&self) -> (SimTime, u32) {
+        (self.due, self.act.group())
+    }
+}
+
+impl PartialEq for Cursor {
+    fn eq(&self, other: &Cursor) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Cursor {}
+
+impl PartialOrd for Cursor {
+    fn partial_cmp(&self, other: &Cursor) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Cursor {
+    fn cmp(&self, other: &Cursor) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// One node's schedule: a cursor per group it roots or joins, read
+/// straight from the groups' arrival streams, so it grows with the node's
+/// groups rather than its messages. Each group's acts are due in order and
+/// a node holds one cursor per group, so popping the earliest cursor
+/// yields the node's acts by time, simultaneous ones in group declaration
+/// order and, within one group, install before sends before disband.
+struct Schedule {
+    cursors: BinaryHeap<Reverse<Cursor>>,
+}
+
+impl Schedule {
+    /// Every node's schedule, in node order, each heap sized exactly to
+    /// the groups its node takes part in, every cursor at its install.
+    fn per_node(groups: &[WorkloadGroup], n: u32) -> Vec<Schedule> {
+        let mut sizes = vec![0usize; n as usize];
+        for g in groups {
+            for node in g.nodes() {
+                sizes[node.idx()] += 1;
             }
-            timed.sort_by_key(|&(at, _)| at);
-            timed.iter().map(|&(_, act)| act).collect()
-        })
-        .collect()
+        }
+        let mut heaps: Vec<Vec<Reverse<Cursor>>> =
+            sizes.into_iter().map(Vec::with_capacity).collect();
+        for (gidx, g) in groups.iter().enumerate() {
+            let install = Reverse(Cursor::at(Act::Install(gidx as u32), groups));
+            for node in g.nodes() {
+                heaps[node.idx()].push(install);
+            }
+        }
+        heaps
+            .into_iter()
+            .map(|h| Schedule {
+                cursors: BinaryHeap::from(h),
+            })
+            .collect()
+    }
+
+    /// When the node's next act is due (`None` once it has done them all).
+    fn next_due(&self) -> Option<SimTime> {
+        self.cursors.peek().map(|c| c.0.due)
+    }
+
+    /// The node's next act if it is due by `now`, advancing that group's
+    /// cursor past it.
+    fn pop_due(&mut self, now: SimTime, groups: &[WorkloadGroup], node: NodeId) -> Option<Act> {
+        let mut top = self.cursors.peek_mut().filter(|c| c.0.due <= now)?;
+        let act = top.0.act;
+        match act.next(&groups[act.group() as usize], node) {
+            Some(next) => top.0 = Cursor::at(next, groups),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        Some(act)
+    }
 }
 
 /// Read-only run context shared by every node's app.
@@ -776,11 +877,14 @@ struct NodeStats {
     groups: BTreeMap<u32, GroupTally>,
 }
 
+/// One node's app: it does its acts as they fall due, taking them from its
+/// [`Schedule`], and records the latency of every message it receives.
 struct WlApp {
     me: NodeId,
     shared: Arc<WlShared>,
-    agenda: Box<[Act]>,
-    next: usize,
+    /// What this node still has to do, one cursor per group; a wake-up
+    /// ([`WAKE_TAG`]) is pending for the earliest act.
+    schedule: Schedule,
     /// Groups whose local install completed (`GroupReady` received).
     ready: BTreeSet<u32>,
     /// Root actions deferred behind a parked install, flushed in order on
@@ -790,16 +894,14 @@ struct WlApp {
 }
 
 impl WlApp {
+    /// Do every act due by now, then wake when the next one is due.
     fn pump(&mut self, ctx: &mut HostCtx<'_, McastExt>) {
         let now = ctx.now();
-        while let Some(&act) = self.agenda.get(self.next) {
-            let at = act.due(&self.shared.groups);
-            if at > now {
-                ctx.wake_at(at, WAKE_TAG);
-                return;
-            }
-            self.next += 1;
+        while let Some(act) = self.schedule.pop_due(now, &self.shared.groups, self.me) {
             self.exec(act, ctx);
+        }
+        if let Some(at) = self.schedule.next_due() {
+            ctx.wake_at(at, WAKE_TAG);
         }
     }
 
@@ -928,7 +1030,7 @@ impl BuiltWorkload {
         let mut weights = vec![1u64; self.spec.n_nodes as usize];
         for g in self.groups.iter() {
             let msgs = g.arrivals.len() as u64 + 1; // + the disband marker
-            for node in std::iter::once(g.root).chain(g.members.iter().copied()) {
+            for node in g.nodes() {
                 let children = g.tree.children(node).len() as u64;
                 weights[node.idx()] += msgs * (1 + children);
             }
@@ -961,14 +1063,13 @@ impl BuiltWorkload {
             size: spec.size,
             baseline: spec.watch.is_enabled(),
         });
-        for (node, agenda) in agendas(&self.groups, n).into_iter().enumerate() {
+        for (node, schedule) in Schedule::per_node(&self.groups, n).into_iter().enumerate() {
             cluster.set_app(
                 NodeId(node as u32),
                 Box::new(WlApp {
                     me: NodeId(node as u32),
                     shared: shared.clone(),
-                    agenda,
-                    next: 0,
+                    schedule,
                     ready: BTreeSet::new(),
                     waiting: BTreeMap::new(),
                     stats: NodeStats::default(),
@@ -1194,6 +1295,8 @@ impl WorkloadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestRng;
 
     #[test]
     fn small_workload_runs_and_reports() {
@@ -1215,8 +1318,122 @@ mod tests {
     }
 
     #[test]
-    fn agenda_entries_are_eight_bytes() {
+    fn acts_are_eight_bytes_and_cursors_sixteen() {
         assert_eq!(std::mem::size_of::<Act>(), 8);
+        assert_eq!(std::mem::size_of::<Reverse<Cursor>>(), 16);
+    }
+
+    /// The order oracle: every node's acts, in node order, stably sorted by
+    /// time from group declaration order (within a group: install, sends,
+    /// disband), so simultaneous acts keep that order.
+    fn agendas(groups: &[WorkloadGroup], n: u32) -> Vec<Vec<(SimTime, Act)>> {
+        (0..n)
+            .map(NodeId)
+            .map(|node| {
+                let mut timed = Vec::new();
+                for (gi, g) in groups.iter().enumerate() {
+                    let gi = gi as u32;
+                    if g.root == node {
+                        timed.push((g.install_at(), Act::Install(gi)));
+                        let sends = g.arrivals.iter().enumerate();
+                        timed.extend(sends.map(|(mi, &at)| (at, Act::Send(gi, mi as u16))));
+                        timed.push((g.last_arrival(), Act::Disband(gi)));
+                    } else if g.members.binary_search(&node).is_ok() {
+                        timed.push((g.install_at(), Act::Install(gi)));
+                    }
+                }
+                timed.sort_by_key(|&(at, _)| at);
+                timed
+            })
+            .collect()
+    }
+
+    /// Every node's acts as its schedule yields them, each popped at its
+    /// own instant and not a nanosecond before.
+    fn streams(groups: &[WorkloadGroup], n: u32) -> Vec<Vec<(SimTime, Act)>> {
+        let schedules = Schedule::per_node(groups, n).into_iter();
+        (0..n)
+            .map(NodeId)
+            .zip(schedules)
+            .map(|(node, mut s)| {
+                let mut acts = Vec::new();
+                while let Some(due) = s.next_due() {
+                    if let Some(early) = due.as_nanos().checked_sub(1) {
+                        let early = SimTime::from_nanos(early);
+                        assert_eq!(s.pop_due(early, groups, node), None, "popped early");
+                    }
+                    let act = s.pop_due(due, groups, node).expect("due at its instant");
+                    assert_eq!(act.due(groups), due);
+                    acts.push((due, act));
+                }
+                acts
+            })
+            .collect()
+    }
+
+    /// Small populations on a 50 µs grid up to 550 µs: a few nodes root
+    /// and join many groups, groups share instants, a trace names one
+    /// group's instant twice, and first arrivals before [`INSTALL_LEAD`]
+    /// clamp installs to time 0.
+    fn populations() -> impl Strategy<Value = BuiltWorkload> {
+        let entries = proptest::collection::vec((0u64..12, 0u32..12), 1..40);
+        ((2u32..8, 1usize..12), entries, (1u32..8, 0u64..1_000)).prop_map(
+            |((n, groups), entries, (fanout, seed))| {
+                let trace = entries
+                    .into_iter()
+                    .map(|(step, g)| (SimTime::from_nanos(step * 50_000), g % groups as u32))
+                    .collect();
+                Workload::new(n)
+                    .groups(groups)
+                    .fanout(FanoutDist::Fixed { fanout })
+                    .overlap(0.5)
+                    .arrivals(ArrivalProcess::Trace(trace))
+                    .stop(StopCondition::Duration(SimDuration::from_millis(1)))
+                    .seed(seed)
+                    .build()
+                    .expect("valid population")
+            },
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn schedules_yield_the_stably_sorted_agendas(built in populations()) {
+            let n = built.spec.n_nodes;
+            prop_assert_eq!(streams(built.groups(), n), agendas(built.groups(), n));
+        }
+    }
+
+    /// The populations the order test draws hold each shape its tie rules
+    /// need: acts of two groups at one node's instant, a group's instant
+    /// named twice, an install clamped to 0, a disband at its last send's
+    /// instant, and a node that roots two groups and joins a third.
+    #[test]
+    fn order_test_populations_cover_every_tie() {
+        let mut seen = [false; 5];
+        for case in 0..64 {
+            let built = populations().sample(&mut TestRng::for_case("cover", case));
+            let groups = built.groups();
+            for stream in agendas(groups, built.spec.n_nodes) {
+                seen[0] |= stream
+                    .windows(2)
+                    .any(|w| w[0].0 == w[1].0 && w[0].1.group() != w[1].1.group());
+                seen[3] |= stream.windows(2).any(|w| {
+                    matches!((w[0].1, w[1].1), (Act::Send(a, _), Act::Disband(b)) if a == b)
+                        && w[0].0 == w[1].0
+                });
+                let roots = stream.iter().filter(|(_, a)| matches!(a, Act::Disband(_)));
+                let installs = stream.iter().filter(|(_, a)| matches!(a, Act::Install(_)));
+                seen[4] |= roots.count() >= 2 && installs.count() >= 3;
+            }
+            seen[1] |= groups
+                .iter()
+                .any(|g| g.arrivals.windows(2).any(|w| w[0] == w[1]));
+            seen[2] |= groups
+                .iter()
+                .any(|g| g.arrivals[0] < SimTime::ZERO + INSTALL_LEAD);
+        }
+        assert_eq!(seen, [true; 5], "shapes in the order the doc lists them");
     }
 
     #[test]

@@ -35,6 +35,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 use crate::flow::FlowId;
 use crate::merge;
@@ -606,12 +607,33 @@ impl Metrics {
 
     /// Add `value` to `"<layer>.<name>"` (creates at zero).
     pub fn add(&mut self, layer: &str, name: &str, value: u64) {
-        *self.entries.entry(format!("{layer}.{name}")).or_insert(0) += value;
+        *self.slot(layer, name) += value;
     }
 
     /// Set `"<layer>.<name>"` to `value`.
     pub fn set(&mut self, layer: &str, name: &str, value: u64) {
-        self.entries.insert(format!("{layer}.{name}"), value);
+        *self.slot(layer, name) = value;
+    }
+
+    /// The value under `"<layer>.<name>"`, created at zero if absent.
+    /// Finding a key allocates nothing; a new key is built once, at its
+    /// final length.
+    fn slot(&mut self, layer: &str, name: &str) -> &mut u64 {
+        if self.find(layer, name).is_none() {
+            self.entries.insert([layer, name].join("."), 0);
+        }
+        self.find(layer, name).expect("the key was just inserted")
+    }
+
+    /// The value held under `"<layer>.<name>"`, found without joining the
+    /// key: every key that starts with `layer` sorts at or after `layer`
+    /// itself and next to the others, so the scan covers that layer alone.
+    fn find(&mut self, layer: &str, name: &str) -> Option<&mut u64> {
+        self.entries
+            .range_mut::<str, _>((Bound::Included(layer), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(layer))
+            .find(|(k, _)| k[layer.len()..].strip_prefix('.') == Some(name))
+            .map(|(_, v)| v)
     }
 
     /// Value of a fully-qualified key (0 if absent).
@@ -649,10 +671,16 @@ impl Metrics {
         self.entries.is_empty()
     }
 
-    /// Merge another snapshot into this one (summing shared keys).
+    /// Merge another snapshot into this one (summing shared keys). Only a
+    /// key new to this snapshot is copied.
     pub fn merge(&mut self, other: &Metrics) {
         for (k, &v) in &other.entries {
-            *self.entries.entry(k.clone()).or_insert(0) += v;
+            match self.entries.get_mut(k) {
+                Some(sum) => *sum += v,
+                None => {
+                    self.entries.insert(k.clone(), v);
+                }
+            }
         }
     }
 }
@@ -1085,9 +1113,25 @@ mod tests {
         m.add("nic", "tx_data", 3);
         m.add("fabric", "delivered", 5);
         m.add("nic", "tx_data", 2);
+        // Keys that share the layer's text without its dot sort among the
+        // layer's own and must not be taken for them.
+        m.add("nic-x", "tx_data", 7);
+        m.add("nicx", "tx_data", 11);
+        m.set("nic", "tx", 1);
+        m.set("nic", "tx", 4);
         assert_eq!(m.get("nic.tx_data"), 5);
+        assert_eq!(m.get("nic.tx"), 4);
         let keys: Vec<&str> = m.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["fabric.delivered", "nic.tx_data"]);
+        assert_eq!(
+            keys,
+            vec![
+                "fabric.delivered",
+                "nic-x.tx_data",
+                "nic.tx",
+                "nic.tx_data",
+                "nicx.tx_data"
+            ]
+        );
         let mut other = Metrics::new();
         other.add("nic", "tx_data", 1);
         m.merge(&other);

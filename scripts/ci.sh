@@ -155,14 +155,27 @@ diff -u results/flow_explore.txt "$flow_out"
 rm "$flow_out"
 echo "ci: flow check OK (lineages complete, critical-path buckets exact, results/flow_explore.txt regenerates identically)"
 
-# Sustained-traffic gate: a many-group Zipf workload under deliberate
-# group-table pressure (32 slots, 64 groups) must produce a complete
-# summary (schema keys present), monotone latency percentiles, a Jain
-# fairness index in (0, 1], and a conserved group table (every install
-# freed by the disband path) — see DESIGN.md §14.
-run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin workload_explore -- \
-  --nodes 32 --groups 64 --zipf 1.2 --rate 20000 --duration-ms 2 --check >/dev/null
-echo "ci: workload check OK (schema, percentile monotonicity, fairness, group-table conservation)"
+# Sustained-traffic gate: a many-group Zipf workload (32 nodes, 64
+# groups) must produce a complete summary (schema keys present), monotone
+# latency percentiles, a Jain fairness index in (0, 1], and a conserved
+# group table (every install freed by the disband path) — see DESIGN.md
+# §14. A second run puts 200 fan-out-4 groups on 8 group-table slots and 2
+# shards, so installs wait for admission and sends are deferred behind
+# them. The stdout of both runs (latency percentiles, goodput, fairness,
+# group-table occupancy, per-shard events) must match
+# results/workload_explore.txt byte for byte. The barrier-wait count is cut
+# from the middle of the sharded-execution line, as in the flow gate.
+workload_out=$(mktemp)
+echo "+ cargo run -q --release -p bench --bin workload_explore -- [CI run] [admission-pressure run]"
+{
+  cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin workload_explore -- \
+    --nodes 32 --groups 64 --zipf 1.2 --rate 20000 --duration-ms 2 --check
+  cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin workload_explore -- \
+    --nodes 32 --groups 200 --fanout 4 --slots 8 --rate 5000 --duration-ms 4 --shards 2 --check
+} | sed -E 's/, [0-9]+ barrier waits,/,/' >"$workload_out"
+diff -u results/workload_explore.txt "$workload_out"
+rm "$workload_out"
+echo "ci: workload check OK (schema, percentile monotonicity, fairness, group-table conservation, results/workload_explore.txt regenerates identically)"
 
 # Health-monitoring gate: a lossy many-group workload with the streaming
 # detectors armed must (a) raise a retx_storm incident with causal FlowId
