@@ -30,21 +30,21 @@ fn render(title: &str, scenario: Scenario, focus: &[u32], window_from_first: &st
     let start = report
         .probe
         .iter()
-        .find(|e| e.time > SimTime::from_nanos(200_000) && *e.id() == gm::probes::HOST_CALL)
-        .map(|e| e.time)
+        .find(|e| e.time() > SimTime::from_nanos(200_000) && *e.id() == gm::probes::HOST_CALL)
+        .map(ProbeEvent::time)
         .unwrap_or(SimTime::ZERO);
     println!("== {title} ==");
     println!("(t=0 is the root's send request; {window_from_first})");
     println!("{:>10}  {:<5} event", "t (us)", "node");
     let mut shown = 0;
     for e in report.probe.iter() {
-        if e.time < start || shown > 60 {
+        if e.time() < start || shown > 60 {
             continue;
         }
         if !focus.contains(&e.node()) {
             continue;
         }
-        let rel = e.time.saturating_since(start).as_micros_f64();
+        let rel = e.time().saturating_since(start).as_micros_f64();
         if rel > 60.0 {
             break;
         }

@@ -20,11 +20,16 @@
 //!
 //! The allocator also tracks the thread's live heap bytes and their
 //! high-water mark. The observed run pins its peak, which the reservations
-//! of its probe sink (2^20 records of 32 bytes) and its series sink (2^18
-//! points of 24 bytes) dominate, and the records and points it keeps, so a
+//! of its probe sink (2^20 records of 28 bytes) and its series sink (2^18
+//! points of 20 bytes) dominate, and the records and points it keeps, so a
 //! harvest that holds a second copy of a stream, a merge or an analysis
 //! that allocates per record, a record that grows, or a run that records
-//! more, fails here. Probe
+//! more, fails here. It also pins the peak its analysis (the watch scan
+//! and the incident evidence) reaches above the harvest, run again over
+//! that harvest, so an evidence graph of every flow instead of the
+//! incidents' own fails here; and what the canonical merge of several
+//! time-ordered sinks allocates: nothing for probe records, and only the
+//! gauge-name ranking for points. Probe
 //! kinds and gauge names are interned in process-wide tables, which
 //! allocate on the thread that interns an entry first; the observed run is
 //! the only test here that records probes or samples gauges, so its
@@ -52,8 +57,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use gm::{analyze, GmParams, Harvest};
 use gm_mpi::{execute_mpi, BcastImpl, MpiRun};
-use gm_sim::{DetRng, Metrics, ProbeConfig, SeriesConfig, SimDuration, SimTime, WatchConfig};
+use gm_sim::probe::PKT_DROP;
+use gm_sim::{
+    DetRng, Metrics, ProbeConfig, ProbeSink, SeriesConfig, SeriesSink, SimDuration, SimTime,
+    WatchConfig,
+};
 use myrinet::FaultPlan;
 use nic_mcast::{
     ArrivalProcess, BuiltScenario, FanoutDist, Scenario, StopCondition, TreeShape, Workload,
@@ -216,8 +226,8 @@ fn workload_counts() {
         "workload",
         &[
             ("events", report.metrics.get("engine.events"), 76_917),
-            ("allocations", heap.allocs, 2_883),
-            ("peak live bytes", heap.peak_bytes, 514_196),
+            ("allocations", heap.allocs, 2_912),
+            ("peak live bytes", heap.peak_bytes, 439_956),
         ],
     );
 }
@@ -278,8 +288,8 @@ fn churn_workload_counts() {
         "churn workload",
         &[
             ("events", report.metrics.get("engine.events"), 74_379),
-            ("allocations", heap.allocs, 6_800),
-            ("peak live bytes", heap.peak_bytes, 1_007_504),
+            ("allocations", heap.allocs, 6_817),
+            ("peak live bytes", heap.peak_bytes, 933_776),
         ],
     );
 }
@@ -311,14 +321,16 @@ fn trace_workload_counts() {
         "trace workload",
         &[
             ("events", report.metrics.get("engine.events"), 78_751),
-            ("build and run allocations", heap.allocs, 3_693),
-            ("build and run peak live bytes", heap.peak_bytes, 502_604),
+            ("build and run allocations", heap.allocs, 3_704),
+            ("build and run peak live bytes", heap.peak_bytes, 428_364),
         ],
     );
 }
 
 /// The [`workload`] run at 2% loss with probes, series and the watch
-/// detectors on: the observed path, whose harvest merges the streams.
+/// detectors on: the observed path, whose harvest merges the streams. Its
+/// analysis runs a second time over the run's harvest, measured on its
+/// own, and must find the run's incidents.
 #[test]
 fn observed_workload_counts() {
     let built = workload(1)
@@ -329,16 +341,81 @@ fn observed_workload_counts() {
         .build()
         .expect("valid workload");
     let (report, heap) = measured(|| built.run());
+    let (records, points) = (report.probe.len() as u64, report.series.len() as u64);
+    // The workload's own detectors, which the run hands `analyze` as
+    // extra incidents, without the evidence it attached to them.
+    let extra = report
+        .incidents
+        .iter()
+        .filter(|i| ["fairness_collapse", "delivery_p99_excursion"].contains(&i.detector))
+        .map(|i| nic_mcast::Incident {
+            flows: Vec::new(),
+            signature: String::new(),
+            ..i.clone()
+        })
+        .collect();
+    let harvest = Harvest {
+        metrics: report.metrics,
+        probe: report.probe,
+        series: report.series,
+    };
+    let params = GmParams::default();
+    let (incidents, analysis) = measured(|| {
+        analyze(
+            &WatchConfig::on(),
+            &params,
+            &harvest,
+            report.end_time,
+            extra,
+        )
+    });
+    assert_eq!(
+        incidents, report.incidents,
+        "the analysis repeats the run's"
+    );
+    let (probe_merge, series_merge) = merge_of_time_ordered_sinks();
     pins(
         "observed workload",
         &[
-            ("events", report.metrics.get("engine.events"), 94_187),
-            ("records kept", report.probe.len() as u64, 153_460),
-            ("points kept", report.series.len() as u64, 58_194),
-            ("allocations", heap.allocs, 4_511),
-            ("peak live bytes", heap.peak_bytes, 41_070_124),
+            ("events", harvest.metrics.get("engine.events"), 94_187),
+            ("records kept", records, 153_460),
+            ("points kept", points, 58_194),
+            ("allocations", heap.allocs, 4_517),
+            ("peak live bytes", heap.peak_bytes, 35_221_628),
+            ("incidents", incidents.len() as u64, 65),
+            ("analysis allocations", analysis.allocs, 378),
+            ("analysis peak live bytes", analysis.peak_bytes, 95_850),
+            ("probe merge allocations", probe_merge.allocs, 0),
+            ("probe merge peak live bytes", probe_merge.peak_bytes, 0),
+            ("series merge allocations", series_merge.allocs, 2),
         ],
     );
+}
+
+/// Merge three probe sinks and three series sinks, each recorded in time
+/// order with instants shared across sinks and several nodes an instant,
+/// as the shards of a run record: the heap the probe merge and the series
+/// merge use. The records are recorded before the count starts, of a kind
+/// and a gauge the observed run has interned already.
+fn merge_of_time_ordered_sinks() -> (Heap, Heap) {
+    let mut probes: Vec<ProbeSink> = Vec::new();
+    let mut series: Vec<SeriesSink> = Vec::new();
+    for shard in 0..3u32 {
+        let mut p = ProbeSink::new(ProbeConfig::spans());
+        let mut s = SeriesSink::new(SeriesConfig::on());
+        for i in 0..10_000u64 {
+            let (t, node) = (SimTime::from_nanos(i / 4), (7 * i as u32 + shard) % 16);
+            p.instant(t, node, &PKT_DROP, "", i);
+            s.record(t, node, "sram_used", i);
+        }
+        probes.push(p);
+        series.push(s);
+    }
+    let (merged, probe_merge) = measured(|| ProbeSink::merge_canonical(probes));
+    assert_eq!(merged.len(), 30_000);
+    let (merged, series_merge) = measured(|| SeriesSink::merge_canonical(series));
+    assert_eq!(merged.len(), 30_000);
+    (probe_merge, series_merge)
 }
 
 #[test]

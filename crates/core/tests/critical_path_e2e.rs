@@ -5,7 +5,7 @@
 
 use gm_sim::probe::{ProbeConfig, PKT_DROP};
 use gm_sim::watch::{CLUSTER_NODE, MAX_EVIDENCE_FLOWS};
-use gm_sim::{FlowGraph, FlowId, SeriesConfig, SimDuration, WatchConfig};
+use gm_sim::{FlowGraph, FlowId, ProbeEvent, SeriesConfig, SimDuration, WatchConfig};
 use myrinet::FaultPlan;
 use nic_mcast::{
     execute, ArrivalProcess, FanoutDist, McastMode, McastRun, StopCondition, TreeShape, Workload,
@@ -87,8 +87,8 @@ fn lossy_go_back_n_keeps_retransmitted_hops_in_lineage() {
     // retransmitted hop present in its own complete lineage.
     let dropped: Vec<FlowId> = events
         .iter()
-        .filter(|e| e.id().name == PKT_DROP.name && e.flow.is_some() && is_data_flow(e.flow))
-        .map(|e| e.flow)
+        .filter(|e| e.id().name == PKT_DROP.name && e.flow().is_some() && is_data_flow(e.flow()))
+        .map(ProbeEvent::flow)
         .collect();
     assert!(!dropped.is_empty(), "no data packets were dropped");
     let delivered = graph.delivered();
@@ -144,12 +144,12 @@ fn incident_evidence_matches_a_full_stream_scan() {
             let mut flows: Vec<FlowId> = events
                 .iter()
                 .filter(|e| {
-                    e.time >= ws
-                        && e.time < we
-                        && e.flow.is_some()
+                    e.time() >= ws
+                        && e.time() < we
+                        && e.flow().is_some()
                         && (inc.node == CLUSTER_NODE || e.node() == inc.node)
                 })
-                .map(|e| e.flow)
+                .map(ProbeEvent::flow)
                 .collect();
             flows.sort_unstable();
             flows.dedup();

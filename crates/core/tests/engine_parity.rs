@@ -62,7 +62,7 @@ fn observables(o: &Report) -> (Vec<u64>, u64, u64, SeriesPoints) {
         .series
         .iter()
         .filter(|p| !p.gauge().starts_with("exec_"))
-        .map(|p| (p.time, p.node(), p.gauge(), p.value))
+        .map(|p| (p.time(), p.node(), p.gauge(), p.value()))
         .collect();
     (
         latency_bits,

@@ -32,7 +32,7 @@ fn sim_series(o: &Report) -> Vec<(SimTime, u32, &'static str, u64)> {
     o.series
         .iter()
         .filter(|p| !p.gauge().starts_with("exec_"))
-        .map(|p| (p.time, p.node(), p.gauge(), p.value))
+        .map(|p| (p.time(), p.node(), p.gauge(), p.value()))
         .collect()
 }
 
@@ -194,7 +194,7 @@ fn many_group_workload_matches_across_shard_counts() {
             r.series
                 .iter()
                 .filter(|p| !p.gauge().starts_with("exec_"))
-                .map(|p| (p.time, p.node(), p.gauge(), p.value))
+                .map(|p| (p.time(), p.node(), p.gauge(), p.value()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(strip(&seq), strip(&par), "gauge series at {shards} shards");

@@ -28,7 +28,7 @@ fn legacy_line(e: &ProbeEvent) -> Option<String> {
         ("notice", Phase::Mark) => format!("Notice({:?})", e.label()),
         _ => return None,
     };
-    Some(format!("{} n{} {}", e.time.as_nanos(), e.node(), what))
+    Some(format!("{} n{} {}", e.time().as_nanos(), e.node(), what))
 }
 
 fn rendered_trace(shape: TreeShape) -> String {

@@ -5,7 +5,7 @@
 //! backpressure.
 
 use gm::GmParams;
-use gm_sim::{DetRng, SeriesConfig, SimDuration, SimTime};
+use gm_sim::{DetRng, SeriesConfig, SeriesPoint, SimDuration, SimTime};
 use myrinet::{FaultPlan, MAX_NODES};
 use nic_mcast::{ArrivalProcess, FanoutDist, StopCondition, Workload, WorkloadError, MAX_GROUPS};
 use proptest::prelude::*;
@@ -344,7 +344,7 @@ fn group_table_saturates_and_recovers_under_backpressure() {
         .series
         .iter()
         .filter(|p| p.gauge() == "groups_used" && p.node() == 0)
-        .map(|p| p.value)
+        .map(SeriesPoint::value)
         .collect();
     assert!(
         occupancy.contains(&4),

@@ -301,7 +301,7 @@ mod tests {
                     e.a(),
                     e.b(),
                     e.dur(),
-                    e.flow,
+                    e.flow(),
                 )
             })
             .collect();

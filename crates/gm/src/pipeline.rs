@@ -86,7 +86,7 @@ pub struct Harvest {
 /// Collect counters, per-shard execution statistics, and the canonicalized
 /// probe/series streams from the finished worlds (the sinks are moved out).
 /// A sharded run's merged streams are byte-identical to the sequential
-/// reference (sorted by `(time, node)` and renumbered).
+/// reference (in `(time, node)` order, ties in shard and recording order).
 pub fn harvest<X: NicExtension>(run: &mut Driven<X>) -> Harvest {
     let mut metrics = Metrics::new();
     for w in &run.worlds {

@@ -150,11 +150,9 @@ fn trace_captures_the_full_protocol_pipeline() {
     })
     .expect("notice");
     assert!(rx < notice);
-    // Sequence numbers never regress (Complete spans open in the past, so
-    // `time` alone is not monotone — `seq` is the deterministic order).
-    for w in events.windows(2) {
-        assert!(w[0].seq < w[1].seq);
-    }
+    // A shard records as its clock runs, so its buffer is in time order:
+    // the canonical merge relies on it.
+    assert!(events.is_sorted_by_key(ProbeEvent::time));
 }
 
 #[test]

@@ -11,10 +11,11 @@
 //!   `(root, tag, A)` — the hop that brought the payload to `A`. The rule
 //!   is purely temporal and needs no protocol knowledge: among flows with
 //!   the same tag whose destination is the start node, pick the one whose
-//!   latest record at that node is the most recent not after this flow's
-//!   first record. Each link strictly decreases the first-record key, so
-//!   the graph is acyclic by construction (and [`FlowGraph::validate`]
-//!   proves it per run).
+//!   first record at that node is the most recent not after this flow's
+//!   first record. Records are ordered by their index in the time-ordered
+//!   stream, so no two records tie. Each link strictly decreases the
+//!   first-record index, so the graph is acyclic by construction (and
+//!   [`FlowGraph::validate`] proves it per run).
 //! * a **lineage** is the chain anchor → … → flow, where the anchor is a
 //!   flow with no predecessor — for a complete delivery it starts with the
 //!   host send call at the origin.
@@ -26,6 +27,12 @@
 //!   covering chain span, or to `wait` when no chain span covers it.
 //!   [`FlowGraph::path_signature`] gives the same chain's node route alone,
 //!   at the cost of the window's records rather than the whole stream.
+//! * a lineage never leaves its message's tag: a flow's predecessor shares
+//!   its tag, and its start node comes from its own records. So
+//!   [`FlowGraph::build_for`] builds the graph of only the flows that share
+//!   a tag with some terminal deliveries, and answers every question about
+//!   those deliveries' lineages as the whole graph would; incident evidence
+//!   (`sim::watch`) builds that one.
 
 use std::collections::BTreeMap;
 
@@ -39,26 +46,33 @@ use crate::time::{SimDuration, SimTime};
 /// marks the completion candidates for critical-path extraction.
 pub static FLOW_DELIVERY: ProbeId = ProbeId::new("flow_delivery", Track::App);
 
-/// Per-flow facts extracted from the stream.
+/// Per-flow facts extracted from the stream: 32 bytes.
 #[derive(Clone, Copy, Debug)]
 struct FlowInfo {
     flow: FlowId,
-    /// `(time, seq)` and node of the flow's first record.
-    first: (SimTime, u32),
+    /// The causal predecessor hop (filled by the link pass), or
+    /// [`FlowId::NONE`].
+    pred: FlowId,
+    /// Index of the flow's first record in the stream.
+    first: u32,
+    /// Node of the flow's first record.
     first_node: u32,
-    /// Earliest `(time, seq)` of a record of this flow at its destination —
-    /// when the payload first became visible there. The link pass reads
-    /// nothing else of a candidate predecessor: it picks candidates by
-    /// destination, so this is the candidate's entry at the start node.
-    at_dest: Option<(SimTime, u32)>,
+    /// Index of the flow's first record at its destination — when the
+    /// payload first became visible there — or [`FlowInfo::NOT_AT_DEST`].
+    /// The link pass reads nothing else of a candidate predecessor: it
+    /// picks candidates by destination, so this is the candidate's entry
+    /// at the start node.
+    at_dest: u32,
     /// Whether the flow reached a [`FLOW_DELIVERY`] record.
     delivered: bool,
     /// Whether the flow includes a host-track record (the send call) — the
     /// anchor of a complete lineage.
     has_host: bool,
-    /// The causal predecessor hop (filled by the link pass), or
-    /// [`FlowId::NONE`].
-    pred: FlowId,
+}
+
+impl FlowInfo {
+    /// `at_dest` of a flow with no record at its destination.
+    const NOT_AT_DEST: u32 = u32::MAX;
 }
 
 /// Where each flow's entry sits in the entry `Vec` while
@@ -130,34 +144,60 @@ pub struct FlowGraph {
 }
 
 impl FlowGraph {
-    /// Build the graph from a canonical probe stream (events in
-    /// `(time, seq)` record order, e.g. `ProbeSink::to_vec`).
+    /// Build the graph of every flow of a canonical probe stream (events in
+    /// time order, e.g. `ProbeSink::as_slice` after a merge).
     pub fn build(events: &[ProbeEvent]) -> FlowGraph {
+        FlowGraph::build_where(events, |_| true)
+    }
+
+    /// Build the graph of only the flows that share a tag with one of
+    /// `terminals`, from the same stream as [`FlowGraph::build`].
+    ///
+    /// A lineage stays inside its tag, so for each terminal, and every flow
+    /// of its lineage, [`FlowGraph::pred`], [`FlowGraph::start_node`],
+    /// [`FlowGraph::lineage`] and [`FlowGraph::path_signature`] answer as
+    /// the whole stream's graph does, while the graph holds only the flows
+    /// of the terminals' messages.
+    pub fn build_for(
+        events: &[ProbeEvent],
+        terminals: impl IntoIterator<Item = FlowId>,
+    ) -> FlowGraph {
+        let mut tags: Vec<u64> = terminals.into_iter().map(FlowId::tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        FlowGraph::build_where(events, |f| tags.binary_search(&f.tag()).is_ok())
+    }
+
+    /// Build the graph of the flows of `events` that `keep` accepts.
+    fn build_where(events: &[ProbeEvent], keep: impl Fn(FlowId) -> bool) -> FlowGraph {
+        debug_assert!(
+            in_record_order(events),
+            "a flow graph needs a time-ordered probe stream"
+        );
+        let len = u32::try_from(events.len()).expect("a probe stream holds under 2^32 records");
         // One entry per flow, in order of first sight; `slots` finds a
-        // flow's entry.
+        // flow's entry. Records come in index order, so a flow's first
+        // record, and its first at its destination, are the first seen.
         let mut flows: Vec<FlowInfo> = Vec::new();
         let mut slots = FlowSlots::default();
-        for e in events {
-            if e.flow.is_none() {
+        for (index, e) in (0..len).zip(events) {
+            let flow = e.flow();
+            if flow.is_none() || !keep(flow) {
                 continue;
             }
-            let (key, node, id) = ((e.time, e.seq), e.node(), e.id());
-            let i = slots.entry(&mut flows, e.flow, || FlowInfo {
-                flow: e.flow,
-                first: key,
+            let (node, id) = (e.node(), e.id());
+            let i = slots.entry(&mut flows, flow, || FlowInfo {
+                flow,
+                pred: FlowId::NONE,
+                first: index,
                 first_node: node,
-                at_dest: None,
+                at_dest: FlowInfo::NOT_AT_DEST,
                 delivered: false,
                 has_host: false,
-                pred: FlowId::NONE,
             });
             let info = &mut flows[i];
-            if key < info.first {
-                info.first = key;
-                info.first_node = node;
-            }
-            if node == e.flow.dest() && info.at_dest.is_none_or(|k| key < k) {
-                info.at_dest = Some(key);
+            if node == flow.dest() && info.at_dest == FlowInfo::NOT_AT_DEST {
+                info.at_dest = index;
             }
             if *id == FLOW_DELIVERY {
                 info.delivered = true;
@@ -187,16 +227,14 @@ impl FlowGraph {
                 .iter()
                 .take_while(|&&(d, t, _)| (d, t) == at);
             // The latest arrival at the start node not after this flow's
-            // first record; on a tie the first candidate in FlowId order.
-            let mut best: Option<((SimTime, u32), usize)> = None;
+            // first record. Arrivals are record indices, so none tie.
+            let mut best: Option<(u32, usize)> = None;
             for &(_, _, p) in cands {
                 let p = p as usize;
-                if p == g {
+                let k = flows[p].at_dest;
+                if p == g || k == FlowInfo::NOT_AT_DEST {
                     continue;
                 }
-                let Some(k) = flows[p].at_dest else {
-                    continue;
-                };
                 if k <= info.first && best.is_none_or(|(b, _)| k > b) {
                     best = Some((k, p));
                 }
@@ -206,6 +244,23 @@ impl FlowGraph {
             }
         }
         FlowGraph { flows }
+    }
+
+    /// The flow of the last [`FLOW_DELIVERY`] record in window `[ws, we]`
+    /// (both ends inclusive): the delivery whose lineage is the window's
+    /// critical path. `None` when the window holds no delivery.
+    ///
+    /// `events` must be in time order: the window's end is found by binary
+    /// search and the walk runs backward from it, so the cost is the
+    /// window's records, not the whole stream.
+    pub fn terminal(events: &[ProbeEvent], (ws, we): (SimTime, SimTime)) -> Option<FlowId> {
+        let end = events.partition_point(|e| e.time() <= we);
+        events[..end]
+            .iter()
+            .rev()
+            .take_while(|e| e.time() >= ws)
+            .find(|e| e.flow().is_some() && *e.id() == FLOW_DELIVERY)
+            .map(ProbeEvent::flow)
     }
 
     /// The entry of `flow`, if it was seen.
@@ -289,52 +344,39 @@ impl FlowGraph {
         errors
     }
 
-    /// The hops that determined the completion of window `[ws, we]` (both
-    /// ends inclusive): the lineage of the last [`FLOW_DELIVERY`] in the
-    /// window, anchor first. `None` when the window holds no delivery.
-    ///
-    /// `events` must be in `(time, seq)` order: the window's end is found by
-    /// binary search and the walk runs backward from it, so the cost is the
-    /// window's records plus the lineage, not the whole stream.
-    fn terminal_steps(
-        &self,
-        events: &[ProbeEvent],
-        (ws, we): (SimTime, SimTime),
-    ) -> Option<Vec<PathStep>> {
-        let end = events.partition_point(|e| e.time <= we);
-        let terminal = events[..end]
-            .iter()
-            .rev()
-            .take_while(|e| e.time >= ws)
-            .find(|e| e.flow.is_some() && *e.id() == FLOW_DELIVERY)?
-            .flow;
-        Some(
-            self.lineage(terminal)
-                .into_iter()
-                .map(|f| PathStep {
-                    flow: f,
-                    from: self.start_node(f).unwrap_or(f.origin()),
-                    to: f.dest(),
-                })
-                .collect(),
-        )
+    /// The hops of `terminal`'s lineage, anchor first, each from the node
+    /// its work began on to its destination.
+    fn steps_of(&self, terminal: FlowId) -> Vec<PathStep> {
+        self.lineage(terminal)
+            .into_iter()
+            .map(|f| PathStep {
+                flow: f,
+                from: self.start_node(f).unwrap_or(f.origin()),
+                to: f.dest(),
+            })
+            .collect()
+    }
+
+    /// The node route of `terminal`'s lineage ([`CriticalPath::signature`]
+    /// of a window whose last delivery it is).
+    pub(crate) fn signature_of(&self, terminal: FlowId) -> String {
+        route_signature(&self.steps_of(terminal))
     }
 
     /// The node route of window `[ws, we]`'s critical path — what
     /// `critical_path(events, window)` would give as
     /// [`CriticalPath::signature`] — without pairing spans or decomposing
     /// the window into buckets. Empty when the window holds no delivery.
-    /// `events` must be in `(time, seq)` order.
+    /// `events` must be in time order.
     pub fn path_signature(&self, events: &[ProbeEvent], window: (SimTime, SimTime)) -> String {
-        self.terminal_steps(events, window)
-            .map_or_else(String::new, |steps| route_signature(&steps))
+        FlowGraph::terminal(events, window).map_or_else(String::new, |t| self.signature_of(t))
     }
 
     /// Extract the critical path of the measured window `[ws, we]`: the
     /// lineage of the last delivery in the window, decomposed into per-hop /
     /// per-resource buckets that sum exactly to `we - ws`. Returns `None`
-    /// when the window contains no delivery. `events` must be in
-    /// `(time, seq)` order (a canonically-merged stream is).
+    /// when the window contains no delivery. `events` must be in time order
+    /// (a canonically-merged stream is).
     pub fn critical_path(
         &self,
         events: &[ProbeEvent],
@@ -342,10 +384,10 @@ impl FlowGraph {
     ) -> Option<CriticalPath> {
         debug_assert!(
             in_record_order(events),
-            "critical_path needs a (time, seq)-sorted probe stream"
+            "critical_path needs a time-ordered probe stream"
         );
         let (ws, we) = window;
-        let steps = self.terminal_steps(events, window)?;
+        let steps = self.steps_of(FlowGraph::terminal(events, window)?);
         let step_of = |f: FlowId| steps.iter().position(|s| s.flow == f);
 
         // Collect the chain's spans: Begin/End pairs per (node, track) —
@@ -358,18 +400,18 @@ impl FlowGraph {
             let key = (e.node(), track.tid());
             match e.phase() {
                 Phase::Begin => {
-                    open.insert(key, (e.time.as_nanos(), e.flow));
+                    open.insert(key, (e.time().as_nanos(), e.flow()));
                 }
                 Phase::End => {
                     if let Some((s, f)) = open.remove(&key) {
                         if let Some(i) = step_of(f) {
-                            spans.push((s, e.time.as_nanos(), i, track));
+                            spans.push((s, e.time().as_nanos(), i, track));
                         }
                     }
                 }
                 Phase::Complete => {
-                    if let Some(i) = step_of(e.flow) {
-                        let s = e.time.as_nanos();
+                    if let Some(i) = step_of(e.flow()) {
+                        let s = e.time().as_nanos();
                         spans.push((s, s + e.dur().as_nanos(), i, track));
                     }
                 }
@@ -422,11 +464,12 @@ impl FlowGraph {
     }
 }
 
-/// Whether `events` is in `(time, seq)` order — the order
+/// Whether `events` is in time order — the order
 /// [`crate::probe::ProbeSink::merge_canonical`] leaves a stream in, and the
 /// precondition of every window lookup in this module and in `sim::watch`.
+/// Records of one instant are then ordered by their index.
 pub(crate) fn in_record_order(events: &[ProbeEvent]) -> bool {
-    events.is_sorted_by_key(|e| (e.time, e.seq))
+    events.is_sorted_by_key(ProbeEvent::time)
 }
 
 /// The node route of a hop chain (see [`CriticalPath::signature`]).
@@ -525,7 +568,7 @@ mod tests {
         s.end(at(950), 1, &WIREP, "tx");
         s.instant_flow(at(1_050), 2, &FLOW_DELIVERY, "recv", 0, h2);
         let mut v = s.to_vec();
-        v.sort_by_key(|e| (e.time, e.seq));
+        v.sort_by_key(ProbeEvent::time);
         v
     }
 

@@ -6,8 +6,9 @@
 //! * a **typed event bus**: probe points are [`ProbeId`] descriptors (name +
 //!   [`Track`]) declared as `static`s; records carry a [`Phase`] and a small
 //!   `Copy` payload, land in an append-only [`ProbeSink`] that keeps every
-//!   record, and are totally ordered by `(SimTime, seq)` — deterministic
-//!   because recording happens inside the deterministic event loop;
+//!   record, and are totally ordered by time and then by their index in the
+//!   stream — deterministic because recording happens inside the
+//!   deterministic event loop;
 //! * a **counter registry**: [`Metrics`] is the per-run snapshot of every
 //!   protocol counter (NIC, fabric, engine), replacing scattered bench-local
 //!   tallies;
@@ -20,11 +21,12 @@
 //!   serialization / contention / retransmission buckets that sum exactly
 //!   to the measured latency.
 //!
-//! A [`ProbeEvent`] is 32 bytes and describes itself: it names its probe
+//! A [`ProbeEvent`] is 28 bytes and describes itself: it names its probe
 //! point, label and phase together by one process-wide handle
 //! ([`ProbeEvent::id`], [`ProbeEvent::label`] and [`ProbeEvent::phase`]
 //! resolve it), and keeps its span length or payload words in one shared
-//! word ([`ProbeEvent::dur`], [`ProbeEvent::a`], [`ProbeEvent::b`]).
+//! word ([`ProbeEvent::dur`], [`ProbeEvent::a`], [`ProbeEvent::b`]). It
+//! stores no position: a record's place in its stream is its index there.
 //!
 //! Disabled probes are free beyond one branch: every recording method
 //! returns before touching the (never-allocated) buffer, so the hot paths
@@ -172,7 +174,7 @@ impl KindId {
     }
 }
 
-/// One record on the bus: 32 bytes, all `Copy`.
+/// One record on the bus: 28 bytes, all `Copy`.
 ///
 /// The probe point, label and phase are interned together, so one `u16`
 /// handle names all three; [`ProbeEvent::id`], [`ProbeEvent::label`] and
@@ -183,20 +185,19 @@ impl KindId {
 /// [`Phase::Mark`], `a` and `b` as two 32-bit halves on [`Phase::Begin`],
 /// nothing on [`Phase::End`]. Read them through [`ProbeEvent::dur`],
 /// [`ProbeEvent::a`] and [`ProbeEvent::b`].
+///
+/// The fields are packed to 4-byte alignment, so a record has no padding;
+/// every field is read by value, through [`ProbeEvent::time`],
+/// [`ProbeEvent::flow`] and the accessors above.
 #[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct ProbeEvent {
     /// Simulated time of the record.
-    pub time: SimTime,
+    time: SimTime,
     /// The span length or the payload words, by phase.
     word: u64,
-    /// Causal flow this record belongs to ([`FlowId::NONE`] when the record
-    /// is not message-scoped). `End` records may leave this `NONE`: span
-    /// pairing per `(node, track)` inherits the opening `Begin`'s flow.
-    pub flow: FlowId,
-    /// Position in the stream (total order among equal timestamps): the
-    /// record's index in its sink, modulo 2^32, until a merge renumbers the
-    /// records 0, 1, 2, ... in canonical order.
-    pub seq: u32,
+    /// Causal flow this record belongs to.
+    flow: FlowId,
     /// Node the event happened on ([`ProbeEvent::node`]).
     node: u16,
     /// Probe point, label and phase.
@@ -204,6 +205,20 @@ pub struct ProbeEvent {
 }
 
 impl ProbeEvent {
+    /// Simulated time of the record.
+    #[inline]
+    pub fn time(&self) -> SimTime {
+        self.time
+    }
+
+    /// Causal flow this record belongs to ([`FlowId::NONE`] when the record
+    /// is not message-scoped). `End` records may leave this `NONE`: span
+    /// pairing per `(node, track)` inherits the opening `Begin`'s flow.
+    #[inline]
+    pub fn flow(&self) -> FlowId {
+        self.flow
+    }
+
     /// Node the event happened on.
     #[inline]
     pub fn node(&self) -> u32 {
@@ -260,16 +275,15 @@ impl ProbeEvent {
 impl fmt::Debug for ProbeEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProbeEvent")
-            .field("time", &self.time)
-            .field("seq", &self.seq)
-            .field("node", &self.node)
+            .field("time", &self.time())
+            .field("node", &self.node())
             .field("id", self.id())
             .field("phase", &self.phase())
             .field("dur", &self.dur())
             .field("label", &self.label())
             .field("a", &self.a())
             .field("b", &self.b())
-            .field("flow", &self.flow)
+            .field("flow", &self.flow())
             .finish()
     }
 }
@@ -311,8 +325,8 @@ impl Default for ProbeConfig {
     }
 }
 
-/// Records an enabled sink reserves at construction: 2^20 records of 32
-/// bytes, 32 MiB, of which a run touches only the slots it writes.
+/// Records an enabled sink reserves at construction: 2^20 records of 28
+/// bytes, 28 MiB, of which a run touches only the slots it writes.
 const RESERVED: usize = 1 << 20;
 
 /// The append-only sink probe records land in: it keeps every record, in
@@ -389,7 +403,6 @@ impl ProbeSink {
             time,
             word,
             flow,
-            seq: self.events.len() as u32,
             node: u16::try_from(node).expect("a probe record's node fits in 16 bits"),
             kind: self.kind(id, label, phase),
         };
@@ -557,8 +570,8 @@ impl ProbeSink {
     }
 
     /// Merge per-shard sinks into one canonical stream, ordered by
-    /// `(time, node)` with each sink's internal order kept among ties, and
-    /// renumber `seq`.
+    /// `(time, node)` with the sinks' order, and each sink's internal order,
+    /// kept among ties.
     ///
     /// Both the sequential and the sharded scenario paths run their streams
     /// through this, so the two modes produce byte-identical probe output:
@@ -569,19 +582,20 @@ impl ProbeSink {
     /// every record, so the merged stream holds the same records at any
     /// shard count.
     ///
-    /// The merge works in place and allocates nothing per record: the
-    /// other sinks' records are appended to the first sink's buffer, and
-    /// each record's position in that buffer is written into its `seq`. A
-    /// stream already in time order, as one shard's is, is sorted only
-    /// within each instant, on `(node, position)`; any other is sorted
-    /// whole on `(time, node, position)` (see `sim::merge`). Kind handles
-    /// are process-wide, so records change sinks as they are.
-    pub fn merge_canonical(sinks: Vec<ProbeSink>) -> ProbeSink {
+    /// Each sink must be in time order, as a shard records. The merge works
+    /// in place and allocates nothing but the first sink's growth: each
+    /// sink's instants are sorted on `node`, stably, and the sinks are then
+    /// merged backward into the first sink's buffer (see `sim::merge`).
+    /// Kind handles are process-wide, so records change sinks as they are.
+    pub fn merge_canonical(mut sinks: Vec<ProbeSink>) -> ProbeSink {
         let config = ProbeConfig {
             enabled: sinks.iter().any(ProbeSink::is_enabled),
         };
-        let mut events = merge::concat(sinks.into_iter().map(|s| s.events));
-        merge::sort_in_place(&mut events, |e| &mut e.seq, |e| e.time, |e| (e.node, e.seq));
+        for sink in &mut sinks {
+            merge::sort_instants(&mut sink.events, ProbeEvent::time, |e| e.node);
+        }
+        let events =
+            merge::merge_into_first(&mut sinks, |s| &mut s.events, ProbeEvent::time, |e| e.node);
         ProbeSink {
             config,
             events,
@@ -709,14 +723,16 @@ pub mod perfetto {
     pub fn chrome_trace_json<'a>(events: impl Iterator<Item = &'a ProbeEvent> + Clone) -> String {
         use std::fmt::Write;
         // Flow arrows need to know each flow's first and last anchorable
-        // record (`s` opens the arrow chain, `t` continues it, `f` ends it).
-        let mut flow_span: std::collections::BTreeMap<u64, (u32, u32)> =
+        // record, by position in `events` (`s` opens the arrow chain, `t`
+        // continues it, `f` ends it).
+        let mut flow_span: std::collections::BTreeMap<u64, (usize, usize)> =
             std::collections::BTreeMap::new();
-        for e in events.clone() {
-            if e.flow.is_some() && e.phase() != Phase::End {
-                let entry = flow_span.entry(e.flow.raw()).or_insert((e.seq, e.seq));
-                entry.0 = entry.0.min(e.seq);
-                entry.1 = entry.1.max(e.seq);
+        for (i, e) in events.clone().enumerate() {
+            if e.flow().is_some() && e.phase() != Phase::End {
+                flow_span
+                    .entry(e.flow().raw())
+                    .and_modify(|span| span.1 = i)
+                    .or_insert((i, i));
             }
         }
         let mut out = String::with_capacity(1 << 16);
@@ -758,7 +774,7 @@ pub mod perfetto {
             }
         }
 
-        for e in events {
+        for (i, e) in events.enumerate() {
             let (node, id, phase) = (e.node(), e.id(), e.phase());
             let ph = match phase {
                 Phase::Begin => "B",
@@ -774,7 +790,7 @@ pub mod perfetto {
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":",
                 name, id.name, ph
             );
-            write_ts(&mut out, e.time.as_nanos());
+            write_ts(&mut out, e.time().as_nanos());
             if phase == Phase::Complete {
                 out.push_str(",\"dur\":");
                 write_ts(&mut out, e.dur().as_nanos());
@@ -783,26 +799,26 @@ pub mod perfetto {
             if phase == Phase::Mark {
                 out.push_str(",\"s\":\"t\"");
             }
-            if e.flow.is_some() {
+            if e.flow().is_some() {
                 let _ = write!(
                     out,
                     ",\"args\":{{\"a\":{},\"b\":{},\"flow\":{}}}}}",
                     e.a(),
                     e.b(),
-                    e.flow.raw()
+                    e.flow().raw()
                 );
             } else {
                 let _ = write!(out, ",\"args\":{{\"a\":{},\"b\":{}}}}}", e.a(), e.b());
             }
             // Flow arrow anchored to this record (same ts/pid/tid binds it
             // to the slice just emitted).
-            if e.flow.is_some() && phase != Phase::End {
-                let (first, last) = flow_span[&e.flow.raw()];
+            if e.flow().is_some() && phase != Phase::End {
+                let (first, last) = flow_span[&e.flow().raw()];
                 let fph = if first == last {
                     None // single-record flow: no arrow to draw
-                } else if e.seq == first {
+                } else if i == first {
                     Some("s")
-                } else if e.seq == last {
+                } else if i == last {
                     Some("f")
                 } else {
                     Some("t")
@@ -815,9 +831,9 @@ pub mod perfetto {
                         out,
                         "{{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"{}\",\"id\":{},\"ts\":",
                         fph,
-                        e.flow.raw()
+                        e.flow().raw()
                     );
-                    write_ts(&mut out, e.time.as_nanos());
+                    write_ts(&mut out, e.time().as_nanos());
                     let _ = write!(out, ",\"pid\":{},\"tid\":{}", node, id.track.tid());
                     if fph == "f" {
                         out.push_str(",\"bp\":\"e\"");
@@ -937,22 +953,22 @@ pub mod attribution {
             match ev.phase() {
                 Phase::Begin => {
                     // A dangling open span (shouldn't happen) closes here.
-                    if let Some((s, b)) = open.insert(key, (ev.time.as_nanos(), bucket_of(ev))) {
-                        intervals.push((s, ev.time.as_nanos(), b));
+                    if let Some((s, b)) = open.insert(key, (ev.time().as_nanos(), bucket_of(ev))) {
+                        intervals.push((s, ev.time().as_nanos(), b));
                     }
                 }
                 Phase::End => {
                     if let Some((s, b)) = open.remove(&key) {
-                        intervals.push((s, ev.time.as_nanos(), b));
+                        intervals.push((s, ev.time().as_nanos(), b));
                     }
                 }
                 Phase::Complete => {
-                    let s = ev.time.as_nanos();
+                    let s = ev.time().as_nanos();
                     intervals.push((s, s + ev.dur().as_nanos(), bucket_of(ev)));
                 }
                 Phase::Mark => {
                     if *ev.id() == PKT_DROP {
-                        drops.push(ev.time.as_nanos());
+                        drops.push(ev.time().as_nanos());
                     }
                 }
             }
@@ -1078,11 +1094,11 @@ mod tests {
     }
 
     /// A sink holding one record past its reservation, all marks of `node`
-    /// with `a` counting up and times repeating with `period`.
+    /// with `a` counting up, `period` records an instant.
     fn past_the_reservation(node: u32, period: u64) -> ProbeSink {
         let mut s = ProbeSink::new(ProbeConfig::spans());
         for i in 0..=RESERVED as u64 {
-            s.instant(at(i % period), node, &T_A, "x", i);
+            s.instant(at(i / period), node, &T_A, "x", i);
         }
         s
     }
@@ -1092,17 +1108,13 @@ mod tests {
         let s = past_the_reservation(0, u64::MAX);
         assert_eq!(s.len(), RESERVED + 1);
         assert!(s.iter().map(ProbeEvent::a).eq(0..=RESERVED as u64));
-        assert!(s.as_slice().iter().map(|e| e.seq).eq(0..=RESERVED as u32));
     }
 
     #[test]
     fn merging_sinks_past_their_reservation_is_a_stable_sort() {
         let sinks = vec![past_the_reservation(1, 1_000), past_the_reservation(0, 999)];
         let mut oracle: Vec<ProbeEvent> = sinks.iter().flat_map(ProbeSink::iter).copied().collect();
-        oracle.sort_by_key(|e| (e.time, e.node()));
-        for (i, e) in (0..).zip(oracle.iter_mut()) {
-            e.seq = i;
-        }
+        oracle.sort_by_key(|e| (e.time(), e.node()));
         let merged = ProbeSink::merge_canonical(sinks);
         assert_eq!(merged.as_slice(), &oracle[..]);
     }
@@ -1217,10 +1229,10 @@ mod tests {
     #[test]
     fn probe_records_are_thin() {
         // A record names its probe point, label and phase by one u16
-        // handle and keeps its node in 16 bits and its position in 32; the
-        // span length and the payload words share one word.
+        // handle and keeps its node in 16 bits and no position; the span
+        // length and the payload words share one word, and nothing pads.
         let size = std::mem::size_of::<ProbeEvent>();
-        assert_eq!(size, 32, "ProbeEvent is {size} bytes");
+        assert_eq!(size, 28, "ProbeEvent is {size} bytes");
     }
 
     /// A record as its recording call saw it: time, node, probe name and
@@ -1239,7 +1251,7 @@ mod tests {
     );
 
     fn fields(e: &ProbeEvent) -> Fields {
-        let (time, dur) = (e.time.as_nanos(), e.dur().as_nanos());
+        let (time, dur) = (e.time().as_nanos(), e.dur().as_nanos());
         (
             time,
             e.node(),
@@ -1250,7 +1262,7 @@ mod tests {
             dur,
             e.a(),
             e.b(),
-            e.flow,
+            e.flow(),
         )
     }
 

@@ -23,9 +23,10 @@
 //! that handle without comparing strings. [`SeriesSink::record`] is the
 //! two steps in one call.
 //!
-//! A [`SeriesPoint`] is 24 bytes: it names its gauge by a `u16` handle into
+//! A [`SeriesPoint`] is 20 bytes: it names its gauge by a `u16` handle into
 //! one process-wide table of gauge names, which [`SeriesPoint::gauge`]
-//! resolves, and keeps its node in 16 bits and its position in 32.
+//! resolves, keeps its node in 16 bits, and stores no position: a point's
+//! place in its stream is its index there.
 //!
 //! [`SeriesSink::summarize`] folds the step functions into per-gauge
 //! [`GaugeSummary`] rows: min/max/last, a time-weighted mean, and a
@@ -94,18 +95,16 @@ pub(crate) fn gauge_ranks() -> Vec<u16> {
     GAUGE_NAMES.ranks()
 }
 
-/// One gauge transition: `(node, gauge)` took `value` at `time`. 24 bytes,
-/// all `Copy`.
+/// One gauge transition: `(node, gauge)` took `value` at `time`. 20 bytes,
+/// all `Copy`, packed to 4-byte alignment so that nothing pads them; every
+/// field is read by value, through its accessor.
 #[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(C, packed(4))]
 pub struct SeriesPoint {
-    /// Simulated time of the transition.
-    pub time: SimTime,
-    /// The new value.
-    pub value: u64,
-    /// Total order among equal timestamps: the point's index in its sink,
-    /// modulo 2^32, until a merge renumbers the points 0, 1, 2, ... in
-    /// canonical order.
-    pub seq: u32,
+    /// Simulated time of the transition, read through [`SeriesPoint::time`].
+    time: SimTime,
+    /// The new value, read through [`SeriesPoint::value`].
+    value: u64,
     /// Node the gauge belongs to, read through [`SeriesPoint::node`].
     node: u16,
     /// The gauge, read through [`SeriesPoint::gauge`].
@@ -113,6 +112,18 @@ pub struct SeriesPoint {
 }
 
 impl SeriesPoint {
+    /// Simulated time of the transition.
+    #[inline]
+    pub fn time(&self) -> SimTime {
+        self.time
+    }
+
+    /// The new value.
+    #[inline]
+    pub fn value(&self) -> u64 {
+        self.value
+    }
+
     /// Node the gauge belongs to (shard index for execution gauges).
     #[inline]
     pub fn node(&self) -> u32 {
@@ -138,11 +149,10 @@ impl SeriesPoint {
 impl fmt::Debug for SeriesPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SeriesPoint")
-            .field("time", &self.time)
-            .field("seq", &self.seq)
-            .field("node", &self.node)
+            .field("time", &self.time())
+            .field("node", &self.node())
             .field("gauge", &self.gauge())
-            .field("value", &self.value)
+            .field("value", &self.value())
             .finish()
     }
 }
@@ -176,8 +186,8 @@ pub struct GaugeSummary {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GaugeId(u32);
 
-/// Points an enabled sink reserves at construction: 2^18 points of 24
-/// bytes, 6 MiB.
+/// Points an enabled sink reserves at construction: 2^18 points of 20
+/// bytes, 5 MiB.
 const RESERVED: usize = 1 << 18;
 
 /// The append-only sink gauge transitions land in: it keeps every point,
@@ -278,7 +288,6 @@ impl SeriesSink {
         let p = SeriesPoint {
             time,
             value,
-            seq: self.points.len() as u32,
             node: u16::try_from(node).expect("a gauge point's node fits in 16 bits"),
             gauge: *name,
         };
@@ -301,8 +310,11 @@ impl SeriesSink {
         nodes.resize(slot + 1, None);
     }
 
-    /// Recorded transitions, in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = &SeriesPoint> + Clone + '_ {
+    /// Recorded transitions, in recording order. The iterator also gives
+    /// the points as one slice ([`AsRef`]), which
+    /// [`WatchEngine::scan_series`](crate::WatchEngine::scan_series) reads
+    /// by index.
+    pub fn iter(&self) -> std::slice::Iter<'_, SeriesPoint> {
         self.points.iter()
     }
 
@@ -322,35 +334,31 @@ impl SeriesSink {
     }
 
     /// Merge per-shard sinks into one canonical stream, ordered by
-    /// `(time, node, gauge)` (gauges by name) with each sink's internal
-    /// order kept among ties, and renumber `seq`. Every `(node, gauge)` pair
-    /// is sampled by exactly one shard, so the merged stream is independent
-    /// of the sharding.
+    /// `(time, node, gauge)` (gauges by name) with the sinks' order, and
+    /// each sink's internal order, kept among ties. Every `(node, gauge)`
+    /// pair is sampled by exactly one shard, so the merged stream is
+    /// independent of the sharding.
     ///
     /// The merge works in place, like
     /// [`ProbeSink::merge_canonical`](crate::ProbeSink::merge_canonical):
-    /// the other sinks' points are appended to the first sink's buffer, and
-    /// the points themselves are sorted on `(node, gauge rank, position)`
-    /// within each instant of a stream already in time order, or whole on
-    /// `(time, node, gauge rank, position)`, the name table ranked once for
-    /// the merge.
-    pub fn merge_canonical(sinks: Vec<SeriesSink>) -> SeriesSink {
+    /// each sink, in time order as a shard records, has its instants sorted
+    /// on `(node, gauge rank)`, and the sinks are merged backward into the
+    /// first sink's buffer, the name table ranked once for the merge.
+    pub fn merge_canonical(mut sinks: Vec<SeriesSink>) -> SeriesSink {
         let config = SeriesConfig {
             enabled: sinks.iter().any(SeriesSink::is_enabled),
         };
-        let mut points = merge::concat(sinks.into_iter().map(|s| s.points));
         // Ranking allocates, so a run that sampled nothing skips it.
-        let rank = if points.is_empty() {
+        let rank = if sinks.iter().all(SeriesSink::is_empty) {
             Vec::new()
         } else {
             GAUGE_NAMES.ranks()
         };
-        merge::sort_in_place(
-            &mut points,
-            |p| &mut p.seq,
-            |p| p.time,
-            |p| (p.node, rank[p.gauge.index()], p.seq),
-        );
+        let key = |p: &SeriesPoint| (p.node, rank[p.gauge.index()]);
+        for sink in &mut sinks {
+            merge::sort_instants(&mut sink.points, SeriesPoint::time, key);
+        }
+        let points = merge::merge_into_first(&mut sinks, |s| &mut s.points, SeriesPoint::time, key);
         SeriesSink {
             config,
             points,
@@ -379,27 +387,27 @@ impl SeriesSink {
         for group in order.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
             let pts: Vec<&SeriesPoint> = group.iter().map(|k| all[k.2 as usize]).collect();
             let (gauge, node) = (pts[0].gauge(), pts[0].node());
-            let min = pts.iter().map(|p| p.value).min().unwrap_or(0);
-            let max = pts.iter().map(|p| p.value).max().unwrap_or(0);
-            let last = pts.last().map_or(0, |p| p.value);
+            let min = pts.iter().map(|p| p.value()).min().unwrap_or(0);
+            let max = pts.iter().map(|p| p.value()).max().unwrap_or(0);
+            let last = pts.last().map_or(0, |p| p.value());
             // Durations at each value: from each transition to the next
             // (or to `end`).
             let mut weighted: u128 = 0;
             let mut span: u64 = 0;
             let mut hist = [0u64; HIST_BINS];
             for (i, p) in pts.iter().enumerate() {
-                let until = pts.get(i + 1).map_or(end, |n| n.time).max(p.time);
-                let dur = until.as_nanos().saturating_sub(p.time.as_nanos());
+                let until = pts.get(i + 1).map_or(end, |n| n.time()).max(p.time());
+                let dur = until.as_nanos().saturating_sub(p.time().as_nanos());
                 if dur == 0 {
                     continue;
                 }
-                weighted += u128::from(dur) * u128::from(p.value);
+                weighted += u128::from(dur) * u128::from(p.value());
                 span += dur;
                 let bin = if max == min {
                     0
                 } else {
                     // Fixed-width bands over [min, max], top value inclusive.
-                    (((p.value - min) * HIST_BINS as u64) / (max - min + 1)) as usize
+                    (((p.value() - min) * HIST_BINS as u64) / (max - min + 1)) as usize
                 };
                 hist[bin.min(HIST_BINS - 1)] += dur;
             }
@@ -449,7 +457,7 @@ mod tests {
         s.record(at(20), 0, "tokens", 3);
         s.record(at(30), 0, "tokens", 3);
         s.record(at(40), 0, "tokens", 4);
-        let vals: Vec<u64> = s.iter().map(|p| p.value).collect();
+        let vals: Vec<u64> = s.iter().map(SeriesPoint::value).collect();
         assert_eq!(vals, vec![4, 3, 4]);
         // An equal value on a different node is not deduplicated away.
         s.record(at(50), 1, "tokens", 4);
@@ -457,11 +465,11 @@ mod tests {
     }
 
     /// A sink holding one point past its reservation, all of gauge `q` on
-    /// `node`, the value counting up and times repeating with `period`.
+    /// `node`, the value counting up, `period` points an instant.
     fn past_the_reservation(node: u32, period: u64) -> SeriesSink {
         let mut s = SeriesSink::new(SeriesConfig::on());
         for i in 0..=RESERVED as u64 {
-            s.record(at(i % period), node, "q", i);
+            s.record(at(i / period), node, "q", i);
         }
         s
     }
@@ -470,8 +478,7 @@ mod tests {
     fn a_sink_keeps_every_point_past_its_reservation() {
         let s = past_the_reservation(0, u64::MAX);
         assert_eq!(s.len(), RESERVED + 1);
-        assert!(s.iter().map(|p| p.value).eq(0..=RESERVED as u64));
-        assert!(s.iter().map(|p| p.seq).eq(0..=RESERVED as u32));
+        assert!(s.iter().map(SeriesPoint::value).eq(0..=RESERVED as u64));
     }
 
     #[test]
@@ -479,10 +486,7 @@ mod tests {
         let sinks = vec![past_the_reservation(1, 1_000), past_the_reservation(0, 999)];
         let mut oracle: Vec<SeriesPoint> =
             sinks.iter().flat_map(SeriesSink::iter).copied().collect();
-        oracle.sort_by_key(|p| (p.time, p.node(), p.gauge()));
-        for (i, p) in (0..).zip(oracle.iter_mut()) {
-            p.seq = i;
-        }
+        oracle.sort_by_key(|p| (p.time(), p.node(), p.gauge()));
         let merged = SeriesSink::merge_canonical(sinks);
         assert!(merged.iter().eq(oracle.iter()));
     }
@@ -528,10 +532,10 @@ mod tests {
 
     #[test]
     fn series_points_are_thin() {
-        // A point names its gauge by a u16 handle, not a 16-byte name, and
-        // keeps its node in 16 bits and its position in 32.
+        // A point names its gauge by a u16 handle, not a 16-byte name,
+        // keeps its node in 16 bits and no position, and nothing pads it.
         let size = std::mem::size_of::<SeriesPoint>();
-        assert_eq!(size, 24, "SeriesPoint is {size} bytes");
+        assert_eq!(size, 20, "SeriesPoint is {size} bytes");
     }
 
     #[test]

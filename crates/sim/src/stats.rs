@@ -122,16 +122,20 @@ const LOG_SUB: usize = 1 << LOG_SUB_BITS;
 /// Unlike [`OnlineStats`] it supports arbitrary percentiles, and its range
 /// covers every `u64` nanosecond value. Its `u64` buckets are sized to the
 /// samples it holds: an empty histogram allocates nothing, and the bucket
-/// array grows a whole octave at a time to the one holding the largest
-/// sample (832 buckets cover anything under a second; the full range needs
-/// 1,920). All bookkeeping is integer, so recording
+/// array holds only the whole octaves from the one of its smallest sample
+/// to the one of its largest, growing down as well as up (the full range
+/// is 60 octaves, 1,920 buckets; a histogram of samples between 1 and
+/// 2 ms needs one octave). All bookkeeping is integer, so recording
 /// and merging are order-independent: merging per-node histograms in any
 /// order yields bit-identical percentiles — the property that keeps sharded
 /// workload reports byte-stable.
 #[derive(Debug, Clone, Default)]
 pub struct LogHistogram {
-    /// Counts of buckets `0..len`; every bucket past the end is empty.
+    /// Counts of buckets `lo * 32 ..`, a whole number of octaves; every
+    /// bucket outside is empty.
     counts: Vec<u64>,
+    /// The first octave held: `counts[0]` is bucket `lo * 32`.
+    lo: usize,
     total: u64,
     sum_ns: u128,
     max_ns: u64,
@@ -167,11 +171,30 @@ impl LogHistogram {
         self.record_ns(d.as_nanos());
     }
 
-    /// Grow the bucket array to at least `len` buckets, rounded up to a
-    /// whole octave, with no spare capacity past it.
-    fn grow_to(&mut self, len: usize) {
-        let len = len.next_multiple_of(LOG_SUB);
-        if len > self.counts.len() {
+    /// One past the last octave held (`lo` when nothing is).
+    fn hi(&self) -> usize {
+        self.lo + self.counts.len() / LOG_SUB
+    }
+
+    /// Hold at least octaves `low..high` as well as those held already,
+    /// with no spare capacity past them. Growing up extends the array in
+    /// place; growing down, or from nothing, lays out a new one.
+    fn cover(&mut self, low: usize, high: usize) {
+        if self.counts.is_empty() {
+            self.lo = low;
+            self.counts = vec![0; (high - low) * LOG_SUB];
+            return;
+        }
+        let high = high.max(self.hi());
+        if low < self.lo {
+            let mut counts = Vec::with_capacity((high - low) * LOG_SUB);
+            counts.resize((self.lo - low) * LOG_SUB, 0);
+            counts.extend_from_slice(&self.counts);
+            counts.resize((high - low) * LOG_SUB, 0);
+            self.counts = counts;
+            self.lo = low;
+        } else if high > self.hi() {
+            let len = (high - self.lo) * LOG_SUB;
             self.counts.reserve_exact(len - self.counts.len());
             self.counts.resize(len, 0);
         }
@@ -180,10 +203,14 @@ impl LogHistogram {
     /// Record one nanosecond sample.
     pub fn record_ns(&mut self, ns: u64) {
         let bucket = Self::bucket_of(ns);
-        if bucket >= self.counts.len() {
-            self.grow_to(bucket + 1);
+        // Below the first octave held, this wraps past the end.
+        let mut at = bucket.wrapping_sub(self.lo * LOG_SUB);
+        if at >= self.counts.len() {
+            let octave = bucket / LOG_SUB;
+            self.cover(octave, octave + 1);
+            at = bucket - self.lo * LOG_SUB;
         }
-        self.counts[bucket] += 1;
+        self.counts[at] += 1;
         self.total += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
@@ -192,9 +219,12 @@ impl LogHistogram {
     /// Fold another histogram into this one (bucket-wise addition; the
     /// result is independent of merge order).
     pub fn merge_from(&mut self, other: &LogHistogram) {
-        self.grow_to(other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+        if !other.counts.is_empty() {
+            self.cover(other.lo, other.hi());
+            let from = (other.lo - self.lo) * LOG_SUB;
+            for (a, b) in self.counts[from..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.total += other.total;
         self.sum_ns += other.sum_ns;
@@ -230,7 +260,7 @@ impl LogHistogram {
         }
         let rank = percentile_rank(self.total, p);
         let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in (self.lo * LOG_SUB..).zip(&self.counts) {
             seen += c;
             if seen >= rank {
                 let ub = Self::upper_bound(i).min(self.max_ns);
@@ -406,20 +436,27 @@ mod tests {
             "merging an empty one allocates nothing"
         );
         h.record_ns(999_999_999);
+        assert_eq!((h.lo, h.counts.len()), (25, 32), "one octave holds it");
+        h.record_ns(600_000_000);
         assert_eq!(
             h.counts.len(),
-            832,
-            "a sample under a second needs 26 octaves"
+            32,
+            "a sample in a held octave grows nothing"
+        );
+        h.record_ns(5);
+        assert_eq!(
+            (h.lo, h.counts.len()),
+            (0, 832),
+            "a smaller sample grows it down"
         );
         assert_eq!(h.counts.capacity(), 832, "no spare capacity");
-        h.record_ns(5);
-        assert_eq!(h.counts.len(), 832, "a smaller sample does not grow it");
         let mut top = LogHistogram::new();
         top.record_ns(u64::MAX);
-        assert_eq!(top.counts.len(), 1920, "the full range is 60 octaves");
+        assert_eq!((top.lo, top.counts.len()), (59, 32), "the top octave is 59");
         h.merge_from(&top);
-        assert_eq!(h.counts.len(), 1920);
+        assert_eq!(h.counts.len(), 1920, "the full range is 60 octaves");
         assert_eq!(h.percentile(100.0), u64::MAX as f64 / 1_000.0);
+        assert_eq!(h.percentile(50.0), 603_979.775, "600 ms's bucket's bound");
     }
 
     #[test]

@@ -25,9 +25,6 @@
 //!   module, so a detector threshold can never silently mix "per
 //!   millisecond" with "percent of capacity".
 
-use std::collections::BTreeMap;
-use std::ops::Range;
-
 use crate::critical_path::FlowGraph;
 use crate::flow::FlowId;
 use crate::probe::{Metrics, ProbeEvent};
@@ -437,101 +434,73 @@ impl WatchEngine {
     }
 
     /// Evaluate the gauge detectors over a series stream (must already be
-    /// canonically merged). Returns incidents in canonical order, without
+    /// canonically merged, e.g. [`SeriesSink::iter`](crate::SeriesSink::iter),
+    /// or the slice of one). Returns incidents in canonical order, without
     /// evidence — call [`attach_evidence`] afterwards.
-    pub fn scan_series<'a, I>(&self, points: I) -> Vec<Incident>
-    where
-        I: IntoIterator<Item = &'a SeriesPoint>,
-        I::IntoIter: Clone,
-    {
+    pub fn scan_series(&self, points: impl AsRef<[SeriesPoint]>) -> Vec<Incident> {
         if !self.config.is_enabled() {
             return Vec::new();
         }
-        let points = points.into_iter();
-        let Some(any) = points.clone().next() else {
+        let points = points.as_ref();
+        if points.is_empty() {
             return Vec::new();
-        };
+        }
         // Only gauges some detector reads are scanned; execution gauges are
         // never health signals. Names and ranks come from one snapshot each
-        // of the name table.
-        let names = series::gauge_names();
+        // of the name table, which only grows: the names, taken second,
+        // cover every ranked handle.
         let ranks = series::gauge_ranks();
-        let scanned: Vec<bool> = names
-            .iter()
-            .map(|&g| {
-                !g.starts_with("exec_")
-                    && self
-                        .detectors
-                        .iter()
-                        .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == g))
-            })
-            .collect();
-        // Regroup the canonical (time, node, gauge) stream into per-signal
-        // step functions without copying a point: count each signal's
-        // points, then lay out references to them signal by signal. The
-        // layout is a counting sort, so each signal keeps its time order,
-        // and the map keeps (node, gauge name) order.
-        let mut signals: BTreeMap<(u32, u16), (usize, Range<usize>)> = BTreeMap::new();
-        let key = |p: &SeriesPoint| {
-            let h = p.gauge_name().index();
-            scanned[h].then(|| ((p.node(), ranks[h]), h))
-        };
-        for (k, h) in points.clone().filter_map(key) {
-            signals.entry(k).or_insert((h, 0..0)).1.end += 1;
-        }
-        let mut total = 0;
-        for (_, r) in signals.values_mut() {
-            let len = r.end;
-            *r = total..total;
-            total += len;
-        }
-        let mut steps = vec![any; total];
-        for p in points {
-            if let Some((k, _)) = key(p) {
-                let r = &mut signals.get_mut(&k).expect("counted in the first pass").1;
-                steps[r.end] = p;
-                r.end += 1;
-            }
-        }
+        let names = series::gauge_names();
+        let signals = Signals::lay_out(points, &ranks, |h| {
+            let g = names[h];
+            !g.starts_with("exec_")
+                && self
+                    .detectors
+                    .iter()
+                    .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == g))
+        });
         let w_ns = self.config.window().as_nanos().max(1);
         let mut incidents = Vec::new();
         for d in &self.detectors {
             let Some((gauge, sustain)) = scanned_gauge(d) else {
                 continue;
             };
-            for (&(node, _), (h, r)) in &signals {
-                if names[*h] != gauge {
+            for (node, h, signal) in signals.iter() {
+                if names[h] != gauge {
                     continue;
                 }
-                let signal = &steps[r.clone()];
-                self.scan_signal(d, node, signal, w_ns, sustain, &mut incidents);
+                self.scan_signal(d, node, points, signal, w_ns, sustain, &mut incidents);
             }
         }
         sort_canonical(&mut incidents);
         incidents
     }
 
-    /// Evaluate one detector over one `(node, gauge)` step function: its
-    /// points in time order.
+    /// Evaluate one detector over one `(node, gauge)` step function: the
+    /// points of `points` at the indices `steps`, in time order.
+    #[expect(clippy::too_many_arguments, reason = "internal plumbing, not API")]
     fn scan_signal(
         &self,
         d: &Detector,
         node: u32,
-        steps: &[&SeriesPoint],
+        points: &[SeriesPoint],
+        steps: &[u32],
         w_ns: u64,
         sustain: u32,
         incidents: &mut Vec<Incident>,
     ) {
-        let (Some(first), Some(last)) = (steps.first(), steps.last()) else {
+        let point = |i: usize| &points[steps[i] as usize];
+        let (Some(&first), Some(&last)) = (steps.first(), steps.last()) else {
             return;
         };
-        let first_win = first.time.as_nanos() / w_ns;
-        let last_win = last.time.as_nanos() / w_ns;
+        let (first, last) = (&points[first as usize], &points[last as usize]);
+        let first_win = first.time().as_nanos() / w_ns;
+        let last_win = last.time().as_nanos() / w_ns;
         // Walk the windows once, tracking the step function: `si` is the
         // next transition to consume, `cur` the value holding at the
         // window's start.
         let mut si = 0usize;
-        let mut cur = first.value;
+        let mut cur = first.value();
         // A run of consecutive firing windows, merged into one incident.
         let mut run_start: Option<u64> = None;
         let mut run_peak = 0u64;
@@ -540,8 +509,8 @@ impl WatchEngine {
             let win_end = (win + 1) * w_ns;
             let start_val = cur;
             let mut win_max = cur;
-            while si < steps.len() && steps[si].time.as_nanos() < win_end {
-                cur = steps[si].value;
+            while si < steps.len() && point(si).time().as_nanos() < win_end {
+                cur = point(si).value();
                 win_max = win_max.max(cur);
                 si += 1;
             }
@@ -654,6 +623,84 @@ impl WatchEngine {
     }
 }
 
+/// The scanned points of a series stream regrouped into signals: one
+/// `(node, gauge)` pair's step function each, its points as `u32` indices
+/// into the stream, in time order.
+///
+/// The signals sit in a dense table, a row per node and a column per
+/// scanned gauge in name order, so they come out in `(node, gauge name)`
+/// order, and laying them out is a counting sort: a pass that counts each
+/// cell's points, and a backward pass that places each point's index, so
+/// no point is looked up by key or copied.
+struct Signals {
+    /// The gauge handle of each column, in name order.
+    gauges: Vec<usize>,
+    /// Cell `k`'s points are `steps[starts[k]..starts[k + 1]]`; cell
+    /// `node * gauges.len() + column`.
+    starts: Vec<u32>,
+    /// Point indices, cell by cell.
+    steps: Vec<u32>,
+}
+
+impl Signals {
+    /// Regroup the points of `points` whose gauge handle `scanned` accepts;
+    /// `ranks` is each handle's rank in name order.
+    fn lay_out(points: &[SeriesPoint], ranks: &[u16], scanned: impl Fn(usize) -> bool) -> Signals {
+        let mut gauges: Vec<usize> = (0..ranks.len()).filter(|&h| scanned(h)).collect();
+        gauges.sort_unstable_by_key(|&h| ranks[h]);
+        let mut column = vec![None; ranks.len()];
+        for (c, &h) in gauges.iter().enumerate() {
+            column[h] = Some(c);
+        }
+        let cols = gauges.len();
+        let cell =
+            |p: &SeriesPoint| column[p.gauge_name().index()].map(|c| p.node() as usize * cols + c);
+        let cells = points.iter().filter_map(cell).max().map_or(0, |k| k + 1);
+        // Count each cell's points at its end, sum the counts into each
+        // cell's end, then place the points backward from the ends, which
+        // leaves each cell's start behind.
+        let mut starts = vec![0u32; cells + 1];
+        for k in points.iter().filter_map(cell) {
+            starts[k] += 1;
+        }
+        let mut total = 0;
+        for end in &mut starts[..cells] {
+            total += *end;
+            *end = total;
+        }
+        starts[cells] = total;
+        let mut steps = vec![0u32; total as usize];
+        let len = u32::try_from(points.len()).expect("a series holds under 2^32 points");
+        for (i, p) in (0..len).zip(points).rev() {
+            if let Some(k) = cell(p) {
+                starts[k] -= 1;
+                steps[starts[k] as usize] = i;
+            }
+        }
+        Signals {
+            gauges,
+            starts,
+            steps,
+        }
+    }
+
+    /// Each signal with a point as `(node, gauge handle, point indices)`,
+    /// in `(node, gauge name)` order.
+    fn iter(&self) -> impl Iterator<Item = (u32, usize, &[u32])> + '_ {
+        let cols = self.gauges.len();
+        self.starts
+            .windows(2)
+            .enumerate()
+            .filter_map(move |(k, r)| {
+                let node = u32::try_from(k / cols).expect("nodes fit in 16 bits");
+                (r[0] < r[1]).then(|| {
+                    let steps = &self.steps[r[0] as usize..r[1] as usize];
+                    (node, self.gauges[k % cols], steps)
+                })
+            })
+    }
+}
+
 /// Link causal evidence into incidents. For an incident window `(ws, we)`:
 ///
 /// * `flows` — the [`MAX_EVIDENCE_FLOWS`] smallest distinct [`FlowId`]s of
@@ -663,33 +710,42 @@ impl WatchEngine {
 ///   `ws <= t <= we` (closed: a delivery exactly at `we` counts),
 ///   [`FlowGraph::path_signature`]; empty when there is none.
 ///
-/// `events` must be the canonically-merged probe stream, which is sorted by
-/// `(time, seq)` ([`crate::probe::ProbeSink::merge_canonical`]). Each window
-/// is located by binary search, so beyond one [`FlowGraph`] build an
-/// incident costs its window's records plus its lineage — not a scan of the
-/// whole stream; the flows are kept in a sorted buffer of
-/// [`MAX_EVIDENCE_FLOWS`], never in a copy of the window. Passing an empty
-/// stream leaves evidence untouched.
+/// `events` must be the canonically-merged probe stream, which is in time
+/// order ([`crate::probe::ProbeSink::merge_canonical`]). Each window is
+/// located by binary search, so an incident costs its window's records
+/// plus its lineage — not a scan of the whole stream; the flows are kept in
+/// a sorted buffer of [`MAX_EVIDENCE_FLOWS`], never in a copy of the
+/// window. Each signature needs only its terminal delivery's lineage, which
+/// stays inside that message's tag, so the one [`FlowGraph`] built is
+/// [`FlowGraph::build_for`] the incidents' terminals: the flows of at most
+/// one message an incident, not of the whole run. Passing an empty stream
+/// leaves evidence untouched.
 pub fn attach_evidence(incidents: &mut [Incident], events: &[ProbeEvent]) {
     if incidents.is_empty() || events.is_empty() {
         return;
     }
     debug_assert!(
         crate::critical_path::in_record_order(events),
-        "attach_evidence needs a (time, seq)-sorted probe stream"
+        "attach_evidence needs a time-ordered probe stream"
     );
-    let graph = FlowGraph::build(events);
-    for inc in incidents.iter_mut() {
+    let terminals: Vec<Option<FlowId>> = incidents
+        .iter()
+        .map(|inc| FlowGraph::terminal(events, inc.window))
+        .collect();
+    let graph = FlowGraph::build_for(events, terminals.iter().flatten().copied());
+    for (inc, terminal) in incidents.iter_mut().zip(terminals) {
         let (ws, we) = inc.window;
-        let lo = events.partition_point(|e| e.time < ws);
-        let hi = events.partition_point(|e| e.time < we).max(lo);
+        let lo = events.partition_point(|e| e.time() < ws);
+        let hi = events.partition_point(|e| e.time() < we).max(lo);
         inc.flows = smallest_flows(
             events[lo..hi]
                 .iter()
-                .filter(|e| e.flow.is_some() && (inc.node == CLUSTER_NODE || e.node() == inc.node))
-                .map(|e| e.flow),
+                .filter(|e| {
+                    e.flow().is_some() && (inc.node == CLUSTER_NODE || e.node() == inc.node)
+                })
+                .map(ProbeEvent::flow),
         );
-        inc.signature = graph.path_signature(events, inc.window);
+        inc.signature = terminal.map_or_else(String::new, |t| graph.signature_of(t));
     }
 }
 
@@ -1023,7 +1079,7 @@ mod tests {
             let mut ends: Vec<u64> = events
                 .iter()
                 .flat_map(|e| {
-                    let t = e.time.as_nanos();
+                    let t = e.time().as_nanos();
                     [t.saturating_sub(1), t, t + 1]
                 })
                 .collect();
@@ -1036,12 +1092,12 @@ mod tests {
                         let mut flows: Vec<FlowId> = events
                             .iter()
                             .filter(|e| {
-                                e.time >= w0
-                                    && e.time < w1
-                                    && e.flow.is_some()
+                                e.time() >= w0
+                                    && e.time() < w1
+                                    && e.flow().is_some()
                                     && (node == CLUSTER_NODE || e.node() == node)
                             })
-                            .map(|e| e.flow)
+                            .map(ProbeEvent::flow)
                             .collect();
                         flows.sort_unstable();
                         flows.dedup();
@@ -1071,6 +1127,104 @@ mod tests {
             oracle.truncate(MAX_EVIDENCE_FLOWS);
             assert_eq!(smallest_flows(flows.into_iter()), oracle, "{len} flows");
         }
+    }
+
+    /// The regrouping the dense signal table replaced: a `BTreeMap` keyed
+    /// by `(node, gauge rank)`, looked up once a scanned point, each
+    /// signal's point indices in a `Vec` of its own.
+    fn scan_series_by_map(eng: &WatchEngine, points: &[SeriesPoint]) -> Vec<Incident> {
+        use std::collections::BTreeMap;
+        if !eng.config.is_enabled() || points.is_empty() {
+            return Vec::new();
+        }
+        let names = series::gauge_names();
+        let ranks = series::gauge_ranks();
+        let mut signals: BTreeMap<(u32, u16), (usize, Vec<u32>)> = BTreeMap::new();
+        for (i, p) in (0u32..).zip(points) {
+            let h = p.gauge_name().index();
+            let g = names[h];
+            let read = eng
+                .detectors
+                .iter()
+                .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == g));
+            if read && !g.starts_with("exec_") {
+                let signal = signals
+                    .entry((p.node(), ranks[h]))
+                    .or_insert((h, Vec::new()));
+                signal.1.push(i);
+            }
+        }
+        let w_ns = eng.config.window().as_nanos().max(1);
+        let mut incidents = Vec::new();
+        for d in &eng.detectors {
+            let Some((gauge, sustain)) = scanned_gauge(d) else {
+                continue;
+            };
+            for (&(node, _), (h, steps)) in &signals {
+                if names[*h] == gauge {
+                    eng.scan_signal(d, node, points, steps, w_ns, sustain, &mut incidents);
+                }
+            }
+        }
+        sort_canonical(&mut incidents);
+        incidents
+    }
+
+    /// Random series and detector sets: the dense table finds exactly the
+    /// incidents the map did, in the same order.
+    #[test]
+    fn dense_signal_table_matches_the_map() {
+        // Out of name order, with an execution gauge and one no detector
+        // reads.
+        const GAUGES: [&str; 5] = ["wz_used", "wa_retx", "exec_wq", "wm_tokens", "wn_idle"];
+        let mut rng = crate::DetRng::substream(5, "watch.dense_signals", 0);
+        let mut fired = 0;
+        for case in 0..300u64 {
+            let mut sink = SeriesSink::new(SeriesConfig::on());
+            let mut t = 0;
+            for _ in 0..rng.below(200) {
+                t += rng.below(3) * rng.below(60_000);
+                let node = rng.below(5) as u32;
+                let gauge = GAUGES[rng.below(GAUGES.len() as u64) as usize];
+                sink.record(SimTime::from_nanos(t), node, gauge, rng.below(24));
+            }
+            let merged = SeriesSink::merge_canonical(vec![sink]);
+            let window = SimDuration::from_nanos(1 + rng.below(200_000));
+            let mut eng = WatchEngine::new(WatchConfig::with_window(window));
+            for i in 0..rng.below(5) {
+                let gauge = GAUGES[rng.below(GAUGES.len() as u64) as usize];
+                let kind = match rng.below(3) {
+                    0 => DetectorKind::RateOfChange {
+                        gauge,
+                        rate: Thresh::per_ms(rng.below(400)),
+                    },
+                    1 => DetectorKind::Saturation {
+                        gauge,
+                        capacity: rng.below(30),
+                        pct: Thresh::pct(rng.below(120)),
+                        sustain: rng.below(4) as u32,
+                    },
+                    _ => DetectorKind::Counter {
+                        key: "nic.tx",
+                        min: Thresh::count(1),
+                    },
+                };
+                let id = ["d0", "d1", "d2", "d3", "d4"][i as usize];
+                eng = eng.detector(Detector {
+                    id,
+                    severity: Severity::Warn,
+                    kind,
+                });
+            }
+            let found = eng.scan_series(merged.iter());
+            fired += usize::from(!found.is_empty());
+            assert_eq!(
+                found,
+                scan_series_by_map(&eng, merged.iter().as_slice()),
+                "case {case}"
+            );
+        }
+        assert!(fired > 100, "only {fired} of 300 cases fired a detector");
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Differential property tests of `FlowGraph`.
 //!
 //! The graph keeps one fixed-size entry per flow in a sorted `Vec`, with
-//! only the flow's earliest record at its destination, and finds link
+//! only the flow's first record at its destination, and finds link
 //! candidates in one sorted `(dest, tag)` index. The oracle here is the
 //! straightforward graph it replaced: a `BTreeMap` of flows, each keeping
-//! its earliest record at every node it touched in a `Vec` of its own, and
-//! a `BTreeMap` of candidate lists per `(dest, tag)`. Inputs are random
-//! flow-tagged streams in `(time, seq)` order with several nodes per flow,
-//! dense time ties and repeated `(time, seq)` keys (so that candidates can
-//! tie), flows that share a `(dest, tag)`, delivery, host-track, span and
-//! flowless records, and flows with no record at their destination.
+//! its first record at every node it touched in a `Vec` of its own, and a
+//! `BTreeMap` of candidate lists per `(dest, tag)`. Records are ordered by
+//! `(time, index)` in the time-ordered stream. Inputs are random
+//! flow-tagged streams with several nodes per flow, dense time ties, flows
+//! that share a `(dest, tag)`, several origins that share a tag, delivery,
+//! host-track, span and flowless records, and flows with no record at
+//! their destination; and random multicast forwarding chains.
+//!
+//! The graph built for only some terminals' tags
+//! (`FlowGraph::build_for`, what incident evidence builds) must answer
+//! every question about those terminals' lineages as the whole graph does.
 
 use std::collections::BTreeMap;
 
@@ -46,8 +51,9 @@ enum Kind {
     Flowless,
 }
 
-/// One record: `(time, seq)`, node, the flow's `(origin, tag, dest)` and
-/// kind.
+/// One record: `(time, order)`, node, the flow's `(origin, tag, dest)`
+/// and kind. Records are recorded in `(time, order)` order, and in
+/// generation order where that ties.
 type Spec = ((u64, u32), u32, (u32, u64, u32), Kind);
 
 fn spec() -> impl Strategy<Value = Spec> {
@@ -70,11 +76,13 @@ fn spec() -> impl Strategy<Value = Spec> {
     )
 }
 
-/// The stream of `specs`, each record given its generated `seq`, in
-/// `(time, seq)` order (stable, so repeated keys keep generation order).
+/// The stream of `specs`: one sink recorded in `(time, order)` order, so
+/// the stream is in time order as a merged one is.
 fn stream(specs: &[Spec]) -> Vec<ProbeEvent> {
+    let mut specs = specs.to_vec();
+    specs.sort_by_key(|&(key, ..)| key);
     let mut sink = ProbeSink::new(ProbeConfig::spans());
-    for &((t, _), node, (origin, tag, dest), kind) in specs {
+    for &((t, _), node, (origin, tag, dest), kind) in &specs {
         let flow = FlowId::new(origin, tag, dest);
         match kind {
             Kind::Wire => sink.instant_flow(at(t), node, &WIRE, "", 0, flow),
@@ -87,12 +95,7 @@ fn stream(specs: &[Spec]) -> Vec<ProbeEvent> {
             Kind::Flowless => sink.instant(at(t), node, &WIRE, "", 0),
         }
     }
-    let mut events = sink.to_vec();
-    for (e, &((_, seq), ..)) in events.iter_mut().zip(specs) {
-        e.seq = seq;
-    }
-    events.sort_by_key(|e| (e.time, e.seq));
-    events
+    sink.to_vec()
 }
 
 /// Per-flow facts of the reference graph.
@@ -100,7 +103,7 @@ fn stream(specs: &[Spec]) -> Vec<ProbeEvent> {
 struct RefInfo {
     first: (SimTime, u32),
     first_node: u32,
-    /// Earliest `(time, seq)` of a record of this flow per node.
+    /// Earliest `(time, index)` of a record of this flow per node.
     node_first: Vec<(u32, SimTime, u32)>,
     delivery: Option<(SimTime, u32)>,
     has_host: bool,
@@ -115,12 +118,12 @@ struct Reference {
 impl Reference {
     fn build(events: &[ProbeEvent]) -> Reference {
         let mut flows: BTreeMap<FlowId, RefInfo> = BTreeMap::new();
-        for e in events {
-            if e.flow.is_none() {
+        for (index, e) in (0u32..).zip(events) {
+            if e.flow().is_none() {
                 continue;
             }
-            let key = (e.time, e.seq);
-            let info = flows.entry(e.flow).or_insert_with(|| RefInfo {
+            let key = (e.time(), index);
+            let info = flows.entry(e.flow()).or_insert_with(|| RefInfo {
                 first: key,
                 first_node: e.node(),
                 node_first: Vec::new(),
@@ -138,7 +141,7 @@ impl Reference {
                         (slot.1, slot.2) = key;
                     }
                 }
-                None => info.node_first.push((e.node(), e.time, e.seq)),
+                None => info.node_first.push((e.node(), key.0, key.1)),
             }
             if *e.id() == FLOW_DELIVERY {
                 info.delivery = Some(info.delivery.map_or(key, |d| d.max(key)));
@@ -246,13 +249,13 @@ impl Reference {
         events: &[ProbeEvent],
         (ws, we): (SimTime, SimTime),
     ) -> Option<Vec<PathStep>> {
-        let end = events.partition_point(|e| e.time <= we);
+        let end = events.partition_point(|e| e.time() <= we);
         let terminal = events[..end]
             .iter()
             .rev()
-            .take_while(|e| e.time >= ws)
-            .find(|e| *e.id() == FLOW_DELIVERY && e.flow.is_some())?
-            .flow;
+            .take_while(|e| e.time() >= ws)
+            .find(|e| *e.id() == FLOW_DELIVERY && e.flow().is_some())?
+            .flow();
         Some(
             self.lineage(terminal)
                 .into_iter()
@@ -284,18 +287,18 @@ impl Reference {
             let key = (e.node(), e.id().track.tid());
             match e.phase() {
                 Phase::Begin => {
-                    open.insert(key, (e.time.as_nanos(), e.flow));
+                    open.insert(key, (e.time().as_nanos(), e.flow()));
                 }
                 Phase::End => {
                     if let Some((s, f)) = open.remove(&key) {
                         if let Some(i) = step_of(f) {
-                            spans.push((s, e.time.as_nanos(), i, e.id().track));
+                            spans.push((s, e.time().as_nanos(), i, e.id().track));
                         }
                     }
                 }
                 Phase::Complete => {
-                    if let Some(i) = step_of(e.flow) {
-                        let s = e.time.as_nanos();
+                    if let Some(i) = step_of(e.flow()) {
+                        let s = e.time().as_nanos();
                         spans.push((s, s + e.dur().as_nanos(), i, e.id().track));
                     }
                 }
@@ -387,6 +390,84 @@ fn assert_agrees(events: &[ProbeEvent], windows: &[(u64, u64)]) {
     }
 }
 
+/// The graphs [`FlowGraph::build_for`] builds for each window's terminal
+/// delivery alone, and for every window's together, against the whole
+/// stream's graph: each terminal's lineage, the predecessor and start node
+/// of every flow in it, and each window's path signature. The scoped
+/// graphs hold only flows of the terminals' tags.
+fn assert_scoped_agrees(events: &[ProbeEvent], windows: &[(u64, u64)]) {
+    let full = FlowGraph::build(events);
+    let oracle = Reference::build(events);
+    let windows: Vec<(SimTime, SimTime)> = windows
+        .iter()
+        .map(|&(a, b)| (at(a.min(b)), at(a.max(b))))
+        .collect();
+    let terminals: Vec<FlowId> = windows
+        .iter()
+        .filter_map(|&w| FlowGraph::terminal(events, w))
+        .collect();
+    let together = FlowGraph::build_for(events, terminals.iter().copied());
+    let tags: Vec<u64> = terminals.iter().map(|t| t.tag()).collect();
+    prop_assert!(together.flows().all(|f| tags.contains(&f.tag())));
+    for &w in &windows {
+        let terminal = FlowGraph::terminal(events, w);
+        let want = full.path_signature(events, w);
+        prop_assert_eq!(&want, &oracle.path_signature(events, w));
+        let Some(t) = terminal else {
+            prop_assert_eq!(want, "");
+            prop_assert_eq!(together.path_signature(events, w), "");
+            continue;
+        };
+        let alone = FlowGraph::build_for(events, [t]);
+        prop_assert!(alone.flows().all(|f| f.tag() == t.tag()));
+        for scoped in [&alone, &together] {
+            let lineage = full.lineage(t);
+            prop_assert_eq!(scoped.lineage(t), lineage.clone(), "lineage of {}", t);
+            for f in lineage {
+                prop_assert_eq!(scoped.pred(f), full.pred(f), "pred of {}", f);
+                prop_assert_eq!(scoped.start_node(f), full.start_node(f), "start of {}", f);
+            }
+            prop_assert_eq!(scoped.path_signature(events, w), want.clone());
+        }
+    }
+}
+
+/// One message `(origin, tag)` forwarded along a chain of nodes from
+/// `start`: each hop `(node, transit, lag)` is the flow `(origin, tag,
+/// node)`, which starts at the node before it when the payload has
+/// arrived there, reaches `node` `transit` ns later, and is delivered
+/// `lag` ns after that.
+type Chain = (u32, u64, u64, Vec<(u32, u64, u64)>);
+
+fn chain() -> impl Strategy<Value = Chain> {
+    (
+        0u32..6,
+        0u64..3,
+        0u64..20,
+        vec((0u32..6, 1u64..4, 0u64..3), 1..5),
+    )
+}
+
+/// The records of `chains`: a host send at each origin, a wire record at
+/// each hop's start node and on arrival, and a delivery at each hop's
+/// node.
+fn chain_specs(chains: &[Chain]) -> Vec<Spec> {
+    let mut specs = Vec::new();
+    for (origin, tag, start, hops) in chains {
+        let (mut from, mut t) = (*origin, *start);
+        for (i, &(node, transit, lag)) in hops.iter().enumerate() {
+            let flow = (*origin, *tag, node);
+            let kind = if i == 0 { Kind::Host } else { Kind::Wire };
+            specs.push(((t, 0), from, flow, kind));
+            t += transit;
+            specs.push(((t, 0), node, flow, Kind::Wire));
+            specs.push(((t + lag, 0), node, flow, Kind::Delivery));
+            from = node;
+        }
+    }
+    specs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -400,13 +481,37 @@ proptest! {
         windows.push((0, 14));
         assert_agrees(&events, &windows);
     }
+
+    #[test]
+    fn scoped_graph_matches_the_whole_graph_on_random_streams(
+        specs in vec(spec(), 0..80),
+        windows in vec((0u64..14, 0u64..14), 0..8),
+    ) {
+        let events = stream(&specs);
+        let mut windows = windows;
+        windows.extend([(0, 14), (20, 30)]);
+        assert_scoped_agrees(&events, &windows);
+    }
+
+    #[test]
+    fn scoped_graph_matches_the_whole_graph_on_forwarding_chains(
+        chains in vec(chain(), 1..8),
+        windows in vec((0u64..40, 0u64..40), 0..8),
+    ) {
+        let events = stream(&chain_specs(&chains));
+        let mut windows = windows;
+        windows.extend([(0, 40), (60, 70)]);
+        assert_agrees(&events, &windows);
+        assert_scoped_agrees(&events, &windows);
+    }
 }
 
 /// Flows `(o, 1, 2)` for origins 0 and 1 both arrive at node 2 at the same
-/// `(time, seq)`; flow `(3, 1, 0)` starts at node 2 afterwards. The tie
-/// goes to the first candidate in `FlowId` order.
+/// instant, `(1, 1, 2)` recorded first; flow `(3, 1, 0)` starts at node 2
+/// afterwards. Records order by their index within an instant, so the
+/// later-recorded arrival is the latest and wins.
 #[test]
-fn candidate_ties_go_to_the_first_flow() {
+fn arrivals_at_one_instant_go_by_record_order() {
     let specs: Vec<Spec> = vec![
         ((0, 0), 0, (0, 1, 2), Kind::Host),
         ((0, 0), 1, (1, 1, 2), Kind::Host),

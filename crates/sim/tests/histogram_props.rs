@@ -1,15 +1,16 @@
-//! Differential property test of `LogHistogram`, whose bucket array grows
-//! to the octave of its largest sample.
+//! Differential property test of `LogHistogram`, whose bucket array holds
+//! only the octaves from its smallest sample's to its largest's.
 //!
 //! The oracle is the dense layout it replaces: every bucket allocated up
 //! front, with the same log-linear bucketing and the same percentile rule.
 //! The dense array here spans all 60 octaves of the `u64` range (1,920
-//! buckets); the fixed array it replaced had 1,888, one octave short, and
-//! indexed past its end on a sample of 2^63 ns or more. Inputs are one to
-//! five parts of samples, some empty, drawn from 0, values under 32 ns
-//! (where buckets are exact), realistic latencies, and values near
-//! `u64::MAX`; each part is recorded into its own histogram, and the parts
-//! are merged in a random order.
+//! buckets). Inputs are one to five parts of samples, some empty, drawn
+//! from 0, values under 32 ns (where buckets are exact), realistic
+//! latencies, any value and values near `u64::MAX`; each part is recorded
+//! into its own histogram, in drawn order or largest first (so that every
+//! sample falls below the octaves held so far), and the parts are merged
+//! in a random order and in every order: disjoint, overlapping and empty
+//! ranges meet in each.
 
 use gm_sim::LogHistogram;
 use proptest::collection::vec;
@@ -117,8 +118,86 @@ fn readout(h: &LogHistogram) -> Vec<u64> {
     readout_of(h.count(), |p| h.percentile(p), h.mean_us(), h.max_us())
 }
 
+/// Every ordering of `0..n`.
+fn orders(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for order in orders(n - 1) {
+        for at in 0..=order.len() {
+            let mut o = order.clone();
+            o.insert(at, n - 1);
+            out.push(o);
+        }
+    }
+    out
+}
+
+/// The dense readout of every sample of `parts`.
+fn dense_readout(parts: &[Vec<u64>]) -> Vec<u64> {
+    let mut dense = Dense::new();
+    for &ns in parts.iter().flatten() {
+        dense.record_ns(ns);
+    }
+    readout_of(
+        dense.total,
+        |p| dense.percentile(p),
+        dense.mean_us(),
+        dense.max_us(),
+    )
+}
+
+/// Each part in its own histogram, recorded largest sample first, then
+/// merged in every order, into an empty histogram and onto the first part.
+fn check_every_merge_order(parts: &[Vec<u64>]) {
+    let want = dense_readout(parts);
+    let hists: Vec<LogHistogram> = parts
+        .iter()
+        .map(|part| {
+            let mut part = part.clone();
+            part.sort_unstable_by(|a, b| b.cmp(a));
+            let mut h = LogHistogram::new();
+            part.iter().for_each(|&ns| h.record_ns(ns));
+            h
+        })
+        .collect();
+    for order in orders(hists.len()) {
+        let mut merged = LogHistogram::new();
+        for &i in &order {
+            merged.merge_from(&hists[i]);
+        }
+        assert_eq!(readout(&merged), want, "into an empty one, order {order:?}");
+        let mut onto = hists[order[0]].clone();
+        for &i in &order[1..] {
+            onto.merge_from(&hists[i]);
+        }
+        assert_eq!(readout(&onto), want, "onto the first, order {order:?}");
+    }
+}
+
+/// Disjoint ranges (a few ns, about a second, the top octave), an
+/// overlapping one and an empty one, merged in every order.
+#[test]
+fn disjoint_overlapping_and_empty_ranges_merge_in_every_order() {
+    check_every_merge_order(&[
+        vec![0, 3, 31],
+        vec![999_999_999, 1 << 30],
+        vec![],
+        vec![40, 1 << 29, u64::MAX],
+    ]);
+    check_every_merge_order(&[vec![u64::MAX], vec![0], vec![1 << 40, 1 << 40]]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn merges_in_every_order_match_the_dense_layout(
+        parts in vec(vec(sample(), 0..30), 1..4),
+    ) {
+        check_every_merge_order(&parts);
+    }
 
     #[test]
     fn sized_histogram_matches_the_dense_layout(

@@ -194,6 +194,29 @@ run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
 mv "$health_snapshot" results/health_explore.json
 echo "ci: report_diff OK (re-run of identical config diffs clean)"
 
+# Checked pass: the health gate and both flow-gate runs again, built in
+# the `checked` profile (release plus debug assertions), so the
+# `debug_assert!`s that optimized observed runs rely on hold on them too:
+# each shard's probe and gauge stream is in time order for the canonical
+# merge, and the merged stream is for the flow graph and the incident
+# evidence. Their output must match the committed artifacts, as above.
+health_snapshot=$(mktemp)
+cp results/health_explore.json "$health_snapshot"
+run run -q --profile checked -p bench "${CARGO_FLAGS[@]}" --bin health_explore -- --check >/dev/null
+run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
+  "$health_snapshot" results/health_explore.json
+mv "$health_snapshot" results/health_explore.json
+flow_out=$(mktemp)
+echo "+ cargo run -q --profile checked -p bench --bin flow_explore -- ${flow_args[*]} [--loss 0.02 --shards 4]"
+{
+  cargo run -q --profile checked -p bench "${CARGO_FLAGS[@]}" --bin flow_explore -- "${flow_args[@]}"
+  cargo run -q --profile checked -p bench "${CARGO_FLAGS[@]}" --bin flow_explore -- \
+    "${flow_args[@]}" --loss 0.02 --shards 4
+} | sed -E 's/, [0-9]+ barrier waits$//' >"$flow_out"
+diff -u results/flow_explore.txt "$flow_out"
+rm "$flow_out"
+echo "ci: checked pass OK (health and flow gates with debug assertions, artifacts identical)"
+
 # Artifact-freshness gate: rerun every figure, ablation and extension
 # binary whose default run takes seconds and report_diff its fresh JSON
 # against a snapshot of the committed one, so an artifact the current code
