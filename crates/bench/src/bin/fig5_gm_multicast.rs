@@ -7,7 +7,7 @@
 //! for the multisend win and too small for pipelining.
 
 use bench::{factor, par_map, us, CliOpts, Sweep, Table};
-use nic_mcast::{execute_max_over_probes, Scenario, TreeShape};
+use nic_mcast::{Scenario, TreeShape};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -42,9 +42,9 @@ fn main() {
                 .build()
                 .expect("valid scenario");
             if opts.all_probes {
-                execute_max_over_probes(built.spec())
+                built.run_max_over_probes()
             } else {
-                built.run().output
+                built.run()
             }
         };
         let hb = run_one(Scenario::host_based(n), TreeShape::Binomial);

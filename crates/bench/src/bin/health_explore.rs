@@ -101,7 +101,6 @@ fn artifact(o: &Opts, report: &WorkloadReport) -> serde::Value {
     let incidents: Vec<serde::Value> = report
         .incidents
         .iter()
-        .filter(|i| !i.is_exec())
         .map(|i| {
             let mut m = serde::Value::Map(vec![]);
             m.insert("start_ns", serde::Value::UInt(i.window.0.as_nanos()));
@@ -172,7 +171,7 @@ fn main() {
 
     let mut by_detector: std::collections::BTreeMap<&str, (usize, u64, &Incident)> =
         std::collections::BTreeMap::new();
-    for i in report.incidents.iter().filter(|i| !i.is_exec()) {
+    for i in &report.incidents {
         let e = by_detector.entry(i.detector).or_insert((0, 0, i));
         e.0 += 1;
         if i.value >= e.1 {
@@ -199,7 +198,7 @@ fn main() {
         report.admission_waits,
     );
 
-    let total = report.incidents.iter().filter(|i| !i.is_exec()).count();
+    let total = report.incidents.len();
     println!("\nincidents ({total}, by detector — peak firing shown with its evidence):");
     if by_detector.is_empty() {
         println!("  (none — the run stayed inside every detector's envelope)");

@@ -199,8 +199,8 @@ fn nic_based_scenario_counts() {
         "NIC-based scenario",
         &[
             ("events", report.metrics.get("engine.events"), 5_067),
-            ("allocations", heap.allocs, 970),
-            ("peak live bytes", heap.peak_bytes, 158_452),
+            ("allocations", heap.allocs, 938),
+            ("peak live bytes", heap.peak_bytes, 157_852),
         ],
     );
 }
@@ -213,7 +213,7 @@ fn host_based_scenario_counts() {
         "host-based scenario",
         &[
             ("events", report.metrics.get("engine.events"), 6_049),
-            ("allocations", heap.allocs, 1_330),
+            ("allocations", heap.allocs, 1_298),
         ],
     );
 }
@@ -227,7 +227,7 @@ fn workload_counts() {
         &[
             ("events", report.metrics.get("engine.events"), 76_917),
             ("allocations", heap.allocs, 2_912),
-            ("peak live bytes", heap.peak_bytes, 439_956),
+            ("peak live bytes", heap.peak_bytes, 439_948),
         ],
     );
 }
@@ -289,7 +289,7 @@ fn churn_workload_counts() {
         &[
             ("events", report.metrics.get("engine.events"), 74_379),
             ("allocations", heap.allocs, 6_817),
-            ("peak live bytes", heap.peak_bytes, 933_776),
+            ("peak live bytes", heap.peak_bytes, 933_768),
         ],
     );
 }
@@ -322,7 +322,7 @@ fn trace_workload_counts() {
         &[
             ("events", report.metrics.get("engine.events"), 78_751),
             ("build and run allocations", heap.allocs, 3_704),
-            ("build and run peak live bytes", heap.peak_bytes, 428_364),
+            ("build and run peak live bytes", heap.peak_bytes, 428_356),
         ],
     );
 }
@@ -379,12 +379,12 @@ fn observed_workload_counts() {
         &[
             ("events", harvest.metrics.get("engine.events"), 94_187),
             ("records kept", records, 153_460),
-            ("points kept", points, 58_194),
-            ("allocations", heap.allocs, 4_517),
-            ("peak live bytes", heap.peak_bytes, 35_221_628),
+            ("points kept", points, 56_860),
+            ("allocations", heap.allocs, 4_514),
+            ("peak live bytes", heap.peak_bytes, 35_221_172),
             ("incidents", incidents.len() as u64, 65),
-            ("analysis allocations", analysis.allocs, 378),
-            ("analysis peak live bytes", analysis.peak_bytes, 95_850),
+            ("analysis allocations", analysis.allocs, 377),
+            ("analysis peak live bytes", analysis.peak_bytes, 95_472),
             ("probe merge allocations", probe_merge.allocs, 0),
             ("probe merge peak live bytes", probe_merge.peak_bytes, 0),
             ("series merge allocations", series_merge.allocs, 2),

@@ -19,6 +19,12 @@
 //! * protection and scalability follow from GM itself: no centralized
 //!   credit manager, per-group state only.
 //!
+//! A closed-loop measurement (the paper's §6.1 methodology) has one path:
+//! a [`Scenario`] is validated by [`Scenario::build`] and run by
+//! [`BuiltScenario::run`] (or [`BuiltScenario::run_max_over_probes`] for
+//! the max-over-leaves figure). Sustained open-loop traffic over many
+//! groups is a [`Workload`].
+//!
 //! # Example: one multicast over a 8-node cluster
 //!
 //! ```
@@ -65,6 +71,5 @@ pub use workload::{
     WorkloadError, WorkloadGroup, WorkloadReport, MAX_GROUPS,
 };
 pub use workloads::{
-    build_cluster, env_shards, execute, execute_max_over_probes, AckMode, McastMode, McastRun,
-    RootApp, RunOutput, DATA_PORT, REPLY_PORT,
+    build_cluster, env_shards, AckMode, McastMode, McastRun, RootApp, DATA_PORT, REPLY_PORT,
 };

@@ -8,18 +8,22 @@
 //! one-shot [`DropRule`]s, the seeded [`ProtoMutation`] (if any) is threaded
 //! into [`GmParams`], and the delivery outcome is read back through the
 //! flow-lineage machinery ([`FlowGraph`] over `FLOW_DELIVERY` records) so
-//! model and implementation verdicts compare member-by-member.
+//! model and implementation verdicts compare member-by-member. A seeded bug
+//! may leave the multicast unfinished, so the replay drives the scenario's
+//! cluster itself ([`gm::drive`], [`gm::harvest`]) instead of
+//! [`BuiltScenario::run`](crate::BuiltScenario::run), which requires every
+//! iteration to complete.
 
 use std::collections::BTreeSet;
 
-use gm::{flow_tag, GmParams};
+use gm::{drive, flow_tag, harvest, GmParams};
 use gm_proto::ProtoMutation;
 use gm_sim::{FlowGraph, ProbeConfig};
 use myrinet::{DropRule, FaultPlan, NodeId, MTU};
 
 use crate::scenario::Scenario;
 use crate::tree::TreeShape;
-use crate::workloads::AckMode;
+use crate::workloads::{build_cluster, AckMode, RootApp};
 
 /// One targeted drop from a checker trace: the first wire transmission of
 /// the multicast data packet `seq` on the tree edge `src -> dst` is lost.
@@ -59,7 +63,7 @@ pub struct ReplayOutcome {
     /// Whether the root's `SendDone` completion notice arrived (every child
     /// acknowledged every packet).
     pub send_done: bool,
-    /// Multicast retransmissions summed over all NICs.
+    /// Retransmissions, multicast and unicast, summed over all NICs.
     pub retransmissions: u64,
 }
 
@@ -86,12 +90,11 @@ pub fn replay(spec: &ReplaySpec) -> ReplayOutcome {
         mutation: spec.mutation,
         ..GmParams::default()
     };
-    let report = Scenario::nic_based(spec.nodes)
+    let built = Scenario::nic_based(spec.nodes)
         .size(spec.packets as usize * MTU)
         .tree(TreeShape::Binomial)
         .warmup(0)
         .iters(1)
-        .allow_incomplete()
         .ack(AckMode::NicAck)
         .faults(FaultPlan {
             rules,
@@ -99,11 +102,15 @@ pub fn replay(spec: &ReplaySpec) -> ReplayOutcome {
         })
         .params(params)
         .probes(ProbeConfig::spans())
-        .run();
+        .build()
+        .unwrap_or_else(|e| panic!("invalid replay spec: {e}"));
+    let run = built.spec();
+    let mut driven = drive(build_cluster(run), run.shards);
+    let harvest = harvest(&mut driven);
     // Delivery verdict via causal lineage: the workload tags iteration 0
     // with tag 0, and each member's copy is the flow (root=0, tag, member).
     let tag = flow_tag(0);
-    let graph = FlowGraph::build(report.probe.as_slice());
+    let graph = FlowGraph::build(harvest.probe.as_slice());
     let delivered: BTreeSet<u32> = graph
         .delivered()
         .into_iter()
@@ -112,8 +119,9 @@ pub fn replay(spec: &ReplaySpec) -> ReplayOutcome {
         .collect();
     ReplayOutcome {
         delivered,
-        send_done: report.latency.count() == 1,
-        retransmissions: report.retransmissions,
+        send_done: driven.app::<RootApp>(run.root).windows().len() == 1,
+        retransmissions: harvest.metrics.get("nic.mcast_retransmissions")
+            + harvest.metrics.get("nic.retransmissions"),
     }
 }
 

@@ -1,12 +1,13 @@
 //! The scenario API: typed, validated construction of measurement runs.
 //!
-//! [`Scenario`] replaces the old pattern of mutating [`McastRun`] fields by
-//! hand. It validates everything at [`build`](Scenario::build) time (instead
-//! of panicking mid-run), resolves [`TreeShape::Auto`] against the
-//! calibrated postal model, and threads an observability configuration
-//! ([`ProbeConfig`]) through to the cluster, so one run returns a [`Report`]
-//! carrying latency statistics, a counter snapshot, the probe event history
-//! and a latency-attribution breakdown.
+//! [`Scenario`] is the one way to run a closed-loop collective: it
+//! validates everything at [`build`](Scenario::build) time (instead of
+//! panicking mid-run), resolves [`TreeShape::Auto`] against the calibrated
+//! postal model, and threads the observability configuration
+//! ([`ProbeConfig`], [`SeriesConfig`], [`WatchConfig`]) through to the
+//! cluster, so one [`BuiltScenario::run`] returns a [`Report`] carrying
+//! latency statistics, a counter snapshot, the probe event history and a
+//! latency-attribution breakdown.
 //!
 //! ```
 //! use nic_mcast::{ProbeConfig, Scenario, TreeShape};
@@ -26,13 +27,13 @@
 use gm::GmParams;
 use gm_sim::probe::{attribution::Attribution, ProbeConfig};
 use gm_sim::watch::Incident;
-use gm_sim::{SeriesConfig, SimTime, WatchConfig};
+use gm_sim::{OnlineStats, SeriesConfig, SimTime, WatchConfig};
 use myrinet::{FaultPlan, NetParams, NodeId, MAX_NODES};
 
 use crate::calibrate::auto_shape;
 use crate::group::McastConfig;
 use crate::tree::TreeShape;
-use crate::workloads::{execute, AckMode, McastMode, McastRun, RunOutput};
+use crate::workloads::{env_shards, execute, AckMode, McastMode, McastRun};
 
 /// A validated-at-build measurement scenario.
 ///
@@ -43,11 +44,13 @@ use crate::workloads::{execute, AckMode, McastMode, McastRun, RunOutput};
 /// message).
 #[derive(Clone, Debug)]
 pub struct Scenario {
+    /// Everything but the destinations and the probe, which `build` fills
+    /// in from the two fields below.
     run: McastRun,
-    probes: ProbeConfig,
-    series: SeriesConfig,
-    watch: WatchConfig,
-    dests_overridden: bool,
+    /// The caller's destination set; `None` is every node but the root.
+    dests: Option<Vec<NodeId>>,
+    /// The caller's probe node; `None` is the last destination.
+    probe: Option<NodeId>,
 }
 
 /// Why a [`Scenario`] failed to [`build`](Scenario::build).
@@ -109,16 +112,30 @@ impl Scenario {
     /// [`nic_based`](Scenario::nic_based) and
     /// [`host_based`](Scenario::host_based).
     pub fn new(n_nodes: u32, mode: McastMode) -> Scenario {
-        // Defer the < 2 check to build(); McastRun::new asserts, so build
-        // the run with a floor of 2 and remember the requested count.
-        let mut run = McastRun::new(n_nodes.max(2), 1024, mode, TreeShape::Auto);
-        run.n_nodes = n_nodes;
         Scenario {
-            run,
-            probes: ProbeConfig::off(),
-            series: SeriesConfig::off(),
-            watch: WatchConfig::off(),
-            dests_overridden: false,
+            run: McastRun {
+                n_nodes,
+                root: NodeId(0),
+                dests: Vec::new(),
+                size: 1024,
+                shape: TreeShape::Auto,
+                mode,
+                warmup: 20,
+                iters: 100,
+                probe: NodeId(0),
+                ack: AckMode::ProbeReply,
+                seed: 0x6D_6361_7374,
+                faults: FaultPlan::none(),
+                config: McastConfig::default(),
+                params: GmParams::default(),
+                net: NetParams::default(),
+                shards: env_shards(),
+                probes: ProbeConfig::off(),
+                series: SeriesConfig::off(),
+                watch: WatchConfig::off(),
+            },
+            dests: None,
+            probe: None,
         }
     }
 
@@ -171,8 +188,9 @@ impl Scenario {
         self
     }
 
-    /// The multicast root (destinations shift accordingly unless
-    /// explicitly overridden with [`dests`](Scenario::dests)).
+    /// The multicast root (the default destinations and probe follow it
+    /// unless set with [`dests`](Scenario::dests) and
+    /// [`probe_node`](Scenario::probe_node)).
     pub fn root(mut self, root: NodeId) -> Scenario {
         self.run.root = root;
         self
@@ -180,28 +198,20 @@ impl Scenario {
 
     /// Explicit destination set (default: every node but the root).
     pub fn dests(mut self, dests: Vec<NodeId>) -> Scenario {
-        self.run.dests = dests;
-        self.dests_overridden = true;
+        self.dests = Some(dests);
         self
     }
 
-    /// Which destination returns the application-level ack.
+    /// Which destination returns the application-level ack (default: the
+    /// last destination).
     pub fn probe_node(mut self, probe: NodeId) -> Scenario {
-        self.run.probe = probe;
+        self.probe = Some(probe);
         self
     }
 
     /// What ends an iteration at the root.
     pub fn ack(mut self, mode: AckMode) -> Scenario {
         self.run.ack = mode;
-        self
-    }
-
-    /// Tolerate a run that idles before every timed iteration completes
-    /// (used by `simcheck` counterexample replays, where non-completion
-    /// *is* the expected verdict of a seeded protocol bug).
-    pub fn allow_incomplete(mut self) -> Scenario {
-        self.run.allow_incomplete = true;
         self
     }
 
@@ -232,14 +242,14 @@ impl Scenario {
     /// Observability configuration (default: [`ProbeConfig::off`], which
     /// records nothing and allocates nothing).
     pub fn probes(mut self, config: ProbeConfig) -> Scenario {
-        self.probes = config;
+        self.run.probes = config;
         self
     }
 
     /// Gauge time-series configuration (default: [`SeriesConfig::off`],
     /// which records nothing and allocates nothing).
     pub fn series(mut self, config: SeriesConfig) -> Scenario {
-        self.series = config;
+        self.run.series = config;
         self
     }
 
@@ -251,7 +261,7 @@ impl Scenario {
     /// pair this with [`series`](Scenario::series) (and
     /// [`probes`](Scenario::probes) for causal flow evidence).
     pub fn watch(mut self, config: WatchConfig) -> Scenario {
-        self.watch = config;
+        self.run.watch = config;
         self
     }
 
@@ -270,10 +280,8 @@ impl Scenario {
     pub fn build(self) -> Result<BuiltScenario, ScenarioError> {
         let Scenario {
             mut run,
-            probes,
-            series,
-            watch,
-            dests_overridden,
+            dests,
+            probe,
         } = self;
         if run.n_nodes < 2 {
             return Err(ScenarioError::TooFewNodes(run.n_nodes));
@@ -281,19 +289,16 @@ impl Scenario {
         if run.n_nodes > MAX_NODES {
             return Err(ScenarioError::TooManyNodes(run.n_nodes));
         }
-        // A moved root regenerates the default destination/probe set.
-        if !dests_overridden {
-            run.dests = (0..run.n_nodes)
+        run.dests = dests.unwrap_or_else(|| {
+            (0..run.n_nodes)
                 .map(NodeId)
                 .filter(|&d| d != run.root)
-                .collect();
-            if !run.dests.contains(&run.probe) {
-                run.probe = *run.dests.last().expect("n_nodes >= 2");
-            }
-        }
-        if run.dests.is_empty() {
+                .collect()
+        });
+        let Some(&last) = run.dests.last() else {
             return Err(ScenarioError::NoDestinations);
-        }
+        };
+        run.probe = probe.unwrap_or(last);
         let mut sorted = run.dests.clone();
         sorted.sort_unstable();
         if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
@@ -335,12 +340,7 @@ impl Scenario {
                 McastMode::HostBased => TreeShape::Binomial,
             };
         }
-        Ok(BuiltScenario {
-            run,
-            probes,
-            series,
-            watch,
-        })
+        Ok(BuiltScenario { run })
     }
 
     /// Build and execute, returning the [`Report`].
@@ -359,9 +359,6 @@ impl Scenario {
 #[derive(Clone, Debug)]
 pub struct BuiltScenario {
     run: McastRun,
-    probes: ProbeConfig,
-    series: SeriesConfig,
-    watch: WatchConfig,
 }
 
 impl BuiltScenario {
@@ -370,23 +367,59 @@ impl BuiltScenario {
         &self.run
     }
 
-    /// Execute to completion.
+    /// Execute to completion: drive the cluster to quiescence, harvest
+    /// its counters and streams, and run the watch detectors when asked.
     pub fn run(&self) -> Report {
-        execute(&self.run, self.probes, self.series, self.watch)
+        execute(&self.run)
+    }
+
+    /// Execute once with each destination as the probe and keep the
+    /// slowest run by mean latency: the paper's max-over-leaves
+    /// methodology ("the maximum from all the tests was taken as the
+    /// multicast latency").
+    pub fn run_max_over_probes(&self) -> Report {
+        let mut worst: Option<Report> = None;
+        for &probe in &self.run.dests {
+            let report = execute(&McastRun {
+                probe,
+                ..self.run.clone()
+            });
+            if worst
+                .as_ref()
+                .is_none_or(|w| report.latency.mean() > w.latency.mean())
+            {
+                worst = Some(report);
+            }
+        }
+        worst.expect("a built scenario has a destination")
     }
 }
 
 /// Everything one scenario execution produced.
-///
-/// Dereferences to [`RunOutput`], so existing measurement code
-/// (`report.latency.mean()`, `report.retransmissions`, ...) keeps working.
 #[derive(Debug)]
 pub struct Report {
-    /// The latency measurements (also reachable through `Deref`).
-    pub output: RunOutput,
+    /// Per-iteration root-observed latency (µs): send post to probe ack.
+    pub latency: OnlineStats,
+    /// Median per-iteration latency (µs).
+    pub latency_p50: f64,
+    /// 99th-percentile per-iteration latency (µs).
+    pub latency_p99: f64,
+    /// Retransmissions across all NICs, multicast and unicast.
+    pub retransmissions: u64,
+    /// Height of the spanning tree used.
+    pub height: usize,
+    /// Average interior fan-out of the tree used.
+    pub avg_fanout: f64,
+    /// Total simulated time.
+    pub end_time: SimTime,
+    /// Total events dispatched (simulator health metric).
+    pub events: u64,
+    /// Fraction of the run the root's injection link spent serializing
+    /// (the bottleneck the tree shape manages).
+    pub root_link_utilization: f64,
     /// Counter snapshot: `nic.*` (summed over nodes), `fabric.*`,
-    /// `engine.events`, `probe.*`/`series.*` (sink health) and — on sharded
-    /// runs — `parallel.*` execution statistics.
+    /// `engine.events` and — on sharded runs — `parallel.*` execution
+    /// statistics.
     pub metrics: gm_sim::Metrics,
     /// The recorded probe events (empty unless probes were enabled).
     pub probe: gm_sim::ProbeSink,
@@ -400,13 +433,6 @@ pub struct Report {
     /// Health incidents the watch detectors raised over the run, in
     /// canonical order (empty unless watch was enabled).
     pub incidents: Vec<Incident>,
-}
-
-impl std::ops::Deref for Report {
-    type Target = RunOutput;
-    fn deref(&self) -> &RunOutput {
-        &self.output
-    }
 }
 
 #[cfg(test)]
@@ -483,6 +509,17 @@ mod tests {
                 .unwrap_err(),
             ScenarioError::DuplicateDestination(NodeId(1))
         );
+        // An explicit probe is checked against the default destinations
+        // too, never swapped for one of them.
+        for probe in [NodeId(0), NodeId(9)] {
+            assert_eq!(
+                Scenario::nic_based(4)
+                    .probe_node(probe)
+                    .build()
+                    .unwrap_err(),
+                ScenarioError::ProbeNotADestination(probe)
+            );
+        }
     }
 
     #[test]

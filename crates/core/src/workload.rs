@@ -1284,9 +1284,7 @@ impl WorkloadReport {
     }
 
     /// The health-incident stream as one deterministic JSON array:
-    /// byte-identical across shard counts and executions of the same seed
-    /// (execution-diagnostic `exec_*` incidents are excluded, exactly as
-    /// `exec_*` gauges are excluded from parity surfaces).
+    /// byte-identical across shard counts and executions of the same seed.
     pub fn health_json(&self) -> String {
         watch::summary_json(&self.incidents)
     }

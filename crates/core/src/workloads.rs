@@ -54,7 +54,8 @@ pub enum AckMode {
     NicAck,
 }
 
-/// Full specification of one measurement run.
+/// Full specification of one measurement run, as
+/// [`Scenario::build`](crate::Scenario::build) resolves it.
 #[derive(Clone, Debug)]
 pub struct McastRun {
     /// Cluster size (nodes are 0..n).
@@ -93,12 +94,12 @@ pub struct McastRun {
     /// identical either way; infeasible configurations (targeted drop
     /// rules, indivisible topologies) silently fall back to sequential.
     pub shards: u32,
-    /// Tolerate a run that idles before every timed iteration completes
-    /// (normally an assertion failure). `simcheck` counterexample replays
-    /// set this: a protocol bug that kills retransmission shows up as the
-    /// cluster going idle with the multicast unfinished, and the caller
-    /// reads the verdict from the completion count and flow lineage.
-    pub allow_incomplete: bool,
+    /// Probe recording.
+    pub probes: ProbeConfig,
+    /// Gauge time-series recording.
+    pub series: SeriesConfig,
+    /// Health detectors, run over the finished run's streams.
+    pub watch: WatchConfig,
 }
 
 /// The `MYRI_SIM_SHARDS` default: unset, empty or unparsable means 1.
@@ -109,62 +110,10 @@ pub fn env_shards() -> u32 {
         .unwrap_or(1)
 }
 
-impl McastRun {
-    /// A run with the paper's defaults: root 0, all other nodes as
-    /// destinations, probing the last destination.
-    pub fn new(n_nodes: u32, size: usize, mode: McastMode, shape: TreeShape) -> Self {
-        assert!(n_nodes >= 2);
-        let dests: Vec<NodeId> = (1..n_nodes).map(NodeId).collect();
-        McastRun {
-            n_nodes,
-            root: NodeId(0),
-            probe: *dests.last().expect("nonempty"),
-            dests,
-            size,
-            shape,
-            mode,
-            warmup: 20,
-            iters: 100,
-            ack: AckMode::ProbeReply,
-            seed: 0x6D_6361_7374,
-            faults: FaultPlan::none(),
-            config: McastConfig::default(),
-            params: GmParams::default(),
-            net: NetParams::default(),
-            shards: env_shards(),
-            allow_incomplete: false,
-        }
-    }
-}
-
-/// Everything measured in one run.
-#[derive(Clone, Debug)]
-pub struct RunOutput {
-    /// Per-iteration root-observed latency (µs): send post to probe ack.
-    pub latency: OnlineStats,
-    /// Median per-iteration latency (µs).
-    pub latency_p50: f64,
-    /// 99th-percentile per-iteration latency (µs).
-    pub latency_p99: f64,
-    /// Multicast retransmissions across all NICs.
-    pub retransmissions: u64,
-    /// The spanning tree used.
-    pub height: usize,
-    /// Average interior fan-out of the tree used.
-    pub avg_fanout: f64,
-    /// Total simulated time.
-    pub end_time: SimTime,
-    /// Total events dispatched (simulator health metric).
-    pub events: u64,
-    /// Fraction of the run the root's injection link spent serializing
-    /// (the bottleneck the tree shape manages).
-    pub root_link_utilization: f64,
-}
-
 /// The root's app: it runs the iterations and keeps the window of each
-/// timed one, from which [`execute`] derives the latency statistics. A
-/// caller that runs a [`build_cluster`] cluster itself reads
-/// `Driven::app::<RootApp>(run.root)`.
+/// timed one, from which [`BuiltScenario::run`](crate::BuiltScenario::run)
+/// derives the latency statistics. A caller that runs a [`build_cluster`]
+/// cluster itself reads `Driven::app::<RootApp>(run.root)`.
 pub struct RootApp {
     run: McastRun,
     tree: SpanningTree,
@@ -320,7 +269,8 @@ impl HostApp<McastExt> for DestApp {
     }
 }
 
-/// Build the cluster for a run (exposed for tests that want to poke the
+/// Build the cluster for a run, its probe and series sinks and its shard
+/// weights set from `run` (exposed for tests that want to poke the
 /// cluster); the root's [`RootApp`] keeps the measurements.
 pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
     assert!(
@@ -335,18 +285,16 @@ pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
     let mut cluster = Cluster::new(run.params.clone(), fabric, |_| {
         McastExt::with_config(config)
     });
-    cluster.set_app(
-        run.root,
-        Box::new(RootApp {
-            run: run.clone(),
-            tree: tree.clone(),
-            gid,
-            iter: 0,
-            t_start: SimTime::ZERO,
-            pending: 0,
-            windows: Vec::new(),
-        }),
-    );
+    cluster.set_probes(run.probes);
+    cluster.set_series(run.series);
+    // Shard placement cost model for the single-collective path: every
+    // participant handles each message once, plus one replica per child it
+    // forwards to; bystander nodes idle at weight 1.
+    let mut weights = vec![1u64; cluster.n_nodes() as usize];
+    for node in std::iter::once(run.root).chain(run.dests.iter().copied()) {
+        weights[node.idx()] += 1 + tree.children(node).len() as u64;
+    }
+    cluster.set_partition_weights(weights);
     for &d in &run.dests {
         cluster.set_app(
             d,
@@ -358,44 +306,37 @@ pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
             }),
         );
     }
+    cluster.set_app(
+        run.root,
+        Box::new(RootApp {
+            run: run.clone(),
+            tree,
+            gid,
+            iter: 0,
+            t_start: SimTime::ZERO,
+            pending: 0,
+            windows: Vec::new(),
+        }),
+    );
     cluster
 }
 
 /// Execute one run: build the cluster, drive it to quiescence (sharded
 /// when `run.shards > 1`), harvest counters and the merged probe/series
-/// streams, and — when `watch` is enabled — evaluate the built-in detector
-/// set (thresholds derived from the run's [`GmParams`], see
+/// streams, and — when `run.watch` is enabled — evaluate the built-in
+/// detector set (thresholds derived from the run's [`GmParams`], see
 /// `GmParams::watch_detectors`) into incidents with flow/critical-path
-/// evidence attached. This is the single execution path behind
-/// [`Scenario`](crate::Scenario).
-pub fn execute(
-    run: &McastRun,
-    probes: ProbeConfig,
-    series: SeriesConfig,
-    watch: WatchConfig,
-) -> Report {
-    let tree = SpanningTree::build(run.root, &run.dests, run.shape);
-    let mut cluster = build_cluster(run);
-    cluster.set_probes(probes);
-    cluster.set_series(series);
-    // Shard placement cost model for the single-collective path: every
-    // participant handles each message once, plus one replica per child it
-    // forwards to; bystander nodes idle at weight 1.
-    let mut weights = vec![1u64; cluster.n_nodes() as usize];
-    for node in std::iter::once(run.root).chain(run.dests.iter().copied()) {
-        weights[node.idx()] += 1 + tree.children(node).len() as u64;
-    }
-    cluster.set_partition_weights(weights);
-
-    let mut driven = drive(cluster, run.shards);
+/// evidence attached. Panics unless every timed iteration completes.
+pub(crate) fn execute(run: &McastRun) -> Report {
+    let mut driven = drive(build_cluster(run), run.shards);
     let harvest = harvest(&mut driven);
 
-    let windows = driven.app::<RootApp>(run.root).windows.clone();
-    assert!(
-        run.allow_incomplete || windows.len() == run.iters as usize,
-        "not every timed iteration completed ({} of {})",
+    let root = driven.app::<RootApp>(run.root);
+    let windows = root.windows.clone();
+    assert_eq!(
         windows.len(),
-        run.iters
+        run.iters as usize,
+        "not every timed iteration completed"
     );
     let mut latencies: Vec<SimDuration> = windows.iter().map(|&(start, end)| end - start).collect();
     let mut latency = OnlineStats::new();
@@ -413,23 +354,22 @@ pub fn execute(
     } else {
         0.0
     };
-    let output = RunOutput {
+    let incidents = analyze(&run.watch, &run.params, &harvest, now, Vec::new());
+    let attribution = run
+        .probes
+        .is_enabled()
+        .then(|| attribution::attribute(harvest.probe.as_slice(), &windows));
+    Report {
         latency,
         latency_p50: percentile_us(&latencies, 50.0),
         latency_p99: percentile_us(&latencies, 99.0),
         retransmissions: harvest.metrics.get("nic.mcast_retransmissions")
             + harvest.metrics.get("nic.retransmissions"),
-        height: tree.height(),
-        avg_fanout: tree.avg_fanout(),
+        height: root.tree.height(),
+        avg_fanout: root.tree.avg_fanout(),
         end_time: now,
         events: driven.events,
         root_link_utilization,
-    };
-    let incidents = analyze(&watch, &run.params, &harvest, now, Vec::new());
-    let attribution = (probes.is_enabled() && !windows.is_empty())
-        .then(|| attribution::attribute(harvest.probe.as_slice(), &windows));
-    Report {
-        output,
         metrics: harvest.metrics,
         probe: harvest.probe,
         windows,
@@ -450,50 +390,19 @@ fn percentile_us(sorted: &[SimDuration], p: f64) -> f64 {
     sorted[k - 1].as_micros_f64().trunc() + 1.0
 }
 
-/// Run once per destination as the probe and keep the slowest (the paper's
-/// max-over-leaves methodology).
-pub fn execute_max_over_probes(run: &McastRun) -> RunOutput {
-    let mut worst: Option<RunOutput> = None;
-    for &probe in &run.dests {
-        let mut r = run.clone();
-        r.probe = probe;
-        let out = execute(
-            &r,
-            ProbeConfig::off(),
-            SeriesConfig::off(),
-            WatchConfig::off(),
-        )
-        .output;
-        let better = worst
-            .as_ref()
-            .is_none_or(|w| out.latency.mean() > w.latency.mean());
-        if better {
-            worst = Some(out);
-        }
-    }
-    worst.expect("at least one destination")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn execute(run: &McastRun) -> RunOutput {
-        super::execute(
-            run,
-            ProbeConfig::off(),
-            SeriesConfig::off(),
-            WatchConfig::off(),
-        )
-        .output
-    }
+    use crate::Scenario;
 
     #[test]
     fn nic_based_flat_multisend_completes() {
-        let mut run = McastRun::new(5, 64, McastMode::NicBased, TreeShape::Flat);
-        run.warmup = 2;
-        run.iters = 5;
-        let out = execute(&run);
+        let out = Scenario::nic_based(5)
+            .size(64)
+            .tree(TreeShape::Flat)
+            .warmup(2)
+            .iters(5)
+            .run();
         assert_eq!(out.latency.count(), 5);
         assert!(out.latency.mean() > 0.0);
         assert_eq!(out.retransmissions, 0);
@@ -502,38 +411,36 @@ mod tests {
 
     #[test]
     fn host_based_binomial_completes() {
-        let mut run = McastRun::new(8, 256, McastMode::HostBased, TreeShape::Binomial);
-        run.warmup = 2;
-        run.iters = 5;
-        let out = execute(&run);
+        let out = Scenario::host_based(8)
+            .size(256)
+            .tree(TreeShape::Binomial)
+            .warmup(2)
+            .iters(5)
+            .run();
         assert_eq!(out.latency.count(), 5);
         assert!(out.height >= 3);
     }
 
     #[test]
     fn nic_based_beats_host_based_small_messages_16_nodes() {
-        let nb = {
-            let mut r = McastRun::new(
-                16,
-                64,
-                McastMode::NicBased,
-                TreeShape::Postal(crate::calibrate::postal_for_size(
-                    64,
-                    &GmParams::default(),
-                    &NetParams::default(),
-                    2,
-                )),
-            );
-            r.warmup = 3;
-            r.iters = 10;
-            execute(&r).latency.mean()
-        };
-        let hb = {
-            let mut r = McastRun::new(16, 64, McastMode::HostBased, TreeShape::Binomial);
-            r.warmup = 3;
-            r.iters = 10;
-            execute(&r).latency.mean()
-        };
+        let postal =
+            crate::calibrate::postal_for_size(64, &GmParams::default(), &NetParams::default(), 2);
+        let nb = Scenario::nic_based(16)
+            .size(64)
+            .tree(TreeShape::Postal(postal))
+            .warmup(3)
+            .iters(10)
+            .run()
+            .latency
+            .mean();
+        let hb = Scenario::host_based(16)
+            .size(64)
+            .tree(TreeShape::Binomial)
+            .warmup(3)
+            .iters(10)
+            .run()
+            .latency
+            .mean();
         assert!(
             nb < hb,
             "NIC-based ({nb:.2}us) should beat host-based ({hb:.2}us)"
@@ -542,16 +449,17 @@ mod tests {
 
     #[test]
     fn percentiles_are_consistent_and_loss_fattens_the_tail() {
-        let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
-        run.warmup = 2;
-        run.iters = 60;
-        let clean = execute(&run);
+        let run = Scenario::nic_based(8)
+            .size(512)
+            .tree(TreeShape::Binomial)
+            .warmup(2)
+            .iters(60);
+        let clean = run.clone().run();
         assert!(clean.latency_p50 <= clean.latency_p99);
         assert!(clean.latency_p50 > 0.0);
         // Clean runs are deterministic: the distribution is a spike.
         assert!(clean.latency_p99 - clean.latency_p50 < 2.0);
-        run.faults = FaultPlan::with_loss(0.02);
-        let lossy = execute(&run);
+        let lossy = run.faults(FaultPlan::with_loss(0.02)).run();
         assert!(
             lossy.latency_p99 > lossy.latency_p50 * 5.0,
             "timeout recoveries must fatten the tail: p50 {:.1} p99 {:.1}",
@@ -585,23 +493,29 @@ mod tests {
 
     #[test]
     fn survives_random_loss() {
-        let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
-        run.warmup = 1;
-        run.iters = 10;
-        run.faults = FaultPlan::with_loss(0.05);
-        let out = execute(&run);
+        let out = Scenario::nic_based(8)
+            .size(512)
+            .tree(TreeShape::Binomial)
+            .warmup(1)
+            .iters(10)
+            .faults(FaultPlan::with_loss(0.05))
+            .run();
         assert_eq!(out.latency.count(), 10);
         assert!(out.retransmissions > 0, "loss must trigger retransmissions");
     }
 
     #[test]
     fn deterministic_across_executions() {
-        let mut run = McastRun::new(6, 128, McastMode::NicBased, TreeShape::Binomial);
-        run.warmup = 1;
-        run.iters = 5;
-        run.faults = FaultPlan::with_loss(0.02);
-        let a = execute(&run);
-        let b = execute(&run);
+        let run = Scenario::nic_based(6)
+            .size(128)
+            .tree(TreeShape::Binomial)
+            .warmup(1)
+            .iters(5)
+            .faults(FaultPlan::with_loss(0.02))
+            .build()
+            .expect("valid scenario");
+        let a = run.run();
+        let b = run.run();
         assert_eq!(a.latency.mean(), b.latency.mean());
         assert_eq!(a.events, b.events);
         assert_eq!(a.end_time, b.end_time);

@@ -7,9 +7,7 @@ use gm_sim::probe::{ProbeConfig, PKT_DROP};
 use gm_sim::watch::{CLUSTER_NODE, MAX_EVIDENCE_FLOWS};
 use gm_sim::{FlowGraph, FlowId, ProbeEvent, SeriesConfig, SimDuration, WatchConfig};
 use myrinet::FaultPlan;
-use nic_mcast::{
-    execute, ArrivalProcess, FanoutDist, McastMode, McastRun, StopCondition, TreeShape, Workload,
-};
+use nic_mcast::{ArrivalProcess, FanoutDist, Scenario, StopCondition, TreeShape, Workload};
 
 /// Collective-release flows (`BARRIER_TAG_BIT` folded onto tag bit 30 by
 /// `gm::flow_tag`) deliver through extension notices, not app receives, so
@@ -23,15 +21,13 @@ fn is_data_flow(f: FlowId) -> bool {
 /// sum *exactly* to the window length (the iteration's completion latency).
 #[test]
 fn nic_broadcast_16x4k_buckets_sum_to_completion_latency() {
-    let mut run = McastRun::new(16, 4096, McastMode::NicBased, TreeShape::KAry(2));
-    run.warmup = 1;
-    run.iters = 4;
-    let out = execute(
-        &run,
-        ProbeConfig::spans(),
-        SeriesConfig::off(),
-        WatchConfig::off(),
-    );
+    let out = Scenario::nic_based(16)
+        .size(4096)
+        .tree(TreeShape::KAry(2))
+        .warmup(1)
+        .iters(4)
+        .probes(ProbeConfig::spans())
+        .run();
     assert_eq!(out.windows.len(), 4);
     let events = out.probe.to_vec();
     let graph = FlowGraph::build(&events);
@@ -65,18 +61,16 @@ fn nic_broadcast_16x4k_buckets_sum_to_completion_latency() {
 /// extra records on the same hop, not as a broken chain.
 #[test]
 fn lossy_go_back_n_keeps_retransmitted_hops_in_lineage() {
-    let mut run = McastRun::new(8, 2048, McastMode::NicBased, TreeShape::KAry(2));
-    run.warmup = 1;
-    run.iters = 6;
-    run.faults = FaultPlan::with_loss(0.08);
-    let out = execute(
-        &run,
-        ProbeConfig::spans(),
-        SeriesConfig::off(),
-        WatchConfig::off(),
-    );
+    let out = Scenario::nic_based(8)
+        .size(2048)
+        .tree(TreeShape::KAry(2))
+        .warmup(1)
+        .iters(6)
+        .faults(FaultPlan::with_loss(0.08))
+        .probes(ProbeConfig::spans())
+        .run();
     assert!(
-        out.output.retransmissions > 0,
+        out.retransmissions > 0,
         "loss plan must actually trigger Go-Back-N"
     );
     let events = out.probe.to_vec();

@@ -7,17 +7,22 @@
 //! comparing the full protocol traces event-for-event.
 
 use gm_sim::probe::{ProbeConfig, ProbeEvent};
-use nic_mcast::{build_cluster, McastMode, McastRun, TreeShape};
+use nic_mcast::{build_cluster, Scenario, TreeShape};
 
 /// Run `run` to completion with probes on and return the event history.
-fn traced_events(run: &McastRun) -> Vec<ProbeEvent> {
-    let mut cluster = build_cluster(run);
-    cluster.set_probes(ProbeConfig::spans());
+fn traced_events(run: &Scenario) -> Vec<ProbeEvent> {
+    let built = run
+        .clone()
+        .probes(ProbeConfig::spans())
+        .build()
+        .expect("valid scenario");
     // `drive` fails a run that does not converge.
-    gm::drive(cluster, 1).worlds[0].probe.to_vec()
+    gm::drive(build_cluster(built.spec()), 1).worlds[0]
+        .probe
+        .to_vec()
 }
 
-fn assert_deterministic(run: &McastRun) {
+fn assert_deterministic(run: &Scenario) {
     let a = traced_events(run);
     let b = traced_events(run);
     assert!(!a.is_empty(), "trace should record protocol activity");
@@ -33,17 +38,21 @@ fn assert_deterministic(run: &McastRun) {
 
 #[test]
 fn nic_based_runs_are_bit_for_bit_identical() {
-    let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::KAry(2));
-    run.warmup = 2;
-    run.iters = 3;
+    let run = Scenario::nic_based(8)
+        .size(1024)
+        .tree(TreeShape::KAry(2))
+        .warmup(2)
+        .iters(3);
     assert_deterministic(&run);
 }
 
 #[test]
 fn host_based_runs_are_bit_for_bit_identical() {
-    let mut run = McastRun::new(6, 256, McastMode::HostBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 2;
+    let run = Scenario::host_based(6)
+        .size(256)
+        .tree(TreeShape::Binomial)
+        .warmup(1)
+        .iters(2);
     assert_deterministic(&run);
 }
 
@@ -51,10 +60,12 @@ fn host_based_runs_are_bit_for_bit_identical() {
 fn runs_with_faults_are_bit_for_bit_identical() {
     // Fault draws come from the seeded RNG, so even lossy runs must replay
     // exactly (Go-Back-N retransmissions included).
-    let mut run = McastRun::new(8, 2048, McastMode::NicBased, TreeShape::KAry(2));
-    run.warmup = 1;
-    run.iters = 3;
-    run.faults.drop_prob = 0.05;
+    let run = Scenario::nic_based(8)
+        .size(2048)
+        .tree(TreeShape::KAry(2))
+        .warmup(1)
+        .iters(3)
+        .loss(0.05);
     assert_deterministic(&run);
 }
 
@@ -64,33 +75,21 @@ fn sharded_caller_mode_is_deterministic_and_matches_sequential() {
     // the calling-thread window loop, and with more cores the threaded one.
     // Either way the canonical Report observables must agree with the
     // one-shard run.
-    use gm_sim::{SeriesConfig, WatchConfig};
-    use nic_mcast::execute;
-    let observe = |run: &McastRun| {
-        execute(
-            run,
-            ProbeConfig::spans(),
-            SeriesConfig::off(),
-            WatchConfig::off(),
-        )
-    };
-
-    let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 3;
-    run.faults.drop_prob = 0.02;
-    run.shards = 1;
-    let seq = observe(&run);
-    run.shards = 4;
-    let par1 = observe(&run);
-    let par2 = observe(&run);
+    let run = Scenario::nic_based(8)
+        .size(1024)
+        .tree(TreeShape::Binomial)
+        .warmup(1)
+        .iters(3)
+        .loss(0.02)
+        .probes(ProbeConfig::spans());
+    let seq = run.clone().shards(1).run();
+    let sharded = run.shards(4).build().expect("valid scenario");
+    let par1 = sharded.run();
+    let par2 = sharded.run();
     for par in [&par1, &par2] {
-        assert_eq!(seq.output.events, par.output.events);
-        assert_eq!(seq.output.end_time, par.output.end_time);
-        assert_eq!(
-            seq.output.latency.mean().to_bits(),
-            par.output.latency.mean().to_bits()
-        );
+        assert_eq!(seq.events, par.events);
+        assert_eq!(seq.end_time, par.end_time);
+        assert_eq!(seq.latency.mean().to_bits(), par.latency.mean().to_bits());
         // `parallel.*` is execution diagnostics (only present on sharded
         // runs); everything else must match the sequential run exactly.
         assert_eq!(seq.metrics, par.metrics.without_layer("parallel"));

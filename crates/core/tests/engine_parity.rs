@@ -15,11 +15,10 @@
 use std::sync::Mutex;
 
 use gm_sim::probe::ProbeConfig;
-use gm_sim::{set_queue_override, QueueKind, SeriesConfig, SimTime, WatchConfig};
+use gm_sim::{set_queue_override, QueueKind, SeriesConfig, SimTime};
 use myrinet::FaultPlan;
 use nic_mcast::{
-    execute, ArrivalProcess, FanoutDist, McastMode, McastRun, Report, StopCondition, TreeShape,
-    Workload,
+    ArrivalProcess, FanoutDist, McastMode, Report, Scenario, StopCondition, TreeShape, Workload,
 };
 use proptest::prelude::*;
 
@@ -35,46 +34,36 @@ fn with_queue<T>(kind: QueueKind, f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn run_observed(run: &McastRun, shards: u32) -> Report {
-    let mut r = run.clone();
-    r.shards = shards;
-    execute(
-        &r,
-        ProbeConfig::spans(),
-        SeriesConfig::on(),
-        WatchConfig::off(),
-    )
+fn run_observed(run: &Scenario, shards: u32) -> Report {
+    run.clone()
+        .shards(shards)
+        .probes(ProbeConfig::spans())
+        .series(SeriesConfig::on())
+        .run()
 }
 
-/// Everything observable about a run, flattened for equality. `exec_*`
-/// gauges describe the execution itself and are excluded, as in
-/// `parallel_parity.rs`; everything else must match to the bit.
+/// Everything observable about a run, flattened for equality: the whole
+/// gauge series included, everything must match to the bit.
 type SeriesPoints = Vec<(SimTime, u32, &'static str, u64)>;
 
 fn observables(o: &Report) -> (Vec<u64>, u64, u64, SeriesPoints) {
     let latency_bits = vec![
-        o.output.latency.mean().to_bits(),
-        o.output.latency_p50.to_bits(),
-        o.output.latency_p99.to_bits(),
-        o.output.root_link_utilization.to_bits(),
+        o.latency.mean().to_bits(),
+        o.latency_p50.to_bits(),
+        o.latency_p99.to_bits(),
+        o.root_link_utilization.to_bits(),
     ];
     let series = o
         .series
         .iter()
-        .filter(|p| !p.gauge().starts_with("exec_"))
         .map(|p| (p.time(), p.node(), p.gauge(), p.value()))
         .collect();
-    (
-        latency_bits,
-        o.output.events,
-        o.output.retransmissions,
-        series,
-    )
+    (latency_bits, o.events, o.retransmissions, series)
 }
 
 /// `run` on the wheel and on the reference heap must agree exactly at
 /// every shard count in `shard_counts`.
-fn assert_queue_invariant(run: &McastRun, shard_counts: &[u32]) {
+fn assert_queue_invariant(run: &Scenario, shard_counts: &[u32]) {
     let guard = QUEUE_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -82,7 +71,7 @@ fn assert_queue_invariant(run: &McastRun, shard_counts: &[u32]) {
         let wheel = with_queue(QueueKind::Wheel, || run_observed(run, shards));
         let heap = with_queue(QueueKind::Heap, || run_observed(run, shards));
         assert_eq!(
-            wheel.output.end_time, heap.output.end_time,
+            wheel.end_time, heap.end_time,
             "end time diverges at {shards} shards"
         );
         let (pa, pb) = (wheel.probe.to_vec(), heap.probe.to_vec());
@@ -110,9 +99,11 @@ fn assert_queue_invariant(run: &McastRun, shard_counts: &[u32]) {
 
 #[test]
 fn wheel_matches_heap_headline_config() {
-    let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 2;
-    run.iters = 4;
+    let run = Scenario::nic_based(8)
+        .size(1024)
+        .tree(TreeShape::Binomial)
+        .warmup(2)
+        .iters(4);
     assert_queue_invariant(&run, &[1, 2, 4]);
 }
 
@@ -121,10 +112,12 @@ fn wheel_matches_heap_under_loss() {
     // Retransmission timers sit in the wheel's far heap and migrate into
     // its ring as the window slides; their Go-Back-N bursts put heavy
     // same-instant pressure on the queue.
-    let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 6;
-    run.faults = FaultPlan::with_loss(0.05);
+    let run = Scenario::nic_based(8)
+        .size(512)
+        .tree(TreeShape::Binomial)
+        .warmup(1)
+        .iters(6)
+        .faults(FaultPlan::with_loss(0.05));
     assert_queue_invariant(&run, &[1, 4]);
 }
 
@@ -173,12 +166,14 @@ proptest! {
         shards in 1u32..5,
     ) {
         let mode = if host_based { McastMode::HostBased } else { McastMode::NicBased };
-        let mut run = McastRun::new(n, size, mode, TreeShape::KAry(shape_k));
-        run.warmup = 1;
-        run.iters = 3;
-        run.seed = seed;
+        let mut run = Scenario::new(n, mode)
+            .size(size)
+            .tree(TreeShape::KAry(shape_k))
+            .warmup(1)
+            .iters(3)
+            .seed(seed);
         if loss_on {
-            run.faults = FaultPlan::with_loss(0.03);
+            run = run.faults(FaultPlan::with_loss(0.03));
         }
         assert_queue_invariant(&run, &[shards]);
     }

@@ -10,68 +10,51 @@
 //! `lockstep_windows_keep_both_shards_busy` runs both loops on any host.
 
 use gm_sim::probe::ProbeConfig;
-use gm_sim::{FlowGraph, SeriesConfig, SimTime, WatchConfig};
+use gm_sim::{FlowGraph, SeriesConfig, SeriesSink, SimTime, WatchConfig};
 use myrinet::{DropRule, FaultPlan, NodeId};
 use nic_mcast::{
-    execute, ArrivalProcess, FanoutDist, McastMode, McastRun, Report, StopCondition, TreeShape,
-    Workload,
+    ArrivalProcess, FanoutDist, McastMode, Report, Scenario, StopCondition, TreeShape, Workload,
 };
 use proptest::prelude::*;
 
-fn run_with_shards(run: &McastRun, shards: u32, probes: ProbeConfig) -> Report {
-    let mut r = run.clone();
-    r.shards = shards;
-    execute(&r, probes, SeriesConfig::on(), WatchConfig::off())
+fn run_with_shards(run: &Scenario, shards: u32) -> Report {
+    run.clone()
+        .shards(shards)
+        .probes(ProbeConfig::spans())
+        .series(SeriesConfig::on())
+        .run()
 }
 
-/// The mode-independent slice of the gauge series: everything except
-/// `exec_*` gauges, which describe the execution itself (per-shard queue
-/// depths) and legitimately differ. `seq` is excluded too — renumbering
-/// interleaves differently once exec points are removed.
-fn sim_series(o: &Report) -> Vec<(SimTime, u32, &'static str, u64)> {
-    o.series
+/// The whole gauge series, flattened for equality: every gauge is
+/// simulated state, so every point must match at any shard count.
+fn gauge_points(series: &SeriesSink) -> Vec<(SimTime, u32, &'static str, u64)> {
+    series
         .iter()
-        .filter(|p| !p.gauge().starts_with("exec_"))
         .map(|p| (p.time(), p.node(), p.gauge(), p.value()))
         .collect()
 }
 
 /// Every observable of the two runs must match exactly (floats compared
 /// by bit pattern — "close" is not good enough).
-fn assert_bit_identical(run: &McastRun, shards: u32) {
-    let a = run_with_shards(run, 1, ProbeConfig::spans());
-    let b = run_with_shards(run, shards, ProbeConfig::spans());
+fn assert_bit_identical(run: &Scenario, shards: u32) {
+    let a = run_with_shards(run, 1);
+    let b = run_with_shards(run, shards);
+    assert_eq!(a.latency.count(), b.latency.count(), "iteration count");
     assert_eq!(
-        a.output.latency.count(),
-        b.output.latency.count(),
-        "iteration count"
-    );
-    assert_eq!(
-        a.output.latency.mean().to_bits(),
-        b.output.latency.mean().to_bits(),
+        a.latency.mean().to_bits(),
+        b.latency.mean().to_bits(),
         "mean latency: seq {} vs sharded {}",
-        a.output.latency.mean(),
-        b.output.latency.mean()
+        a.latency.mean(),
+        b.latency.mean()
     );
+    assert_eq!(a.latency_p50.to_bits(), b.latency_p50.to_bits(), "p50");
+    assert_eq!(a.latency_p99.to_bits(), b.latency_p99.to_bits(), "p99");
+    assert_eq!(a.retransmissions, b.retransmissions, "retransmissions");
+    assert_eq!(a.end_time, b.end_time, "end time");
+    assert_eq!(a.events, b.events, "dispatched event count");
     assert_eq!(
-        a.output.latency_p50.to_bits(),
-        b.output.latency_p50.to_bits(),
-        "p50"
-    );
-    assert_eq!(
-        a.output.latency_p99.to_bits(),
-        b.output.latency_p99.to_bits(),
-        "p99"
-    );
-    assert_eq!(
-        a.output.retransmissions, b.output.retransmissions,
-        "retransmissions"
-    );
-    assert_eq!(a.output.end_time, b.output.end_time, "end time");
-    assert_eq!(a.output.events, b.output.events, "dispatched event count");
-    assert_eq!(
-        a.output.root_link_utilization.to_bits(),
-        b.output.root_link_utilization.to_bits(),
+        a.root_link_utilization.to_bits(),
+        b.root_link_utilization.to_bits(),
         "root link utilization"
     );
     // `parallel.*` is execution diagnostics, present only on sharded runs.
@@ -86,7 +69,11 @@ fn assert_bit_identical(run: &McastRun, shards: u32) {
     for (i, (x, y)) in pa.iter().zip(pb.iter()).enumerate() {
         assert_eq!(x, y, "probe streams diverge at event {i}");
     }
-    assert_eq!(sim_series(&a), sim_series(&b), "gauge time-series");
+    assert_eq!(
+        gauge_points(&a.series),
+        gauge_points(&b.series),
+        "gauge time-series"
+    );
 
     // Lineage parity: the causal structure reconstructed from both streams
     // must agree flow-for-flow, and the critical path of every measured
@@ -111,9 +98,11 @@ fn assert_bit_identical(run: &McastRun, shards: u32) {
 
 #[test]
 fn crossbar_nic_based_matches_across_shard_counts() {
-    let mut run = McastRun::new(8, 1024, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 2;
-    run.iters = 4;
+    let run = Scenario::nic_based(8)
+        .size(1024)
+        .tree(TreeShape::Binomial)
+        .warmup(2)
+        .iters(4);
     for shards in [2, 4, 8] {
         assert_bit_identical(&run, shards);
     }
@@ -123,18 +112,22 @@ fn crossbar_nic_based_matches_across_shard_counts() {
 fn clos_topology_shards_along_leaves() {
     // 32 nodes is a two-stage Clos: partitions must align on leaf switches
     // and the lookahead doubles. Both are exercised here.
-    let mut run = McastRun::new(32, 512, McastMode::NicBased, TreeShape::KAry(4));
-    run.warmup = 1;
-    run.iters = 3;
+    let run = Scenario::nic_based(32)
+        .size(512)
+        .tree(TreeShape::KAry(4))
+        .warmup(1)
+        .iters(3);
     assert_bit_identical(&run, 4);
 }
 
 #[test]
 fn lossy_runs_match_because_fault_draws_are_per_packet() {
-    let mut run = McastRun::new(8, 512, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 6;
-    run.faults = FaultPlan::with_loss(0.05);
+    let run = Scenario::nic_based(8)
+        .size(512)
+        .tree(TreeShape::Binomial)
+        .warmup(1)
+        .iters(6)
+        .faults(FaultPlan::with_loss(0.05));
     assert_bit_identical(&run, 4);
 }
 
@@ -142,18 +135,20 @@ fn lossy_runs_match_because_fault_draws_are_per_packet() {
 fn targeted_drop_rules_fall_back_to_sequential() {
     // Rules carry mutable count-down state, so sharding is infeasible; the
     // run must still complete (sequentially) and agree with shards=1.
-    let mut run = McastRun::new(6, 256, McastMode::NicBased, TreeShape::Binomial);
-    run.warmup = 1;
-    run.iters = 2;
-    run.faults = FaultPlan {
-        rules: vec![DropRule {
-            dst: Some(NodeId(3)),
-            data: Some(true),
-            count: 2,
-            ..DropRule::default()
-        }],
-        ..FaultPlan::default()
-    };
+    let run = Scenario::nic_based(6)
+        .size(256)
+        .tree(TreeShape::Binomial)
+        .warmup(1)
+        .iters(2)
+        .faults(FaultPlan {
+            rules: vec![DropRule {
+                dst: Some(NodeId(3)),
+                data: Some(true),
+                count: 2,
+                ..DropRule::default()
+            }],
+            ..FaultPlan::default()
+        });
     assert_bit_identical(&run, 4);
 }
 
@@ -190,32 +185,20 @@ fn many_group_workload_matches_across_shard_counts() {
             par.metrics.without_layer("parallel"),
             "counter snapshot at {shards} shards"
         );
-        let strip = |r: &nic_mcast::WorkloadReport| {
-            r.series
-                .iter()
-                .filter(|p| !p.gauge().starts_with("exec_"))
-                .map(|p| (p.time(), p.node(), p.gauge(), p.value()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(&seq), strip(&par), "gauge series at {shards} shards");
-        // The health summary and the full non-exec incident stream must be
-        // byte-identical too (exec_* incidents, like exec_* gauges, are
-        // execution diagnostics and may differ per shard count).
+        assert_eq!(
+            gauge_points(&seq.series),
+            gauge_points(&par.series),
+            "gauge series at {shards} shards"
+        );
+        // The health summary and the whole incident stream must be
+        // byte-identical too.
         assert_eq!(
             seq.health_json(),
             par.health_json(),
             "health summary diverges at {shards} shards"
         );
-        let incidents = |r: &nic_mcast::WorkloadReport| {
-            r.incidents
-                .iter()
-                .filter(|i| !i.is_exec())
-                .cloned()
-                .collect::<Vec<_>>()
-        };
         assert_eq!(
-            incidents(&seq),
-            incidents(&par),
+            seq.incidents, par.incidents,
             "incident stream diverges at {shards} shards"
         );
         // Lockstep horizons keep both shards dispatching in nearly every
@@ -301,12 +284,14 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let mode = if host_based { McastMode::HostBased } else { McastMode::NicBased };
-        let mut run = McastRun::new(n, size, mode, TreeShape::KAry(shape_k));
-        run.warmup = 1;
-        run.iters = 3;
-        run.seed = seed;
+        let mut run = Scenario::new(n, mode)
+            .size(size)
+            .tree(TreeShape::KAry(shape_k))
+            .warmup(1)
+            .iters(3)
+            .seed(seed);
         if loss_on {
-            run.faults = FaultPlan::with_loss(0.03);
+            run = run.faults(FaultPlan::with_loss(0.03));
         }
         assert_bit_identical(&run, shards);
     }

@@ -8,7 +8,7 @@
 //! shifted no timestamp — and must be identical across seeded runs.
 
 use gm_sim::probe::{Phase, ProbeConfig, ProbeEvent};
-use nic_mcast::{build_cluster, McastMode, McastRun, TreeShape};
+use nic_mcast::{build_cluster, Scenario, TreeShape};
 
 /// Render a probe event in the legacy `gm::trace` debug format, or `None`
 /// for event kinds the old trace did not record (host busy spans, wire
@@ -32,12 +32,15 @@ fn legacy_line(e: &ProbeEvent) -> Option<String> {
 }
 
 fn rendered_trace(shape: TreeShape) -> String {
-    let mut run = McastRun::new(5, 1024, McastMode::NicBased, shape);
-    run.warmup = 0;
-    run.iters = 1;
-    let mut cluster = build_cluster(&run);
-    cluster.set_probes(ProbeConfig::spans());
-    let d = gm::drive(cluster, 1);
+    let built = Scenario::nic_based(5)
+        .size(1024)
+        .tree(shape)
+        .warmup(0)
+        .iters(1)
+        .probes(ProbeConfig::spans())
+        .build()
+        .expect("valid scenario");
+    let d = gm::drive(build_cluster(built.spec()), 1);
     let mut out = String::new();
     for e in d.worlds[0].probe.iter() {
         if let Some(line) = legacy_line(e) {

@@ -177,8 +177,6 @@ pub struct Cluster<X: NicExtension> {
     pub(crate) series: SeriesSink,
     /// Handles of [`NIC_GAUGES`] in `series`.
     nic_gauges: [GaugeId; NIC_GAUGES.len()],
-    /// Events handled (drives subsampling of execution gauges).
-    events_handled: u64,
     /// Owning shard of every node (all zero in an unsplit cluster).
     shard_of: Arc<Vec<u32>>,
     /// This cluster's shard index (0 in an unsplit cluster).
@@ -211,7 +209,6 @@ impl<X: NicExtension> Cluster<X> {
             probe: ProbeSink::disabled(),
             series,
             nic_gauges,
-            events_handled: 0,
             shard_of: Arc::new(vec![0; n as usize]),
             my_shard: 0,
             node_base: 0,
@@ -409,7 +406,6 @@ impl<X: NicExtension> Cluster<X> {
                 probe: ProbeSink::new(config),
                 series,
                 nic_gauges,
-                events_handled: 0,
                 shard_of: Arc::clone(&shard_of),
                 my_shard: s,
                 node_base,
@@ -728,18 +724,6 @@ impl<X: NicExtension> World for Cluster<X> {
     type Handoff = WireHandoff;
 
     fn handle(&mut self, event: Ev, sched: &mut Sched) {
-        self.events_handled += 1;
-        if self.series.is_enabled() && self.events_handled.is_multiple_of(64) {
-            // Execution diagnostic (hence the `exec_` prefix): the event
-            // queue is per-engine, so sequential and sharded runs sample
-            // different depths. Parity checks ignore `exec_*` gauges.
-            self.series.record(
-                sched.now(),
-                self.my_shard,
-                "exec_queue_depth",
-                sched.pending() as u64,
-            );
-        }
         match event {
             Ev::AppStart(n) => {
                 self.with_app(n, sched, HostApp::on_start);

@@ -8,7 +8,7 @@
 //! results of a sharded run are merged back into the sequential reference.
 
 use gm_sim::probe::{Metrics, ProbeSink};
-use gm_sim::watch::{self, Detector, DetectorKind, Incident, Severity, Thresh, WatchConfig};
+use gm_sim::watch::{self, Incident, WatchConfig};
 use gm_sim::{RunOutcome, SeriesSink, ShardStats, SimTime, WatchEngine};
 use myrinet::NodeId;
 
@@ -74,8 +74,8 @@ pub fn drive<X: NicExtension>(cluster: Cluster<X>, shards: u32) -> Driven<X> {
 /// The observability surface of a finished run: counters rolled into
 /// [`Metrics`] plus the canonicalized probe and series streams.
 pub struct Harvest {
-    /// `nic.*` (summed over every node), `fabric.*`, `engine.events`,
-    /// `probe.*`/`series.*` sink health and, on sharded runs, `parallel.*`.
+    /// `nic.*` (summed over every node), `fabric.*`, `engine.events` and,
+    /// on sharded runs, `parallel.*`.
     pub metrics: Metrics,
     /// The merged probe stream (empty when probes were off).
     pub probe: ProbeSink,
@@ -101,8 +101,9 @@ pub fn harvest<X: NicExtension>(run: &mut Driven<X>) -> Harvest {
     }
     metrics.set("engine", "events", run.events);
     // Per-shard execution statistics of a sharded run. These describe *how*
-    // the run was executed, not what it computed, so parity checks strip
-    // `parallel.*` before comparing sequential and sharded runs.
+    // the run was executed, not what it computed; they are the run's only
+    // execution diagnostics, and parity checks strip `parallel.*` before
+    // comparing sequential and sharded runs.
     let shard_stats = &run.shard_stats;
     if shard_stats.len() > 1 {
         metrics.set("parallel", "shards", shard_stats.len() as u64);
@@ -156,19 +157,6 @@ pub fn harvest<X: NicExtension>(run: &mut Driven<X>) -> Harvest {
     }
 }
 
-/// The per-shard event-spread threshold (percent of the heaviest shard)
-/// past which the execution-diagnostic imbalance detector fires. `exec_`-
-/// prefixed: it describes the execution, not the simulated system, so
-/// parity checks strip its incidents like `exec_*` gauges.
-const EXEC_IMBALANCE_DETECTOR: Detector = Detector {
-    id: "exec_shard_imbalance",
-    severity: Severity::Info,
-    kind: DetectorKind::Counter {
-        key: "parallel.event_imbalance_pct",
-        min: Thresh::pct(50),
-    },
-};
-
 /// Run the health detectors — the [`GmParams::watch_detectors`] set plus
 /// the caller's `extra` incidents (detectors over data the series never
 /// sees) — then attach causal evidence (active flows and critical-path
@@ -187,9 +175,7 @@ pub fn analyze(
     if !watch.is_enabled() {
         return Vec::new();
     }
-    let engine = WatchEngine::new(*watch)
-        .detectors(params.watch_detectors())
-        .detector(EXEC_IMBALANCE_DETECTOR);
+    let engine = WatchEngine::new(*watch).detectors(params.watch_detectors());
     let mut incidents = engine.scan_series(harvest.series.iter());
     incidents.extend(engine.scan_metrics(&harvest.metrics, end));
     incidents.extend(extra);

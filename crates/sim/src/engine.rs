@@ -138,11 +138,6 @@ impl<E, H> Scheduler<E, H> {
         });
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Earliest pending event time (`None` when idle). `&mut` because the
     /// wheel refills its active tier lazily.
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {

@@ -124,16 +124,14 @@ impl SeriesPoint {
         self.value
     }
 
-    /// Node the gauge belongs to (shard index for execution gauges).
+    /// Node the gauge belongs to.
     #[inline]
     pub fn node(&self) -> u32 {
         u32::from(self.node)
     }
 
-    /// Static gauge name. Gauges prefixed `exec_` describe the *execution*
-    /// (queue depths, shard scheduling) and are allowed to differ between
-    /// sequential and sharded runs; all others are simulation state and
-    /// must be mode-independent.
+    /// Static gauge name. Every gauge is simulation state, identical at
+    /// any shard count.
     pub fn gauge(&self) -> &'static str {
         GAUGE_NAMES.resolve(self.gauge.0)
     }

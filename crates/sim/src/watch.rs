@@ -17,9 +17,9 @@
 //! * **Deterministic and shard-invariant** — detectors run *after* the run,
 //!   over the canonically-merged streams ([`crate::series::SeriesSink::merge_canonical`]
 //!   ordering), with pure integer arithmetic; the incident stream is
-//!   byte-identical at any shard count. Detectors over execution
-//!   diagnostics use an `exec_`-prefixed detector id and are stripped by
-//!   parity comparisons, mirroring the `exec_*` gauge convention.
+//!   byte-identical at any shard count. The streams hold only simulated
+//!   state: how a run was executed (shards, windows, imbalance) is in the
+//!   `parallel.*` metrics, which no detector reads.
 //! * **Unit-carrying thresholds** — every threshold is a [`Thresh`], a value
 //!   tagged with its [`Unit`]. The raw constructor is private to this
 //!   module, so a detector threshold can never silently mix "per
@@ -254,9 +254,7 @@ pub enum DetectorKind {
 /// One configured detector: an identity, a severity, and a kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Detector {
-    /// Stable detector name. Names prefixed `exec_` mark execution
-    /// diagnostics (per-shard scheduling), which parity checks strip —
-    /// the same convention as `exec_*` gauges.
+    /// Stable detector name.
     pub id: &'static str,
     /// How serious a firing is.
     pub severity: Severity,
@@ -268,7 +266,7 @@ pub struct Detector {
 // Incidents
 // ---------------------------------------------------------------------------
 
-/// Node marker for cluster-wide incidents (fairness, counters, execution).
+/// Node marker for cluster-wide incidents (fairness, counters).
 pub const CLUSTER_NODE: u32 = u32::MAX;
 
 /// One detector firing: the window, the identity, the triggering value, and
@@ -301,7 +299,7 @@ pub struct Incident {
 
 impl Incident {
     /// A cluster-wide incident with no per-node gauge behind it (fairness
-    /// collapse, latency excursions, execution diagnostics).
+    /// collapse, latency excursions).
     pub fn cluster(
         detector: &'static str,
         severity: Severity,
@@ -319,13 +317,6 @@ impl Incident {
             flows: Vec::new(),
             signature: String::new(),
         }
-    }
-
-    /// Whether this incident describes the *execution* (per-shard
-    /// scheduling) rather than the simulated system. Execution incidents
-    /// are excluded from shard-parity comparisons and stable summaries.
-    pub fn is_exec(&self) -> bool {
-        self.detector.starts_with("exec_")
     }
 
     /// One deterministic JSON line, byte-identical across executions and
@@ -383,11 +374,11 @@ pub fn sort_canonical(incidents: &mut [Incident]) {
     });
 }
 
-/// Render the non-execution incidents as one deterministic JSON array line
-/// (the byte-stable summary `health_explore` and parity tests compare).
+/// Render the incidents as one deterministic JSON array line (the
+/// byte-stable summary `health_explore` and parity tests compare).
 pub fn summary_json(incidents: &[Incident]) -> String {
     let mut out = String::from("[");
-    for (i, inc) in incidents.iter().filter(|i| !i.is_exec()).enumerate() {
+    for (i, inc) in incidents.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -421,12 +412,6 @@ impl WatchEngine {
         }
     }
 
-    /// Add one detector (builder style).
-    pub fn detector(mut self, d: Detector) -> WatchEngine {
-        self.detectors.push(d);
-        self
-    }
-
     /// Add a batch of detectors (builder style).
     pub fn detectors(mut self, ds: impl IntoIterator<Item = Detector>) -> WatchEngine {
         self.detectors.extend(ds);
@@ -445,19 +430,15 @@ impl WatchEngine {
         if points.is_empty() {
             return Vec::new();
         }
-        // Only gauges some detector reads are scanned; execution gauges are
-        // never health signals. Names and ranks come from one snapshot each
-        // of the name table, which only grows: the names, taken second,
-        // cover every ranked handle.
+        // Only gauges some detector reads are scanned. Names and ranks come
+        // from one snapshot each of the name table, which only grows: the
+        // names, taken second, cover every ranked handle.
         let ranks = series::gauge_ranks();
         let names = series::gauge_names();
         let signals = Signals::lay_out(points, &ranks, |h| {
-            let g = names[h];
-            !g.starts_with("exec_")
-                && self
-                    .detectors
-                    .iter()
-                    .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == g))
+            self.detectors
+                .iter()
+                .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == names[h]))
         });
         let w_ns = self.config.window().as_nanos().max(1);
         let mut incidents = Vec::new();
@@ -784,12 +765,12 @@ mod tests {
     }
 
     fn engine(d: Detector) -> WatchEngine {
-        WatchEngine::new(WatchConfig::on()).detector(d)
+        WatchEngine::new(WatchConfig::on()).detectors([d])
     }
 
     #[test]
     fn off_config_returns_nothing_and_allocates_nothing() {
-        let eng = WatchEngine::new(WatchConfig::off()).detector(Detector {
+        let eng = WatchEngine::new(WatchConfig::off()).detectors([Detector {
             id: "t",
             severity: Severity::Warn,
             kind: DetectorKind::Saturation {
@@ -798,7 +779,7 @@ mod tests {
                 pct: Thresh::pct(1),
                 sustain: 1,
             },
-        });
+        }]);
         let sink = sink_with(&[(0, 0, "g", 100)]);
         let out = eng.scan_series(sink.iter());
         assert!(out.is_empty());
@@ -939,19 +920,6 @@ mod tests {
              \"node\":\"cluster\",\"value\":2,\"threshold\":\"1\",\"flows\":[],\"signature\":\"\"}"
         );
         assert!(summary_json(&incs).starts_with('['));
-    }
-
-    #[test]
-    fn exec_detectors_are_excluded_from_the_summary() {
-        let incs = vec![Incident::cluster(
-            "exec_shard_imbalance",
-            Severity::Info,
-            (SimTime::ZERO, SimTime::from_nanos(1)),
-            60,
-            Thresh::pct(50),
-        )];
-        assert!(incs[0].is_exec());
-        assert_eq!(summary_json(&incs), "[]");
     }
 
     mod evidence {
@@ -1147,7 +1115,7 @@ mod tests {
                 .detectors
                 .iter()
                 .any(|d| scanned_gauge(d).is_some_and(|(dg, _)| dg == g));
-            if read && !g.starts_with("exec_") {
+            if read {
                 let signal = signals
                     .entry((p.node(), ranks[h]))
                     .or_insert((h, Vec::new()));
@@ -1174,9 +1142,8 @@ mod tests {
     /// incidents the map did, in the same order.
     #[test]
     fn dense_signal_table_matches_the_map() {
-        // Out of name order, with an execution gauge and one no detector
-        // reads.
-        const GAUGES: [&str; 5] = ["wz_used", "wa_retx", "exec_wq", "wm_tokens", "wn_idle"];
+        // Out of name order.
+        const GAUGES: [&str; 5] = ["wz_used", "wa_retx", "we_queue", "wm_tokens", "wn_idle"];
         let mut rng = crate::DetRng::substream(5, "watch.dense_signals", 0);
         let mut fired = 0;
         for case in 0..300u64 {
@@ -1210,11 +1177,11 @@ mod tests {
                     },
                 };
                 let id = ["d0", "d1", "d2", "d3", "d4"][i as usize];
-                eng = eng.detector(Detector {
+                eng = eng.detectors([Detector {
                     id,
                     severity: Severity::Warn,
                     kind,
-                });
+                }]);
             }
             let found = eng.scan_series(merged.iter());
             fired += usize::from(!found.is_empty());

@@ -220,7 +220,12 @@ echo "ci: checked pass OK (health and flow gates with debug assertions, artifact
 # Artifact-freshness gate: rerun every figure, ablation and extension
 # binary whose default run takes seconds and report_diff its fresh JSON
 # against a snapshot of the committed one, so an artifact the current code
-# no longer reproduces fails the build instead of going stale.
+# no longer reproduces fails the build instead of going stale. Each
+# binary's stdout (its console tables) must match its log under
+# results/logs/ byte for byte too. Cargo is called directly here, since
+# `run` echoes the command to stdout; the "(results written to ...)" line
+# goes to stderr and is not part of a log. To refresh a log when a figure
+# moves on purpose, rerun the binary with its stdout redirected to it.
 fresh_bins=(
   fig3_multisend fig4_mpi_bcast fig5_gm_multicast fig6_skew fig7_skew_scaling
   gm_allsize ablation_ack_coalesce ablation_loss ablation_multisend_impl
@@ -230,11 +235,22 @@ fresh_bins=(
 artifact_snapshots=$(mktemp -d)
 for bin in "${fresh_bins[@]}"; do
   cp "results/$bin.json" "$artifact_snapshots/$bin.json"
-  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >/dev/null
+  echo "+ cargo run -q --release -p bench --bin $bin > $artifact_snapshots/$bin.txt"
+  cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >"$artifact_snapshots/$bin.txt"
+  diff -u "results/logs/$bin.txt" "$artifact_snapshots/$bin.txt"
   run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
     "$artifact_snapshots/$bin.json" "results/$bin.json"
 done
-echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts regenerate identically"
+# Two binaries write no JSON, so their stdout is their whole artifact:
+# the Fig. 1 feature matrix, and the §6.1 unicast-parity table, whose run
+# also asserts that the multicast extension leaves unicast latency
+# unchanged.
+for bin in fig1_features check_unicast_parity; do
+  echo "+ cargo run -q --release -p bench --bin $bin > $artifact_snapshots/$bin.txt"
+  cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >"$artifact_snapshots/$bin.txt"
+  diff -u "results/logs/$bin.txt" "$artifact_snapshots/$bin.txt"
+done
+echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts and $((${#fresh_bins[@]} + 2)) stdout logs regenerate identically"
 
 # MPI shard-parity gate: the skew-scaling, MPI-broadcast and NIC-barrier
 # figures rerun on 2 shards must reproduce the committed artifacts byte for

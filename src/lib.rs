@@ -34,10 +34,12 @@
 //!
 //! [`Scenario::build`] validates the configuration and resolves
 //! [`TreeShape::auto`] to the size-adapted tree the paper's host library
-//! would pick; [`Report`] derefs to the raw run output and additionally
-//! carries the counter snapshot ([`Report::metrics`]), the recorded probe
-//! events, and — when probes are enabled — a latency [`attribution`]
-//! (host/NIC/PCI/serialization/contention/retransmission buckets).
+//! would pick; [`BuiltScenario::run`] is the one way to run the closed-loop
+//! collective. Its [`Report`] holds the latency statistics and tree shape
+//! as plain fields, beside the counter snapshot ([`Report::metrics`]), the
+//! recorded probe events, and — when probes are enabled — a latency
+//! [`attribution`] (host/NIC/PCI/serialization/contention/retransmission
+//! buckets).
 //! Export timelines with [`sim::probe::perfetto::chrome_trace_json`] and
 //! open them in Perfetto.
 //!

@@ -1,7 +1,7 @@
 //! Workspace-level integration tests: every layer of the stack exercised
 //! together, from the event engine up through the MPI library.
 
-use myri_mcast::mcast::{execute_max_over_probes, AckMode, McastMode, McastRun, TreeShape};
+use myri_mcast::mcast::{AckMode, McastMode, TreeShape};
 use myri_mcast::mpi::{execute_mpi, BcastImpl, MpiOp, MpiRun};
 use myri_mcast::net::FaultPlan;
 use myri_mcast::sim::SimDuration;
@@ -94,7 +94,7 @@ fn max_over_probes_dominates_single_probe() {
         .iters(10)
         .build()
         .expect("valid scenario");
-    let max = execute_max_over_probes(built.spec()).latency.mean();
+    let max = built.run_max_over_probes().latency.mean();
     let single = built.run().latency.mean();
     assert!(max >= single * 0.999, "max {max:.2} vs single {single:.2}");
 }
@@ -223,12 +223,17 @@ fn multicast_to_an_arbitrary_subset_of_nodes() {
 #[test]
 fn non_members_never_see_group_traffic() {
     use myri_mcast::net::NodeId;
-    let mut run = McastRun::new(8, 256, McastMode::NicBased, TreeShape::Flat);
-    run.dests = vec![NodeId(3), NodeId(6)];
-    run.probe = NodeId(6);
-    run.warmup = 1;
-    run.iters = 5;
-    let d = myri_mcast::gm::drive(myri_mcast::mcast::build_cluster(&run), 1);
+    let built = Scenario::nic_based(8)
+        .size(256)
+        .tree(TreeShape::Flat)
+        .dests(vec![NodeId(3), NodeId(6)])
+        .probe_node(NodeId(6))
+        .warmup(1)
+        .iters(5)
+        .build()
+        .expect("valid scenario");
+    let run = built.spec();
+    let d = myri_mcast::gm::drive(myri_mcast::mcast::build_cluster(run), 1);
     assert_eq!(
         d.app::<myri_mcast::mcast::RootApp>(run.root)
             .windows()
