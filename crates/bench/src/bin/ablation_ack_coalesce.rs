@@ -83,5 +83,5 @@ fn main() {
          in the sender's completion time, which waits for the flushed\n\
          cumulative ack."
     );
-    bench::write_json("ablation_ack_coalesce", &results);
+    opts.write_json("ablation_ack_coalesce", &results);
 }

@@ -69,5 +69,5 @@ fn main() {
          the (20 ms, exponentially backed-off) timeout recoveries. Zero loss\n\
          means zero retransmissions."
     );
-    bench::write_json("ablation_loss", &results);
+    opts.write_json("ablation_loss", &results);
 }

@@ -80,5 +80,5 @@ fn main() {
          than 1us\"); the callback mechanism removes the repeated token\n\
          processing entirely and wins for small messages."
     );
-    bench::write_json("ablation_multisend_impl", &results);
+    opts.write_json("ablation_multisend_impl", &results);
 }

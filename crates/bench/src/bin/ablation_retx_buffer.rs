@@ -30,8 +30,9 @@ fn measure(bufs: usize, policy: RetxBufferPolicy, iters: u32, warmup: u32) -> (f
         recv_buffers: bufs,
         ..GmParams::default()
     };
-    // Mild loss delays some acknowledgments by the 1 ms timeout, so the
-    // hold-SRAM policy keeps buffers pinned long enough to starve the pool.
+    // Mild loss delays some acknowledgments by the retransmission timeout
+    // (`GmParams::timeout`, 20 ms by default), so the hold-SRAM policy
+    // keeps buffers pinned long enough to starve the pool.
     let rep = Scenario::nic_based(16)
         .size(16384)
         .tree(TreeShape::Binomial)
@@ -89,5 +90,5 @@ fn main() {
          the pool shrinks; retransmitting from host memory (the paper's choice)\n\
          keeps the pipeline full."
     );
-    bench::write_json("ablation_retx_buffer", &results);
+    opts.write_json("ablation_retx_buffer", &results);
 }

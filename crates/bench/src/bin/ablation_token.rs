@@ -85,5 +85,5 @@ fn main() {
         "\nThe receive-token transformation (the paper's choice) is insensitive\n\
          to pool size; the free-pool policy stalls forwarding as tokens dry up."
     );
-    bench::write_json("ablation_token", &results);
+    opts.write_json("ablation_token", &results);
 }

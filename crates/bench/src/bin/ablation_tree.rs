@@ -1,7 +1,7 @@
 //! Ablation: spanning-tree shape for the NIC-based multicast (paper §5
 //! "The Spanning Tree" / §6.1 fan-out discussion).
 //!
-//! Compares the size-adaptive shape (`shape_for_size`: postal-optimal for
+//! Compares the size-adaptive shape (`auto_shape`: postal-optimal for
 //! single-packet messages, pipeline k-ary for multi-packet) against fixed
 //! binomial, flat and chain trees over 16 nodes.
 
@@ -84,5 +84,5 @@ fn main() {
          multi-packet sizes. Flat trees saturate the root's injection link\n\
          (last column) and chains pay maximal depth."
     );
-    bench::write_json_sweep("ablation_tree", &sweep, &results);
+    opts.write_json_sweep("ablation_tree", &sweep, &results);
 }

@@ -175,7 +175,7 @@ struct Point {
 }
 
 fn main() {
-    let _opts = CliOpts::parse();
+    let opts = CliOpts::parse();
     let mut points = Vec::new();
     for &n in &[4u32, 8, 16] {
         for &size in &[64usize, 1024, 8192] {
@@ -212,5 +212,5 @@ fn main() {
          wakeups plus forwarding work on every node; the NIC-based scheme's\n\
          per-group state keeps the hosts out of it entirely."
     );
-    bench::write_json("ext_allbcast", &results);
+    opts.write_json("ext_allbcast", &results);
 }

@@ -250,5 +250,5 @@ fn main() {
          rides the reliable multicast down: two host wakeups per node per\n\
          round (enter + result) instead of one per tree edge."
     );
-    bench::write_json("ext_allreduce", &results);
+    opts.write_json("ext_allreduce", &results);
 }

@@ -135,5 +135,5 @@ fn main() {
          firmware: no host wakeups on interior nodes, so rounds cost a tree\n\
          traversal instead of log2(n) host-level message exchanges."
     );
-    bench::write_json("ext_nic_barrier", &results);
+    opts.write_json("ext_nic_barrier", &results);
 }

@@ -79,5 +79,5 @@ fn main() {
          host-based rendezvous path re-serializes the full message at every\n\
          tree level (RTS/CTS handshakes included)."
     );
-    bench::write_json("ext_rndv_bcast", &results);
+    opts.write_json("ext_rndv_bcast", &results);
 }

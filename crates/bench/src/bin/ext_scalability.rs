@@ -67,5 +67,5 @@ fn main() {
          retransmission records are all per-node, so the advantage compounds\n\
          with depth instead of saturating."
     );
-    bench::write_json("ext_scalability", &results);
+    opts.write_json("ext_scalability", &results);
 }

@@ -191,5 +191,5 @@ fn main() {
          forwarding sustains the wire rate down the tree while host-based\n\
          forwarding re-serializes every message at every level."
     );
-    bench::write_json("ext_throughput", &results);
+    opts.write_json("ext_throughput", &results);
 }

@@ -98,5 +98,5 @@ fn main() {
         .fold(0.0f64, f64::max);
     println!("\nPaper: improvement up to 2.05x for <=128B at 4 destinations.");
     println!("Measured peak (<=128B, 4 dests): {peak:.2}x");
-    bench::write_json_sweep("fig3_multisend", &sweep, &results);
+    opts.write_json_sweep("fig3_multisend", &sweep, &results);
 }

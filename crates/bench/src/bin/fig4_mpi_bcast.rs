@@ -98,5 +98,5 @@ fn main() {
         .unwrap_or(0.0);
     println!("\nPaper (16 ranks): 2.02x at 8KB, up to 1.78x small, dip at 16287B.");
     println!("Measured: 8KB {peak:.2}x, small peak {small:.2}x, 16287B {last:.2}x");
-    bench::write_json_sweep("fig4_mpi_bcast", &sweep, &results);
+    opts.write_json_sweep("fig4_mpi_bcast", &sweep, &results);
 }

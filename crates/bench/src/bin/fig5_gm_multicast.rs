@@ -114,5 +114,5 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     println!("\nPaper (16 nodes): up to 1.48x (<=512B), up to 1.86x (16KB), dip at 2-4KB.");
     println!("Measured: small peak {small:.2}x, 16KB {large:.2}x, 2-4KB dip {dip:.2}x");
-    bench::write_json_sweep("fig5_gm_multicast", &sweep, &results);
+    opts.write_json_sweep("fig5_gm_multicast", &sweep, &results);
 }

@@ -125,5 +125,5 @@ fn main() {
         .unwrap_or(0.0);
     println!("\nPaper: up to 5.82x (small) and ~2.9x (2KB) at 400us average skew.");
     println!("Measured at 400us: small peak {peak:.2}x, 2KB {large_2k:.2}x");
-    bench::write_json("fig6_skew", &results);
+    opts.write_json("fig6_skew", &results);
 }

@@ -100,5 +100,5 @@ fn main() {
         mono(4),
         mono(4096)
     );
-    bench::write_json("fig7_skew_scaling", &results);
+    opts.write_json("fig7_skew_scaling", &results);
 }

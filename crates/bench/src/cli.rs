@@ -15,8 +15,9 @@ use std::str::FromStr;
 use gm_sim::SimDuration;
 use nic_mcast::{
     ArrivalProcess, BuiltScenario, FanoutDist, McastMode, PostalParams, Scenario, ScenarioError,
-    StopCondition, TreeShape, Workload,
+    StopCondition, Sweep, TreeShape, Workload,
 };
+use serde::Serialize;
 
 /// A group of accepted flags, written as the usage line shows them:
 /// `[--nodes N]` takes a value (`N` names it), `[--check]` is a switch.
@@ -320,7 +321,12 @@ impl WorkloadOpts {
     }
 }
 
+/// Timed and warmup iterations per point of a figure by default.
+const DEFAULT_ITERS: (u32, u32) = (100, 10);
+
 /// Parse `--iters N` / `--quick` style flags shared by the figure binaries.
+/// Only a run at the defaults writes `results/<bin>.json`, as the committed
+/// artifacts were made, so a `--quick` or `--all-probes` run leaves them be.
 pub struct CliOpts {
     /// Timed iterations per point.
     pub iters: u32,
@@ -336,7 +342,11 @@ impl CliOpts {
     /// an explicit `--iters`/`--warmup` wins over it. Zero timed iterations
     /// measure nothing and are rejected.
     pub fn from_args(a: &Args) -> Result<CliOpts, CliError> {
-        let (iters, warmup) = if a.has("--quick") { (20, 3) } else { (100, 10) };
+        let (iters, warmup) = if a.has("--quick") {
+            (20, 3)
+        } else {
+            DEFAULT_ITERS
+        };
         let iters = a.get("--iters", iters)?;
         if iters == 0 {
             return Err(CliError::Invalid(ScenarioError::NoIterations.to_string()));
@@ -351,5 +361,32 @@ impl CliOpts {
     /// Decode this process's command line, or print the usage and exit.
     pub fn parse() -> CliOpts {
         parse_or_exit(&[FIGURE_FLAGS], CliOpts::from_args)
+    }
+
+    /// Whether these are the flags the committed artifacts were made with.
+    pub fn is_committed(&self) -> bool {
+        (self.iters, self.warmup) == DEFAULT_ITERS && !self.all_probes
+    }
+
+    /// [`crate::write_json`], at the committed flags only.
+    pub fn write_json<T: Serialize>(&self, name: &str, rows: &T) {
+        if self.writes(name) {
+            crate::write_json(name, rows);
+        }
+    }
+
+    /// [`crate::write_json_sweep`], at the committed flags only.
+    pub fn write_json_sweep<T: Serialize>(&self, name: &str, sweep: &Sweep, rows: &T) {
+        if self.writes(name) {
+            crate::write_json_sweep(name, sweep, rows);
+        }
+    }
+
+    /// Whether to write `results/<name>.json`; if not, says so on stderr.
+    fn writes(&self, name: &str) -> bool {
+        if !self.is_committed() {
+            eprintln!("(results/{name}.json not written: flags differ from the committed run)");
+        }
+        self.is_committed()
     }
 }

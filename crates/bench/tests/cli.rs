@@ -216,9 +216,32 @@ fn switches_take_no_value_and_values_may_look_like_flags() {
 fn figure_flags_and_quick() {
     let o = CliOpts::from_args(&args(&[], &[cli::FIGURE_FLAGS]).unwrap()).unwrap();
     assert_eq!((o.iters, o.warmup, o.all_probes), (100, 10, false));
+    assert!(
+        o.is_committed(),
+        "the defaults make the committed artifacts"
+    );
     let o = CliOpts::from_args(&args(&["--quick", "--all-probes"], &[cli::FIGURE_FLAGS]).unwrap())
         .unwrap();
     assert_eq!((o.iters, o.warmup, o.all_probes), (20, 3, true));
+    assert!(!o.is_committed());
+    for off in [
+        &["--quick"][..],
+        &["--all-probes"],
+        &["--iters", "99"],
+        &["--warmup", "0"],
+    ] {
+        let o = CliOpts::from_args(&args(off, &[cli::FIGURE_FLAGS]).unwrap()).unwrap();
+        assert!(!o.is_committed(), "{off:?} is off the committed run");
+    }
+    let o = CliOpts::from_args(
+        &args(
+            &["--quick", "--iters", "100", "--warmup", "10"],
+            &[cli::FIGURE_FLAGS],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    assert!(o.is_committed(), "explicit defaults are the committed run");
     let o = CliOpts::from_args(&args(&["--iters", "50", "--quick"], &[cli::FIGURE_FLAGS]).unwrap())
         .unwrap();
     assert_eq!(

@@ -199,8 +199,8 @@ fn nic_based_scenario_counts() {
         "NIC-based scenario",
         &[
             ("events", report.metrics.get("engine.events"), 5_067),
-            ("allocations", heap.allocs, 938),
-            ("peak live bytes", heap.peak_bytes, 157_852),
+            ("allocations", heap.allocs, 722),
+            ("peak live bytes", heap.peak_bytes, 133_816),
         ],
     );
 }
@@ -213,7 +213,7 @@ fn host_based_scenario_counts() {
         "host-based scenario",
         &[
             ("events", report.metrics.get("engine.events"), 6_049),
-            ("allocations", heap.allocs, 1_298),
+            ("allocations", heap.allocs, 1_090),
         ],
     );
 }
@@ -226,8 +226,8 @@ fn workload_counts() {
         "workload",
         &[
             ("events", report.metrics.get("engine.events"), 76_917),
-            ("allocations", heap.allocs, 2_912),
-            ("peak live bytes", heap.peak_bytes, 439_948),
+            ("allocations", heap.allocs, 2_828),
+            ("peak live bytes", heap.peak_bytes, 430_444),
         ],
     );
 }
@@ -288,8 +288,8 @@ fn churn_workload_counts() {
         "churn workload",
         &[
             ("events", report.metrics.get("engine.events"), 74_379),
-            ("allocations", heap.allocs, 6_817),
-            ("peak live bytes", heap.peak_bytes, 933_768),
+            ("allocations", heap.allocs, 5_900),
+            ("peak live bytes", heap.peak_bytes, 900_504),
         ],
     );
 }
@@ -321,8 +321,8 @@ fn trace_workload_counts() {
         "trace workload",
         &[
             ("events", report.metrics.get("engine.events"), 78_751),
-            ("build and run allocations", heap.allocs, 3_704),
-            ("build and run peak live bytes", heap.peak_bytes, 428_356),
+            ("build and run allocations", heap.allocs, 3_620),
+            ("build and run peak live bytes", heap.peak_bytes, 418_852),
         ],
     );
 }
@@ -380,8 +380,8 @@ fn observed_workload_counts() {
             ("events", harvest.metrics.get("engine.events"), 94_187),
             ("records kept", records, 153_460),
             ("points kept", points, 56_860),
-            ("allocations", heap.allocs, 4_514),
-            ("peak live bytes", heap.peak_bytes, 35_221_172),
+            ("allocations", heap.allocs, 3_798),
+            ("peak live bytes", heap.peak_bytes, 35_214_880),
             ("incidents", incidents.len() as u64, 65),
             ("analysis allocations", analysis.allocs, 377),
             ("analysis peak live bytes", analysis.peak_bytes, 95_472),
@@ -452,7 +452,7 @@ fn mpi_bcast_counts() {
         "MPI broadcast",
         &[
             ("events", out.events, 8_647),
-            ("allocations", heap.allocs, 1_160),
+            ("allocations", heap.allocs, 1_157),
         ],
     );
 }

@@ -40,8 +40,8 @@ pub fn postal_for_size(size: usize, gp: &GmParams, np: &NetParams, hops: usize) 
     PostalParams { latency, gap }
 }
 
-/// Pick the NIC-based scheme's tree shape for a message size and
-/// destination count.
+/// The shape [`TreeShape::Auto`] resolves to for a NIC-based multicast of
+/// `size` bytes to `n_dests` destinations on an `n_nodes`-node cluster.
 ///
 /// Single-packet messages use the paper's postal-optimal tree. Multi-packet
 /// messages are *pipelined* hop by hop (an intermediate NIC forwards packet
@@ -49,13 +49,16 @@ pub fn postal_for_size(size: usize, gp: &GmParams, np: &NetParams, hops: usize) 
 /// express: there, each hop's cost is `k` whole-message serializations for
 /// a fan-out of `k` plus one packet time per level of depth, so we choose
 /// the complete k-ary tree minimizing `k * t_msg + depth_k(n) * t_hop`.
-pub fn shape_for_size(
+/// Both estimates count 2 links per tree edge when one 16-port crossbar
+/// holds every node, 4 when edges cross the Clos.
+pub fn auto_shape(
     size: usize,
     n_dests: usize,
+    n_nodes: u32,
     gp: &GmParams,
     np: &NetParams,
-    hops: usize,
 ) -> TreeShape {
+    let hops = if n_nodes <= 16 { 2 } else { 4 };
     let packets = size.div_ceil(MTU).max(1);
     let p = postal_for_size(size, gp, np, hops);
     if packets == 1 {
@@ -77,21 +80,6 @@ pub fn shape_for_size(
         }
     }
     TreeShape::KAry(best.1)
-}
-
-/// The shape [`TreeShape::Auto`] resolves to for a NIC-based multicast of
-/// `size` bytes to `n_dests` destinations on an `n_nodes`-node cluster:
-/// [`shape_for_size`] over 2 links per tree edge when one 16-port crossbar
-/// holds every node, 4 when edges cross the Clos.
-pub(crate) fn auto_shape(
-    size: usize,
-    n_dests: usize,
-    n_nodes: u32,
-    gp: &GmParams,
-    np: &NetParams,
-) -> TreeShape {
-    let hops = if n_nodes <= 16 { 2 } else { 4 };
-    shape_for_size(size, n_dests, gp, np, hops)
 }
 
 /// Depth of a complete k-ary tree (heap layout) over `n` nodes.
@@ -152,20 +140,15 @@ mod tests {
     #[test]
     fn shape_selection_switches_at_the_mtu() {
         let (gp, np) = params();
-        assert!(matches!(
-            shape_for_size(512, 15, &gp, &np, 2),
-            TreeShape::Postal(_)
-        ));
-        assert!(matches!(
-            shape_for_size(4096, 15, &gp, &np, 2),
-            TreeShape::Postal(_)
-        ));
-        let TreeShape::KAry(k) = shape_for_size(16384, 15, &gp, &np, 2) else {
+        let shape = |size, n_dests| auto_shape(size, n_dests, 16, &gp, &np);
+        assert!(matches!(shape(512, 15), TreeShape::Postal(_)));
+        assert!(matches!(shape(4096, 15), TreeShape::Postal(_)));
+        let TreeShape::KAry(k) = shape(16384, 15) else {
             panic!("multi-packet sizes use the k-ary pipeline shape");
         };
         assert!((1..=3).contains(&k), "k={k}");
         // Tiny clusters pipeline best as a chain.
-        assert_eq!(shape_for_size(16384, 3, &gp, &np, 2), TreeShape::KAry(1));
+        assert_eq!(shape(16384, 3), TreeShape::KAry(1));
     }
 
     #[test]

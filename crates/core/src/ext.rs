@@ -10,7 +10,9 @@
 //! * **NIC-based forwarding** — an intermediate NIC that accepts a multicast
 //!   packet immediately re-queues it toward its own children (before the
 //!   rest of the message has even arrived), while the payload is DMA'd to
-//!   the host in parallel. No host involvement on the forwarding path.
+//!   the host in parallel. No host involvement on the forwarding path. The
+//!   root's multisend and a forwarder's relay run the same replica step;
+//!   only the buffer the chain holds differs.
 //! * **Reliable one-to-many Go-Back-N** — every member tracks a receive
 //!   sequence, a send sequence and a per-child acked array; on timeout,
 //!   packets are retransmitted *only* to the children that have not
@@ -21,11 +23,11 @@ use gm_sim::{FlowId, SimTime};
 use myrinet::{GroupId, NodeId, Packet, PacketKind, Payload};
 
 use gm::{flow_tag, Cb, GmParams, NicCore, NicExtension};
-use gm_proto::{self as proto, RxVerdict};
+use gm_proto::{self as proto, CollKind, RxVerdict};
 
 use crate::group::MultisendImpl;
 use crate::group::{
-    CollKind, FwdTokenPolicy, GroupState, InMsg, McastConfig, McastNotice, McastRec, McastRequest,
+    FwdTokenPolicy, GroupState, InMsg, McastConfig, McastNotice, McastRec, McastRequest,
     RetxBufferPolicy,
 };
 
@@ -41,18 +43,9 @@ pub enum McastTag {
         /// Packet sequence.
         seq: u64,
     },
-    /// Root: the replica to `children[idx]` finished serializing.
+    /// The replica to `children[idx]` finished serializing: the root's from
+    /// its send buffer, a forwarder's straight from its receive buffer.
     Replica {
-        /// Group.
-        group: GroupId,
-        /// Packet sequence.
-        seq: u64,
-        /// Child index just sent.
-        idx: usize,
-    },
-    /// Forwarder: the forwarded replica to `children[idx]` finished
-    /// serializing (transmitted straight from the receive buffer).
-    FwdReplica {
         /// Group.
         group: GroupId,
         /// Packet sequence.
@@ -70,35 +63,16 @@ pub enum McastTag {
         bytes: u32,
     },
     /// A retransmission finished re-downloading from host memory.
-    RetxDma {
-        /// Group.
-        group: GroupId,
-        /// Packet sequence.
-        seq: u64,
-        /// Target child.
-        child: NodeId,
-    },
-    /// A single-target transmission (retransmit or per-dest-token send)
-    /// finished serializing.
+    RetxDma(SingleTx),
+    /// A single-target transmission finished serializing.
     SingleSent {
-        /// Group.
-        group: GroupId,
-        /// Packet sequence.
-        seq: u64,
-        /// Target child.
-        child: NodeId,
+        /// What was sent.
+        tx: SingleTx,
         /// Whether a send SRAM buffer was held (and must be freed).
         buf: bool,
     },
     /// Per-destination token processing (the multisend ablation).
-    PerDestProc {
-        /// Group.
-        group: GroupId,
-        /// Packet sequence.
-        seq: u64,
-        /// Target child.
-        child: NodeId,
-    },
+    PerDestProc(SingleTx),
     /// Group retransmission timer.
     GroupTimer {
         /// Group.
@@ -126,17 +100,22 @@ pub const BARRIER_TAG_BIT: u64 = 1 << 63;
 /// carried in the release's value word.
 const RESULT_BYTES: usize = 8;
 
-/// A queued single-target transmission request.
+/// One packet bound for one child alone: a retransmission, or a send of
+/// the per-destination-token ablation.
 #[derive(Clone, Copy, Debug)]
-struct SingleTx {
-    group: GroupId,
-    seq: u64,
-    child: NodeId,
+pub struct SingleTx {
+    /// Group.
+    pub group: GroupId,
+    /// Packet sequence.
+    pub seq: u64,
+    /// Target child.
+    pub child: NodeId,
 }
 
-/// A `CreateGroup` that arrived while the NIC group table was full, parked
-/// until a slot frees. Admission order is `(arrival time, group id)` — a
-/// total order identical on every shard layout.
+/// A `CreateGroup` as the firmware installs it: at once, or parked while
+/// the NIC group table is full until a slot frees. Admission order is
+/// `(arrival time, group id)` — a total order identical on every shard
+/// layout.
 #[derive(Clone, Debug)]
 struct PendingGroup {
     at: SimTime,
@@ -281,7 +260,7 @@ impl McastExt {
                     for &child in &children {
                         core.ext_work(
                             core.params().send_token_proc,
-                            McastTag::PerDestProc { group, seq, child },
+                            McastTag::PerDestProc(SingleTx { group, seq, child }),
                         );
                     }
                 }
@@ -307,61 +286,82 @@ impl McastExt {
         }
     }
 
-    /// Start the replica chain for a packet sitting in a send buffer.
+    // -- replica chains ------------------------------------------------------------
+
+    /// Start the replica chain of a packet: the root's sits in the send
+    /// buffer it was downloaded to, a forwarder's in the receive buffer it
+    /// arrived in.
     fn start_chain(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64) {
-        let me = core.node();
-        let Some(g) = self.groups.get_mut(&group) else {
-            core.free_send_buffer();
-            return;
-        };
-        let (first_child, root) = (g.children[0], g.root);
-        let Some(rec) = g.record(seq) else {
-            // Fully acked while the DMA was in flight.
-            core.free_send_buffer();
-            return;
-        };
-        let pkt = Self::data_pkt(me, first_child, group, rec, root);
-        core.counters.bump("mcast_tx");
-        core.ext_tx(pkt, Cb::Ext(McastTag::Replica { group, seq, idx: 0 }));
+        if !self.send_replica(core, group, seq, None) {
+            self.drop_chain_buffer(core, group, seq);
+        }
     }
 
-    /// Transmit-complete callback on the root's replica chain: rewrite the
-    /// header for the next child and requeue (the GM-2 descriptor-callback
-    /// trick), or release the buffer after the last child.
+    /// Transmit-complete callback on a replica chain: requeue the packet to
+    /// the next child, or end the chain after the last one.
     fn replica_done(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64, idx: usize) {
+        if self.send_replica(core, group, seq, Some(idx)) {
+            return;
+        }
+        let root = self.drop_chain_buffer(core, group, seq);
+        self.arm_timer(core, group);
+        if root {
+            self.pump_sdma(core);
+            self.pump_single(core);
+        }
+    }
+
+    /// One step of a replica chain, the same for the root's multisend and a
+    /// forwarder's relay: stamp the packet's last transmission (`done` is
+    /// the child whose replica just finished, `None` at the start), pick the
+    /// next child, rewrite the header for it and requeue — the GM-2
+    /// descriptor-callback trick. `false` ends the chain: every child has
+    /// its replica, or the record was acked away.
+    fn send_replica(
+        &mut self,
+        core: &mut NicCore<Self>,
+        group: GroupId,
+        seq: u64,
+        done: Option<usize>,
+    ) -> bool {
         let me = core.node();
         let now = core.now();
         let Some(g) = self.groups.get_mut(&group) else {
-            core.free_send_buffer();
-            return;
+            return false;
         };
-        let root = g.root;
-        let next = proto::next_replica(g.children.len(), idx).map(|i| g.children[i]);
-        if let Some(rec) = g.record(seq) {
+        let (root, forwarder) = (g.root, g.parent.is_some());
+        let next = match done {
+            None => Some(0),
+            Some(idx) => proto::next_replica(g.children.len(), idx),
+        };
+        let next = next.map(|idx| (idx, g.children[idx]));
+        let Some(rec) = g.record(seq) else {
+            return false;
+        };
+        if done.is_some() {
             rec.last_tx = Some(now);
-            if let Some(child) = next {
-                let pkt = Self::data_pkt(me, child, group, rec, root);
-                core.counters.bump("mcast_tx");
-                core.ext_tx(
-                    pkt,
-                    Cb::Ext(McastTag::Replica {
-                        group,
-                        seq,
-                        idx: idx + 1,
-                    }),
-                );
-                return;
-            }
-        } else if let Some(child) = next {
-            // Record already acked away mid-chain (possible with zero-loss
-            // fast acks); keep the chain going from the refs we no longer
-            // have — nothing to send, fall through to release.
-            let _ = child;
         }
-        core.free_send_buffer();
-        self.arm_timer(core, group);
-        self.pump_sdma(core);
-        self.pump_single(core);
+        let Some((idx, child)) = next else {
+            return false;
+        };
+        let pkt = Self::data_pkt(me, child, group, rec, root);
+        core.counters
+            .bump(if forwarder { "mcast_fwd" } else { "mcast_tx" });
+        core.ext_tx(pkt, Cb::Ext(McastTag::Replica { group, seq, idx }));
+        true
+    }
+
+    /// Release the buffer an ended chain held, and say whether it was the
+    /// root's: a forwarder drops its chain's reference on the receive
+    /// buffer, the root frees its send buffer.
+    fn drop_chain_buffer(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64) -> bool {
+        if self.buf_refs.contains_key(&(group, seq)) {
+            self.dec_ref(core, group, seq);
+            false
+        } else {
+            core.free_send_buffer();
+            true
+        }
     }
 
     // -- forwarding path --------------------------------------------------------
@@ -404,8 +404,15 @@ impl McastExt {
             }
             return;
         }
-        let is_collective = tag & BARRIER_TAG_BIT != 0;
-        if is_collective {
+        let rec = McastRec {
+            seq,
+            offset,
+            tag,
+            payload: pkt.payload,
+            last_tx: None,
+            retries: 0,
+        };
+        if tag & BARRIER_TAG_BIT != 0 {
             // Collective release: pure NIC-level control riding the
             // reliable multicast path. No receive token, no host copy.
             debug_assert!(
@@ -413,7 +420,8 @@ impl McastExt {
                 "release payload {:?}",
                 pkt.payload
             );
-            return self.accept_barrier_release(core, pkt.payload, group, seq);
+            self.accept_barrier_release(core, group, pkt.payload);
+            return self.accept_and_forward(core, group, rec, false);
         }
         if offset == 0 {
             // A new message needs a receive token ("the receive token is
@@ -422,7 +430,6 @@ impl McastExt {
                 core.free_recv_buffer();
                 return; // no ack: the parent's timeout recovers this packet
             }
-            let g = self.groups.get_mut(&group).expect("group exists");
             g.in_msgs.push_back(InMsg {
                 tag,
                 data: pkt.payload,
@@ -430,8 +437,6 @@ impl McastExt {
                 rdma_done: 0,
             });
         }
-        let g = self.groups.get_mut(&group).expect("group exists");
-        g.rx.accept();
         let msg = g.in_msgs.back_mut().expect("open message");
         debug_assert_eq!(pkt.payload, msg.data, "packet of another message");
         debug_assert_eq!(
@@ -441,43 +446,8 @@ impl McastExt {
         );
         msg.received += pkt.len;
         core.counters.bump("mcast_rx");
-
-        let has_children = !g.children.is_empty();
-        let hold_sram = self.config.retx_buffer == RetxBufferPolicy::HoldSram;
-        // One ref for the RDMA upload, one for the forwarding chain, one
-        // held until all children ack (HoldSram ablation only).
-        self.buf_refs
-            .insert((group, seq), proto::fwd_buf_refs(has_children, hold_sram));
-
-        // Forward before acking: the replica chain is the latency-critical
-        // path ("an intermediate NIC can forward the packets of a message
-        // without waiting for the arrival of the complete message").
-        if has_children {
-            let g = self.groups.get_mut(&group).expect("group exists");
-            g.records.push_back(McastRec {
-                seq,
-                offset,
-                tag,
-                payload: pkt.payload,
-                last_tx: None,
-                retries: 0,
-            });
-            let need_pool_token = self.config.fwd_token == FwdTokenPolicy::FreePool;
-            if need_pool_token && !core.take_send_token() {
-                // Ablation: forwarding stalls until a pool token frees up —
-                // the deadlock the paper's receive-token transformation
-                // avoids.
-                core.counters.bump("mcast_fwd_token_stall");
-                self.fwd_stalled.push_back((group, seq));
-                core.signal_resource_wait();
-            } else {
-                self.launch_forward(core, group, seq);
-            }
-        }
-
-        // Ack the parent and upload the payload to host memory in parallel
-        // with forwarding.
-        core.ext_tx(Packet::mcast_ack(me, parent, group, seq), Cb::None);
+        self.accept_and_forward(core, group, rec, true);
+        // Upload the payload to host memory in parallel with forwarding.
         core.ext_dma(
             u64::from(pkt.len),
             McastTag::RdmaDone {
@@ -488,46 +458,50 @@ impl McastExt {
         );
     }
 
-    fn launch_forward(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64) {
-        let me = core.node();
-        let g = self.groups.get_mut(&group).expect("group exists");
-        let (first_child, root) = (g.children[0], g.root);
-        let Some(rec) = g.record(seq) else {
-            // Already acked (cannot normally happen before first transmit).
-            self.dec_ref(core, group, seq);
-            return;
-        };
-        let pkt = Self::data_pkt(me, first_child, group, rec, root);
-        core.counters.bump("mcast_fwd");
-        core.ext_tx(pkt, Cb::Ext(McastTag::FwdReplica { group, seq, idx: 0 }));
-    }
-
-    fn fwd_replica_done(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64, idx: usize) {
-        let me = core.node();
-        let now = core.now();
-        if let Some(g) = self.groups.get_mut(&group) {
-            let root = g.root;
-            let next = proto::next_replica(g.children.len(), idx).map(|i| g.children[i]);
-            if let Some(rec) = g.record(seq) {
-                rec.last_tx = Some(now);
-                if let Some(child) = next {
-                    let pkt = Self::data_pkt(me, child, group, rec, root);
-                    core.counters.bump("mcast_fwd");
-                    core.ext_tx(
-                        pkt,
-                        Cb::Ext(McastTag::FwdReplica {
-                            group,
-                            seq,
-                            idx: idx + 1,
-                        }),
-                    );
-                    return;
-                }
+    /// Accept the in-sequence packet `rec` from the parent, data or a
+    /// collective release alike: record it, reference its receive buffer
+    /// once per user (the host upload when `upload`, the replica chain, and
+    /// the held copy under `HoldSram`), start forwarding it, then ack.
+    /// Forwarding comes first because the replica chain is the
+    /// latency-critical path ("an intermediate NIC can forward the packets
+    /// of a message without waiting for the arrival of the complete
+    /// message").
+    fn accept_and_forward(
+        &mut self,
+        core: &mut NicCore<Self>,
+        group: GroupId,
+        rec: McastRec,
+        upload: bool,
+    ) {
+        let (me, seq) = (core.node(), rec.seq);
+        let hold_sram = self.config.retx_buffer == RetxBufferPolicy::HoldSram;
+        let g = self.groups.get_mut(&group).expect("checked by caller");
+        let parent = g.parent.expect("non-root");
+        g.rx.accept();
+        let has_children = !g.children.is_empty();
+        if has_children {
+            g.records.push_back(rec);
+        }
+        match proto::fwd_buf_refs(has_children, hold_sram) - u8::from(!upload) {
+            0 => core.free_recv_buffer(),
+            refs => {
+                self.buf_refs.insert((group, seq), refs);
             }
         }
-        // Chain complete (or record acked away): drop the chain's buffer ref.
-        self.dec_ref(core, group, seq);
-        self.arm_timer(core, group);
+        if has_children {
+            let need_pool_token = self.config.fwd_token == FwdTokenPolicy::FreePool;
+            if need_pool_token && !core.take_send_token() {
+                // Ablation: forwarding stalls until a pool token frees up —
+                // the deadlock the paper's receive-token transformation
+                // avoids.
+                core.counters.bump("mcast_fwd_token_stall");
+                self.fwd_stalled.push_back((group, seq));
+                core.signal_resource_wait();
+            } else {
+                self.start_chain(core, group, seq);
+            }
+        }
+        core.ext_tx(Packet::mcast_ack(me, parent, group, seq), Cb::None);
     }
 
     fn rdma_done(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64, bytes: u32) {
@@ -577,63 +551,45 @@ impl McastExt {
     /// the admission queue (deterministic `(arrival, group)` order). A
     /// re-install of a live group replaces its tree in place without
     /// consuming a second slot, exactly as before the table was modeled.
-    fn install_or_queue(
-        &mut self,
-        core: &mut NicCore<Self>,
-        group: GroupId,
-        port: myrinet::PortId,
-        root: NodeId,
-        parent: Option<NodeId>,
-        children: Vec<NodeId>,
-    ) {
-        self.left.remove(&group);
-        if let Some(existing) = self.groups.get_mut(&group) {
-            *existing = GroupState::new(port, root, parent, children);
-            core.counters.bump("mcast_group_installs");
-            core.ext_notify(McastNotice::GroupReady { group });
-            return;
-        }
+    fn install_or_queue(&mut self, core: &mut NicCore<Self>, install: PendingGroup) {
         // Strict FIFO: never let a new install jump ahead of parked ones —
         // admission in NIC-arrival order is what guarantees liveness when
         // groups span nodes whose tables exhaust at different times.
-        if self.admission.is_empty() && core.group_alloc(group) {
-            self.groups
-                .insert(group, GroupState::new(port, root, parent, children));
-            core.counters.bump("mcast_group_installs");
-            core.ext_notify(McastNotice::GroupReady { group });
-        } else {
-            core.counters.bump("mcast_group_admission_waits");
-            let pending = PendingGroup {
-                at: core.now(),
-                group,
-                port,
-                root,
-                parent,
-                children,
-            };
-            let pos = self
-                .admission
-                .partition_point(|p| (p.at, p.group) <= (pending.at, pending.group));
-            self.admission.insert(pos, pending);
+        if self.groups.contains_key(&install.group)
+            || (self.admission.is_empty() && core.group_alloc(install.group))
+        {
+            return self.install(core, install);
         }
+        // A rejoin waiting for a slot is no longer an ex-member.
+        self.left.remove(&install.group);
+        core.counters.bump("mcast_group_admission_waits");
+        let pos = self
+            .admission
+            .partition_point(|p| (p.at, p.group) <= (install.at, install.group));
+        self.admission.insert(pos, install);
     }
 
     /// Admit parked installs into freshly-freed table slots, in order.
     fn admit_pending(&mut self, core: &mut NicCore<Self>) {
         while !self.admission.is_empty() {
-            let next = &self.admission[0];
-            if !core.group_alloc(next.group) {
+            if !core.group_alloc(self.admission[0].group) {
                 return; // table still full (or a duplicate raced in)
             }
-            let p = self.admission.remove(0);
-            self.left.remove(&p.group);
-            self.groups.insert(
-                p.group,
-                GroupState::new(p.port, p.root, p.parent, p.children),
-            );
-            core.counters.bump("mcast_group_installs");
-            core.ext_notify(McastNotice::GroupReady { group: p.group });
+            let install = self.admission.remove(0);
+            self.install(core, install);
         }
+    }
+
+    /// Install (or replace in place) a group whose table slot is held, and
+    /// tell the host it is ready.
+    fn install(&mut self, core: &mut NicCore<Self>, p: PendingGroup) {
+        self.left.remove(&p.group);
+        self.groups.insert(
+            p.group,
+            GroupState::new(p.port, p.root, p.parent, p.children),
+        );
+        core.counters.bump("mcast_group_installs");
+        core.ext_notify(McastNotice::GroupReady { group: p.group });
     }
 
     /// Complete a pending leave once the group has quiesced: no unacked
@@ -650,7 +606,7 @@ impl McastExt {
         let busy = !g.records.is_empty()
             || !g.in_msgs.is_empty()
             || !g.out_msgs.is_empty()
-            || g.bar_entered
+            || g.coll.is_open()
             || self
                 .buf_refs
                 .range((group, 0)..=(group, u64::MAX))
@@ -681,11 +637,7 @@ impl McastExt {
             core.counters.bump("mcast_barrier_unknown_group");
             return;
         };
-        assert!(!g.bar_entered, "host re-entered an open collective round");
-        g.bar_entered = true;
-        g.bar_tag = tag;
-        g.bar_kind = kind;
-        g.bar_value = value;
+        g.coll.enter(tag, kind, value);
         self.barrier_progress(core, group);
     }
 
@@ -699,53 +651,26 @@ impl McastExt {
         let Some(g) = self.groups.get_mut(&group) else {
             return;
         };
-        if !g.bar_entered {
+        if !g.coll.subtree_ready() {
             return;
         }
-        let round = g.bar_round;
-        let subtree_ready = g.bar_up.iter().all(|&c| c > round);
-        if !subtree_ready {
-            return;
-        }
-        // Fold this subtree's partial value (barrier folds nothing).
-        let partial = match g.bar_kind {
-            CollKind::Barrier => 0,
-            CollKind::Allreduce(op) => g
-                .bar_child_val
-                .iter()
-                .fold(g.bar_value, |acc, &v| op.apply(acc, v)),
-        };
+        let (round, result) = (g.coll.round(), g.coll.fold());
         match g.parent {
             None => {
                 // Root: complete locally and release everyone through the
                 // reliable multicast path (ordered with data messages).
-                let tag = g.bar_tag;
-                let kind = g.bar_kind;
-                g.bar_round += 1;
-                g.bar_entered = false;
-                g.bar_up_sent = false;
-                core.counters.bump("mcast_barrier_rounds");
-                let release = match kind {
-                    CollKind::Barrier => {
-                        core.ext_notify(McastNotice::BarrierDone { group, tag });
-                        Payload::EMPTY
-                    }
-                    CollKind::Allreduce(_) => {
-                        core.ext_notify(McastNotice::AllreduceDone {
-                            group,
-                            result: partial,
-                            tag,
-                        });
-                        Payload::new(0, RESULT_BYTES).with_value(partial)
-                    }
-                };
+                let tag = g.coll.advance();
+                Self::round_done(core, group, tag, result);
+                let release = result.map_or(Payload::EMPTY, |v| {
+                    Payload::new(0, RESULT_BYTES).with_value(v)
+                });
                 self.start_send(core, group, release, BARRIER_TAG_BIT | round);
             }
             Some(parent) => {
-                if g.bar_up_sent {
+                if !g.coll.send_up() {
                     return;
                 }
-                g.bar_up_sent = true;
+                let partial = result.unwrap_or(0);
                 core.ext_tx(
                     Packet::ctl(me, parent, group, OP_BARRIER_UP, round, partial),
                     Cb::None,
@@ -758,54 +683,31 @@ impl McastExt {
     }
 
     /// A collective release (multicast with the collective tag bit) was
-    /// accepted in sequence: complete the round at this member and let the
-    /// normal forwarding machinery push it to the children. A zero-byte
-    /// release is a barrier; an 8-byte release carries the allreduce result
-    /// in its value word.
+    /// accepted in sequence. All it adds to a data packet's acceptance is
+    /// completing the round at this member: a zero-byte release is a
+    /// barrier's, an 8-byte one carries the allreduce result in its value
+    /// word.
     fn accept_barrier_release(
         &mut self,
         core: &mut NicCore<Self>,
-        release: Payload,
         group: GroupId,
-        seq: u64,
+        release: Payload,
     ) {
-        let me = core.node();
         let g = self.groups.get_mut(&group).expect("checked by caller");
-        let parent = g.parent.expect("non-root");
-        g.rx.accept();
-        debug_assert!(g.bar_entered, "release precedes local entry");
-        let tag = g.bar_tag;
-        g.bar_round += 1;
-        g.bar_entered = false;
-        g.bar_up_sent = false;
-        core.counters.bump("mcast_barrier_rounds");
-        if release.len() == RESULT_BYTES {
-            let result = release.value();
-            core.ext_notify(McastNotice::AllreduceDone { group, result, tag });
-        } else {
-            core.ext_notify(McastNotice::BarrierDone { group, tag });
-        }
+        debug_assert!(g.coll.is_open(), "release precedes local entry");
+        let tag = g.coll.advance();
+        let result = (release.len() == RESULT_BYTES).then(|| release.value());
+        Self::round_done(core, group, tag, result);
+    }
 
-        // Forward the release down the tree exactly like a data packet
-        // (records + per-child acks keep it reliable), then ack the parent.
-        let g = self.groups.get_mut(&group).expect("group exists");
-        let has_children = !g.children.is_empty();
-        if has_children {
-            self.buf_refs.insert((group, seq), 1);
-            let g = self.groups.get_mut(&group).expect("group exists");
-            g.records.push_back(McastRec {
-                seq,
-                offset: 0,
-                tag: BARRIER_TAG_BIT | (g.bar_round - 1),
-                payload: release,
-                last_tx: None,
-                retries: 0,
-            });
-            self.launch_forward(core, group, seq);
-        } else {
-            core.free_recv_buffer();
-        }
-        core.ext_tx(Packet::mcast_ack(me, parent, group, seq), Cb::None);
+    /// A collective round completed at this node: tell the host, with the
+    /// result when the round was an allreduce.
+    fn round_done(core: &mut NicCore<Self>, group: GroupId, tag: u64, result: Option<u64>) {
+        core.counters.bump("mcast_barrier_rounds");
+        core.ext_notify(match result {
+            None => McastNotice::BarrierDone { group, tag },
+            Some(result) => McastNotice::AllreduceDone { group, result, tag },
+        });
     }
 
     /// A control packet arrived (currently only barrier UP tokens).
@@ -828,13 +730,7 @@ impl McastExt {
             core.counters.bump("mcast_ctl_stray");
             return;
         };
-        // Count semantics: UP for round r means the child subtree is ready
-        // for every round <= r. Retransmitted UPs overwrite with the same
-        // value; stale rounds never regress the counter.
-        if seq + 1 >= g.bar_up[ci] {
-            g.bar_child_val[ci] = value;
-        }
-        g.bar_up[ci] = g.bar_up[ci].max(seq + 1);
+        g.coll.on_up(ci, seq, value);
         self.barrier_progress(core, group);
     }
 
@@ -846,17 +742,11 @@ impl McastExt {
         let Some(g) = self.groups.get_mut(&group) else {
             return;
         };
-        if g.bar_round != round || !g.bar_up_sent {
+        if !g.coll.up_outstanding(round) {
             return; // round completed; token no longer needed
         }
         let parent = g.parent.expect("only non-roots send UP");
-        let partial = match g.bar_kind {
-            CollKind::Barrier => 0,
-            CollKind::Allreduce(op) => g
-                .bar_child_val
-                .iter()
-                .fold(g.bar_value, |acc, &v| op.apply(acc, v)),
-        };
+        let partial = g.coll.fold().unwrap_or(0);
         core.counters.bump("mcast_barrier_up_retx");
         core.ext_tx(
             Packet::ctl(me, parent, group, OP_BARRIER_UP, round, partial),
@@ -882,7 +772,7 @@ impl McastExt {
             return;
         };
         g.acked.on_ack(ci, seq);
-        let min_acked = g.min_acked();
+        let min_acked = g.acked.min_acked();
         let is_forwarder = g.parent.is_some();
         // Records strictly below the release horizon are globally acked and
         // may be freed (the seeded off-by-one mutation widens the horizon —
@@ -961,25 +851,18 @@ impl McastExt {
         let mut queued = 0u64;
         let mut earliest_due: Option<SimTime> = None;
         let mut max_retries = 0u32;
-        let children = g.children.clone();
-        let acked = g.acked.clone();
-        let mut to_queue: Vec<SingleTx> = Vec::new();
         for rec in g.records.iter_mut() {
-            let Some(last) = rec.last_tx else {
-                // Not transmitted yet (still in a chain); check again later.
-                earliest_due = Some(earliest_due.map_or(now + timeout, |e| e.min(now + timeout)));
-                continue;
-            };
-            let due_at = last + timeout;
-            if due_at > now {
+            // A packet still in its first chain is checked again later.
+            let due_at = rec.last_tx.unwrap_or(now) + timeout;
+            if rec.last_tx.is_none() || due_at > now {
                 earliest_due = Some(earliest_due.map_or(due_at, |e: SimTime| e.min(due_at)));
                 continue;
             }
             rec.retries += 1;
             max_retries = max_retries.max(rec.retries);
-            for (ci, &child) in children.iter().enumerate() {
-                if acked.needs(ci, rec.seq) {
-                    to_queue.push(SingleTx {
+            for (ci, &child) in g.children.iter().enumerate() {
+                if g.acked.needs(ci, rec.seq) {
+                    self.single_pending.push_back(SingleTx {
                         group,
                         seq: rec.seq,
                         child,
@@ -990,9 +873,7 @@ impl McastExt {
             rec.last_tx = Some(now); // pending retransmit counts as a round
         }
         core.add_retransmissions("mcast_retransmissions", queued);
-        self.single_pending.extend(to_queue);
         // Re-arm.
-        let g = self.groups.get_mut(&group).expect("group exists");
         g.timer_armed = true;
         g.timer_gen += 1;
         let gen = g.timer_gen;
@@ -1013,39 +894,29 @@ impl McastExt {
     /// per-destination-token ablation's sends).
     fn pump_single(&mut self, core: &mut NicCore<Self>) {
         let hold_sram = self.config.retx_buffer == RetxBufferPolicy::HoldSram;
-        while let Some(&SingleTx { group, seq, child }) = self.single_pending.front() {
-            let me = core.node();
+        while let Some(&tx) = self.single_pending.front() {
+            let SingleTx { group, seq, child } = tx;
             let Some(g) = self.groups.get_mut(&group) else {
                 self.single_pending.pop_front();
                 continue;
             };
             let still_needed = g
                 .child_index(child)
-                .map(|ci| g.acked.needs(ci, seq))
-                .unwrap_or(false);
-            let root = g.root;
-            let rec_exists = g.record(seq).is_some();
-            if !still_needed || !rec_exists {
+                .is_some_and(|ci| g.acked.needs(ci, seq));
+            let forwarder = g.parent.is_some();
+            let Some(bytes) = g.record(seq).filter(|_| still_needed).map(|r| r.len()) else {
                 self.single_pending.pop_front();
                 continue;
-            }
-            let is_forwarder = g.parent.is_some();
-            if hold_sram && is_forwarder {
+            };
+            if hold_sram && forwarder {
                 // Data still sits in the held SRAM buffer: transmit directly.
-                self.single_pending.pop_front();
-                let g = self.groups.get_mut(&group).expect("group exists");
-                let rec = g.record(seq).expect("record exists");
-                let pkt = Self::data_pkt(me, child, group, rec, root);
-                core.counters.bump("mcast_retx_tx");
-                core.ext_tx(
-                    pkt,
-                    Cb::Ext(McastTag::SingleSent {
-                        group,
-                        seq,
-                        child,
-                        buf: false,
-                    }),
+                debug_assert!(
+                    self.buf_refs.contains_key(&(group, seq)),
+                    "a forwarder retransmits {group:?} seq {seq} from a held SRAM buffer \
+                     it no longer holds"
                 );
+                self.single_pending.pop_front();
+                self.send_single(core, tx, false);
             } else {
                 // Re-download the packet from the registered host memory.
                 if !core.alloc_send_buffer() {
@@ -1053,35 +924,27 @@ impl McastExt {
                     return;
                 }
                 self.single_pending.pop_front();
-                let g = self.groups.get_mut(&group).expect("group exists");
-                let bytes = u64::from(g.record(seq).expect("record exists").len());
-                core.ext_dma(bytes, McastTag::RetxDma { group, seq, child });
+                core.ext_dma(u64::from(bytes), McastTag::RetxDma(tx));
             }
         }
     }
 
-    fn retx_dma_done(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64, child: NodeId) {
+    /// Send `tx` from a send buffer it was downloaded to (`buf`, freed once
+    /// it is sent) or from the SRAM buffer a `HoldSram` forwarder still
+    /// holds. `false` when its record is gone.
+    fn send_single(&mut self, core: &mut NicCore<Self>, tx: SingleTx, buf: bool) -> bool {
         let me = core.node();
-        let Some(g) = self.groups.get_mut(&group) else {
-            core.free_send_buffer();
-            return;
+        let Some(g) = self.groups.get_mut(&tx.group) else {
+            return false;
         };
         let root = g.root;
-        let Some(rec) = g.record(seq) else {
-            core.free_send_buffer();
-            return;
+        let Some(rec) = g.record(tx.seq) else {
+            return false;
         };
-        let pkt = Self::data_pkt(me, child, group, rec, root);
+        let pkt = Self::data_pkt(me, tx.child, tx.group, rec, root);
         core.counters.bump("mcast_retx_tx");
-        core.ext_tx(
-            pkt,
-            Cb::Ext(McastTag::SingleSent {
-                group,
-                seq,
-                child,
-                buf: true,
-            }),
-        );
+        core.ext_tx(pkt, Cb::Ext(McastTag::SingleSent { tx, buf }));
+        true
     }
 
     fn single_sent(&mut self, core: &mut NicCore<Self>, group: GroupId, seq: u64, buf: bool) {
@@ -1126,7 +989,15 @@ impl NicExtension for McastExt {
                 parent,
                 children,
             } => {
-                self.install_or_queue(core, group, port, root, parent, children);
+                let install = PendingGroup {
+                    at: core.now(),
+                    group,
+                    port,
+                    root,
+                    parent,
+                    children,
+                };
+                self.install_or_queue(core, install);
             }
             McastRequest::Send { group, data, tag } => {
                 self.start_send(core, group, data, tag);
@@ -1165,21 +1036,15 @@ impl NicExtension for McastExt {
     fn tx_callback(&mut self, core: &mut NicCore<Self>, tag: McastTag) {
         match tag {
             McastTag::Replica { group, seq, idx } => self.replica_done(core, group, seq, idx),
-            McastTag::FwdReplica { group, seq, idx } => {
-                self.fwd_replica_done(core, group, seq, idx);
-            }
-            McastTag::SingleSent {
-                group, seq, buf, ..
-            } => self.single_sent(core, group, seq, buf),
+            McastTag::SingleSent { tx, buf } => self.single_sent(core, tx.group, tx.seq, buf),
             t => unreachable!("unexpected tx callback {t:?}"),
         }
     }
 
     fn work(&mut self, core: &mut NicCore<Self>, tag: McastTag) {
         match tag {
-            McastTag::PerDestProc { group, seq, child } => {
-                self.single_pending
-                    .push_back(SingleTx { group, seq, child });
+            McastTag::PerDestProc(tx) => {
+                self.single_pending.push_back(tx);
                 self.pump_single(core);
             }
             t => unreachable!("unexpected work item {t:?}"),
@@ -1190,8 +1055,10 @@ impl NicExtension for McastExt {
         match tag {
             McastTag::SdmaDone { group, seq } => self.start_chain(core, group, seq),
             McastTag::RdmaDone { group, seq, bytes } => self.rdma_done(core, group, seq, bytes),
-            McastTag::RetxDma { group, seq, child } => {
-                self.retx_dma_done(core, group, seq, child);
+            McastTag::RetxDma(tx) => {
+                if !self.send_single(core, tx, true) {
+                    core.free_send_buffer();
+                }
             }
             t => unreachable!("unexpected dma completion {t:?}"),
         }
@@ -1216,7 +1083,7 @@ impl NicExtension for McastExt {
                 break;
             }
             self.fwd_stalled.pop_front();
-            self.launch_forward(core, group, seq);
+            self.start_chain(core, group, seq);
         }
         self.pump_single(core);
         self.pump_sdma(core);
@@ -1233,36 +1100,25 @@ impl NicExtension for McastExt {
     }
 
     fn flow_of_tag(&self, node: u32, tag: &McastTag) -> FlowId {
-        match tag {
+        let (group, seq, dest) = match *tag {
             // Work on this node's own copy of the message.
             McastTag::SdmaDone { group, seq } | McastTag::RdmaDone { group, seq, .. } => {
-                match self.flow_parts(*group, *seq) {
-                    Some((root, t)) => FlowId::new(root, t, node),
-                    None => FlowId::NONE,
-                }
+                (group, seq, Some(node))
             }
             // Replica chains: the hop belongs to the child being fed.
-            McastTag::Replica { group, seq, idx } | McastTag::FwdReplica { group, seq, idx } => {
-                let child = self
-                    .groups
-                    .get(group)
-                    .and_then(|g| g.children.get(*idx))
-                    .copied();
-                match (self.flow_parts(*group, *seq), child) {
-                    (Some((root, t)), Some(child)) => FlowId::new(root, t, child.0),
-                    _ => FlowId::NONE,
-                }
+            McastTag::Replica { group, seq, idx } => {
+                let child = self.groups.get(&group).and_then(|g| g.children.get(idx));
+                (group, seq, child.map(|c| c.0))
             }
             // Selective retransmissions target one child explicitly.
-            McastTag::RetxDma { group, seq, child }
-            | McastTag::SingleSent {
-                group, seq, child, ..
+            McastTag::RetxDma(tx) | McastTag::SingleSent { tx, .. } | McastTag::PerDestProc(tx) => {
+                (tx.group, tx.seq, Some(tx.child.0))
             }
-            | McastTag::PerDestProc { group, seq, child } => match self.flow_parts(*group, *seq) {
-                Some((root, t)) => FlowId::new(root, t, child.0),
-                None => FlowId::NONE,
-            },
-            McastTag::GroupTimer { .. } | McastTag::BarrierTimer { .. } => FlowId::NONE,
+            McastTag::GroupTimer { .. } | McastTag::BarrierTimer { .. } => return FlowId::NONE,
+        };
+        match (self.flow_parts(group, seq), dest) {
+            (Some((root, t)), Some(dest)) => FlowId::new(root, t, dest),
+            _ => FlowId::NONE,
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use gm_proto::{ChildAcks, GbnRx, GbnTx};
+use gm_proto::{ChildAcks, Collective, GbnRx, GbnTx, ReduceOp};
 use gm_sim::SimTime;
 use myrinet::{GroupId, NodeId, Payload, PortId};
 
@@ -73,35 +73,6 @@ pub enum McastRequest {
         /// Tag echoed in the completion notice.
         tag: u64,
     },
-}
-
-/// The combining operator of a NIC-level allreduce.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReduceOp {
-    /// Wrapping sum.
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-impl ReduceOp {
-    /// Combine two operands.
-    pub fn apply(self, a: u64, b: u64) -> u64 {
-        match self {
-            ReduceOp::Sum => a.wrapping_add(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-        }
-    }
-}
-
-/// What kind of collective the group is currently running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum CollKind {
-    Barrier,
-    Allreduce(ReduceOp),
 }
 
 /// NIC-to-host multicast notices.
@@ -264,24 +235,9 @@ pub(crate) struct GroupState {
     /// The host asked to leave; the entry is freed (and `GroupLeft` emitted)
     /// as soon as the group quiesces.
     pub leaving: bool,
-    // --- NIC-level barrier (future-work extension) ---
-    /// Barrier round currently in progress.
-    pub bar_round: u64,
-    /// Whether the local host has entered the current round.
-    pub bar_entered: bool,
-    /// Tag to echo when the current round completes.
-    pub bar_tag: u64,
-    /// Per child: number of rounds for which an UP token has been received
-    /// (child `ci` is ready for round r when `bar_up[ci] > r`).
-    pub bar_up: Vec<u64>,
-    /// Whether this node's own UP for the current round has been sent.
-    pub bar_up_sent: bool,
-    /// The collective in progress this round.
-    pub bar_kind: CollKind,
-    /// This member's allreduce contribution for the current round.
-    pub bar_value: u64,
-    /// Latest partial value received from each child.
-    pub bar_child_val: Vec<u64>,
+    /// This member's side of the NIC-level barrier and allreduce
+    /// (future-work extension).
+    pub coll: Collective,
 }
 
 impl GroupState {
@@ -306,20 +262,8 @@ impl GroupState {
             timer_armed: false,
             timer_gen: 0,
             leaving: false,
-            bar_round: 0,
-            bar_entered: false,
-            bar_tag: 0,
-            bar_up: vec![0; n],
-            bar_up_sent: false,
-            bar_kind: CollKind::Barrier,
-            bar_value: 0,
-            bar_child_val: vec![0; n],
+            coll: Collective::new(n),
         }
-    }
-
-    /// Lowest per-child acked count: packets below this are globally acked.
-    pub(crate) fn min_acked(&self) -> u64 {
-        self.acked.min_acked()
     }
 
     /// Find a record by sequence number.
@@ -345,14 +289,14 @@ mod tests {
             None,
             vec![NodeId(1), NodeId(2), NodeId(3)],
         );
-        assert_eq!(g.min_acked(), 0);
+        assert_eq!(g.acked.min_acked(), 0);
         g.acked.on_ack(0, 2); // counts: [3,0,0]
         g.acked.on_ack(1, 0); // counts: [3,1,0]
         g.acked.on_ack(2, 1); // counts: [3,1,2]
-        assert_eq!(g.min_acked(), 1);
+        assert_eq!(g.acked.min_acked(), 1);
         // No children: everything is trivially acked.
         let leaf = GroupState::new(PortId(0), NodeId(0), Some(NodeId(0)), vec![]);
-        assert_eq!(leaf.min_acked(), u64::MAX);
+        assert_eq!(leaf.acked.min_acked(), u64::MAX);
     }
 
     #[test]

@@ -53,14 +53,14 @@ mod tree;
 mod workload;
 mod workloads;
 
-pub use calibrate::{postal_for_size, shape_for_size};
-pub use ext::{McastExt, McastTag, BARRIER_TAG_BIT, OP_BARRIER_UP};
+pub use calibrate::{auto_shape, postal_for_size};
+pub use ext::{McastExt, McastTag, SingleTx, BARRIER_TAG_BIT, OP_BARRIER_UP};
+pub use gm_proto::ReduceOp;
 pub use gm_sim::probe::ProbeConfig;
 pub use gm_sim::watch::{Incident, Severity as IncidentSeverity};
 pub use gm_sim::{SeriesConfig, WatchConfig};
 pub use group::{
-    FwdTokenPolicy, McastConfig, McastNotice, McastRequest, MultisendImpl, ReduceOp,
-    RetxBufferPolicy,
+    FwdTokenPolicy, McastConfig, McastNotice, McastRequest, MultisendImpl, RetxBufferPolicy,
 };
 pub use replay::{replay, ReplayDrop, ReplayOutcome, ReplaySpec};
 pub use scenario::{BuiltScenario, Report, Scenario, ScenarioError};

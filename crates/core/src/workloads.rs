@@ -15,6 +15,8 @@
 //!   child and every interior *host* re-sends on receive (the traditional
 //!   store-and-forward broadcast the paper compares against).
 
+use std::sync::Arc;
+
 use gm::{analyze, drive, harvest, Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::probe::{attribution, ProbeConfig};
 use gm_sim::{percentile_rank, OnlineStats, SeriesConfig, SimDuration, SimTime, WatchConfig};
@@ -115,8 +117,8 @@ pub fn env_shards() -> u32 {
 /// derives the latency statistics. A caller that runs a [`build_cluster`]
 /// cluster itself reads `Driven::app::<RootApp>(run.root)`.
 pub struct RootApp {
-    run: McastRun,
-    tree: SpanningTree,
+    run: Arc<McastRun>,
+    tree: Arc<SpanningTree>,
     gid: GroupId,
     iter: u32,
     t_start: SimTime,
@@ -221,8 +223,8 @@ impl HostApp<McastExt> for RootApp {
 
 /// Every destination's app: consume, forward if host-based, ack if probe.
 struct DestApp {
-    run: McastRun,
-    tree: SpanningTree,
+    run: Arc<McastRun>,
+    tree: Arc<SpanningTree>,
     gid: GroupId,
     me: NodeId,
 }
@@ -271,7 +273,8 @@ impl HostApp<McastExt> for DestApp {
 
 /// Build the cluster for a run, its probe and series sinks and its shard
 /// weights set from `run` (exposed for tests that want to poke the
-/// cluster); the root's [`RootApp`] keeps the measurements.
+/// cluster); the root's [`RootApp`] keeps the measurements. Every node's
+/// app shares one copy of the run and of its tree.
 pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
     assert!(
         run.dests.contains(&run.probe),
@@ -279,7 +282,8 @@ pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
     );
     let topo = Topology::for_nodes(run.n_nodes);
     let fabric = Fabric::with_config(topo, run.net, run.faults.clone(), run.seed);
-    let tree = SpanningTree::build(run.root, &run.dests, run.shape);
+    let tree = Arc::new(SpanningTree::build(run.root, &run.dests, run.shape));
+    let spec = Arc::new(run.clone());
     let gid = GroupId(1);
     let config = run.config;
     let mut cluster = Cluster::new(run.params.clone(), fabric, |_| {
@@ -299,8 +303,8 @@ pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
         cluster.set_app(
             d,
             Box::new(DestApp {
-                run: run.clone(),
-                tree: tree.clone(),
+                run: Arc::clone(&spec),
+                tree: Arc::clone(&tree),
                 gid,
                 me: d,
             }),
@@ -309,7 +313,7 @@ pub fn build_cluster(run: &McastRun) -> Cluster<McastExt> {
     cluster.set_app(
         run.root,
         Box::new(RootApp {
-            run: run.clone(),
+            run: spec,
             tree,
             gid,
             iter: 0,

@@ -6,7 +6,10 @@
 use gm::{Cluster, GmParams, HostApp, HostCtx, Notice};
 use gm_sim::{SimDuration, SimTime};
 use myrinet::{Fabric, FaultPlan, GroupId, NetParams, NodeId, PortId, Topology};
-use nic_mcast::{McastExt, McastNotice, McastRequest, ReduceOp, SpanningTree, TreeShape};
+use nic_mcast::{
+    FwdTokenPolicy, McastConfig, McastExt, McastNotice, McastRequest, MultisendImpl, ReduceOp,
+    RetxBufferPolicy, SpanningTree, TreeShape,
+};
 
 const PORT: PortId = PortId(0);
 const GID: GroupId = GroupId(2);
@@ -79,11 +82,14 @@ fn run(
     contribute: fn(NodeId, u32) -> u64,
     stagger: fn(NodeId, u32) -> SimDuration,
     faults: FaultPlan,
+    config: McastConfig,
 ) -> Vec<Vec<(u64, SimTime)>> {
     let fabric = Fabric::with_config(Topology::for_nodes(n), NetParams::default(), faults, 31);
     let dests: Vec<NodeId> = (1..n).map(NodeId).collect();
     let tree = SpanningTree::build(NodeId(0), &dests, TreeShape::Binomial);
-    let mut cluster = Cluster::new(GmParams::default(), fabric, |_| McastExt::new());
+    let mut cluster = Cluster::new(GmParams::default(), fabric, |_| {
+        McastExt::with_config(config)
+    });
     for i in 0..n {
         cluster.set_app(
             NodeId(i),
@@ -102,6 +108,21 @@ fn run(
     let mut eng = cluster.into_engine(1);
     let outcome = eng.run(SimTime::MAX, 100_000_000);
     assert_eq!(outcome, gm_sim::RunOutcome::Idle, "allreduce hung");
+    // At quiescence every NIC holds all of its send tokens, send SRAM
+    // buffers and receive SRAM buffers again.
+    let p = GmParams::default();
+    for i in 0..n {
+        let nic = eng.world(0).nic(NodeId(i));
+        assert_eq!(
+            (
+                nic.send_tokens_free(),
+                nic.send_buffers_free(),
+                nic.recv_buffers_free()
+            ),
+            (p.send_tokens, p.send_buffers, p.recv_buffers),
+            "node {i}: (send tokens, send buffers, receive buffers) free at quiescence"
+        );
+    }
     // results[round][node]; a round a node never finished reads (0, 0).
     let apps: Vec<&ReduceApp> = (0..n).map(|i| eng.world(0).app(NodeId(i))).collect();
     (0..rounds as usize)
@@ -127,6 +148,7 @@ fn sum_over_every_cluster_size() {
             |me, round| (me.0 as u64 + 1) * (round as u64 + 1),
             no_stagger,
             FaultPlan::none(),
+            McastConfig::default(),
         );
         for (round, row) in out.iter().enumerate() {
             let expect: u64 = (0..n as u64).map(|i| (i + 1) * (round as u64 + 1)).sum();
@@ -149,6 +171,7 @@ fn min_and_max_reduce_correctly() {
         contribute,
         no_stagger,
         FaultPlan::none(),
+        McastConfig::default(),
     );
     let expect_min = *values.iter().min().unwrap();
     assert!(out[0].iter().all(|&(r, _)| r == expect_min));
@@ -160,6 +183,7 @@ fn min_and_max_reduce_correctly() {
         contribute,
         no_stagger,
         FaultPlan::none(),
+        McastConfig::default(),
     );
     let expect_max = *values.iter().max().unwrap();
     assert!(out[0].iter().all(|&(r, _)| r == expect_max));
@@ -176,6 +200,7 @@ fn per_round_values_do_not_leak_across_rounds() {
         |me, round| 1000u64.pow(0) * (round as u64 * 100 + me.0 as u64),
         no_stagger,
         FaultPlan::none(),
+        McastConfig::default(),
     );
     for (round, row) in out.iter().enumerate() {
         let expect: u64 = (0..8u64).map(|i| round as u64 * 100 + i).sum();
@@ -198,6 +223,7 @@ fn skewed_entries_still_reduce_exactly_once() {
         |me, round| me.0 as u64 + round as u64,
         stagger,
         FaultPlan::none(),
+        McastConfig::default(),
     );
     for (round, row) in out.iter().enumerate() {
         let expect: u64 = (0..16u64).map(|i| i + round as u64).sum();
@@ -214,6 +240,7 @@ fn allreduce_survives_packet_loss() {
         |me, _| me.0 as u64 + 1,
         no_stagger,
         FaultPlan::with_loss(0.03),
+        McastConfig::default(),
     );
     let expect: u64 = (1..=8).sum();
     for (round, row) in out.iter().enumerate() {
@@ -222,6 +249,54 @@ fn allreduce_survives_packet_loss() {
             "round {round}: {row:?}"
         );
     }
+}
+
+/// 20 sum rounds on 8 nodes under `config`, clean and at 5% loss: every
+/// node gets every round's sum (the run checks that every pool is full
+/// again at the end).
+fn allreduce_under(config: McastConfig) {
+    for faults in [FaultPlan::none(), FaultPlan::with_loss(0.05)] {
+        let out = run(
+            8,
+            ReduceOp::Sum,
+            20,
+            |me, round| u64::from(me.0) * 3 + u64::from(round),
+            no_stagger,
+            faults,
+            config,
+        );
+        for (round, row) in out.iter().enumerate() {
+            let expect: u64 = (0..8u64).map(|i| i * 3 + round as u64).sum();
+            assert!(
+                row.iter().all(|&(r, t)| r == expect && t > SimTime::ZERO),
+                "round {round}: {row:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn allreduce_under_free_pool_forwarding() {
+    allreduce_under(McastConfig {
+        fwd_token: FwdTokenPolicy::FreePool,
+        ..McastConfig::default()
+    });
+}
+
+#[test]
+fn allreduce_under_held_sram_retransmission() {
+    allreduce_under(McastConfig {
+        retx_buffer: RetxBufferPolicy::HoldSram,
+        ..McastConfig::default()
+    });
+}
+
+#[test]
+fn allreduce_under_per_destination_tokens() {
+    allreduce_under(McastConfig {
+        multisend: MultisendImpl::PerDestToken,
+        ..McastConfig::default()
+    });
 }
 
 #[test]
@@ -242,6 +317,7 @@ fn no_member_finishes_before_the_last_entry() {
         |me, _| me.0 as u64,
         stagger,
         FaultPlan::none(),
+        McastConfig::default(),
     );
     for &(_, t) in &out[0] {
         assert!(

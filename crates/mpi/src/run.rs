@@ -5,7 +5,7 @@ use gm::{drive, harvest, Cluster, GmParams, EAGER_LIMIT};
 use gm_sim::probe::{ProbeConfig, ProbeSink};
 use gm_sim::{Metrics, OnlineStats, SimDuration, SimTime};
 use myrinet::{Fabric, FaultPlan, NetParams, NodeId, Topology};
-use nic_mcast::{env_shards, shape_for_size, McastConfig, McastExt, TreeShape};
+use nic_mcast::{auto_shape, env_shards, McastConfig, McastExt, TreeShape};
 
 use crate::rank::{BcastImpl, MpiOp, RankApp, RankCfg};
 use crate::stats::{fold, Records};
@@ -51,9 +51,10 @@ pub struct MpiRun {
     pub eager_limit: usize,
     /// Host memcpy bandwidth.
     pub copy_bandwidth: u64,
-    /// Tree shape for NIC-based groups (defaults from the first Bcast op's
-    /// size via `shape_for_size`).
-    pub nic_tree: Option<TreeShape>,
+    /// Tree shape for NIC-based groups. [`TreeShape::Auto`], the default,
+    /// resolves through [`auto_shape`] from the first Bcast op's size, as a
+    /// `Scenario` or a `Workload` resolves it.
+    pub nic_tree: TreeShape,
     /// Allow NIC-based broadcast above the eager limit (future-work
     /// extension; the paper's implementation falls back to host-based).
     pub nic_rndv: bool,
@@ -96,7 +97,7 @@ impl MpiRun {
             bcast,
             eager_limit: EAGER_LIMIT,
             copy_bandwidth: DEFAULT_COPY_BANDWIDTH,
-            nic_tree: None,
+            nic_tree: TreeShape::Auto,
             nic_rndv: false,
             seed: 0x6D_7069,
             params: GmParams::default(),
@@ -146,23 +147,6 @@ pub fn execute_mpi(run: &MpiRun) -> MpiOutput {
 /// [`execute_mpi`] on `shards` shards.
 pub(crate) fn execute_on(run: &MpiRun, shards: u32) -> MpiOutput {
     assert!(run.n_ranks >= 2, "need at least two ranks");
-    let bcast_size = run
-        .ops
-        .iter()
-        .find_map(|op| match op {
-            MpiOp::Bcast { size, .. } => Some(*size),
-            _ => None,
-        })
-        .unwrap_or(0);
-    let nic_tree = run.nic_tree.unwrap_or_else(|| {
-        shape_for_size(
-            bcast_size.max(1),
-            run.n_ranks as usize - 1,
-            &run.params,
-            &run.net,
-            2,
-        )
-    });
     if let Some(per_rank) = &run.rank_ops {
         assert_eq!(per_rank.len(), run.n_ranks as usize, "one program per rank");
     }
@@ -202,7 +186,7 @@ pub(crate) fn execute_on(run: &MpiRun, shards: u32) -> MpiOutput {
         bcast: run.bcast,
         eager_limit: run.eager_limit,
         copy_bandwidth: run.copy_bandwidth,
-        nic_tree,
+        nic_tree: nic_tree(run),
         nic_rndv: run.nic_rndv,
         warmup: run.warmup * bcasts_per_repeat,
         seed: run.seed,
@@ -250,9 +234,45 @@ pub(crate) fn execute_on(run: &MpiRun, shards: u32) -> MpiOutput {
     }
 }
 
+/// [`MpiRun::nic_tree`], with [`TreeShape::Auto`] resolved for the first
+/// Bcast op's size over every rank but the root.
+fn nic_tree(run: &MpiRun) -> TreeShape {
+    if run.nic_tree != TreeShape::Auto {
+        return run.nic_tree;
+    }
+    let bcast_size = run
+        .ops
+        .iter()
+        .find_map(|op| match op {
+            MpiOp::Bcast { size, .. } => Some(*size),
+            _ => None,
+        })
+        .unwrap_or(0);
+    auto_shape(
+        bcast_size.max(1),
+        run.n_ranks as usize - 1,
+        run.n_ranks,
+        &run.params,
+        &run.net,
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nic_mcast::postal_for_size;
+
+    /// An automatic tree counts 4 links per edge above 16 ranks, where
+    /// edges cross the Clos, as a `Scenario` does, and 2 up to 16.
+    #[test]
+    fn automatic_trees_count_the_links_an_edge_crosses() {
+        let run = |n| MpiRun::bcast_loop(n, 64, BcastImpl::NicBased, SimDuration::ZERO, 0, 1);
+        let (gp, np) = (GmParams::default(), NetParams::default());
+        let postal = |hops| TreeShape::Postal(postal_for_size(64, &gp, &np, hops));
+        assert_ne!(postal(4), postal(2));
+        assert_eq!(nic_tree(&run(32)), postal(4));
+        assert_eq!(nic_tree(&run(16)), postal(2));
+    }
 
     fn bits(s: &OnlineStats) -> [u64; 5] {
         [

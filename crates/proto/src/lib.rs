@@ -33,6 +33,8 @@
 //!   acknowledged sequence numbers whose minimum gates record release.
 //! * [`next_replica`] / [`fwd_buf_refs`] — the tree-forwarding step: replica
 //!   chain advancement and receive-buffer reference accounting.
+//! * [`Collective`] — one member's round of the NIC-level barrier and
+//!   allreduce: UP counts, the subtree fold and the round advance.
 //! * [`ProtoMutation`] — deliberately seeded bugs for model↔implementation
 //!   conformance tests. A mutation changes the shared transition function,
 //!   so enabling one breaks the checker *and* the simulator identically.
@@ -391,6 +393,130 @@ pub fn fwd_buf_refs(has_children: bool, hold_sram: bool) -> u8 {
     1 + u8::from(has_children) + u8::from(has_children && hold_sram)
 }
 
+/// The combining operator of a NIC-level allreduce.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum ReduceOp {
+    /// Wrapping sum.
+    Sum,
+    /// Minimum.
+    Min,
+    /// Maximum.
+    Max,
+}
+
+impl ReduceOp {
+    /// Combine two operands.
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            ReduceOp::Sum => a.wrapping_add(b),
+            ReduceOp::Min => a.min(b),
+            ReduceOp::Max => a.max(b),
+        }
+    }
+}
+
+/// What a collective round computes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum CollKind {
+    /// Synchronization only.
+    #[default]
+    Barrier,
+    /// Every member's value, folded up the tree with the operator.
+    Allreduce(ReduceOp),
+}
+
+/// One member's side of a NIC-level collective round over a group tree
+/// (paper §7, as cs/0402027 builds it): each member sends its parent one
+/// "subtree entered" UP token with its subtree's partial value, and the
+/// root releases everyone with one reliable multicast. UP tokens count
+/// rounds: an UP for round `r` means the child's subtree is ready for every
+/// round up to `r`, so a stale or repeated UP never lowers a count.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Collective {
+    round: u64,
+    /// Whether the local host has entered `round`, with `tag`, `kind` and
+    /// its own `value`.
+    entered: bool,
+    tag: u64,
+    kind: CollKind,
+    value: u64,
+    /// Whether this member's UP for `round` went to its parent.
+    up_sent: bool,
+    /// Per child: rounds reported UP, and the latest partial value.
+    children: Vec<(u64, u64)>,
+}
+
+impl Collective {
+    /// Round 0, not entered, for a member with `children` children.
+    pub fn new(children: usize) -> Collective {
+        Collective {
+            children: vec![(0, 0); children],
+            ..Collective::default()
+        }
+    }
+
+    /// The local host enters the round in progress.
+    pub fn enter(&mut self, tag: u64, kind: CollKind, value: u64) {
+        assert!(!self.entered, "host re-entered an open collective round");
+        (self.entered, self.tag, self.kind, self.value) = (true, tag, kind, value);
+    }
+
+    /// Whether the local host entered a round that has not completed.
+    pub fn is_open(&self) -> bool {
+        self.entered
+    }
+
+    /// The round in progress.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// Child `ci` reported UP for `round` with its subtree's `value`.
+    pub fn on_up(&mut self, ci: usize, round: u64, value: u64) {
+        let (count, partial) = &mut self.children[ci];
+        if round + 1 >= *count {
+            *partial = value;
+        }
+        *count = (*count).max(round + 1);
+    }
+
+    /// Whether the host entered the round and every child reported UP.
+    pub fn subtree_ready(&self) -> bool {
+        self.entered && self.children.iter().all(|&(count, _)| count > self.round)
+    }
+
+    /// This subtree's partial result: the local value folded with every
+    /// child's, or `None` for a barrier, which folds nothing.
+    pub fn fold(&self) -> Option<u64> {
+        let CollKind::Allreduce(op) = self.kind else {
+            return None;
+        };
+        Some(
+            self.children
+                .iter()
+                .fold(self.value, |acc, &(_, v)| op.apply(acc, v)),
+        )
+    }
+
+    /// Mark this member's UP for the round as sent; `false` if it was.
+    pub fn send_up(&mut self) -> bool {
+        !core::mem::replace(&mut self.up_sent, true)
+    }
+
+    /// Whether the UP for `round` was sent and its round is still open.
+    pub fn up_outstanding(&self, round: u64) -> bool {
+        self.up_sent && self.round == round
+    }
+
+    /// Complete the round in progress (the root releases it, or a member
+    /// accepts the release) and open the next; returns the completed
+    /// round's tag.
+    pub fn advance(&mut self) -> u64 {
+        (self.round, self.entered, self.up_sent) = (self.round + 1, false, false);
+        self.tag
+    }
+}
+
 /// The NIC group table: a fixed-capacity slab of per-group state slots.
 ///
 /// The paper keeps all multicast state ("per-group state only") in NIC
@@ -605,6 +731,28 @@ mod tests {
         assert_eq!(fwd_buf_refs(true, false), 2, "forwarder: RDMA + chain");
         assert_eq!(fwd_buf_refs(true, true), 3, "HoldSram ablation");
         assert_eq!(fwd_buf_refs(false, true), 1, "leaf ignores HoldSram");
+    }
+
+    #[test]
+    fn collective_counts_rounds_and_folds_the_subtree() {
+        let mut c = Collective::new(2);
+        c.enter(7, CollKind::Allreduce(ReduceOp::Sum), 1);
+        c.on_up(0, 0, 10);
+        assert!(!c.subtree_ready(), "child 1 has not reported");
+        c.on_up(1, 0, 100);
+        assert!(c.subtree_ready());
+        assert_eq!(c.fold(), Some(111));
+        assert!(c.send_up() && !c.send_up(), "one UP a round");
+        assert!(c.up_outstanding(0));
+        assert_eq!(c.advance(), 7);
+        assert!(!c.is_open() && !c.up_outstanding(0));
+        c.on_up(0, 1, 20);
+        c.on_up(0, 0, 10); // a stale UP neither lowers the count nor the value
+        c.enter(8, CollKind::Barrier, 0);
+        assert!(!c.subtree_ready(), "child 1 has not reported round 1");
+        c.on_up(1, 1, 0);
+        assert!(c.subtree_ready() && c.fold().is_none());
+        assert_eq!(c.children, [(2, 20), (2, 0)]);
     }
 
     #[test]

@@ -215,7 +215,26 @@ echo "+ cargo run -q --profile checked -p bench --bin flow_explore -- ${flow_arg
 } | sed -E 's/, [0-9]+ barrier waits$//' >"$flow_out"
 diff -u results/flow_explore.txt "$flow_out"
 rm "$flow_out"
-echo "ci: checked pass OK (health and flow gates with debug assertions, artifacts identical)"
+# The firmware figures too: the ablations and both collectives drive every
+# forwarding variant (free-pool and per-destination tokens, held SRAM,
+# loss, barrier and allreduce releases), so the pool-conservation and
+# buffer-reference assertions hold on optimized runs of them. Each JSON
+# must match the committed one.
+checked_bins=(
+  ablation_token ablation_retx_buffer ablation_multisend_impl ablation_loss
+  ext_nic_barrier ext_allreduce
+)
+checked_snapshots=$(mktemp -d)
+for bin in "${checked_bins[@]}"; do
+  cp "results/$bin.json" "$checked_snapshots/$bin.json"
+  echo "+ cargo run -q --profile checked -p bench --bin $bin"
+  cargo run -q --profile checked -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >/dev/null
+  run run -q --release -p bench "${CARGO_FLAGS[@]}" --bin report_diff -- \
+    "$checked_snapshots/$bin.json" "results/$bin.json"
+  mv "$checked_snapshots/$bin.json" "results/$bin.json"
+done
+rm -r "$checked_snapshots"
+echo "ci: checked pass OK (health, flow and ${#checked_bins[@]} firmware-figure gates with debug assertions, artifacts identical)"
 
 # Artifact-freshness gate: rerun every figure, ablation and extension
 # binary whose default run takes seconds and report_diff its fresh JSON
@@ -250,7 +269,15 @@ for bin in fig1_features check_unicast_parity; do
   cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin "$bin" >"$artifact_snapshots/$bin.txt"
   diff -u "results/logs/$bin.txt" "$artifact_snapshots/$bin.txt"
 done
-echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts and $((${#fresh_bins[@]} + 2)) stdout logs regenerate identically"
+# Fig. 5 by the paper's own method, the maximum over every leaf as the
+# probe: a run off the committed flags writes no JSON, so its stdout is
+# its whole artifact.
+allprobes_log=fig5_gm_multicast_allprobes.txt
+echo "+ cargo run -q --release -p bench --bin fig5_gm_multicast -- --all-probes > $artifact_snapshots/$allprobes_log"
+cargo run -q --release -p bench "${CARGO_FLAGS[@]}" --bin fig5_gm_multicast -- --all-probes \
+  >"$artifact_snapshots/$allprobes_log"
+diff -u "results/logs/$allprobes_log" "$artifact_snapshots/$allprobes_log"
+echo "ci: ${#fresh_bins[@]} figure/ablation/extension artifacts and $((${#fresh_bins[@]} + 3)) stdout logs regenerate identically"
 
 # MPI shard-parity gate: the skew-scaling, MPI-broadcast and NIC-barrier
 # figures rerun on 2 shards must reproduce the committed artifacts byte for
